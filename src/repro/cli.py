@@ -824,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission-control bound of the async front "
                             "end: requests beyond M concurrent are shed "
                             "with 429 + Retry-After")
-    serve.add_argument("--coalesce-window", type=float, default=0.002,
+    serve.add_argument("--coalesce-window", type=float, default=0.0,
                        metavar="SECONDS", dest="coalesce_window",
                        help="how long the async front end waits for a "
                             "burst to pile up before issuing one "

@@ -3,6 +3,7 @@
 from .combined import (
     CombinationRule,
     SearchHit,
+    combine_arrays,
     combine_candidates,
     combined_search,
     validate_combination,
@@ -13,6 +14,7 @@ from .vector_space import DEFAULT_STOPWORDS, VectorSpaceIndex, tokenize
 __all__ = [
     "CombinationRule",
     "SearchHit",
+    "combine_arrays",
     "combine_candidates",
     "combined_search",
     "validate_combination",

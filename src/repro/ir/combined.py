@@ -49,7 +49,7 @@ class SearchHit:
 def validate_combination(weight: float, k: int) -> None:
     """Validate combination parameters before any retrieval work is done.
 
-    Shared by :func:`combined_search`, :func:`combine_candidates` and the
+    Shared by :func:`combined_search`, :func:`combine_arrays` and the
     serving layer (which must reject bad parameters before its cache
     lookup), so the accepted ranges live in exactly one place.
     """
@@ -95,9 +95,11 @@ def combined_search(index: VectorSpaceIndex, query: str,
         The usual damping constant of reciprocal rank fusion.
     """
     validate_combination(weight, k)
-    return combine_candidates(index.search(query), link_scores_by_doc,
-                              rule=rule, weight=weight, k=k,
-                              rrf_constant=rrf_constant)
+    doc_ids, query_scores = index.search_arrays(query)
+    return combine_arrays(doc_ids, query_scores,
+                          _link_scores_of(link_scores_by_doc, doc_ids),
+                          rule=rule, weight=weight, k=k,
+                          rrf_constant=rrf_constant)
 
 
 def combine_candidates(candidates: Sequence[Tuple[int, float]],
@@ -108,53 +110,73 @@ def combine_candidates(candidates: Sequence[Tuple[int, float]],
                        rrf_constant: float = 60.0) -> List[SearchHit]:
     """Combine an already-retrieved candidate set with link-based scores.
 
-    Split out of :func:`combined_search` so callers that retrieve candidates
-    once and reuse them — e.g. the serving layer, which also needs the
-    candidate set to tag cached results — do not pay a second index lookup.
-
     *candidates* is a ``(doc_id, query_score)`` sequence as returned by
-    :meth:`repro.ir.vector_space.VectorSpaceIndex.search`.
+    :meth:`repro.ir.vector_space.VectorSpaceIndex.search`; callers that
+    already hold arrays use :func:`combine_arrays` directly.
     """
-    validate_combination(weight, k)
-    if not candidates:
-        return []
-
-    def link_score_of(doc_id: int) -> float:
-        if isinstance(link_scores_by_doc, dict):
-            return float(link_scores_by_doc.get(doc_id, 0.0))
-        scores = np.asarray(link_scores_by_doc, dtype=float)
-        return float(scores[doc_id]) if 0 <= doc_id < scores.size else 0.0
-
-    doc_ids = [doc_id for doc_id, _score in candidates]
+    doc_ids = np.asarray([doc_id for doc_id, _score in candidates],
+                         dtype=np.int64)
     query_scores = np.asarray([score for _doc, score in candidates],
                               dtype=float)
-    link_scores = np.asarray([link_score_of(doc_id) for doc_id in doc_ids],
-                             dtype=float)
+    return combine_arrays(doc_ids, query_scores,
+                          _link_scores_of(link_scores_by_doc, doc_ids),
+                          rule=rule, weight=weight, k=k,
+                          rrf_constant=rrf_constant)
 
+
+def _link_scores_of(link_scores_by_doc: Dict[int, float] | np.ndarray,
+                    doc_ids: np.ndarray) -> np.ndarray:
+    """Link score of every candidate; ids without one score 0."""
+    if isinstance(link_scores_by_doc, dict):
+        return np.asarray([link_scores_by_doc.get(doc_id, 0.0)
+                           for doc_id in doc_ids.tolist()], dtype=float)
+    scores = np.asarray(link_scores_by_doc, dtype=float)
+    known = (doc_ids >= 0) & (doc_ids < scores.size)
+    link_scores = np.zeros(doc_ids.size)
+    link_scores[known] = scores[doc_ids[known]]
+    return link_scores
+
+
+def combine_arrays(doc_ids: np.ndarray, query_scores: np.ndarray,
+                   link_scores: np.ndarray, *,
+                   rule: CombinationRule = "linear",
+                   weight: float = 0.5,
+                   k: int = 10,
+                   rrf_constant: float = 60.0) -> List[SearchHit]:
+    """The combination core: three aligned candidate arrays in, top-k out.
+
+    The result does not depend on the order the candidates arrive in:
+    every tie is broken by ascending document id.
+    """
+    validate_combination(weight, k)
+    n_candidates = doc_ids.size
+    if not n_candidates:
+        return []
     if rule == "linear":
         combined = (weight * _minmax_normalize(query_scores)
                     + (1.0 - weight) * _minmax_normalize(link_scores))
     elif rule == "rrf":
-        # Ranks tie-break by ascending doc id (not candidate position), so
-        # the fusion is deterministic and invariant to candidate order.
-        ids = np.asarray(doc_ids)
-        query_order = np.lexsort((ids, -query_scores))
-        link_order = np.lexsort((ids, -link_scores))
-        query_rank = np.empty(len(doc_ids))
-        link_rank = np.empty(len(doc_ids))
-        query_rank[query_order] = np.arange(1, len(doc_ids) + 1)
-        link_rank[link_order] = np.arange(1, len(doc_ids) + 1)
+        ranks = np.arange(1, n_candidates + 1)
+        query_rank = np.empty(n_candidates)
+        link_rank = np.empty(n_candidates)
+        query_rank[np.lexsort((doc_ids, -query_scores))] = ranks
+        link_rank[np.lexsort((doc_ids, -link_scores))] = ranks
         combined = (1.0 / (rrf_constant + query_rank)
                     + 1.0 / (rrf_constant + link_rank))
     else:
         raise ValidationError(f"unknown combination rule {rule!r}")
 
-    order = np.lexsort((np.asarray(doc_ids), -combined))
-    hits = []
-    for position in order[:k]:
-        position = int(position)
-        hits.append(SearchHit(doc_id=doc_ids[position],
-                              combined_score=float(combined[position]),
-                              query_score=float(query_scores[position]),
-                              link_score=float(link_scores[position])))
-    return hits
+    if n_candidates > k:
+        # Exact top-k: everything at or above the k-th largest score, so
+        # the final sort sees k candidates plus their ties, not all of them.
+        threshold = np.partition(combined, n_candidates - k)[n_candidates - k]
+        pool = np.flatnonzero(combined >= threshold)
+    else:
+        pool = np.arange(n_candidates)
+    winners = pool[np.lexsort((doc_ids[pool], -combined[pool]))[:k]]
+    return [SearchHit(doc_id=doc_id, combined_score=combined_score,
+                      query_score=query_score, link_score=link_score)
+            for doc_id, combined_score, query_score, link_score
+            in zip(doc_ids[winners].tolist(), combined[winners].tolist(),
+                   query_scores[winners].tolist(),
+                   link_scores[winners].tolist())]

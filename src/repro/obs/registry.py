@@ -64,12 +64,17 @@ FLOPS_BUCKETS: Tuple[float, ...] = (
 COUNT_BUCKETS: Tuple[float, ...] = (
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1000)
 
+#: Buckets for retrieval candidate-set sizes (up to whole corpora).
+CANDIDATE_BUCKETS: Tuple[float, ...] = (
+    10, 100, 1000, 10_000, 100_000, 1_000_000, 10_000_000)
+
 #: Suffix-driven default bucket choice (checked in order).
 _SUFFIX_BUCKETS: Tuple[Tuple[str, Tuple[float, ...]], ...] = (
     ("_seconds", LATENCY_BUCKETS),
     ("_iterations", ITERATION_BUCKETS),
     ("_bytes", BYTES_BUCKETS),
     ("_flops", FLOPS_BUCKETS),
+    ("_candidates", CANDIDATE_BUCKETS),
 )
 
 

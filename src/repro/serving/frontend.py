@@ -6,8 +6,8 @@ call; under a concurrent burst that means thread thrash and N identical
 cache misses racing each other.  This front end replaces that edge with a
 single-threaded asyncio server plus three load-shaping mechanisms:
 
-* **request coalescing** — concurrent ``/query`` requests arriving within
-  a short window (or while a previous batch is still in flight) merge into
+* **request coalescing** — concurrent ``/query`` requests arriving while a
+  previous batch is still in flight (or within an optional window) merge into
   one deduplicated :meth:`RankingService.query_many` call; a burst of
   duplicate queries costs one retrieval, and engine/cache/lock work is
   amortised across the whole batch.  Coalescing is invisible to
@@ -83,9 +83,9 @@ class FrontendConfig:
         benchmark's per-request baseline).
     coalesce_window:
         Seconds the batcher waits after the first request of a burst
-        before flushing, letting the rest of the burst pile in.  Even at
-        ``0`` requests arriving while a batch is *in flight* coalesce
-        into the next one.
+        before flushing, letting the rest of the burst pile in.  At the
+        default ``0`` a lone request pays no wait, and requests arriving
+        while a batch is *in flight* still coalesce into the next one.
     max_batch:
         Most queries sent to the backend in one ``query_many`` call;
         larger coalesced batches are chunked.
@@ -104,7 +104,7 @@ class FrontendConfig:
     """
 
     coalesce: bool = True
-    coalesce_window: float = 0.002
+    coalesce_window: float = 0.0
     max_batch: int = 128
     max_inflight: int = 256
     deadline: float = 5.0
@@ -164,10 +164,10 @@ class QueryCoalescer:
     """Merges concurrent query requests into deduplicated backend batches.
 
     Requests accumulate in a pending map keyed by their option tuple and
-    text; one batcher task flushes the map after ``coalesce_window``
-    seconds (or immediately once a previous flush's backend call returns,
-    so a saturated backend coalesces *by itself*: everything that arrived
-    during flight N forms flight N+1).  Duplicate texts fan one result
+    text; one batcher task flushes the map as soon as the previous flush's
+    backend call returns (plus ``coalesce_window`` seconds, when set), so a
+    saturated backend coalesces *by itself*: everything that arrived
+    during flight N forms flight N+1.  Duplicate texts fan one result
     out to every waiter — together with the batch-level deduplication in
     :meth:`RankingService.query_many` a burst of identical queries costs
     exactly one retrieval.
@@ -276,8 +276,10 @@ class QueryCoalescer:
 
         await asyncio.gather(*[run_chunk(chunk) for chunk in chunks])
 
-    def close(self) -> None:
+    async def close(self) -> None:
+        """Stop the batcher task and fail every still-queued request."""
         self._task.cancel()
+        await asyncio.gather(self._task, return_exceptions=True)
         for groups in self._pending.values():
             for waiters in groups.values():
                 for future, _deadline in waiters:
@@ -322,6 +324,9 @@ class AsyncRankingServer:
             thread_name_prefix="repro-frontend-worker")
         self._admission = AdmissionController(self.config.max_inflight,
                                               self.config.retry_after)
+        #: Handler task -> writer of every open connection (touched on
+        #: the loop thread only).
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         obs.registry().add_collector(self._collect_serving_samples)
         bound = asyncio.run_coroutine_threadsafe(self._start(host, port),
                                                  self._loop)
@@ -376,6 +381,8 @@ class AsyncRankingServer:
     # ------------------------------------------------------------------ #
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
             while True:
                 request = await reader.readline()
@@ -418,6 +425,8 @@ class AsyncRankingServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
+            finally:
+                del self._connections[handler]
 
     @staticmethod
     async def _read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
@@ -536,9 +545,19 @@ class AsyncRankingServer:
         obs.registry().remove_collector(self._collect_serving_samples)
 
         async def _shutdown() -> None:
+            # Stop listening, then finish every task the loop still owns
+            # — the batcher and the open (idle keep-alive, or just
+            # disconnected) connections — so stopping the loop destroys
+            # no pending task.  Closing a connection's transport ends its
+            # handler at the next read; one still inside a backend call
+            # gets a bounded wait.
             self._server.close()
+            await self._coalescer.close()
+            for writer in self._connections.values():
+                writer.close()
+            if self._connections:
+                await asyncio.wait(list(self._connections), timeout=5.0)
             await self._server.wait_closed()
-            self._coalescer.close()
 
         asyncio.run_coroutine_threadsafe(_shutdown(),
                                          self._loop).result(timeout=10.0)

@@ -114,6 +114,17 @@ class _MmapShard:
         ids = self._map.doc_ids[self._offset:self._offset + self._count]
         return [int(doc_id) for doc_id in ids]
 
+    def id_score_arrays(self, segment_index: Optional[int] = None
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """The shard's document ids and their scores, position-aligned.
+
+        Faults the shard's whole score column in — only the combined
+        text+link rules ask, which a store-served deployment without a
+        text corpus never invokes.
+        """
+        window = slice(self._offset, self._offset + self._count)
+        return self._map.doc_ids[window], self._map.scores[window]
+
     def document_at(self, position: int,
                     segment_index: Optional[int] = None) -> ScoredDocument:
         if segment_index is not None:
@@ -214,28 +225,6 @@ class MmapScoreStore(ShardedScoreStore):
     def n_documents(self) -> int:
         """Total documents across all shards."""
         return sum(len(shard) for shard in self._shards.values())
-
-    def link_scores(self, segment: Optional[str] = None) -> Dict[int, float]:
-        """``{doc_id: score}`` over all shards.
-
-        This necessarily faults the whole score column in — it exists for
-        the combined text+link rules, which a store-served deployment
-        without a text corpus never invokes.
-        """
-        if segment is not None:
-            self.segment_position(segment)  # raises: base-only store
-        result: Dict[int, float] = {}
-        for shard in self._shards.values():
-            if isinstance(shard, _MmapShard):
-                offset, count = shard._offset, shard._count
-                ids = self._map.doc_ids[offset:offset + count]
-                scores = self._map.scores[offset:offset + count]
-                for doc_id, score in zip(ids, scores):
-                    result[int(doc_id)] = float(score)
-            else:
-                for index, doc_id in enumerate(shard.doc_ids):
-                    result[doc_id] = float(shard.scores[index])
-        return result
 
     # ------------------------------------------------------------------ #
     # Mutation: replacements become ordinary in-RAM shards masking the

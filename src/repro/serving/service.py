@@ -48,7 +48,7 @@ from ..exceptions import ValidationError
 from ..ir.combined import (
     CombinationRule,
     SearchHit,
-    combine_candidates,
+    combine_arrays,
     validate_combination,
 )
 from ..ir.vector_space import VectorSpaceIndex
@@ -56,7 +56,7 @@ from ..web.docgraph import DocGraph
 from ..web.incremental import IncrementalLayeredRanker, UpdateReport
 from ..web.pipeline import WebRankingResult
 from .cache import GLOBAL_TAG, CacheStats, QueryCache
-from .store import ScoredDocument, ShardedScoreStore
+from .store import LinkScoreView, ScoredDocument, ShardedScoreStore
 from .topk import TopKEngine
 
 
@@ -209,12 +209,10 @@ class RankingService:
         #: behalf, e.g. repro.api.Ranker.serve).
         self._owns_ranker = False
         self._owns_executor = False
-        #: {doc_id: score} view handed to the combination rules; kept in
-        #: lockstep with the store and refreshed on shard updates.
-        self._link_scores: Optional[Dict[int, float]] = None
-        #: Per-segment {doc_id: score} views (lazily built, dropped whole
-        #: on any shard rebuild).
-        self._segment_link_scores: Dict[str, Dict[int, float]] = {}
+        #: Link scores and owning sites aligned to the text index's rows,
+        #: per segment (``None`` = base ranking); built lazily, patched
+        #: per changed site on shard updates.
+        self._link_views: Dict[Optional[str], LinkScoreView] = {}
         self.queries_served = 0
         #: Rebuild accounting, surfaced in stats()["engine"] and /metrics.
         self.rebuilds = 0
@@ -410,20 +408,21 @@ class RankingService:
         with self._lock:
             self._store = rebuilt
             self._engine = TopKEngine(rebuilt)
-            self._segment_link_scores.clear()  # rebuilt lazily per segment
             if report.siterank_recomputed:
                 self._cache.clear()
-                self._link_scores = None  # rebuilt lazily from fresh shards
+                self._link_views.clear()  # rebuilt lazily from fresh shards
             else:
                 for site in sites:
                     self._cache.invalidate_tag(site)
-                # Any global top-k may admit documents of a changed site.
+                # Any global top-k may admit documents of a changed site,
+                # and a query whose candidates span every site is tagged
+                # global as well.
                 self._cache.invalidate_tag(GLOBAL_TAG)
-                if self._link_scores is not None:
-                    for replacement in replacements.values():
-                        doc_ids, _urls, scores = replacement[:3]
-                        for doc_id, score in zip(doc_ids, scores):
-                            self._link_scores[doc_id] = float(score)
+                self._link_views = {
+                    segment: rebuilt.link_score_view(
+                        self._index.doc_id_array, segment=segment,
+                        previous=view, changed=sites)
+                    for segment, view in self._link_views.items()}
             self.swap_count += 1
         rebuild_seconds = perf_counter() - rebuild_started
         self.rebuilds += 1
@@ -490,7 +489,8 @@ class RankingService:
         retrieved candidates (not just the returned hits): a changed site
         can alter the min-max normalisation — and hence the combined
         order — through any candidate, so any such change must invalidate
-        the entry.
+        the entry.  Candidates spanning every site collapse to the one
+        global tag, which every update invalidates.
         """
         if self._index is None:
             raise ValidationError(
@@ -520,20 +520,30 @@ class RankingService:
             if cached is not None:
                 return cached
             # Snapshot the consistent inputs under the lock, then search
-            # and combine outside it: the (pure-Python) text retrieval is
-            # the expensive part of a query, and holding the coarse lock
-            # through it would serialise every concurrent miss.
+            # and combine outside it, so concurrent misses do not
+            # serialise on the coarse lock.
             with self._lock:
                 index = self._index
-                link_scores = self._current_link_scores(segment)
-                store = self._store
-                generation = store.generation
-            candidates = index.search(text)
-            hits = tuple(combine_candidates(
-                candidates, link_scores, rule=rule,
-                weight=weight, k=k, rrf_constant=self._rrf_constant))
-            tags = {store.site_of(doc_id)
-                    for doc_id, _score in candidates if doc_id in store}
+                links = self._link_view(segment)
+                generation = self._store.generation
+            search_started = perf_counter()
+            rows, query_scores = index.match(text)
+            combine_started = perf_counter()
+            hits = tuple(combine_arrays(
+                index.doc_id_array[rows], query_scores, links.scores[rows],
+                rule=rule, weight=weight, k=k,
+                rrf_constant=self._rrf_constant))
+            obs.observe("serving_query_search_seconds",
+                        combine_started - search_started)
+            obs.observe("serving_query_combine_seconds",
+                        perf_counter() - combine_started)
+            obs.observe("serving_query_candidates", float(rows.size))
+            site_rows = np.unique(links.site_rows[rows])
+            site_rows = site_rows[site_rows >= 0]
+            if site_rows.size == len(links.sites):
+                tags = (GLOBAL_TAG,)
+            else:
+                tags = [links.sites[row] for row in site_rows.tolist()]
             with self._lock:
                 # Admit only when no rebuild swapped the store (and no
                 # refresh replaced the index) mid-compute — a stale entry
@@ -562,11 +572,8 @@ class RankingService:
         hitting the retrieval engine — each distinct text is answered
         once and the shared result fans back out to every occurrence, so
         the response list is order- and byte-identical to answering each
-        query separately.  The link-score view is likewise materialised
-        once for the whole batch rather than per query.
+        query separately.
         """
-        with self._lock:
-            self._current_link_scores(segment)  # materialise for the batch
         unique: Dict[str, Tuple[SearchHit, ...]] = {}
         for text in texts:
             if text not in unique:
@@ -594,6 +601,7 @@ class RankingService:
         """
         with self._lock:
             self._index = VectorSpaceIndex.from_corpus(corpus)
+            self._link_views.clear()  # aligned to the old index's rows
             self._cache.clear()
 
     def describe(self, doc_id: int) -> Optional[ScoredDocument]:
@@ -677,14 +685,10 @@ class RankingService:
             }
 
     # ------------------------------------------------------------------ #
-    def _current_link_scores(self, segment: Optional[str] = None
-                             ) -> Dict[int, float]:
-        if segment is not None:
-            view = self._segment_link_scores.get(segment)
-            if view is None:
-                view = self._store.link_scores(segment)
-                self._segment_link_scores[segment] = view
-            return view
-        if self._link_scores is None:
-            self._link_scores = self._store.link_scores()
-        return self._link_scores
+    def _link_view(self, segment: Optional[str] = None) -> LinkScoreView:
+        view = self._link_views.get(segment)
+        if view is None:
+            view = self._store.link_score_view(self._index.doc_id_array,
+                                               segment=segment)
+            self._link_views[segment] = view
+        return view

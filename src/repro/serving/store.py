@@ -54,6 +54,33 @@ class ScoredDocument:
     score: float
 
 
+@dataclass(frozen=True)
+class LinkScoreView:
+    """Link scores and owning sites aligned to a fixed set of rows.
+
+    The rows are the ascending document ids of a text index, so a query's
+    candidate rows index these arrays directly.  Never mutated: an update
+    produces a patched copy (see
+    :meth:`ShardedScoreStore.link_score_view`), so a query may keep using
+    the view it snapshotted while a rebuild swaps in the next one.
+
+    Attributes
+    ----------
+    scores:
+        Link score of every row; ``0.0`` where the store holds no such
+        document.
+    site_rows:
+        Position in :attr:`sites` of every row's owning site; ``-1`` where
+        the store holds no such document.
+    sites:
+        The store's shard identifiers.
+    """
+
+    scores: np.ndarray
+    site_rows: np.ndarray
+    sites: Tuple[str, ...]
+
+
 class _Shard:
     """One site's slice of the score vector, kept in score order.
 
@@ -100,6 +127,13 @@ class _Shard:
                                 -self.segment_columns[:, segment_index]))
             self._segment_orders[segment_index] = order
         return order
+
+    def id_score_arrays(self, segment_index: Optional[int] = None
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """The shard's document ids and their scores, position-aligned."""
+        scores = (self.scores if segment_index is None
+                  else self.segment_columns[:, segment_index])
+        return np.asarray(self.doc_ids, dtype=np.int64), scores
 
     def document_at(self, position: int,
                     segment_index: Optional[int] = None) -> ScoredDocument:
@@ -302,18 +336,56 @@ class ShardedScoreStore:
     def link_scores(self, segment: Optional[str] = None) -> Dict[int, float]:
         """``{doc_id: score}`` over all shards, for the combined ranking.
 
-        Built on demand (and after that kept consistent by ``update_site``),
-        this is the *link_scores_by_doc* argument the
+        This is the *link_scores_by_doc* argument the
         :mod:`repro.ir.combined` rules expect.  Naming a *segment* reads
         that segment's score column instead of the base ranking.
         """
-        if segment is None:
-            return {doc_id: entry[2]
-                    for doc_id, entry in self._entries.items()}
-        column = self.segment_position(segment)
-        return {doc_id: float(shard.segment_columns[index, column])
-                for shard in self._shards.values()
-                for index, doc_id in enumerate(shard.doc_ids)}
+        column = (self.segment_position(segment)
+                  if segment is not None else None)
+        result: Dict[int, float] = {}
+        for shard in self._shards.values():
+            doc_ids, scores = shard.id_score_arrays(column)
+            result.update(zip(doc_ids.tolist(), scores.tolist()))
+        return result
+
+    def link_score_view(self, doc_ids: np.ndarray, *,
+                        segment: Optional[str] = None,
+                        previous: Optional[LinkScoreView] = None,
+                        changed: Iterable[str] = ()) -> LinkScoreView:
+        """Link scores and owning sites aligned to ascending *doc_ids*.
+
+        The array form of :meth:`link_scores` the serving layer combines
+        text candidates with.  Given the *previous* view of an earlier
+        generation of this store (same *doc_ids*, same *segment*, same
+        site set) only the *changed* sites' rows are recomputed, on a
+        copy.
+        """
+        column = (self.segment_position(segment)
+                  if segment is not None else None)
+        if previous is None:
+            sites = tuple(self._shards)
+            changed = sites
+            scores = np.zeros(doc_ids.size)
+            site_rows = np.full(doc_ids.size, -1, dtype=np.int32)
+        else:
+            sites = previous.sites
+            scores = previous.scores.copy()
+            site_rows = previous.site_rows.copy()
+        site_row_of = {site: row for row, site in enumerate(sites)}
+        for site in changed:
+            site_row = site_row_of[site]
+            if previous is not None:
+                stale = site_rows == site_row
+                scores[stale] = 0.0
+                site_rows[stale] = -1
+            shard_ids, shard_scores = \
+                self._shard(site).id_score_arrays(column)
+            rows = np.searchsorted(doc_ids, shard_ids)
+            rows[rows == doc_ids.size] = 0
+            held = doc_ids[rows] == shard_ids
+            scores[rows[held]] = shard_scores[held]
+            site_rows[rows[held]] = site_row
+        return LinkScoreView(scores, site_rows, sites)
 
     def __contains__(self, doc_id: int) -> bool:
         return doc_id in self._entries

@@ -392,3 +392,29 @@ class TestLifecycle:
             connection.close()
         finally:
             frontend.close()
+
+    def test_close_after_client_disconnect_destroys_no_pending_task(
+            self, service, caplog):
+        """Closing right after a keep-alive client hung up (its handler
+        is still finishing) and with another connection idle must leave
+        no task behind for the loop to destroy."""
+        import gc
+        import http.client
+        import logging
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            for _ in range(10):
+                frontend = serve_frontend(service)
+                connections = [http.client.HTTPConnection(
+                    frontend.host, frontend.port, timeout=10)
+                    for _ in range(2)]
+                for connection in connections:
+                    connection.request("GET", "/query?q=research&k=2")
+                    connection.getresponse().read()
+                connections[0].close()  # connections[1] stays idle
+                frontend.close()
+                connections[1].close()
+                del frontend
+                gc.collect()
+        assert [record.getMessage() for record in caplog.records
+                if record.levelno >= logging.ERROR] == []

@@ -17,6 +17,7 @@ from repro.exceptions import GraphStructureError, ValidationError
 from repro.graphgen import generate_synthetic_web
 from repro.io import ArtifactStore, write_diskgraph
 from repro.io.artifacts import GENERATION_MANIFEST
+from repro.ir import VectorSpaceIndex, combine_candidates, synthesize_corpus
 from repro.engine import rank_outofcore
 from repro.serving import (
     MmapScoreStore,
@@ -186,6 +187,31 @@ class TestRollingRebuilds:
             for doc_id in range(web.n_documents):
                 assert mmap_service.score_of(doc_id) \
                     == memory_service.score_of(doc_id)
+
+
+class TestTextQueries:
+    def test_query_equals_search_plus_combine(self, web, ranked):
+        """The array query path over mapped shards, then over an overlay
+        shard masking one of them, against the list path."""
+        index = VectorSpaceIndex.from_corpus(synthesize_corpus(web))
+        service = RankingService(MmapScoreStore.from_store(ranked[1]),
+                                 index=index)
+
+        def check():
+            link_scores = service.store.link_scores()
+            for text in ("research database", "university page"):
+                for rule in ("linear", "rrf"):
+                    assert service.query(text, 6, rule=rule) == tuple(
+                        combine_candidates(index.search(text), link_scores,
+                                           rule=rule, k=6))
+
+        check()
+        with Ranker().incremental(web) as ranker:
+            site_docs = web.documents_of_site(web.sites()[3])
+            report = ranker.add_link(web.document(site_docs[2]).url,
+                                     web.document(site_docs[0]).url)
+            service.apply_update(report, ranker=ranker)
+        check()
 
 
 class TestValidation:

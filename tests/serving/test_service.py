@@ -5,8 +5,14 @@ import pytest
 from repro.api import Ranker
 from repro.exceptions import ValidationError
 from repro.graphgen import generate_synthetic_web
-from repro.ir import VectorSpaceIndex, combined_search, synthesize_corpus
+from repro.ir import (
+    VectorSpaceIndex,
+    combine_candidates,
+    combined_search,
+    synthesize_corpus,
+)
 from repro.serving import RankingService
+from repro.serving.cache import GLOBAL_TAG
 
 
 # The facade spellings of the two historical entry points the service
@@ -126,7 +132,61 @@ class TestTextQueries:
         assert isinstance(service.query("research database", k=3), tuple)
 
 
+def assert_queries_equal_search_plus_combine(service):
+    """``service.query`` (arrays end to end) against the list path."""
+    link_scores = service.store.link_scores()
+    for text in ("research database", "university page", "course",
+                 "quantum entanglement"):
+        candidates = service.index.search(text)
+        for rule, weight, k in (("linear", 0.5, 5), ("linear", 1.0, 3),
+                                ("linear", 0.0, 400), ("rrf", 0.5, 7)):
+            assert service.query(text, k, rule=rule, weight=weight) \
+                == tuple(combine_candidates(candidates, link_scores,
+                                            rule=rule, weight=weight, k=k))
+
+
+class TestArrayQueryPath:
+    def test_query_equals_search_plus_combine(self, service):
+        assert_queries_equal_search_plus_combine(service)
+
+    def test_still_equal_after_a_patched_site(self, web):
+        corpus = synthesize_corpus(web)
+        # A document the text index knows but the store does not: its
+        # link score is 0 and it contributes no cache tag.
+        corpus[10 ** 6] = "research database orphan"
+        ranker = IncrementalLayeredRanker(web)
+        service = RankingService.from_incremental(ranker, corpus=corpus)
+        assert_queries_equal_search_plus_combine(service)
+        docs = web.documents_of_site(web.sites()[2])
+        report = ranker.add_link(web.document(docs[3]).url,
+                                 web.document(docs[0]).url)
+        assert not report.siterank_recomputed
+        # A document the store knows but the text index does not.
+        ranker.add_document("http://site001.example.org/unindexed.html")
+        assert_queries_equal_search_plus_combine(service)
+
+
 class TestIncrementalInvalidation:
+    def test_update_to_any_site_evicts_an_all_sites_query(self, web):
+        """Candidates spanning every shard collapse to the global tag,
+        which must keep the entry reachable for every site's update."""
+        ranker = IncrementalLayeredRanker(web)
+        service = RankingService.from_incremental(
+            ranker, corpus=synthesize_corpus(web))
+        broad = ("query", "university", 5, "linear", 0.5)
+        narrow = ("query", "research", 5, "linear", 0.5)
+        for site in web.sites():
+            service.query("university", k=5)  # background word: every site
+            service.query("research", k=5)    # the first site's topic only
+            assert service.cache._entries[broad][1] == {GLOBAL_TAG}
+            assert service.cache._entries[narrow][1] == {web.sites()[0]}
+            docs = web.documents_of_site(site)
+            report = ranker.add_link(web.document(docs[-1]).url,
+                                     web.document(docs[1]).url)
+            assert not report.siterank_recomputed
+            assert broad not in service.cache
+            assert (narrow in service.cache) == (site != web.sites()[0])
+
     def test_service_follows_single_site_update(self, web):
         ranker = IncrementalLayeredRanker(web)
         service = RankingService.from_incremental(
