@@ -1,10 +1,10 @@
 """Shared fixtures and helpers for the benchmark harness.
 
-Every benchmark module reproduces one experiment from DESIGN.md's experiment
-index (E1–E12).  Besides timing the relevant computation with
+Every ``bench_*.py`` module reproduces one numbered experiment (``E<n>`` in
+its docstring).  Besides timing the relevant computation with
 pytest-benchmark, each module *prints* the paper-style table it regenerates
 and writes it (plus a JSON version) to ``benchmarks/results/`` so the
-numbers quoted in EXPERIMENTS.md can be traced to an artefact.
+numbers quoted in README.md and CHANGES.md can be traced to an artefact.
 
 Run with::
 

@@ -26,15 +26,16 @@ Two build paths exist:
   (convenient for tests and for graphs that do fit in RAM);
 * :class:`DiskGraphBuilder` — the streaming path behind
   ``repro rank --on-disk``: it ingests an edge list chunk by chunk,
-  keeping only O(documents) vertex metadata resident while intra-site
-  edges spill to bucketed temporary files, and emits the site blocks
-  bucket by bucket at :meth:`~DiskGraphBuilder.finalize` — the full web's
-  edge set is never materialised in memory.
+  keeping only O(distinct URL spellings) vertex metadata resident while
+  intra-site edges spill to bucketed temporary files, and emits the site
+  blocks bucket by bucket at :meth:`~DiskGraphBuilder.finalize` — the
+  full web's edge set is never materialised in memory.
 
-The builder assigns document ids, sites and dynamic flags with exactly
-the :meth:`DocGraph.add_link` rules (first-seen ids, URL normalisation,
-host-based site extraction), so a streamed build of an edge list is
-block-for-block identical to writing the equivalent in-memory DocGraph.
+The builder holds the same
+:class:`~repro.web.registry.DocumentRegistry` a :class:`DocGraph` does
+(first-seen ids, URL normalisation, host-based site extraction), so a
+streamed build of an edge list is block-for-block identical to writing
+the equivalent in-memory DocGraph.
 """
 
 from __future__ import annotations
@@ -42,16 +43,19 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..exceptions import GraphStructureError, ValidationError
 from ..linalg.layout import ALIGNMENT, BumpLayout
 from ..linalg.sparse_utils import coo_from_edges, csr_from_buffers
 from ..web.docgraph import DocGraph, Document
+from ..web.registry import DocumentRegistry
 from ..web.sitegraph import SiteGraph, aggregate_sitegraph
-from ..web.url import is_dynamic_url, normalize_url, site_of
+from .edgelist import record_ingest
 from .serialization import load_json, save_json
 
 #: ``format`` field every disk-graph manifest must carry.
@@ -69,8 +73,8 @@ BLOCKS_FILE = "blocks.bin"
 #: builder memory is ~``intra_edges / SPILL_BUCKETS`` edge records.
 SPILL_BUCKETS = 64
 
-#: Edges buffered per bucket before a spill write (keeps the builder from
-#: issuing one tiny file write per edge).
+#: Edges resolved per vectorised routing step, and buffered per bucket
+#: before a spill write (keeps the builder from issuing tiny file writes).
 SPILL_BUFFER_EDGES = 16384
 
 
@@ -461,10 +465,8 @@ def write_diskgraph(docgraph: DocGraph, path: str | os.PathLike, *,
             f"preferences reference unknown sites: {sorted(unknown)!r}")
 
     def fill(writer: _BlockWriter) -> dict:
-        sites = docgraph.sites()
-        site_index = {site: index for index, site in enumerate(sites)}
         entries = []
-        for site in sites:
+        for site in docgraph.sites():
             local, doc_ids = docgraph.local_adjacency(site)
             entry = {
                 "site": site,
@@ -495,11 +497,8 @@ def write_diskgraph(docgraph: DocGraph, path: str | os.PathLike, *,
                 "include_self_links": bool(sitegraph.include_self_links),
             },
             "documents": _document_table(
-                writer,
-                [document.url for document in docgraph.documents()],
-                [site_index[document.site]
-                 for document in docgraph.documents()],
-                [document.is_dynamic for document in docgraph.documents()]),
+                writer, docgraph.registry.urls, docgraph.registry.doc_site,
+                docgraph.registry.dynamic),
         }
 
     return _write_store(path, fill)
@@ -512,18 +511,22 @@ def write_diskgraph(docgraph: DocGraph, path: str | os.PathLike, *,
 class DiskGraphBuilder:
     """Build a disk graph from a streamed edge list in bounded memory.
 
-    Only O(documents) vertex metadata stays resident (the URL→id map the
-    id assignment fundamentally requires, plus per-document site/flag
-    records); intra-site edges spill to :data:`SPILL_BUCKETS` bucketed
-    temporary files and inter-site edges collapse into SiteLink counts as
-    they arrive.  :meth:`finalize` then emits the per-site CSR blocks one
-    bucket at a time, so peak memory never scales with the edge count.
+    Only O(distinct URL spellings) vertex metadata stays resident (the
+    :class:`~repro.web.registry.DocumentRegistry`: the URL→id map the id
+    assignment fundamentally requires — one entry per document plus one
+    per non-canonical spelling seen — and per-document site/flag
+    columns).  Edges arrive as URL pairs and leave the registry as int64
+    id columns; each chunk is routed with array operations — intra-site
+    edges spill to :data:`SPILL_BUCKETS` bucketed temporary files,
+    inter-site edges collapse into SiteLink counts.  :meth:`finalize`
+    then emits the per-site CSR blocks one bucket at a time, so peak
+    memory never scales with the edge count.
 
-    Document identity follows :meth:`DocGraph.add_link` exactly
-    (normalised URLs, first-seen dense ids, *site_extractor* defaulting to
-    the host-based :func:`repro.web.url.site_of`), which is what makes a
-    streamed build bitwise-interchangeable with
-    :func:`write_diskgraph` over the same edges.
+    Document identity is the registry's, i.e. exactly
+    :meth:`DocGraph.add_link`'s (normalised URLs, first-seen dense ids,
+    *site_extractor* defaulting to the host), which is what makes a
+    streamed build bitwise-interchangeable with :func:`write_diskgraph`
+    over the same edges.
     """
 
     def __init__(self, path: str | os.PathLike, *,
@@ -535,24 +538,18 @@ class DiskGraphBuilder:
             raise ValidationError("spill_buckets must be positive")
         self._path = os.fspath(path)
         os.makedirs(self._path, exist_ok=True)
-        self._site_extractor = site_extractor or site_of
-        self._normalize = normalize
+        self._registry = DocumentRegistry(site_extractor=site_extractor,
+                                          normalize=normalize)
         self._include_self_links = bool(include_site_self_links)
         self._spill = tempfile.TemporaryDirectory(
             dir=self._path, prefix=".build.")
         self._n_buckets = int(spill_buckets)
-        self._buffers: List[List[int]] = [[] for _ in range(self._n_buckets)]
+        # Per bucket: (k, 2) id-pair arrays awaiting a spill write.
+        self._buffers: List[List[np.ndarray]] = \
+            [[] for _ in range(self._n_buckets)]
         self._bucket_files: List[Optional[str]] = [None] * self._n_buckets
-        # Vertex metadata (the resident O(documents) state).
-        self._id_by_url: Dict[str, int] = {}
-        self._urls: List[str] = []
-        self._doc_site: List[int] = []
-        self._dynamic: List[bool] = []
-        self._sites: List[str] = []
-        self._site_index: Dict[str, int] = {}
-        self._docs_by_site: List[List[int]] = []
-        # Edge accounting.
-        self._sitelink_counts: Dict[Tuple[int, int], int] = {}
+        # SiteLink counts keyed by ``source site << 32 | target site``.
+        self._sitelink_counts: Dict[int, int] = {}
         self._n_links = 0
         self._finalized = False
 
@@ -560,7 +557,7 @@ class DiskGraphBuilder:
     @property
     def n_documents(self) -> int:
         """Documents registered so far."""
-        return len(self._urls)
+        return len(self._registry)
 
     @property
     def n_links(self) -> int:
@@ -570,81 +567,73 @@ class DiskGraphBuilder:
     @property
     def n_sites(self) -> int:
         """Distinct sites seen so far."""
-        return len(self._sites)
+        return len(self._registry.sites)
+
+    def _require_open(self) -> None:
+        if self._finalized:
+            raise ValidationError("builder is already finalized")
 
     # ------------------------------------------------------------------ #
     def add_document(self, url: str, *, site: Optional[str] = None,
                      is_dynamic: Optional[bool] = None) -> int:
-        """Register a document (idempotent); mirrors ``DocGraph.add_document``."""
-        if self._finalized:
-            raise ValidationError("builder is already finalized")
-        key = normalize_url(url) if self._normalize else url
-        existing = self._id_by_url.get(key)
-        if existing is not None:
-            return existing
-        if site is None:
-            site = self._site_extractor(key)
-        if is_dynamic is None:
-            try:
-                is_dynamic = is_dynamic_url(key)
-            except ValidationError:
-                is_dynamic = False
-        site_index = self._site_index.get(site)
-        if site_index is None:
-            site_index = len(self._sites)
-            self._site_index[site] = site_index
-            self._sites.append(site)
-            self._docs_by_site.append([])
-        doc_id = len(self._urls)
-        self._id_by_url[key] = doc_id
-        self._urls.append(key)
-        self._doc_site.append(site_index)
-        self._dynamic.append(bool(is_dynamic))
-        self._docs_by_site[site_index].append(doc_id)
-        return doc_id
+        """Register a document (idempotent), as ``DocGraph.add_document``."""
+        self._require_open()
+        return self._registry.add(url, site=site, is_dynamic=is_dynamic)
 
     def add_edge(self, source_url: str, target_url: str) -> None:
         """Ingest one DocLink (endpoints registered on first sight)."""
-        source = self.add_document(source_url)
-        target = self.add_document(target_url)
-        self._n_links += 1
-        source_site = self._doc_site[source]
-        target_site = self._doc_site[target]
-        if source_site == target_site:
-            buffer = self._buffers[source_site % self._n_buckets]
-            buffer.append(source)
-            buffer.append(target)
-            if len(buffer) >= 2 * SPILL_BUFFER_EDGES:
-                self._flush_bucket(source_site % self._n_buckets)
-            if self._include_self_links:
-                pair = (source_site, source_site)
-                self._sitelink_counts[pair] = \
-                    self._sitelink_counts.get(pair, 0) + 1
-        else:
-            pair = (source_site, target_site)
-            self._sitelink_counts[pair] = \
-                self._sitelink_counts.get(pair, 0) + 1
+        self.add_edges(((source_url, target_url),))
 
     def add_edges(self, edges: Iterable[Tuple[str, str]]) -> None:
         """Ingest many ``(source URL, target URL)`` pairs."""
-        for source, target in edges:
-            self.add_edge(source, target)
+        self._require_open()
+        registry, edges = self._registry, iter(edges)
+        while True:
+            documents, parses = len(registry), registry.n_parses
+            sources, targets = registry.add_edges(
+                islice(edges, SPILL_BUFFER_EDGES))
+            if not sources:
+                return
+            record_ingest(len(sources), len(registry) - documents,
+                          registry.n_parses - parses)
+            self._route(np.column_stack((sources, targets)))
 
     def consume(self, chunks: Iterable[Sequence[Tuple[str, str]]]) -> None:
         """Ingest a chunked stream (``repro.io.edgelist.stream_url_edgelist``)."""
-        for chunk in chunks:
-            self.add_edges(chunk)
+        with obs.span("ingest.diskgraph.consume"):
+            for chunk in chunks:
+                self.add_edges(chunk)
 
     # ------------------------------------------------------------------ #
+    def _route(self, links: np.ndarray) -> None:
+        """Send one ``(k, 2)`` chunk of id pairs to spill buckets / SiteLink
+        counts."""
+        self._n_links += len(links)
+        sites = np.frombuffer(self._registry.doc_site, dtype=np.int64)[links]
+        intra = sites[:, 0] == sites[:, 1]
+        counted = sites if self._include_self_links else sites[~intra]
+        codes, counts = np.unique(counted[:, 0] << 32 | counted[:, 1],
+                                  return_counts=True)
+        for code, count in zip(codes.tolist(), counts.tolist()):
+            self._sitelink_counts[code] = \
+                self._sitelink_counts.get(code, 0) + count
+        links, buckets = links[intra], sites[intra, 0] % self._n_buckets
+        for bucket in np.unique(buckets).tolist():
+            buffer = self._buffers[bucket]
+            buffer.append(links[buckets == bucket])
+            if sum(map(len, buffer)) >= SPILL_BUFFER_EDGES:
+                self._flush_bucket(bucket)
+
     def _flush_bucket(self, bucket: int) -> None:
-        buffer = self._buffers[bucket]
-        if not buffer:
+        if not self._buffers[bucket]:
             return
         if self._bucket_files[bucket] is None:
             self._bucket_files[bucket] = os.path.join(
                 self._spill.name, f"bucket-{bucket:04d}.bin")
+        block = np.concatenate(self._buffers[bucket])
         with open(self._bucket_files[bucket], "ab") as handle:
-            np.asarray(buffer, dtype=np.int64).tofile(handle)
+            block.tofile(handle)
+        obs.inc("ingest_spill_bytes_total", block.nbytes)
         self._buffers[bucket] = []
 
     def _bucket_edges(self, bucket: int) -> np.ndarray:
@@ -656,59 +645,59 @@ class DiskGraphBuilder:
 
     def finalize(self) -> DiskGraph:
         """Emit site blocks, SiteGraph and document table; return the store."""
-        if self._finalized:
-            raise ValidationError("builder is already finalized")
-        if not self._urls:
+        self._require_open()
+        registry = self._registry
+        if not registry.urls:
             raise GraphStructureError("cannot persist an empty graph")
         self._finalized = True
         for bucket in range(self._n_buckets):
             self._flush_bucket(bucket)
-        doc_site = np.asarray(self._doc_site, dtype=np.int64)
+        doc_site = np.array(registry.doc_site, dtype=np.int64)
+        n_sites = len(registry.sites)
 
         def fill(writer: _BlockWriter) -> dict:
-            entries: List[Optional[dict]] = [None] * len(self._sites)
+            entries: List[Optional[dict]] = [None] * n_sites
             for bucket in range(self._n_buckets):
                 edges = self._bucket_edges(bucket)
-                source_sites = doc_site[edges[:, 0]] if edges.size else \
-                    np.empty(0, dtype=np.int64)
-                for site_index in range(bucket, len(self._sites),
-                                        self._n_buckets):
-                    doc_ids = np.asarray(self._docs_by_site[site_index],
+                source_sites = doc_site[edges[:, 0]]
+                for site_index in range(bucket, n_sites, self._n_buckets):
+                    doc_ids = np.asarray(registry.docs_by_site[site_index],
                                          dtype=np.int64)
                     local_edges = edges[source_sites == site_index]
                     # Site doc ids ascend (assigned in first-seen order),
                     # so local indices are searchsorted positions — the
                     # same local order DocGraph.local_adjacency uses.
-                    local_src = np.searchsorted(doc_ids, local_edges[:, 0])
-                    local_tgt = np.searchsorted(doc_ids, local_edges[:, 1])
                     local = coo_from_edges(
-                        zip(local_src.tolist(), local_tgt.tolist()),
+                        np.searchsorted(doc_ids, local_edges),
                         int(doc_ids.size))
                     entries[site_index] = {
-                        "site": self._sites[site_index],
+                        "site": registry.sites[site_index],
                         "adjacency": writer.write_csr(local),
                         "doc_ids": writer.write_array(doc_ids),
                         "preference": None,
                     }
-            pairs = sorted(self._sitelink_counts)
-            weights = [float(self._sitelink_counts[pair]) for pair in pairs]
-            site_adjacency = coo_from_edges(pairs, len(self._sites),
-                                            weights=weights)
+            codes = np.array(sorted(self._sitelink_counts), dtype=np.int64)
+            site_adjacency = coo_from_edges(
+                np.column_stack((codes >> 32, codes & 0xFFFFFFFF)), n_sites,
+                weights=[float(self._sitelink_counts[code])
+                         for code in codes.tolist()])
             return {
-                "n_documents": len(self._urls),
+                "n_documents": len(registry),
                 "n_links": self._n_links,
                 "sites": entries,
                 "sitegraph": {
                     "adjacency": writer.write_csr(site_adjacency),
-                    "site_sizes": [len(ids) for ids in self._docs_by_site],
+                    "site_sizes": [len(ids) for ids in registry.docs_by_site],
                     "include_self_links": self._include_self_links,
                 },
-                "documents": _document_table(writer, self._urls,
-                                             self._doc_site, self._dynamic),
+                "documents": _document_table(
+                    writer, registry.urls, registry.doc_site,
+                    registry.dynamic),
             }
 
         try:
-            return _write_store(self._path, fill)
+            with obs.span("ingest.diskgraph.finalize"):
+                return _write_store(self._path, fill)
         finally:
             self._spill.cleanup()
 

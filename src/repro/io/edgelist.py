@@ -16,6 +16,7 @@ import hashlib
 import os
 from typing import Callable, Iterable, Iterator, List, Optional, TextIO, Tuple
 
+from .. import obs
 from ..exceptions import ValidationError
 from ..web.docgraph import DocGraph
 
@@ -30,10 +31,9 @@ def iter_url_edges(lines: Iterable[str]) -> Iterator[Tuple[str, str]]:
     whitespace-separated fields raises.
     """
     for line_number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         if len(fields) != 2:
             raise ValidationError(
                 f"line {line_number}: expected 2 fields, got {len(fields)}")
@@ -77,13 +77,28 @@ def stream_url_edgelist(path: str | os.PathLike, *,
         yield from stream_url_edges(handle, chunk_edges=chunk_edges)
 
 
+def record_ingest(edges: int, documents: int, url_parses: int) -> None:
+    """Count one ingest call or chunk (never called per edge).
+
+    Every edge costs two URL lookups; ``ingest_url_parses_total`` over
+    ``ingest_url_lookups_total`` is the share the registry's memo missed.
+    """
+    obs.inc("ingest_edges_total", edges)
+    obs.inc("ingest_documents_total", documents)
+    obs.inc("ingest_url_lookups_total", 2 * edges)
+    obs.inc("ingest_url_parses_total", url_parses)
+
+
 def read_url_edgelist(path: str | os.PathLike, *,
                       site_extractor: Optional[Callable[[str], str]] = None,
                       ) -> DocGraph:
     """Load a DocGraph from a URL edge-list file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return DocGraph.from_edges(iter_url_edges(handle),
-                                   site_extractor=site_extractor)
+    with obs.span("ingest.edgelist.read"), \
+            open(path, "r", encoding="utf-8") as handle:
+        graph = DocGraph.from_edges(iter_url_edges(handle),
+                                    site_extractor=site_extractor)
+    record_ingest(graph.n_links, graph.n_documents, graph.registry.n_parses)
+    return graph
 
 
 def write_url_edgelist(docgraph: DocGraph, path: str | os.PathLike) -> None:

@@ -1,8 +1,9 @@
 """JSON serialisation of rankings and experiment reports.
 
-The benchmark harness writes its measured rows to JSON so EXPERIMENTS.md can
-reference concrete artefacts and so downstream tooling (plotting, regression
-tracking) can consume them without re-running the benchmarks.
+The benchmark harness writes its measured rows to JSON (under
+``benchmarks/results/``) so that quoted numbers trace to concrete artefacts
+and downstream tooling (plotting, regression tracking) can consume them
+without re-running the benchmarks.
 """
 
 from __future__ import annotations
@@ -166,8 +167,7 @@ def experiment_rows_to_markdown(rows: List[Dict[str, Any]],
                                 columns: List[str]) -> str:
     """Render benchmark rows as a GitHub-flavoured markdown table.
 
-    Used by the benchmark harness to print paper-style tables and by the
-    EXPERIMENTS.md generation helpers.
+    Used by the benchmark harness to print paper-style tables.
     """
     if not columns:
         raise ValidationError("columns must not be empty")

@@ -6,8 +6,9 @@ local DocRanks, and the stationary distribution of the global LMM matrix
 between successive iterates falls below a tolerance.
 
 The solver reports a :class:`PowerIterationResult` carrying the full residual
-history so that convergence benchmarks (experiment E11 in DESIGN.md) can be
-produced without re-instrumenting the solver.
+history so that convergence benchmarks (experiment E11,
+``benchmarks/bench_convergence.py``) can be produced without
+re-instrumenting the solver.
 """
 
 from __future__ import annotations

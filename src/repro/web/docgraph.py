@@ -14,15 +14,16 @@ deterministic document indexing.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..exceptions import GraphStructureError, ValidationError
+from ..exceptions import GraphStructureError
 from ..linalg.sparse_utils import coo_from_edges, submatrix
-from .url import normalize_url, site_of
+from .registry import DocumentRegistry
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,11 @@ class Document:
 class DocGraph:
     """A directed graph of web documents grouped into web sites.
 
+    Document identity lives in a
+    :class:`~repro.web.registry.DocumentRegistry` (each distinct URL
+    spelling is parsed once); DocLinks are two growable int64 columns of
+    source / target ids, handed to the matrix builders as arrays.
+
     Parameters
     ----------
     site_extractor:
@@ -65,17 +71,26 @@ class DocGraph:
 
     def __init__(self, *, site_extractor: Optional[Callable[[str], str]] = None,
                  normalize: bool = True) -> None:
-        self._site_extractor = site_extractor or site_of
-        self._normalize = normalize
+        self._registry = DocumentRegistry(site_extractor=site_extractor,
+                                          normalize=normalize)
         self._documents: List[Document] = []
-        self._id_by_url: Dict[str, int] = {}
-        self._edges: List[Tuple[int, int]] = []
-        self._docs_by_site: Dict[str, List[int]] = {}
+        self._sources = array("q")
+        self._targets = array("q")
         self._adjacency_cache: Optional[sp.csr_matrix] = None
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
+    def _sync_documents(self) -> None:
+        """Give every document the registry gained its :class:`Document`."""
+        registry, documents = self._registry, self._documents
+        for doc_id in range(len(documents), len(registry)):
+            documents.append(Document(
+                doc_id=doc_id, url=registry.urls[doc_id],
+                site=registry.sites[registry.doc_site[doc_id]],
+                is_dynamic=bool(registry.dynamic[doc_id])))
+        self._adjacency_cache = None
+
     def add_document(self, url: str, *, site: Optional[str] = None,
                      is_dynamic: Optional[bool] = None) -> int:
         """Add a document (idempotent) and return its integer id.
@@ -87,26 +102,9 @@ class DocGraph:
         is_dynamic:
             Explicit dynamic-page flag; derived from the URL when omitted.
         """
-        key = normalize_url(url) if self._normalize else url
-        existing = self._id_by_url.get(key)
-        if existing is not None:
-            return existing
-        if site is None:
-            site = self._site_extractor(key)
-        if is_dynamic is None:
-            from .url import is_dynamic_url
-
-            try:
-                is_dynamic = is_dynamic_url(key)
-            except ValidationError:
-                is_dynamic = False
-        doc_id = len(self._documents)
-        document = Document(doc_id=doc_id, url=key, site=site,
-                            is_dynamic=bool(is_dynamic))
-        self._documents.append(document)
-        self._id_by_url[key] = doc_id
-        self._docs_by_site.setdefault(site, []).append(doc_id)
-        self._adjacency_cache = None
+        doc_id = self._registry.add(url, site=site, is_dynamic=is_dynamic)
+        if doc_id == len(self._documents):
+            self._sync_documents()
         return doc_id
 
     def add_link(self, source_url: str, target_url: str) -> Tuple[int, int]:
@@ -118,8 +116,7 @@ class DocGraph:
         """
         source = self.add_document(source_url)
         target = self.add_document(target_url)
-        self._edges.append((source, target))
-        self._adjacency_cache = None
+        self.add_link_by_id(source, target)
         return source, target
 
     def add_link_by_id(self, source: int, target: int) -> None:
@@ -129,7 +126,8 @@ class DocGraph:
             raise GraphStructureError(
                 f"link ({source}, {target}) references unknown documents "
                 f"(graph has {n})")
-        self._edges.append((source, target))
+        self._sources.append(source)
+        self._targets.append(target)
         self._adjacency_cache = None
 
     @classmethod
@@ -138,13 +136,18 @@ class DocGraph:
                    normalize: bool = True) -> "DocGraph":
         """Build a DocGraph from an iterable of ``(source URL, target URL)``."""
         graph = cls(site_extractor=site_extractor, normalize=normalize)
-        for source, target in edges:
-            graph.add_link(source, target)
+        graph._sources, graph._targets = graph._registry.add_edges(edges)
+        graph._sync_documents()
         return graph
 
     # ------------------------------------------------------------------ #
     # Inspection
     # ------------------------------------------------------------------ #
+    @property
+    def registry(self) -> DocumentRegistry:
+        """The document-identity table behind this graph."""
+        return self._registry
+
     @property
     def n_documents(self) -> int:
         """Number of documents ``N_D``."""
@@ -153,19 +156,18 @@ class DocGraph:
     @property
     def n_links(self) -> int:
         """Number of DocLinks (counting multiplicity)."""
-        return len(self._edges)
+        return len(self._sources)
 
     @property
     def n_sites(self) -> int:
         """Number of distinct web sites ``N_S``."""
-        return len(self._docs_by_site)
+        return len(self._registry.sites)
 
     def __len__(self) -> int:
         return self.n_documents
 
     def __contains__(self, url: str) -> bool:
-        key = normalize_url(url) if self._normalize else url
-        return key in self._id_by_url
+        return self._registry.find(url) is not None
 
     def documents(self) -> Iterator[Document]:
         """Iterate over all documents in id order."""
@@ -179,19 +181,18 @@ class DocGraph:
 
     def document_by_url(self, url: str) -> Document:
         """The :class:`Document` with the given URL."""
-        key = normalize_url(url) if self._normalize else url
-        doc_id = self._id_by_url.get(key)
+        doc_id = self._registry.find(url)
         if doc_id is None:
             raise GraphStructureError(f"unknown document URL {url!r}")
         return self._documents[doc_id]
 
     def urls(self) -> List[str]:
         """All document URLs in id order."""
-        return [document.url for document in self._documents]
+        return list(self._registry.urls)
 
     def sites(self) -> List[str]:
         """All site identifiers, in first-seen order."""
-        return list(self._docs_by_site.keys())
+        return list(self._registry.sites)
 
     def site_of_document(self, doc_id: int) -> str:
         """Site identifier of a document id."""
@@ -199,17 +200,28 @@ class DocGraph:
 
     def documents_of_site(self, site: str) -> List[int]:
         """Document ids belonging to a site ("V_d(s)" in the paper)."""
-        if site not in self._docs_by_site:
+        index = self._registry.site_index.get(site)
+        if index is None:
             raise GraphStructureError(f"unknown site {site!r}")
-        return list(self._docs_by_site[site])
+        return list(self._registry.docs_by_site[index])
 
     def site_sizes(self) -> Dict[str, int]:
         """``size(s)`` for every site: the number of local documents ``n_s``."""
-        return {site: len(ids) for site, ids in self._docs_by_site.items()}
+        return {site: len(ids) for site, ids in zip(
+            self._registry.sites, self._registry.docs_by_site)}
 
     def edges(self) -> List[Tuple[int, int]]:
         """All DocLinks as ``(source id, target id)`` pairs."""
-        return list(self._edges)
+        return list(zip(self._sources, self._targets))
+
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """All DocLinks as ``(source ids, target ids)`` int64 arrays (copies)."""
+        return (np.array(self._sources, dtype=np.int64),
+                np.array(self._targets, dtype=np.int64))
+
+    def site_indices(self) -> np.ndarray:
+        """Per-document index into :meth:`sites` (int64 array, a copy)."""
+        return np.array(self._registry.doc_site, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Matrices
@@ -219,8 +231,8 @@ class DocGraph:
         if self.n_documents == 0:
             raise GraphStructureError("DocGraph is empty")
         if self._adjacency_cache is None:
-            self._adjacency_cache = coo_from_edges(self._edges,
-                                                   self.n_documents)
+            self._adjacency_cache = coo_from_edges(
+                np.column_stack(self.edge_arrays()), self.n_documents)
         return self._adjacency_cache
 
     def local_adjacency(self, site: str) -> Tuple[sp.csr_matrix, List[int]]:
@@ -250,7 +262,7 @@ class DocGraph:
         for document in self._documents:
             graph.add_node(document.url, site=document.site,
                            is_dynamic=document.is_dynamic)
-        for source, target in self._edges:
+        for source, target in zip(self._sources, self._targets):
             graph.add_edge(self._documents[source].url,
                            self._documents[target].url)
         return graph

@@ -12,7 +12,7 @@ before, after, or in parallel with the per-site DocRanks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,6 +113,7 @@ def aggregate_sitegraph(docgraph: DocGraph, *,
     """
     if docgraph.n_documents == 0:
         raise GraphStructureError("cannot aggregate an empty DocGraph")
+    site_of_doc = docgraph.site_indices()
     if site_order is None:
         sites = docgraph.sites()
     else:
@@ -121,21 +122,13 @@ def aggregate_sitegraph(docgraph: DocGraph, *,
         if missing:
             raise GraphStructureError(
                 f"site_order is missing sites: {sorted(missing)!r}")
-    index_of_site: Dict[str, int] = {site: i for i, site in enumerate(sites)}
-
-    site_of_doc = np.empty(docgraph.n_documents, dtype=np.int64)
-    for document in docgraph.documents():
-        site_of_doc[document.doc_id] = index_of_site[document.site]
-
-    site_edges: List[Tuple[int, int]] = []
-    for source, target in docgraph.edges():
-        source_site = int(site_of_doc[source])
-        target_site = int(site_of_doc[target])
-        if source_site == target_site and not include_self_links:
-            continue
-        site_edges.append((source_site, target_site))
-
-    adjacency = coo_from_edges(site_edges, len(sites))
+        index_of_site = {site: i for i, site in enumerate(sites)}
+        site_of_doc = np.array([index_of_site[site]
+                                for site in docgraph.sites()])[site_of_doc]
+    site_links = site_of_doc[np.column_stack(docgraph.edge_arrays())]
+    if not include_self_links:
+        site_links = site_links[site_links[:, 0] != site_links[:, 1]]
+    adjacency = coo_from_edges(site_links, len(sites))
     sizes_by_site = docgraph.site_sizes()
     site_sizes = [sizes_by_site[site] for site in sites]
     return SiteGraph(sites=sites, adjacency=adjacency, site_sizes=site_sizes,

@@ -14,7 +14,7 @@ from domains or geography.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, Tuple
 from urllib.parse import urlsplit, urlunsplit
 
 from ..exceptions import ValidationError
@@ -47,13 +47,15 @@ class ParsedURL:
     def is_dynamic(self) -> bool:
         if self.query:
             return True
-        lowered = self.path.lower()
-        return any(lowered.endswith(ext)
-                   for ext in (".php", ".asp", ".aspx", ".jsp", ".cgi"))
+        return self.path.lower().endswith(
+            (".php", ".asp", ".aspx", ".jsp", ".cgi"))
 
     def unparse(self) -> str:
         """Reassemble the normalised URL string."""
-        netloc = self.host if self.port is None else f"{self.host}:{self.port}"
+        # An IPv6 literal needs its brackets back, or the result re-parses
+        # to no host and normalisation would not be idempotent.
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        netloc = host if self.port is None else f"{host}:{self.port}"
         return urlunsplit((self.scheme, netloc, self.path, self.query, ""))
 
 
@@ -65,19 +67,23 @@ def parse_url(url: str) -> ParsedURL:
 
     Normalisation: lower-case scheme and host, strip fragments, drop default
     ports, collapse an empty path to ``/``.  Raises
-    :class:`~repro.exceptions.ValidationError` for URLs without a host or
-    with an unsupported scheme.
+    :class:`~repro.exceptions.ValidationError` for URLs without a host,
+    with an unsupported scheme, or that ``urllib`` itself refuses
+    (unbalanced IPv6 brackets, non-numeric or out-of-range ports).
     """
     if not isinstance(url, str) or not url.strip():
         raise ValidationError("url must be a non-empty string")
-    parts = urlsplit(url.strip())
+    try:
+        parts = urlsplit(url.strip())
+        port = parts.port
+    except ValueError as error:
+        raise ValidationError(f"malformed URL {url!r}: {error}") from None
     scheme = (parts.scheme or "http").lower()
     if scheme not in ("http", "https"):
         raise ValidationError(f"unsupported URL scheme {scheme!r} in {url!r}")
     host = (parts.hostname or "").lower()
     if not host:
         raise ValidationError(f"URL {url!r} has no host")
-    port = parts.port
     if port is not None and port == _DEFAULT_PORTS.get(scheme):
         port = None
     path = parts.path or "/"
@@ -85,9 +91,19 @@ def parse_url(url: str) -> ParsedURL:
                      query=parts.query)
 
 
+def canonicalize_url(url: str) -> Tuple[str, str, bool]:
+    """``(canonical URL, host, is_dynamic)`` of *url* from a single parse.
+
+    Everything document identity needs; graph ingest calls it once per
+    distinct URL spelling (:class:`repro.web.registry.DocumentRegistry`).
+    """
+    parsed = parse_url(url)
+    return parsed.unparse(), parsed.host, parsed.is_dynamic
+
+
 def normalize_url(url: str) -> str:
     """Return the canonical string form of *url*."""
-    return parse_url(url).unparse()
+    return canonicalize_url(url)[0]
 
 
 def site_of(url: str, *, policy: GroupingPolicy = "host",
@@ -141,4 +157,4 @@ def make_site_extractor(policy: GroupingPolicy = "host",
 
 def is_dynamic_url(url: str) -> bool:
     """Whether *url* looks like a dynamically generated (scripted) page."""
-    return parse_url(url).is_dynamic
+    return canonicalize_url(url)[2]

@@ -116,6 +116,15 @@ class TestBuilderParity:
         with pytest.raises(ValidationError):
             builder.finalize()
 
+    @pytest.mark.parametrize(
+        "url", ["http://a:99999/", "http://a:x/", "http://[::1/"])
+    def test_hostile_url_is_a_validation_error(self, tmp_path, url):
+        builder = DiskGraphBuilder(tmp_path / "g")
+        with pytest.raises(ValidationError, match="malformed URL"):
+            builder.consume([[("http://a.org/", "http://b.org/")],
+                             [(url, "http://a.org/")]])
+        builder.abort()
+
     def test_empty_build_raises(self, tmp_path):
         builder = DiskGraphBuilder(tmp_path / "g")
         with pytest.raises(GraphStructureError):

@@ -46,6 +46,15 @@ class TestUrlEdgelistRoundTrip:
         assert loaded.n_sites == 1
 
 
+    @pytest.mark.parametrize(
+        "url", ["http://a:99999/", "http://a:x/", "http://[::1/"])
+    def test_hostile_url_is_a_validation_error(self, tmp_path, url):
+        path = tmp_path / "edges.txt"
+        path.write_text(f"http://a.org/ http://b.org/\nhttp://a.org/ {url}\n")
+        with pytest.raises(ValidationError, match="malformed URL"):
+            read_url_edgelist(path)
+
+
 class TestDocGraphRoundTrip:
     def test_lossless_round_trip(self, tmp_path, spam_docgraph):
         path = tmp_path / "graph.txt"

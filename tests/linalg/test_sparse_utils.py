@@ -48,6 +48,32 @@ class TestCooFromEdges:
         with pytest.raises(ValidationError):
             coo_from_edges([(0, 1)], 2, weights=[1.0, 2.0])
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_edge_array_equals_pair_iterable_and_ordered_coo_pass(
+            self, weighted):
+        # Many duplicates: the (E, 2) array path, the pair-iterable path
+        # and scipy's ordered COO duplicate pass must give the same bits.
+        rng = np.random.default_rng(5)
+        pairs = rng.integers(0, 12, size=(4000, 2))
+        weights = rng.random(4000).tolist() if weighted else None
+        data = np.ones(4000) if weights is None else np.asarray(weights)
+        reference = sp.coo_matrix((data, (pairs[:, 0], pairs[:, 1])),
+                                  shape=(12, 12))
+        reference.sum_duplicates()
+        reference = reference.tocsr()
+        for edges in (pairs, [tuple(pair) for pair in pairs.tolist()]):
+            matrix = coo_from_edges(edges, 12, weights=weights)
+            assert matrix.indices.dtype == reference.indices.dtype
+            assert np.array_equal(matrix.indptr, reference.indptr)
+            assert np.array_equal(matrix.indices, reference.indices)
+            assert np.array_equal(matrix.data, reference.data)
+
+    def test_edge_array_is_validated(self):
+        with pytest.raises(ValidationError):
+            coo_from_edges(np.array([[0, 3]]), 3)
+        with pytest.raises(ValidationError):
+            coo_from_edges(np.array([[-1, 0]]), 3)
+
 
 class TestDegrees:
     def test_out_degrees(self):

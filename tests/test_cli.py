@@ -83,6 +83,22 @@ class TestErrorExitCodes:
                      "--format", "docgraph"]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--on-disk", "--output", "store"]])
+    @pytest.mark.parametrize(
+        "url", ["http://a:99999/", "http://a:x/", "http://[::1/"])
+    def test_rank_edgelist_with_hostile_url(self, tmp_path, capsys, url,
+                                            extra):
+        # urllib raises a bare ValueError on these; it must reach the user
+        # as the one-line exit-code-2 error, never as a traceback.
+        bad = tmp_path / "edges.txt"
+        bad.write_text(f"http://a.org/ http://b.org/\n{url} http://a.org/\n")
+        extra = [str(tmp_path / arg) if arg == "store" else arg
+                 for arg in extra]
+        assert main(["rank", "--input", str(bad)] + extra) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestExampleCommand:
     def test_prints_all_four_approaches(self, capsys):

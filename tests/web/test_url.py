@@ -1,5 +1,7 @@
 """Tests for repro.web.url."""
 
+import re
+
 import pytest
 
 from repro.exceptions import ValidationError
@@ -10,6 +12,9 @@ from repro.web import (
     parse_url,
     site_of,
 )
+
+#: Out-of-range port, non-numeric port, unbalanced IPv6 bracket.
+HOSTILE_URLS = ["http://a:99999/", "http://a:x/", "http://[::1/"]
 
 
 class TestParseURL:
@@ -55,6 +60,12 @@ class TestParseURL:
     def test_rejects_unsupported_scheme(self):
         with pytest.raises(ValidationError):
             parse_url("ftp://a.org/file")
+
+    @pytest.mark.parametrize("url", HOSTILE_URLS)
+    def test_urllib_value_errors_become_validation_errors(self, url):
+        # Each of these makes urlsplit / .port raise a bare ValueError.
+        with pytest.raises(ValidationError, match=re.escape(repr(url))):
+            parse_url(url)
 
 
 class TestNormalizeURL:
