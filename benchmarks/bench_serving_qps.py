@@ -1,33 +1,31 @@
-"""E16: high-QPS serving — request coalescing and zero-downtime rebuilds.
+"""E16: high-QPS serving — single-flight under bursts, zero-downtime rebuilds.
 
-Two claims about the async front end (:mod:`repro.serving.frontend`) are
-measured against a live socket with real keep-alive HTTP clients:
+Two claims about the serving stack behind
+:class:`~repro.serving.frontend.AsyncRankingServer` are measured against a
+live socket with real keep-alive HTTP clients:
 
-* **coalescing** — under bursts of concurrent Zipf-distributed queries
-  the coalescing front end (default configuration) is no slower than the
-  seed's stampede-prone serving stack, in which concurrent misses for
-  the same text all recompute, and fails no query.  Each burst round
-  Zipf-samples its queries from a *fresh* vocabulary slice, so every
-  text is cache-cold by construction: the stampeding baseline computes
-  (nearly) once per request, the coalescing front end once per
-  *distinct* text.  A query over the array-native text index costs
-  about as much as the dedup bookkeeping, so the claim is *no
-  regression* (not a speedup) and the absolute QPS is recorded.  The
-  "uncoalesced" baseline is the pre-coalescing
-  behaviour: the threaded server with single-flight disabled.  A middle
-  row (the async front end with ``coalesce=False``) is the single-flight
-  cache alone.
-* **zero-downtime rebuilds** — a coalescing front end over a 3-replica
+* **single-flight** — under bursts of concurrent Zipf-distributed queries
+  the default stack (concurrent misses for one text compute once, through
+  :meth:`QueryCache.single_flight`) is no slower than the seed's
+  stampede-prone cache, in which they all recompute, and fails no query.
+  Each burst round Zipf-samples its queries from a *fresh* vocabulary
+  slice, so every text is cache-cold by construction: the stampeding
+  cache computes (nearly) once per request, the default one once per
+  *distinct* text.  A query over the array-native text index costs about
+  as much as the flight bookkeeping, so the claim is *no regression* (not
+  a speedup) and the absolute QPS is recorded.  Both rows run on the same
+  server; only the cache differs.
+* **zero-downtime rebuilds** — the server over a 3-replica
   :class:`ReplicaSet` keeps answering every query (zero failures) while
   the attached incremental ranker forces three consecutive rolling
   rebuilds of the whole set.
 
 Latency percentiles come from per-request wall-clock times collected by
 the clients themselves.  Because a single-core CI runner schedules 48
-client threads noisily, the speedup is taken as the best of
-``TRIALS`` baseline/coalesced pairs — standard best-of-N noise
-filtering; every individual trial's work ratio is identical.  In smoke
-mode (``REPRO_BENCH_SMOKE=1``) the web shrinks so the module runs in CI.
+client threads noisily, the ratio is taken as the best of ``TRIALS``
+stampeding/single-flight pairs — standard best-of-N noise filtering;
+every individual trial's work ratio is identical.  In smoke mode
+(``REPRO_BENCH_SMOKE=1``) the web shrinks so the module runs in CI.
 """
 
 import http.client
@@ -46,7 +44,6 @@ from repro.serving import (
     RankingService,
     ReplicaSet,
     serve_frontend,
-    serve_ranking,
 )
 
 N_DOCUMENTS = 3_000 if SMOKE else 50_000
@@ -54,14 +51,13 @@ N_SITES = 24 if SMOKE else 120
 CLIENTS = 48
 ROUNDS = 3
 TRIALS = 2 if SMOKE else 3
-#: Coalescing QPS must stay within this share of the stampeding stack's.
+#: Single-flight QPS must stay within this share of the stampeding cache's.
 QPS_RATIO_FLOOR = 0.8
 TOP_K = 10
 ZIPF_S = 1.6            # skew of the query popularity distribution
 VOCAB_SIZE = 200        # distinct texts per burst round's vocabulary
 CACHE_SIZE = 4          # tiny on purpose: misses dominate
-DEADLINE = 120.0        # throughput is measured here, not deadlines —
-                        # (the threaded baseline has no deadline either)
+DEADLINE = 120.0        # throughput is measured here, not deadlines
 
 _WORDS = ["research", "database", "teaching", "course", "library",
           "catalogue", "software", "documentation", "news", "event",
@@ -70,7 +66,7 @@ _WORDS = ["research", "database", "teaching", "course", "library",
 
 
 class StampedeCache(QueryCache):
-    """The seed's (pre-coalescing) cache: concurrent misses all compute."""
+    """The seed's cache: concurrent misses for one key all compute."""
 
     def single_flight(self, key, supplier):
         return supplier()
@@ -82,7 +78,8 @@ def make_rounds(seed):
     Every round gets its own ``VOCAB_SIZE``-text vocabulary (a unique
     suffix keeps rounds disjoint), from which ``CLIENTS`` texts are
     drawn with Zipf(``ZIPF_S``) popularity — the duplicate texts inside
-    a round are what coalescing deduplicates and a stampede recomputes.
+    a round are what single-flight computes once and a stampede
+    recomputes.
     """
     rng = random.Random(seed)
     weights = [1.0 / (rank + 1) ** ZIPF_S for rank in range(VOCAB_SIZE)]
@@ -165,79 +162,66 @@ def _fresh_service(qps_web):
                                        cache_size=CACHE_SIZE)
 
 
-def _measure_stampede(qps_web, trial):
+def _measure(qps_web, trial, *, stampede):
+    """``(qps, p50_ms, p99_ms, flights_coalesced)`` of one seeded trial."""
     service = _fresh_service(qps_web)
-    service._cache = StampedeCache(maxsize=CACHE_SIZE)
-    with serve_ranking(service) as server:
-        result = burst_drive(server.host, server.port,
-                             make_rounds(16 + trial))
-    assert result[3] == []
-    return result[:3]
-
-
-def _measure_coalesced(qps_web, trial):
-    with serve_frontend(_fresh_service(qps_web),
-                        max_inflight=1024, deadline=DEADLINE) as frontend:
-        result = burst_drive(frontend.host, frontend.port,
-                             make_rounds(16 + trial))
-        batches = frontend.coalescer.batches
-        dedup_hits = frontend.coalescer.dedup_hits
-    assert result[3] == []
-    return result[:3], batches, dedup_hits
+    if stampede:
+        service._cache = StampedeCache(maxsize=CACHE_SIZE)
+    with serve_frontend(service, max_inflight=1024,
+                        deadline=DEADLINE) as frontend:
+        qps, p50, p99, errors = burst_drive(frontend.host, frontend.port,
+                                            make_rounds(16 + trial))
+    assert errors == []
+    return qps, p50, p99, service.cache_stats.flights_coalesced
 
 
 @pytest.mark.benchmark(group="E16 high-QPS serving")
-def test_e16_coalescing_vs_stampede_qps(qps_web):
+def test_e16_single_flight_vs_stampede_qps(qps_web):
     web, _ranking, _index = qps_web
     total = CLIENTS * ROUNDS
 
-    # Best-of-TRIALS pairs: each trial's baseline and coalesced run see
-    # the same seeded rounds, so the work ratio inside a pair is fixed;
-    # trials only filter scheduler noise.
+    # Best-of-TRIALS pairs: each trial's two runs see the same seeded
+    # rounds, so the work ratio inside a pair is fixed; trials only
+    # filter scheduler noise.
     pairs = []
     for trial in range(TRIALS):
-        stampede = _measure_stampede(qps_web, trial)
-        coalesced, batches, dedup_hits = _measure_coalesced(qps_web, trial)
-        pairs.append((coalesced[0] / stampede[0], stampede, coalesced,
-                      trial))
-    speedup, stampede, coalesced, best_trial = max(
+        stampede = _measure(qps_web, trial, stampede=True)
+        single_flight = _measure(qps_web, trial, stampede=False)
+        pairs.append((single_flight[0] / stampede[0], stampede,
+                      single_flight, trial))
+    ratio, stampede, single_flight, best_trial = max(
         pairs, key=lambda pair: pair[0])
     distinct = sum(len(set(texts))
                    for texts in make_rounds(16 + best_trial))
 
-    # Middle row, reported once: single-flight without batching.
-    with serve_frontend(_fresh_service(qps_web), coalesce=False,
-                        max_inflight=1024, deadline=DEADLINE) as frontend:
-        qps, p50, p99, errors = burst_drive(frontend.host, frontend.port,
-                                            make_rounds(16))
-    assert errors == []
-
     rows = [
-        {"front end": "threaded, stampeding (seed)",
+        {"cache": "stampeding (seed)",
          "qps": round(stampede[0]), "p50_ms": round(stampede[1]),
          "p99_ms": round(stampede[2])},
-        {"front end": "async, single-flight only",
-         "qps": round(qps), "p50_ms": round(p50), "p99_ms": round(p99)},
-        {"front end": "async, coalescing",
-         "qps": round(coalesced[0]), "p50_ms": round(coalesced[1]),
-         "p99_ms": round(coalesced[2])},
+        {"cache": "single-flight (default)",
+         "qps": round(single_flight[0]), "p50_ms": round(single_flight[1]),
+         "p99_ms": round(single_flight[2])},
     ]
-    write_result("E16a_coalescing_qps", rows,
-                 ["front end", "qps", "p50_ms", "p99_ms"],
+    write_result("E16a_single_flight_qps", rows,
+                 ["cache", "qps", "p50_ms", "p99_ms"],
                  caption=f"{ROUNDS} barrier-released bursts of {CLIENTS} "
                          f"concurrent Zipf(s={ZIPF_S}) queries "
                          f"({distinct} distinct texts in {total} "
-                         f"requests) over {web.n_documents} documents: "
-                         "the seed's stampeding stack vs. the async "
-                         "front end without and with request coalescing "
-                         f"(coalescing/stampeding QPS {speedup:.2f}x, "
-                         f"best of {TRIALS}).")
-    # The batching actually happened.
-    assert batches > 0
-    assert dedup_hits > 0
-    # The acceptance bar: coalescing costs the seed's stack nothing.
+                         f"requests) over {web.n_documents} documents, "
+                         "both rows behind the one AsyncRankingServer: "
+                         "the seed's stampeding cache vs. the default "
+                         "single-flight cache (single-flight/stampeding "
+                         f"QPS {ratio:.2f}x, best of {TRIALS}).  Before "
+                         "the threaded server and the request coalescer "
+                         "were removed this table read 285 QPS (threaded, "
+                         "stampeding), 644 (async, single-flight only) "
+                         "and 747 (async, coalescing).")
+    # Duplicate texts really waited on a flight instead of recomputing.
+    assert stampede[3] == 0
+    assert single_flight[3] > 0
+    # The acceptance bar: single-flight costs the seed's cache nothing.
     # (Every run above already asserted zero failed queries.)
-    assert speedup >= QPS_RATIO_FLOOR
+    assert ratio >= QPS_RATIO_FLOOR
 
 
 @pytest.mark.benchmark(group="E16 high-QPS serving")
@@ -325,8 +309,8 @@ def test_e16_rolling_rebuild_zero_downtime():
                 {"check": "p99 during rebuilds (ms)",
                  "value": str(round(p99))}]
         write_result("E16b_rolling_rebuild", rows, ["check", "value"],
-                     caption=f"{n_clients} closed-loop clients querying a "
-                             "coalescing front end over a 3-replica set "
+                     caption=f"{n_clients} closed-loop clients querying the "
+                             "async server over a 3-replica set "
                              f"while {rebuilds} incremental updates force "
                              "rolling rebuilds of every replica: zero "
                              "failed queries, zero downtime.")

@@ -36,7 +36,7 @@ from repro.serving import (
     ShardedScoreStore,
     TopKEngine,
     naive_top_k,
-    serve_ranking,
+    serve_frontend,
 )
 
 N_DOCUMENTS = 3_000 if SMOKE else 50_000
@@ -180,7 +180,7 @@ def test_e13_metrics_scrape(benchmark, serving_web):
     web, ranking, _store = serving_web
     service = RankingService.from_ranking(
         ranking, web, corpus=synthesize_corpus(web, seed=13))
-    server = serve_ranking(service)
+    server = serve_frontend(service)
     try:
         def scrape(path):
             with urllib.request.urlopen(server.url + path,
@@ -209,7 +209,7 @@ def test_e13_metrics_scrape(benchmark, serving_web):
              "detail": "scrape-time collector"}]
     write_result("E13d_metrics_scrape", rows, ["check", "value", "detail"],
                  caption="The /metrics Prometheus exposition and /healthz "
-                         "probe scraped from a live RankingHTTPServer "
+                         "probe scraped from a live AsyncRankingServer "
                          f"serving {web.n_documents} documents.")
     assert health["status"] == "ok"
     assert health["shards"] == web.n_sites

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""High-QPS serving: coalescing front end, backpressure, rolling rebuilds.
+"""High-QPS serving: single-flight dedup, backpressure, rolling rebuilds.
 
-End-to-end demo of the async serving front end
+End-to-end demo of the HTTP server
 (:mod:`repro.serving.frontend`) and replicated serving
 (:mod:`repro.serving.replicas`):
 
@@ -9,10 +9,10 @@ End-to-end demo of the async serving front end
    :class:`ReplicaSet` — cheap replicas (shards are shared immutably)
    behind a consistent-hash ring that keeps each query text on the same
    replica;
-2. put the asyncio front end in front and fire a burst of concurrent
-   duplicate queries: the coalescing window dedups them into far fewer
-   backend batches while every client still gets a byte-identical
-   answer;
+2. put the asyncio server in front and fire a burst of concurrent
+   duplicate queries: the text routes to one replica, whose cache
+   computes it once (single-flight) while every client still gets a
+   byte-identical answer;
 3. show admission control shedding overload fast (``429 + Retry-After``)
    instead of queueing, and a per-request deadline answered with ``504``;
 4. apply live incremental updates while client threads keep querying:
@@ -69,12 +69,10 @@ def main() -> None:
     print(f"replica set: {names} behind a consistent-hash ring "
           f"({replica_set.ring.vnodes} vnodes per replica)")
 
-    frontend = serve_frontend(replica_set, coalesce_window=0.02,
-                              max_inflight=256)
-    print(f"async front end up on {frontend.url} "
-          f"(coalesce window 20ms, max in-flight 256)\n")
+    frontend = serve_frontend(replica_set, max_inflight=256)
+    print(f"server up on {frontend.url} (max in-flight 256)\n")
 
-    # --- 1. a burst of concurrent duplicate queries coalesces -----------
+    # --- 1. a burst of concurrent duplicate queries computes once -------
     burst = 16
     bodies = []
     barrier = threading.Barrier(burst)
@@ -88,14 +86,15 @@ def main() -> None:
         thread.start()
     for thread in threads:
         thread.join(30.0)
-    coalescer = frontend.coalescer
-    print(f"burst of {burst} identical queries -> "
-          f"{coalescer.batches} backend batch(es), "
-          f"{coalescer.dedup_hits} requests answered by deduplication")
+    cache = replica_set.stats()["cache"]
+    computed = int(cache["misses"] - cache["flights_coalesced"])
+    print(f"burst of {burst} identical queries -> computed {computed}x; "
+          f"{int(cache['flights_coalesced'])} waited on the in-flight "
+          f"computation, {int(cache['hits'])} hit the cached result")
     print(f"  all {len(bodies)} responses byte-identical: "
           f"{len(set(bodies)) == 1}")
     if len(set(bodies)) != 1:
-        raise SystemExit("coalesced responses diverged")
+        raise SystemExit("deduplicated responses diverged")
 
     # --- 2. backpressure: shed fast, never hang -------------------------
     try:
@@ -154,7 +153,7 @@ def main() -> None:
 
     frontend.close()
     replica_set.close()
-    print("\nfront end stopped")
+    print("\nserver stopped")
 
 
 if __name__ == "__main__":

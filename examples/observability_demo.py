@@ -8,7 +8,7 @@ Ranks a synthetic web, then walks the telemetry surfaces of
 * the solver / engine counters the run recorded, as the same table
   ``repro stats`` prints;
 * a span trace exported to JSON via ``Ranker.fit(trace=...)``;
-* the Prometheus exposition a live ``RankingHTTPServer`` serves at
+* the Prometheus exposition a live ``AsyncRankingServer`` serves at
   ``/metrics``, scraped over a real socket and validated;
 * the zero-cost escape hatch: ``obs.disable()``.
 
@@ -28,7 +28,7 @@ from _bootstrap import scaled
 from repro import obs
 from repro.api import Ranker
 from repro.graphgen import generate_synthetic_web
-from repro.serving import RankingService, serve_ranking
+from repro.serving import RankingService, serve_frontend
 
 
 def main() -> None:
@@ -62,7 +62,7 @@ def main() -> None:
 
     # -- 4. the serving scrape surface -----------------------------------
     service = RankingService.from_ranking(result.ranking, web)
-    server = serve_ranking(service)
+    server = serve_frontend(service)
     try:
         urllib.request.urlopen(server.url + "/top?k=5", timeout=10).read()
         with urllib.request.urlopen(server.url + "/metrics",

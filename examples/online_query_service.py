@@ -31,7 +31,7 @@ from _bootstrap import scaled
 from repro.api import Ranker, RankingConfig
 from repro.graphgen import generate_synthetic_web
 from repro.ir import synthesize_corpus
-from repro.serving import RankingHTTPServer
+from repro.serving import serve_frontend
 
 
 def main() -> None:
@@ -77,8 +77,7 @@ def main() -> None:
           f"{stats.hits} cache hits / {stats.lookups} lookups "
           f"({stats.hit_rate:.0%} hit rate)")
 
-    server = RankingHTTPServer(service)
-    server.start_background()
+    server = serve_frontend(service)
     print(f"\nHTTP endpoint up on {server.url}")
     with urllib.request.urlopen(
             server.url + "/query?q=research+database&k=3") as response:

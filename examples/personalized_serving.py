@@ -31,7 +31,7 @@ from _bootstrap import scaled
 from repro.api import Ranker, RankingConfig
 from repro.graphgen import generate_synthetic_web
 from repro.ir import synthesize_corpus
-from repro.serving import RankingHTTPServer
+from repro.serving import serve_frontend
 
 
 def main() -> None:
@@ -88,8 +88,7 @@ def main() -> None:
               f"{service.store.document(best.doc_id).url} "
               f"(combined={best.combined_score:.4f})")
 
-    server = RankingHTTPServer(service)
-    server.start_background()
+    server = serve_frontend(service)
     print(f"\nHTTP endpoint up on {server.url}")
     with urllib.request.urlopen(server.url + "/top?k=3") as response:
         base_payload = json.load(response)

@@ -22,7 +22,7 @@ Sub-commands
 
 ``serve``
     Rank a web graph and expose it over the JSON/HTTP query endpoint
-    (:mod:`repro.serving.httpd`).  ``--state PATH`` persists the engine's
+    (:mod:`repro.serving.frontend`).  ``--state PATH`` persists the engine's
     warm-start vectors so a restarted server resumes its power iterations
     from the previous run.
 
@@ -96,7 +96,7 @@ from .linalg.power_iteration import (
 )
 from .ir import synthesize_corpus
 from .metrics import kendall_tau, top_k_contamination, top_k_overlap
-from .serving import AsyncRankingServer, FrontendConfig, RankingHTTPServer
+from .serving import AsyncRankingServer, FrontendConfig
 from .web import DocGraph
 
 #: Exit code of anticipated failures (bad paths, malformed inputs/values).
@@ -483,30 +483,17 @@ def _command_serve(args: argparse.Namespace) -> int:
         header = (f"graph: {graph.n_documents} documents over "
                   f"{graph.n_sites} sites")
     verbose = args.verbose or args.access_log
-    if args.async_frontend:
-        config = FrontendConfig(coalesce_window=args.coalesce_window,
-                                max_inflight=args.max_inflight)
-        server = AsyncRankingServer(service, host=args.host, port=args.port,
-                                    config=config, verbose=verbose)
-        mode = (f"async front end, {args.replicas} replica(s), "
-                f"coalesce window {config.coalesce_window * 1000:.1f}ms, "
-                f"max in-flight {config.max_inflight}")
-        thread = None
-    else:
-        server = RankingHTTPServer(service, host=args.host, port=args.port,
-                                   verbose=verbose)
-        mode = f"threaded, {args.replicas} replica(s)"
-        thread = server.start_background()
+    server = AsyncRankingServer(
+        service, host=args.host, port=args.port, verbose=verbose,
+        config=FrontendConfig(max_inflight=args.max_inflight))
     print(header)
-    print(f"serving on {server.url}  [{mode}]  "
+    print(f"serving on {server.url}  [{args.replicas} replica(s), "
+          f"max in-flight {args.max_inflight}]  "
           f"(endpoints: /top /query /score /stats /health /healthz "
           f"/readyz /metrics)", flush=True)
     try:
         if args.duration is not None:
-            if thread is not None:
-                thread.join(args.duration)
-            else:
-                time.sleep(args.duration)
+            time.sleep(args.duration)
         else:  # pragma: no cover - interactive mode
             while True:
                 time.sleep(1.0)
@@ -811,25 +798,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--duration", type=float, default=None,
                        help="serve for N seconds then exit "
                             "(default: until interrupted)")
-    serve.add_argument("--async", action="store_true", dest="async_frontend",
-                       help="serve through the asyncio front end "
-                            "(request coalescing + admission control) "
-                            "instead of the thread-per-connection server")
     serve.add_argument("--replicas", type=int, default=1, metavar="N",
                        help="serve N score-store replicas behind a "
                             "consistent-hash router; incremental updates "
                             "roll across them with zero downtime")
     serve.add_argument("--max-inflight", type=int, default=256, metavar="M",
                        dest="max_inflight",
-                       help="admission-control bound of the async front "
-                            "end: requests beyond M concurrent are shed "
-                            "with 429 + Retry-After")
-    serve.add_argument("--coalesce-window", type=float, default=0.0,
-                       metavar="SECONDS", dest="coalesce_window",
-                       help="how long the async front end waits for a "
-                            "burst to pile up before issuing one "
-                            "deduplicated batch (0 still coalesces "
-                            "arrivals during an in-flight batch)")
+                       help="admission-control bound: /query requests "
+                            "beyond M concurrent are shed with "
+                            "429 + Retry-After")
     serve.add_argument("--store", metavar="DIR", default=None,
                        help="serve a published artifact store (written by "
                             "'rank --on-disk --output DIR') straight off "

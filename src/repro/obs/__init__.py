@@ -5,7 +5,7 @@ gauges, fixed-bucket histograms with p50/p90/p99 summaries), lightweight
 :func:`span` trace scopes, and a handful of surfaces:
 
 * Prometheus text exposition — :func:`render_prometheus`, served by
-  ``RankingHTTPServer`` at ``/metrics``;
+  ``AsyncRankingServer`` at ``/metrics``;
 * a JSON snapshot — :func:`snapshot`, attached to
   ``RankingResult.provenance`` and rendered by ``repro stats``;
 * trace JSON export — ``Ranker.fit(trace="out.json")`` or

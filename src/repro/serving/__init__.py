@@ -15,12 +15,13 @@ partition at serving time:
   store, engine, cache and the :mod:`repro.ir` text substrate together,
   including a batched ``query_many`` and a subscription to
   :class:`~repro.web.incremental.IncrementalLayeredRanker` updates;
-* :mod:`repro.serving.httpd` — :class:`RankingHTTPServer`, a stdlib
-  JSON-over-HTTP endpoint;
+* :mod:`repro.serving.httpd` — :func:`route_request`, the JSON routes as
+  a transport-free function (path + parameters -> payload);
 * :mod:`repro.serving.replicas` — :class:`ReplicaSet`, N service replicas
   behind a consistent-hash ring with rolling zero-downtime rebuilds;
-* :mod:`repro.serving.frontend` — :class:`AsyncRankingServer`, the asyncio
-  high-QPS front end with request coalescing and admission control;
+* :mod:`repro.serving.frontend` — :class:`AsyncRankingServer`, the one
+  HTTP server: asyncio, admission control (``429``) and deadlines
+  (``504``) around the router;
 * :mod:`repro.serving.mmapstore` — :class:`MmapScoreStore`, the same shard
   protocol served straight off a published ranked generation's mmap'd
   files (``repro serve --store``), replicas sharing one mapping.
@@ -46,16 +47,9 @@ from .frontend import (
     DeadlineExceeded,
     FrontendConfig,
     Overloaded,
-    QueryCoalescer,
     serve_frontend,
 )
-from .httpd import (
-    RankingHTTPServer,
-    RankingRequestHandler,
-    enable_access_log,
-    route_request,
-    serve_ranking,
-)
+from .httpd import enable_access_log, route_request
 from .mmapstore import MmapScoreStore
 from .replicas import HashRing, Replica, ReplicaSet
 from .service import RankingService
@@ -71,13 +65,9 @@ __all__ = [
     "DeadlineExceeded",
     "FrontendConfig",
     "Overloaded",
-    "QueryCoalescer",
     "serve_frontend",
-    "RankingHTTPServer",
-    "RankingRequestHandler",
     "enable_access_log",
     "route_request",
-    "serve_ranking",
     "MmapScoreStore",
     "HashRing",
     "Replica",

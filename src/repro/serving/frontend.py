@@ -1,30 +1,30 @@
-"""The asyncio high-QPS serving front end: coalescing + admission control.
+"""The HTTP server of the serving layer: asyncio + admission control.
 
-The threaded :class:`~repro.serving.httpd.RankingHTTPServer` spends one OS
-thread per connection and answers every ``/query`` with its own service
-call; under a concurrent burst that means thread thrash and N identical
-cache misses racing each other.  This front end replaces that edge with a
-single-threaded asyncio server plus three load-shaping mechanisms:
+:class:`AsyncRankingServer` is the one HTTP front end.  A single-threaded
+asyncio loop parses requests and hands every one to
+:func:`repro.serving.httpd.route_request` on a small worker pool, so the
+JSON a client reads is exactly what the router returns.  Around that one
+call it shapes load on ``/query``:
 
-* **request coalescing** — concurrent ``/query`` requests arriving while a
-  previous batch is still in flight (or within an optional window) merge into
-  one deduplicated :meth:`RankingService.query_many` call; a burst of
-  duplicate queries costs one retrieval, and engine/cache/lock work is
-  amortised across the whole batch.  Coalescing is invisible to
-  correctness: responses are byte-identical to the per-request path.
 * **admission control and backpressure** — a bounded in-flight budget; a
   request beyond it is shed *immediately* with ``429`` and a
   ``Retry-After`` hint instead of queueing without bound, and every
   admitted request carries a deadline budget — one that expires while
-  still coalescing is answered ``504`` without ever reaching the engine.
+  still queued for a worker is answered ``504`` without ever reaching
+  the service.
+* **no duplicate work** — concurrent requests for the same text compute
+  once: the service's :meth:`~repro.serving.cache.QueryCache.single_flight`
+  makes the others wait for the first one's result.
 * **replica awareness** — fronting a
   :class:`~repro.serving.replicas.ReplicaSet` (anything with the
   ``RankingService`` query surface works), queries keep flowing through
   rolling zero-downtime rebuilds, and ``/readyz`` exposes the drain state.
 
-The HTTP surface is identical to the threaded server (same routes, same
-JSON bytes — both route through :func:`repro.serving.httpd.route_request`),
-so clients cannot tell the front ends apart except by throughput.
+The hand-rolled HTTP/1.1 reader enforces the limits of the stdlib
+``http.server``: a request line over 64 KiB is answered ``414``, an
+oversized header line or more than 100 headers ``431``, and a request
+with a method other than ``GET`` closes the connection (its body is never
+parsed as the next request).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import ceil
 from time import monotonic, perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .. import obs
@@ -48,15 +48,21 @@ from .httpd import (
     _ClientError,
     enable_access_log,
     parse_query_request,
-    query_response,
     route_request,
     serving_samples,
 )
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 429: "Too Many Requests",
+            405: "Method Not Allowed", 414: "Request-URI Too Long",
+            429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error", 503: "Service Unavailable",
             504: "Gateway Timeout"}
+
+#: Request-parsing limits, the ones ``http.server`` enforces: the longest
+#: request or header line accepted, and the most headers per request.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 
 
 class Overloaded(Exception):
@@ -77,25 +83,14 @@ class FrontendConfig:
 
     Attributes
     ----------
-    coalesce:
-        Whether concurrent ``/query`` requests are batched at all; off,
-        every request issues its own ``query_many`` call (the
-        benchmark's per-request baseline).
-    coalesce_window:
-        Seconds the batcher waits after the first request of a burst
-        before flushing, letting the rest of the burst pile in.  At the
-        default ``0`` a lone request pays no wait, and requests arriving
-        while a batch is *in flight* still coalesce into the next one.
-    max_batch:
-        Most queries sent to the backend in one ``query_many`` call;
-        larger coalesced batches are chunked.
     max_inflight:
         Admission-control bound on concurrently admitted ``/query``
         requests; beyond it requests are shed with ``429``.
     deadline:
         Default per-request budget in seconds (clients may override per
-        request with an ``X-Request-Deadline`` header); a request still
-        waiting for a batch slot past its deadline is answered ``504``.
+        request with an ``X-Request-Deadline`` header); a request not
+        answered within it gets ``504``, and one still queued for a
+        worker by then never reaches the service.
     retry_after:
         The ``Retry-After`` hint (seconds) sent with ``429`` responses.
     workers:
@@ -103,19 +98,12 @@ class FrontendConfig:
         service calls to (service calls release the loop, not the GIL).
     """
 
-    coalesce: bool = True
-    coalesce_window: float = 0.0
-    max_batch: int = 128
     max_inflight: int = 256
     deadline: float = 5.0
     retry_after: float = 0.05
     workers: int = 4
 
     def __post_init__(self) -> None:
-        if self.coalesce_window < 0:
-            raise ValidationError("coalesce_window must be non-negative")
-        if self.max_batch < 1:
-            raise ValidationError("max_batch must be at least 1")
         if self.max_inflight < 1:
             raise ValidationError("max_inflight must be at least 1")
         if self.deadline <= 0:
@@ -160,150 +148,23 @@ class AdmissionController:
         obs.set_gauge("frontend_inflight", float(self.inflight))
 
 
-class QueryCoalescer:
-    """Merges concurrent query requests into deduplicated backend batches.
-
-    Requests accumulate in a pending map keyed by their option tuple and
-    text; one batcher task flushes the map as soon as the previous flush's
-    backend call returns (plus ``coalesce_window`` seconds, when set), so a
-    saturated backend coalesces *by itself*: everything that arrived
-    during flight N forms flight N+1.  Duplicate texts fan one result
-    out to every waiter — together with the batch-level deduplication in
-    :meth:`RankingService.query_many` a burst of identical queries costs
-    exactly one retrieval.
-    """
-
-    def __init__(self, service, config: FrontendConfig, *,
-                 loop: asyncio.AbstractEventLoop,
-                 executor: ThreadPoolExecutor) -> None:
-        self._service = service
-        self._config = config
-        self._loop = loop
-        self._executor = executor
-        #: {(k, rule, weight, segment): {text: [(future, deadline_ts)]}}
-        self._pending: Dict[Tuple, Dict[str, List[Tuple[asyncio.Future,
-                                                        float]]]] = {}
-        self._pending_count = 0
-        self._wakeup = asyncio.Event()
-        self.batches = 0
-        self.coalesced_requests = 0
-        self.dedup_hits = 0
-        self._task = loop.create_task(self._run())
-
-    async def submit(self, text: str, k: Optional[int],
-                     rule: Optional[str], weight: Optional[float],
-                     segment: Optional[str], deadline_ts: float):
-        """Enqueue one query; resolves with its hits tuple."""
-        future: asyncio.Future = self._loop.create_future()
-        options = (k, rule, weight, segment)
-        self._pending.setdefault(options, {}) \
-            .setdefault(text, []).append((future, deadline_ts))
-        self._pending_count += 1
-        obs.set_gauge("frontend_queue_depth", float(self._pending_count))
-        self._wakeup.set()
-        return await future
-
-    async def _run(self) -> None:
-        while True:
-            await self._wakeup.wait()
-            self._wakeup.clear()
-            if not self._pending:
-                continue
-            if self._config.coalesce_window > 0:
-                # Let the rest of the burst pile in.  While the backend
-                # call below is awaited, further arrivals buffer too —
-                # in-flight coalescing needs no window at all.
-                await asyncio.sleep(self._config.coalesce_window)
-            pending, self._pending = self._pending, {}
-            batch_size, self._pending_count = self._pending_count, 0
-            obs.set_gauge("frontend_queue_depth", 0.0)
-            self.batches += 1
-            self.coalesced_requests += batch_size
-            obs.inc("frontend_batches_total")
-            obs.inc("frontend_coalesced_requests_total", float(batch_size))
-            obs.observe("frontend_coalesce_batch_size", float(batch_size))
-            await asyncio.gather(*[self._flush_group(options, groups)
-                                   for options, groups in pending.items()])
-
-    async def _flush_group(self, options: Tuple,
-                           groups: Dict[str, List[Tuple[asyncio.Future,
-                                                        float]]]) -> None:
-        k, rule, weight, segment = options
-        now = self._loop.time()
-        texts: List[str] = []
-        for text, waiters in groups.items():
-            live = []
-            for future, deadline_ts in waiters:
-                if deadline_ts < now:
-                    # Expired while coalescing: fail fast, never touch
-                    # the engine on its behalf.
-                    if not future.done():
-                        future.set_exception(DeadlineExceeded(
-                            "deadline exceeded while queued"))
-                    obs.inc("frontend_deadline_exceeded_total")
-                else:
-                    live.append((future, deadline_ts))
-            groups[text] = live
-            if live:
-                texts.append(text)
-        self.dedup_hits += sum(len(groups[text]) - 1 for text in texts)
-        if not texts:
-            return
-        # Spread the deduplicated texts over the worker pool: one chunk
-        # per worker (capped at max_batch), dispatched concurrently, so a
-        # coalesced burst gets batch-level dedup AND executor parallelism.
-        chunk_size = max(1, min(self._config.max_batch,
-                                -(-len(texts) // self._config.workers)))
-        chunks = [texts[start:start + chunk_size]
-                  for start in range(0, len(texts), chunk_size)]
-
-        async def run_chunk(chunk: List[str]) -> None:
-            call = partial(self._service.query_many, chunk, k,
-                           rule=rule, weight=weight, segment=segment)
-            try:
-                batches = await self._loop.run_in_executor(self._executor,
-                                                           call)
-            except BaseException as error:  # noqa: BLE001 - fan out as-is
-                for text in chunk:
-                    for future, _deadline in groups[text]:
-                        if not future.done():
-                            future.set_exception(error)
-            else:
-                for text, hits in zip(chunk, batches):
-                    for future, _deadline in groups[text]:
-                        if not future.done():
-                            future.set_result(hits)
-
-        await asyncio.gather(*[run_chunk(chunk) for chunk in chunks])
-
-    async def close(self) -> None:
-        """Stop the batcher task and fail every still-queued request."""
-        self._task.cancel()
-        await asyncio.gather(self._task, return_exceptions=True)
-        for groups in self._pending.values():
-            for waiters in groups.values():
-                for future, _deadline in waiters:
-                    if not future.done():
-                        future.set_exception(
-                            ConnectionError("front end shutting down"))
-        self._pending.clear()
-        self._pending_count = 0
-
-
 class AsyncRankingServer:
-    """An asyncio JSON/HTTP front end over a service or replica set.
+    """An asyncio JSON/HTTP server over a service or replica set.
 
-    Speaks the same routes (and emits byte-identical JSON) as
-    :class:`~repro.serving.httpd.RankingHTTPServer`, plus the
-    load-shaping of :class:`FrontendConfig`: coalesced ``/query``
-    handling, bounded admission with fast ``429`` shedding, per-request
-    deadlines, and ``/readyz`` readiness during rolling rebuilds.
+    Serves the routes of :func:`~repro.serving.httpd.route_request` (and
+    emits exactly its JSON), plus ``/metrics`` and the load-shaping of
+    :class:`FrontendConfig` on ``/query``: bounded admission with fast
+    ``429`` shedding and per-request deadlines.
 
     The event loop runs in a dedicated daemon thread, so the constructor
     returns with the socket bound (``port=0`` picks a free port) and the
-    server already answering — mirroring
-    :func:`~repro.serving.httpd.serve_ranking`'s contract for drop-in use
-    from synchronous code; call :meth:`close` to tear everything down.
+    server already answering — drop-in use from synchronous code; call
+    :meth:`close` to tear everything down.
+
+    While the server lives, a collector is registered with the telemetry
+    registry so ``/metrics`` scrapes also expose the service's own state
+    (cache hit rate, store generation, uptime) without double accounting;
+    :meth:`close` removes it.
     """
 
     def __init__(self, service, *, host: str = "127.0.0.1", port: int = 0,
@@ -337,11 +198,9 @@ class AsyncRankingServer:
         return serving_samples(self.service, self.uptime_seconds)
 
     async def _start(self, host: str, port: int) -> Tuple[str, int]:
-        self._coalescer = QueryCoalescer(self.service, self.config,
-                                         loop=self._loop,
-                                         executor=self._executor)
         self._server = await asyncio.start_server(self._handle_client,
-                                                  host, port)
+                                                  host, port,
+                                                  limit=_MAX_LINE)
         address = self._server.sockets[0].getsockname()
         return address[0], address[1]
 
@@ -371,11 +230,6 @@ class AsyncRankingServer:
         """The admission controller (inflight/shed counters)."""
         return self._admission
 
-    @property
-    def coalescer(self) -> QueryCoalescer:
-        """The query coalescer (batch/dedup counters)."""
-        return self._coalescer
-
     # ------------------------------------------------------------------ #
     # Connection handling
     # ------------------------------------------------------------------ #
@@ -385,17 +239,25 @@ class AsyncRankingServer:
         self._connections[handler] = writer
         try:
             while True:
-                request = await reader.readline()
-                if not request:
+                try:
+                    request = await self._read_request(reader)
+                except _ClientError as error:
+                    # Unparseable or over a limit: say why, then hang up
+                    # — whatever follows on the wire cannot be trusted.
+                    obs.inc("http_requests_total", path="other",
+                            status=str(error.status))
+                    writer.write(self._encode(
+                        error.status,
+                        json.dumps({"error": str(error)}).encode("utf-8"),
+                        keep_alive=False))
+                    await writer.drain()
                     break
-                parts = request.decode("latin-1").strip().split()
-                if len(parts) != 3:
-                    writer.write(self._encode(400, json.dumps(
-                        {"error": "malformed request line"}).encode()))
+                if request is None:
                     break
-                method, target, version = parts
-                headers = await self._read_headers(reader)
-                keep_alive = (version == "HTTP/1.1" and
+                method, target, version, headers = request
+                # A non-GET request may carry a body this server never
+                # reads; closing keeps it from being parsed as a request.
+                keep_alive = (method == "GET" and version == "HTTP/1.1" and
                               headers.get("connection", "").lower()
                               != "close")
                 started = perf_counter()
@@ -429,12 +291,34 @@ class AsyncRankingServer:
                 del self._connections[handler]
 
     @staticmethod
-    async def _read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
+    async def _read_request(reader: asyncio.StreamReader
+                            ) -> Optional[Tuple[str, str, str,
+                                                Dict[str, str]]]:
+        """Read one request head: ``(method, target, version, headers)``.
+
+        ``None`` at end of stream; :class:`_ClientError` (400/414/431) for
+        a head that is malformed or over ``_MAX_LINE`` / ``_MAX_HEADERS``
+        (``readline`` raises ``ValueError`` past the stream limit).
+        """
+        try:
+            request = await reader.readline()
+        except ValueError:
+            raise _ClientError(414, "request line too long") from None
+        if not request:
+            return None
+        parts = request.decode("latin-1").strip().split()
+        if len(parts) != 3:
+            raise _ClientError(400, "malformed request line")
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                raise _ClientError(431, "header line too long") from None
             if line in (b"\r\n", b"\n", b""):
-                return headers
+                return parts[0], parts[1], parts[2], headers
+            if len(headers) >= _MAX_HEADERS:
+                raise _ClientError(431, "too many headers")
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
 
@@ -467,14 +351,13 @@ class AsyncRankingServer:
             if split.path == "/metrics":
                 return (200, obs.render_prometheus().encode("utf-8"),
                         "text/plain; version=0.0.4; charset=utf-8", ())
+            call = partial(route_request, self.service, split.path, params,
+                           uptime_seconds=self.uptime_seconds)
             if split.path == "/query":
-                payload, status = await self._respond_query(params, headers)
+                payload, status = await self._admitted(call, params, headers)
             else:
                 payload, status = await self._loop.run_in_executor(
-                    self._executor, partial(route_request, self.service,
-                                            split.path, params,
-                                            uptime_seconds=
-                                            self.uptime_seconds))
+                    self._executor, call)
         except _ClientError as error:
             payload, status = {"error": str(error)}, error.status
         except Overloaded as error:
@@ -484,6 +367,7 @@ class AsyncRankingServer:
                                          error.retry_after}).encode("utf-8"),
                     "application/json", (f"Retry-After: {retry_after}",))
         except DeadlineExceeded as error:
+            obs.inc("frontend_deadline_exceeded_total")
             payload, status = {"error": str(error)}, 504
         except (ValidationError, GraphStructureError) as error:
             payload, status = {"error": str(error)}, 400
@@ -492,10 +376,17 @@ class AsyncRankingServer:
         return (status, json.dumps(payload).encode("utf-8"),
                 "application/json", ())
 
-    async def _respond_query(self, params: Dict[str, List[str]],
-                             headers: Dict[str, str]
-                             ) -> Tuple[Dict[str, Any], int]:
-        queries, k, rule, weight, segment = parse_query_request(params)
+    async def _admitted(self, call, params: Dict[str, List[str]],
+                        headers: Dict[str, str]):
+        """Run a ``/query`` router *call* under admission and a deadline.
+
+        Malformed requests are rejected (400) before they can be shed
+        (429).  ``wait_for`` bounds queue time and service time together;
+        on expiry it cancels the executor future, so a request still
+        waiting for a worker is dropped from the pool's queue and never
+        reaches the service.
+        """
+        parse_query_request(params)
         deadline = self.config.deadline
         raw_deadline = headers.get("x-request-deadline")
         if raw_deadline is not None:
@@ -510,27 +401,9 @@ class AsyncRankingServer:
                                    "X-Request-Deadline must be positive")
         self._admission.admit()
         try:
-            if self.config.coalesce:
-                deadline_ts = self._loop.time() + deadline
-                # wait_for bounds the whole wait (queue time AND backend
-                # flight); the coalescer's own expiry check just avoids
-                # dispatching work for requests already past due.
-                batches = await asyncio.wait_for(
-                    asyncio.gather(*[
-                        self._coalescer.submit(text, k, rule, weight,
-                                               segment, deadline_ts)
-                        for text in queries]),
-                    timeout=deadline)
-            else:
-                call = partial(self.service.query_many, queries, k,
-                               rule=rule, weight=weight, segment=segment)
-                batches = await asyncio.wait_for(
-                    self._loop.run_in_executor(self._executor, call),
-                    timeout=deadline)
-            payload = await self._loop.run_in_executor(
-                self._executor, partial(query_response, self.service,
-                                        queries, batches, k, segment))
-            return payload, 200
+            return await asyncio.wait_for(
+                self._loop.run_in_executor(self._executor, call),
+                timeout=deadline)
         except asyncio.TimeoutError:
             raise DeadlineExceeded("deadline exceeded") from None
         finally:
@@ -546,13 +419,12 @@ class AsyncRankingServer:
 
         async def _shutdown() -> None:
             # Stop listening, then finish every task the loop still owns
-            # — the batcher and the open (idle keep-alive, or just
-            # disconnected) connections — so stopping the loop destroys
-            # no pending task.  Closing a connection's transport ends its
-            # handler at the next read; one still inside a backend call
-            # gets a bounded wait.
+            # — the open (idle keep-alive, or just disconnected)
+            # connections — so stopping the loop destroys no pending task.
+            # Closing a connection's transport ends its handler at the
+            # next read; one still inside a backend call gets a bounded
+            # wait.
             self._server.close()
-            await self._coalescer.close()
             for writer in self._connections.values():
                 writer.close()
             if self._connections:

@@ -1,9 +1,11 @@
-"""A JSON-over-HTTP endpoint for a :class:`~repro.serving.service.RankingService`.
+"""The JSON routes of a :class:`~repro.serving.service.RankingService`.
 
-Built on the stdlib :mod:`http.server` (threaded), in the same spirit as
-the simulated web server of :mod:`repro.crawler.webserver`: no third-party
-dependencies, good enough for the examples, the benchmarks and local
-experimentation.
+This module is the transport-free half of the HTTP endpoint:
+:func:`route_request` turns a path and its parsed query string into
+service calls and a JSON-ready payload, and
+:class:`~repro.serving.frontend.AsyncRankingServer` is the one server that
+puts it on a socket.  Tests and benchmarks call the router directly as the
+oracle for what the server must answer, byte for byte.
 
 Routes (all ``GET``, all returning ``application/json``):
 
@@ -29,7 +31,8 @@ Routes (all ``GET``, all returning ``application/json``):
     the server fronts a replica set.
 ``/metrics``
     The process telemetry registry (:mod:`repro.obs`) in Prometheus text
-    exposition format — the one non-JSON route.
+    exposition format — the one non-JSON route, answered by the server
+    itself rather than the router.
 
 Errors are JSON too: ``400`` for bad parameters, ``404`` for unknown paths
 or unknown sites/documents.
@@ -44,18 +47,11 @@ emits a structured access line (method, path, status, duration_ms) on the
 
 from __future__ import annotations
 
-import json
 import logging
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from time import monotonic, perf_counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
 
-from .. import obs
-from ..exceptions import GraphStructureError, ValidationError
-from .service import RankingService
+from ..exceptions import GraphStructureError
 from .store import ScoredDocument
 
 #: The serving access/error logger.  Pinned to WARNING at import so the
@@ -100,7 +96,7 @@ class _ClientError(Exception):
 
 
 # --------------------------------------------------------------------- #
-# Parameter parsing (module-level: shared with the async front end)
+# Parameter parsing
 # --------------------------------------------------------------------- #
 def _str_param(params: Dict[str, List[str]], name: str) -> Optional[str]:
     values = params.get(name)
@@ -154,9 +150,9 @@ def parse_query_request(params: Dict[str, List[str]]
     """Validate a ``/query`` request's parameters.
 
     Returns ``(queries, k, rule, weight, segment)``; raises
-    :class:`_ClientError` on malformed input.  Shared by the threaded
-    handler and the async front end so both reject and accept the exact
-    same requests.
+    :class:`_ClientError` on malformed input.  The server calls it ahead
+    of admission control, so a malformed request is a ``400`` even under
+    overload.
     """
     queries = params.get("q")
     if not queries:
@@ -173,12 +169,7 @@ def parse_query_request(params: Dict[str, List[str]]
 def query_response(service, queries: List[str], batches,
                    k: Optional[int],
                    segment: Optional[str]) -> Dict[str, Any]:
-    """The ``/query`` response body for already-computed result batches.
-
-    Factored out of the route so the async front end can hand in batches
-    produced by the request coalescer and still emit a body byte-identical
-    to the threaded server's.
-    """
+    """The ``/query`` response body for already-computed result batches."""
     results = [{"query": text,
                 "hits": [_hit_payload(service, hit) for hit in hits]}
                for text, hits in zip(queries, batches)]
@@ -195,9 +186,8 @@ def route_request(service, path: str, params: Dict[str, List[str]], *,
 
     *service* is anything with the :class:`RankingService` query surface —
     a single service or a :class:`~repro.serving.replicas.ReplicaSet`.
-    Both HTTP servers (threaded and asyncio) route through this function,
-    so their JSON responses are byte-identical; raises
-    :class:`_ClientError` for 4xx/5xx conditions.
+    The server sends ``json.dumps`` of the returned payload unchanged;
+    raises :class:`_ClientError` for 4xx/5xx conditions.
     """
     if path == "/health":
         return {"status": "ok"}, 200
@@ -270,7 +260,7 @@ def serving_samples(service, uptime_seconds: float
                     ) -> Iterable[Tuple[str, str, Dict[str, str], float]]:
     """Scrape-time ``serving_*`` samples of one service's own counters.
 
-    Shared by both front ends' metrics collectors; *service* is a single
+    Feeds the server's metrics collector; *service* is a single
     :class:`RankingService` or a :class:`~repro.serving.replicas.ReplicaSet`
     (whose aggregate :meth:`stats` keeps the single-service shape).
     """
@@ -301,158 +291,3 @@ def serving_samples(service, uptime_seconds: float
         ("counter", "serving_rebuild_dispatch_bytes_total", {},
          float(engine["dispatch_bytes"])),
     ]
-
-
-class RankingRequestHandler(BaseHTTPRequestHandler):
-    """Translates HTTP requests into :class:`RankingService` calls."""
-
-    server: "RankingHTTPServer"
-    protocol_version = "HTTP/1.1"
-
-    # ------------------------------------------------------------------ #
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        started = perf_counter()
-        split = urlsplit(self.path)
-        params = parse_qs(split.query)
-        status = 500
-        try:
-            if split.path == "/metrics":
-                # The one non-JSON route: the telemetry registry in
-                # Prometheus text exposition format.
-                status = 200
-                self._respond_text(status, obs.render_prometheus(),
-                                   content_type="text/plain; "
-                                                "version=0.0.4; "
-                                                "charset=utf-8")
-            else:
-                try:
-                    payload, status = route_request(
-                        self.server.service, split.path, params,
-                        uptime_seconds=self.server.uptime_seconds)
-                except _ClientError as error:
-                    payload, status = {"error": str(error)}, error.status
-                except (ValidationError, GraphStructureError) as error:
-                    payload, status = {"error": str(error)}, 400
-                self._respond(status, payload)
-        finally:
-            duration = perf_counter() - started
-            endpoint = (split.path if split.path in _KNOWN_ENDPOINTS
-                        else "other")
-            obs.inc("http_requests_total", path=endpoint,
-                    status=str(status))
-            obs.observe("http_request_seconds", duration, path=endpoint)
-            ACCESS_LOGGER.info("%s %s %d %.2fms", self.command, self.path,
-                               status, duration * 1000.0)
-
-    # ------------------------------------------------------------------ #
-    def _respond(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _respond_text(self, status: int, text: str, *,
-                      content_type: str = "text/plain; charset=utf-8"
-                      ) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_request(self, code="-", size="-") -> None:
-        # The per-request access line (with duration) is emitted by
-        # do_GET; the default per-response line here would duplicate it.
-        pass
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        # http.server internals route errors here; surface them through
-        # the structured serving logger instead of bare stderr.
-        ACCESS_LOGGER.warning("%s - %s", self.address_string(),
-                              format % args)
-
-
-class RankingHTTPServer(ThreadingHTTPServer):
-    """A threaded HTTP server bound to one :class:`RankingService`.
-
-    Parameters
-    ----------
-    service:
-        The service answering the requests (a
-        :class:`~repro.serving.replicas.ReplicaSet` also works — anything
-        with the service's query surface).
-    host / port:
-        Bind address; ``port=0`` picks a free ephemeral port (the bound
-        port is available as :attr:`port`).
-    verbose:
-        Switches the ``repro.serving`` access log on (one structured line
-        per request to stderr, see :func:`enable_access_log`).  Off by
-        default — the examples and tests hammer the endpoint.
-
-    While the server lives, a collector is registered with the telemetry
-    registry so ``/metrics`` scrapes also expose the service's own state
-    (cache hit rate, store generation, uptime) without double accounting;
-    :meth:`close` removes it.
-    """
-
-    daemon_threads = True
-
-    def __init__(self, service: RankingService, *, host: str = "127.0.0.1",
-                 port: int = 0, verbose: bool = False) -> None:
-        self.service = service
-        self.verbose = verbose
-        self.started_at = monotonic()
-        if verbose:
-            enable_access_log()
-        obs.registry().add_collector(self._collect_serving_samples)
-        super().__init__((host, port), RankingRequestHandler)
-
-    @property
-    def uptime_seconds(self) -> float:
-        """Seconds since the server object was created."""
-        return monotonic() - self.started_at
-
-    def _collect_serving_samples(self) -> Iterable[Tuple[str, str,
-                                                         Dict[str, str],
-                                                         float]]:
-        """Scrape-time samples of the service's own counters."""
-        return serving_samples(self.service, self.uptime_seconds)
-
-    @property
-    def host(self) -> str:
-        """Bound host."""
-        return self.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """Bound port (useful with ``port=0``)."""
-        return self.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL of the endpoint."""
-        return f"http://{self.host}:{self.port}"
-
-    def start_background(self) -> threading.Thread:
-        """Serve forever from a daemon thread; returns the thread."""
-        thread = threading.Thread(target=self.serve_forever,
-                                  name="repro-serving", daemon=True)
-        thread.start()
-        return thread
-
-    def close(self) -> None:
-        """Stop serving, release the socket and drop the metrics collector."""
-        obs.registry().remove_collector(self._collect_serving_samples)
-        self.shutdown()
-        self.server_close()
-
-
-def serve_ranking(service: RankingService, *, host: str = "127.0.0.1",
-                  port: int = 0, verbose: bool = False) -> RankingHTTPServer:
-    """Convenience constructor: build a server and start it in the background."""
-    server = RankingHTTPServer(service, host=host, port=port, verbose=verbose)
-    server.start_background()
-    return server

@@ -33,13 +33,13 @@ pipeline produces, so this store is base-ranking only.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..exceptions import GraphStructureError, ValidationError
+from ..exceptions import ValidationError
 from ..io.artifacts import ArtifactStore, RankedGeneration
-from .store import ScoredDocument, ShardedScoreStore, _Shard
+from .store import ScoredDocument, ShardedScoreStore
 
 
 class _GenerationMap:
@@ -183,27 +183,13 @@ class MmapScoreStore(ShardedScoreStore):
         return self._map.generation
 
     # ------------------------------------------------------------------ #
-    # Lookup plumbing: _entries only holds in-RAM replacement shards; a
-    # miss resolves through the generation's inverse permutation, valid
+    # _entries only holds the in-RAM replacement shards that update_site
+    # installs over mapped ones (the generation files are never written);
+    # a miss resolves through the generation's inverse permutation, valid
     # only while the owning shard is still the mapped one.
     # ------------------------------------------------------------------ #
-    def _owner_of(self, doc_id: int) -> Optional[str]:
-        entry = self._entries.get(doc_id)
-        if entry is not None:
-            return entry[0]
-        if 0 <= doc_id < self._map.n_documents:
-            position = int(self._map.doc_position[doc_id])
-            site = self._map.site_of_position(position)
-            shard = self._shards.get(site)
-            if isinstance(shard, _MmapShard) \
-                    and int(self._map.doc_ids[position]) == doc_id:
-                return site
-        return None
-
-    def _entry(self, doc_id: int) -> Tuple[str, str, float]:
-        entry = self._entries.get(doc_id)
-        if entry is not None:
-            return entry
+    def _missing_entry(self, doc_id: int
+                       ) -> Optional[Tuple[str, str, float]]:
         if isinstance(doc_id, (int, np.integer)) \
                 and 0 <= doc_id < self._map.n_documents:
             position = int(self._map.doc_position[doc_id])
@@ -213,90 +199,12 @@ class MmapScoreStore(ShardedScoreStore):
                     and int(self._map.doc_ids[position]) == doc_id:
                 return (site, self._map.url_at(position),
                         float(self._map.scores[position]))
-        raise ValidationError(f"unknown document id {doc_id}") from None
-
-    def __contains__(self, doc_id: int) -> bool:
-        try:
-            return self._owner_of(int(doc_id)) is not None
-        except (TypeError, ValueError):
-            return False
+        return None
 
     @property
     def n_documents(self) -> int:
         """Total documents across all shards."""
         return sum(len(shard) for shard in self._shards.values())
-
-    # ------------------------------------------------------------------ #
-    # Mutation: replacements become ordinary in-RAM shards masking the
-    # mapped ones; the generation files are never written.
-    # ------------------------------------------------------------------ #
-    def update_site(self, site: str, doc_ids, urls, scores, *,
-                    segment_columns=None) -> int:
-        scores = np.asarray(scores, dtype=float).ravel()
-        if not (len(doc_ids) == len(urls) == scores.size):
-            raise ValidationError("doc_ids, urls and scores must align")
-        if scores.size and not np.all(np.isfinite(scores)):
-            raise ValidationError(f"shard {site!r} has non-finite scores")
-        if len(set(doc_ids)) != len(doc_ids):
-            raise ValidationError(f"shard {site!r} has duplicate document ids")
-        if segment_columns is not None:
-            raise ValidationError(
-                "store has no personalisation segments; "
-                "segment_columns must be None")
-        # Validate ownership before mutating anything (as the base store
-        # does): a document may reappear in its own site's replacement but
-        # never be stolen from another live shard.
-        for doc_id in doc_ids:
-            owner = self._owner_of(int(doc_id))
-            if owner is not None and owner != site:
-                raise GraphStructureError(
-                    f"document {doc_id} already belongs to shard {owner!r}")
-        old = self._shards.get(site)
-        if isinstance(old, _Shard):
-            for doc_id in old.doc_ids:
-                del self._entries[doc_id]
-        self._generation += 1
-        shard = _Shard(site, list(doc_ids), list(urls), scores,
-                       self._generation, None)
-        self._shards[site] = shard
-        for index, doc_id in enumerate(shard.doc_ids):
-            self._entries[doc_id] = (site, shard.urls[index],
-                                     float(scores[index]))
-        return shard.generation
-
-    def drop_site(self, site: str) -> None:
-        """Remove one site's shard entirely."""
-        shard = self._shard(site)
-        if isinstance(shard, _Shard):
-            for doc_id in shard.doc_ids:
-                del self._entries[doc_id]
-        del self._shards[site]
-        self._generation += 1
-
-    def rebuilt(self, replacements: Dict[str, Tuple], *,
-                drop=()) -> "MmapScoreStore":
-        """The double-buffering back buffer, sharing the mapping.
-
-        Identical contract to the base store's ``rebuilt``; the clone
-        shares the :class:`_GenerationMap` (and every untouched shard
-        object) with this store, so replication and rolling rebuilds never
-        duplicate the on-disk score column.
-        """
-        clone = MmapScoreStore.__new__(MmapScoreStore)
-        ShardedScoreStore.__init__(clone, ())
-        clone._map = self._map
-        clone._shards = dict(self._shards)
-        clone._entries = dict(self._entries)
-        clone._generation = self._generation
-        for site in drop:
-            if site in clone._shards:
-                clone.drop_site(site)
-        for site, replacement in replacements.items():
-            doc_ids, urls, scores = replacement[:3]
-            columns = replacement[3] if len(replacement) > 3 else None
-            clone.update_site(site, doc_ids, urls, scores,
-                              segment_columns=columns)
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MmapScoreStore(generation={self._map.generation.name!r}, "

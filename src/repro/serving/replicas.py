@@ -26,9 +26,9 @@ and routes every query through a :class:`HashRing`:
 
 The set duck-types the query surface of ``RankingService`` (``top``,
 ``query``, ``query_many``, ``describe``, ``score_of``, ``stats``, …), so
-both the threaded :class:`~repro.serving.httpd.RankingHTTPServer` and the
-asyncio :mod:`~repro.serving.frontend` serve a ``ReplicaSet`` exactly like
-a single service.
+:func:`~repro.serving.httpd.route_request` and the
+:class:`~repro.serving.frontend.AsyncRankingServer` in front of it serve a
+``ReplicaSet`` exactly like a single service.
 """
 
 from __future__ import annotations

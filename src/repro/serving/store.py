@@ -22,6 +22,7 @@ from the shards of the distributed coordinator, or incrementally from an
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -239,19 +240,16 @@ class ShardedScoreStore:
             raise ValidationError(
                 "store has no personalisation segments; "
                 "segment_columns must be None")
-        old = self._shards.get(site)
         # Validate ownership before mutating anything, so a rejected update
-        # leaves the store untouched (the old shard's own documents are
-        # free to reappear in the replacement).
-        replaced = set(old.doc_ids) if old is not None else frozenset()
+        # leaves the store untouched: a document may reappear in its own
+        # site's replacement but never be stolen from another live shard.
         for doc_id in doc_ids:
-            if doc_id in self._entries and doc_id not in replaced:
-                owner = self._entries[doc_id][0]
+            entry = self._lookup(doc_id)
+            if entry is not None and entry[0] != site:
                 raise GraphStructureError(
-                    f"document {doc_id} already belongs to shard {owner!r}")
-        if old is not None:
-            for doc_id in old.doc_ids:
-                del self._entries[doc_id]
+                    f"document {doc_id} already belongs to shard "
+                    f"{entry[0]!r}")
+        self._forget_entries(self._shards.get(site))
         self._generation += 1
         shard = _Shard(site, list(doc_ids), list(urls), scores,
                        self._generation, segment_columns)
@@ -263,11 +261,20 @@ class ShardedScoreStore:
 
     def drop_site(self, site: str) -> None:
         """Remove one site's shard entirely."""
-        shard = self._shard(site)
-        for doc_id in shard.doc_ids:
-            del self._entries[doc_id]
+        self._forget_entries(self._shard(site))
         del self._shards[site]
         self._generation += 1
+
+    def _forget_entries(self, shard) -> None:
+        """Drop a departing shard's documents from the lookup dict.
+
+        Only a resident :class:`_Shard` has entries; a subclass's foreign
+        shards (served through :meth:`_missing_entry`) stop resolving the
+        moment they leave ``_shards``.
+        """
+        if isinstance(shard, _Shard):
+            for doc_id in shard.doc_ids:
+                del self._entries[doc_id]
 
     def rebuilt(self, replacements: Dict[str, Tuple],
                 *, drop: Iterable[str] = ()) -> "ShardedScoreStore":
@@ -284,17 +291,17 @@ class ShardedScoreStore:
         then swaps its store pointer under the service lock — the only
         moment queries wait.
 
-        Untouched shards are *shared* with this store (a ``_Shard`` is
-        never mutated after construction, so sharing is safe), and the
-        generation counter continues from this store's, preserving the
-        deterministic per-shard generation sequence ``update_site`` in
-        place would have produced: drops first, then replacements in the
-        order *replacements* iterates.
+        Untouched shards are *shared* with this store (a shard is never
+        mutated after construction, so sharing is safe), as is everything
+        else a subclass hangs on the instance; the generation counter
+        continues from this store's, preserving the deterministic
+        per-shard generation sequence ``update_site`` in place would have
+        produced: drops first, then replacements in the order
+        *replacements* iterates.
         """
-        clone = ShardedScoreStore(self._segments)
+        clone = copy(self)
         clone._shards = dict(self._shards)
         clone._entries = dict(self._entries)
-        clone._generation = self._generation
         for site in drop:
             if site in clone._shards:
                 clone.drop_site(site)
@@ -388,7 +395,7 @@ class ShardedScoreStore:
         return LinkScoreView(scores, site_rows, sites)
 
     def __contains__(self, doc_id: int) -> bool:
-        return doc_id in self._entries
+        return self._lookup(doc_id) is not None
 
     # ------------------------------------------------------------------ #
     # Shard access
@@ -472,11 +479,26 @@ class ShardedScoreStore:
         except KeyError:
             raise GraphStructureError(f"unknown shard {site!r}") from None
 
+    def _lookup(self, doc_id: int) -> Optional[Tuple[str, str, float]]:
+        """``(site, url, score)`` of a document, ``None`` when not held."""
+        entry = self._entries.get(doc_id)
+        return entry if entry is not None else self._missing_entry(doc_id)
+
+    def _missing_entry(self, doc_id: int
+                       ) -> Optional[Tuple[str, str, float]]:
+        """Resolve a document absent from the lookup dict.
+
+        The one hook a subclass whose shards are not all resident
+        overrides; point lookups *and* the ownership check of
+        :meth:`update_site` go through it.
+        """
+        return None
+
     def _entry(self, doc_id: int) -> Tuple[str, str, float]:
-        try:
-            return self._entries[doc_id]
-        except KeyError:
-            raise ValidationError(f"unknown document id {doc_id}") from None
+        entry = self._lookup(doc_id)
+        if entry is None:
+            raise ValidationError(f"unknown document id {doc_id}")
+        return entry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ShardedScoreStore(n_shards={self.n_shards}, "

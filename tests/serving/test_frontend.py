@@ -1,24 +1,30 @@
-"""Tests for repro.serving.frontend (async coalescing front end).
+"""Tests for repro.serving.frontend (the asyncio HTTP server).
 
-The front end's contract has three legs the suite leans on:
+The server's contract has four legs the suite leans on:
 
-* responses are byte-identical to the threaded server's, coalesced or
-  not — clients cannot tell the front ends apart;
+* responses are byte-identical to ``json.dumps`` of what
+  :func:`repro.serving.httpd.route_request` returns for the same request;
 * overload never hangs: past ``max_inflight`` a request is answered
   ``429 + Retry-After`` immediately, and a request outliving its
   deadline budget is answered ``504``;
+* hostile request heads (oversized lines, header floods, bodies on a
+  keep-alive connection) get a JSON error and a closed connection;
 * queries keep succeeding continuously through a rolling rebuild of a
   replica set, with the drain visible on ``/readyz``.
 """
 
 import json
+import logging
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
+from repro import obs
 from repro.api import Ranker
 from repro.exceptions import ValidationError
 from repro.graphgen import generate_synthetic_web
@@ -28,8 +34,8 @@ from repro.serving import (
     FrontendConfig,
     RankingService,
     ReplicaSet,
+    route_request,
     serve_frontend,
-    serve_ranking,
 )
 
 
@@ -75,34 +81,31 @@ class TestByteIdenticalResponses:
         "/readyz",
     ]
 
-    def test_frontend_matches_threaded_server(self, service):
-        threaded = serve_ranking(service)
-        frontend = serve_frontend(service)
-        try:
+    def test_frontend_matches_route_request(self, service):
+        with serve_frontend(service) as frontend:
             for path in self.PATHS:
-                _status, expected = get_raw(threaded.url, path)
-                _status, actual = get_raw(frontend.url, path)
-                assert actual == expected, path
-        finally:
-            frontend.close()
-            threaded.close()
-
-    def test_coalesced_and_uncoalesced_agree(self, service):
-        coalescing = serve_frontend(service, coalesce_window=0.01)
-        direct = serve_frontend(service, coalesce=False)
-        try:
-            for path in self.PATHS:
-                _status, expected = get_raw(direct.url, path)
-                _status, actual = get_raw(coalescing.url, path)
-                assert actual == expected, path
-        finally:
-            direct.close()
-            coalescing.close()
+                split = urlsplit(path)
+                payload, status = route_request(service, split.path,
+                                                parse_qs(split.query))
+                assert get_raw(frontend.url, path) == \
+                    (status, json.dumps(payload).encode("utf-8")), path
 
 
-class TestCoalescing:
-    def test_concurrent_identical_queries_form_batches(self, service):
-        frontend = serve_frontend(service, coalesce_window=0.05)
+class TestSingleFlight:
+    def test_identical_concurrent_queries_compute_once(self, service,
+                                                       monkeypatch):
+        """Eight cache-cold requests for one text, released together:
+        one body, one retrieval — the rest wait on the leader's flight or
+        hit the entry it stored."""
+        match = service.index.match
+        computations = []
+
+        def slow_match(text, **kwargs):
+            computations.append(text)
+            time.sleep(0.2)          # keep the flight open for the burst
+            return match(text, **kwargs)
+
+        monkeypatch.setattr(service.index, "match", slow_match)
         bodies = []
         barrier = threading.Barrier(8)
 
@@ -112,27 +115,28 @@ class TestCoalescing:
                                   "/query?q=research+database&k=3")[1])
 
         threads = [threading.Thread(target=fire) for _ in range(8)]
-        try:
+        with serve_frontend(service) as frontend:
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(30.0)
-            assert len(bodies) == 8
-            assert len(set(bodies)) == 1
-            # The burst coalesced: fewer flushes than requests, and the
-            # duplicate texts were deduplicated inside a batch.
-            assert frontend.coalescer.batches < 8
-            assert frontend.coalescer.dedup_hits > 0
-        finally:
-            frontend.close()
+        assert len(bodies) == 8
+        assert len(set(bodies)) == 1
+        assert computations == ["research database"]
+        stats = service.cache_stats
+        assert stats.lookups == 8
+        assert stats.flights_coalesced >= 1
+        # Every request that missed and did not lead the flight waited.
+        assert stats.misses - stats.flights_coalesced == 1
 
     def test_mixed_bursts_answered_correctly(self, service):
-        frontend = serve_frontend(service, coalesce_window=0.02)
+        frontend = serve_frontend(service)
         expected = {
             "research": service.query("research", 3),
             "teaching": service.query("teaching", 3),
             "home": service.query("home", 3),
         }
+        service.cache.clear()
         results = {}
 
         def fire(text):
@@ -155,18 +159,21 @@ class TestCoalescing:
 
 
 class _GatedService:
-    """Wraps a service so query_many blocks until released."""
+    """Wraps a service so query_many blocks until released, logging the
+    texts of every call that reached it."""
 
     def __init__(self, service):
         self._service = service
         self.gate = threading.Event()
+        self.calls = []
 
     def __getattr__(self, name):
         return getattr(self._service, name)
 
-    def query_many(self, *args, **kwargs):
+    def query_many(self, texts, *args, **kwargs):
+        self.calls.append(list(texts))
         self.gate.wait(30.0)
-        return self._service.query_many(*args, **kwargs)
+        return self._service.query_many(texts, *args, **kwargs)
 
 
 class TestBackpressure:
@@ -214,6 +221,55 @@ class TestBackpressure:
             assert time.monotonic() - started < 10.0
         finally:
             gated.gate.set()
+            frontend.close()
+
+    def test_request_expiring_in_the_queue_never_reaches_the_service(
+            self, service):
+        """One worker, held by a gated request: the next request's
+        deadline lapses while it waits for the worker — 504, and the
+        service never sees it, not even after the worker frees up."""
+        gated = _GatedService(service)
+        frontend = serve_frontend(gated, workers=1)
+        statuses = []
+
+        def held_request():
+            statuses.append(get_raw(frontend.url,
+                                    "/query?q=research&k=3")[0])
+
+        holder = threading.Thread(target=held_request)
+        try:
+            holder.start()
+            time.sleep(0.3)          # let it occupy the only worker
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                get_raw(frontend.url, "/query?q=teaching&k=3",
+                        headers={"X-Request-Deadline": "0.2"})
+            assert excinfo.value.code == 504
+            gated.gate.set()
+            holder.join(30.0)
+            assert statuses == [200]
+            # /health runs on the same single worker, so once it answers
+            # the pool has drained whatever was still queued.
+            assert get_json(frontend.url, "/health") == {"status": "ok"}
+            assert gated.calls == [["research"]]
+        finally:
+            gated.gate.set()
+            frontend.close()
+
+    def test_malformed_request_is_400_even_under_overload(self, service):
+        gated = _GatedService(service)
+        frontend = serve_frontend(gated, max_inflight=1)
+        blocker = threading.Thread(
+            target=lambda: get_raw(frontend.url, "/query?q=research&k=3"))
+        try:
+            blocker.start()
+            time.sleep(0.3)          # budget exhausted from here on
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                get_raw(frontend.url, "/query?k=3")
+            assert excinfo.value.code == 400
+            assert frontend.admission.shed == 0
+        finally:
+            gated.gate.set()
+            blocker.join(30.0)
             frontend.close()
 
     def test_bad_deadline_header_is_400(self, service):
@@ -273,22 +329,125 @@ class TestErrors:
         with pytest.raises(ValidationError):
             FrontendConfig(max_inflight=0)
         with pytest.raises(ValidationError):
-            FrontendConfig(coalesce_window=-1.0)
-        with pytest.raises(ValidationError):
             FrontendConfig(deadline=0.0)
+        with pytest.raises(ValidationError):
+            FrontendConfig(workers=0)
+
+    def test_config_has_exactly_the_four_documented_knobs(self):
+        assert list(FrontendConfig.__dataclass_fields__) == [
+            "max_inflight", "deadline", "retry_after", "workers"]
+
+
+def exchange(frontend, request: bytes) -> bytes:
+    """Send raw bytes, return everything the server answers until it
+    closes the connection."""
+    with socket.create_connection((frontend.host, frontend.port),
+                                  timeout=10) as connection:
+        connection.sendall(request)
+        chunks = []
+        while True:
+            chunk = connection.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def parse_response(raw: bytes):
+    head, _sep, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    return int(lines[0].split()[1]), [line.lower() for line in lines[1:]], \
+        body
+
+
+class TestRequestLimits:
+    """The limits ``http.server`` enforced, ported to the asyncio reader:
+    a JSON error and a closed connection, never a traceback."""
+
+    @pytest.fixture
+    def frontend(self, service, caplog):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with serve_frontend(service) as frontend:
+                yield frontend
+        assert [record.getMessage() for record in caplog.records] == []
+
+    def test_oversized_request_line_is_414(self, frontend):
+        raw = exchange(frontend, b"GET /top?pad=" + b"a" * 70000
+                       + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+        status, headers, body = parse_response(raw)
+        assert status == 414
+        assert "connection: close" in headers
+        assert "error" in json.loads(body)
+
+    def test_oversized_header_line_is_431(self, frontend):
+        raw = exchange(frontend, b"GET /health HTTP/1.1\r\nX-Pad: "
+                       + b"a" * 70000 + b"\r\n\r\n")
+        status, headers, body = parse_response(raw)
+        assert status == 431
+        assert "connection: close" in headers
+        assert "error" in json.loads(body)
+
+    def test_more_than_100_headers_is_431(self, frontend):
+        flood = b"".join(b"X-Pad-%d: 1\r\n" % number
+                         for number in range(150))
+        raw = exchange(frontend,
+                       b"GET /health HTTP/1.1\r\n" + flood + b"\r\n")
+        status, headers, body = parse_response(raw)
+        assert status == 431
+        assert "connection: close" in headers
+        assert "headers" in json.loads(body)["error"]
+
+    def test_100_headers_are_still_served(self, frontend):
+        flood = b"".join(b"X-Pad-%d: 1\r\n" % number
+                         for number in range(99))
+        raw = exchange(frontend, b"GET /health HTTP/1.1\r\n" + flood
+                       + b"Connection: close\r\n\r\n")
+        status, _headers, body = parse_response(raw)
+        assert (status, json.loads(body)) == (200, {"status": "ok"})
+
+    def test_malformed_request_line_is_400(self, frontend):
+        status, headers, _body = parse_response(
+            exchange(frontend, b"NONSENSE\r\n\r\n"))
+        assert status == 400
+        assert "connection: close" in headers
+
+    def test_request_body_is_not_parsed_as_the_next_request(self, frontend):
+        """A POST with a body, pipelined before a GET: one 405 that closes
+        the connection — the body must not come back as a spurious 400."""
+        raw = exchange(frontend,
+                       b"POST /top HTTP/1.1\r\nHost: x\r\n"
+                       b"Content-Length: 11\r\n\r\nhello world"
+                       b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert raw.count(b"HTTP/1.1 ") == 1
+        status, headers, body = parse_response(raw)
+        assert status == 405
+        assert "connection: close" in headers
+        assert json.loads(body) == {"error": "method POST not allowed"}
 
 
 class TestMetrics:
     def test_metrics_exposes_frontend_and_serving_samples(self, service):
-        frontend = serve_frontend(service)
+        gated = _GatedService(service)
+        frontend = serve_frontend(gated)
+        expired = obs.registry().counter_value(
+            "frontend_deadline_exceeded_total")
         try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                get_raw(frontend.url, "/query?q=research&k=3",
+                        headers={"X-Request-Deadline": "0.1"})
+            assert excinfo.value.code == 504
+            gated.gate.set()
             get_raw(frontend.url, "/query?q=research&k=3")
             _status, body = get_raw(frontend.url, "/metrics")
             text = body.decode("utf-8")
-            assert "repro_frontend_coalesce_batch_size" in text
+            # Every 504 is counted, and counted once.
+            assert obs.registry().counter_value(
+                "frontend_deadline_exceeded_total") == expired + 1
+            assert "repro_frontend_deadline_exceeded_total" in text
+            assert "repro_frontend_inflight" in text
             assert "repro_serving_store_generation" in text
             assert "repro_http_requests_total" in text
         finally:
+            gated.gate.set()
             frontend.close()
 
 
@@ -300,7 +459,7 @@ class TestRollingRebuildThroughFrontend:
                                                   n_replicas=3,
                                                   drain_grace=0.05)
         replica_set._owns_ranker = True
-        frontend = serve_frontend(replica_set, coalesce_window=0.001)
+        frontend = serve_frontend(replica_set)
         stop = threading.Event()
         failures = []
         drains_seen = []

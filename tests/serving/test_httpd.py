@@ -1,4 +1,4 @@
-"""Tests for repro.serving.httpd (the JSON-over-HTTP endpoint)."""
+"""Tests for the JSON routes of repro.serving.httpd, over a live socket."""
 
 import json
 import urllib.error
@@ -9,7 +9,7 @@ import pytest
 from repro.api import Ranker
 from repro.graphgen import generate_synthetic_web
 from repro.ir import synthesize_corpus
-from repro.serving import RankingHTTPServer, RankingService, serve_ranking
+from repro.serving import AsyncRankingServer, RankingService, serve_frontend
 
 
 def layered_docrank(web):
@@ -21,7 +21,7 @@ def server():
     web = generate_synthetic_web(n_sites=6, n_documents=200, seed=9)
     service = RankingService.from_ranking(layered_docrank(web), web,
                                           corpus=synthesize_corpus(web))
-    server = serve_ranking(service)
+    server = serve_frontend(service)
     yield server
     server.close()
 
@@ -130,7 +130,6 @@ class TestServerLifecycle:
     def test_explicit_construction_and_close(self):
         web = generate_synthetic_web(n_sites=4, n_documents=80, seed=1)
         service = RankingService.from_ranking(layered_docrank(web), web)
-        explicit = RankingHTTPServer(service, port=0)
-        explicit.start_background()
+        explicit = AsyncRankingServer(service, port=0)
         assert get_json(explicit, "/health") == {"status": "ok"}
         explicit.close()

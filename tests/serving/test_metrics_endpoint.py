@@ -12,7 +12,7 @@ import pytest
 from repro import obs
 from repro.api import Ranker
 from repro.graphgen import generate_synthetic_web
-from repro.serving import RankingService, serve_ranking
+from repro.serving import RankingService, serve_frontend
 from repro.serving.httpd import ACCESS_LOGGER, enable_access_log
 
 
@@ -20,7 +20,7 @@ from repro.serving.httpd import ACCESS_LOGGER, enable_access_log
 def server():
     web = generate_synthetic_web(n_sites=5, n_documents=150, seed=3)
     service = RankingService.from_ranking(Ranker().fit(web).ranking, web)
-    server = serve_ranking(service)
+    server = serve_frontend(service)
     yield server
     server.close()
 
@@ -78,7 +78,7 @@ class TestMetricsEndpoint:
     def test_collector_removed_on_close(self):
         web = generate_synthetic_web(n_sites=4, n_documents=80, seed=5)
         service = RankingService.from_ranking(Ranker().fit(web).ranking, web)
-        server = serve_ranking(service)
+        server = serve_frontend(service)
         names = {e["name"] for e in obs.snapshot()["gauges"]}
         assert "serving_uptime_seconds" in names
         server.close()

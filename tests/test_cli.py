@@ -221,6 +221,22 @@ class TestServeCommand:
         assert "serving on http://127.0.0.1:" in out
         assert "server stopped" in out
 
+    @pytest.mark.parametrize("flag", [["--async"],
+                                      ["--coalesce-window", "0.01"]])
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--generate", "hierarchical", "--port", "0",
+                  "--duration", "0.1", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_banner_reports_replicas_and_admission_bound(self, capsys):
+        assert main(["serve", "--generate", "hierarchical", "--sites", "5",
+                     "--documents", "100", "--port", "0", "--duration",
+                     "0.1", "--replicas", "2", "--max-inflight", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "2 replica(s), max in-flight 8" in out
+
     def test_serve_answers_requests_while_up(self):
         import json
         import re
@@ -229,14 +245,13 @@ class TestServeCommand:
         from repro.api import Ranker
         from repro.graphgen import generate_synthetic_web
         from repro.ir import synthesize_corpus
-        from repro.serving import RankingService, RankingHTTPServer
+        from repro.serving import AsyncRankingServer, RankingService
 
         # Drive the same stack the serve command wires together.
         web = generate_synthetic_web(n_sites=5, n_documents=100, seed=7)
         service = RankingService.from_ranking(Ranker().fit(web).ranking, web,
                                               corpus=synthesize_corpus(web))
-        server = RankingHTTPServer(service, port=0)
-        server.start_background()
+        server = AsyncRankingServer(service, port=0)
         try:
             with urllib.request.urlopen(server.url + "/top?k=3",
                                         timeout=10) as response:
@@ -591,8 +606,8 @@ class TestOutOfCoreCommands:
         from repro.api import Ranker
         from repro.graphgen import generate_synthetic_web
         from repro.serving import (
+            AsyncRankingServer,
             MmapScoreStore,
-            RankingHTTPServer,
             RankingService,
         )
 
@@ -611,10 +626,8 @@ class TestOutOfCoreCommands:
                                         timeout=10) as response:
                 return response.read()
 
-        memory_server = RankingHTTPServer(memory_service, port=0)
-        mmap_server = RankingHTTPServer(mmap_service, port=0)
-        memory_server.start_background()
-        mmap_server.start_background()
+        memory_server = AsyncRankingServer(memory_service, port=0)
+        mmap_server = AsyncRankingServer(mmap_service, port=0)
         try:
             for path in ("/top?k=25", "/top?k=5&site=site002.example.org",
                          "/score?doc=0", "/score?doc=149", "/health"):
