@@ -99,7 +99,7 @@ def layered_cost(docgraph: DocGraph, *,
     for site in docgraph.sites():
         if site not in local_iterations:
             raise ValidationError(f"missing iteration count for site {site!r}")
-        local_adjacency, doc_ids = docgraph.local_adjacency(site)
+        local_adjacency, doc_ids = docgraph.local_block(site)
         flops = power_method_flops(len(doc_ids), int(local_adjacency.nnz),
                                    local_iterations[site])
         local_total += flops

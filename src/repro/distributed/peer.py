@@ -117,7 +117,7 @@ class Peer:
         result = local_docrank(self.docgraph, site, self.damping,
                                tol=self.tol, max_iter=self.max_iter)
         self.local_results[site] = result
-        local_adjacency, _doc_ids = self.docgraph.local_adjacency(site)
+        local_adjacency, _doc_ids = self.docgraph.local_block(site)
         seconds = local_work_seconds(result.n_documents,
                                      int(local_adjacency.nnz),
                                      result.iterations)

@@ -63,6 +63,7 @@ import numpy as np
 from ..exceptions import ValidationError
 from ..linalg.layout import ALIGNMENT, BumpLayout, family_nbytes
 from ..linalg.sparse_utils import csr_arena_nbytes, csr_from_buffers
+from ..web.docgraph import SiteBlockRef
 from ..web.sitegraph import SiteGraph
 
 #: Prefix of every arena segment name; the leak tests (and operators
@@ -374,9 +375,12 @@ def resolve_vector(ref: ArenaRef) -> np.ndarray:
 
 
 def resolve_matrix(adjacency):
-    """Pass through real matrices; attach :class:`ArenaRef` ones."""
+    """Pass through real matrices; attach :class:`ArenaRef` ones and cut
+    :class:`~repro.web.docgraph.SiteBlockRef` ones out of their layout."""
     if isinstance(adjacency, ArenaRef):
         return resolve_csr(adjacency)
+    if isinstance(adjacency, SiteBlockRef):
+        return adjacency.tocsr()
     return adjacency
 
 

@@ -11,9 +11,12 @@ is bounded by the largest solve unit, not the web.
 
 Bitwise parity with the in-memory pipeline is a hard requirement (the
 out-of-core path must be an *optimisation*, not a different ranking), so
-the solve schedule replicates :func:`repro.engine.plan.batch_site_tasks`
-exactly — same fused chunks, same trailing-singleton rule, same dedicated
-tasks — and the solved blocks run through the verbatim
+the solve schedule comes from the very rule
+:func:`repro.engine.plan.batch_site_tasks` schedules with
+(:func:`repro.engine.plan.fuse_schedule`: same fused chunks, same
+trailing-singleton rule, same dedicated tasks), the mmap'd blocks are
+packed by the same concatenation, and the solved blocks run through the
+verbatim
 :class:`~repro.engine.plan.BatchedSiteTask` / ``LocalRankTask`` code.
 Results stream straight into a :class:`repro.io.artifacts.GenerationWriter`
 in site-major order; its ``finalize`` performs the same single-sum
@@ -40,6 +43,7 @@ from .plan import (
     BATCH_TARGET_DOCS,
     BatchedSiteTask,
     LocalRankTask,
+    fuse_schedule,
 )
 from .warm import WarmStartState, align_warm_start
 
@@ -60,44 +64,24 @@ def plan_solve_units(sites: Sequence[str], sizes: Mapping[str, int], *,
 
     Because the out-of-core tasks all share one parameter set, chunk
     membership depends only on each site's document count — which the
-    disk-graph manifest records — so the whole schedule is planned without
-    mapping a single adjacency block.  The grouping rules are replicated
-    verbatim: sites over *max_docs* get dedicated tasks, small sites fuse
-    in site order with a flush whenever a chunk would exceed *target_docs*,
-    and only a *trailing* single-site chunk falls back to a dedicated task
-    (mid-stream singleton flushes stay fused, exactly as the batcher does).
+    disk-graph manifest records — so the whole schedule is planned by the
+    shared :func:`~repro.engine.plan.fuse_schedule` without mapping a
+    single adjacency block.
     """
-    if max_docs < 0 or target_docs < 1:
+    try:
+        counts = [int(sizes[site]) for site in sites]
+    except KeyError as missing:
         raise ValidationError(
-            "max_docs must be non-negative and target_docs positive")
-    fused: List[Tuple[str, ...]] = []
-    dedicated: List[str] = []
-    chunk: List[str] = []
-    chunk_docs = 0
-    for site in sites:
-        try:
-            n_documents = int(sizes[site])
-        except KeyError:
-            raise ValidationError(f"no size recorded for site {site!r}") \
-                from None
-        if n_documents > max_docs:
-            dedicated.append(site)
-            continue
-        if chunk and chunk_docs + n_documents > target_docs:
-            fused.append(tuple(chunk))
-            chunk, chunk_docs = [], 0
-        chunk.append(site)
-        chunk_docs += n_documents
-    if len(chunk) == 1:
-        dedicated.append(chunk[0])
-    elif chunk:
-        fused.append(tuple(chunk))
-    return ([SolveUnit("fused", group) for group in fused]
-            + [SolveUnit("dedicated", (site,)) for site in dedicated])
+            f"no size recorded for site {missing.args[0]!r}") from None
+    chunks, dedicated = fuse_schedule(counts, max_docs=max_docs,
+                                      target_docs=target_docs)
+    return ([SolveUnit("fused", tuple(sites[i] for i in chunk))
+             for chunk in chunks]
+            + [SolveUnit("dedicated", (sites[i],)) for i in dedicated])
 
 
 class GenerationWarmStart:
-    """Warm-start vectors read lazily from a previous ranked generation.
+    """Warm-start vectors read from a previous ranked generation.
 
     The artifact store persists every site's converged *local* vector
     (``local_scores.bin``) next to the composed scores, so the next
@@ -105,13 +89,16 @@ class GenerationWarmStart:
     in-RAM :class:`~repro.engine.warm.WarmStartState` surviving between
     runs — the vectors round-trip through the store.  Alignment semantics
     are exactly :func:`~repro.engine.warm.align_warm_start`, so a warm
-    resume from disk is bitwise the in-memory warm resume.
+    resume from disk is bitwise the in-memory warm resume.  The id and
+    vector files are mapped once, for the lifetime of this object.
     """
 
     def __init__(self, generation: RankedGeneration) -> None:
         self._generation = generation
         self._shards = {str(shard["site"]): shard
                         for shard in generation.shards()}
+        self._ids = generation.map_array("doc_ids")
+        self._vectors = generation.map_array("local_scores")
 
     def local_start(self, site: str,
                     doc_ids: Sequence[int]) -> Optional[np.ndarray]:
@@ -120,11 +107,10 @@ class GenerationWarmStart:
         if shard is None:
             return None
         offset, count = int(shard["offset"]), int(shard["count"])
-        ids = self._generation.map_array("doc_ids")
-        vectors = self._generation.map_array("local_scores")
-        previous_ids = [int(doc_id) for doc_id in ids[offset:offset + count]]
-        previous = np.array(vectors[offset:offset + count], dtype=float)
-        return align_warm_start(previous_ids, previous, doc_ids)
+        return align_warm_start(
+            self._ids[offset:offset + count].tolist(),
+            np.array(self._vectors[offset:offset + count], dtype=float),
+            doc_ids)
 
     def siterank_start(self, sites: Sequence[str]) -> Optional[np.ndarray]:
         """Start vector for the SiteRank (``None`` → cold start)."""
@@ -243,7 +229,7 @@ def rank_outofcore(graph: DiskGraph,
                 tasks = []
                 for member in unit.sites:
                     adjacency, member_ids = graph.local_block(member)
-                    doc_ids = tuple(int(doc_id) for doc_id in member_ids)
+                    doc_ids = tuple(member_ids.tolist())
                     start = (seed.local_start(member, list(doc_ids))
                              if seed is not None else None)
                     tasks.append(LocalRankTask(

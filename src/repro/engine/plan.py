@@ -21,6 +21,13 @@ tasks are value-only, the same plan is the unit of scheduling for the
 centralized pipeline, the incremental ranker's refresh batches, the
 distributed simulator's peers, and the scaling benchmarks.
 
+Step 3's inputs are the diagonal blocks of the DocGraph numbered site by
+site, and the plan treats them as exactly that: a per-site task holds a
+lazy reference into the graph's one site-major layout
+(:meth:`repro.web.docgraph.DocGraph.site_blocks`), a fused batch is a
+single row-range gather of that layout, and only a dedicated task ever
+cuts its own matrix — no scipy object per site, no global adjacency.
+
 Warm starts plug in at construction: a :class:`~repro.engine.warm.WarmStartState`
 seeds each task with the previously converged vector so power iterations
 resume instead of restarting from uniform.
@@ -46,7 +53,7 @@ from ..linalg.block_solver import (
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
 from ..linalg.sparse_utils import csr_arena_nbytes
-from ..web.docgraph import DocGraph
+from ..web.docgraph import DocGraph, SiteBlockRef
 from ..web.docrank import (
     LocalDocRank,
     SiteColumns,
@@ -91,17 +98,19 @@ def _matrix_payload(vector: object, n_rows: int, n_vectors: int, *,
 class LocalRankTask:
     """Step 3: one site's local DocRank as a self-contained unit of work.
 
-    The task carries the already-extracted local subgraph instead of a
-    DocGraph reference, so it is independent of any shared mutable state —
-    the property that lets every backend schedule it freely.  ``adjacency``
-    is either the CSR matrix itself (in-process backends read it directly)
-    or an :class:`~repro.engine.arena.ArenaRef` addressing the same buffers
-    in a shared-memory arena — the zero-copy form the process backend
+    The task carries its local subgraph by value — never a DocGraph
+    reference — so it is independent of any shared mutable state, the
+    property that lets every backend schedule it freely.  ``adjacency`` is
+    the CSR matrix itself, a :class:`~repro.web.docgraph.SiteBlockRef`
+    (the block of an immutable site-major snapshot, cut when the task runs
+    and pickled as its own slice), or an
+    :class:`~repro.engine.arena.ArenaRef` addressing the buffers in a
+    shared-memory arena — the zero-copy form the process backend
     dispatches, resolved lazily in the worker by :meth:`run`.
     """
 
     site: str
-    adjacency: object  #: local link matrix: CSR, or an ArenaRef to one
+    adjacency: object  #: local link matrix: CSR, SiteBlockRef or ArenaRef
     doc_ids: object  #: tuple of global ids, or an ArenaRef to the id vector
     damping: float = DEFAULT_DAMPING
     preference: object = None  #: optional vector, or an ArenaRef to one
@@ -156,7 +165,7 @@ class LocalRankTask:
         """Execute the task on the calling thread (attaching shared buffers)."""
         doc_ids = self.doc_ids
         if isinstance(doc_ids, ArenaRef):
-            doc_ids = [int(d) for d in resolve_vector(doc_ids)]
+            doc_ids = resolve_vector(doc_ids).tolist()
         else:
             doc_ids = list(doc_ids)
         if self.n_vectors > 1:
@@ -239,7 +248,7 @@ class BatchedSiteTask:
     """Step 3 for *many small sites* as one fused unit of work.
 
     The constituent sites' local adjacencies are packed into a single
-    block-diagonal CSR at construction (:func:`repro.linalg.block_solver.pack_blocks`)
+    block-diagonal CSR at construction (:meth:`from_tasks`)
     and solved by one fused power iteration with per-site convergence
     freezing (:func:`repro.linalg.block_solver.solve_blocks`) — thousands
     of Python-level solver loops become a handful of large SpMVs per
@@ -330,9 +339,9 @@ class BatchedSiteTask:
         solved = solve_blocks(packed, self.damping, tol=self.tol,
                               max_iter=self.max_iter)
         results = []
+        all_ids, bounds = doc_ids.tolist(), offsets.tolist()
         for index, site in enumerate(self.sites):
-            ids = [int(doc_id)
-                   for doc_id in doc_ids[offsets[index]:offsets[index + 1]]]
+            ids = all_ids[bounds[index]:bounds[index + 1]]
             if self.n_vectors > 1:
                 columns = solved.vectors[index]
                 if columns.ndim == 1:
@@ -352,18 +361,16 @@ class BatchedSiteTask:
         return results
 
     @classmethod
-    def from_tasks(cls, tasks: Sequence[LocalRankTask], *,
-                   pack_cache: Optional[dict] = None) -> "BatchedSiteTask":
+    def from_tasks(cls, tasks: Sequence[LocalRankTask]) -> "BatchedSiteTask":
         """Fuse per-site tasks (which must share damping/tol/max_iter/K).
 
-        *pack_cache* is a caller-owned dict reusing the packed
-        block-diagonal CSR across calls.  The key is the chunk's
-        ``(site, n_documents, nnz)`` fingerprint — exact under the
-        DocGraph's add-only mutation API, where any structural change to a
-        site moves its document or link count — so a warm-started refresh
-        of structurally unchanged sites (and the segment batch sharing a
-        refresh's base batch) skips the ``scipy`` block-diagonal rebuild
-        and only re-packs the start/preference payloads.
+        Tasks whose adjacencies are references into one
+        :class:`~repro.web.docgraph.SiteBlocks` pack with a single
+        row-range gather of that layout; anything else (mmap'd disk
+        blocks, the SiteRank pseudo-site riding a segment batch) is
+        materialised and concatenated by
+        :func:`~repro.linalg.block_solver.pack_blocks`.  Either way the
+        packed buffers are copies.
         """
         if not tasks:
             raise ValidationError("cannot batch zero site tasks")
@@ -374,28 +381,26 @@ class BatchedSiteTask:
                 raise ValidationError(
                     "batched site tasks must share damping, tol, max_iter "
                     "and n_vectors")
-        doc_ids = np.concatenate([
-            np.asarray(task.doc_ids, dtype=np.int64) for task in tasks])
-        key = (tuple((task.site, task.n_documents, task.nnz)
-                     for task in tasks) if pack_cache is not None else None)
-        cached = pack_cache.get(key) if pack_cache is not None else None
-        if cached is not None:
-            matrix, offsets = cached
-            sizes = [task.n_documents for task in tasks]
+        refs = [task.adjacency for task in tasks]
+        if all(isinstance(ref, SiteBlockRef) and ref.blocks is refs[0].blocks
+               for ref in refs):
+            with obs.span("plan.site_blocks.pack"):
+                matrix, offsets, doc_ids = refs[0].blocks.packed(
+                    [ref.index for ref in refs])
+            sizes = np.diff(offsets)
             start = pack_block_vectors([task.start for task in tasks],
                                        sizes, name="start")
             preference = pack_block_vectors(
                 [task.preference for task in tasks], sizes,
                 name="preference")
-            obs.inc("block_pack_reuse_total")
         else:
-            packed = pack_blocks([(task.adjacency, task.start,
+            doc_ids = np.concatenate([
+                np.asarray(task.doc_ids, dtype=np.int64) for task in tasks])
+            packed = pack_blocks([(resolve_matrix(task.adjacency), task.start,
                                    task.preference) for task in tasks])
             matrix, offsets = packed.matrix, packed.offsets
             start, preference = packed.start, packed.preference
-            if pack_cache is not None:
-                pack_cache[key] = (matrix, offsets)
-            obs.inc("block_pack_builds_total")
+        obs.inc("block_pack_builds_total")
         return cls(sites=tuple(task.site for task in tasks),
                    adjacency=matrix, offsets=offsets,
                    doc_ids=doc_ids, damping=head.damping,
@@ -404,30 +409,59 @@ class BatchedSiteTask:
                    n_vectors=head.n_vectors)
 
 
-def batch_site_tasks(tasks: Sequence[LocalRankTask], *,
-                     max_docs: int = BATCH_SITE_MAX_DOCS,
-                     target_docs: int = BATCH_TARGET_DOCS,
-                     pack_cache: Optional[dict] = None
-                     ) -> List["RankTask"]:
-    """Group small-site tasks into fused :class:`BatchedSiteTask` payloads.
+def fuse_schedule(sizes: Sequence[int], *, max_docs: int, target_docs: int
+                  ) -> Tuple[List[List[int]], List[int]]:
+    """The one fuse/flush rule, from document counts alone.
 
-    Sites with at most *max_docs* documents are fused (grouped by their
-    solver parameters, chunked at *target_docs* total documents so pooled
-    backends keep parallelism across batches); larger sites — and tasks
-    whose buffers already live in an arena — pass through untouched.  The
-    returned list mixes fused and dedicated tasks; callers key results
-    back by site, so ordering between the two kinds is irrelevant.
-    *pack_cache* reuses packed CSR structures across calls (see
-    :meth:`BatchedSiteTask.from_tasks`).
+    Returns ``(chunks, dedicated)`` as positions into *sizes*: entries over
+    *max_docs* are dedicated; the rest fuse in order, a chunk flushing
+    whenever the next entry would take it past *target_docs*; a *trailing*
+    chunk of one has nothing to amortise and is dedicated too (a
+    mid-stream flush of one stays fused).  :func:`batch_site_tasks` and
+    :func:`repro.engine.outofcore.plan_solve_units` both schedule with it,
+    which is what keeps the out-of-core units equal to the in-memory ones.
     """
     if max_docs < 0 or target_docs < 1:
         raise ValidationError(
             "max_docs must be non-negative and target_docs positive")
+    chunks: List[List[int]] = []
+    dedicated: List[int] = []
+    chunk: List[int] = []
+    chunk_docs = 0
+    for position, size in enumerate(sizes):
+        if size > max_docs:
+            dedicated.append(position)
+            continue
+        if chunk and chunk_docs + size > target_docs:
+            chunks.append(chunk)
+            chunk, chunk_docs = [], 0
+        chunk.append(position)
+        chunk_docs += size
+    if len(chunk) == 1:
+        dedicated.append(chunk[0])
+    elif chunk:
+        chunks.append(chunk)
+    return chunks, dedicated
+
+
+def batch_site_tasks(tasks: Sequence[LocalRankTask], *,
+                     max_docs: int = BATCH_SITE_MAX_DOCS,
+                     target_docs: int = BATCH_TARGET_DOCS
+                     ) -> List["RankTask"]:
+    """Group small-site tasks into fused :class:`BatchedSiteTask` payloads.
+
+    Tasks are grouped by their solver parameters and each group scheduled
+    by :func:`fuse_schedule` (small sites fused, chunked at *target_docs*
+    so pooled backends keep parallelism across batches); larger sites —
+    and tasks whose buffers already live in an arena — pass through
+    untouched.  The returned list mixes fused and dedicated tasks; callers
+    key results back by site, so ordering between the two kinds is
+    irrelevant.
+    """
     passthrough: List[RankTask] = []
     groups: "OrderedDict[tuple, List[LocalRankTask]]" = OrderedDict()
     for task in tasks:
-        if (task.n_documents > max_docs
-                or isinstance(task.adjacency, ArenaRef)):
+        if isinstance(task.adjacency, ArenaRef):
             passthrough.append(task)
             continue
         key = (task.damping, task.tol, task.max_iter, task.n_vectors)
@@ -435,22 +469,12 @@ def batch_site_tasks(tasks: Sequence[LocalRankTask], *,
 
     fused: List[RankTask] = []
     for grouped in groups.values():
-        chunk: List[LocalRankTask] = []
-        chunk_docs = 0
-        for task in grouped:
-            if chunk and chunk_docs + task.n_documents > target_docs:
-                fused.append(BatchedSiteTask.from_tasks(
-                    chunk, pack_cache=pack_cache))
-                chunk, chunk_docs = [], 0
-            chunk.append(task)
-            chunk_docs += task.n_documents
-        if len(chunk) == 1:
-            # A fused batch of one site has nothing to amortise; keep the
-            # dedicated task (and its bitwise-reference code path).
-            passthrough.append(chunk[0])
-        elif chunk:
-            fused.append(BatchedSiteTask.from_tasks(
-                chunk, pack_cache=pack_cache))
+        chunks, dedicated = fuse_schedule(
+            [task.n_documents for task in grouped],
+            max_docs=max_docs, target_docs=target_docs)
+        fused.extend(BatchedSiteTask.from_tasks([grouped[i] for i in chunk])
+                     for chunk in chunks)
+        passthrough.extend(grouped[i] for i in dedicated)
     return [*fused, *passthrough]
 
 
@@ -491,16 +515,17 @@ def site_tasks_for(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
                    ) -> List[LocalRankTask]:
     """Build the step-3 task list for (a subset of) a DocGraph's sites.
 
-    The local subgraphs are extracted eagerly so the returned tasks carry
-    no DocGraph reference; *warm* seeds each task's start vector from the
-    previously converged one.
+    Each task's adjacency is a lazy reference into the DocGraph's one
+    :meth:`~repro.web.docgraph.DocGraph.site_blocks` snapshot (no matrix is
+    cut per site; later graph mutations do not reach the tasks); *warm*
+    seeds each task's start vector from the previously converged one.
     """
     preferences = preferences or {}
     if sites is None:
         sites = docgraph.sites()
     tasks = []
     for site in sites:
-        adjacency, doc_ids = docgraph.local_adjacency(site)
+        adjacency, doc_ids = docgraph.local_block(site)
         start = warm.local_start(site, doc_ids) if warm is not None else None
         tasks.append(LocalRankTask(site=site, adjacency=adjacency,
                                    doc_ids=tuple(doc_ids), damping=damping,

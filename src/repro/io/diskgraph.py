@@ -344,12 +344,7 @@ class DiskGraph:
 
     def url_of(self, doc_id: int) -> str:
         """Canonical URL of one document id."""
-        doc_id = self._check_doc_id(doc_id)
-        documents = self._manifest["documents"]
-        offsets = self._map(documents["url_offsets"])
-        blob = self._map(documents["url_blob"])
-        start, end = int(offsets[doc_id]), int(offsets[doc_id + 1])
-        return bytes(blob[start:end]).decode("utf-8")
+        return self.urls_of_positions([doc_id])[0]
 
     def site_of_document(self, doc_id: int) -> str:
         """Site identifier of a document id."""
@@ -367,15 +362,25 @@ class DiskGraph:
 
     def urls_of_positions(self, doc_ids: Sequence[int]) -> List[str]:
         """URLs of many document ids with one mapping of the URL table."""
+        ids = np.asarray(doc_ids, dtype=np.int64).ravel()
+        if ids.size == 0:
+            return []
+        self._check_doc_id(ids.min())
+        self._check_doc_id(ids.max())
         documents = self._manifest["documents"]
         offsets = self._map(documents["url_offsets"])
-        blob = self._map(documents["url_blob"])
-        urls = []
-        for doc_id in doc_ids:
-            index = self._check_doc_id(doc_id)
-            start, end = int(offsets[index]), int(offsets[index + 1])
-            urls.append(bytes(blob[start:end]).decode("utf-8"))
-        return urls
+        # A plain view: slicing a memmap per document costs more than the
+        # read it performs.
+        blob = np.asarray(self._map(documents["url_blob"]))
+        starts, ends = offsets[ids].tolist(), offsets[ids + 1].tolist()
+        if starts[1:] == ends[:-1]:
+            # Adjacent byte ranges (consecutive ids): one read.
+            base = starts[0]
+            raw = blob[base:ends[-1]].tobytes()
+            return [raw[start - base:end - base].decode("utf-8")
+                    for start, end in zip(starts, ends)]
+        return [blob[start:end].tobytes().decode("utf-8")
+                for start, end in zip(starts, ends)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DiskGraph(path={self._path!r}, "

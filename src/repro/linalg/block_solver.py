@@ -11,7 +11,12 @@ power iteration of their block-diagonal direct sum.  Packing the per-site
 turns ``B`` interpreter loops of tiny sparse products into a handful of
 large fused SpMVs per sweep, with the per-block teleportation, dangling
 correction, normalisation and residual computed vectorised via
-:func:`numpy.add.reduceat` over the block offsets.
+:func:`numpy.add.reduceat` over the block offsets.  Packing is itself
+array work: the direct sum of CSR blocks is their buffers concatenated
+with shifted indices (:func:`repro.linalg.sparse_utils.block_diagonal`),
+and a DocGraph's sites never exist as separate matrices to begin with —
+the engine gathers them out of one site-major layout
+(:class:`repro.web.docgraph.SiteBlocks`).
 
 Convergence is still *per block*: each sweep computes every block's own L1
 residual, and blocks that have met the tolerance are **frozen** — their
@@ -63,6 +68,7 @@ from .. import obs
 from .._validation import ensure_distribution, ensure_probability
 from ..exceptions import ConvergenceError, ValidationError
 from .power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .sparse_utils import block_diagonal
 from .stochastic import row_normalize
 
 
@@ -172,7 +178,9 @@ def pack_blocks(blocks: Sequence) -> PackedBlocks:
     ``preference`` entries may be ``None`` (uniform).  Start and preference
     vectors are validated per block exactly like the per-site solvers
     validate theirs, then concatenated; when no block supplies one the
-    concatenated vector is omitted entirely.
+    concatenated vector is omitted entirely.  The matrices are
+    canonicalised and concatenated into fresh buffers
+    (:func:`~repro.linalg.sparse_utils.block_diagonal`).
 
     A block's ``start`` / ``preference`` may also be an ``(n, K)`` matrix
     (one column per personalisation segment; every column validated as a
@@ -208,9 +216,10 @@ def pack_blocks(blocks: Sequence) -> PackedBlocks:
 
     offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    matrix = (matrices[0] if len(matrices) == 1
-              else sp.block_diag(matrices, format="csr"))
-    return PackedBlocks(matrix=matrix.tocsr(), offsets=offsets,
+    # One block is handed through as is (no copy: the single-site solve of
+    # an mmap'd block stays zero-copy); several are concatenated.
+    matrix = matrices[0] if len(matrices) == 1 else block_diagonal(matrices)
+    return PackedBlocks(matrix=matrix, offsets=offsets,
                         start=pack_block_vectors(starts, sizes, name="start"),
                         preference=pack_block_vectors(preferences, sizes,
                                                       name="preference"))
@@ -223,9 +232,9 @@ def pack_block_vectors(vectors: Sequence[Optional[np.ndarray]],
 
     One optional entry per block: a length-``size`` distribution, a
     ``(size, K)`` column matrix, or ``None`` (uniform).  This is the vector
-    half of :func:`pack_blocks`, exposed separately so a cached packed
-    matrix can be re-teleported without repacking the CSR (the incremental
-    ranker's refresh pack cache).  Returns ``None`` when every entry is.
+    half of :func:`pack_blocks`, exposed separately for batches whose
+    matrix is gathered out of a site-major layout instead of packed from
+    blocks.  Returns ``None`` when every entry is.
     """
     validated: List[Optional[np.ndarray]] = []
     for index, (vector, n) in enumerate(zip(vectors, sizes)):

@@ -148,14 +148,44 @@ def csr_arena_nbytes(matrix, *, alignment: int = ALIGNMENT) -> int:
 
 
 def block_diagonal(blocks: Sequence) -> sp.csr_matrix:
-    """Assemble square blocks into a block-diagonal sparse matrix.
+    """Assemble blocks into a block-diagonal sparse matrix.
 
     The LMM's collection of per-phase sub-state matrices ``U = {U^1..U^NP}``
     is naturally represented this way when a single global object is needed.
+    The engine packs per-site adjacencies through the same code
+    (:func:`repro.linalg.block_solver.pack_blocks`).
+
+    The direct sum of canonical CSR blocks is array concatenation: ``data``
+    as is, ``indices`` shifted by each block's column offset, ``indptr`` by
+    its entry offset.  Blocks that are not canonical CSR (dense input,
+    unsorted or duplicate entries) are converted first; the result always
+    owns fresh buffers.
     """
     if not blocks:
         raise ValidationError("blocks must not be empty")
-    return sp.block_diag([sp.csr_matrix(b) for b in blocks], format="csr")
+    canonical = []
+    for block in blocks:
+        block = sp.csr_matrix(block)
+        if not block.has_canonical_format:
+            block = block.copy()
+            block.sum_duplicates()
+        canonical.append(block)
+    n_rows = np.array([block.shape[0] for block in canonical])
+    n_cols = np.array([block.shape[1] for block in canonical])
+    n_entries = np.array([block.nnz for block in canonical])
+    shape = (int(n_rows.sum()), int(n_cols.sum()))
+    index_dtype = sp.get_index_dtype(maxval=max(*shape, int(n_entries.sum())))
+    indices = np.concatenate([block.indices for block in canonical]
+                             ).astype(index_dtype, copy=False)
+    indices += np.repeat(np.cumsum(n_cols) - n_cols, n_entries
+                         ).astype(index_dtype)
+    indptr = np.zeros(shape[0] + 1, dtype=index_dtype)
+    np.concatenate([block.indptr[1:] for block in canonical],
+                   out=indptr[1:], casting="unsafe")
+    indptr[1:] += np.repeat(np.cumsum(n_entries) - n_entries, n_rows
+                            ).astype(index_dtype)
+    data = np.concatenate([block.data for block in canonical])
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def empty_adjacency(n: int) -> sp.csr_matrix:

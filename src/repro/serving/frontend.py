@@ -35,7 +35,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import ceil
+from math import ceil, isfinite
 from time import monotonic, perf_counter
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -396,9 +396,11 @@ class AsyncRankingServer:
                 raise _ClientError(400, "X-Request-Deadline must be a "
                                         f"number, got {raw_deadline!r}") \
                     from None
-            if deadline <= 0:
-                raise _ClientError(400,
-                                   "X-Request-Deadline must be positive")
+            # NaN fails every comparison and inf is no budget at all:
+            # either would slip past the configured deadline.
+            if not (isfinite(deadline) and deadline > 0):
+                raise _ClientError(400, "X-Request-Deadline must be "
+                                        "positive and finite")
         self._admission.admit()
         try:
             return await asyncio.wait_for(

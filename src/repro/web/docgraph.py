@@ -15,14 +15,17 @@ deterministic document indexing.
 from __future__ import annotations
 
 from array import array
+from copy import copy
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 import scipy.sparse as sp
 
+from .. import obs
 from ..exceptions import GraphStructureError
-from ..linalg.sparse_utils import coo_from_edges, submatrix
+from ..linalg.sparse_utils import coo_from_edges
 from .registry import DocumentRegistry
 
 
@@ -48,6 +51,109 @@ class Document:
     url: str
     site: str
     is_dynamic: bool = False
+
+
+class SiteBlocks:
+    """Every site's local link matrix, stored once in site-major order.
+
+    The paper's local subgraphs ``G^s_d`` are the diagonal blocks of the
+    DocGraph once documents are numbered site by site.  ``order`` is that
+    numbering (document ids; sites first-seen, each site's ids ascending),
+    ``offsets`` the ``n_sites + 1`` block boundaries, ``nnz`` the entries
+    per block and ``matrix`` the ``N x N`` block-diagonal CSR of intra-site
+    link counts in site-major positions, built by one array pass over the
+    links.  A value snapshot: graph mutations build a new object.
+    """
+
+    def __init__(self, site_of_doc: np.ndarray, n_sites: int,
+                 sources: np.ndarray, targets: np.ndarray) -> None:
+        self.order = np.argsort(site_of_doc, kind="stable")
+        self.offsets = np.pad(
+            np.cumsum(np.bincount(site_of_doc, minlength=n_sites)), (1, 0))
+        self._position = np.empty_like(self.order)
+        self._position[self.order] = np.arange(self.order.size)
+        local = np.flatnonzero(
+            site_of_doc.take(sources) == site_of_doc.take(targets))
+        self._set_matrix(coo_from_edges(
+            np.column_stack((self._position.take(sources.take(local)),
+                             self._position.take(targets.take(local)))),
+            self.order.size))
+
+    def _set_matrix(self, matrix: sp.csr_matrix) -> None:
+        self.matrix = matrix
+        self.nnz = np.diff(matrix.indptr[self.offsets])
+
+    def with_link(self, source: int, target: int) -> "SiteBlocks":
+        """This layout plus one intra-site link, as a new object.
+
+        One sparse addition instead of a rebuild; the document numbering
+        is shared with (and the matrix of) this object left untouched.
+        """
+        patched = copy(self)
+        patched._set_matrix(self.matrix + sp.csr_matrix(
+            ([1.0], ([self._position[source]], [self._position[target]])),
+            shape=self.matrix.shape))
+        return patched
+
+    def packed(self, sites: Sequence[int]
+               ) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """``(matrix, offsets, doc_ids)`` of some sites' blocks, packed.
+
+        A row-range gather into fresh buffers: the block-diagonal CSR of
+        the named sites (by index, in the order given; index dtype of the
+        source), its ``int64`` block boundaries and the document id of
+        every packed row.
+        """
+        sites = np.asarray(sites, dtype=np.int64)
+        source, low = self.matrix, self.offsets[sites]
+        sizes = self.offsets[sites + 1] - low
+        offsets = np.pad(np.cumsum(sizes), (1, 0))
+        # Source row of every packed row, then source entry of every
+        # packed entry; columns move by their row's shift.
+        shift = np.repeat(low - offsets[:-1], sizes)
+        rows = np.arange(offsets[-1]) + shift
+        counts = source.indptr[rows + 1] - source.indptr[rows]
+        indptr = np.pad(np.cumsum(counts, dtype=counts.dtype), (1, 0))
+        entries = np.arange(indptr[-1]) + np.repeat(
+            source.indptr[rows] - indptr[:-1], counts)
+        columns = source.indices[entries] - np.repeat(shift, counts).astype(
+            source.indices.dtype)
+        matrix = sp.csr_matrix((source.data[entries], columns, indptr),
+                               shape=(rows.size, rows.size))
+        return matrix, offsets, self.order[rows]
+
+
+class SiteBlockRef:
+    """One site's block of a :class:`SiteBlocks`, cut on demand.
+
+    What a per-site engine task carries in place of a CSR matrix; pickling
+    ships the block itself, never the shared layout.
+    """
+
+    __slots__ = ("blocks", "index")
+
+    def __init__(self, blocks: SiteBlocks, index: int) -> None:
+        self.blocks = blocks
+        self.index = index
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        offsets = self.blocks.offsets
+        n = int(offsets[self.index + 1] - offsets[self.index])
+        return (n, n)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.blocks.nnz[self.index])
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The block as a real CSR matrix (caller-owned buffers)."""
+        return self.blocks.packed([self.index])[0]
+
+    def __reduce__(self):
+        block = self.tocsr()
+        return (sp.csr_matrix, ((block.data, block.indices, block.indptr),
+                                block.shape))
 
 
 class DocGraph:
@@ -77,6 +183,7 @@ class DocGraph:
         self._sources = array("q")
         self._targets = array("q")
         self._adjacency_cache: Optional[sp.csr_matrix] = None
+        self._site_blocks_cache: Optional[SiteBlocks] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -89,7 +196,7 @@ class DocGraph:
                 doc_id=doc_id, url=registry.urls[doc_id],
                 site=registry.sites[registry.doc_site[doc_id]],
                 is_dynamic=bool(registry.dynamic[doc_id])))
-        self._adjacency_cache = None
+        self._adjacency_cache = self._site_blocks_cache = None
 
     def add_document(self, url: str, *, site: Optional[str] = None,
                      is_dynamic: Optional[bool] = None) -> int:
@@ -129,6 +236,13 @@ class DocGraph:
         self._sources.append(source)
         self._targets.append(target)
         self._adjacency_cache = None
+        # The layout only holds intra-site links, and one more of those is
+        # a patch, not a rebuild (what keeps a live add_link cheap).
+        doc_site = self._registry.doc_site
+        if self._site_blocks_cache is not None \
+                and doc_site[source] == doc_site[target]:
+            self._site_blocks_cache = self._site_blocks_cache.with_link(
+                source, target)
 
     @classmethod
     def from_edges(cls, edges: Iterable[Tuple[str, str]], *,
@@ -235,16 +349,39 @@ class DocGraph:
                 np.column_stack(self.edge_arrays()), self.n_documents)
         return self._adjacency_cache
 
+    def site_blocks(self) -> SiteBlocks:
+        """The site-major block layout of the intra-site links (cached)."""
+        if self.n_documents == 0:
+            raise GraphStructureError("DocGraph is empty")
+        if self._site_blocks_cache is None:
+            with obs.span("plan.site_blocks.build"):
+                self._site_blocks_cache = SiteBlocks(
+                    self.site_indices(), self.n_sites, *self.edge_arrays())
+            obs.inc("site_blocks_builds_total")
+        return self._site_blocks_cache
+
+    def local_block(self, site: str) -> Tuple[SiteBlockRef, List[int]]:
+        """One site's ``(lazy block reference, document ids)``.
+
+        The form the engine plans with: no matrix is cut until the
+        reference is resolved, and references into the same
+        :meth:`site_blocks` pack with a single gather.
+        """
+        doc_ids = self.documents_of_site(site)
+        return (SiteBlockRef(self.site_blocks(),
+                             self._registry.site_index[site]), doc_ids)
+
     def local_adjacency(self, site: str) -> Tuple[sp.csr_matrix, List[int]]:
         """The local subgraph ``G^s_d`` of one site.
 
         Returns the adjacency matrix restricted to the site's documents
         (only intra-site links, per the paper's definition of ``E_d(s)``)
         together with the list of global document ids in local order.
+        A contiguous row slice of :meth:`site_blocks`; the global
+        :meth:`adjacency` is not built.
         """
-        doc_ids = self.documents_of_site(site)
-        local = submatrix(self.adjacency(), doc_ids)
-        return local, doc_ids
+        block, doc_ids = self.local_block(site)
+        return block.tocsr(), doc_ids
 
     def in_degrees(self) -> np.ndarray:
         """In-degree (number of incoming DocLinks) of every document."""

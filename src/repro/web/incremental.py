@@ -143,11 +143,6 @@ class IncrementalLayeredRanker:
         self._local_columns: Dict[str, SiteColumns] = {}
         self._segment_site_state: Optional[
             Tuple[Tuple[str, ...], np.ndarray]] = None
-        # Packed-CSR reuse across refresh batches: a refresh's segment
-        # batch shares the base batch's block-diagonal matrix, and a
-        # structurally unchanged chunk skips repacking entirely (see
-        # BatchedSiteTask.from_tasks).
-        self._pack_cache: Dict = {}
         self.full_rebuild()
 
     @classmethod
@@ -277,11 +272,8 @@ class IncrementalLayeredRanker:
         site_tasks = [self._local_task(site) for site in ordered]
         # The changed-site set rides the same batched path as a full plan:
         # small sites fuse into block-diagonal tasks, large ones keep
-        # dedicated tasks a parallel backend can overlap.  The pack cache
-        # lets structurally unchanged chunks — and the segment batch below,
-        # which packs the same adjacencies — reuse the packed CSR.
-        site_payload = (batch_site_tasks(site_tasks,
-                                         pack_cache=self._pack_cache)
+        # dedicated tasks a parallel backend can overlap.
+        site_payload = (batch_site_tasks(site_tasks)
                         if self._batch_sites else site_tasks)
         segment_tasks: List = []
         if self._segments is not None:
@@ -289,8 +281,7 @@ class IncrementalLayeredRanker:
                              for site in ordered]
             if siterank_recomputed:
                 segment_tasks.append(self._segment_site_task(sitegraph))
-        segment_payload = (batch_site_tasks(segment_tasks,
-                                            pack_cache=self._pack_cache)
+        segment_payload = (batch_site_tasks(segment_tasks)
                            if self._batch_sites else segment_tasks)
         tasks = [*site_payload, *segment_payload]
         if siterank_recomputed:
@@ -445,7 +436,7 @@ class IncrementalLayeredRanker:
         from ..engine.plan import LocalRankTask
         from ..engine.warm import align_warm_start
 
-        adjacency, doc_ids = self._docgraph.local_adjacency(site)
+        adjacency, doc_ids = self._docgraph.local_block(site)
         previous = self._local.get(site)
         start = (align_warm_start(previous.doc_ids, previous.scores, doc_ids)
                  if previous is not None else None)
@@ -474,14 +465,6 @@ class IncrementalLayeredRanker:
                             tol=self._tol, max_iter=self._max_iter,
                             start=start)
 
-    def _compute_local(self, site: str) -> LocalDocRank:
-        """Recompute one site's local DocRank, warm-started from the cache."""
-        return self._local_task(site).run()
-
-    def _compute_siterank(self) -> SiteRankResult:
-        """Recompute the SiteRank, warm-started from the cache."""
-        return self._siterank_task().run()
-
     # ------------------------------------------------------------------ #
     # Personalisation segment maintenance (fused multi-vector tasks)
     # ------------------------------------------------------------------ #
@@ -490,7 +473,7 @@ class IncrementalLayeredRanker:
         from ..engine.plan import LocalRankTask
 
         assert self._segments is not None
-        adjacency, doc_ids = self._docgraph.local_adjacency(site)
+        adjacency, doc_ids = self._docgraph.local_block(site)
         return LocalRankTask(
             site=site, adjacency=adjacency, doc_ids=tuple(doc_ids),
             damping=self._damping,
@@ -560,11 +543,7 @@ class IncrementalLayeredRanker:
 
     def _rebuild_segments(self) -> int:
         """Re-solve every site's segment columns (cold path, one batch)."""
-        from ..engine.plan import (
-            batch_site_tasks,
-            collect_site_results,
-            execute_tasks,
-        )
+        from ..engine.plan import execute_site_tasks
 
         sitegraph = self._sitegraph()
         self._segments = build_segment_preferences(
@@ -574,9 +553,8 @@ class IncrementalLayeredRanker:
         tasks = [self._segment_local_task(site)
                  for site in self._docgraph.sites()]
         tasks.append(self._segment_site_task(sitegraph))
-        payload = (batch_site_tasks(tasks, pack_cache=self._pack_cache)
-                   if self._batch_sites else tasks)
-        results, _wall_seconds = execute_tasks(payload,
-                                               executor=self._executor)
+        results = execute_site_tasks(tasks, executor=self._executor,
+                                     batch_sites=self._batch_sites)
         return self._store_segment_results(
-            collect_site_results(payload, results), sitegraph=sitegraph)
+            {task.site: result for task, result in zip(tasks, results)},
+            sitegraph=sitegraph)

@@ -22,7 +22,7 @@ model — a fact the integration tests verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -186,7 +186,8 @@ def compose_ranking(docgraph: DocGraph, sites: List[str],
     # only to absorb floating point drift.
     scores = normalize_distribution(np.concatenate(scores_blocks),
                                     name="layered DocRank")
-    urls = [docgraph.document(doc_id).url for doc_id in doc_ids]
+    all_urls = docgraph.registry.urls
+    urls = [all_urls[doc_id] for doc_id in doc_ids]
     return WebRankingResult(doc_ids=doc_ids, urls=urls, scores=scores,
                             method=method, siterank=site_result,
                             local_docranks=local, iterations=iterations)
@@ -277,7 +278,7 @@ def build_segment_preferences(docgraph: DocGraph, sitegraph: SiteGraph,
             by_site.setdefault(document.site, {})[document.doc_id] = weight
         for site, weights in by_site.items():
             if site not in local_rows:
-                _, doc_ids = docgraph.local_adjacency(site)
+                doc_ids = docgraph.documents_of_site(site)
                 local_rows[site] = {doc_id: row
                                     for row, doc_id in enumerate(doc_ids)}
                 document_columns[site] = np.full(
@@ -329,31 +330,24 @@ def solve_segment_columns(docgraph: DocGraph, sitegraph: SiteGraph,
     """
     from ..engine.plan import (
         LocalRankTask,
-        batch_site_tasks,
-        collect_site_results,
-        execute_tasks,
+        execute_site_tasks,
+        site_tasks_for,
     )
 
     if site_damping is None:
         site_damping = damping
     n_vectors = segments.n_segments
-    tasks = []
-    for site in sitegraph.sites:
-        adjacency, doc_ids = docgraph.local_adjacency(site)
-        tasks.append(LocalRankTask(
-            site=site, adjacency=adjacency, doc_ids=tuple(doc_ids),
-            damping=damping,
-            preference=segments.document_columns.get(site),
-            tol=tol, max_iter=max_iter, n_vectors=n_vectors))
+    tasks = [replace(task, n_vectors=n_vectors) for task in site_tasks_for(
+        docgraph, damping, sites=sitegraph.sites,
+        preferences=segments.document_columns, tol=tol, max_iter=max_iter)]
     tasks.append(LocalRankTask(
         site=SITERANK_BLOCK, adjacency=sitegraph.adjacency,
         doc_ids=tuple(range(len(sitegraph.sites))), damping=site_damping,
         preference=segments.site_columns,
         tol=tol, max_iter=max_iter, n_vectors=n_vectors))
-    payload = batch_site_tasks(tasks)
-    results, _seconds = execute_tasks(payload, executor=executor,
-                                      n_jobs=n_jobs)
-    by_site = collect_site_results(payload, results)
+    by_site = dict(zip(
+        [*sitegraph.sites, SITERANK_BLOCK],
+        execute_site_tasks(tasks, executor=executor, n_jobs=n_jobs)))
 
     siterank_block = ensure_site_columns(by_site[SITERANK_BLOCK])
     site_scores = siterank_block.columns  # (n_sites, K)

@@ -423,6 +423,19 @@ class TestRequestLimits:
         assert "connection: close" in headers
         assert json.loads(body) == {"error": "method POST not allowed"}
 
+    @pytest.mark.parametrize("value", [b"nan", b"inf", b"Infinity", b"1e999",
+                                       b"-inf", b"0"])
+    def test_non_finite_deadline_is_400(self, frontend, value):
+        """``nan <= 0`` is false and ``inf`` is an unbounded budget: both
+        must be refused, not handed to ``asyncio.wait_for``."""
+        raw = exchange(frontend,
+                       b"GET /query?q=research&k=3 HTTP/1.1\r\nHost: x\r\n"
+                       b"X-Request-Deadline: " + value + b"\r\n"
+                       b"Connection: close\r\n\r\n")
+        status, _headers, body = parse_response(raw)
+        assert status == 400
+        assert "X-Request-Deadline" in json.loads(body)["error"]
+
 
 class TestMetrics:
     def test_metrics_exposes_frontend_and_serving_samples(self, service):
