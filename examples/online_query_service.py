@@ -56,7 +56,7 @@ def main() -> None:
           f"{service.store.n_documents} documents "
           f"(one shard per site, as the Partition Theorem prescribes)\n")
 
-    print("global top-5 (lazy k-way merge over shard heaps):")
+    print("global top-5 (a prefix of the store's cached global order):")
     for rank, document in enumerate(service.top(5), start=1):
         print(f"  {rank}. {document.url}  score={document.score:.6f}")
 

@@ -6,9 +6,9 @@ partition at serving time:
 
 * :mod:`repro.serving.store` — :class:`ShardedScoreStore`, document scores
   partitioned by web site with O(1) point lookup and score-ordered shards;
-* :mod:`repro.serving.topk` — :class:`TopKEngine`, global top-k by lazy
-  k-way heap merge over shard orders (no full sort), per-site top-k as a
-  shard-local prefix read;
+* :mod:`repro.serving.topk` — :class:`TopKEngine`, global top-k as a
+  prefix of one order sorted per store generation (not per query),
+  per-site top-k as a shard-local prefix read;
 * :mod:`repro.serving.cache` — :class:`QueryCache`, a bounded LRU with
   hit/miss statistics and per-site tagged invalidation;
 * :mod:`repro.serving.service` — :class:`RankingService`, the facade wiring
@@ -16,7 +16,8 @@ partition at serving time:
   including a batched ``query_many`` and a subscription to
   :class:`~repro.web.incremental.IncrementalLayeredRanker` updates;
 * :mod:`repro.serving.httpd` — :func:`route_request`, the JSON routes as
-  a transport-free function (path + parameters -> payload);
+  a transport-free function (path + parameters -> payload), and
+  :func:`route_body`, the same answer as encoded bytes;
 * :mod:`repro.serving.replicas` — :class:`ReplicaSet`, N service replicas
   behind a consistent-hash ring with rolling zero-downtime rebuilds;
 * :mod:`repro.serving.frontend` — :class:`AsyncRankingServer`, the one
@@ -49,7 +50,7 @@ from .frontend import (
     Overloaded,
     serve_frontend,
 )
-from .httpd import enable_access_log, route_request
+from .httpd import enable_access_log, route_body, route_request
 from .mmapstore import MmapScoreStore
 from .replicas import HashRing, Replica, ReplicaSet
 from .service import RankingService
@@ -67,6 +68,7 @@ __all__ = [
     "Overloaded",
     "serve_frontend",
     "enable_access_log",
+    "route_body",
     "route_request",
     "MmapScoreStore",
     "HashRing",

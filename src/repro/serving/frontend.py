@@ -1,10 +1,25 @@
 """The HTTP server of the serving layer: asyncio + admission control.
 
 :class:`AsyncRankingServer` is the one HTTP front end.  A single-threaded
-asyncio loop parses requests and hands every one to
-:func:`repro.serving.httpd.route_request` on a small worker pool, so the
-JSON a client reads is exactly what the router returns.  Around that one
-call it shapes load on ``/query``:
+asyncio loop parses requests and answers each with
+:func:`repro.serving.httpd.route_body`, so the JSON a client reads is
+exactly ``json.dumps`` of what the router returns.  Where that call runs
+depends on what it can cost:
+
+* ``/score``, ``/health``, ``/healthz``, ``/readyz`` and ``/top`` for at
+  most :data:`INLINE_TOP_MAX_K` results run **on the event loop**: each
+  is a bounded read (a dictionary lookup, a counter read, ``k`` cached
+  JSON fragments joined; the first global ``/top`` of a store generation
+  also sorts its global order, ~1 ms per 10k documents), cheaper than
+  the hand-off to a worker thread.  The loop can wait on the service lock only for a
+  store swap's critical section — rebuilds are double-buffered and never
+  hold it.  The bound is a module constant because no deployment has a
+  reason to move it: a ``/top`` page is tens of results, and beyond the
+  bound the only change is which thread answers.
+* ``/query`` (text scoring, milliseconds), ``/stats`` and larger ``/top``
+  requests run on a small worker pool.
+
+Around the ``/query`` call it shapes load:
 
 * **admission control and backpressure** — a bounded in-flight budget; a
   request beyond it is shed *immediately* with ``429`` and a
@@ -46,9 +61,10 @@ from .httpd import (
     _KNOWN_ENDPOINTS,
     ACCESS_LOGGER,
     _ClientError,
+    _str_param,
     enable_access_log,
     parse_query_request,
-    route_request,
+    route_body,
     serving_samples,
 )
 
@@ -63,6 +79,27 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 #: request or header line accepted, and the most headers per request.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+
+
+#: Routes answered on the event loop instead of the worker pool (see the
+#: module docstring): a dictionary lookup or a counter read each.
+_INLINE_ROUTES = frozenset({"/score", "/health", "/healthz", "/readyz"})
+
+#: ``/top`` joins them up to this many results: ~0.1 ms to join that many
+#: cached fragments, about a millisecond the one time none of the
+#: documents has been served (and so JSON-encoded) before.
+INLINE_TOP_MAX_K = 256
+
+
+def _runs_inline(path: str, params: Dict[str, List[str]]) -> bool:
+    """Whether a non-``/query`` request is answered on the event loop."""
+    if path != "/top":
+        return path in _INLINE_ROUTES
+    raw = _str_param(params, "k")
+    try:
+        return raw is None or int(raw) <= INLINE_TOP_MAX_K
+    except ValueError:
+        return True  # the router's 400 costs nothing
 
 
 class Overloaded(Exception):
@@ -254,7 +291,7 @@ class AsyncRankingServer:
                     break
                 if request is None:
                     break
-                method, target, version, headers = request
+                method, target, version, headers, path, params = request
                 # A non-GET request may carry a body this server never
                 # reads; closing keeps it from being parsed as a request.
                 keep_alive = (method == "GET" and version == "HTTP/1.1" and
@@ -262,14 +299,13 @@ class AsyncRankingServer:
                               != "close")
                 started = perf_counter()
                 status, body, content_type, extra = \
-                    await self._respond(method, target, headers)
+                    await self._respond(method, path, params, headers)
                 writer.write(self._encode(status, body,
                                           content_type=content_type,
                                           extra=extra,
                                           keep_alive=keep_alive))
                 await writer.drain()
                 duration = perf_counter() - started
-                path = urlsplit(target).path
                 endpoint = path if path in _KNOWN_ENDPOINTS else "other"
                 obs.inc("http_requests_total", path=endpoint,
                         status=str(status))
@@ -293,12 +329,15 @@ class AsyncRankingServer:
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader
                             ) -> Optional[Tuple[str, str, str,
-                                                Dict[str, str]]]:
-        """Read one request head: ``(method, target, version, headers)``.
+                                                Dict[str, str], str,
+                                                Dict[str, List[str]]]]:
+        """Read one request head: ``(method, target, version, headers,
+        path, params)`` — the target and its one parse.
 
         ``None`` at end of stream; :class:`_ClientError` (400/414/431) for
         a head that is malformed or over ``_MAX_LINE`` / ``_MAX_HEADERS``
-        (``readline`` raises ``ValueError`` past the stream limit).
+        (``readline`` raises ``ValueError`` past the stream limit, and
+        ``urlsplit`` on a target like ``//[``).
         """
         try:
             request = await reader.readline()
@@ -309,6 +348,12 @@ class AsyncRankingServer:
         parts = request.decode("latin-1").strip().split()
         if len(parts) != 3:
             raise _ClientError(400, "malformed request line")
+        try:
+            split = urlsplit(parts[1])
+            params = parse_qs(split.query)
+        except ValueError as error:
+            raise _ClientError(400, f"malformed request target: {error}") \
+                from None
         headers: Dict[str, str] = {}
         while True:
             try:
@@ -316,7 +361,8 @@ class AsyncRankingServer:
             except ValueError:
                 raise _ClientError(431, "header line too long") from None
             if line in (b"\r\n", b"\n", b""):
-                return parts[0], parts[1], parts[2], headers
+                return (parts[0], parts[1], parts[2], headers, split.path,
+                        params)
             if len(headers) >= _MAX_HEADERS:
                 raise _ClientError(431, "too many headers")
             name, _sep, value = line.decode("latin-1").partition(":")
@@ -338,26 +384,27 @@ class AsyncRankingServer:
     # ------------------------------------------------------------------ #
     # Request dispatch
     # ------------------------------------------------------------------ #
-    async def _respond(self, method: str, target: str,
-                       headers: Dict[str, str]
+    async def _respond(self, method: str, path: str,
+                       params: Dict[str, List[str]], headers: Dict[str, str]
                        ) -> Tuple[int, bytes, str, Tuple[str, ...]]:
         if method != "GET":
             return (405, json.dumps({"error": f"method {method} not "
                                               f"allowed"}).encode("utf-8"),
                     "application/json", ())
-        split = urlsplit(target)
-        params = parse_qs(split.query)
         try:
-            if split.path == "/metrics":
+            if path == "/metrics":
                 return (200, obs.render_prometheus().encode("utf-8"),
                         "text/plain; version=0.0.4; charset=utf-8", ())
-            call = partial(route_request, self.service, split.path, params,
+            call = partial(route_body, self.service, path, params,
                            uptime_seconds=self.uptime_seconds)
-            if split.path == "/query":
-                payload, status = await self._admitted(call, params, headers)
+            if path == "/query":
+                body, status = await self._admitted(call, params, headers)
+            elif _runs_inline(path, params):
+                body, status = call()
             else:
-                payload, status = await self._loop.run_in_executor(
+                body, status = await self._loop.run_in_executor(
                     self._executor, call)
+            return status, body, "application/json", ()
         except _ClientError as error:
             payload, status = {"error": str(error)}, error.status
         except Overloaded as error:

@@ -2,10 +2,12 @@
 
 This module is the transport-free half of the HTTP endpoint:
 :func:`route_request` turns a path and its parsed query string into
-service calls and a JSON-ready payload, and
+service calls and a JSON-ready payload, :func:`route_body` into the encoded
+body (``json.dumps`` of that payload, except that ``/top`` is assembled
+from cached per-document fragments), and
 :class:`~repro.serving.frontend.AsyncRankingServer` is the one server that
-puts it on a socket.  Tests and benchmarks call the router directly as the
-oracle for what the server must answer, byte for byte.
+puts it on a socket.  Tests and benchmarks call :func:`route_request`
+directly as the oracle for what the server must answer, byte for byte.
 
 Routes (all ``GET``, all returning ``application/json``):
 
@@ -47,12 +49,13 @@ emits a structured access line (method, path, status, duration_ms) on the
 
 from __future__ import annotations
 
+import json
 import logging
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..exceptions import GraphStructureError
-from .store import ScoredDocument
+from .store import _document_payload
 
 #: The serving access/error logger.  Pinned to WARNING at import so the
 #: per-request INFO access lines stay silent even under a root logger
@@ -80,11 +83,6 @@ def enable_access_log(stream=None) -> logging.Logger:
             logging.Formatter("%(asctime)s %(name)s %(message)s"))
         ACCESS_LOGGER.addHandler(handler)
     return ACCESS_LOGGER
-
-
-def _document_payload(document: ScoredDocument) -> Dict[str, Any]:
-    return {"doc_id": document.doc_id, "url": document.url,
-            "site": document.site, "score": document.score}
 
 
 class _ClientError(Exception):
@@ -142,6 +140,13 @@ def _hit_payload(service, hit) -> Dict[str, Any]:
         payload["url"] = record.url
         payload["site"] = record.site
     return payload
+
+
+def _parse_top_request(params: Dict[str, List[str]]
+                       ) -> Tuple[int, Optional[str], Optional[str]]:
+    """``(k, site, segment)`` of a ``/top`` request."""
+    return (_int_param(params, "k", default=10), _str_param(params, "site"),
+            _str_param(params, "segment"))
 
 
 def parse_query_request(params: Dict[str, List[str]]
@@ -228,9 +233,7 @@ def route_request(service, path: str, params: Dict[str, List[str]], *,
     if path == "/stats":
         return service.stats(), 200
     if path == "/top":
-        k = _int_param(params, "k", default=10)
-        site = _str_param(params, "site")
-        segment = _str_param(params, "segment")
+        k, site, segment = _parse_top_request(params)
         try:
             documents = service.top(k, site=site, segment=segment)
         except GraphStructureError as error:
@@ -254,6 +257,25 @@ def route_request(service, path: str, params: Dict[str, List[str]], *,
             raise _ClientError(404, f"unknown document id {doc_id}")
         return _document_payload(document), 200
     raise _ClientError(404, f"unknown path {path!r}")
+
+
+def route_body(service, path: str, params: Dict[str, List[str]], *,
+               uptime_seconds: float = 0.0) -> Tuple[bytes, int]:
+    """The encoded response body of one GET request — what the server calls.
+
+    Always ``json.dumps(route_request(...)[0])`` byte for byte; ``/top``
+    gets there through :meth:`RankingService.top_body`, which joins cached
+    per-document fragments instead of building and dumping a payload.
+    """
+    if path == "/top":
+        k, site, segment = _parse_top_request(params)
+        try:
+            return service.top_body(k, site=site, segment=segment), 200
+        except GraphStructureError as error:
+            raise _ClientError(404, str(error)) from None
+    payload, status = route_request(service, path, params,
+                                    uptime_seconds=uptime_seconds)
+    return json.dumps(payload).encode("utf-8"), status
 
 
 def serving_samples(service, uptime_seconds: float

@@ -10,10 +10,13 @@ store speaks the same shard protocol; what changes is the cost profile:
 
 * booting the store reads only the generation manifest — no score column
   is loaded;
-* a top-k query faults in exactly the pages holding the head of each
-  shard's precomputed ``order.bin`` plus the k winning score/url entries,
-  so serving RSS stays near the interpreter baseline no matter how large
-  the ranking is (benchmark E19 asserts this);
+* a global top-k gathers, in one vectorised read, the first
+  ``min(k, n_s)`` entries of every shard's precomputed ``order.bin`` and
+  their ids and scores, sorts those candidates and decodes the k winning
+  URLs — it never builds the resident store's full global order, so it
+  faults in only the pages the answer needs and serving RSS stays near
+  the interpreter baseline no matter how large the ranking is (benchmark
+  E19 asserts this);
 * :meth:`clone` / :meth:`rebuilt` — the replication and double-buffering
   primitives — *share* the underlying mapping: every replica serves the
   same physical page-cache pages, so N replicas cost N dictionaries, not
@@ -32,14 +35,15 @@ pipeline produces, so this store is base-ranking only.
 
 from __future__ import annotations
 
+import json
 import os
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..exceptions import ValidationError
 from ..io.artifacts import ArtifactStore, RankedGeneration
-from .store import ScoredDocument, ShardedScoreStore
+from .store import ScoredDocument, ShardedScoreStore, _document_payload
 
 
 class _GenerationMap:
@@ -86,10 +90,10 @@ class _MmapShard:
     """One site's shard served through the shared generation mapping.
 
     Duck-typed against :class:`repro.serving.store._Shard`: ``len``,
-    ``document_at`` and ``iter_descending`` are what the store and the
-    top-k engine consume.  The sort order was precomputed at generation
-    write time (``order.bin``), so construction is O(1) and ordering
-    queries fault in only the pages they touch.
+    ``order_for``, ``document``, ``fragment`` and ``id_score_arrays`` are
+    what the store consumes.  The sort order was precomputed at
+    generation write time (``order.bin``), so construction is O(1) and
+    ordering queries fault in only the pages they touch.
     """
 
     __slots__ = ("site", "generation", "_map", "_offset", "_count")
@@ -125,25 +129,34 @@ class _MmapShard:
         window = slice(self._offset, self._offset + self._count)
         return self._map.doc_ids[window], self._map.scores[window]
 
-    def document_at(self, position: int,
-                    segment_index: Optional[int] = None) -> ScoredDocument:
+    def order_for(self, segment_index: Optional[int] = None) -> np.ndarray:
+        """Rows of the shard in descending score order (a mapped view)."""
         if segment_index is not None:
             raise ValidationError(
                 "mmap-backed shards serve the base ranking only")
-        if not 0 <= position < self._count:
+        return self._map.order[self._offset:self._offset + self._count]
+
+    def document(self, row: int,
+                 segment_index: Optional[int] = None) -> ScoredDocument:
+        """The served record of the document stored at *row*."""
+        if segment_index is not None:
+            raise ValidationError(
+                "mmap-backed shards serve the base ranking only")
+        if not 0 <= row < self._count:
             raise IndexError(
-                f"position {position} out of range for shard "
-                f"{self.site!r} of {self._count} documents")
-        index = self._offset + int(self._map.order[self._offset + position])
+                f"row {row} out of range for shard {self.site!r} of "
+                f"{self._count} documents")
+        index = self._offset + row
         return ScoredDocument(doc_id=int(self._map.doc_ids[index]),
                               url=self._map.url_at(index),
                               site=self.site,
                               score=float(self._map.scores[index]))
 
-    def iter_descending(self, segment_index: Optional[int] = None
-                        ) -> Iterator[ScoredDocument]:
-        for position in range(self._count):
-            yield self.document_at(position, segment_index)
+    def fragment(self, row: int, segment_index: Optional[int] = None) -> str:
+        """``json.dumps`` of :meth:`document`'s payload (never cached:
+        the mapped pages are the only copy this store keeps)."""
+        return json.dumps(_document_payload(self.document(row,
+                                                          segment_index)))
 
 
 class MmapScoreStore(ShardedScoreStore):
@@ -181,6 +194,63 @@ class MmapScoreStore(ShardedScoreStore):
     def ranked_generation(self) -> RankedGeneration:
         """The generation backing the mapped shards (shared with clones)."""
         return self._map.generation
+
+    # ------------------------------------------------------------------ #
+    def _global_winners(self, k: int, column: Optional[int]
+                        ) -> Tuple[list, List[int], List[int]]:
+        """The global top ``k`` from the shard heads alone.
+
+        No winner lies beyond row ``k`` of its own shard's order, so the
+        candidates are the first ``min(k, n_s)`` entries of every shard:
+        one fancy-indexed read of ``order.bin`` and of the id and score
+        columns for all mapped shards together, the heads of the in-RAM
+        shards that mask mapped ones, one ``lexsort`` of the candidates
+        that reach the k-th best score.  What the current shards are is
+        worked out once per store generation.
+        """
+        cache = self._global_cache
+        layout = cache.get(None)
+        if layout is None:
+            shards = list(self._shards.values())
+            mapped = [row for row, shard in enumerate(shards)
+                      if isinstance(shard, _MmapShard)]
+            layout = cache[None] = (
+                shards, np.asarray(mapped, dtype=np.int64),
+                np.asarray([shards[row]._offset for row in mapped],
+                           dtype=np.int64),
+                np.asarray([shards[row]._count for row in mapped],
+                           dtype=np.int64),
+                [row for row, shard in enumerate(shards)
+                 if not isinstance(shard, _MmapShard)])
+        shards, mapped, offsets, counts, resident = layout
+        heads = np.minimum(counts, min(k, self._map.n_documents))
+        # Candidate c of a mapped shard is entry c of its order.bin slice.
+        base = np.repeat(offsets, heads)
+        entry = np.arange(int(heads.sum())) \
+            - np.repeat(np.cumsum(heads) - heads, heads)
+        head_rows = np.asarray(self._map.order[base + entry], dtype=np.int64)
+        shard_rows = [np.repeat(mapped, heads)]
+        rows = [head_rows]
+        ids = [np.asarray(self._map.doc_ids[base + head_rows])]
+        scores = [np.asarray(self._map.scores[base + head_rows])]
+        for shard_row in resident:
+            shard = shards[shard_row]
+            head_rows = shard.order_for(column)[:k]
+            shard_ids, shard_scores = shard.id_score_arrays(column)
+            shard_rows.append(np.full(head_rows.size, shard_row))
+            rows.append(head_rows)
+            ids.append(shard_ids[head_rows])
+            scores.append(shard_scores[head_rows])
+        ids, scores = np.concatenate(ids), np.concatenate(scores)
+        # Only candidates at or above the k-th best score can win; the
+        # sort (with its doc-id tie-break) sees just those.
+        pool = np.arange(scores.size)
+        if scores.size > k:
+            cut = scores.size - k
+            pool = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+        winners = pool[np.lexsort((ids[pool], -scores[pool]))[:k]]
+        return (shards, np.concatenate(shard_rows)[winners].tolist(),
+                np.concatenate(rows)[winners].tolist())
 
     # ------------------------------------------------------------------ #
     # _entries only holds the in-RAM replacement shards that update_site

@@ -380,6 +380,12 @@ class ReplicaSet:
         return self.route(("top", k, site, segment)).service.top(
             k, site=site, segment=segment)
 
+    def top_body(self, k: int, *, site: Optional[str] = None,
+                 segment: Optional[str] = None) -> bytes:
+        """The encoded ``/top`` body, from the replica :meth:`top` asks."""
+        return self.route(("top", k, site, segment)).service.top_body(
+            k, site=site, segment=segment)
+
     def query(self, text: str, k: int = 10, *,
               rule: Optional[CombinationRule] = None,
               weight: Optional[float] = None,

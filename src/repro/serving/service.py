@@ -5,7 +5,7 @@ It wires together the pieces the rest of the package computes offline:
 * a :class:`~repro.serving.store.ShardedScoreStore` holding the current
   global DocRank partitioned by site,
 * a :class:`~repro.serving.topk.TopKEngine` answering global / per-site
-  top-k by lazy k-way merge,
+  top-k as a prefix of an order kept per shard and per store generation,
 * a :class:`~repro.serving.cache.QueryCache` memoising full results with
   per-site tags,
 * optionally a :class:`~repro.ir.vector_space.VectorSpaceIndex` plus the
@@ -30,6 +30,7 @@ only after re-indexing).
 
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import dataclass, replace
 from time import perf_counter
@@ -450,30 +451,57 @@ class RankingService:
         """The current global (or per-site) top-k, served through the cache.
 
         Naming a *segment* answers from that personalisation segment's
-        score column — same shards, same merge, no per-segment rebuild.
+        score column — same shards, same orders, no per-segment rebuild.
         Results are tuples (here and in :meth:`query`) so callers cannot
         mutate the cached entry that later hits are served from.
         """
+        return self._top("top", k, site, segment, lambda: tuple(
+            self._engine.top_k(k, site=site, segment=segment)))
+
+    def top_body(self, k: int, *, site: Optional[str] = None,
+                 segment: Optional[str] = None) -> bytes:
+        """The encoded ``/top`` response body of :meth:`top`.
+
+        Byte-identical to ``json.dumps`` of the router's payload for the
+        same request, but joined from the store's per-document JSON
+        fragments (:meth:`ShardedScoreStore.top_fragments`) and cached as
+        bytes, so neither record objects nor a payload dict are built.
+        """
+        def encode() -> bytes:
+            fragments = self._store.top_fragments(k, site=site,
+                                                  segment=segment)
+            tail = "" if segment is None \
+                else f', "segment": {json.dumps(segment)}'
+            return (f'{{"k": {json.dumps(k)}, "site": {json.dumps(site)}, '
+                    f'"results": [{", ".join(fragments)}]{tail}}}'
+                    ).encode("utf-8")
+
+        return self._top("top_body", k, site, segment, encode)
+
+    def _top(self, kind: str, k: int, site: Optional[str],
+             segment: Optional[str], compute):
+        """One cached top-k lookup; *compute* runs on a miss, locked."""
         # Validate before the cache lookup so rejected requests do not
         # pollute the hit/miss statistics.
         if k < 0:
             raise ValidationError("k must be non-negative")
         # Segment-less keys keep their 1.3 shape so an upgraded service
         # reuses (and stays byte-identical to) the unpersonalised path.
-        key = ("top", k, site) if segment is None \
-            else ("top", k, site, segment)
+        key = (kind, k, site) if segment is None \
+            else (kind, k, site, segment)
         with self._lock:
             if site is not None:
                 self._store.shard_size(site)  # raises on unknown sites
             if segment is not None:
                 self._store.segment_position(segment)  # raises on unknown
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.queries_served += 1
-                return cached
-            result = tuple(self._engine.top_k(k, site=site, segment=segment))
-            self._cache.put(key, result,
-                            tags=(GLOBAL_TAG,) if site is None else (site,))
+            result = self._cache.get(key)
+            if result is None:
+                started = perf_counter()
+                result = compute()
+                self._cache.put(key, result, tags=(GLOBAL_TAG,)
+                                if site is None else (site,))
+                obs.observe("serving_top_seconds", perf_counter() - started,
+                            scope="global" if site is None else "site")
             self.queries_served += 1
             return result
 
@@ -612,9 +640,7 @@ class RankingService:
         replacement.
         """
         with self._lock:
-            if doc_id not in self._store:
-                return None
-            return self._store.document(doc_id)
+            return self._store.find(doc_id)
 
     # ------------------------------------------------------------------ #
     # Introspection

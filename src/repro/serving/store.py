@@ -6,12 +6,17 @@ that decomposition at serving time.  Scores are partitioned into one shard
 per web site, so
 
 * a point lookup (``score_of``) is a single dictionary access, O(1);
-* each shard keeps its documents in score order (a materialised per-shard
-  top-k heap), so the :class:`~repro.serving.topk.TopKEngine` can answer
-  global top-k queries by a lazy k-way merge instead of a full sort;
+* each shard keeps its documents in score order, so a per-site top-k is a
+  prefix of one array;
+* a global top-k is a prefix too: the store sorts all shards' scores once
+  per generation (one ``lexsort``, built lazily by the first global
+  top-k after a change) and every later query slices that order in O(k);
 * an incremental update that touched one site replaces exactly one shard
-  (``update_site``) and leaves every other shard — and every cached result
-  that does not involve the site — untouched.
+  (``update_site``) and leaves every other shard — its sort order, its
+  cached per-document JSON fragments and every cached result that does not
+  involve the site — untouched.  What an update costs a reader is one
+  rebuild of the global order (~1 ms per 10k documents) and re-encoding
+  the changed site's documents as they are next served.
 
 The store is deliberately decoupled from how the ranking was computed: it
 can be filled from a centralized :class:`~repro.web.pipeline.WebRankingResult`,
@@ -22,12 +27,26 @@ from the shards of the distributed coordinator, or incrementally from an
 
 from __future__ import annotations
 
+import json
 from copy import copy
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from time import perf_counter
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
+from .. import obs
 from ..exceptions import GraphStructureError, ValidationError
 from ..web.docgraph import DocGraph
 from ..web.pipeline import WebRankingResult
@@ -82,6 +101,24 @@ class LinkScoreView:
     sites: Tuple[str, ...]
 
 
+def _document_payload(document: ScoredDocument) -> Dict[str, Any]:
+    """The JSON object one served document is sent as."""
+    return {"doc_id": document.doc_id, "url": document.url,
+            "site": document.site, "score": document.score}
+
+
+class _GlobalOrder(NamedTuple):
+    """All documents of one store generation in descending score order.
+
+    Position ``i`` of the order is document ``rows[i]`` of shard
+    ``shards[shard_rows[i]]``.
+    """
+
+    shards: list
+    shard_rows: np.ndarray
+    rows: np.ndarray
+
+
 class _Shard:
     """One site's slice of the score vector, kept in score order.
 
@@ -91,40 +128,43 @@ class _Shard:
     never queried pays nothing beyond the matrix itself).
     """
 
-    __slots__ = ("site", "doc_ids", "urls", "scores", "order", "generation",
-                 "segment_columns", "_segment_orders")
+    __slots__ = ("site", "doc_ids", "ids", "urls", "scores", "order",
+                 "generation", "segment_columns", "_segment_orders",
+                 "_fragments")
 
     def __init__(self, site: str, doc_ids: List[int], urls: List[str],
                  scores: np.ndarray, generation: int,
                  segment_columns: Optional[np.ndarray] = None) -> None:
         self.site = site
         self.doc_ids = doc_ids
+        self.ids = np.asarray(doc_ids, dtype=np.int64)
         self.urls = urls
         self.scores = scores
         # Descending by score, ties broken by ascending doc id — the same
         # deterministic order WebRankingResult.top_k uses.
-        tie_break = np.asarray(doc_ids)
-        self.order = np.lexsort((tie_break, -scores))
+        self.order = np.lexsort((self.ids, -scores))
         self.generation = generation
         self.segment_columns = segment_columns
-        # Lazily filled per-segment sort orders.  Shards are shared across
+        # Lazily filled per-segment sort orders and per-document JSON
+        # fragments (keyed by score column).  Shards are shared across
         # double-buffered store generations; filling a slot is an
         # idempotent cache write (two racing readers compute identical
-        # arrays), so no lock is needed.
+        # values), so no lock is needed.
         self._segment_orders: List[Optional[np.ndarray]] = (
             [] if segment_columns is None
             else [None] * segment_columns.shape[1])
+        self._fragments: Dict[Optional[int], List[Optional[str]]] = {}
 
     def __len__(self) -> int:
         return len(self.doc_ids)
 
-    def _order_for(self, segment_index: Optional[int]) -> np.ndarray:
+    def order_for(self, segment_index: Optional[int] = None) -> np.ndarray:
+        """Rows of the shard in descending score order."""
         if segment_index is None:
             return self.order
         order = self._segment_orders[segment_index]
         if order is None:
-            tie_break = np.asarray(self.doc_ids)
-            order = np.lexsort((tie_break,
+            order = np.lexsort((self.ids,
                                 -self.segment_columns[:, segment_index]))
             self._segment_orders[segment_index] = order
         return order
@@ -134,20 +174,27 @@ class _Shard:
         """The shard's document ids and their scores, position-aligned."""
         scores = (self.scores if segment_index is None
                   else self.segment_columns[:, segment_index])
-        return np.asarray(self.doc_ids, dtype=np.int64), scores
+        return self.ids, scores
 
-    def document_at(self, position: int,
-                    segment_index: Optional[int] = None) -> ScoredDocument:
-        index = int(self._order_for(segment_index)[position])
-        score = (self.scores[index] if segment_index is None
-                 else self.segment_columns[index, segment_index])
-        return ScoredDocument(doc_id=self.doc_ids[index], url=self.urls[index],
+    def document(self, row: int,
+                 segment_index: Optional[int] = None) -> ScoredDocument:
+        """The served record of the document stored at *row*."""
+        score = (self.scores[row] if segment_index is None
+                 else self.segment_columns[row, segment_index])
+        return ScoredDocument(doc_id=self.doc_ids[row], url=self.urls[row],
                               site=self.site, score=float(score))
 
-    def iter_descending(self, segment_index: Optional[int] = None
-                        ) -> Iterator[ScoredDocument]:
-        for position in range(len(self._order_for(segment_index))):
-            yield self.document_at(position, segment_index)
+    def fragment(self, row: int, segment_index: Optional[int] = None) -> str:
+        """``json.dumps`` of :meth:`document`'s payload, encoded once."""
+        fragments = self._fragments.get(segment_index)
+        if fragments is None:
+            fragments = self._fragments[segment_index] = \
+                [None] * len(self.doc_ids)
+        fragment = fragments[row]
+        if fragment is None:
+            fragment = fragments[row] = json.dumps(
+                _document_payload(self.document(row, segment_index)))
+        return fragment
 
 
 class ShardedScoreStore:
@@ -171,6 +218,12 @@ class ShardedScoreStore:
         #: doc_id -> (site, url, score); the O(1) lookup structure.
         self._entries: Dict[int, Tuple[str, str, float]] = {}
         self._generation = 0
+        #: What :meth:`_global_winners` keeps per store generation — here
+        #: score column -> global descending order of the current shards.
+        #: Filled lazily by the first global top-k, rebound (never
+        #: mutated in place) by whatever changes the shards.  Two racing
+        #: readers may both fill a slot — they compute identical orders.
+        self._global_cache: Dict[Optional[int], Any] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -185,22 +238,29 @@ class ShardedScoreStore:
         :attr:`~repro.web.pipeline.WebRankingResult.segment_columns`.
         """
         store = cls(ranking.segments)
-        by_site: Dict[str, Tuple[List[int], List[str], List[float],
-                                 List[int]]] = {}
-        for position, doc_id in enumerate(ranking.doc_ids):
-            site = docgraph.site_of_document(doc_id)
-            doc_ids, urls, scores, rows = by_site.setdefault(
-                site, ([], [], [], []))
-            doc_ids.append(doc_id)
-            urls.append(ranking.urls[position])
-            scores.append(float(ranking.scores[position]))
-            rows.append(position)
-        for site, (doc_ids, urls, scores, rows) in by_site.items():
-            columns = (ranking.segment_columns[np.asarray(rows, dtype=int)]
-                       if ranking.segments else None)
-            store.update_site(site, doc_ids, urls,
-                              np.asarray(scores, dtype=float),
-                              segment_columns=columns)
+        doc_ids = np.asarray(ranking.doc_ids, dtype=np.int64)
+        site_of_document = docgraph.site_indices()
+        unknown = (doc_ids < 0) | (doc_ids >= site_of_document.size)
+        if unknown.any():
+            raise GraphStructureError(
+                f"unknown document id {int(doc_ids[unknown][0])}")
+        # One stable argsort groups the ranking's positions by site and
+        # keeps ranking order inside each group; shards are installed in
+        # the order their sites first appear in the ranking.
+        site_rows = site_of_document[doc_ids]
+        grouped = np.argsort(site_rows, kind="stable")
+        present, first_seen, counts = np.unique(
+            site_rows, return_index=True, return_counts=True)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        sites = docgraph.sites()
+        urls = np.asarray(ranking.urls, dtype=object)
+        for group in np.argsort(first_seen).tolist():
+            positions = grouped[bounds[group]:bounds[group + 1]]
+            store.update_site(
+                sites[present[group]], doc_ids[positions].tolist(),
+                urls[positions].tolist(), ranking.scores[positions],
+                segment_columns=(ranking.segment_columns[positions]
+                                 if ranking.segments else None))
         return store
 
     def update_site(self, site: str, doc_ids: Sequence[int],
@@ -251,12 +311,13 @@ class ShardedScoreStore:
                     f"{entry[0]!r}")
         self._forget_entries(self._shards.get(site))
         self._generation += 1
+        self._global_cache = {}
         shard = _Shard(site, list(doc_ids), list(urls), scores,
                        self._generation, segment_columns)
         self._shards[site] = shard
-        for index, doc_id in enumerate(shard.doc_ids):
-            self._entries[doc_id] = (site, shard.urls[index],
-                                     float(scores[index]))
+        self._entries.update(zip(shard.doc_ids,
+                                 zip(repeat(site), shard.urls,
+                                     scores.tolist())))
         return shard.generation
 
     def drop_site(self, site: str) -> None:
@@ -264,6 +325,7 @@ class ShardedScoreStore:
         self._forget_entries(self._shard(site))
         del self._shards[site]
         self._generation += 1
+        self._global_cache = {}
 
     def _forget_entries(self, shard) -> None:
         """Drop a departing shard's documents from the lookup dict.
@@ -302,6 +364,9 @@ class ShardedScoreStore:
         clone = copy(self)
         clone._shards = dict(self._shards)
         clone._entries = dict(self._entries)
+        # copy() shares the dict: an order either store fills later would
+        # otherwise be served by the other one after their shards diverge.
+        clone._global_cache = {}
         for site in drop:
             if site in clone._shards:
                 clone.drop_site(site)
@@ -338,6 +403,14 @@ class ShardedScoreStore:
     def document(self, doc_id: int) -> ScoredDocument:
         """The full :class:`ScoredDocument` record of an id (O(1))."""
         site, url, score = self._entry(doc_id)
+        return ScoredDocument(doc_id=doc_id, url=url, site=site, score=score)
+
+    def find(self, doc_id: int) -> Optional[ScoredDocument]:
+        """:meth:`document`, or ``None`` when the id is not held."""
+        entry = self._lookup(doc_id)
+        if entry is None:
+            return None
+        site, url, score = entry
         return ScoredDocument(doc_id=doc_id, url=url, site=site, score=score)
 
     def link_scores(self, segment: Optional[str] = None) -> Dict[int, float]:
@@ -421,10 +494,9 @@ class ShardedScoreStore:
     def segment_score_of(self, doc_id: int, segment: str) -> float:
         """One document's score under a named segment."""
         column = self.segment_position(segment)
-        site = self._entry(doc_id)[0]
-        shard = self._shards[site]
-        return float(shard.segment_columns[shard.doc_ids.index(doc_id),
-                                           column])
+        shard = self._shards[self._entry(doc_id)[0]]
+        row = int(np.flatnonzero(shard.ids == doc_id)[0])
+        return float(shard.segment_columns[row, column])
 
     @property
     def n_documents(self) -> int:
@@ -456,13 +528,25 @@ class ShardedScoreStore:
         Naming a *segment* ranks by that segment's score column instead of
         the base ranking.
         """
-        if k < 0:
-            raise ValidationError("k must be non-negative")
-        column = (self.segment_position(segment)
-                  if segment is not None else None)
-        shard = self._shard(site)
-        return [shard.document_at(position, column)
-                for position in range(min(k, len(shard)))]
+        column, winners = self._top_rows(k, site, segment)
+        return [shard.document(row, column) for shard, row in winners]
+
+    def global_top(self, k: int, *,
+                   segment: Optional[str] = None) -> List[ScoredDocument]:
+        """The best ``k`` documents over all shards, best first."""
+        column, winners = self._top_rows(k, None, segment)
+        return [shard.document(row, column) for shard, row in winners]
+
+    def top_fragments(self, k: int, *, site: Optional[str] = None,
+                      segment: Optional[str] = None) -> List[str]:
+        """The JSON objects of the best ``k`` documents, best first.
+
+        Entry ``i`` equals ``json.dumps`` of the payload of document ``i``
+        of :meth:`global_top` (or, with *site*, :meth:`shard_top`);
+        resident shards encode each document once and keep the text.
+        """
+        column, winners = self._top_rows(k, site, segment)
+        return [shard.fragment(row, column) for shard, row in winners]
 
     def iter_shard_descending(self, site: str, *,
                               segment: Optional[str] = None
@@ -470,7 +554,62 @@ class ShardedScoreStore:
         """Lazily iterate one shard's documents in descending score order."""
         column = (self.segment_position(segment)
                   if segment is not None else None)
-        return self._shard(site).iter_descending(column)
+        shard = self._shard(site)
+        return (shard.document(int(row), column)
+                for row in shard.order_for(column))
+
+    # ------------------------------------------------------------------ #
+    def _top_rows(self, k: int, site: Optional[str],
+                  segment: Optional[str]
+                  ) -> Tuple[Optional[int], Iterable[Tuple[Any, int]]]:
+        """Validate a top-k request; its score column and the winning
+        ``(shard, row)`` pairs, best first."""
+        if k < 0:
+            raise ValidationError("k must be non-negative")
+        column = (self.segment_position(segment)
+                  if segment is not None else None)
+        if site is not None:
+            shard = self._shard(site)
+            return column, zip(repeat(shard),
+                               shard.order_for(column)[:k].tolist())
+        shards, shard_rows, rows = self._global_winners(k, column)
+        return column, zip(map(shards.__getitem__, shard_rows), rows)
+
+    def _global_winners(self, k: int, column: Optional[int]
+                        ) -> Tuple[list, List[int], List[int]]:
+        """``(shards, shard_rows, rows)`` of the global top ``k``.
+
+        Winner ``i`` is document ``rows[i]`` of ``shards[shard_rows[i]]``.
+        Served from the generation's cached global order, built on first
+        use; a subclass whose shards are not resident overrides this.
+        """
+        # Filled through the dict read here: should the shards change
+        # meanwhile, the order lands in the dict that change discarded.
+        orders = self._global_cache
+        order = orders.get(column)
+        if order is None:
+            started = perf_counter()
+            shards = list(self._shards.values())
+            sizes = np.fromiter(map(len, shards), dtype=np.int64,
+                                count=len(shards))
+            starts = np.cumsum(sizes) - sizes
+            arrays = [shard.id_score_arrays(column) for shard in shards]
+            # The leading empties keep a store without shards sortable.
+            ids = np.concatenate([np.empty(0, dtype=np.int64)]
+                                 + [pair[0] for pair in arrays])
+            scores = np.concatenate([np.empty(0)]
+                                    + [pair[1] for pair in arrays])
+            best_first = np.lexsort((ids, -scores))
+            shard_rows = np.repeat(np.arange(len(shards)), sizes)
+            rows = np.arange(ids.size) - np.repeat(starts, sizes)
+            order = _GlobalOrder(shards, shard_rows[best_first],
+                                 rows[best_first])
+            orders[column] = order
+            obs.inc("serving_global_order_builds_total")
+            obs.observe("serving_global_order_build_seconds",
+                        perf_counter() - started)
+        return (order.shards, order.shard_rows[:k].tolist(),
+                order.rows[:k].tolist())
 
     # ------------------------------------------------------------------ #
     def _shard(self, site: str) -> _Shard:

@@ -1,22 +1,21 @@
 """Top-k answering over a :class:`~repro.serving.store.ShardedScoreStore`.
 
-A global top-k query does **not** need the global score vector sorted: every
-shard is already in score order, so the answer is the first ``k`` elements
-of a k-way merge over the shard heads.  :class:`TopKEngine` performs that
-merge lazily with :func:`heapq.merge` — it materialises only the ``k``
-consumed results plus one candidate per shard, O(S + k·log S) work for S
-shards, versus the O(N·log N) full sort a flat score vector would need.
-This is the serving-time payoff of the paper's partition: the per-site
-order is maintained shard-locally, and only the cheap merge is global.
+A top-k query never sorts per request.  Every shard keeps its documents in
+score order, so a per-site answer is the first ``k`` rows of one array;
+the store keeps one global descending order per generation (see
+:meth:`ShardedScoreStore.global_top`), so a global answer is an O(k) slice
+too and :class:`~repro.serving.store.ScoredDocument` records are built for
+the ``k`` winners only.  This is the serving-time payoff of the paper's
+partition: the per-site order is maintained shard-locally, an update
+re-sorts one shard, and the one global step — a single ``lexsort`` of the
+concatenated shard scores — is paid once per generation, not per query.
 
-:func:`naive_top_k` is the full-sort baseline the throughput benchmark
-compares against (and the tests use as an oracle).
+:func:`naive_top_k` is the per-query full-sort baseline the throughput
+benchmark compares against (and the tests use as an oracle).
 """
 
 from __future__ import annotations
 
-import heapq
-from itertools import islice
 from typing import List, Optional, Tuple
 
 from ..exceptions import ValidationError
@@ -50,23 +49,16 @@ class TopKEngine:
             Number of results (fewer are returned when the corpus — or the
             selected site — is smaller).
         site:
-            Restrict the query to one site's shard; per-site answers are a
-            pure shard-local prefix read, no merge at all.
+            Restrict the query to one site's shard: a prefix of that
+            shard's own order.
         segment:
             Rank by a personalisation segment's score column instead of
-            the base ranking.  The merge machinery is identical — only
-            the per-shard order (and the reported scores) change.
+            the base ranking; only the order read (and the reported
+            scores) change.
         """
-        if k < 0:
-            raise ValidationError("k must be non-negative")
         if site is not None:
             return self._store.shard_top(site, k, segment=segment)
-        if segment is not None:
-            self._store.segment_position(segment)  # raise before merging
-        iterators = [self._store.iter_shard_descending(shard, segment=segment)
-                     for shard in self._store.sites()]
-        merged = heapq.merge(*iterators, key=_merge_key)
-        return list(islice(merged, k))
+        return self._store.global_top(k, segment=segment)
 
     def top_k_ids(self, k: int, *, site: Optional[str] = None,
                   segment: Optional[str] = None) -> List[int]:
@@ -86,8 +78,8 @@ def naive_top_k(store: ShardedScoreStore, k: int, *,
     """Full-sort baseline: gather every document, sort, slice.
 
     O(N·log N) per query regardless of ``k`` — what serving from a flat
-    score vector costs, and what the throughput benchmark shows the lazy
-    merge beating.
+    score vector costs, and what the throughput benchmark shows the cached
+    order beating.
     """
     if k < 0:
         raise ValidationError("k must be non-negative")

@@ -37,6 +37,7 @@ from repro.serving import (
     route_request,
     serve_frontend,
 )
+from repro.serving.frontend import INLINE_TOP_MAX_K
 
 
 def layered_docrank(web):
@@ -76,7 +77,13 @@ class TestByteIdenticalResponses:
         "/query?q=research+database&q=teaching+course&k=5",
         "/query?q=research+database&k=4&rule=rrf",
         "/top?k=5",
+        "/top?k=0",
+        "/top?k=7&site=site001.example.org",
+        f"/top?k={INLINE_TOP_MAX_K + 1}",
+        "/top?k=99999999999999999999999",
+        "/top?k=99999999999999999999999&site=site001.example.org",
         "/score?doc=0",
+        "/stats",
         "/health",
         "/readyz",
     ]
@@ -89,6 +96,93 @@ class TestByteIdenticalResponses:
                                                 parse_qs(split.query))
                 assert get_raw(frontend.url, path) == \
                     (status, json.dumps(payload).encode("utf-8")), path
+
+    def test_healthz_matches_up_to_uptime(self, service):
+        with serve_frontend(service) as frontend:
+            payload, _status = route_request(service, "/healthz", {})
+            served = get_json(frontend.url, "/healthz")
+            assert served.pop("uptime_seconds") > 0.0
+            payload.pop("uptime_seconds")
+            assert served == payload
+
+    def test_replica_set_top_matches_route_request(self, web):
+        replica_set = ReplicaSet.from_ranking(layered_docrank(web), web,
+                                              n_replicas=2)
+        with serve_frontend(replica_set) as frontend:
+            for path in ("/top?k=9", "/top?k=4&site=site002.example.org"):
+                split = urlsplit(path)
+                payload, status = route_request(replica_set, split.path,
+                                                parse_qs(split.query))
+                assert get_raw(frontend.url, path) == \
+                    (status, json.dumps(payload).encode("utf-8")), path
+
+
+class _ThreadLog:
+    """Wraps a service, logging which thread each ``top_body`` ran on."""
+
+    def __init__(self, service):
+        self._service = service
+        self.threads = []
+
+    def __getattr__(self, name):
+        return getattr(self._service, name)
+
+    def top_body(self, *args, **kwargs):
+        self.threads.append(threading.current_thread().name)
+        return self._service.top_body(*args, **kwargs)
+
+
+class TestInlineRoutes:
+    def test_small_top_runs_on_the_loop_and_large_on_the_pool(self, service):
+        """Same body either side of the bound; only the thread differs."""
+        logged = _ThreadLog(service)
+        with serve_frontend(logged) as frontend:
+            for k in (INLINE_TOP_MAX_K, INLINE_TOP_MAX_K + 1):
+                payload, _status = route_request(service, "/top",
+                                                 {"k": [str(k)]})
+                assert get_raw(frontend.url, f"/top?k={k}")[1] == \
+                    json.dumps(payload).encode("utf-8")
+        assert logged.threads[0] == "repro-frontend"
+        assert logged.threads[1].startswith("repro-frontend-worker")
+
+    def test_slow_rebuild_does_not_stall_inline_routes(self, web):
+        """The loop waits on the service lock for the swap only: while a
+        rebuild sits in its executor, ``/score`` and ``/top`` answer."""
+        ranker = Ranker().incremental(web)
+        service = RankingService.from_incremental(ranker)
+        service._owns_ranker = True
+        rebuilding, release = threading.Event(), threading.Event()
+        executor_map = service._executor.map
+
+        def slow_map(function, payload):
+            rebuilding.set()
+            release.wait(30.0)
+            return executor_map(function, payload)
+
+        service._executor.map = slow_map
+        generation = service.store.generation
+        source, target = web.document(0).url, web.document(1).url
+        updater = threading.Thread(target=ranker.add_link,
+                                   args=(source, target))
+        with serve_frontend(service) as frontend:
+            try:
+                updater.start()
+                assert rebuilding.wait(30.0)
+                for path in ("/score?doc=1", "/top?k=5", "/healthz"):
+                    status, _body = get_raw(frontend.url, path, timeout=5)
+                    assert status == 200
+                # Still the old generation: the rebuild has not swapped.
+                assert updater.is_alive()
+                assert service.store.generation == generation
+            finally:
+                release.set()
+                updater.join(30.0)
+            assert not updater.is_alive()
+            assert service.store.generation > generation
+            payload, _status = route_request(service, "/top", {"k": ["5"]})
+            assert get_raw(frontend.url, "/top?k=5")[1] == \
+                json.dumps(payload).encode("utf-8")
+        service.close()
 
 
 class TestSingleFlight:
@@ -247,9 +341,9 @@ class TestBackpressure:
             gated.gate.set()
             holder.join(30.0)
             assert statuses == [200]
-            # /health runs on the same single worker, so once it answers
+            # /stats runs on the same single worker, so once it answers
             # the pool has drained whatever was still queued.
-            assert get_json(frontend.url, "/health") == {"status": "ok"}
+            assert get_json(frontend.url, "/stats")["queries_served"] >= 1
             assert gated.calls == [["research"]]
         finally:
             gated.gate.set()
@@ -409,6 +503,18 @@ class TestRequestLimits:
             exchange(frontend, b"NONSENSE\r\n\r\n"))
         assert status == 400
         assert "connection: close" in headers
+
+    @pytest.mark.parametrize("target", [b"//[", b"http://[::1/top",
+                                        b"//[?k=1"])
+    def test_malformed_request_target_is_400(self, frontend, target):
+        """``urlsplit`` raises on an unbalanced IPv6 bracket; that used to
+        kill the handler task with a traceback and no response."""
+        raw = exchange(frontend,
+                       b"GET " + target + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+        status, headers, body = parse_response(raw)
+        assert status == 400
+        assert "connection: close" in headers
+        assert "target" in json.loads(body)["error"]
 
     def test_request_body_is_not_parsed_as_the_next_request(self, frontend):
         """A POST with a body, pipelined before a GET: one 405 that closes
