@@ -30,10 +30,7 @@ from repro.io import experiment_rows_to_markdown, save_json  # noqa: E402
 # were removed in 1.4; these are the private spellings that replaced them).
 from repro.web.pipeline import _flat_pagerank_ranking as flat_pagerank_ranking  # noqa: E402,F401
 from repro.web.pipeline import _layered_docrank as layered_docrank  # noqa: E402,F401
-from repro.web.incremental import IncrementalLayeredRanker as _ILR  # noqa: E402
-
-#: Warn-free construction of an incremental ranker (the facade's spelling).
-IncrementalLayeredRanker = _ILR._create
+from repro.web.incremental import IncrementalLayeredRanker  # noqa: E402,F401
 
 #: Directory where benchmark tables/JSON artefacts are written.
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),

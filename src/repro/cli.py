@@ -315,7 +315,8 @@ def _command_rank(args: argparse.Namespace) -> int:
     for method in methods:
         result = Ranker(config.replace(method=method)).fit(
             graph, trace=args.trace)
-        print(f"\ntop-{args.top} by {method}:")
+        print(f"\ntop-{args.top} by {method} "
+              f"({result.iterations} power iterations):")
         for rank, url in enumerate(result.top_k_urls(args.top), start=1):
             print(f"  {rank:3d}. {url}")
     if args.trace:
@@ -331,7 +332,9 @@ def _command_rank_on_disk(args: argparse.Namespace) -> int:
     the layered solve hydrates one solve unit's adjacency at a time, and
     the composed scores are published as a ranked generation an
     ``repro serve --store`` process can mmap.  Re-running against the
-    same ``--output`` warm-starts from the published generation.
+    same ``--output`` warm-starts from the published generation.  The
+    config's solver settings apply as they do in memory; settings the
+    streamed path cannot honour are an error, never silently dropped.
     """
     from .engine.outofcore import rank_outofcore
     from .io.artifacts import ArtifactStore
@@ -348,9 +351,20 @@ def _command_rank_on_disk(args: argparse.Namespace) -> int:
     if resolve_method_name(method) != "layered":
         raise ValidationError(
             f"--on-disk supports only the layered method, got {method!r}")
+    unsupported = [name for name, given in (
+        ("personalization", config.personalization),
+        ("batch_sites=false", not config.batch_sites),
+        (f"executor={config.executor!r} / --jobs",
+         config.wants_auto_backend or config.executor != "serial")) if given]
+    if unsupported:
+        raise ValidationError(
+            "--on-disk streams one solve unit at a time on the calling "
+            "thread and cannot honour: " + ", ".join(unsupported))
     graph_dir = os.path.join(args.output, "graph")
+    self_links = config.include_site_self_links
     if args.input is not None and args.format == "edgelist":
-        builder = DiskGraphBuilder(graph_dir)
+        builder = DiskGraphBuilder(graph_dir,
+                                   include_site_self_links=self_links)
         try:
             builder.consume(stream_url_edgelist(args.input))
             graph = builder.finalize()
@@ -358,18 +372,21 @@ def _command_rank_on_disk(args: argparse.Namespace) -> int:
             builder.abort()
             raise
     else:
-        graph = write_diskgraph(_load_graph(args), graph_dir)
+        graph = write_diskgraph(_load_graph(args), graph_dir,
+                                include_site_self_links=self_links)
     print(f"graph: {graph.n_documents} documents, {graph.n_links} links, "
           f"{graph.n_sites} sites  [on disk: {graph.nbytes} block bytes]")
     store = ArtifactStore(args.output, create=True)
     warm = store.generation() if store.current is not None else None
     if warm is not None:
         print(f"warm-starting from generation {warm.name}")
-    result = rank_outofcore(graph, store, damping=config.damping, warm=warm)
-    print(f"published generation {result.generation.name} to {args.output} "
-          f"({result.iterations} power iterations)")
+    result = rank_outofcore(graph, store, config.damping,
+                            site_damping=config.site_damping, tol=config.tol,
+                            max_iter=config.max_iter, warm=warm)
+    print(f"published generation {result.generation.name} to {args.output}")
     engine = TopKEngine(MmapScoreStore(result.generation))
-    print(f"\ntop-{args.top} by {result.method}:")
+    print(f"\ntop-{args.top} by {result.method} "
+          f"({result.iterations} power iterations):")
     for rank, url in enumerate(engine.top_k_urls(args.top), start=1):
         print(f"  {rank:3d}. {url}")
     return 0

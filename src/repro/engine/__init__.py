@@ -9,9 +9,13 @@ compute layer of the repository:
   serial, thread-pool and process-pool backends;
 * :mod:`repro.engine.plan` — the :class:`RankingPlan` task graph encoding
   the 5-step layered method (concurrent steps 3/4, composing barrier at
-  step 5);
-* :mod:`repro.engine.warm` — warm-start state so power iterations resume
-  from previously converged vectors instead of restarting from uniform;
+  step 5), and the only builders of its tasks (:func:`site_tasks_for`,
+  :func:`siterank_task_for`, :func:`segment_tasks_for`) over any block
+  source: an object with ``sites()`` and ``local_block(site)``;
+* :mod:`repro.engine.warm` — the warm-source protocol
+  (``local_start(site, doc_ids)`` / ``siterank_start(sites)``,
+  :class:`WarmSource`), the one way a previously converged vector reaches
+  a task so power iterations resume instead of restarting from uniform;
 * :mod:`repro.engine.adaptive` — cost-model-driven backend selection:
   ``n_jobs="auto"`` prices each batch (task nnz × expected iterations) and
   picks serial / threaded / process per batch;
@@ -20,9 +24,10 @@ compute layer of the repository:
   ``SharedMemory`` segment (a :class:`GraphArena`) and ships only tiny
   :class:`ArenaRef` addresses, so dispatch cost no longer scales with the
   web's size;
-* :mod:`repro.engine.outofcore` — :func:`rank_outofcore`, the same solve
-  schedule streamed over an mmap'd :class:`~repro.io.diskgraph.DiskGraph`
-  in bounded memory, publishing scores into a ranked-artifact store.
+* :mod:`repro.engine.outofcore` — :func:`rank_outofcore`, the same
+  builders and solve schedule driven over an mmap'd
+  :class:`~repro.io.diskgraph.DiskGraph` one unit at a time, publishing
+  scores into a ranked-artifact store.
 
 The centralized pipeline (:mod:`repro.web.pipeline`), the
 incremental ranker, the distributed simulator and the serving layer all
@@ -89,9 +94,11 @@ from .plan import (
     execute_site_tasks,
     execute_tasks,
     run_task,
+    segment_tasks_for,
     site_tasks_for,
+    siterank_task_for,
 )
-from .warm import WarmStartState, align_warm_start
+from .warm import WarmSource, WarmStartState, align_warm_start
 
 __all__ = [
     "ArenaRef",
@@ -142,7 +149,10 @@ __all__ = [
     "execute_site_tasks",
     "execute_tasks",
     "run_task",
+    "segment_tasks_for",
     "site_tasks_for",
+    "siterank_task_for",
+    "WarmSource",
     "WarmStartState",
     "align_warm_start",
 ]

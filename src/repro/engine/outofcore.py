@@ -3,25 +3,24 @@
 The layered decomposition is what makes ranking a web larger than RAM
 possible at all: step 3 touches one site's local adjacency at a time and
 step 4 only the (tiny) SiteGraph, so no step ever needs the global link
-matrix resident.  This module drives those steps against a
-:class:`repro.io.diskgraph.DiskGraph` — every adjacency block is hydrated
-from the store with a *fresh, short-lived* ``np.memmap`` and dropped as
-soon as its unit is solved, so the pages are unmapped again and peak RSS
-is bounded by the largest solve unit, not the web.
+matrix resident.  :func:`rank_outofcore` is the planner's driver with one
+solve unit resident at a time: the units come from the rule
+:func:`repro.engine.plan.batch_site_tasks` schedules with
+(:func:`~repro.engine.plan.fuse_schedule`, from manifest sizes alone), each
+unit's tasks from the same :func:`~repro.engine.plan.site_tasks_for` the
+in-memory plan calls — a :class:`~repro.io.diskgraph.DiskGraph` is a block
+source whose blocks are fresh, short-lived ``np.memmap`` views — and the
+start vectors from any :class:`~repro.engine.warm.WarmSource`.  A unit is
+dropped as soon as it is solved, so the pages are unmapped again and peak
+RSS is bounded by the largest unit, not the web.
 
 Bitwise parity with the in-memory pipeline is a hard requirement (the
-out-of-core path must be an *optimisation*, not a different ranking), so
-the solve schedule comes from the very rule
-:func:`repro.engine.plan.batch_site_tasks` schedules with
-(:func:`repro.engine.plan.fuse_schedule`: same fused chunks, same
-trailing-singleton rule, same dedicated tasks), the mmap'd blocks are
-packed by the same concatenation, and the solved blocks run through the
-verbatim
-:class:`~repro.engine.plan.BatchedSiteTask` / ``LocalRankTask`` code.
-Results stream straight into a :class:`repro.io.artifacts.GenerationWriter`
-in site-major order; its ``finalize`` performs the same single-sum
-normalisation :func:`repro._validation.normalize_distribution` applies to
-the concatenated in-memory vector.
+out-of-core path must be an *optimisation*, not a different ranking):
+same schedule, same builders, same task code.  Results stream straight
+into a :class:`repro.io.artifacts.GenerationWriter` in site-major order;
+its ``finalize`` performs the same single-sum normalisation
+:func:`repro._validation.normalize_distribution` applies to the
+concatenated in-memory vector.
 """
 
 from __future__ import annotations
@@ -37,15 +36,17 @@ from ..io.artifacts import ArtifactStore, RankedGeneration
 from ..io.diskgraph import DiskGraph
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
-from ..web.siterank import SiteRankResult, siterank
+from ..web.siterank import SiteRankResult
 from .plan import (
     BATCH_SITE_MAX_DOCS,
     BATCH_TARGET_DOCS,
     BatchedSiteTask,
-    LocalRankTask,
+    collect_site_results,
     fuse_schedule,
+    site_tasks_for,
+    siterank_task_for,
 )
-from .warm import WarmStartState, align_warm_start
+from .warm import Previous, WarmSource, WarmStartState
 
 
 @dataclass(frozen=True)
@@ -80,17 +81,17 @@ def plan_solve_units(sites: Sequence[str], sizes: Mapping[str, int], *,
             + [SolveUnit("dedicated", (sites[i],)) for i in dedicated])
 
 
-class GenerationWarmStart:
+class GenerationWarmStart(WarmSource):
     """Warm-start vectors read from a previous ranked generation.
 
     The artifact store persists every site's converged *local* vector
     (``local_scores.bin``) next to the composed scores, so the next
     out-of-core rank can resume power iterations from it without any
     in-RAM :class:`~repro.engine.warm.WarmStartState` surviving between
-    runs — the vectors round-trip through the store.  Alignment semantics
-    are exactly :func:`~repro.engine.warm.align_warm_start`, so a warm
-    resume from disk is bitwise the in-memory warm resume.  The id and
-    vector files are mapped once, for the lifetime of this object.
+    runs — the vectors round-trip through the store, and being a
+    :class:`~repro.engine.warm.WarmSource` a warm resume from disk is
+    bitwise the in-memory warm resume.  The id and vector files are
+    mapped once, for the lifetime of this object.
     """
 
     def __init__(self, generation: RankedGeneration) -> None:
@@ -100,26 +101,18 @@ class GenerationWarmStart:
         self._ids = generation.map_array("doc_ids")
         self._vectors = generation.map_array("local_scores")
 
-    def local_start(self, site: str,
-                    doc_ids: Sequence[int]) -> Optional[np.ndarray]:
-        """Start vector for one site's local DocRank (``None`` → cold)."""
+    def previous_local(self, site: str) -> Optional[Previous]:
         shard = self._shards.get(site)
         if shard is None:
             return None
         offset, count = int(shard["offset"]), int(shard["count"])
-        return align_warm_start(
-            self._ids[offset:offset + count].tolist(),
-            np.array(self._vectors[offset:offset + count], dtype=float),
-            doc_ids)
+        return (self._ids[offset:offset + count].tolist(),
+                np.array(self._vectors[offset:offset + count], dtype=float))
 
-    def siterank_start(self, sites: Sequence[str]) -> Optional[np.ndarray]:
-        """Start vector for the SiteRank (``None`` → cold start)."""
+    def previous_siterank(self) -> Optional[Previous]:
         block = self._generation.siterank()
-        previous_sites = [str(site) for site in block.get("sites", ())]
-        scores = np.asarray(block.get("scores", ()), dtype=float)
-        if len(previous_sites) != scores.size or not previous_sites:
-            return None
-        return align_warm_start(previous_sites, scores, list(sites))
+        return ([str(site) for site in block.get("sites", ())],
+                np.asarray(block.get("scores", ()), dtype=float))
 
 
 @dataclass
@@ -151,10 +144,7 @@ def rank_outofcore(graph: DiskGraph,
                    site_preference: Optional[np.ndarray] = None,
                    tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER,
-                   warm: Union[WarmStartState, RankedGeneration,
-                               GenerationWarmStart, None] = None,
-                   max_docs: int = BATCH_SITE_MAX_DOCS,
-                   target_docs: int = BATCH_TARGET_DOCS,
+                   warm: Union[WarmSource, RankedGeneration, None] = None,
                    ) -> OutOfCoreRanking:
     """Rank a DiskGraph in bounded memory, publishing a ranked generation.
 
@@ -167,42 +157,29 @@ def rank_outofcore(graph: DiskGraph,
     chunk straddles — and the finished generation is published with an
     atomic manifest-pointer flip.
 
-    *warm* may be a live :class:`~repro.engine.warm.WarmStartState` (also
-    recorded into, like :meth:`RankingPlan.execute`) or a previous
-    :class:`~repro.io.artifacts.RankedGeneration` / the store itself
+    *warm* is any :class:`~repro.engine.warm.WarmSource` — a live
+    :class:`~repro.engine.warm.WarmStartState` is also recorded into, like
+    :meth:`RankingPlan.execute` — or a previous
+    :class:`~repro.io.artifacts.RankedGeneration`, the store itself
     persisting the vectors between processes.
     """
     if not isinstance(store, ArtifactStore):
         store = ArtifactStore(store, create=True)
-
-    record: Optional[WarmStartState] = None
-    if warm is None:
-        seed = None
-    elif isinstance(warm, WarmStartState):
-        seed = record = warm
-    elif isinstance(warm, RankedGeneration):
-        seed = GenerationWarmStart(warm)
-    elif isinstance(warm, GenerationWarmStart):
-        seed = warm
-    else:
+    seed = GenerationWarmStart(warm) if isinstance(warm, RankedGeneration) \
+        else warm
+    if seed is not None and not isinstance(seed, WarmSource):
         raise ValidationError(
-            "warm must be a WarmStartState, a RankedGeneration or a "
-            "GenerationWarmStart")
-
-    if site_damping is None:
-        site_damping = damping
+            "warm must be a WarmSource (WarmStartState, "
+            "GenerationWarmStart) or a RankedGeneration")
+    record = warm if isinstance(warm, WarmStartState) else None
+    common = {"tol": tol, "max_iter": max_iter, "warm": seed}
     sites = graph.sites()
-    sizes = graph.site_sizes()
 
     # Step 4 — the SiteGraph fits in RAM by construction; its adjacency is
     # still read straight off the block file (dropped right after).
-    sitegraph = graph.sitegraph()
-    site_start = (seed.siterank_start(sitegraph.sites)
-                  if seed is not None else None)
-    site_result = siterank(sitegraph, site_damping,
-                           preference=site_preference, tol=tol,
-                           max_iter=max_iter, start=site_start)
-    del sitegraph
+    site_result = siterank_task_for(
+        graph.sitegraph(), damping if site_damping is None else site_damping,
+        preference=site_preference, **common).run()
 
     preferences: Dict[str, np.ndarray] = {}
     for site in sites:
@@ -212,12 +189,9 @@ def rank_outofcore(graph: DiskGraph,
     method = ("layered-personalized"
               if site_preference is not None or preferences else "layered")
 
-    unit_of: Dict[str, SolveUnit] = {}
-    for unit in plan_solve_units(sites, sizes, max_docs=max_docs,
-                                 target_docs=target_docs):
-        for site in unit.sites:
-            unit_of[site] = unit
-
+    unit_of = {site: unit
+               for unit in plan_solve_units(sites, graph.site_sizes())
+               for site in unit.sites}
     writer = store.create_generation(method=method,
                                      n_documents=graph.n_documents)
     solved: Dict[str, object] = {}
@@ -226,30 +200,18 @@ def rank_outofcore(graph: DiskGraph,
         for site in sites:
             if site not in solved:
                 unit = unit_of[site]
-                tasks = []
-                for member in unit.sites:
-                    adjacency, member_ids = graph.local_block(member)
-                    doc_ids = tuple(member_ids.tolist())
-                    start = (seed.local_start(member, list(doc_ids))
-                             if seed is not None else None)
-                    tasks.append(LocalRankTask(
-                        site=member, adjacency=adjacency, doc_ids=doc_ids,
-                        damping=damping,
-                        preference=preferences.get(member),
-                        tol=tol, max_iter=max_iter, start=start))
+                payload = site_tasks_for(graph, damping, sites=unit.sites,
+                                         preferences=preferences, **common)
                 if unit.kind == "fused":
-                    # Packing copies the blocks into one block-diagonal
-                    # CSR; dropping the tasks unmaps the source pages
-                    # before the solve runs.
-                    batched = BatchedSiteTask.from_tasks(tasks)
-                    del tasks
-                    for rank in batched.run():
-                        solved[rank.site] = rank
-                    del batched
-                else:
-                    rank = tasks[0].run()
-                    del tasks
-                    solved[rank.site] = rank
+                    # The unit's kind is the *global* schedule's word (a
+                    # mid-stream chunk of one stays fused).  Packing
+                    # copies the blocks into one block-diagonal CSR;
+                    # rebinding drops the per-site tasks, which unmaps
+                    # the source pages before the solve runs.
+                    payload = [BatchedSiteTask.from_tasks(payload)]
+                solved.update(collect_site_results(
+                    payload, [task.run() for task in payload]))
+                del payload
             rank = solved.pop(site)
             writer.append_site(site, rank.doc_ids,
                                graph.urls_of_positions(rank.doc_ids),

@@ -28,9 +28,16 @@ lazy reference into the graph's one site-major layout
 single row-range gather of that layout, and only a dedicated task ever
 cuts its own matrix — no scipy object per site, no global adjacency.
 
-Warm starts plug in at construction: a :class:`~repro.engine.warm.WarmStartState`
-seeds each task with the previously converged vector so power iterations
-resume instead of restarting from uniform.
+This module is the only place that builds step-3 and step-4 tasks:
+:func:`site_tasks_for`, :func:`siterank_task_for` and
+:func:`segment_tasks_for` serve the plan, the out-of-core runner, the
+incremental ranker and the segment pass alike.  They read blocks from any
+**block source** — an object with ``sites()`` and ``local_block(site) ->
+(adjacency, doc_ids)``: :class:`~repro.web.docgraph.DocGraph` (lazy
+references into RAM) or :class:`~repro.io.diskgraph.DiskGraph` (fresh
+memmaps) — and start vectors from any **warm source**
+(:class:`~repro.engine.warm.WarmSource`), so power iterations resume from
+the previously converged vector instead of restarting from uniform.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from ..web.docrank import (
     solve_local_columns,
     solve_local_docrank,
 )
+from ..web.pipeline import SITERANK_BLOCK, SegmentPreferences
 from ..web.sitegraph import SiteGraph, aggregate_sitegraph
 from ..web.siterank import SiteRankResult, siterank
 from .arena import (
@@ -73,7 +81,7 @@ from .arena import (
     vector_arena_nbytes,
 )
 from .executor import Executor, resolve_executor
-from .warm import WarmStartState
+from .warm import WarmSource, WarmStartState
 
 
 def _matrix_payload(vector: object, n_rows: int, n_vectors: int, *,
@@ -506,31 +514,85 @@ def execute_tasks(tasks: Sequence[RankTask], *,
     return results, time.perf_counter() - started
 
 
-def site_tasks_for(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
+def site_tasks_for(source, damping: float = DEFAULT_DAMPING, *,
                    sites: Optional[Sequence[str]] = None,
                    preferences: Optional[Dict[str, np.ndarray]] = None,
                    tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER,
-                   warm: Optional[WarmStartState] = None,
-                   ) -> List[LocalRankTask]:
-    """Build the step-3 task list for (a subset of) a DocGraph's sites.
+                   warm: Optional[WarmSource] = None,
+                   n_vectors: int = 1) -> List[LocalRankTask]:
+    """Build the step-3 task list for (a subset of) a block source's sites.
 
-    Each task's adjacency is a lazy reference into the DocGraph's one
+    Each task's adjacency is whatever ``source.local_block(site)`` hands
+    out: a DocGraph's lazy reference into its one
     :meth:`~repro.web.docgraph.DocGraph.site_blocks` snapshot (no matrix is
-    cut per site; later graph mutations do not reach the tasks); *warm*
-    seeds each task's start vector from the previously converged one.
+    cut per site; later graph mutations do not reach the tasks) or a
+    DiskGraph's memmap views, unmapped when the task is dropped.  *warm*
+    seeds each task's start from the previously converged values; with
+    ``n_vectors = K > 1`` preferences and starts are ``(n, K)`` matrices.
     """
     preferences = preferences or {}
     if sites is None:
-        sites = docgraph.sites()
+        sites = source.sites()
     tasks = []
     for site in sites:
-        adjacency, doc_ids = docgraph.local_block(site)
+        adjacency, doc_ids = source.local_block(site)
+        if isinstance(doc_ids, np.ndarray):
+            doc_ids = doc_ids.tolist()
         start = warm.local_start(site, doc_ids) if warm is not None else None
         tasks.append(LocalRankTask(site=site, adjacency=adjacency,
                                    doc_ids=tuple(doc_ids), damping=damping,
                                    preference=preferences.get(site),
-                                   tol=tol, max_iter=max_iter, start=start))
+                                   tol=tol, max_iter=max_iter, start=start,
+                                   n_vectors=n_vectors))
+    return tasks
+
+
+def siterank_task_for(sitegraph: SiteGraph, damping: float = DEFAULT_DAMPING,
+                      *, preference: Optional[np.ndarray] = None,
+                      tol: float = DEFAULT_TOL,
+                      max_iter: int = DEFAULT_MAX_ITER,
+                      warm: Optional[WarmSource] = None) -> SiteRankTask:
+    """Build the step-4 task of a SiteGraph, seeded from *warm*."""
+    start = (warm.siterank_start(sitegraph.sites) if warm is not None
+             else None)
+    return SiteRankTask(sitegraph=sitegraph, damping=damping,
+                        preference=preference, tol=tol, max_iter=max_iter,
+                        start=start)
+
+
+def segment_tasks_for(source, sitegraph: SiteGraph,
+                      segments: SegmentPreferences,
+                      damping: float = DEFAULT_DAMPING, *,
+                      site_damping: Optional[float] = None,
+                      sites: Optional[Sequence[str]] = None,
+                      siterank: bool = True,
+                      tol: float = DEFAULT_TOL,
+                      max_iter: int = DEFAULT_MAX_ITER,
+                      warm: Optional[WarmSource] = None
+                      ) -> List[LocalRankTask]:
+    """Build the K-column tasks of the personalisation segment pass.
+
+    One K-column site task per entry of *sites* (default: all of the
+    SiteGraph's) and, with *siterank*, the segment-level SiteRank as the
+    :data:`~repro.web.pipeline.SITERANK_BLOCK` pseudo-site last: the
+    SiteGraph adjacency is just one more K-column block for the fused
+    solver.  *warm* must hold K-column values.
+    """
+    n_vectors = segments.n_segments
+    tasks = site_tasks_for(
+        source, damping, sites=sitegraph.sites if sites is None else sites,
+        preferences=segments.document_columns, tol=tol, max_iter=max_iter,
+        warm=warm, n_vectors=n_vectors)
+    if siterank:
+        start = (warm.siterank_start(sitegraph.sites) if warm is not None
+                 else None)
+        tasks.append(LocalRankTask(
+            site=SITERANK_BLOCK, adjacency=sitegraph.adjacency,
+            doc_ids=tuple(range(len(sitegraph.sites))),
+            damping=damping if site_damping is None else site_damping,
+            preference=segments.site_columns, tol=tol, max_iter=max_iter,
+            start=start, n_vectors=n_vectors))
     return tasks
 
 
@@ -651,12 +713,9 @@ class RankingPlan:
             tasks = site_tasks_for(docgraph, damping,
                                    preferences=document_preferences,
                                    tol=tol, max_iter=max_iter, warm=warm)
-            site_start = (warm.siterank_start(sitegraph.sites)
-                          if warm is not None else None)
-            siterank_task = SiteRankTask(sitegraph=sitegraph,
-                                         damping=site_damping,
-                                         preference=site_preference, tol=tol,
-                                         max_iter=max_iter, start=site_start)
+            siterank_task = siterank_task_for(
+                sitegraph, site_damping, preference=site_preference,
+                tol=tol, max_iter=max_iter, warm=warm)
         return cls(sitegraph, tasks, siterank_task, batch_sites=batch_sites)
 
     # ------------------------------------------------------------------ #

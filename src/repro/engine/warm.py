@@ -1,4 +1,4 @@
-"""Warm-start state for resumable power iterations.
+"""Warm starts: the one way a start vector reaches an engine task.
 
 Power iteration converges from any starting distribution, but the number of
 iterations it needs is governed by the distance between the start vector and
@@ -8,18 +8,24 @@ previous stationary vector makes refreshes converge in a fraction of the
 cold-start iterations — the practical payoff the incremental-update
 benchmark (E14) measures.
 
-:func:`align_warm_start` handles the bookkeeping that makes a cached vector
-safe to reuse: document sets drift between refreshes (pages are added), so
-the previous probability mass is mapped by document id and any new document
-starts from the uniform share before the vector is renormalised.
-:class:`WarmStartState` is the engine-level container for these vectors;
-:class:`~repro.web.incremental.IncrementalLayeredRanker` keeps equivalent
-state in its own result cache.
+The **warm-source protocol** is two questions the task builders of
+:mod:`repro.engine.plan` ask: ``local_start(site, doc_ids)`` and
+``siterank_start(sites)``, each answering a start vector (an ``(n, K)``
+matrix for K-column tasks) or ``None`` for a cold start.
+:class:`WarmSource` answers both from previous ``(ids, values)`` pairs
+through :func:`align_warm_start`, which does the bookkeeping that makes a
+cached vector safe to reuse: document sets drift between refreshes (pages
+are added), so the previous probability mass is mapped by id and any new
+document starts from the uniform share before renormalisation.  Three
+things hold such pairs: :class:`WarmStartState` (recorded by plan
+executions, persistable), :class:`~repro.engine.outofcore.GenerationWarmStart`
+(a published generation's files) and the incremental ranker's factor cache
+(wrapped in a plain :class:`WarmSource`, no copies).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +42,8 @@ def align_warm_start(previous_doc_ids: Sequence[int],
     previous_doc_ids:
         Document ids the cached vector was computed over, in vector order.
     previous_vector:
-        The cached stationary distribution.
+        The cached stationary distribution, or an ``(n, K)`` matrix of K
+        of them (aligned column by column, all or nothing).
     doc_ids:
         Document ids of the upcoming computation, in vector order.
 
@@ -49,12 +56,20 @@ def align_warm_start(previous_doc_ids: Sequence[int],
     doc_ids = list(doc_ids)
     if not doc_ids:
         return None
-    previous_vector = np.asarray(previous_vector, dtype=float).ravel()
-    if len(previous_doc_ids) != previous_vector.size:
+    previous_vector = np.asarray(previous_vector, dtype=float)
+    if previous_vector.ndim != 2:
+        previous_vector = previous_vector.ravel()
+    if len(previous_doc_ids) != len(previous_vector):
         return None
     if list(previous_doc_ids) == doc_ids:
-        # Unchanged document set: reuse the converged vector as-is.
+        # Unchanged document set: reuse the converged values as-is.
         return previous_vector.copy()
+    if previous_vector.ndim == 2:
+        columns = [align_warm_start(previous_doc_ids, column, doc_ids)
+                   for column in previous_vector.T]
+        if any(column is None for column in columns):
+            return None
+        return np.stack(columns, axis=1)
     mass_of = {doc_id: float(value)
                for doc_id, value in zip(previous_doc_ids, previous_vector)}
     if not any(doc_id in mass_of for doc_id in doc_ids):
@@ -68,7 +83,51 @@ def align_warm_start(previous_doc_ids: Sequence[int],
     return start / total
 
 
-class WarmStartState:
+#: Previously converged values with the ids they were computed over.
+Previous = Tuple[Sequence, np.ndarray]
+
+
+class WarmSource:
+    """Start vectors aligned from previous ``(ids, values)`` pairs.
+
+    *local* maps sites to their pair, *siterank* is the SiteRank's; both
+    are held by reference.  Subclasses that keep the pairs elsewhere
+    override :meth:`previous_local` / :meth:`previous_siterank`.
+    """
+
+    def __init__(self, local: Optional[Mapping[str, Previous]] = None,
+                 siterank: Optional[Previous] = None) -> None:
+        self._site_vectors = {} if local is None else local
+        self._siterank = siterank
+
+    def previous_local(self, site: str) -> Optional[Previous]:
+        """One site's previous ``(doc_ids, values)``, or ``None``."""
+        return self._site_vectors.get(site)
+
+    def previous_siterank(self) -> Optional[Previous]:
+        """The previous ``(sites, values)`` of the SiteRank, or ``None``."""
+        return self._siterank
+
+    def local_start(self, site: str,
+                    doc_ids: Sequence[int]) -> Optional[np.ndarray]:
+        """Start vector for one site's local DocRank (``None`` → cold start)."""
+        previous = self.previous_local(site)
+        return None if previous is None else align_warm_start(*previous,
+                                                              doc_ids)
+
+    def siterank_start(self, sites: Sequence[str]) -> Optional[np.ndarray]:
+        """Start vector for the SiteRank (``None`` → cold start).
+
+        Site identifiers play the role document ids play for the local
+        vectors: mass is carried over by identifier, new sites get the
+        uniform share.
+        """
+        previous = self.previous_siterank()
+        return None if previous is None else align_warm_start(*previous,
+                                                              sites)
+
+
+class WarmStartState(WarmSource):
     """Cached stationary vectors a :class:`~repro.engine.plan.RankingPlan` resumes from.
 
     The state holds one vector per site (keyed by the site identifier,
@@ -77,10 +136,6 @@ class WarmStartState:
     references — so a single state object can be carried across plan
     executions, shipped between processes, or discarded wholesale.
     """
-
-    def __init__(self) -> None:
-        self._site_vectors: Dict[str, Tuple[Tuple[int, ...], np.ndarray]] = {}
-        self._siterank: Optional[Tuple[Tuple[str, ...], np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # Recording converged vectors
@@ -101,18 +156,6 @@ class WarmStartState:
         """Drop one site's cached vector (no-op when absent)."""
         self._site_vectors.pop(site, None)
 
-    # ------------------------------------------------------------------ #
-    # Producing start vectors
-    # ------------------------------------------------------------------ #
-    def local_start(self, site: str,
-                    doc_ids: Sequence[int]) -> Optional[np.ndarray]:
-        """Start vector for one site's local DocRank (``None`` → cold start)."""
-        cached = self._site_vectors.get(site)
-        if cached is None:
-            return None
-        previous_doc_ids, vector = cached
-        return align_warm_start(previous_doc_ids, vector, doc_ids)
-
     def local_vector(self, site: str
                      ) -> Optional[Tuple[Tuple[int, ...], np.ndarray]]:
         """The exact cached ``(doc_ids, vector)`` of one site, unaligned.
@@ -126,18 +169,6 @@ class WarmStartState:
             return None
         doc_ids, vector = cached
         return doc_ids, vector.copy()
-
-    def siterank_start(self, sites: Sequence[str]) -> Optional[np.ndarray]:
-        """Start vector for the SiteRank (``None`` → cold start).
-
-        Site identifiers play the role document ids play for the local
-        vectors: mass is carried over by identifier, new sites get the
-        uniform share.
-        """
-        if self._siterank is None:
-            return None
-        previous_sites, vector = self._siterank
-        return align_warm_start(previous_sites, vector, sites)
 
     # ------------------------------------------------------------------ #
     # Persistence (see repro.io.save_warm_state / load_warm_state)

@@ -87,27 +87,42 @@ def _spec(dtype: np.dtype, offset: int, count: int) -> Dict[str, object]:
             "count": int(count)}
 
 
-def _check_spec(spec: object, nbytes: int, what: str) -> Dict[str, object]:
-    """Validate one manifest array spec against the blocks-file size."""
+#: The dtypes :class:`_BlockWriter` writes, per array role.  A manifest
+#: naming any other is rejected at open: mapping file bytes as, say,
+#: object pointers crashes the interpreter on first touch.
+_FLOAT = (np.dtype(np.float64).str,)
+_INDEX = (np.dtype(np.int32).str, np.dtype(np.int64).str)
+_ID = (np.dtype(np.int64).str,)
+_DOCUMENT_DTYPES = {"url_blob": ("|u1",), "url_offsets": _ID,
+                    "doc_sites": (np.dtype(np.int32).str,),
+                    "is_dynamic": ("|u1",)}
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
+def _check_spec(spec: object, nbytes: int, what: str,
+                dtypes: Sequence[str]) -> Dict[str, object]:
+    """Validate one manifest array spec: its role's dtype, the file size."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{what}: array spec must be an object")
     for key in ("dtype", "offset", "count"):
         if key not in spec:
             raise ValidationError(f"{what}: array spec is missing {key!r}")
-    try:
-        dtype = np.dtype(spec["dtype"])
-    except TypeError:
+    if spec["dtype"] not in dtypes:
         raise ValidationError(
-            f"{what}: unknown dtype {spec['dtype']!r}") from None
+            f"{what}: dtype {spec['dtype']!r} is not one of {list(dtypes)}")
     offset, count = spec["offset"], spec["count"]
-    if not isinstance(offset, int) or not isinstance(count, int) \
-            or offset < 0 or count < 0:
+    if not _is_count(offset) or not _is_count(count):
         raise ValidationError(
             f"{what}: offset/count must be non-negative integers")
-    if offset + count * dtype.itemsize > nbytes:
+    end = offset + count * np.dtype(spec["dtype"]).itemsize
+    if end > nbytes:
         raise ValidationError(
-            f"{what}: array [{offset}, {offset + count * dtype.itemsize}) "
-            f"exceeds the {nbytes}-byte block file")
+            f"{what}: array [{offset}, {end}) exceeds the {nbytes}-byte "
+            f"block file")
     return spec
 
 
@@ -207,6 +222,7 @@ class DiskGraph:
         if not isinstance(manifest["sites"], list):
             raise ValidationError("disk-graph manifest: sites must be a list")
         self._entries: Dict[str, dict] = {}
+        id_ranges = []
         for entry in manifest["sites"]:
             if not isinstance(entry, dict) or "site" not in entry:
                 raise ValidationError(
@@ -215,29 +231,62 @@ class DiskGraph:
             if site in self._entries:
                 raise ValidationError(
                     f"disk-graph manifest: duplicate site {site!r}")
-            self._check_csr(entry.get("adjacency"), f"site {site!r}")
-            _check_spec(entry.get("doc_ids"), self._blocks_nbytes,
-                        f"site {site!r} doc_ids")
+            ids = _check_spec(entry.get("doc_ids"), self._blocks_nbytes,
+                              f"site {site!r} doc_ids", _ID)
+            self._check_csr(entry.get("adjacency"), f"site {site!r}",
+                            ids["count"])
             if entry.get("preference") is not None:
                 _check_spec(entry["preference"], self._blocks_nbytes,
-                            f"site {site!r} preference")
+                            f"site {site!r} preference", _FLOAT)
+            if ids["count"]:
+                id_ranges.append((ids["offset"],
+                                  ids["offset"] + 8 * ids["count"]))
             self._entries[site] = entry
-        self._check_csr(manifest["sitegraph"].get("adjacency"), "sitegraph")
+        id_ranges.sort()
+        if any(end > start for (_, end), (start, _)
+               in zip(id_ranges, id_ranges[1:])):
+            raise ValidationError(
+                "disk-graph manifest: two sites share a doc-id range")
+        sizes = self.site_sizes()
+        if not _is_count(manifest["n_documents"]) \
+                or sum(sizes.values()) != manifest["n_documents"]:
+            raise ValidationError(
+                f"disk-graph manifest: n_documents must be the sites' "
+                f"{sum(sizes.values())} documents, got "
+                f"{manifest['n_documents']!r}")
+        sitegraph = manifest["sitegraph"]
+        if not isinstance(sitegraph, dict):
+            raise ValidationError(
+                "disk-graph manifest: sitegraph must be an object")
+        self._check_csr(sitegraph.get("adjacency"), "sitegraph", len(sizes))
+        site_sizes = sitegraph.get("site_sizes")
+        if not isinstance(site_sizes, list) or len(site_sizes) != len(sizes) \
+                or not all(map(_is_count, site_sizes)):
+            raise ValidationError(
+                "disk-graph manifest: sitegraph.site_sizes must list one "
+                "document count per site")
         documents = manifest["documents"]
         if not isinstance(documents, dict):
             raise ValidationError(
                 "disk-graph manifest: documents must be an object")
-        for key in ("url_blob", "url_offsets", "doc_sites", "is_dynamic"):
+        for key, dtypes in _DOCUMENT_DTYPES.items():
             _check_spec(documents.get(key), self._blocks_nbytes,
-                        f"documents.{key}")
+                        f"documents.{key}", dtypes)
         self._manifest = manifest
 
-    def _check_csr(self, family: object, what: str) -> None:
-        if not isinstance(family, dict) or "shape" not in family:
-            raise ValidationError(f"{what}: malformed CSR family")
-        for name in ("data", "indices", "indptr"):
-            _check_spec(family.get(name), self._blocks_nbytes,
-                        f"{what} {name}")
+    def _check_csr(self, family: object, what: str, n: int) -> None:
+        """One square CSR family of *n* rows, as ``write_csr`` lays it out."""
+        if not isinstance(family, dict) or family.get("shape") != [n, n]:
+            raise ValidationError(
+                f"{what}: CSR family must have shape [{n}, {n}]")
+        specs = [_check_spec(family.get(name), self._blocks_nbytes,
+                             f"{what} {name}", dtypes)
+                 for name, dtypes in (("data", _FLOAT), ("indices", _INDEX),
+                                      ("indptr", _INDEX))]
+        if specs[0]["count"] != specs[1]["count"] \
+                or specs[2]["count"] != n + 1:
+            raise ValidationError(
+                f"{what}: CSR arrays disagree with shape [{n}, {n}]")
 
     # ------------------------------------------------------------------ #
     # Mapping primitives

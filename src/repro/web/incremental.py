@@ -17,6 +17,13 @@ SiteRank cached, applies targeted updates, and can report how much work each
 update needed compared to ranking from scratch — the quantity the
 incremental-update ablation benchmark measures.  Flat PageRank has no such
 decomposition: any change invalidates the single global vector.
+
+The ranker builds no engine task itself: a refresh asks the builders of
+:mod:`repro.engine.plan` for the changed sites' tasks, handing them the
+DocGraph as the block source and its own cached factors — exactly the
+``(ids, values)`` pairs a :class:`~repro.engine.warm.WarmSource` aligns —
+as the warm source, so every power iteration resumes from the site's
+previously converged vector (new documents start from the uniform share).
 """
 
 from __future__ import annotations
@@ -95,6 +102,12 @@ class UpdateReport:
 UpdateListener = Callable[[UpdateReport], None]
 
 
+def _previous(cache: Mapping, sites: Iterable[str], values: str) -> Dict:
+    """Cached factors of *sites* as a warm source's ``(ids, values)`` pairs."""
+    return {site: (cache[site].doc_ids, getattr(cache[site], values))
+            for site in sites if site in cache}
+
+
 class IncrementalLayeredRanker:
     """Maintains a layered DocRank over a mutable :class:`DocGraph`.
 
@@ -121,8 +134,7 @@ class IncrementalLayeredRanker:
         self._damping = damping
         self._site_damping = site_damping if site_damping is not None else damping
         self._include_site_self_links = include_site_self_links
-        self._tol = tol
-        self._max_iter = max_iter
+        self._solver = {"tol": tol, "max_iter": max_iter}
         #: Whether refresh batches (and the initial build) fuse small sites
         #: into block-diagonal batched tasks (repro.linalg.block_solver).
         self._batch_sites = bool(batch_sites)
@@ -144,11 +156,6 @@ class IncrementalLayeredRanker:
         self._segment_site_state: Optional[
             Tuple[Tuple[str, ...], np.ndarray]] = None
         self.full_rebuild()
-
-    @classmethod
-    def _create(cls, *args, **kwargs) -> "IncrementalLayeredRanker":
-        """Build a ranker (alias retained from the 1.x facade plumbing)."""
-        return cls(*args, **kwargs)
 
     def close(self) -> None:
         """Release the engine executor if this ranker created it."""
@@ -205,8 +212,7 @@ class IncrementalLayeredRanker:
         plan = RankingPlan.from_docgraph(
             self._docgraph, self._damping, site_damping=self._site_damping,
             include_site_self_links=self._include_site_self_links,
-            tol=self._tol, max_iter=self._max_iter,
-            batch_sites=self._batch_sites)
+            batch_sites=self._batch_sites, **self._solver)
         execution = plan.execute(executor=self._executor)
         self._siterank = execution.siterank
         self._local = dict(execution.local)
@@ -232,7 +238,8 @@ class IncrementalLayeredRanker:
         concurrently on parallel executors (with the matrices riding the
         engine's shared-memory arena on a process backend); every power
         iteration is warm-started from the site's previously converged
-        vector.
+        vector, which makes refresh iteration counts drop by an order of
+        magnitude (asserted by the tests and benchmark E14).
 
         Parameters
         ----------
@@ -242,11 +249,8 @@ class IncrementalLayeredRanker:
             Whether any link between two different sites was added or
             removed (requires a SiteRank recomputation).
         """
-        from ..engine.plan import (
-            batch_site_tasks,
-            collect_site_results,
-            execute_tasks,
-        )
+        from ..engine import plan
+        from ..engine.warm import WarmSource
 
         changed: Set[str] = set(changed_sites)
         known_sites = set(self._docgraph.sites())
@@ -259,45 +263,51 @@ class IncrementalLayeredRanker:
         ordered = sorted(changed)
 
         siterank_recomputed = bool(intersite_changed or new_sites)
-        sitegraph: Optional[SiteGraph] = None
+        sitegraph = (self._sitegraph()
+                     if siterank_recomputed or self._personalization else None)
         if self._personalization:
             # Preference columns are re-lowered each refresh: document
             # columns are row-aligned to the *current* local adjacency and
             # site columns to the current SiteGraph, either of which the
             # mutation may have changed.
-            sitegraph = self._sitegraph()
             self._segments = build_segment_preferences(
                 self._docgraph, sitegraph, self._personalization)
 
-        site_tasks = [self._local_task(site) for site in ordered]
+        warm = WarmSource(_previous(self._local, ordered, "scores"),
+                          (self._siterank.sites, self._siterank.scores))
+        site_tasks = plan.site_tasks_for(
+            self._docgraph, self._damping, sites=ordered, warm=warm,
+            **self._solver)
+        segment_tasks: List = []
+        if self._segments is not None:
+            segment_tasks = plan.segment_tasks_for(
+                self._docgraph, sitegraph, self._segments, self._damping,
+                site_damping=self._site_damping, sites=ordered,
+                siterank=siterank_recomputed, warm=WarmSource(
+                    _previous(self._local_columns, ordered, "columns"),
+                    self._segment_site_state), **self._solver)
         # The changed-site set rides the same batched path as a full plan:
         # small sites fuse into block-diagonal tasks, large ones keep
         # dedicated tasks a parallel backend can overlap.
-        site_payload = (batch_site_tasks(site_tasks)
-                        if self._batch_sites else site_tasks)
-        segment_tasks: List = []
-        if self._segments is not None:
-            segment_tasks = [self._segment_local_task(site)
-                             for site in ordered]
-            if siterank_recomputed:
-                segment_tasks.append(self._segment_site_task(sitegraph))
-        segment_payload = (batch_site_tasks(segment_tasks)
-                           if self._batch_sites else segment_tasks)
+        site_payload, segment_payload = [
+            plan.batch_site_tasks(batch) if self._batch_sites else batch
+            for batch in (site_tasks, segment_tasks)]
         tasks = [*site_payload, *segment_payload]
         if siterank_recomputed:
             # Prepend so the site-level task overlaps the per-site work on
             # parallel backends (mirroring RankingPlan.execute).
-            tasks.insert(0, self._siterank_task(sitegraph))
-        results, _wall_seconds = execute_tasks(tasks,
-                                               executor=self._executor)
+            tasks.insert(0, plan.siterank_task_for(
+                sitegraph, self._site_damping, warm=warm, **self._solver))
+        results, _wall_seconds = plan.execute_tasks(tasks,
+                                                    executor=self._executor)
 
         siterank_iterations = 0
         if siterank_recomputed:
             self._siterank = results.pop(0)
             siterank_iterations = self._siterank.iterations
 
-        by_site = collect_site_results(site_payload,
-                                       results[:len(site_payload)])
+        by_site = plan.collect_site_results(site_payload,
+                                            results[:len(site_payload)])
         local_iterations = 0
         documents_recomputed = 0
         for site in ordered:
@@ -309,8 +319,8 @@ class IncrementalLayeredRanker:
         segment_iterations = 0
         if self._segments is not None:
             segment_iterations = self._store_segment_results(
-                collect_site_results(segment_payload,
-                                     results[len(site_payload):]),
+                plan.collect_site_results(segment_payload,
+                                          results[len(site_payload):]),
                 sitegraph=sitegraph)
 
         return self._notify(UpdateReport(
@@ -422,109 +432,13 @@ class IncrementalLayeredRanker:
         return self._local_columns[site].columns * weights[None, :]
 
     # ------------------------------------------------------------------ #
-    # Engine task construction (warm-started)
+    # Personalisation segment maintenance (fused multi-vector tasks)
     # ------------------------------------------------------------------ #
-    def _local_task(self, site: str):
-        """Build one site's engine task, seeded from the cached vector.
-
-        Power iteration used to restart from uniform on every refresh even
-        though the previous stationary vector was sitting in the cache; the
-        warm start makes refresh iteration counts drop by an order of
-        magnitude (asserted by the tests and benchmark E14).  New documents
-        of the site receive the uniform share before renormalisation.
-        """
-        from ..engine.plan import LocalRankTask
-        from ..engine.warm import align_warm_start
-
-        adjacency, doc_ids = self._docgraph.local_block(site)
-        previous = self._local.get(site)
-        start = (align_warm_start(previous.doc_ids, previous.scores, doc_ids)
-                 if previous is not None else None)
-        return LocalRankTask(site=site, adjacency=adjacency,
-                             doc_ids=tuple(doc_ids), damping=self._damping,
-                             tol=self._tol, max_iter=self._max_iter,
-                             start=start)
-
     def _sitegraph(self) -> SiteGraph:
         """Aggregate the current SiteGraph (step 2, cheap and serial)."""
         return aggregate_sitegraph(
             self._docgraph,
             include_self_links=self._include_site_self_links)
-
-    def _siterank_task(self, sitegraph: Optional[SiteGraph] = None):
-        """Build the SiteRank engine task, seeded from the cached vector."""
-        from ..engine.plan import SiteRankTask
-        from ..engine.warm import align_warm_start
-
-        if sitegraph is None:
-            sitegraph = self._sitegraph()
-        start = (align_warm_start(self._siterank.sites,
-                                  self._siterank.scores, sitegraph.sites)
-                 if self._siterank is not None else None)
-        return SiteRankTask(sitegraph=sitegraph, damping=self._site_damping,
-                            tol=self._tol, max_iter=self._max_iter,
-                            start=start)
-
-    # ------------------------------------------------------------------ #
-    # Personalisation segment maintenance (fused multi-vector tasks)
-    # ------------------------------------------------------------------ #
-    def _segment_local_task(self, site: str):
-        """One site's K-column segment task, warm-started from the cache."""
-        from ..engine.plan import LocalRankTask
-
-        assert self._segments is not None
-        adjacency, doc_ids = self._docgraph.local_block(site)
-        return LocalRankTask(
-            site=site, adjacency=adjacency, doc_ids=tuple(doc_ids),
-            damping=self._damping,
-            preference=self._segments.document_columns.get(site),
-            tol=self._tol, max_iter=self._max_iter,
-            start=self._segment_warm_start(site, doc_ids),
-            n_vectors=self._segments.n_segments)
-
-    def _segment_warm_start(self, site: str,
-                            doc_ids) -> Optional[np.ndarray]:
-        """Re-align the cached segment columns of one site, per column."""
-        from ..engine.warm import align_warm_start
-
-        previous = self._local_columns.get(site)
-        if previous is None or previous.n_vectors != self._segments.n_segments:
-            return None
-        columns = [align_warm_start(previous.doc_ids,
-                                    previous.columns[:, index], doc_ids)
-                   for index in range(previous.n_vectors)]
-        if any(column is None for column in columns):
-            return None
-        return np.stack(columns, axis=1)
-
-    def _segment_site_task(self, sitegraph: SiteGraph):
-        """The segment-level SiteRank block, riding the refresh batch.
-
-        Mirrors the pipeline's :data:`~repro.web.pipeline.SITERANK_BLOCK`
-        pseudo-site: the SiteGraph adjacency is just one more K-column
-        block for the fused solver.
-        """
-        from ..engine.plan import LocalRankTask
-        from ..engine.warm import align_warm_start
-
-        assert self._segments is not None
-        sites = list(sitegraph.sites)
-        n_segments = self._segments.n_segments
-        start = None
-        if self._segment_site_state is not None:
-            previous_sites, previous_matrix = self._segment_site_state
-            if previous_matrix.shape[1] == n_segments:
-                columns = [align_warm_start(previous_sites,
-                                            previous_matrix[:, index], sites)
-                           for index in range(n_segments)]
-                if all(column is not None for column in columns):
-                    start = np.stack(columns, axis=1)
-        return LocalRankTask(
-            site=SITERANK_BLOCK, adjacency=sitegraph.adjacency,
-            doc_ids=tuple(range(len(sites))), damping=self._site_damping,
-            preference=self._segments.site_columns,
-            tol=self._tol, max_iter=self._max_iter, start=start,
-            n_vectors=n_segments)
 
     def _store_segment_results(self, by_site: Dict[str, SiteColumns], *,
                                sitegraph: Optional[SiteGraph]) -> int:
@@ -543,16 +457,16 @@ class IncrementalLayeredRanker:
 
     def _rebuild_segments(self) -> int:
         """Re-solve every site's segment columns (cold path, one batch)."""
-        from ..engine.plan import execute_site_tasks
+        from ..engine.plan import execute_site_tasks, segment_tasks_for
 
         sitegraph = self._sitegraph()
         self._segments = build_segment_preferences(
             self._docgraph, sitegraph, self._personalization)
         self._local_columns = {}
         self._segment_site_state = None
-        tasks = [self._segment_local_task(site)
-                 for site in self._docgraph.sites()]
-        tasks.append(self._segment_site_task(sitegraph))
+        tasks = segment_tasks_for(
+            self._docgraph, sitegraph, self._segments, self._damping,
+            site_damping=self._site_damping, **self._solver)
         results = execute_site_tasks(tasks, executor=self._executor,
                                      batch_sites=self._batch_sites)
         return self._store_segment_results(

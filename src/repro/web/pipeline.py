@@ -22,7 +22,7 @@ model — a fact the integration tests verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -328,23 +328,11 @@ def solve_segment_columns(docgraph: DocGraph, sitegraph: SiteGraph,
     Returns the ``(n_documents, K)`` score matrix in the site-major
     document order of :func:`compose_ranking`, plus the iteration total.
     """
-    from ..engine.plan import (
-        LocalRankTask,
-        execute_site_tasks,
-        site_tasks_for,
-    )
+    from ..engine.plan import execute_site_tasks, segment_tasks_for
 
-    if site_damping is None:
-        site_damping = damping
-    n_vectors = segments.n_segments
-    tasks = [replace(task, n_vectors=n_vectors) for task in site_tasks_for(
-        docgraph, damping, sites=sitegraph.sites,
-        preferences=segments.document_columns, tol=tol, max_iter=max_iter)]
-    tasks.append(LocalRankTask(
-        site=SITERANK_BLOCK, adjacency=sitegraph.adjacency,
-        doc_ids=tuple(range(len(sitegraph.sites))), damping=site_damping,
-        preference=segments.site_columns,
-        tol=tol, max_iter=max_iter, n_vectors=n_vectors))
+    tasks = segment_tasks_for(docgraph, sitegraph, segments, damping,
+                              site_damping=site_damping, tol=tol,
+                              max_iter=max_iter)
     by_site = dict(zip(
         [*sitegraph.sites, SITERANK_BLOCK],
         execute_site_tasks(tasks, executor=executor, n_jobs=n_jobs)))

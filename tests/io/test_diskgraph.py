@@ -166,3 +166,78 @@ class TestValidation:
             handle.truncate(os.path.getsize(blocks) // 2)
         with pytest.raises(ValidationError):
             open_diskgraph(disk.path)
+
+
+def _set(path, value):
+    """A manifest edit: assign *value* at the nested key *path*."""
+    def edit(manifest):
+        node = manifest
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    def edit(manifest):
+        node = manifest
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return edit
+
+
+def _alias_second_site(manifest):
+    """Two site entries pointing at one doc-id range (counts kept summing)."""
+    first, second = manifest["sites"][:2]
+    manifest["n_documents"] += (first["doc_ids"]["count"]
+                                - second["doc_ids"]["count"])
+    second["doc_ids"] = dict(first["doc_ids"])
+    second["adjacency"] = first["adjacency"]
+
+
+#: Manifests a hostile or damaged store could carry.  At the parent of
+#: this test every one of them opened; the first then crashed the
+#: interpreter in ``rank_outofcore`` (object pointers read from file
+#: bytes), the last two ranked "successfully" with duplicated ids.
+HOSTILE_MANIFESTS = [
+    pytest.param(_set(["sites", 0, "doc_ids", "dtype"], "O"),
+                 id="object-doc-ids"),
+    pytest.param(_set(["sites", 0, "adjacency", "data", "dtype"], "O"),
+                 id="object-adjacency-data"),
+    pytest.param(_set(["sites", 0, "adjacency", "indices", "dtype"], "<f8"),
+                 id="float-indices"),
+    pytest.param(_set(["documents", "url_offsets", "dtype"], "<i4"),
+                 id="narrow-url-offsets"),
+    pytest.param(_set(["sitegraph"], []), id="sitegraph-is-a-list"),
+    pytest.param(_drop(["sitegraph", "site_sizes"]), id="no-site-sizes"),
+    pytest.param(_set(["sitegraph", "site_sizes"], [1, "two"]),
+                 id="site-sizes-not-integers"),
+    pytest.param(_set(["sitegraph", "site_sizes"], [1]),
+                 id="site-sizes-wrong-length"),
+    pytest.param(_set(["sites", 0, "adjacency", "shape"], ["a", 3]),
+                 id="shape-not-integers"),
+    pytest.param(_set(["sites", 0, "adjacency", "shape"], [3]),
+                 id="shape-not-a-pair"),
+    pytest.param(_set(["sites", 0, "adjacency", "shape"], [7, 7]),
+                 id="shape-disagrees-with-doc-ids"),
+    pytest.param(_set(["n_documents"], "many"), id="n-documents-not-integer"),
+    pytest.param(_set(["n_documents"], True), id="n-documents-is-a-bool"),
+    pytest.param(_set(["n_documents"], 7), id="counts-do-not-sum"),
+    pytest.param(_alias_second_site, id="two-sites-one-id-range"),
+    pytest.param(_set(["sites", 0, "doc_ids", "dtype"], "<f8"),
+                 id="float-doc-ids"),
+]
+
+
+class TestHostileManifest:
+    @pytest.mark.parametrize("edit", HOSTILE_MANIFESTS)
+    def test_open_fails_with_validation_error(self, disk, edit):
+        manifest_path = os.path.join(disk.path, MANIFEST_FILE)
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        edit(manifest)
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ValidationError):
+            open_diskgraph(disk.path)

@@ -587,6 +587,60 @@ class TestOutOfCoreCommands:
         assert "generation gen-000002" in out
         assert "server stopped" in out
 
+    @staticmethod
+    def _ranked(out):
+        """``(iteration total, top-k lines)`` of one ``repro rank`` output."""
+        import re
+
+        header = re.search(r"top-\d+ by layered \((\d+) power iterations\):",
+                           out)
+        return int(header.group(1)), out[header.end():].strip().splitlines()
+
+    def test_on_disk_honours_the_config_file(self, tmp_path, capsys):
+        """Regression: ``--on-disk`` forwarded only ``damping``, so a config
+        with ``max_iter: 3`` ran the default run's power iterations."""
+        import json
+
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "site_damping": 0.5, "tol": 0.1, "max_iter": 3,
+            "include_site_self_links": True}))
+        runs = {}
+        for name, extra in (
+                ("default", ["--on-disk", "--output", str(tmp_path / "a")]),
+                ("disk", ["--on-disk", "--output", str(tmp_path / "b"),
+                          "--config", str(config)]),
+                ("memory", ["--config", str(config)])):
+            assert main(["rank", *self.GRAPH_ARGS, "--top", "8",
+                         *extra]) == 0
+            runs[name] = self._ranked(capsys.readouterr().out)
+        assert runs["disk"] == runs["memory"]
+        assert runs["disk"][0] < runs["default"][0]
+        assert len(runs["disk"][1]) == 8
+
+    @pytest.mark.parametrize("settings, flags, named", [
+        ({"personalization": {"s": {"background": 1.0}}}, [],
+         "personalization"),
+        ({"batch_sites": False}, [], "batch_sites=false"),
+        ({"executor": "threaded", "n_jobs": 2}, [], "executor='threaded'"),
+        ({}, ["--jobs", "2"], "executor='process'"),
+        ({}, ["--jobs", "auto"], "executor='auto'"),
+    ])
+    def test_on_disk_rejects_settings_it_cannot_honour(
+            self, tmp_path, capsys, settings, flags, named):
+        import json
+
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(settings))
+        exit_code = main(["rank", "--on-disk", "--output",
+                          str(tmp_path / "store"), *self.GRAPH_ARGS,
+                          "--config", str(config), *flags])
+        assert exit_code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "store").exists()
+
     def test_serve_store_rejects_state(self, tmp_path, capsys):
         assert main(["serve", "--store", str(tmp_path / "s"),
                      "--state", str(tmp_path / "warm.json")]) == EXIT_ERROR

@@ -18,10 +18,8 @@ from hypothesis import strategies as st
 from repro.graphgen import generate_synthetic_web
 from repro.metrics import rankings_equivalent
 from repro.web import DocGraph, all_local_docranks
-from repro.web.incremental import IncrementalLayeredRanker as _ILR
+from repro.web.incremental import IncrementalLayeredRanker
 from repro.web.pipeline import _layered_docrank
-
-IncrementalLayeredRanker = _ILR._create
 
 #: Solver tolerance of the equality runs (see module docstring).
 EQ_TOL = 1e-13

@@ -9,12 +9,9 @@ from repro.io import toy_web
 from repro.web import DocGraph, aggregate_sitegraph, local_docrank, siterank
 
 # White-box tests of this module use the implementation spellings, not the
-# deprecated 1.x shims (the suite runs with DeprecationWarning-as-error);
-# _create is the facade's warn-free construction path.
-from repro.web.incremental import IncrementalLayeredRanker as _ILR
+# deprecated 1.x shims (the suite runs with DeprecationWarning-as-error).
+from repro.web.incremental import IncrementalLayeredRanker
 from repro.web.pipeline import _layered_docrank as layered_docrank
-
-IncrementalLayeredRanker = _ILR._create
 
 
 def assert_matches_full_recompute(ranker, graph):
@@ -281,3 +278,95 @@ class TestUpdateNotifications:
         ranker.subscribe(second.append)
         ranker.add_document("http://b.example.org/fresh.html")
         assert len(first) == len(second) == 1
+
+
+#: Two segments over the toy web: site weights, document weights inside two
+#: different sites, and a background share.
+TOY_SEGMENTS = {
+    "research": {"sites": {"a.example.org": 3.0},
+                 "documents": {"http://a.example.org/research.html": 5.0},
+                 "background": 0.1},
+    "ring": {"sites": {"c.example.org": 1.0},
+             "documents": {"http://c.example.org/one.html": 2.0,
+                           "http://b.example.org/links.html": 1.0}},
+}
+
+
+def assert_segments_match_full_recompute(ranker, graph, personalization):
+    full = layered_docrank(graph, personalization=personalization)
+    incremental = ranker.ranking()
+    assert incremental.segments == full.segments
+    assert incremental.doc_ids == full.doc_ids
+    assert np.allclose(incremental.segment_columns, full.segment_columns,
+                       atol=1e-9)
+    return full
+
+
+class TestPersonalizedSegments:
+    """IncrementalLayeredRanker(personalization=...): the K-column caches
+    are repaired by the same refreshes as the base factors."""
+
+    def mutate(self, ranker):
+        ranker.add_link("http://a.example.org/about.html",
+                        "http://a.example.org/news.html")      # intra-site
+        ranker.add_link("http://c.example.org/one.html",
+                        "http://b.example.org/")               # inter-site
+        ranker.add_document("http://c.example.org/fresh.html")  # new document
+        ranker.add_link("http://a.example.org/",
+                        "http://d.example.org/")               # new site
+
+    def test_initial_segment_columns_match_pipeline(self):
+        graph = toy_web()
+        ranker = IncrementalLayeredRanker(graph, personalization=TOY_SEGMENTS)
+        assert ranker.segments == ("research", "ring")
+        assert_segments_match_full_recompute(ranker, graph, TOY_SEGMENTS)
+
+    def test_mixed_updates_keep_segment_columns_consistent(self):
+        graph = toy_web()
+        ranker = IncrementalLayeredRanker(graph, personalization=TOY_SEGMENTS)
+        self.mutate(ranker)
+        assert_segments_match_full_recompute(ranker, graph, TOY_SEGMENTS)
+        assert_matches_full_recompute(ranker, graph)
+
+    def test_unbatched_ranker_repairs_segments_too(self):
+        graph = toy_web()
+        ranker = IncrementalLayeredRanker(graph, batch_sites=False,
+                                          personalization=TOY_SEGMENTS)
+        self.mutate(ranker)
+        assert_segments_match_full_recompute(ranker, graph, TOY_SEGMENTS)
+
+    def test_warm_segment_refresh_beats_cold_rebuild(self, small_campus):
+        graph = small_campus.docgraph
+        site = "dept001.campus.edu"
+        ranker = IncrementalLayeredRanker(graph, personalization={
+            "dept": {"sites": {site: 4.0},
+                     "documents": {f"http://{site}/": 3.0}},
+            "flat": {"background": 1.0},
+        })
+        cold = ranker._rebuild_segments()
+        warm = ranker.refresh(graph.sites(), intersite_changed=True)
+        assert 0 < warm.segment_iterations < cold
+        assert ranker.full_rebuild().segment_iterations == cold
+
+    def test_segment_shard_columns_align_with_local_doc_ids(self):
+        graph = toy_web()
+        ranker = IncrementalLayeredRanker(graph, personalization=TOY_SEGMENTS)
+        self.mutate(ranker)
+        full = layered_docrank(graph, personalization=TOY_SEGMENTS)
+        row_of = {doc_id: row for row, doc_id in enumerate(full.doc_ids)}
+        for site in graph.sites():
+            shard = ranker.segment_shard_columns(site)
+            doc_ids = ranker.local(site).doc_ids
+            assert list(doc_ids) == graph.documents_of_site(site)
+            assert shard.shape == (len(doc_ids), 2)
+            assert np.allclose(
+                shard, full.segment_columns[[row_of[d] for d in doc_ids]],
+                atol=1e-9)
+        with pytest.raises(GraphStructureError):
+            ranker.segment_shard_columns("missing.org")
+
+    def test_segments_off_by_default(self):
+        ranker = IncrementalLayeredRanker(toy_web())
+        assert ranker.segments == ()
+        assert ranker.segment_shard_columns("a.example.org") is None
+        assert ranker.ranking().segment_columns is None
