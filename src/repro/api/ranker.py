@@ -338,6 +338,11 @@ class Ranker:
               drain_grace: float = 0.0):
         """A :class:`~repro.serving.RankingService` over this config's ranking.
 
+        The config's ``executor`` / ``n_jobs`` / ``batch_sites`` reach the
+        power iterations of the fit or the incremental ranker only; the
+        service itself starts no pool — a shard rebuild is one
+        scalar-vector multiply per changed site on the updating thread.
+
         Parameters
         ----------
         docgraph:
@@ -350,8 +355,8 @@ class Ranker:
             ``True`` builds an incremental ranker under the service so
             live graph updates repair shards in place — the service owns
             that ranker, so call ``service.close()`` (or use the service
-            as a context manager) to release it and any worker pool it
-            holds.  Pass an existing
+            as a context manager) to release it and the worker pool a
+            pooled config gave it.  Pass an existing
             :class:`~repro.web.incremental.IncrementalLayeredRanker` to
             attach to it instead (you keep ownership).
         replicas:
@@ -375,92 +380,56 @@ class Ranker:
 
         serving_kwargs = dict(cache_size=self.config.cache_size,
                               rule=self.config.rule,
-                              weight=self.config.weight,
-                              batch_sites=self.config.batch_sites)
-        # A pooled config also parallelises the service's shard rebuilds
-        # (the window during which queries block on the service lock).
-        # Distinct from any executor fit()/incremental() builds below, but
-        # not a double spawn: pools start their workers lazily, and this
-        # one only runs when an incremental update actually arrives.  Any
-        # pooled config gets a *thread* pool here: the per-shard work is a
-        # GIL-releasing numpy multiply whose payload (ids, URLs, vectors)
-        # is not worth pickling to worker processes, and the adaptive cost
-        # model cannot price shard tuples (it would always pick serial).
-        if self.config.executor == "serial" and not self.config.wants_auto_backend:
-            shard_executor, owns_executor = None, False
-        else:
-            cap = (self.config.n_jobs
-                   if isinstance(self.config.n_jobs, int) else None)
-            shard_executor, owns_executor = make_executor("threaded",
-                                                          cap), True
-        if shard_executor is not None:
-            serving_kwargs["executor"] = shard_executor
-
-        def _adopt(service: "RankingService") -> "RankingService":
-            service._owns_executor = owns_executor
-            return service
-
-        def _adopt_set(replica_set: "ReplicaSet") -> "ReplicaSet":
-            # All replicas share one rebuild pool; the set (not any one
-            # replica's service) owns it, so it survives until close().
-            replica_set._shared_executor = shard_executor
-            replica_set._owns_executor = owns_executor
-            return replica_set
-
+                              weight=self.config.weight)
         replica_kwargs = dict(serving_kwargs, n_replicas=replicas,
                               drain_grace=drain_grace)
 
-        try:
-            if incremental is not False and index is not None:
-                # from_incremental builds its index from a corpus only;
-                # dropping a caller-supplied index silently would strand
-                # text queries.
+        if incremental is not False and index is not None:
+            # from_incremental builds its index from a corpus only;
+            # dropping a caller-supplied index silently would strand
+            # text queries.
+            raise ValidationError(
+                "an incremental service builds its text index from a "
+                "corpus; pass corpus= instead of index= (index= is "
+                "only supported when serving a fitted result)")
+        if isinstance(incremental, IncrementalLayeredRanker):
+            if docgraph is not None and docgraph is not incremental.docgraph:
                 raise ValidationError(
-                    "an incremental service builds its text index from a "
-                    "corpus; pass corpus= instead of index= (index= is "
-                    "only supported when serving a fitted result)")
-            if isinstance(incremental, IncrementalLayeredRanker):
-                if docgraph is not None and docgraph is not incremental.docgraph:
-                    raise ValidationError(
-                        "the passed incremental ranker maintains a "
-                        "different DocGraph than docgraph=; an attached "
-                        "service always serves the ranker's graph, so "
-                        "pass one or the other")
-                if replicas > 1:
-                    return _adopt_set(ReplicaSet.from_incremental(
-                        incremental, corpus=corpus, **replica_kwargs))
-                return _adopt(RankingService.from_incremental(
-                    incremental, corpus=corpus, **serving_kwargs))
-            if incremental:
-                ranker = self.incremental(docgraph)
-                try:
-                    if replicas > 1:
-                        served = ReplicaSet.from_incremental(
-                            ranker, corpus=corpus, **replica_kwargs)
-                    else:
-                        served = RankingService.from_incremental(
-                            ranker, corpus=corpus, **serving_kwargs)
-                except BaseException:
-                    ranker.close()  # nobody else holds this ranker's pool
-                    raise
-                # The service (or set) is the only handle to this ranker
-                # (and to any worker pool it owns): close() releases both.
-                served._owns_ranker = True
-                return _adopt_set(served) if replicas > 1 else _adopt(served)
-            graph = self._graph_or_fitted(docgraph)
-            if self._result is None or graph is not self._docgraph:
-                self.fit(graph)
+                    "the passed incremental ranker maintains a "
+                    "different DocGraph than docgraph=; an attached "
+                    "service always serves the ranker's graph, so "
+                    "pass one or the other")
             if replicas > 1:
-                return _adopt_set(ReplicaSet.from_ranking(
-                    self.result_.ranking, graph, corpus=corpus,
-                    index=index, **replica_kwargs))
-            return _adopt(RankingService.from_ranking(
-                self.result_.ranking, graph, corpus=corpus, index=index,
-                **serving_kwargs))
-        except BaseException:
-            if owns_executor:
-                shard_executor.close()
-            raise
+                return ReplicaSet.from_incremental(
+                    incremental, corpus=corpus, **replica_kwargs)
+            return RankingService.from_incremental(
+                incremental, corpus=corpus, **serving_kwargs)
+        if incremental:
+            ranker = self.incremental(docgraph)
+            try:
+                if replicas > 1:
+                    served = ReplicaSet.from_incremental(
+                        ranker, corpus=corpus, **replica_kwargs)
+                else:
+                    served = RankingService.from_incremental(
+                        ranker, corpus=corpus, **serving_kwargs)
+            except BaseException:
+                ranker.close()  # nobody else holds this ranker's pool
+                raise
+            # The service (or set) is the only handle to this ranker
+            # (and to any worker pool it owns): close() releases both.
+            served._owns_ranker = True
+            return served
+        graph = self._graph_or_fitted(docgraph)
+        if self._result is None or graph is not self._docgraph:
+            self.fit(graph)
+        if replicas > 1:
+            return ReplicaSet.from_ranking(
+                self.result_.ranking, graph, corpus=corpus,
+                index=index, **replica_kwargs)
+        return RankingService.from_ranking(
+            self.result_.ranking, graph, corpus=corpus, index=index,
+            **serving_kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fitted = self._result is not None

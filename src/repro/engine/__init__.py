@@ -30,7 +30,7 @@ compute layer of the repository:
   scores into a ranked-artifact store.
 
 The centralized pipeline (:mod:`repro.web.pipeline`), the
-incremental ranker, the distributed simulator and the serving layer all
+incremental ranker and the distributed simulator all
 schedule their work through this package; the determinism-guard tests pin
 down that every backend produces bitwise-identical rankings.
 """

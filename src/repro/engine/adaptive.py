@@ -184,12 +184,12 @@ class AutoExecutor:
     resolves to, so one executor object adapts across heterogeneous
     batches — a full plan, an incremental refresh of two sites — each at
     its own scale.  Only batches of engine task objects are priced;
-    payloads the cost model does not recognise (e.g. the serving layer's
-    shard tuples) fall back to the serial delegate.
+    payloads the cost model does not recognise fall back to the serial
+    delegate.
 
     Delegate pools are created lazily, one per backend kind, and *reused*
-    across batches: a long-lived caller (incremental ranker, serving
-    layer) must not pay worker-spawn cost on every refresh.  :meth:`close`
+    across batches: a long-lived caller (the incremental ranker) must
+    not pay worker-spawn cost on every refresh.  :meth:`close`
     shuts down whatever pools were created.
     """
 

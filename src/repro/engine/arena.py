@@ -42,9 +42,8 @@ so layers stay decoupled from each other):
     Return a copy of the payload with its heavy buffers replaced by
     :class:`ArenaRef`\\ s written into *arena*.
 
-:class:`~repro.engine.plan.LocalRankTask`,
-:class:`~repro.engine.plan.SiteRankTask` and the serving layer's shard
-rebuild jobs all implement the pair.
+:class:`~repro.engine.plan.LocalRankTask` and
+:class:`~repro.engine.plan.SiteRankTask` implement the pair.
 """
 
 from __future__ import annotations

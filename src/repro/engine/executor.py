@@ -211,9 +211,7 @@ class ThreadedExecutor(_BaseExecutor):
 
     Threads share the interpreter, so speedup depends on the work
     releasing the GIL (numpy/scipy matrix products do for non-trivial
-    sizes).  Tasks need not be picklable, which makes this the backend of
-    choice for in-process callbacks such as the serving layer's shard
-    rebuilds.
+    sizes).  Tasks need not be picklable.
     """
 
     name = "threaded"

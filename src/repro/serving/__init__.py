@@ -14,7 +14,9 @@ partition at serving time:
 * :mod:`repro.serving.service` — :class:`RankingService`, the facade wiring
   store, engine, cache and the :mod:`repro.ir` text substrate together,
   including a batched ``query_many`` and a subscription to
-  :class:`~repro.web.incremental.IncrementalLayeredRanker` updates;
+  :class:`~repro.web.incremental.IncrementalLayeredRanker` updates
+  (changed shards are recomposed inline — the subsystem uses no
+  :mod:`repro.engine` executor);
 * :mod:`repro.serving.httpd` — :func:`route_request`, the JSON routes as
   a transport-free function (path + parameters -> payload), and
   :func:`route_body`, the same answer as encoded bytes;

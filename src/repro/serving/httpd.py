@@ -21,7 +21,7 @@ Routes (all ``GET``, all returning ``application/json``):
 ``/score?doc=42``
     O(1) point lookup of one document's score.
 ``/stats``
-    Service / cache / engine statistics.
+    Service / cache / rebuild statistics.
 ``/health``
     Liveness probe.
 ``/healthz``
@@ -288,7 +288,6 @@ def serving_samples(service, uptime_seconds: float
     """
     stats = service.stats()
     cache = stats["cache"]
-    engine = stats["engine"]
     return [
         ("counter", "serving_queries_served_total", {},
          float(stats["queries_served"])),
@@ -310,6 +309,4 @@ def serving_samples(service, uptime_seconds: float
         ("gauge", "serving_store_documents", {},
          float(stats["documents"])),
         ("gauge", "serving_uptime_seconds", {}, uptime_seconds),
-        ("counter", "serving_rebuild_dispatch_bytes_total", {},
-         float(engine["dispatch_bytes"])),
     ]

@@ -173,6 +173,8 @@ class MmapScoreStore(ShardedScoreStore):
             generation = RankedGeneration(generation)
         super().__init__(())
         self._map = _GenerationMap(generation)
+        #: Documents of the shards still served from the mapping.
+        self._mapped_documents = 0
         for shard in generation.shards():
             self._generation += 1
             site = str(shard["site"])
@@ -180,6 +182,7 @@ class MmapScoreStore(ShardedScoreStore):
                                             int(shard["offset"]),
                                             int(shard["count"]),
                                             self._generation)
+            self._mapped_documents += int(shard["count"])
 
     @classmethod
     def from_store(cls, store: Union[ArtifactStore, str, os.PathLike]
@@ -271,10 +274,16 @@ class MmapScoreStore(ShardedScoreStore):
                         float(self._map.scores[position]))
         return None
 
+    def _forget_entries(self, shard) -> None:
+        if isinstance(shard, _MmapShard):
+            self._mapped_documents -= len(shard)
+        else:
+            super()._forget_entries(shard)
+
     @property
     def n_documents(self) -> int:
-        """Total documents across all shards."""
-        return sum(len(shard) for shard in self._shards.values())
+        """Total documents across all shards (O(1): every ``/top`` asks)."""
+        return self._mapped_documents + len(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MmapScoreStore(generation={self._map.generation.name!r}, "

@@ -1,7 +1,7 @@
 """Score-store replication behind a consistent-hash ring.
 
-One :class:`~repro.serving.service.RankingService` serves one store from
-one process thread pool; under high QPS the hot path saturates.  This
+One :class:`~repro.serving.service.RankingService` serves one store behind
+one lock and one result cache; under high QPS the hot path saturates.  This
 module scales reads horizontally: a :class:`ReplicaSet` holds *N*
 replicas — each a full ``RankingService`` over its own
 :meth:`~repro.serving.store.ShardedScoreStore.clone` of the score store —
@@ -22,7 +22,8 @@ and routes every query through a :class:`HashRing`:
   (:meth:`RankingService.apply_update`), re-admit, move on.  At least one
   replica is ready at every instant, so queries are served throughout —
   the generalisation of the PR 4 double-buffered swap from one store to a
-  replica fleet.
+  replica fleet.  The set holds no worker pool: every replica recomposes
+  its shards on the thread that delivered the update.
 
 The set duck-types the query surface of ``RankingService`` (``top``,
 ``query``, ``query_many``, ``describe``, ``score_of``, ``stats``, …), so
@@ -214,11 +215,9 @@ class ReplicaSet:
         self._update_lock = threading.Lock()
         #: Cumulative rolling-rebuild passes over the whole set.
         self.rolling_rebuilds = 0
-        #: Ownership flags mirroring RankingService's (set by builders
-        #: that construct the ranker / shard executor on the set's behalf).
+        #: Ownership flag mirroring RankingService's (set by builders
+        #: that construct the ranker on the set's behalf).
         self._owns_ranker = False
-        self._owns_executor = False
-        self._shared_executor = None
         obs.set_gauge("serving_replicas_ready", float(len(self._replicas)))
         obs.set_gauge("serving_replicas_total", float(len(self._replicas)))
 
@@ -294,14 +293,10 @@ class ReplicaSet:
                 ranker.close()
 
     def close(self) -> None:
-        """Detach, close every replica and release any owned executor."""
+        """Detach (closing a ranker the set owns) and close every replica."""
         self.detach()
         for replica in self._replicas:
             replica.service.close()
-        if self._owns_executor and self._shared_executor is not None:
-            self._shared_executor.close()
-            self._owns_executor = False
-            self._shared_executor = None
 
     def __enter__(self) -> "ReplicaSet":
         return self
@@ -514,10 +509,6 @@ class ReplicaSet:
             "attached_to_ranker": self._ranker is not None,
             "segments": first["segments"],
             "engine": {
-                "executor": first["engine"]["executor"],
-                "transport": first["engine"]["transport"],
-                "dispatch_bytes": sum(stats["engine"]["dispatch_bytes"]
-                                      for stats in per_replica),
                 "rebuilds": sum(stats["engine"]["rebuilds"]
                                 for stats in per_replica),
                 "shards_rebuilt": sum(stats["engine"]["shards_rebuilt"]

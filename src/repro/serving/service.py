@@ -18,7 +18,10 @@ the service subscribes to update notifications: a site-local change
 replaces only that site's shard and invalidates only the cache entries
 tagged with the site (plus global top-k entries), while a SiteRank change
 rebuilds all shards — exactly mirroring the incremental-maintenance
-granularity of the ranking itself.
+granularity of the ranking itself.  A rebuilt shard is the paper's step 5
+for one site, ``π_S(s) · π_D(s)``: one scalar–vector multiply of factors
+the ranker already holds, done inline by :meth:`RankingService.apply_update`
+(measured at 4–6 % of an update; every pooled dispatch of it was slower).
 
 One deliberate asymmetry: the subscription keeps *scores* current, but the
 text index is built once — documents added after construction are served
@@ -32,19 +35,12 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..engine.arena import (
-    resolve_vector_payload,
-    share_vector,
-    vector_arena_nbytes,
-)
-from ..engine.executor import Executor, SerialExecutor
 from ..exceptions import ValidationError
 from ..ir.combined import (
     CombinationRule,
@@ -59,105 +55,6 @@ from ..web.pipeline import WebRankingResult
 from .cache import GLOBAL_TAG, CacheStats, QueryCache
 from .store import LinkScoreView, ScoredDocument, ShardedScoreStore
 from .topk import TopKEngine
-
-
-@dataclass(frozen=True)
-class _ShardRebuildJob:
-    """One invalidated shard's rebuild input (engine payload).
-
-    Module-level, immutable and value-only (site identifier, ids, URLs,
-    the local vector and its SiteRank weight) so any executor backend —
-    including a process pool — can run it.  On the process backend the
-    local score vector rides the engine's zero-copy shared-memory arena
-    (:mod:`repro.engine.arena`) instead of pickle: the job implements the
-    arena's share hooks, and :func:`_weight_shard` attaches the vector in
-    the worker.
-    """
-
-    site: str
-    doc_ids: Tuple[int, ...]
-    urls: Tuple[str, ...]
-    local_scores: object  #: numpy vector, or an ArenaRef to one
-    site_score: float
-
-    # Shared-memory transport hooks (see repro.engine.arena).
-    def __arena_bytes__(self) -> int:
-        return vector_arena_nbytes(self.local_scores)
-
-    def __arena_share__(self, arena) -> "_ShardRebuildJob":
-        return replace(self,
-                       local_scores=share_vector(arena, self.local_scores))
-
-
-def _weight_shard(job: _ShardRebuildJob):
-    """Compute one invalidated shard's refreshed scores (engine task)."""
-    local_scores = np.asarray(resolve_vector_payload(job.local_scores),
-                              dtype=float)
-    return job.site, list(job.doc_ids), list(job.urls), \
-        job.site_score * local_scores
-
-
-#: Shards at or below this many documents ride one fused rebuild job —
-#: the serving-layer echo of the engine's batched-site path (the per-job
-#: dispatch overhead, not the numpy multiply, dominates small shards).
-BATCH_SHARD_MAX_DOCS = 512
-
-
-@dataclass(frozen=True)
-class _ShardRebuildBatch:
-    """Many small shards' rebuild inputs fused into one engine payload.
-
-    The per-site local score vectors are packed into a single
-    concatenated vector (``offsets`` holds the block boundaries), so on a
-    process backend the whole batch ships one arena vector — one packed
-    segment family instead of per-site buffers — and the worker runs one
-    vectorised multiply for every fused shard.
-    """
-
-    sites: Tuple[str, ...]
-    doc_ids: Tuple[Tuple[int, ...], ...]
-    urls: Tuple[Tuple[str, ...], ...]
-    offsets: Tuple[int, ...]
-    local_scores: object  #: packed numpy vector, or an ArenaRef to one
-    site_scores: Tuple[float, ...]
-
-    # Shared-memory transport hooks (see repro.engine.arena).
-    def __arena_bytes__(self) -> int:
-        return vector_arena_nbytes(self.local_scores)
-
-    def __arena_share__(self, arena) -> "_ShardRebuildBatch":
-        return replace(self,
-                       local_scores=share_vector(arena, self.local_scores))
-
-    @classmethod
-    def from_jobs(cls, jobs: Sequence[_ShardRebuildJob]
-                  ) -> "_ShardRebuildBatch":
-        offsets = [0]
-        for job in jobs:
-            offsets.append(offsets[-1] + len(job.doc_ids))
-        return cls(sites=tuple(job.site for job in jobs),
-                   doc_ids=tuple(job.doc_ids for job in jobs),
-                   urls=tuple(job.urls for job in jobs),
-                   offsets=tuple(offsets),
-                   local_scores=np.concatenate([
-                       np.asarray(job.local_scores, dtype=float)
-                       for job in jobs]),
-                   site_scores=tuple(job.site_score for job in jobs))
-
-
-def _weight_shard_batch(batch) -> List[tuple]:
-    """Compute every fused shard's refreshed scores (engine task)."""
-    if isinstance(batch, _ShardRebuildJob):
-        return [_weight_shard(batch)]
-    packed = np.asarray(resolve_vector_payload(batch.local_scores),
-                        dtype=float)
-    results = []
-    for index, site in enumerate(batch.sites):
-        scores = packed[batch.offsets[index]:batch.offsets[index + 1]]
-        results.append((site, list(batch.doc_ids[index]),
-                        list(batch.urls[index]),
-                        batch.site_scores[index] * scores))
-    return results
 
 
 class RankingService:
@@ -175,14 +72,6 @@ class RankingService:
     rule, weight, rrf_constant:
         Defaults of the query/link combination (see
         :func:`repro.ir.combined.combined_search`).
-    executor:
-        Optional :class:`repro.engine.Executor` the shard-rebuild work of
-        incremental updates is dispatched through; serial by default.
-        Rebuilds are double-buffered — queries are served from the old
-        shards for their whole duration and only wait for the final
-        pointer swap — so the executor choice decides how quickly fresh
-        scores become visible, not query latency.  A process backend
-        ships the local vectors through the engine's shared-memory arena.
     """
 
     def __init__(self, store: ShardedScoreStore, *,
@@ -190,26 +79,19 @@ class RankingService:
                  cache_size: int = 1024,
                  rule: CombinationRule = "linear",
                  weight: float = 0.5,
-                 rrf_constant: float = 60.0,
-                 executor: Optional[Executor] = None,
-                 batch_sites: bool = True) -> None:
+                 rrf_constant: float = 60.0) -> None:
         self._store = store
         self._engine = TopKEngine(store)
-        self._executor: Executor = executor or SerialExecutor()
-        #: Whether rebuilds fuse small shards into one packed job (the
-        #: serving echo of the engine's batched-site path).
-        self._batch_sites = bool(batch_sites)
         self._cache = QueryCache(maxsize=cache_size)
         self._index = index
         self._rule: CombinationRule = rule
         self._weight = weight
         self._rrf_constant = rrf_constant
         self._ranker: Optional[IncrementalLayeredRanker] = None
-        #: Whether close() should also close the attached ranker / the
-        #: executor (set by owners that built them on the service's
-        #: behalf, e.g. repro.api.Ranker.serve).
+        #: Whether close() should also close the attached ranker (set by
+        #: owners that built it on the service's behalf, e.g.
+        #: repro.api.Ranker.serve).
         self._owns_ranker = False
-        self._owns_executor = False
         #: Link scores and owning sites aligned to the text index's rows,
         #: per segment (``None`` = base ranking); built lazily, patched
         #: per changed site on shard updates.
@@ -297,17 +179,9 @@ class RankingService:
                 ranker.close()
 
     def close(self) -> None:
-        """Detach (closing any owned ranker) and release any owned executor.
-
-        A service whose shard-rebuild executor was built on its behalf is
-        the only handle to that pool; closing the service shuts it down.
-        Safe to call on any service — without owned resources this is
-        just :meth:`detach`.
-        """
+        """Release what the service holds: :meth:`detach`, which also
+        closes a ranker the service owns."""
         self.detach()
-        if self._owns_executor:
-            self._executor.close()
-            self._owns_executor = False
 
     def __enter__(self) -> "RankingService":
         return self
@@ -323,15 +197,15 @@ class RankingService:
                      ) -> None:
         """Repair shards and cache after an incremental ranking update.
 
-        Double-buffered: the invalidated shards are recomputed and
-        installed into a *copy* of the current store
+        Each invalidated site's shard is the paper's step 5 for that
+        site — ``π_S(s) · π_D(s)``, one scalar–vector multiply of the
+        ranker's cached factors, computed here on the calling thread.
+        Double-buffered: the new shards are installed into a *copy* of the
+        current store
         (:meth:`~repro.serving.store.ShardedScoreStore.rebuilt`) while
         queries keep being answered from the live one — the service lock
         is taken only at the very end, for the pointer swap and the cache
-        invalidation.  On a process-pool executor the local score vectors
-        reach the workers through the engine's shared-memory arena
-        (:class:`_ShardRebuildJob`), so even the rebuild's dispatch cost
-        is independent of shard sizes.
+        invalidation.
 
         Normally invoked through the attached ranker's update
         notifications; *ranker* lets an orchestrator rebuild an
@@ -365,46 +239,17 @@ class RankingService:
         else:
             sites = list(report.recomputed_sites)
             drop = set()
-        # Rebuild every invalidated shard as one engine batch: the weighted
-        # score vectors are computed concurrently (they are independent per
-        # site — the same property the ranking computation itself exploits),
-        # then installed into the back-buffer store in site order so shard
-        # generations stay deterministic.
-        jobs = [self._shard_job(site, ranker) for site in sites]
-        if self._batch_sites:
-            # Small shards fuse into one packed job (their per-job
-            # dispatch would dominate the numpy multiply); large shards
-            # keep dedicated jobs a parallel executor can overlap.
-            small = [job for job in jobs
-                     if len(job.doc_ids) <= BATCH_SHARD_MAX_DOCS]
-            large = [job for job in jobs
-                     if len(job.doc_ids) > BATCH_SHARD_MAX_DOCS]
-            payload: List[object] = list(large)
-            if len(small) > 1:
-                payload.append(_ShardRebuildBatch.from_jobs(small))
-            else:
-                payload.extend(small)
-            flattened = [entry for batch in
-                         self._executor.map(_weight_shard_batch, payload)
-                         for entry in batch]
-            # The fused payload reorders sites (large jobs first); restore
-            # site order so shard generations stay deterministic and
-            # identical to the unbatched path's.
-            by_site = {entry[0]: entry for entry in flattened}
-            weighted = [by_site[site] for site in sites]
-        else:
-            weighted = self._executor.map(_weight_shard, jobs)
-        # Segment columns are a single K-column multiply per site (trivial
-        # next to the solve the ranker already ran), so they are composed
-        # inline rather than shipped through the executor.
-        if self._store.segments:
-            replacements = {
-                site: (doc_ids, urls, scores,
-                       ranker.segment_shard_columns(site))
-                for site, doc_ids, urls, scores in weighted}
-        else:
-            replacements = {site: (doc_ids, urls, scores)
-                            for site, doc_ids, urls, scores in weighted}
+        # In site order, so shard generations are deterministic.
+        urls = docgraph.registry.urls
+        replacements = {}
+        for site in sites:
+            local = ranker.local(site)
+            shard = (local.doc_ids,
+                     [urls[doc_id] for doc_id in local.doc_ids],
+                     ranker.siterank.score_of(site) * local.scores)
+            if self._store.segments:
+                shard += (ranker.segment_shard_columns(site),)
+            replacements[site] = shard
         rebuilt = self._store.rebuilt(replacements, drop=drop)
         with self._lock:
             self._store = rebuilt
@@ -434,15 +279,6 @@ class RankingService:
         obs.inc("serving_swaps_total")
         obs.observe("serving_rebuild_seconds", rebuild_seconds)
 
-    def _shard_job(self, site: str,
-                   ranker: IncrementalLayeredRanker) -> _ShardRebuildJob:
-        local = ranker.local(site)
-        urls = tuple(ranker.docgraph.document(doc_id).url
-                     for doc_id in local.doc_ids)
-        return _ShardRebuildJob(site=site, doc_ids=tuple(local.doc_ids),
-                                urls=urls, local_scores=local.scores,
-                                site_score=ranker.siterank.score_of(site))
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -455,8 +291,8 @@ class RankingService:
         Results are tuples (here and in :meth:`query`) so callers cannot
         mutate the cached entry that later hits are served from.
         """
-        return self._top("top", k, site, segment, lambda: tuple(
-            self._engine.top_k(k, site=site, segment=segment)))
+        return self._top("top", k, site, segment, lambda k: tuple(
+            self._engine.top_k(k, site=site, segment=segment)))[1]
 
     def top_body(self, k: int, *, site: Optional[str] = None,
                  segment: Optional[str] = None) -> bytes:
@@ -467,43 +303,58 @@ class RankingService:
         fragments (:meth:`ShardedScoreStore.top_fragments`) and cached as
         bytes, so neither record objects nor a payload dict are built.
         """
-        def encode() -> bytes:
+        def echo(k: int) -> bytes:
+            return f'{{"k": {json.dumps(k)}'.encode("utf-8")
+
+        def encode(k: int) -> bytes:
             fragments = self._store.top_fragments(k, site=site,
                                                   segment=segment)
             tail = "" if segment is None \
                 else f', "segment": {json.dumps(segment)}'
-            return (f'{{"k": {json.dumps(k)}, "site": {json.dumps(site)}, '
-                    f'"results": [{", ".join(fragments)}]{tail}}}'
-                    ).encode("utf-8")
+            return echo(k) + (f', "site": {json.dumps(site)}, '
+                              f'"results": [{", ".join(fragments)}]{tail}}}'
+                              ).encode("utf-8")
 
-        return self._top("top_body", k, site, segment, encode)
+        held, body = self._top("top_body", k, site, segment, encode)
+        if held != k:
+            # Served from the shared entry: only the echo of k differs.
+            body = echo(k) + body[len(echo(held)):]
+        return body
 
     def _top(self, kind: str, k: int, site: Optional[str],
              segment: Optional[str], compute):
-        """One cached top-k lookup; *compute* runs on a miss, locked."""
+        """One cached top-k lookup; ``compute(k)`` runs on a miss, locked.
+
+        Every ``k`` at or above the number of documents in scope has the
+        same results, so all of them share the entry of that number: a
+        stream of distinct oversized ``k`` caches one full answer, not one
+        per value.  Returns ``(k the entry is held under, result)``.
+        """
         # Validate before the cache lookup so rejected requests do not
         # pollute the hit/miss statistics.
         if k < 0:
             raise ValidationError("k must be non-negative")
-        # Segment-less keys keep their 1.3 shape so an upgraded service
-        # reuses (and stays byte-identical to) the unpersonalised path.
-        key = (kind, k, site) if segment is None \
-            else (kind, k, site, segment)
         with self._lock:
-            if site is not None:
-                self._store.shard_size(site)  # raises on unknown sites
+            # shard_size raises on unknown sites.
+            k = min(k, self._store.n_documents if site is None
+                    else self._store.shard_size(site))
             if segment is not None:
                 self._store.segment_position(segment)  # raises on unknown
+            # Segment-less keys keep their 1.3 shape so an upgraded
+            # service reuses (and stays byte-identical to) the
+            # unpersonalised path.
+            key = (kind, k, site) if segment is None \
+                else (kind, k, site, segment)
             result = self._cache.get(key)
             if result is None:
                 started = perf_counter()
-                result = compute()
+                result = compute(k)
                 self._cache.put(key, result, tags=(GLOBAL_TAG,)
                                 if site is None else (site,))
                 obs.observe("serving_top_seconds", perf_counter() - started,
                             scope="global" if site is None else "site")
             self.queries_served += 1
-            return result
+            return k, result
 
     def query(self, text: str, k: int = 10, *,
               rule: Optional[CombinationRule] = None,
@@ -679,10 +530,9 @@ class RankingService:
         """A JSON-serialisable snapshot of the service's state.
 
         One dict aggregating store state (top-level keys, unchanged since
-        1.2), cache counters (``"cache"``) and the rebuild engine's
-        counters (``"engine"``: executor backend, transport, cumulative
-        dispatch bytes, rebuild/swap counts and the last rebuild's
-        duration).
+        1.2), cache counters (``"cache"``) and the rebuild counters
+        (``"engine"``: rebuilds, shards rebuilt, swaps and the last
+        rebuild's duration).
         """
         with self._lock:
             return {
@@ -696,13 +546,6 @@ class RankingService:
                 "attached_to_ranker": self._ranker is not None,
                 "segments": list(self._store.segments),
                 "engine": {
-                    "executor": self._executor.name,
-                    "transport": str(getattr(self._executor,
-                                             "last_transport",
-                                             "in-process")),
-                    "dispatch_bytes": int(getattr(self._executor,
-                                                  "total_dispatch_bytes",
-                                                  0)),
                     "rebuilds": self.rebuilds,
                     "shards_rebuilt": self.shards_rebuilt,
                     "swaps": self.swap_count,

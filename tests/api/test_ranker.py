@@ -6,6 +6,7 @@ pipeline path for the serial, threaded and process executors, on both the
 toy web and the campus web.
 """
 
+import threading
 import warnings
 
 import numpy as np
@@ -14,6 +15,28 @@ import pytest
 from repro.api import Ranker, RankingConfig, RankingResult, available_methods
 from repro.exceptions import ValidationError
 from repro.web.pipeline import _layered_docrank
+
+
+def record_made_executors(monkeypatch):
+    """Every executor the facade builds by name from here on, in order."""
+    import repro.api.ranker as facade
+
+    made = []
+    make_executor = facade.make_executor
+
+    def recording(*args):
+        made.append(make_executor(*args))
+        return made[-1]
+
+    monkeypatch.setattr(facade, "make_executor", recording)
+    return made
+
+
+def add_first_to_last_link(docgraph, ranker):
+    """One live update (inter-site on the toy web: every shard rebuilt)."""
+    last = docgraph.n_documents - 1
+    return ranker.add_link(docgraph.document(0).url,
+                           docgraph.document(last).url)
 
 
 def legacy_layered(docgraph, **kwargs):
@@ -269,32 +292,45 @@ class TestAdapters:
     @pytest.mark.parametrize("backend", ["threaded", "process"])
     def test_serve_plumbs_pooled_executor_into_the_service(self,
                                                            toy_docgraph,
-                                                           backend):
-        from repro.engine import ThreadedExecutor
-
-        # Shard rebuilds are in-process numpy work, so every pooled config
-        # maps them on a thread pool (never a pickling process pool).
+                                                           backend,
+                                                           monkeypatch):
+        made = record_made_executors(monkeypatch)
+        before = threading.active_count()
         with Ranker(RankingConfig(executor=backend,
                                   n_jobs=2)).serve(docgraph=toy_docgraph,
                                                    incremental=True) as service:
-            assert isinstance(service._executor, ThreadedExecutor)
-            assert service._owns_executor
-            executor = service._executor
-        # Closing the service must shut the shard-rebuild pool down too.
+            # The config's pool is the incremental ranker's solver pool;
+            # serving starts none of its own, before or after an update.
+            (executor,) = made
+            assert service._ranker._executor is executor
+            add_first_to_last_link(toy_docgraph, service._ranker)
+            assert made == [executor]
+            assert service.stats()["engine"]["rebuilds"] == 1
+        # Closing the service shuts that one pool down.
         with pytest.raises(ValidationError, match="closed"):
             executor.map(abs, [1])
+        assert threading.active_count() == before
 
     def test_serve_auto_config_uses_thread_pool_for_shards(self,
-                                                           toy_docgraph):
-        from repro.engine import ThreadedExecutor
+                                                           toy_docgraph,
+                                                           monkeypatch):
+        from repro.engine.adaptive import AutoExecutor
 
-        # AutoExecutor cannot price shard payloads (it would stay serial),
-        # so an "auto" config serves shard rebuilds from a thread pool.
+        # An "auto" config hands its adaptive executor (worker cap
+        # included) to the incremental ranker; serving adds no pool.
+        made = record_made_executors(monkeypatch)
+        before = threading.active_count()
         with Ranker(RankingConfig(executor="auto",
                                   n_jobs=2)).serve(docgraph=toy_docgraph,
                                                    incremental=True) as service:
-            assert isinstance(service._executor, ThreadedExecutor)
-            assert service._executor.n_jobs == 2
+            executor = service._ranker._executor
+            assert isinstance(executor, AutoExecutor)
+            assert executor.n_jobs == 2
+            add_first_to_last_link(toy_docgraph, service._ranker)
+            assert made == []
+        with pytest.raises(ValidationError, match="closed"):
+            executor.map(abs, [1])
+        assert threading.active_count() == before
 
     def test_detach_closes_an_owned_ranker(self, toy_docgraph):
         from repro.exceptions import ValidationError as EngineClosed
@@ -308,12 +344,16 @@ class TestAdapters:
             ranker.full_rebuild()
         service.close()
 
-    def test_serve_serial_config_keeps_default_executor(self, toy_docgraph):
-        from repro.engine import SerialExecutor
-
+    def test_serve_serial_config_keeps_default_executor(self, toy_docgraph,
+                                                        monkeypatch):
+        # A serial config owns nothing: no executor, no thread, no ranker.
+        made = record_made_executors(monkeypatch)
+        before = threading.active_count()
         service = Ranker(RankingConfig()).serve(docgraph=toy_docgraph)
-        assert isinstance(service._executor, SerialExecutor)
-        assert not service._owns_executor
+        assert made == []
+        assert threading.active_count() == before
+        assert not service._owns_ranker
+        service.close()
 
     def test_serve_attached_ranker_stays_callers(self, toy_docgraph):
         api = Ranker(RankingConfig())

@@ -262,23 +262,23 @@ class TestServiceLifecycle:
         from repro.serving import RankingService
 
         web = toy_web()
-        config = RankingConfig(method="layered")
-        with ProcessExecutor(2) as executor:
-            ranker = Ranker(config).incremental(web)
-            try:
-                with RankingService.from_incremental(
-                        ranker, executor=executor) as service:
-                    # Trigger shard rebuilds (both site-local and SiteRank
-                    # paths) through the process executor's arena.
-                    docs = web.documents_of_site(web.sites()[0])
-                    ranker.add_link(web.document(docs[0]).url,
-                                    web.document(docs[1]).url)
-                    other = web.documents_of_site(web.sites()[1])
-                    ranker.add_link(web.document(docs[0]).url,
-                                    web.document(other[0]).url)
-                    assert service.top(5)
-            finally:
-                ranker.close()
+        config = RankingConfig(method="layered", executor="process",
+                               n_jobs=2)
+        ranker = Ranker(config).incremental(web)
+        try:
+            with RankingService.from_incremental(ranker) as service:
+                # Both refresh paths (site-local and SiteRank) ship their
+                # tasks through the process executor's arena; the service
+                # rebuilds its shards from what comes back.
+                docs = web.documents_of_site(web.sites()[0])
+                ranker.add_link(web.document(docs[0]).url,
+                                web.document(docs[1]).url)
+                other = web.documents_of_site(web.sites()[1])
+                ranker.add_link(web.document(docs[0]).url,
+                                web.document(other[0]).url)
+                assert service.top(5)
+        finally:
+            ranker.close()
         assert_no_leaks()
 
 

@@ -34,6 +34,7 @@ from repro.serving import (
     FrontendConfig,
     RankingService,
     ReplicaSet,
+    ShardedScoreStore,
     route_request,
     serve_frontend,
 )
@@ -145,21 +146,22 @@ class TestInlineRoutes:
         assert logged.threads[0] == "repro-frontend"
         assert logged.threads[1].startswith("repro-frontend-worker")
 
-    def test_slow_rebuild_does_not_stall_inline_routes(self, web):
+    def test_slow_rebuild_does_not_stall_inline_routes(self, web,
+                                                       monkeypatch):
         """The loop waits on the service lock for the swap only: while a
-        rebuild sits in its executor, ``/score`` and ``/top`` answer."""
+        rebuild sits in the back buffer, ``/score`` and ``/top`` answer."""
         ranker = Ranker().incremental(web)
         service = RankingService.from_incremental(ranker)
         service._owns_ranker = True
         rebuilding, release = threading.Event(), threading.Event()
-        executor_map = service._executor.map
+        rebuilt = ShardedScoreStore.rebuilt
 
-        def slow_map(function, payload):
+        def slow_rebuilt(store, replacements, **kwargs):
             rebuilding.set()
             release.wait(30.0)
-            return executor_map(function, payload)
+            return rebuilt(store, replacements, **kwargs)
 
-        service._executor.map = slow_map
+        monkeypatch.setattr(ShardedScoreStore, "rebuilt", slow_rebuilt)
         generation = service.store.generation
         source, target = web.document(0).url, web.document(1).url
         updater = threading.Thread(target=ranker.add_link,

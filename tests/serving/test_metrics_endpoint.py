@@ -63,6 +63,7 @@ class TestMetricsEndpoint:
         assert "repro_serving_queries_served_total" in text
         assert "repro_serving_cache_hit_rate" in text
         assert "repro_serving_store_shards 5" in text
+        assert "rebuild_dispatch_bytes" not in text
 
     def test_unknown_paths_fold_into_other_label(self, server):
         try:
@@ -136,7 +137,6 @@ class TestServiceStats:
     def test_stats_aggregates_engine_counters(self, server):
         stats = server.service.stats()
         engine = stats["engine"]
-        assert {"executor", "transport", "dispatch_bytes", "rebuilds",
-                "shards_rebuilt", "swaps",
-                "last_rebuild_seconds"} <= set(engine)
+        assert set(engine) == {"rebuilds", "shards_rebuilt", "swaps",
+                               "last_rebuild_seconds"}
         assert "cache" in stats

@@ -256,6 +256,8 @@ class TestReadinessAndStats:
         for field in ("documents", "shards", "generation",
                       "queries_served", "cache", "engine"):
             assert field in stats
+        assert set(stats["engine"]) == {"rebuilds", "shards_rebuilt",
+                                        "swaps", "last_rebuild_seconds"}
         assert stats["replicas"]["count"] == 3
         assert stats["queries_served"] == 1
 

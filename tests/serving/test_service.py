@@ -1,8 +1,10 @@
 """Tests for repro.serving.service (RankingService)."""
 
+import json
+
 import pytest
 
-from repro.api import Ranker
+from repro.api import Ranker, RankingConfig
 from repro.exceptions import ValidationError
 from repro.graphgen import generate_synthetic_web
 from repro.ir import (
@@ -11,7 +13,12 @@ from repro.ir import (
     combined_search,
     synthesize_corpus,
 )
-from repro.serving import RankingService
+from repro.serving import (
+    RankingService,
+    ShardedScoreStore,
+    route_body,
+    route_request,
+)
 from repro.serving.cache import GLOBAL_TAG
 
 
@@ -55,6 +62,24 @@ class TestTop:
         assert all(d.site == site for d in by_site)
         assert service.top(5, site=site) == by_site
         assert service.cache_stats.hits == 1
+
+    def test_oversized_k_shares_one_cache_entry(self, web, service):
+        """Every k at or above the documents in scope has the same
+        results: a stream of distinct ones must not each cache a
+        full-store answer."""
+        site = web.sites()[0]
+        for scope, params in ((web.n_documents, {}),
+                              (len(web.documents_of_site(site)),
+                               {"site": [site]})):
+            service.cache.clear()
+            for k in range(scope, scope + 50):
+                request = {"k": [str(k)], **params}
+                payload, status = route_request(service, "/top", request)
+                assert payload["k"] == k
+                assert len(payload["results"]) == scope
+                assert route_body(service, "/top", request) == \
+                    (json.dumps(payload).encode("utf-8"), status)
+            assert len(service.cache) <= 2  # one per kind: records, body
 
 
 class TestTextQueries:
@@ -284,181 +309,140 @@ class TestIncrementalInvalidation:
         assert service.store.generation == generation
 
 
+def pooled_ranker(web, executor):
+    return Ranker(RankingConfig(executor=executor, n_jobs=2)).incremental(web)
+
+
+def add_intersite_link(web, ranker):
+    """An inter-site link: the SiteRank changes, so every shard is rebuilt."""
+    sites = web.sites()
+    source = web.document(web.documents_of_site(sites[0])[0]).url
+    target = web.document(web.documents_of_site(sites[1])[0]).url
+    report = ranker.add_link(source, target)
+    assert report.siterank_recomputed
+
+
+def shard_generations(service, web):
+    return [service.store.shard_generation(site) for site in web.sites()]
+
+
 class TestEngineShardRebuild:
-    """Shard rebuilds can run through a parallel engine executor."""
+    """Whatever pool the *ranker* solves on, the service composes its
+    shards inline: same scores, same generations as a serial ranker's."""
 
     def test_parallel_rebuild_matches_serial_service(self, web):
-        from repro.engine import ThreadedExecutor
-
         serial_ranker = IncrementalLayeredRanker(web)
         serial = RankingService.from_incremental(serial_ranker)
-        with ThreadedExecutor(2) as executor:
-            parallel_web = generate_synthetic_web(n_sites=8, n_documents=300,
-                                                  seed=3)
-            parallel_ranker = IncrementalLayeredRanker(parallel_web)
-            parallel = RankingService.from_incremental(parallel_ranker,
-                                                       executor=executor)
-            # An inter-site link forces a SiteRank change, i.e. every shard
-            # is rebuilt — through the thread pool on the parallel service.
-            sites = web.sites()
-            source = web.document(web.documents_of_site(sites[0])[0]).url
-            target = web.document(web.documents_of_site(sites[1])[0]).url
-            serial_ranker.add_link(source, target)
-            parallel_ranker.add_link(source, target)
+        parallel_web = generate_synthetic_web(n_sites=8, n_documents=300,
+                                              seed=3)
+        with pooled_ranker(parallel_web, "threaded") as parallel_ranker:
+            parallel = RankingService.from_incremental(parallel_ranker)
+            add_intersite_link(web, serial_ranker)
+            add_intersite_link(parallel_web, parallel_ranker)
             assert [d.doc_id for d in serial.top(20)] == \
                 [d.doc_id for d in parallel.top(20)]
             assert [d.score for d in serial.top(20)] == \
                 [d.score for d in parallel.top(20)]
 
     def test_store_generations_stay_deterministic(self, web):
-        from repro.engine import ThreadedExecutor
-
-        with ThreadedExecutor(3) as executor:
-            ranker = IncrementalLayeredRanker(web)
-            service = RankingService.from_incremental(ranker,
-                                                      executor=executor)
-            sites = web.sites()
-            source = web.document(web.documents_of_site(sites[0])[0]).url
-            target = web.document(web.documents_of_site(sites[1])[0]).url
-            ranker.add_link(source, target)
-            # Shards are installed serially in site order regardless of the
-            # executor's scheduling, so generations are reproducible.
-            generations = [service.store.shard_generation(s)
-                           for s in web.sites()]
+        serial_ranker = IncrementalLayeredRanker(web)
+        serial = RankingService.from_incremental(serial_ranker)
+        add_intersite_link(web, serial_ranker)
+        pooled_web = generate_synthetic_web(n_sites=8, n_documents=300,
+                                            seed=3)
+        with pooled_ranker(pooled_web, "threaded") as ranker:
+            service = RankingService.from_incremental(ranker)
+            add_intersite_link(pooled_web, ranker)
+            # Shards are installed in site order on the updating thread,
+            # so generations are reproducible.
+            generations = shard_generations(service, pooled_web)
             assert generations == sorted(generations)
+            assert generations == shard_generations(serial, web)
 
 
 class TestBatchedShardRebuild:
-    """Small shards fuse into one packed rebuild job (batch_sites)."""
-
-    def _mutate(self, web, ranker):
-        sites = web.sites()
-        source = web.document(web.documents_of_site(sites[0])[0]).url
-        target = web.document(web.documents_of_site(sites[1])[0]).url
-        ranker.add_link(source, target)
+    """An all-shards update is one pass over the sites and one back
+    buffer, whatever the mix of shard sizes."""
 
     def test_batched_rebuild_matches_unbatched_service(self, web):
-        batched_ranker = IncrementalLayeredRanker(web)
-        batched = RankingService.from_incremental(batched_ranker)
-        assert batched._batch_sites
-        plain_web = generate_synthetic_web(n_sites=8, n_documents=300,
-                                           seed=3)
-        plain_ranker = IncrementalLayeredRanker(plain_web)
-        plain = RankingService.from_incremental(plain_ranker,
-                                                batch_sites=False)
-        self._mutate(web, batched_ranker)
-        self._mutate(plain_web, plain_ranker)
-        assert [d.doc_id for d in batched.top(20)] == \
-            [d.doc_id for d in plain.top(20)]
-        assert [d.score for d in batched.top(20)] == \
-            [d.score for d in plain.top(20)]
+        ranker = IncrementalLayeredRanker(web)
+        service = RankingService.from_incremental(ranker)
+        add_intersite_link(web, ranker)
+        fresh = ShardedScoreStore.from_ranking(ranker.ranking(), web)
+        for site in web.sites():
+            local = ranker.local(site)
+            ids, scores = service.store._shard(site).id_score_arrays()
+            assert ids.tolist() == list(local.doc_ids)
+            # Bitwise the paper's step 5 for the site...
+            assert scores.tobytes() == \
+                (ranker.siterank.score_of(site) * local.scores).tobytes()
+            # ...which a from-scratch composition renormalises by a sum
+            # that is 1 up to float drift.
+            assert scores == pytest.approx(
+                fresh._shard(site).id_score_arrays()[1], rel=1e-12)
 
-    def test_rebuild_dispatches_one_fused_job_for_small_shards(self, web):
+    def test_rebuild_dispatches_one_fused_job_for_small_shards(
+            self, web, monkeypatch):
         recorded = []
+        rebuilt = ShardedScoreStore.rebuilt
 
-        class RecordingExecutor:
-            name = "recording"
-            n_jobs = 1
-
-            def map(self, fn, items):
-                recorded.append(list(items))
-                return [fn(item) for item in items]
-
-            def warmup(self, tasks=None):
-                pass
-
-            def close(self):
-                pass
+        def recording_rebuilt(store, replacements, **kwargs):
+            recorded.append(replacements)
+            return rebuilt(store, replacements, **kwargs)
 
         ranker = IncrementalLayeredRanker(web)
-        service = RankingService.from_incremental(
-            ranker, executor=RecordingExecutor())
-        self._mutate(web, ranker)
-        from repro.serving.service import _ShardRebuildBatch
+        service = RankingService.from_incremental(ranker)
+        monkeypatch.setattr(ShardedScoreStore, "rebuilt", recording_rebuilt)
+        add_intersite_link(web, ranker)
+        # The whole update is a single back buffer holding every shard.
+        (replacements,) = recorded
+        assert list(replacements) == web.sites()
+        assert sum(len(shard[0]) for shard in replacements.values()) \
+            == web.n_documents
+        assert service.stats()["engine"]["rebuilds"] == 1
+        assert service.stats()["engine"]["shards_rebuilt"] == web.n_sites
 
-        assert recorded, "the rebuild never reached the executor"
-        # Every shard of this web is small, so the whole rebuild ships as
-        # a single fused payload carrying one packed score vector.
-        (payload,) = recorded[-1]
-        assert isinstance(payload, _ShardRebuildBatch)
-        assert sorted(payload.sites) == sorted(web.sites())
-        assert payload.offsets[-1] == web.n_documents
-
-    def test_large_shards_keep_dedicated_jobs(self, web, monkeypatch):
-        import repro.serving.service as service_module
-
-        recorded = []
-
-        class RecordingExecutor:
-            name = "recording"
-            n_jobs = 1
-
-            def map(self, fn, items):
-                recorded.append(list(items))
-                return [fn(item) for item in items]
-
-            def warmup(self, tasks=None):
-                pass
-
-            def close(self):
-                pass
-
-        monkeypatch.setattr(service_module, "BATCH_SHARD_MAX_DOCS", 30)
+    def test_large_shards_keep_dedicated_jobs(self, web):
         ranker = IncrementalLayeredRanker(web)
-        service = RankingService.from_incremental(ranker,
-                                                  executor=RecordingExecutor())
-        self._mutate(web, ranker)
-        payload = recorded[-1]
-        fused = [job for job in payload
-                 if isinstance(job, service_module._ShardRebuildBatch)]
-        dedicated = [job for job in payload
-                     if isinstance(job, service_module._ShardRebuildJob)]
-        assert fused and dedicated
-        assert all(len(job.doc_ids) > 30 for job in dedicated)
-        # Even though the fused payload reorders sites (large jobs first),
-        # shards must still be installed in site order so generations stay
-        # deterministic and identical to the unbatched path's.
-        generations = [service.store.shard_generation(s)
-                       for s in web.sites()]
+        service = RankingService.from_incremental(ranker)
+        sizes = [service.store.shard_size(site) for site in web.sites()]
+        assert min(sizes) <= 30 < max(sizes)  # a mix of shard sizes
+        add_intersite_link(web, ranker)
+        # Large or small, shards are installed in site order.
+        generations = shard_generations(service, web)
         assert generations == sorted(generations)
+        assert generations[-1] == service.store.generation
 
 
 class TestDoubleBufferedRebuild:
     """Shard rebuilds must not hold the service lock: queries keep being
     answered from the previous shards and only wait for the pointer swap."""
 
-    def test_queries_are_served_while_a_rebuild_is_in_flight(self, web):
+    def test_queries_are_served_while_a_rebuild_is_in_flight(self, web,
+                                                             monkeypatch):
         import threading
 
-        from repro.engine import SerialExecutor
+        entered, release = threading.Event(), threading.Event()
+        rebuilt = ShardedScoreStore.rebuilt
 
-        class GatedExecutor(SerialExecutor):
-            """Blocks the rebuild's engine batch until released."""
+        def gated_rebuilt(store, replacements, **kwargs):
+            """Blocks the rebuild's back buffer until released."""
+            entered.set()
+            assert release.wait(timeout=30), "test gate timed out"
+            return rebuilt(store, replacements, **kwargs)
 
-            def __init__(self):
-                self.entered = threading.Event()
-                self.release = threading.Event()
-
-            def map(self, fn, items):
-                self.entered.set()
-                assert self.release.wait(timeout=30), "test gate timed out"
-                return super().map(fn, items)
-
-        gate = GatedExecutor()
         ranker = IncrementalLayeredRanker(web)
-        service = RankingService.from_incremental(ranker, executor=gate)
+        service = RankingService.from_incremental(ranker)
         before = service.top(10)
+        monkeypatch.setattr(ShardedScoreStore, "rebuilt", gated_rebuilt)
 
         # An inter-site link forces a SiteRank change, i.e. a rebuild of
         # every shard — the worst-case window.
-        site_a, site_b = web.sites()[:2]
-        source = web.document(web.documents_of_site(site_a)[0]).url
-        target = web.document(web.documents_of_site(site_b)[0]).url
-        update = threading.Thread(target=ranker.add_link,
-                                  args=(source, target))
+        update = threading.Thread(target=add_intersite_link,
+                                  args=(web, ranker))
         update.start()
         try:
-            assert gate.entered.wait(timeout=30)
+            assert entered.wait(timeout=30)
             # The rebuild is mid-flight and gated.  An *uncached* query
             # (different k, so it must read the store) has to complete
             # promptly from the old shards; run it on a helper thread so a
@@ -476,33 +460,28 @@ class TestDoubleBufferedRebuild:
             assert [d.doc_id for d in answers["top"]] == \
                 [d.doc_id for d in before[:7]]
         finally:
-            gate.release.set()
+            release.set()
             update.join(timeout=30)
+        assert not update.is_alive()
         # After the swap the fresh composition is what gets served.
         assert [d.doc_id for d in service.top(10)] == \
             ranker.ranking().top_k(10)
 
     def test_process_executor_rebuild_matches_serial(self, web):
-        from repro.engine import ProcessExecutor
-
         serial_ranker = IncrementalLayeredRanker(web)
         serial = RankingService.from_incremental(serial_ranker)
-        with ProcessExecutor(2) as executor:
-            process_web = generate_synthetic_web(n_sites=8, n_documents=300,
-                                                 seed=3)
-            process_ranker = IncrementalLayeredRanker(process_web)
-            process = RankingService.from_incremental(process_ranker,
-                                                      executor=executor)
-            sites = web.sites()
-            source = web.document(web.documents_of_site(sites[0])[0]).url
-            target = web.document(web.documents_of_site(sites[1])[0]).url
-            serial_ranker.add_link(source, target)
-            process_ranker.add_link(source, target)
-            # The local vectors rode the shared-memory arena; the served
-            # scores must still be bitwise identical to the serial rebuild.
+        process_web = generate_synthetic_web(n_sites=8, n_documents=300,
+                                             seed=3)
+        with pooled_ranker(process_web, "process") as process_ranker:
+            process = RankingService.from_incremental(process_ranker)
+            add_intersite_link(web, serial_ranker)
+            add_intersite_link(process_web, process_ranker)
+            # The ranker's factors came back from worker processes; the
+            # served scores must still be bitwise the serial ranker's.
             assert [d.score for d in serial.top(20)] == \
                 [d.score for d in process.top(20)]
-            assert executor.last_transport == "arena"
+            assert shard_generations(process, process_web) == \
+                shard_generations(serial, web)
 
 
 class TestConcurrency:
