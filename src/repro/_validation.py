@@ -96,7 +96,9 @@ def ensure_distribution(vector, *, atol: float = DEFAULT_ATOL,
     if float(arr.min()) < -atol:
         raise NotADistributionError(f"{name} has negative entries")
     total = float(arr.sum())
-    if abs(total - 1.0) > max(atol, atol * arr.size):
+    # ``not <=`` rather than ``>``: a NaN entry makes the sum NaN, and
+    # every comparison with NaN is false.
+    if not abs(total - 1.0) <= max(atol, atol * arr.size):
         raise NotADistributionError(
             f"{name} must sum to 1, got {total:.12f}")
     return arr

@@ -564,7 +564,6 @@ def _command_calibrate(args: argparse.Namespace) -> int:
     profile = calibrate(quick=args.quick, n_jobs=args.jobs_int)
     print(f"measured on {profile.machine} ({profile.cpu_count} CPUs), "
           f"{profile.measured_at}")
-    print(f"dense cutoff:                      {profile.dense_cutoff} docs")
     print(f"serial -> threaded threshold:      "
           f"{profile.serial_flops_threshold:.3g} flops")
     print(f"threaded -> process threshold:     "

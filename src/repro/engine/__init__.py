@@ -59,7 +59,6 @@ from .calibrate import (
     activate_profile,
     active_profile,
     deactivate_profile,
-    dense_cutoff,
 )
 from .calibrate import calibrate as run_calibration
 from .executor import (
@@ -121,7 +120,6 @@ __all__ = [
     "active_profile",
     "run_calibration",
     "deactivate_profile",
-    "dense_cutoff",
     "BACKENDS",
     "Executor",
     "ProcessExecutor",

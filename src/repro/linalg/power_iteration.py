@@ -3,7 +3,11 @@
 This is the numerical workhorse of the whole package: PageRank, SiteRank,
 local DocRanks, and the stationary distribution of the global LMM matrix
 ``W`` are all computed by iterating ``x_{k+1} = x_k @ P`` until the change
-between successive iterates falls below a tolerance.
+between successive iterates falls below a tolerance.  Two kernels share
+that loop: :func:`stationary_distribution` iterates an explicit
+row-stochastic matrix (``core/`` and the paper's worked example hand it
+one), :func:`stationary_distribution_dangling_aware` is the matrix-free
+form over a sparse link matrix that every engine task runs.
 
 The solver reports a :class:`PowerIterationResult` carrying the full residual
 history so that convergence benchmarks (experiment E11,
@@ -163,7 +167,8 @@ def stationary_distribution(transition, *, start: Optional[np.ndarray] = None,
 
     # Telemetry is recorded once per run, after the loop — the hot loop
     # itself carries no instrumentation.
-    obs.record_solver("power", iterations, residual, converged)
+    obs.record_solver("power", iterations, residual, converged, n=n,
+                      nnz=matrix.nnz if is_sparse(matrix) else matrix.size)
     return PowerIterationResult(vector=x, iterations=iterations,
                                 converged=converged, residuals=residuals,
                                 tolerance=tol, last_residual=residual)
@@ -187,9 +192,12 @@ def stationary_distribution_dangling_aware(
     ``x_{k+1} = f x_k M + f (x_k · d) w + (1 - f) v``
 
     where ``d`` is the dangling indicator, ``w`` the dangling redistribution
-    distribution and ``v`` the teleportation preference.  This is the form
-    used for the large campus-web benchmarks; for small matrices it agrees
-    with building ``M̂`` explicitly (a property exercised by the tests).
+    distribution and ``v`` the teleportation preference.  Every engine
+    solve — each dedicated site's local DocRank and the SiteRank — runs
+    this form at every size; it agrees with building ``M̂`` explicitly (a
+    property exercised by the tests).  ``start``, ``tol`` and ``max_iter``
+    are validated like :func:`stationary_distribution` validates them,
+    before any iteration.
 
     Parameters
     ----------
@@ -208,6 +216,10 @@ def stationary_distribution_dangling_aware(
     n = link_matrix.shape[0]
     if not 0.0 <= damping <= 1.0:
         raise ValidationError("damping must be in [0, 1]")
+    if max_iter < 1:
+        raise ValidationError("max_iter must be at least 1")
+    if tol <= 0:
+        raise ValidationError("tol must be positive")
     if preference is None:
         v = uniform_distribution(n)
     else:
@@ -222,29 +234,35 @@ def stationary_distribution_dangling_aware(
         if w.size != n:
             raise ValidationError(
                 f"dangling_weights has length {w.size}, expected {n}")
-
-    matrix = link_matrix.tocsr() if is_sparse(link_matrix) else np.asarray(
-        link_matrix, dtype=float)
-    sums = (np.asarray(matrix.sum(axis=1)).ravel() if is_sparse(matrix)
-            else matrix.sum(axis=1))
-    dangling_mask = (sums == 0.0).astype(float)
-
     if start is None:
         x = uniform_distribution(n)
     else:
         x = ensure_distribution(start, name="start").copy()
+        if x.size != n:
+            raise ValidationError(
+                f"start vector has length {x.size}, expected {n}")
+
+    sparse = is_sparse(link_matrix)
+    matrix = link_matrix.tocsr() if sparse else np.asarray(
+        link_matrix, dtype=float)
+    dangling_mask = (np.asarray(matrix.sum(axis=1)).ravel() == 0.0).astype(
+        float)
+    # The iteration is ``x @ matrix``; it runs as ``operator @ x`` on the
+    # transpose taken once here (a view: CSC over the CSR's buffers).
+    # ``x @ csr`` makes scipy construct that transposed object every
+    # iteration, which costs several times the product itself on a
+    # site-sized block.  Same additions in the same order, so the iterates
+    # are bitwise those of ``x @ matrix``.
+    operator = matrix.T
+    teleport = (1.0 - damping) * v
 
     residuals: List[float] = []
     residual = float("inf")
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if is_sparse(matrix):
-            linked = np.asarray(x @ matrix).ravel()
-        else:
-            linked = x @ matrix
         dangling_mass = float(x @ dangling_mask)
-        new_x = damping * (linked + dangling_mass * w) + (1.0 - damping) * v
+        new_x = damping * (operator @ x + dangling_mass * w) + teleport
         total = new_x.sum()
         if total > 0:
             new_x = new_x / total
@@ -264,7 +282,8 @@ def stationary_distribution_dangling_aware(
             f"iterations (last residual {residual:.3e})",
             iterations=iterations, residual=residual)
 
-    obs.record_solver("power_dangling", iterations, residual, converged)
+    obs.record_solver("power_dangling", iterations, residual, converged, n=n,
+                      nnz=matrix.nnz if sparse else matrix.size)
     return PowerIterationResult(vector=x, iterations=iterations,
                                 converged=converged, residuals=residuals,
                                 tolerance=tol, last_residual=residual)

@@ -144,16 +144,22 @@ def add_gauge(name: str, delta: float, **labels: str) -> None:
 
 
 def record_solver(solver: str, iterations: int, residual: float,
-                  converged: bool, *, vectors: int = 1) -> None:
+                  converged: bool, *, n: int, nnz: int,
+                  vectors: int = 1) -> None:
     """Record one solver run (called once per run, after the loop).
 
-    ``vectors`` is the number of solution columns the run advanced per
-    matrix sweep (K for a fused multi-vector solve, 1 classically); the
-    ``solver_sweeps_per_vector`` gauge is the run's iteration count
+    ``n`` and ``nnz`` are the problem size (rows and stored entries of
+    the iterated matrix), observed as the ``solver_rows`` /
+    ``solver_nnz`` histograms so iteration counts can be read against
+    size.  ``vectors`` is the number of solution columns the run advanced
+    per matrix sweep (K for a fused multi-vector solve, 1 classically);
+    the ``solver_sweeps_per_vector`` gauge is the run's iteration count
     amortised over those columns — the SpMM win made visible.
     """
     if not _ENABLED:
         return
+    _REGISTRY.observe("solver_rows", float(n), solver=solver)
+    _REGISTRY.observe("solver_nnz", float(nnz), solver=solver)
     _REGISTRY.inc("solver_runs_total", 1.0, solver=solver)
     _REGISTRY.inc("solver_iterations_total", float(iterations),
                   solver=solver)

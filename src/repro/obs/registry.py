@@ -64,7 +64,8 @@ FLOPS_BUCKETS: Tuple[float, ...] = (
 COUNT_BUCKETS: Tuple[float, ...] = (
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1000)
 
-#: Buckets for retrieval candidate-set sizes (up to whole corpora).
+#: Buckets for retrieval candidate-set and solver problem sizes (decades,
+#: up to whole corpora).
 CANDIDATE_BUCKETS: Tuple[float, ...] = (
     10, 100, 1000, 10_000, 100_000, 1_000_000, 10_000_000)
 
@@ -75,6 +76,8 @@ _SUFFIX_BUCKETS: Tuple[Tuple[str, Tuple[float, ...]], ...] = (
     ("_bytes", BYTES_BUCKETS),
     ("_flops", FLOPS_BUCKETS),
     ("_candidates", CANDIDATE_BUCKETS),
+    ("_rows", CANDIDATE_BUCKETS),
+    ("_nnz", CANDIDATE_BUCKETS),
 )
 
 

@@ -5,13 +5,14 @@ implemented exactly as described in Section 2.1: derive the row-stochastic
 transition matrix ``M`` from the link graph, apply the maximal-irreducibility
 adjustment ``M̂ = f M + (1 - f) e v'`` and run the power method.
 
-Two code paths are provided:
+Two code paths are provided, with one fixed point and one dangling policy:
 
-* an **explicit** path that materialises ``M̂`` (only viable for small
-  graphs; used by the tests and by the paper's 12-state worked example);
+* an **explicit** path that materialises ``M̂`` (for callers that hold a
+  dense matrix anyway — ``core/``, the paper's 12-state worked example —
+  and as the oracle the tests compare the other path against);
 * a **matrix-free** path that keeps only the sparse link matrix and applies
-  teleportation and dangling corrections analytically each iteration — this
-  scales to the campus-web benchmarks.
+  teleportation and dangling corrections analytically each iteration —
+  what every sparse input, and every engine solve, runs at every size.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .._validation import ensure_distribution, ensure_probability
+from .._validation import ensure_distribution, ensure_probability, is_sparse
 from ..exceptions import ValidationError
 from ..linalg.power_iteration import (
     DEFAULT_MAX_ITER,
@@ -29,7 +30,11 @@ from ..linalg.power_iteration import (
     stationary_distribution,
     stationary_distribution_dangling_aware,
 )
-from ..linalg.stochastic import row_normalize, transition_matrix
+from ..linalg.stochastic import (
+    row_normalize,
+    transition_matrix,
+    uniform_distribution,
+)
 from ..markov.irreducibility import DEFAULT_DAMPING, maximal_irreducibility
 
 
@@ -92,13 +97,15 @@ def pagerank(adjacency, damping: float = DEFAULT_DAMPING,
         Power-method stopping parameters.
     method:
         ``"dense"`` materialises the Google matrix; ``"sparse"`` uses the
-        matrix-free iteration; ``"auto"`` picks dense below the calibrated
-        cut-off (:func:`repro.engine.calibrate.dense_cutoff`, 2000 nodes
-        unless a measured profile is active).
+        matrix-free iteration; ``"auto"`` decides from the input — a scipy
+        sparse *adjacency* runs sparse, a dense array (whose caller already
+        paid for n² entries) runs dense.  Both reach the same fixed point.
     dangling:
-        Dangling-node policy for the dense path (the sparse path always
-        redistributes dangling mass to the preference vector, which matches
-        the ``"uniform"`` policy when no preference is given).
+        Dangling-node policy, honoured by both methods
+        (:mod:`repro.linalg.stochastic`): ``"uniform"`` (default) sends a
+        dangling node's mass to every node equally, ``"preference"`` to
+        the *preference* vector, ``"self"`` keeps it in place and
+        ``"error"`` rejects graphs that have dangling nodes.
     start:
         Optional starting distribution for the power iteration (uniform by
         default).  Seeding with a previously converged vector — the
@@ -126,11 +133,7 @@ def pagerank(adjacency, damping: float = DEFAULT_DAMPING,
                 f"preference has length {preference.size}, expected {n}")
 
     if method == "auto":
-        # Lazy import: this module sits below repro.engine in the layering
-        # and only needs the calibrated cut-off at call time.
-        from ..engine.calibrate import dense_cutoff
-
-        method = "dense" if n <= dense_cutoff() else "sparse"
+        method = "sparse" if is_sparse(adjacency) else "dense"
     if method not in ("dense", "sparse"):
         raise ValidationError(f"unknown method {method!r}")
 
@@ -143,9 +146,20 @@ def pagerank(adjacency, damping: float = DEFAULT_DAMPING,
                                          start=start,
                                          record_residuals=record_residuals)
     else:
-        link = row_normalize(adjacency)
+        if dangling == "preference" and preference is None:
+            raise ValidationError(
+                "dangling policy 'preference' requires a preference vector")
+        # "self" and "error" leave no dangling row behind, so their
+        # transition matrix is as sparse as the input; the two
+        # redistributing policies stay analytic (the kernel's default
+        # dangling weights are the preference).
+        link = (row_normalize(adjacency)
+                if dangling in ("uniform", "preference")
+                else transition_matrix(adjacency, dangling=dangling))
         result = stationary_distribution_dangling_aware(
             link, damping, preference, tol=tol, max_iter=max_iter,
+            dangling_weights=uniform_distribution(n)
+            if dangling == "uniform" else None,
             start=start, record_residuals=record_residuals)
 
     return PageRankResult(scores=result.vector, iterations=result.iterations,

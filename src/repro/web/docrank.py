@@ -7,7 +7,12 @@ peer-to-peer search system."
 
 A local DocRank only ever looks at the intra-site links of its own site, so
 every site's computation is independent — the property the distributed
-simulation (:mod:`repro.distributed`) exploits.
+simulation (:mod:`repro.distributed`) exploits.  The solve is the
+matrix-free sparse power iteration
+(:func:`repro.linalg.power_iteration.stationary_distribution_dangling_aware`)
+whatever the site's size: memory stays proportional to the site's links,
+and dangling documents spread their mass uniformly, as in the fused block
+solver that small sites ride.
 """
 
 from __future__ import annotations
@@ -169,21 +174,17 @@ def solve_local_docrank(site: str, local_adjacency, doc_ids: List[int],
     it can run unchanged on the calling thread, a pool thread, or a worker
     process.
     """
-    from ..engine.calibrate import dense_cutoff
-
     if preference is not None:
         preference = np.asarray(preference, dtype=float)
         if preference.size != len(doc_ids):
             raise ValidationError(
                 f"preference for site {site!r} has length {preference.size}, "
                 f"expected {len(doc_ids)}")
-    # The dense/sparse switch is the calibrated cut-off (historically the
-    # hardcoded 2000); residual histories stay off — this is an engine hot
+    # The matrix-free kernel at every size — a site never becomes an n × n
+    # Google matrix; residual histories stay off — this is an engine hot
     # path and LocalDocRank does not carry them anyway.
     result = pagerank(local_adjacency, damping=damping, preference=preference,
-                      tol=tol, max_iter=max_iter,
-                      method="dense" if len(doc_ids) <= dense_cutoff()
-                      else "sparse",
+                      tol=tol, max_iter=max_iter, method="sparse",
                       start=start, record_residuals=False)
     return LocalDocRank(site=site, doc_ids=list(doc_ids),
                         scores=result.scores, iterations=result.iterations)

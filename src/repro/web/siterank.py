@@ -4,7 +4,9 @@ The SiteRank is the principal eigenvector of the primitive transition matrix
 ``M̂(G_S)`` derived from the SiteGraph — i.e. PageRank applied at site
 granularity.  Its computation is "of a comparably low complexity" (the
 SiteGraph has orders of magnitude fewer nodes than the DocGraph) and can be
-performed centrally or shared among peers.
+performed centrally or shared among peers.  It runs the same matrix-free
+sparse power iteration as a local DocRank, at every size: a SiteGraph has
+a handful of SiteLinks per site, so no n × n matrix is ever built for it.
 """
 
 from __future__ import annotations
@@ -88,12 +90,8 @@ def siterank(sitegraph: SiteGraph, damping: float = DEFAULT_DAMPING, *,
         Optional warm-start distribution in site order (e.g. a previously
         converged SiteRank); uniform when omitted.
     """
-    from ..engine.calibrate import dense_cutoff
-
     result = pagerank(sitegraph.adjacency, damping=damping,
                       preference=preference, tol=tol, max_iter=max_iter,
-                      method="dense" if sitegraph.n_sites <= dense_cutoff()
-                      else "sparse",
-                      start=start, record_residuals=False)
+                      method="sparse", start=start, record_residuals=False)
     return SiteRankResult(sites=list(sitegraph.sites), scores=result.scores,
                           iterations=result.iterations, damping=damping)

@@ -6,15 +6,12 @@ import pytest
 
 from repro.engine import calibrate as cal
 from repro.engine.calibrate import (
-    DEFAULT_DENSE_CUTOFF,
     CalibrationProfile,
     activate_profile,
     batched_flop_thresholds,
     crossover_point,
     deactivate_profile,
-    dense_cutoff,
     flop_thresholds,
-    measure_dense_sparse_cutoff,
 )
 from repro.exceptions import ValidationError
 
@@ -27,7 +24,7 @@ def _clean_profile():
 
 
 def make_profile(**overrides):
-    values = dict(dense_cutoff=1234, serial_flops_threshold=1e6,
+    values = dict(serial_flops_threshold=1e6,
                   process_flops_threshold=1e8,
                   batched_serial_flops_threshold=1e7,
                   batched_process_flops_threshold=1e9)
@@ -68,8 +65,8 @@ class TestCrossoverPoint:
 
 class TestProfile:
     def test_defaults_without_active_profile(self):
-        assert dense_cutoff() == DEFAULT_DENSE_CUTOFF
         from repro.engine.adaptive import (
+            BATCHED_PROCESS_FLOPS_THRESHOLD,
             BATCHED_SERIAL_FLOPS_THRESHOLD,
             PROCESS_FLOPS_THRESHOLD,
             SERIAL_FLOPS_THRESHOLD,
@@ -77,28 +74,36 @@ class TestProfile:
 
         assert flop_thresholds() == (SERIAL_FLOPS_THRESHOLD,
                                      PROCESS_FLOPS_THRESHOLD)
-        assert batched_flop_thresholds()[0] == BATCHED_SERIAL_FLOPS_THRESHOLD
+        assert batched_flop_thresholds() == (BATCHED_SERIAL_FLOPS_THRESHOLD,
+                                             BATCHED_PROCESS_FLOPS_THRESHOLD)
 
     def test_activation_changes_every_consumer(self):
+        from repro.engine.adaptive import SERIAL_FLOPS_THRESHOLD
+
         activate_profile(make_profile())
-        assert dense_cutoff() == 1234
         assert flop_thresholds() == (1e6, 1e8)
         assert batched_flop_thresholds() == (1e7, 1e9)
         deactivate_profile()
-        assert dense_cutoff() == DEFAULT_DENSE_CUTOFF
+        assert flop_thresholds()[0] == SERIAL_FLOPS_THRESHOLD
 
-    def test_activated_cutoff_steers_the_local_solver(self, toy_docgraph):
-        # With a cutoff of 0 every site takes the sparse kernel; scores
-        # agree with the dense default to solver tolerance.
-        import numpy as np
-
-        from repro.web import local_docrank
-
-        site = toy_docgraph.sites()[0]
-        dense = local_docrank(toy_docgraph, site)
-        activate_profile(make_profile(dense_cutoff=0))
-        sparse = local_docrank(toy_docgraph, site)
-        assert np.allclose(dense.scores, sparse.scores, atol=1e-8)
+    def test_parent_format_profile_still_loads(self, tmp_path, monkeypatch):
+        # Every profile `repro calibrate` wrote before the dense kernel
+        # left the engine carries its cut-off; REPRO_CALIBRATION pointing
+        # at such a file must keep working, and the key is never rewritten.
+        legacy = dict(make_profile().to_dict(), dense_cutoff=1234,
+                      details={"dense_vs_sparse": [{"n": 128}],
+                               "backends": []})
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(legacy))
+        monkeypatch.setenv(cal.PROFILE_ENV_VAR, str(path))
+        monkeypatch.setattr(cal, "_ACTIVE", None)
+        monkeypatch.setattr(cal, "_ENV_CHECKED", False)
+        assert flop_thresholds() == (1e6, 1e8)
+        loaded = CalibrationProfile.load(path)
+        assert "dense_cutoff" not in loaded.to_dict()
+        assert not hasattr(loaded, "dense_cutoff")
+        with pytest.raises(ValidationError):  # only that one key is excused
+            CalibrationProfile.from_dict(dict(legacy, dense_cutof=1))
 
     def test_select_backend_uses_active_thresholds(self):
         from repro.engine import select_backend
@@ -116,24 +121,24 @@ class TestProfile:
 
     def test_roundtrip_through_json(self, tmp_path):
         profile = make_profile(machine="test-machine", cpu_count=4,
-                               details={"dense_vs_sparse": [{"n": 1}]})
+                               details={"backends": [{"n_documents": 1}]})
         path = tmp_path / "profile.json"
         profile.save(path)
         loaded = CalibrationProfile.load(path)
         assert loaded == profile
-        assert json.loads(path.read_text())["dense_cutoff"] == 1234
+        assert json.loads(path.read_text())["serial_flops_threshold"] == 1e6
 
     def test_env_var_activates_profile(self, tmp_path, monkeypatch):
         path = tmp_path / "profile.json"
-        make_profile(dense_cutoff=77).save(path)
+        make_profile(serial_flops_threshold=77.0).save(path)
         monkeypatch.setenv(cal.PROFILE_ENV_VAR, str(path))
         monkeypatch.setattr(cal, "_ACTIVE", None)
         monkeypatch.setattr(cal, "_ENV_CHECKED", False)
-        assert dense_cutoff() == 77
+        assert flop_thresholds()[0] == 77.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            make_profile(dense_cutoff=-1)
+            make_profile(batched_process_flops_threshold=-1.0)
         with pytest.raises(ValidationError):
             make_profile(serial_flops_threshold=0.0)
         with pytest.raises(ValidationError):
@@ -145,20 +150,11 @@ class TestProfile:
 
 
 class TestMeasurement:
-    def test_dense_sparse_measurement_shape(self):
-        cutoff, rows = measure_dense_sparse_cutoff(
-            sizes=(16, 32), repeats=1, tol=1e-4)
-        assert cutoff > 0
-        assert [row["n"] for row in rows] == [16, 32]
-        for row in rows:
-            assert row["dense_seconds"] > 0
-            assert row["sparse_seconds"] > 0
-
     def test_quick_calibration_produces_valid_profile(self, tmp_path):
         profile = cal.calibrate(quick=True, n_jobs=2)
         assert profile.cpu_count >= 1
         assert profile.machine
-        assert set(profile.details) == {"dense_vs_sparse", "backends"}
+        assert set(profile.details) == {"backends"}
         # The batched thresholds are derived from pool timings of the
         # *fused* payload, so every backend row must carry both variants.
         for row in profile.details["backends"]:
@@ -174,7 +170,7 @@ class TestMeasurement:
         def boom(*args, **kwargs):  # the sweep must never start
             raise AssertionError("measured before validating n_jobs")
 
-        monkeypatch.setattr(cal, "measure_dense_sparse_cutoff", boom)
+        monkeypatch.setattr("repro.graphgen.generate_synthetic_web", boom)
         with pytest.raises(ValidationError):
             cal.calibrate(quick=True, n_jobs=0)
         with pytest.raises(ValidationError):

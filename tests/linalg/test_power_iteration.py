@@ -169,6 +169,87 @@ class TestDanglingAwareIteration:
                 preference=np.array([0.5, 0.5]))
 
 
+class TestDanglingAwareHostileParameters:
+    """The matrix-free kernel validates like the explicit one, up front."""
+
+    LINK = row_normalize(sp.csr_matrix(np.array([
+        [0, 1, 1, 0],
+        [0, 0, 1, 1],
+        [1, 0, 0, 0],
+        [0, 0, 0, 0],
+    ], dtype=float)))
+
+    def solve(self, **kwargs):
+        def never(iteration, residual):
+            raise AssertionError("iterated before validating")
+
+        return stationary_distribution_dangling_aware(
+            self.LINK, 0.85, callback=never, **kwargs)
+
+    def test_rejects_bad_start_length(self):
+        with pytest.raises(ValidationError, match="start vector has length"):
+            self.solve(start=np.array([0.5, 0.5]))
+
+    def test_rejects_bad_max_iter(self):
+        with pytest.raises(ValidationError, match="max_iter"):
+            self.solve(max_iter=0)
+
+    def test_rejects_bad_tolerance(self):
+        with pytest.raises(ValidationError, match="tol"):
+            self.solve(tol=0.0)
+
+    @pytest.mark.parametrize("start", [
+        [np.nan, 0.5, 0.25, 0.25],
+        [1.5, -0.5, 0.0, 0.0],
+        [np.inf, 0.0, 0.0, 0.0],
+    ])
+    def test_rejects_nan_or_negative_start(self, start):
+        with pytest.raises(ValidationError):
+            self.solve(start=np.array(start))
+
+    def test_same_errors_through_pagerank(self):
+        from repro.pagerank import pagerank
+
+        adjacency = sp.csr_matrix(self.LINK)
+        for hostile in ({"start": np.array([1.0])}, {"max_iter": 0},
+                        {"tol": 0.0}):
+            for method in ("sparse", "dense", "auto"):
+                with pytest.raises(ValidationError):
+                    pagerank(adjacency, method=method, **hostile)
+
+    @pytest.mark.parametrize("as_sparse", [True, False])
+    def test_iterates_are_bitwise_the_row_vector_loop(self, as_sparse):
+        # The kernel multiplies by a transpose built once; the reference
+        # is the textbook ``x @ matrix`` loop it replaced.
+        rng = np.random.default_rng(3)
+        n = 60
+        adjacency = sp.random(n, n, density=0.08, random_state=rng,
+                              format="csr")
+        adjacency = adjacency.tolil()
+        adjacency[[4, 17], :] = 0.0  # two dangling rows
+        link = row_normalize(adjacency.tocsr())
+        if not as_sparse:
+            link = link.toarray()
+        v = rng.random(n)
+        v /= v.sum()
+        w = np.full(n, 1.0 / n)
+        mask = (np.asarray(link.sum(axis=1)).ravel() == 0.0).astype(float)
+        x = np.full(n, 1.0 / n)
+        history = []
+        for _ in range(12):
+            linked = np.asarray(x @ link).ravel()
+            new_x = 0.85 * (linked + float(x @ mask) * w) + (1.0 - 0.85) * v
+            new_x = new_x / new_x.sum()
+            history.append(float(np.abs(new_x - x).sum()))
+            x = new_x
+        result = stationary_distribution_dangling_aware(
+            link, 0.85, v, dangling_weights=w, tol=history[-1] * 1.0000001,
+            max_iter=12)
+        assert result.iterations == 12
+        assert result.residuals == history
+        assert np.array_equal(result.vector, x)
+
+
 class TestPrincipalEigenvectorDense:
     def test_matches_power_method(self):
         matrix = random_stochastic_matrix(12, rng=np.random.default_rng(5),

@@ -15,7 +15,7 @@ from repro import obs
 
 def _hot_loop(n):
     for _ in range(n):
-        obs.record_solver("hot", 50, 1e-9, True)
+        obs.record_solver("hot", 50, 1e-9, True, n=1240, nnz=5700)
         obs.inc("hot_total")
         obs.observe("hot_seconds", 0.001)
         obs.set_gauge("hot_gauge", 1.0)

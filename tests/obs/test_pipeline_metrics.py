@@ -77,11 +77,37 @@ class TestFitInstrumentation:
     def test_solver_counters_recorded(self, toy_docgraph):
         Ranker().fit(toy_docgraph)
         registry = obs.registry()
+        # The SiteRank is the one dedicated solve of a toy fit: the
+        # matrix-free kernel, never the explicit-matrix one.
         assert registry.counter_value("solver_runs_total",
-                                      solver="power") >= 1.0
+                                      solver="power_dangling") >= 1.0
         assert registry.counter_value("solver_iterations_total",
-                                      solver="power") >= 1.0
+                                      solver="power_dangling") >= 1.0
+        assert registry.counter_value("solver_runs_total",
+                                      solver="power") == 0.0
         assert registry.counter_value("block_solver_runs_total") >= 1.0
+
+    def test_solver_problem_size_recorded(self, toy_docgraph):
+        """Each solver run observes its size once: rows and stored entries."""
+        from repro.web.sitegraph import aggregate_sitegraph
+
+        Ranker().fit(toy_docgraph)
+        sitegraph = aggregate_sitegraph(toy_docgraph)
+        by_key = {(entry["name"], entry["labels"]["solver"]): entry
+                  for entry in obs.snapshot()["histograms"]
+                  if entry["name"] in ("solver_rows", "solver_nnz")}
+        runs = obs.registry().counter_value("solver_runs_total",
+                                            solver="power_dangling")
+        rows = by_key["solver_rows", "power_dangling"]
+        assert rows["count"] == runs  # once per run, not per iteration
+        assert rows["sum"] == runs * sitegraph.n_sites
+        assert by_key["solver_nnz", "power_dangling"]["sum"] == (
+            runs * sitegraph.adjacency.nnz)
+        assert by_key["solver_rows", "block"]["sum"] == (
+            toy_docgraph.n_documents)
+        # Decade buckets reach whole-web sizes (the default count buckets
+        # stop at 1000).
+        assert rows["buckets"][-1][0] >= 1_000_000
 
     def test_solver_vectors_dimension_reaches_exposition(self, toy_docgraph):
         """The SpMM amortisation is visible in /metrics (satellite of E17).

@@ -99,6 +99,11 @@ class TestPersonalizedPageRank:
     def test_dangling_mass_follows_preference(self):
         dangling = np.array([[0, 1], [0, 0]], dtype=float)
         preference = np.array([1.0, 0.0])
-        result = personalized_pagerank(dangling, preference, damping=0.85,
-                                       method="sparse")
-        assert result.score_of(0) > result.score_of(1)
+        for method in ("sparse", "dense"):
+            result = pagerank(dangling, 0.85, preference, method=method,
+                              dangling="preference")
+            assert result.score_of(0) > result.score_of(1)
+            # The default policy spreads it uniformly, whatever the method.
+            result = personalized_pagerank(dangling, preference,
+                                           damping=0.85, method=method)
+            assert result.score_of(0) < result.score_of(1)
