@@ -6,8 +6,10 @@ linear algebra — dominates wall time.  The engine's batched path packs
 small sites into one block-diagonal CSR and runs a single fused power
 iteration with per-site convergence freezing
 (:mod:`repro.linalg.block_solver`).  This benchmark measures that path
-against the historical per-site serial path across site-size
-distributions, on synthetic webs and the campus web:
+against the per-site serial path — one dedicated task per site, built by
+``site_tasks_for`` and run unfused by ``execute_tasks``, the schedule the
+distributed peers use — across site-size distributions, on synthetic webs
+and the campus web:
 
 * **speedup** — all-local-DocRanks wall time, fused vs per-site, on the
   same serial backend.  The acceptance target is a >= 3x speedup in the
@@ -29,7 +31,12 @@ import numpy as np
 import pytest
 
 from conftest import SMOKE, write_result
-from repro.engine import BatchedSiteTask, batch_site_tasks, site_tasks_for
+from repro.engine import (
+    BatchedSiteTask,
+    batch_site_tasks,
+    execute_tasks,
+    site_tasks_for,
+)
 from repro.graphgen import generate_synthetic_web
 from repro.linalg.block_solver import PackedBlocks, solve_blocks
 from repro.metrics import rankings_equivalent
@@ -59,10 +66,12 @@ DISTRIBUTIONS = ([
 def _compare_paths(graph):
     """Time both paths and verify the equality contract; returns a row."""
     started = time.perf_counter()
-    per_site = all_local_docranks(graph, batch_sites=False, tol=TOL)
+    tasks = site_tasks_for(graph, tol=TOL)
+    results, _seconds = execute_tasks(tasks)
+    per_site = {task.site: result for task, result in zip(tasks, results)}
     per_site_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    batched = all_local_docranks(graph, batch_sites=True, tol=TOL)
+    batched = all_local_docranks(graph, tol=TOL)
     batched_seconds = time.perf_counter() - started
     # The share of the batched path that is not mathematics: cutting the
     # per-site blocks out of the DocGraph and packing the fused batches.

@@ -9,8 +9,10 @@ first result, and puts measured makespan next to the simulated one.
 
 Three correctness claims ride along as assertions:
 
-* every deployment's scores are *bitwise* the serial facade's
-  (``batch_sites=False`` — the per-site reference path live peers use);
+* every deployment's scores are *bitwise* the serial per-site reference
+  (one dedicated ``site_tasks_for`` task per site run by
+  ``execute_tasks``, plus the SiteRank task — the schedule live peers
+  use);
 * the fault-free live round puts exactly the same bytes on the wire as
   the simulator accounts for the four shared protocol message types;
 * the kill-one-peer round re-assigns the dead peer's pending sites and
@@ -23,11 +25,14 @@ import os
 import numpy as np
 import pytest
 
-from conftest import SMOKE, layered_docrank, write_result
+from conftest import SMOKE, write_result
 from repro.cluster import run_live_cluster
 from repro.distributed.coordinator import DistributedRankingCoordinator
+from repro.engine import execute_tasks, site_tasks_for, siterank_task_for
 from repro.graphgen import generate_campus_web, generate_synthetic_web
 from repro.io import read_docgraph, write_docgraph
+from repro.web import aggregate_sitegraph
+from repro.web.pipeline import compose_ranking
 
 N_PEERS = 3
 
@@ -35,6 +40,19 @@ N_PEERS = 3
 #: per-type wire bytes must agree exactly between simulator and cluster.
 SHARED_TYPES = ("AssignSitesMessage", "ComputeLocalRankRequest",
                 "SiteLinkSummary", "LocalRankResult")
+
+
+def per_site_reference(graph):
+    """The layered ranking with every site solved by its own task."""
+    tasks = site_tasks_for(graph)
+    results, _seconds = execute_tasks(tasks)
+    local = {task.site: result for task, result in zip(tasks, results)}
+    sitegraph = aggregate_sitegraph(graph)
+    site_result = siterank_task_for(sitegraph).run()
+    return compose_ranking(
+        graph, sitegraph.sites, site_result, local, method="layered",
+        iterations=site_result.iterations + sum(
+            rank.iterations for rank in local.values()))
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +70,7 @@ def workload(tmp_path_factory):
     path = os.path.join(workdir, "web.docgraph")
     write_docgraph(graph, path)
     shared = read_docgraph(path)  # rank exactly the file the peers load
-    serial = layered_docrank(shared, batch_sites=False)
+    serial = per_site_reference(shared)
     return {"graph": shared, "workdir": workdir, "serial": serial}
 
 

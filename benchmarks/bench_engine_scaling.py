@@ -10,11 +10,12 @@ This benchmark quantifies the two practical payoffs on a synthetic web of
   all of them produce *bitwise identical* scores (speedup must never buy
   a different ranking).  The process backend is expected to beat serial
   by >= 2x when enough CPUs are available;
-* **dispatch transport** — the process backend is measured twice: with
-  the 1.2 ship-by-value pickle transport and with the zero-copy
-  shared-memory arena (:mod:`repro.engine.arena`).  Each row records the
-  ``dispatch_bytes`` the batch serialised; the arena must cut them by at
-  least 10x on this web (they are O(refs), not O(matrices));
+* **dispatch transport** — the process backend ships its batch through
+  the zero-copy shared-memory arena (:mod:`repro.engine.arena`).  Each
+  row records the ``dispatch_bytes`` the batch serialised; the arena must
+  cut them by at least 10x against pickling the same batch by value
+  (:func:`repro.engine.arena.dispatch_bytes` of the unshared tasks) —
+  they are O(refs), not O(matrices);
 * **warm starts** — total power iterations of an
   :class:`~repro.web.incremental.IncrementalLayeredRanker` refresh seeded
   from the previous stationary vectors versus the cold full rebuild, which
@@ -34,6 +35,8 @@ import pytest
 
 from conftest import IncrementalLayeredRanker, SMOKE, layered_docrank, write_result
 from repro.engine import ProcessExecutor, SerialExecutor, ThreadedExecutor
+from repro.engine.arena import dispatch_bytes
+from repro.engine.plan import RankingPlan, batch_site_tasks
 from repro.graphgen import generate_synthetic_web
 
 #: Size of the benchmark web (acceptance target: >= 200 sites / >= 50k docs;
@@ -72,7 +75,6 @@ def executor_rows(engine_web):
     executors = [
         ("serial", SerialExecutor()),
         ("threaded", ThreadedExecutor(N_WORKERS)),
-        ("process-pickle", ProcessExecutor(N_WORKERS, use_arena=False)),
         ("process-arena", ProcessExecutor(N_WORKERS)),
     ]
     for label, executor in executors:
@@ -114,7 +116,7 @@ def test_e14_executor_speedup_table(benchmark, executor_rows):
                          "dispatch_bytes = payload bytes serialised to "
                          "reach the pool's workers).")
     # Correctness is unconditional: parallelism must not change the ranking.
-    for label in ("threaded", "process-pickle", "process-arena"):
+    for label in ("threaded", "process-arena"):
         assert np.array_equal(scores["serial"], scores[label]), \
             f"{label} diverged from the serial reference"
     by_name = {row["executor"]: row for row in rows}
@@ -124,13 +126,16 @@ def test_e14_executor_speedup_table(benchmark, executor_rows):
 
 
 @pytest.mark.benchmark(group="E14 engine scaling")
-def test_e14_arena_cuts_dispatch_bytes_10x(benchmark, executor_rows):
+def test_e14_arena_cuts_dispatch_bytes_10x(benchmark, engine_web,
+                                           executor_rows):
     rows, _scores = executor_rows
     rows = benchmark.pedantic(lambda: rows, rounds=1, iterations=1)
     by_name = {row["executor"]: row for row in rows}
-    pickle_bytes = by_name["process-pickle"]["dispatch_bytes"]
+    # The batch the plan dispatches, pickled by value as it stands.
+    plan = RankingPlan.from_docgraph(engine_web)
+    pickle_bytes = dispatch_bytes(
+        [plan.siterank_task, *batch_site_tasks(plan.site_tasks)])
     arena_bytes = by_name["process-arena"]["dispatch_bytes"]
-    assert by_name["process-pickle"]["transport"] == "pickle"
     assert by_name["process-arena"]["transport"] == "arena"
     # The acceptance target of the shared-memory transport: dispatch cost
     # no longer scales with the matrices, so it must drop by >= 10x even

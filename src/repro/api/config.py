@@ -114,11 +114,6 @@ class RankingConfig:
         Convergence tolerance and iteration budget of the power methods.
     include_site_self_links:
         Whether intra-site links count in the SiteGraph aggregation.
-    batch_sites:
-        Whether the engine fuses small sites into block-diagonal batched
-        tasks solved by one power iteration with per-site convergence
-        freezing (:mod:`repro.linalg.block_solver`) — the default;
-        ``False`` opts out to the historical one-task-per-site path.
     executor:
         Engine backend: ``"serial"`` (reference), ``"threaded"``,
         ``"process"``, or ``"auto"`` (cost-model selection per batch).
@@ -150,7 +145,6 @@ class RankingConfig:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
     include_site_self_links: bool = False
-    batch_sites: bool = True
     executor: str = "serial"
     n_jobs: Optional[Union[int, str]] = None
     warm_start: bool = False
@@ -185,8 +179,6 @@ class RankingConfig:
                  f"max_iter must be a positive integer, got {self.max_iter!r}")
         _require(isinstance(self.include_site_self_links, bool),
                  "include_site_self_links must be a boolean")
-        _require(isinstance(self.batch_sites, bool),
-                 "batch_sites must be a boolean")
         _require(self.executor in EXECUTOR_CHOICES,
                  f"executor must be one of {EXECUTOR_CHOICES}, "
                  f"got {self.executor!r}")
@@ -282,11 +274,22 @@ class RankingConfig:
 
         Unknown keys are rejected rather than ignored: a typo like
         ``dampling = 0.9`` must fail loudly, not silently fall back to the
-        default.
+        default.  The retired ``batch_sites`` key, which older files carry,
+        loads when it asks for what the engine always does (``true``: fuse
+        small sites) and is dropped; ``false`` asked for the per-site
+        opt-out, which is gone, so it fails.
         """
         if not isinstance(mapping, dict):
             raise ValidationError(
                 f"config must be a mapping, got {type(mapping).__name__}")
+        mapping = dict(mapping)
+        if "batch_sites" in mapping:
+            retired = mapping.pop("batch_sites")
+            if retired is not True:
+                raise ValidationError(
+                    f"batch_sites={str(retired).lower()} is no longer "
+                    f"supported: the per-site opt-out was removed and small "
+                    f"sites are always fused")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(mapping) - known)
         if unknown:

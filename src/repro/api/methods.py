@@ -51,7 +51,6 @@ def layered_method(docgraph: DocGraph, config: RankingConfig, *,
         include_site_self_links=config.include_site_self_links,
         tol=config.tol, max_iter=config.max_iter,
         executor=executor, n_jobs=n_jobs, warm=warm,
-        batch_sites=config.batch_sites,
         personalization=config.personalization)
 
 

@@ -274,7 +274,6 @@ class Ranker:
                 include_site_self_links=self.config.include_site_self_links,
                 tol=self.config.tol, max_iter=self.config.max_iter,
                 executor=executor, n_jobs=n_jobs,
-                batch_sites=self.config.batch_sites,
                 personalization=self.config.personalization)
         except BaseException:
             if owned:
@@ -338,10 +337,10 @@ class Ranker:
               drain_grace: float = 0.0):
         """A :class:`~repro.serving.RankingService` over this config's ranking.
 
-        The config's ``executor`` / ``n_jobs`` / ``batch_sites`` reach the
-        power iterations of the fit or the incremental ranker only; the
-        service itself starts no pool — a shard rebuild is one
-        scalar-vector multiply per changed site on the updating thread.
+        The config's ``executor`` / ``n_jobs`` reach the power iterations
+        of the fit or the incremental ranker only; the service itself
+        starts no pool — a shard rebuild is one scalar-vector multiply per
+        changed site on the updating thread.
 
         Parameters
         ----------

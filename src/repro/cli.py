@@ -353,7 +353,6 @@ def _command_rank_on_disk(args: argparse.Namespace) -> int:
             f"--on-disk supports only the layered method, got {method!r}")
     unsupported = [name for name, given in (
         ("personalization", config.personalization),
-        ("batch_sites=false", not config.batch_sites),
         (f"executor={config.executor!r} / --jobs",
          config.wants_auto_backend or config.executor != "serial")) if given]
     if unsupported:
@@ -677,7 +676,7 @@ def _command_cluster_coordinator(args: argparse.Namespace) -> int:
     coordinator = ClusterCoordinator(
         graph, host=args.host, port=args.port, n_peers=args.peers,
         damping=args.damping, tol=args.tol, max_iter=args.max_iter,
-        batch_sites=args.batch_sites, ledger_path=args.ledger,
+        ledger_path=args.ledger,
         heartbeat_seconds=args.heartbeat, round_timeout=args.timeout)
 
     async def _run():
@@ -721,8 +720,7 @@ def _command_cluster_rank(args: argparse.Namespace) -> int:
         with tempfile.TemporaryDirectory(prefix="repro-cluster-") as workdir:
             return await run_live_cluster(
                 graph, workdir, n_peers=args.peers, damping=args.damping,
-                tol=args.tol, max_iter=args.max_iter,
-                batch_sites=args.batch_sites, ledger_path=args.ledger,
+                tol=args.tol, max_iter=args.max_iter, ledger_path=args.ledger,
                 heartbeat_seconds=args.heartbeat,
                 round_timeout=args.timeout)
 
@@ -891,12 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--tol", type=float, default=DEFAULT_SOLVER_TOL)
         sub.add_argument("--max-iter", type=int,
                          default=DEFAULT_SOLVER_MAX_ITER, dest="max_iter")
-        sub.add_argument("--batch-sites", action="store_true",
-                         dest="batch_sites",
-                         help="let peers fuse small sites into batched "
-                              "solves (faster, but scores then follow the "
-                              "batched path instead of the per-site serial "
-                              "reference)")
         sub.add_argument("--ledger", metavar="PATH", default=None,
                          help="durable job ledger: a restarted coordinator "
                               "resumes the round instead of recomputing")

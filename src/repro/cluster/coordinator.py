@@ -43,7 +43,7 @@ from ..distributed.messages import (
     SiteLinkSummary,
 )
 from ..distributed.partitioning import PartitionPolicy, partition_sites
-from ..distributed.peer import Peer as _SummaryHelper
+from ..distributed.peer import summarize_sitelinks
 from ..engine.plan import RankingPlan
 from ..exceptions import ProtocolError, SimulationError
 from ..io import docgraph_digest
@@ -95,7 +95,9 @@ class ClusterCoordinator:
 
     or ``await coordinator.run()`` when the peers connect on their own.
     Only the flat architecture is deployed live (the super-peer flavour
-    remains simulation-only).
+    remains simulation-only).  Peers solve one dedicated task per site, as
+    the simulator's peers do, so the round's scores equal the simulator's
+    bit for bit.
     """
 
     def __init__(self, docgraph: DocGraph, *, host: str = "127.0.0.1",
@@ -105,7 +107,6 @@ class ClusterCoordinator:
                  site_damping: Optional[float] = None,
                  tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER,
-                 batch_sites: bool = False,
                  ledger_path: Optional[str] = None,
                  heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS,
                  round_timeout: float = DEFAULT_ROUND_TIMEOUT) -> None:
@@ -119,7 +120,6 @@ class ClusterCoordinator:
             else damping
         self.tol = tol
         self.max_iter = max_iter
-        self.batch_sites = batch_sites
         self.heartbeat_seconds = heartbeat_seconds
         self.round_timeout = round_timeout
         self.graph_digest = docgraph_digest(docgraph)
@@ -127,7 +127,7 @@ class ClusterCoordinator:
         # pipeline executes, partitioned instead of dispatched locally.
         self.plan = RankingPlan.from_docgraph(
             docgraph, damping, site_damping=self.site_damping, tol=tol,
-            max_iter=max_iter, batch_sites=False)
+            max_iter=max_iter)
         self.assignment = partition_sites(docgraph, n_peers,
                                           policy=partition_policy)
         self.partitioned = self.plan.partition(self.assignment)
@@ -301,7 +301,7 @@ class ClusterCoordinator:
                       assigned_name=name,
                       heartbeat_seconds=self.heartbeat_seconds,
                       damping=self.damping, tol=self.tol,
-                      max_iter=self.max_iter, batch_sites=self.batch_sites)
+                      max_iter=self.max_iter)
         await self._send(session, ack)
         obs.inc("cluster_peers_joined_total")
         if (not self._staffed.is_set()
@@ -542,11 +542,9 @@ class ClusterCoordinator:
                 iterations=self.ledger.iterations_of(site))
         # No peer will be asked about resumed sites, so their SiteLink
         # counts are derived locally — same code, same counts.
-        resumed = sorted(self.ledger.resumed_sites)
-        helper = _SummaryHelper(name=COORDINATOR, docgraph=self.docgraph,
-                                sites=resumed)
-        summary = helper.summarize_sitelinks(COORDINATOR)
-        self._on_summary(summary)
+        self._on_summary(summarize_sitelinks(
+            self.docgraph, self.ledger.resumed_sites, sender=COORDINATOR,
+            recipient=COORDINATOR))
         if not self.ledger.pending_sites():
             self._results_done.set()
 

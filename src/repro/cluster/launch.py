@@ -94,7 +94,6 @@ async def run_live_cluster(docgraph: DocGraph, workdir: str, *,
                            site_damping: Optional[float] = None,
                            tol: float = DEFAULT_TOL,
                            max_iter: int = DEFAULT_MAX_ITER,
-                           batch_sites: bool = False,
                            ledger_path: Optional[str] = None,
                            heartbeat_seconds: float =
                            DEFAULT_HEARTBEAT_SECONDS,
@@ -117,7 +116,7 @@ async def run_live_cluster(docgraph: DocGraph, workdir: str, *,
     coordinator = ClusterCoordinator(
         shared, n_peers=n_peers, partition_policy=partition_policy,
         damping=damping, site_damping=site_damping, tol=tol,
-        max_iter=max_iter, batch_sites=batch_sites, ledger_path=ledger_path,
+        max_iter=max_iter, ledger_path=ledger_path,
         heartbeat_seconds=heartbeat_seconds, round_timeout=round_timeout)
     await coordinator.start()
 

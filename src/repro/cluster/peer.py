@@ -32,13 +32,8 @@ from ..distributed.messages import (
     ComputeLocalRankRequest,
     LocalRankResult,
 )
-from ..distributed.peer import Peer
-from ..engine.plan import (
-    batch_site_tasks,
-    collect_site_results,
-    execute_tasks,
-    site_tasks_for,
-)
+from ..distributed.peer import summarize_sitelinks
+from ..engine.plan import execute_tasks, site_tasks_for
 from ..exceptions import ProtocolError
 from ..io import docgraph_digest
 from ..web.docgraph import DocGraph
@@ -75,7 +70,6 @@ class ClusterPeer:
         self.busy_seconds = 0.0
         self.sites_ranked = 0
         self._results_sent = 0
-        self._ack: Optional[JoinAck] = None
         self._awaiting: List[str] = []  # announced sites, not yet computed
         self._requests: Dict[str, ComputeLocalRankRequest] = {}
         self._drain = asyncio.Event()
@@ -100,7 +94,6 @@ class ClusterPeer:
                     f"expected a JoinAck, got {type(ack).__name__}")
             if not ack.accepted:
                 raise ProtocolError(f"coordinator refused join: {ack.reason}")
-            self._ack = ack
             self.name = ack.assigned_name or self.name
             heartbeat_task = asyncio.create_task(
                 self._heartbeat_loop(ack.heartbeat_seconds))
@@ -149,9 +142,9 @@ class ClusterPeer:
         fresh = [site for site in message.sites
                  if site not in self._awaiting]
         self._awaiting.extend(fresh)
-        helper = Peer(name=self.name, docgraph=self.docgraph,
-                      sites=list(message.sites))
-        await self._send(helper.summarize_sitelinks(COORDINATOR))
+        await self._send(summarize_sitelinks(
+            self.docgraph, message.sites, sender=self.name,
+            recipient=COORDINATOR))
 
     async def _on_request(self, message: ComputeLocalRankRequest) -> None:
         """Queue one site's request; compute when the assignment is covered."""
@@ -161,15 +154,18 @@ class ClusterPeer:
         self._requests[message.site] = message
         if not all(site in self._requests for site in self._awaiting):
             return
-        batch_sites, self._awaiting = self._awaiting, []
-        requests = {site: self._requests.pop(site) for site in batch_sites}
-        await self._compute_batch(batch_sites, requests)
+        ready, self._awaiting = self._awaiting, []
+        requests = {site: self._requests.pop(site) for site in ready}
+        await self._compute_batch(ready, requests)
 
     async def _compute_batch(
             self, sites: List[str],
             requests: Dict[str, ComputeLocalRankRequest]) -> None:
-        """Rank *sites* through the engine and stream the results back."""
-        assert self._ack is not None
+        """Rank *sites* through the engine and stream the results back.
+
+        One dedicated task per site, exactly the simulator's schedule, so
+        results align with the tasks and are bitwise the simulator's.
+        """
         head = requests[sites[0]]
         tasks = site_tasks_for(self.docgraph, head.damping, sites=sites,
                                tol=head.tol, max_iter=head.max_iter)
@@ -178,15 +174,12 @@ class ClusterPeer:
             else replace(task, start=requests[task.site].start_vector())
             for task in tasks
         ]
-        payload = batch_site_tasks(tasks) if self._ack.batch_sites else tasks
-        results, wall = await asyncio.to_thread(execute_tasks, payload)
+        results, wall = await asyncio.to_thread(execute_tasks, tasks)
         self.busy_seconds += wall
         obs.observe("cluster_peer_batch_seconds", wall, peer=self.name)
-        by_site = collect_site_results(payload, results)
-        for site in sites:
-            rank = by_site[site]
+        for task, rank in zip(tasks, results):
             await self._send(LocalRankResult(
-                sender=self.name, recipient=COORDINATOR, site=site,
+                sender=self.name, recipient=COORDINATOR, site=task.site,
                 doc_ids=tuple(int(d) for d in rank.doc_ids),
                 scores=tuple(float(s) for s in rank.scores),
                 iterations=rank.iterations))

@@ -83,7 +83,6 @@ class JoinAck(Message):
     damping: float = 0.85
     tol: float = 1e-10
     max_iter: int = 1000
-    batch_sites: bool = False
 
 
 @wire_message()

@@ -43,7 +43,7 @@ from .partitioning import (
     partition_sites,
     peer_of_site,
 )
-from .peer import Peer, local_work_seconds
+from .peer import Peer, local_work_seconds, summarize_sitelinks
 
 __all__ = [
     "COORDINATOR",
@@ -72,6 +72,7 @@ __all__ = [
     "peer_of_site",
     "Peer",
     "local_work_seconds",
+    "summarize_sitelinks",
     "decode_frame",
     "decode_message",
     "encode_message",

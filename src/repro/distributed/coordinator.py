@@ -42,7 +42,7 @@ from .messages import (
 )
 from .network import NetworkParameters, SimulatedNetwork
 from .partitioning import PartitionPolicy, partition_sites
-from .peer import Peer, local_work_seconds
+from .peer import Peer, local_work_seconds, summarize_sitelinks
 
 Architecture = Literal["flat", "super-peer"]
 
@@ -257,8 +257,7 @@ class DistributedRankingCoordinator:
         for peer_name, sites in self.assignment.items():
             self.network.register(peer_name)
             self.peers[peer_name] = Peer(name=peer_name, docgraph=docgraph,
-                                         sites=sites, damping=damping,
-                                         tol=tol, max_iter=max_iter)
+                                         sites=sites)
 
     # ------------------------------------------------------------------ #
     def run(self) -> DeploymentReport:
@@ -275,7 +274,9 @@ class DistributedRankingCoordinator:
         # Phase 1a: peers summarise their outgoing SiteLinks.
         summaries = []
         for peer_name, peer in self.peers.items():
-            summary = peer.summarize_sitelinks(COORDINATOR)
+            summary = summarize_sitelinks(peer.docgraph, peer.sites,
+                                          sender=peer_name,
+                                          recipient=COORDINATOR)
             network.send(summary)
             summaries.append(summary)
 

@@ -4,8 +4,10 @@ A :class:`Peer` owns one or more web sites (it models the web servers /
 search peers of the paper's deployment), holds only the *local* link
 structure of those sites, and can
 
-* summarise its outgoing SiteLinks (for the coordinator's SiteGraph),
-* compute the local DocRank of each of its sites,
+* summarise its outgoing SiteLinks (for the coordinator's SiteGraph —
+  :func:`summarize_sitelinks`, shared with the live cluster),
+* hold the local DocRank of each of its sites, which the execution engine
+  computes and hands back (:meth:`Peer.adopt_local_rank`),
 * weight its local vectors by the announced SiteRank (when aggregation is
   pushed down to the peers / super-peers).
 
@@ -19,15 +21,11 @@ Python's actual speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Tuple
 
 from ..exceptions import SimulationError
-from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
-from ..markov.irreducibility import DEFAULT_DAMPING
 from ..web.docgraph import DocGraph
-from ..web.docrank import LocalDocRank, local_docrank
+from ..web.docrank import LocalDocRank
 from .messages import (
     AggregatedRankShard,
     LocalRankResult,
@@ -50,6 +48,33 @@ def local_work_seconds(n_documents: int, nnz: int, iterations: int) -> float:
     return SECONDS_PER_ITER_NNZ * iterations * (nnz + n_documents)
 
 
+def summarize_sitelinks(docgraph: DocGraph, sites: Iterable[str], *,
+                        sender: str, recipient: str) -> SiteLinkSummary:
+    """Count the outgoing SiteLinks of *sites*.
+
+    Only counts leave the owner — no rank values — which is what allows
+    the SiteRank computation to proceed in parallel with the local
+    DocRanks.  The simulated peers, the live cluster peers and the live
+    coordinator (for sites a resumed round never asks a peer about) all
+    summarise through this one function, so their counts agree exactly.
+    """
+    own_sites = set(sites)
+    counts: Dict[Tuple[str, str], int] = {}
+    for source, target in docgraph.edges():
+        source_site = docgraph.site_of_document(source)
+        if source_site not in own_sites:
+            continue
+        target_site = docgraph.site_of_document(target)
+        if target_site == source_site:
+            continue
+        key = (source_site, target_site)
+        counts[key] = counts.get(key, 0) + 1
+    summary = tuple((source, target, count)
+                    for (source, target), count in sorted(counts.items()))
+    return SiteLinkSummary(sender=sender, recipient=recipient,
+                           counts=summary, sites=tuple(sorted(own_sites)))
+
+
 @dataclass
 class Peer:
     """A peer responsible for the local DocRank of its sites.
@@ -64,65 +89,14 @@ class Peer:
         documents).
     sites:
         The sites this peer owns.
-    damping:
-        Damping factor used for local DocRanks.
     """
 
     name: str
     docgraph: DocGraph
     sites: List[str]
-    damping: float = DEFAULT_DAMPING
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
     local_results: Dict[str, LocalDocRank] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
-    def summarize_sitelinks(self, recipient: str,
-                            sites: Optional[List[str]] = None
-                            ) -> SiteLinkSummary:
-        """Count the outgoing SiteLinks of (a subset of) this peer's sites.
-
-        Only counts leave the peer — no rank values — which is what allows
-        the SiteRank computation to proceed in parallel with the local
-        DocRanks.  *sites* restricts the summary (the live cluster uses
-        this for supplemental summaries after a crashed-peer
-        re-assignment); the default covers every owned site.
-        """
-        own_sites = set(self.sites if sites is None else sites)
-        counts: Dict[Tuple[str, str], int] = {}
-        for source, target in self.docgraph.edges():
-            source_site = self.docgraph.site_of_document(source)
-            if source_site not in own_sites:
-                continue
-            target_site = self.docgraph.site_of_document(target)
-            if target_site == source_site:
-                continue
-            key = (source_site, target_site)
-            counts[key] = counts.get(key, 0) + 1
-        summary = tuple((source, target, count)
-                        for (source, target), count in sorted(counts.items()))
-        return SiteLinkSummary(sender=self.name, recipient=recipient,
-                               counts=summary,
-                               sites=tuple(sorted(own_sites)))
-
-    # ------------------------------------------------------------------ #
-    def compute_local_rank(self, site: str) -> Tuple[LocalDocRank, float]:
-        """Compute the local DocRank of one owned site.
-
-        Returns the result together with the simulated computation time.
-        """
-        if site not in self.sites:
-            raise SimulationError(
-                f"peer {self.name!r} asked to rank site {site!r} it does not own")
-        result = local_docrank(self.docgraph, site, self.damping,
-                               tol=self.tol, max_iter=self.max_iter)
-        self.local_results[site] = result
-        local_adjacency, _doc_ids = self.docgraph.local_block(site)
-        seconds = local_work_seconds(result.n_documents,
-                                     int(local_adjacency.nnz),
-                                     result.iterations)
-        return result, seconds
-
     def adopt_local_rank(self, site: str, result: LocalDocRank,
                          nnz: int) -> float:
         """Install a local DocRank the execution engine computed for this peer.

@@ -255,9 +255,9 @@ def measure_backend_thresholds(
         row: Dict = {"n_documents": int(size), "n_sites": len(tasks),
                      "flops": float(batch_flops(tasks))}
         # Each payload kind is timed on every backend it could actually
-        # run on: with batch_sites=True (the default) a pool receives the
-        # *fused* payload, so the batched thresholds must be derived from
-        # pool timings of that payload, not of the per-site one.
+        # run on: a pool receives the *fused* payload, so the batched
+        # thresholds must be derived from pool timings of that payload,
+        # not of the per-site one.
         for label, payload in (("serial", tasks),
                                ("batched_serial", batched)):
             executor = make_executor("serial")

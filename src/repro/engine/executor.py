@@ -255,16 +255,16 @@ class ProcessExecutor(_BaseExecutor):
     (:mod:`repro.engine.plan`) are plain dataclasses over numpy/scipy
     containers for exactly this reason.
 
-    Graph payloads do **not** travel through pickle by default: around
-    each batch the executor packs every shareable payload's CSR buffers
+    Graph payloads do **not** travel through pickle: around each batch
+    the executor packs every shareable payload's CSR buffers
     into a :class:`~repro.engine.arena.GraphArena` (one shared-memory
     segment), ships only the tiny :class:`~repro.engine.arena.ArenaRef`
     addresses, and disposes the segment — close *and* unlink — once the
     batch's barrier returns, on success or error.  Workers attach by
     segment name at task-run time, which keeps the transport safe under
-    both the ``fork`` and ``spawn`` start methods.  ``use_arena=False``
-    restores the ship-by-value pickle transport (the benchmarks measure
-    the difference as ``dispatch_bytes``).
+    both the ``fork`` and ``spawn`` start methods.  A batch with nothing
+    to share (no payload has arena hooks) is pickled as is and reported
+    as ``last_transport == "pickle"``.
 
     The batch is split into contiguous chunks to amortise per-task
     dispatch overhead; chunking never reorders results.
@@ -273,9 +273,6 @@ class ProcessExecutor(_BaseExecutor):
     ----------
     n_jobs:
         Worker count (one per CPU when omitted).
-    use_arena:
-        Whether matrix payloads ride the zero-copy shared-memory arena
-        (default) or are pickled by value.
     start_method:
         Optional multiprocessing start method (``"fork"`` / ``"spawn"`` /
         ``"forkserver"``) for the worker pool; platform default when
@@ -285,12 +282,10 @@ class ProcessExecutor(_BaseExecutor):
     name = "process"
 
     def __init__(self, n_jobs: Optional[int] = None, *,
-                 use_arena: bool = True,
                  start_method: Optional[str] = None) -> None:
         if n_jobs is not None and n_jobs < 1:
             raise ValidationError("n_jobs must be at least 1")
         self.n_jobs = n_jobs if n_jobs is not None else default_n_jobs()
-        self.use_arena = use_arena
         self.start_method = start_method
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
@@ -315,10 +310,7 @@ class ProcessExecutor(_BaseExecutor):
         # the workers receive refs instead of matrices.  The arena lives
         # exactly as long as the batch: the finally below closes and
         # unlinks it even when a task raises.
-        if self.use_arena:
-            shipped, arena = share_batch(items)
-        else:
-            shipped, arena = items, None
+        shipped, arena = share_batch(items)
         self.last_transport = "arena" if arena is not None else "pickle"
         self.last_dispatch_bytes = dispatch_bytes(shipped)
         self.total_dispatch_bytes += self.last_dispatch_bytes

@@ -598,22 +598,17 @@ def segment_tasks_for(source, sitegraph: SiteGraph,
 
 def execute_site_tasks(tasks: Sequence[LocalRankTask], *,
                        executor: Optional[Executor] = None,
-                       n_jobs: Optional[int] = None,
-                       batch_sites: bool = True) -> List[LocalDocRank]:
+                       n_jobs: Optional[int] = None) -> List[LocalDocRank]:
     """Run step-3 tasks only (no SiteRank), preserving submission order.
 
-    With *batch_sites* (the default) small sites are fused into
-    block-diagonal :class:`BatchedSiteTask` payloads before dispatch; the
-    returned list is still aligned with *tasks*.  ``batch_sites=False``
-    keeps the historical one-task-per-site path (the bitwise reference).
+    Small sites are fused into block-diagonal :class:`BatchedSiteTask`
+    payloads before dispatch (:func:`batch_site_tasks`); the returned list
+    is still aligned with *tasks*.
     """
     tasks = list(tasks)
-    payload: Sequence[RankTask] = (batch_site_tasks(tasks) if batch_sites
-                                   else tasks)
+    payload = batch_site_tasks(tasks)
     results, _seconds = execute_tasks(payload, executor=executor,
                                       n_jobs=n_jobs)
-    if not batch_sites:
-        return results
     by_site = collect_site_results(payload, results)
     return [by_site[task.site] for task in tasks]
 
@@ -646,9 +641,9 @@ class PlanExecution:
     executor_name:
         Backend that executed the batch (``"serial"``/``"threaded"``/…).
     n_tasks:
-        Number of task payloads actually dispatched — with site batching
-        (the default) fused :class:`BatchedSiteTask` payloads count once,
-        so this is typically far below ``n_sites + 1``.
+        Number of task payloads actually dispatched — fused
+        :class:`BatchedSiteTask` payloads count once, so this is typically
+        far below ``n_sites + 1``.
     """
 
     local: Dict[str, LocalDocRank]
@@ -677,8 +672,7 @@ class RankingPlan:
 
     def __init__(self, sitegraph: SiteGraph,
                  site_tasks: Sequence[LocalRankTask],
-                 siterank_task: SiteRankTask, *,
-                 batch_sites: bool = True) -> None:
+                 siterank_task: SiteRankTask) -> None:
         task_sites = [task.site for task in site_tasks]
         if sorted(task_sites) != sorted(sitegraph.sites):
             raise ValidationError(
@@ -686,9 +680,6 @@ class RankingPlan:
         self.sitegraph = sitegraph
         self.site_tasks = list(site_tasks)
         self.siterank_task = siterank_task
-        #: Whether execute() fuses small sites into block-diagonal batches
-        #: (:func:`batch_site_tasks`); ``False`` is the per-site opt-out.
-        self.batch_sites = bool(batch_sites)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -700,8 +691,8 @@ class RankingPlan:
                       include_site_self_links: bool = False,
                       tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER,
-                      warm: Optional[WarmStartState] = None,
-                      batch_sites: bool = True) -> "RankingPlan":
+                      warm: Optional[WarmStartState] = None
+                      ) -> "RankingPlan":
         """Build the plan for a DocGraph (steps 1–2 happen here, serially)."""
         if docgraph.n_documents == 0:
             raise GraphStructureError("cannot plan over an empty DocGraph")
@@ -716,7 +707,7 @@ class RankingPlan:
             siterank_task = siterank_task_for(
                 sitegraph, site_damping, preference=site_preference,
                 tol=tol, max_iter=max_iter, warm=warm)
-        return cls(sitegraph, tasks, siterank_task, batch_sites=batch_sites)
+        return cls(sitegraph, tasks, siterank_task)
 
     # ------------------------------------------------------------------ #
     @property
@@ -779,8 +770,7 @@ class RankingPlan:
         siterank_task = replace(
             self.siterank_task,
             start=warm.siterank_start(self.sitegraph.sites))
-        return RankingPlan(self.sitegraph, tasks, siterank_task,
-                           batch_sites=self.batch_sites)
+        return RankingPlan(self.sitegraph, tasks, siterank_task)
 
     # ------------------------------------------------------------------ #
     def execute(self, *, executor: Optional[Executor] = None,
@@ -792,9 +782,9 @@ class RankingPlan:
         backends the single site-level computation overlaps the per-site
         work instead of trailing it.  Results are keyed back to their
         tasks by position, so scheduling order never affects the output.
-        When the plan batches sites (the default), small sites are fused
-        into block-diagonal :class:`BatchedSiteTask` payloads at dispatch
-        time and their results spliced back per site.
+        Small sites are fused into block-diagonal :class:`BatchedSiteTask`
+        payloads at dispatch time (:func:`fuse_schedule` decides from the
+        sizes alone) and their results spliced back per site.
 
         When *warm* is given, the execution also records every converged
         vector back into it, making consecutive executions resume from
@@ -802,9 +792,7 @@ class RankingPlan:
         """
         plan = self if warm is None else self.with_warm_state(warm)
         resolved, owned = resolve_executor(executor, n_jobs)
-        site_payload: List[RankTask] = (
-            batch_site_tasks(plan.site_tasks) if plan.batch_sites
-            else list(plan.site_tasks))
+        site_payload = batch_site_tasks(plan.site_tasks)
         batch: List[RankTask] = [plan.siterank_task, *site_payload]
         obs.inc("plan_executions_total", executor=resolved.name)
         obs.observe("plan_batch_tasks", float(len(batch)),

@@ -222,17 +222,20 @@ def all_local_docranks(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
                        tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER,
                        executor=None, n_jobs: Optional[int] = None,
-                       warm=None,
-                       batch_sites: bool = True) -> Dict[str, LocalDocRank]:
+                       warm=None) -> Dict[str, LocalDocRank]:
     """Compute the local DocRank of every site of a DocGraph.
 
     The per-site computations are mutually independent (the paper's
     decentralisability claim), so they are dispatched through the execution
     engine: pass ``n_jobs`` or an ``executor`` to run them concurrently;
-    the default remains a serial in-order run with identical results.  A
-    process backend ships the per-site matrices through the engine's
+    the default remains a serial in-order run with identical results.
+    Small sites are fused into block-diagonal tasks solved by one power
+    iteration with per-site convergence freezing
+    (:mod:`repro.linalg.block_solver`), large ones keep a dedicated solve;
+    :func:`repro.engine.plan.fuse_schedule` decides from the sizes alone.
+    A process backend ships the matrices through the engine's
     shared-memory arena (one segment per batch, attached zero-copy by the
-    workers) rather than pickling them.
+    workers).
 
     Parameters
     ----------
@@ -242,18 +245,11 @@ def all_local_docranks(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
     warm:
         Optional :class:`repro.engine.WarmStartState` supplying previously
         converged vectors to resume from.
-    batch_sites:
-        Fuse small sites into block-diagonal batched tasks solved by one
-        power iteration with per-site convergence freezing
-        (:mod:`repro.linalg.block_solver`) — the default, and the path
-        that makes many-small-sites webs fast.  ``False`` keeps the
-        historical one-solver-per-site reference path.
     """
     from ..engine.plan import execute_site_tasks, site_tasks_for
 
     preferences = preferences or {}
     tasks = site_tasks_for(docgraph, damping, preferences=preferences,
                            tol=tol, max_iter=max_iter, warm=warm)
-    results = execute_site_tasks(tasks, executor=executor, n_jobs=n_jobs,
-                                 batch_sites=batch_sites)
+    results = execute_site_tasks(tasks, executor=executor, n_jobs=n_jobs)
     return {result.site: result for result in results}

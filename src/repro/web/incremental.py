@@ -123,7 +123,6 @@ class IncrementalLayeredRanker:
                  tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER,
                  executor=None, n_jobs: Optional[int] = None,
-                 batch_sites: bool = True,
                  personalization: Optional[Mapping] = None) -> None:
         from ..engine.executor import resolve_executor
 
@@ -135,9 +134,6 @@ class IncrementalLayeredRanker:
         self._site_damping = site_damping if site_damping is not None else damping
         self._include_site_self_links = include_site_self_links
         self._solver = {"tol": tol, "max_iter": max_iter}
-        #: Whether refresh batches (and the initial build) fuse small sites
-        #: into block-diagonal batched tasks (repro.linalg.block_solver).
-        self._batch_sites = bool(batch_sites)
         # All (re)computations — the initial build, refresh batches and
         # full rebuilds — are dispatched through one engine executor, so a
         # ranker over many sites repairs a multi-site change concurrently.
@@ -212,7 +208,7 @@ class IncrementalLayeredRanker:
         plan = RankingPlan.from_docgraph(
             self._docgraph, self._damping, site_damping=self._site_damping,
             include_site_self_links=self._include_site_self_links,
-            batch_sites=self._batch_sites, **self._solver)
+            **self._solver)
         execution = plan.execute(executor=self._executor)
         self._siterank = execution.siterank
         self._local = dict(execution.local)
@@ -289,9 +285,8 @@ class IncrementalLayeredRanker:
         # The changed-site set rides the same batched path as a full plan:
         # small sites fuse into block-diagonal tasks, large ones keep
         # dedicated tasks a parallel backend can overlap.
-        site_payload, segment_payload = [
-            plan.batch_site_tasks(batch) if self._batch_sites else batch
-            for batch in (site_tasks, segment_tasks)]
+        site_payload = plan.batch_site_tasks(site_tasks)
+        segment_payload = plan.batch_site_tasks(segment_tasks)
         tasks = [*site_payload, *segment_payload]
         if siterank_recomputed:
             # Prepend so the site-level task overlaps the per-site work on
@@ -467,8 +462,7 @@ class IncrementalLayeredRanker:
         tasks = segment_tasks_for(
             self._docgraph, sitegraph, self._segments, self._damping,
             site_damping=self._site_damping, **self._solver)
-        results = execute_site_tasks(tasks, executor=self._executor,
-                                     batch_sites=self._batch_sites)
+        results = execute_site_tasks(tasks, executor=self._executor)
         return self._store_segment_results(
             {task.site: result for task, result in zip(tasks, results)},
             sitegraph=sitegraph)

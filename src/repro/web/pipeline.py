@@ -359,7 +359,7 @@ def _layered_docrank(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
                      tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER,
                      executor=None, n_jobs: Optional[int] = None,
-                     warm=None, batch_sites: bool = True,
+                     warm=None,
                      personalization: Optional[Mapping] = None,
                      ) -> WebRankingResult:
     """Run the full 5-step Layered Method for DocRank on a DocGraph.
@@ -396,10 +396,6 @@ def _layered_docrank(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
     warm:
         Optional :class:`repro.engine.WarmStartState` to resume power
         iterations from (and record the converged vectors into).
-    batch_sites:
-        Fuse small sites into block-diagonal batched tasks
-        (:class:`repro.engine.plan.BatchedSiteTask`), the default;
-        ``False`` opts out to the historical one-task-per-site path.
     personalization:
         Optional declarative segment mapping (the shape
         :class:`repro.api.RankingConfig` validates).  The base ranking is
@@ -419,7 +415,7 @@ def _layered_docrank(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
         site_preference=site_preference,
         document_preferences=document_preferences,
         include_site_self_links=include_site_self_links,
-        tol=tol, max_iter=max_iter, batch_sites=batch_sites)
+        tol=tol, max_iter=max_iter)
     build_seconds = perf_counter() - build_started
     execution = plan.execute(executor=executor, n_jobs=n_jobs, warm=warm)
 

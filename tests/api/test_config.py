@@ -152,3 +152,32 @@ class TestFileRoundTrip:
         text = RankingConfig().to_toml()
         assert "site_damping" not in text
         assert 'method = "layered"' in text
+
+    def test_files_with_the_retired_batch_sites_key_load(self, tmp_path):
+        # What RankingConfig().save() wrote while ``batch_sites`` existed.
+        files = {".json": (
+            '{\n  "architecture": "flat",\n  "batch_sites": true,\n'
+            '  "cache_size": 1024,\n  "damping": 0.85,\n'
+            '  "executor": "serial",\n  "include_site_self_links": false,\n'
+            '  "max_iter": 1000,\n  "method": "layered",\n  "n_peers": 8,\n'
+            '  "partition_policy": "balanced",\n  "rule": "linear",\n'
+            '  "tol": 1e-10,\n  "warm_start": false,\n  "weight": 0.5\n}\n')}
+        if TOML_READ_AVAILABLE:
+            files[".toml"] = (
+                'method = "layered"\ndamping = 0.85\ntol = 1e-10\n'
+                'max_iter = 1000\ninclude_site_self_links = false\n'
+                'batch_sites = true\nexecutor = "serial"\n'
+                'warm_start = false\ncache_size = 1024\nrule = "linear"\n'
+                'weight = 0.5\nn_peers = 8\narchitecture = "flat"\n'
+                'partition_policy = "balanced"\n')
+        for suffix, text in files.items():
+            path = tmp_path / f"parent{suffix}"
+            path.write_text(text)
+            assert RankingConfig.load(path) == RankingConfig()
+        assert "batch_sites" not in RankingConfig().to_dict()
+        assert "batch_sites" not in RankingConfig().to_toml()
+        with pytest.raises(ValidationError) as raised:
+            RankingConfig.from_dict({"batch_sites": False})
+        message = str(raised.value)
+        assert "batch_sites=false" in message and "removed" in message
+        assert len(message.splitlines()) == 1

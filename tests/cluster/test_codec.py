@@ -79,8 +79,7 @@ MESSAGE_STRATEGIES = {
     "JoinAck": st.builds(
         JoinAck, sender=names, recipient=names, accepted=st.booleans(),
         reason=names, assigned_name=names, heartbeat_seconds=finite,
-        damping=finite, tol=finite, max_iter=st.integers(0, 10**6),
-        batch_sites=st.booleans()),
+        damping=finite, tol=finite, max_iter=st.integers(0, 10**6)),
     "Heartbeat": st.builds(
         Heartbeat, sender=names, recipient=names,
         seq=st.integers(0, 2**62), busy_seconds=finite),

@@ -30,7 +30,8 @@ from repro.distributed import DistributedRankingCoordinator
 from repro.exceptions import ProtocolError
 from repro.graphgen import generate_synthetic_web
 from repro.io import docgraph_digest, read_docgraph, write_docgraph
-from repro.web.pipeline import _layered_docrank
+
+from per_site_oracle import per_site_layered_docrank
 
 #: The protocol messages both deployments send with identical contents —
 #: the byte-parity surface between simulated and live runs.
@@ -48,7 +49,7 @@ def web(tmp_path_factory):
     path = os.path.join(workdir, "web.docgraph")
     write_docgraph(graph, path)
     shared = read_docgraph(path)  # rank exactly what the peers will load
-    serial = _layered_docrank(shared, batch_sites=False)
+    serial = per_site_layered_docrank(shared)
     return {"graph": shared, "path": path, "serial": serial,
             "workdir": str(workdir)}
 

@@ -6,8 +6,18 @@ session-scoped so the many tests that inspect them do not regenerate them.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 import pytest
+
+# The per-site reference oracle (tests/engine/per_site_oracle.py) serves
+# test directories beyond its own.
+_ENGINE_TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "engine")
+if _ENGINE_TESTS not in sys.path:
+    sys.path.insert(0, _ENGINE_TESTS)
 
 from repro.core import example_lmm
 from repro.graphgen import CampusWebConfig, generate_campus_web, generate_synthetic_web

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.distributed import Peer, local_work_seconds
+from repro.distributed import Peer, local_work_seconds, summarize_sitelinks
+from repro.engine import site_tasks_for
 from repro.exceptions import SimulationError
 from repro.web import local_docrank
 
@@ -14,45 +15,57 @@ def peer(toy_docgraph):
                 sites=["a.example.org", "c.example.org"])
 
 
+def summarize(peer):
+    return summarize_sitelinks(peer.docgraph, peer.sites, sender=peer.name,
+                               recipient="coordinator")
+
+
+def engine_rank(peer, site):
+    """Run *site*'s engine task and install the result on *peer*."""
+    (task,) = site_tasks_for(peer.docgraph, sites=[site])
+    result = task.run()
+    return result, peer.adopt_local_rank(site, result, task.nnz)
+
+
 class TestSiteLinkSummary:
     def test_only_own_sites_reported(self, peer, toy_docgraph):
-        summary = peer.summarize_sitelinks("coordinator")
+        summary = summarize(peer)
         sources = {source for source, _target, _count in summary.counts}
         assert sources <= {"a.example.org", "c.example.org"}
 
     def test_counts_match_docgraph(self, peer):
-        summary = peer.summarize_sitelinks("coordinator")
+        summary = summarize(peer)
         counts = {(s, t): c for s, t, c in summary.counts}
         assert counts[("a.example.org", "b.example.org")] == 1
         assert counts[("c.example.org", "a.example.org")] == 1
 
     def test_intra_site_links_excluded(self, peer):
-        summary = peer.summarize_sitelinks("coordinator")
+        summary = summarize(peer)
         assert all(source != target for source, target, _ in summary.counts)
 
     def test_addressing(self, peer):
-        summary = peer.summarize_sitelinks("coordinator")
+        summary = summarize(peer)
         assert summary.sender == "peer-0"
         assert summary.recipient == "coordinator"
 
 
 class TestLocalRankComputation:
     def test_matches_direct_local_docrank(self, peer, toy_docgraph):
-        result, seconds = peer.compute_local_rank("a.example.org")
+        result, seconds = engine_rank(peer, "a.example.org")
         direct = local_docrank(toy_docgraph, "a.example.org")
-        assert np.allclose(result.scores, direct.scores)
+        assert np.array_equal(result.scores, direct.scores)
         assert seconds > 0.0
 
     def test_result_cached_on_peer(self, peer):
-        peer.compute_local_rank("a.example.org")
+        engine_rank(peer, "a.example.org")
         assert "a.example.org" in peer.local_results
 
     def test_refuses_foreign_site(self, peer):
         with pytest.raises(SimulationError):
-            peer.compute_local_rank("b.example.org")
+            engine_rank(peer, "b.example.org")
 
     def test_local_rank_message_round_trip(self, peer):
-        result, _ = peer.compute_local_rank("c.example.org")
+        result, _ = engine_rank(peer, "c.example.org")
         message = peer.local_rank_message("c.example.org", "coordinator")
         assert message.site == "c.example.org"
         assert list(message.doc_ids) == result.doc_ids
@@ -65,8 +78,8 @@ class TestLocalRankComputation:
 
 class TestWeightedShard:
     def test_shard_weights_by_siterank(self, peer):
-        peer.compute_local_rank("a.example.org")
-        peer.compute_local_rank("c.example.org")
+        engine_rank(peer, "a.example.org")
+        engine_rank(peer, "c.example.org")
         site_scores = {"a.example.org": 0.6, "c.example.org": 0.4,
                        "b.example.org": 0.0}
         shard = peer.weighted_shard(site_scores, "coordinator")
@@ -76,14 +89,14 @@ class TestWeightedShard:
             assert scores[doc_id] == pytest.approx(0.6 * local_score)
 
     def test_shard_requires_all_local_results(self, peer):
-        peer.compute_local_rank("a.example.org")
+        engine_rank(peer, "a.example.org")
         with pytest.raises(SimulationError):
             peer.weighted_shard({"a.example.org": 1.0, "c.example.org": 0.0},
                                 "coordinator")
 
     def test_shard_requires_site_scores(self, peer):
-        peer.compute_local_rank("a.example.org")
-        peer.compute_local_rank("c.example.org")
+        engine_rank(peer, "a.example.org")
+        engine_rank(peer, "c.example.org")
         with pytest.raises(SimulationError):
             peer.weighted_shard({"a.example.org": 1.0}, "coordinator")
 

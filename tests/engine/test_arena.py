@@ -233,12 +233,18 @@ class TestExecutorLifecycle:
         assert_no_leaks()
 
     def test_pickle_transport_opt_out(self, toy_docgraph):
-        reference = layered_docrank(toy_docgraph)
-        with ProcessExecutor(2, use_arena=False) as executor:
-            result = layered_docrank(toy_docgraph, executor=executor)
+        # A batch with nothing to share allocates no arena and reports
+        # the plain pickle it rode.
+        tasks = site_tasks_for(toy_docgraph)
+        reference = [run_task(task) for task in tasks]
+        with ProcessExecutor(2) as executor:
+            shared = executor.map(run_task, tasks)
+            assert executor.last_transport == "arena"
+            assert executor.map(abs, [-1, -2]) == [1, 2]
             assert executor.last_transport == "pickle"
             assert executor.last_dispatch_bytes > 0
-        assert np.array_equal(result.scores, reference.scores)
+        for got, want in zip(shared, reference):
+            assert np.array_equal(got.scores, want.scores)
         assert_no_leaks()
 
     def test_dispatch_bytes_accumulate_across_batches(self, toy_docgraph):

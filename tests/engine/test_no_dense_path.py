@@ -90,8 +90,7 @@ def test_every_backend_fits_without_a_dense_matrix(no_dense, web):
     reference = _layered_docrank(web)
     facade = Ranker().fit(web)
     assert np.array_equal(facade.scores, reference.scores)
-    for executor in (ThreadedExecutor(2), ProcessExecutor(2),
-                     ProcessExecutor(2, use_arena=False)):
+    for executor in (ThreadedExecutor(2), ProcessExecutor(2)):
         with executor:
             result = _layered_docrank(web, executor=executor)
         assert result.doc_ids == reference.doc_ids

@@ -17,6 +17,8 @@ from repro.exceptions import GraphStructureError, ValidationError
 from repro.web import DocGraph, local_docrank, siterank
 from repro.web.pipeline import _layered_docrank as layered_docrank
 
+from per_site_oracle import per_site_local_docranks
+
 
 class TestPlanConstruction:
     def test_one_task_per_site_plus_siterank(self, toy_docgraph):
@@ -54,15 +56,16 @@ class TestPlanConstruction:
 
 class TestPlanExecution:
     def test_unbatched_matches_the_direct_computation(self, toy_docgraph):
-        # batch_sites=False is the per-site opt-out: one task per site,
+        # The per-site reference — one dedicated task per site — is
         # bitwise identical to calling the solvers directly.
-        plan = RankingPlan.from_docgraph(toy_docgraph, batch_sites=False)
-        execution = plan.execute()
+        plan = RankingPlan.from_docgraph(toy_docgraph)
+        local = per_site_local_docranks(toy_docgraph)
         for site in toy_docgraph.sites():
             direct = local_docrank(toy_docgraph, site)
-            assert np.array_equal(execution.local[site].scores, direct.scores)
+            assert np.array_equal(local[site].scores, direct.scores)
         direct_site = siterank(plan.sitegraph)
-        assert np.array_equal(execution.siterank.scores, direct_site.scores)
+        assert np.array_equal(plan.siterank_task.run().scores,
+                              direct_site.scores)
 
     def test_batched_default_matches_the_direct_computation(self, toy_docgraph):
         # The default plan fuses the toy web's small sites into one
@@ -70,7 +73,6 @@ class TestPlanExecution:
         # floating-point rounding (the batched-equivalence tests pin the
         # tolerance contract down on bigger webs).
         plan = RankingPlan.from_docgraph(toy_docgraph)
-        assert plan.batch_sites
         execution = plan.execute()
         for site in toy_docgraph.sites():
             direct = local_docrank(toy_docgraph, site)
@@ -80,10 +82,10 @@ class TestPlanExecution:
         assert np.array_equal(execution.siterank.scores, direct_site.scores)
 
     def test_execution_metadata(self, toy_docgraph):
-        plan = RankingPlan.from_docgraph(toy_docgraph, batch_sites=False)
+        plan = RankingPlan.from_docgraph(toy_docgraph)
         execution = plan.execute()
         assert execution.executor_name == "serial"
-        assert execution.n_tasks == plan.n_tasks
+        assert 1 < execution.n_tasks <= plan.n_tasks
         assert execution.wall_seconds >= 0.0
         assert execution.total_iterations == execution.siterank.iterations + \
             sum(r.iterations for r in execution.local.values())

@@ -20,6 +20,7 @@ from repro.engine import WarmStartState, plan, rank_outofcore
 from repro.engine.outofcore import GenerationWarmStart
 from repro.engine.plan import (
     RankingPlan,
+    SiteRankTask,
     segment_tasks_for,
     site_tasks_for,
 )
@@ -117,9 +118,9 @@ def test_incremental_refresh_submits_the_oracle_tasks(web):
     graph = build_graph(sizes, edges)
     spec = PERSONALIZATION
     ranker = IncrementalLayeredRanker(
-        graph, DAMPING, site_damping=SITE_DAMPING, batch_sites=False,
+        graph, DAMPING, site_damping=SITE_DAMPING,
         personalization=spec, **SOLVER)
-    execute_tasks = plan.execute_tasks
+    batch_site_tasks, execute_tasks = plan.batch_site_tasks, plan.execute_tasks
     for updates in rounds:
         changed, intersite = apply_updates(graph, updates)
         ordered = sorted(changed | (set(graph.sites()) - set(ranker._local)))
@@ -140,13 +141,21 @@ def test_incremental_refresh_submits_the_oracle_tasks(web):
             want.insert(0, oracle_siterank_task(
                 sitegraph, ranker._siterank, SITE_DAMPING, TOL, MAX_ITER))
 
+        # The per-site tasks are what the refresh hands the fuse schedule;
+        # the SiteRank task skips it and leads the dispatched batch.
         submitted = []
 
         def capture(tasks, **kwargs):
             submitted.extend(tasks)
+            return batch_site_tasks(tasks, **kwargs)
+
+        def capture_siterank(tasks, **kwargs):
+            submitted[:0] = [task for task in tasks
+                             if isinstance(task, SiteRankTask)]
             return execute_tasks(tasks, **kwargs)
 
-        with mock.patch.object(plan, "execute_tasks", capture):
+        with mock.patch.object(plan, "batch_site_tasks", capture), \
+                mock.patch.object(plan, "execute_tasks", capture_siterank):
             report = ranker.refresh(changed, intersite_changed=intersite)
         assert report.recomputed_sites == ordered
         assert_same_tasks(submitted, want)

@@ -1,7 +1,8 @@
 """Property tests: the batched solver path equals the per-site path.
 
 The fused block-diagonal solver (:mod:`repro.linalg.block_solver`) and the
-historical one-solver-per-site path perform the same per-block update
+one-solver-per-site reference (``per_site_oracle``, the schedule the
+distributed peers run) perform the same per-block update
 through different floating-point orderings, so either result lies within
 ``tol·f/(1-f)`` of the true stationary vector.  Running both at a solver
 tolerance of ``1e-13`` therefore bounds their disagreement well below the
@@ -21,6 +22,8 @@ from repro.web import DocGraph, all_local_docranks
 from repro.web.incremental import IncrementalLayeredRanker
 from repro.web.pipeline import _layered_docrank
 
+from per_site_oracle import per_site_layered_docrank, per_site_local_docranks
+
 #: Solver tolerance of the equality runs (see module docstring).
 EQ_TOL = 1e-13
 
@@ -29,10 +32,8 @@ ATOL = 1e-12
 
 
 def assert_batched_equals_per_site(graph, **kwargs):
-    per_site = all_local_docranks(graph, batch_sites=False, tol=EQ_TOL,
-                                  **kwargs)
-    batched = all_local_docranks(graph, batch_sites=True, tol=EQ_TOL,
-                                 **kwargs)
+    per_site = per_site_local_docranks(graph, tol=EQ_TOL, **kwargs)
+    batched = all_local_docranks(graph, tol=EQ_TOL, **kwargs)
     assert set(per_site) == set(batched)
     for site, reference in per_site.items():
         fused = batched[site]
@@ -92,10 +93,8 @@ class TestBatchedEquivalenceEdgeCases:
         assert_batched_equals_per_site(graph)
 
     def test_pipeline_scores_match(self, small_synthetic_web):
-        reference = _layered_docrank(small_synthetic_web, tol=EQ_TOL,
-                                     batch_sites=False)
-        fused = _layered_docrank(small_synthetic_web, tol=EQ_TOL,
-                                 batch_sites=True)
+        reference = per_site_layered_docrank(small_synthetic_web, tol=EQ_TOL)
+        fused = _layered_docrank(small_synthetic_web, tol=EQ_TOL)
         assert np.allclose(reference.scores_by_doc_id(),
                            fused.scores_by_doc_id(), atol=ATOL, rtol=0.0)
         score_of = {doc_id: reference.score_of(doc_id)
@@ -104,19 +103,14 @@ class TestBatchedEquivalenceEdgeCases:
                                    score_of, atol=ATOL)
 
     def test_incremental_refresh_matches_per_site_ranker(self):
-        graph_a = generate_synthetic_web(n_sites=8, n_documents=120, seed=9)
-        graph_b = generate_synthetic_web(n_sites=8, n_documents=120, seed=9)
-        with IncrementalLayeredRanker(graph_a, tol=EQ_TOL) as fused, \
-                IncrementalLayeredRanker(graph_b, tol=EQ_TOL,
-                                         batch_sites=False) as reference:
-            assert fused._batch_sites
-            for ranker in (fused, reference):
-                ranker.add_link("http://site000.example.org/",
-                                "http://site001.example.org/")
-                ranker.refresh(ranker.docgraph.sites()[:4],
-                               intersite_changed=False)
+        graph = generate_synthetic_web(n_sites=8, n_documents=120, seed=9)
+        with IncrementalLayeredRanker(graph, tol=EQ_TOL) as fused:
+            fused.add_link("http://site000.example.org/",
+                           "http://site001.example.org/")
+            fused.refresh(graph.sites()[:4], intersite_changed=False)
+            reference = per_site_layered_docrank(graph, tol=EQ_TOL)
             assert np.allclose(fused.ranking().scores_by_doc_id(),
-                               reference.ranking().scores_by_doc_id(),
+                               reference.scores_by_doc_id(),
                                atol=ATOL, rtol=0.0)
 
     def test_per_site_preferences_flow_through_the_batch(self, toy_docgraph):

@@ -328,13 +328,6 @@ class TestPersonalizedSegments:
         assert_segments_match_full_recompute(ranker, graph, TOY_SEGMENTS)
         assert_matches_full_recompute(ranker, graph)
 
-    def test_unbatched_ranker_repairs_segments_too(self):
-        graph = toy_web()
-        ranker = IncrementalLayeredRanker(graph, batch_sites=False,
-                                          personalization=TOY_SEGMENTS)
-        self.mutate(ranker)
-        assert_segments_match_full_recompute(ranker, graph, TOY_SEGMENTS)
-
     def test_warm_segment_refresh_beats_cold_rebuild(self, small_campus):
         graph = small_campus.docgraph
         site = "dept001.campus.edu"
