@@ -2,10 +2,11 @@
 
 :class:`ClusterCoordinator` runs the same flat-architecture protocol as
 the simulator's :class:`~repro.distributed.coordinator.DistributedRankingCoordinator`,
-but against peers that are separate OS processes on TCP.  The round is
-scheduled from the same :class:`~repro.engine.plan.RankingPlan` (its
-:meth:`~repro.engine.plan.RankingPlan.partition` hook maps the step-3
-tasks onto peers), the SiteRank is assembled from the peers' SiteLink
+but against peers that are separate OS processes on TCP.  The round's
+per-site requests come from the same :class:`~repro.engine.plan.RankingPlan`
+the centralized pipeline executes (its sites assigned to peers by
+:func:`~repro.distributed.partitioning.partition_sites`), the SiteRank
+is assembled from the peers' SiteLink
 summaries exactly as in the simulation, and the final composition is the
 shared step-5 code — which is why a live round's scores are bitwise those
 of the serial reference.
@@ -124,13 +125,13 @@ class ClusterCoordinator:
         self.round_timeout = round_timeout
         self.graph_digest = docgraph_digest(docgraph)
         # The shared scheduling source: the same plan the centralized
-        # pipeline executes, partitioned instead of dispatched locally.
+        # pipeline executes, its site tasks sent to peers instead of
+        # dispatched locally.
         self.plan = RankingPlan.from_docgraph(
             docgraph, damping, site_damping=self.site_damping, tol=tol,
             max_iter=max_iter)
         self.assignment = partition_sites(docgraph, n_peers,
                                           policy=partition_policy)
-        self.partitioned = self.plan.partition(self.assignment)
         self.ledger = JobLedger.open(
             ledger_path, graph_digest=self.graph_digest,
             params={"damping": damping, "site_damping": self.site_damping,

@@ -72,10 +72,9 @@ class PageRankLocalScheme(LocalRankScheme):
         self._max_iter = max_iter
 
     def rank(self, docgraph: DocGraph, site: str) -> np.ndarray:
-        local_adjacency, doc_ids = docgraph.local_adjacency(site)
+        local_adjacency, _doc_ids = docgraph.local_adjacency(site)
         result = pagerank(local_adjacency, damping=self._damping,
-                          tol=self._tol, max_iter=self._max_iter,
-                          method="dense" if len(doc_ids) <= 2000 else "sparse")
+                          tol=self._tol, max_iter=self._max_iter)
         return result.scores
 
 
@@ -147,9 +146,7 @@ class PageRankSiteScheme(SiteRankScheme):
 
     def rank(self, sitegraph: SiteGraph) -> np.ndarray:
         result = pagerank(sitegraph.adjacency, damping=self._damping,
-                          tol=self._tol, max_iter=self._max_iter,
-                          method="dense" if sitegraph.n_sites <= 2000
-                          else "sparse")
+                          tol=self._tol, max_iter=self._max_iter)
         return result.scores
 
 

@@ -20,10 +20,10 @@ compute layer of the repository:
   ``n_jobs="auto"`` prices each batch (task nnz × expected iterations) and
   picks serial / threaded / process per batch;
 * :mod:`repro.engine.arena` — zero-copy shared-memory transport: the
-  process backend lays each batch's CSR buffers into one
-  ``SharedMemory`` segment (a :class:`GraphArena`) and ships only tiny
-  :class:`ArenaRef` addresses, so dispatch cost no longer scales with the
-  web's size;
+  process backend lays each batch's matrices and arrays into one
+  ``SharedMemory`` segment (a :class:`GraphArena`), choosing by each task
+  field's type, and ships only tiny :class:`ArenaRef` addresses, so
+  dispatch cost no longer scales with the web's size;
 * :mod:`repro.engine.outofcore` — :func:`rank_outofcore`, the same
   builders and solve schedule driven over an mmap'd
   :class:`~repro.io.diskgraph.DiskGraph` one unit at a time, publishing
@@ -38,10 +38,10 @@ down that every backend produces bitwise-identical rankings.
 from .arena import (
     ArenaRef,
     GraphArena,
-    SharedSiteGraph,
     dispatch_bytes,
     live_segments,
     resolve_csr,
+    resolve_task,
     resolve_vector,
     share_batch,
 )
@@ -102,10 +102,10 @@ from .warm import WarmSource, WarmStartState, align_warm_start
 __all__ = [
     "ArenaRef",
     "GraphArena",
-    "SharedSiteGraph",
     "dispatch_bytes",
     "live_segments",
     "resolve_csr",
+    "resolve_task",
     "resolve_vector",
     "share_batch",
     "AutoExecutor",

@@ -1,21 +1,21 @@
-"""Zero-copy shared-memory transport for the engine's graph payloads.
+"""Zero-copy shared-memory transport for the engine's task payloads.
 
 The layered method's step-3 batch is embarrassingly parallel, but a
 process pool only realises that parallelism after the task payloads reach
-the workers — and until now :class:`~repro.engine.executor.ProcessExecutor`
-shipped every site's CSR adjacency (and the SiteGraph) to the pool *by
-value*, through pickle.  On a 100k-document web the matrices dominate the
-dispatch cost: the workers spend their first milliseconds deserialising
-megabytes that already sit, bit for bit, in the parent's memory.
+the workers.  Through pickle alone every site's CSR adjacency (and the
+SiteGraph) travels *by value*: on a 100k-document web the matrices
+dominate the dispatch cost, and the workers spend their first
+milliseconds deserialising megabytes that already sit, bit for bit, in
+the parent's memory.
 
-A :class:`GraphArena` removes that copy.  The parent lays the CSR buffers
-(``data`` / ``indices`` / ``indptr``) of every matrix of a batch into one
+A :class:`GraphArena` removes that copy.  The parent lays the buffers of
+every array a batch carries into one
 :class:`multiprocessing.shared_memory.SharedMemory` segment and replaces
-each embedded matrix with a small picklable :class:`ArenaRef` — segment
-name, dtypes, shape and byte offsets.  Workers *attach* to the segment by
-name and rebuild the matrices as numpy views over the mapped buffer
-(:func:`repro.linalg.sparse_utils.csr_from_buffers`): zero bytes of graph
-travel through the pool's pipes, regardless of web size.
+each with a small picklable :class:`ArenaRef` — segment name, dtypes,
+shape and byte offsets.  Workers *attach* to the segment by name and
+rebuild the arrays as numpy views over the mapped buffer
+(:func:`repro.linalg.sparse_utils.csr_from_buffers` for matrices): zero
+bytes of graph travel through the pool's pipes, regardless of web size.
 
 Lifecycle is explicit and owned by the dispatching executor:
 
@@ -33,31 +33,40 @@ The module also owns the engine's *dispatch accounting*: every transport
 (`pickle` or `arena`) reports how many bytes a batch shipped by value, the
 number benchmarks and provenance records surface as ``dispatch_bytes``.
 
-Payload types opt into the arena by implementing two methods (duck-typed,
-so layers stay decoupled from each other):
+Engine tasks are plain frozen dataclasses and know nothing of this
+module.  :func:`share_task` shares one field by field, by the field's
+type:
 
-``__arena_bytes__()``
-    Bytes of payload the arena could absorb (0 when already shared).
-``__arena_share__(arena)``
-    Return a copy of the payload with its heavy buffers replaced by
-    :class:`ArenaRef`\\ s written into *arena*.
+* a scipy sparse matrix or a :class:`~repro.web.docgraph.SiteBlockRef`
+  becomes a ``"csr"`` ref;
+* an ndarray becomes a ``"vector"`` ref that records its shape, so a
+  K-column preference matrix comes back as the same matrix;
+* a tuple of ints becomes an int64 ``"ints"`` ref, resolved back to the
+  tuple;
+* a :class:`~repro.web.sitegraph.SiteGraph` stays a SiteGraph, with its
+  adjacency shared;
+* anything else (names, scalars, ``None``, plain lists) is pickled as it
+  stands.
 
-:class:`~repro.engine.plan.LocalRankTask` and
-:class:`~repro.engine.plan.SiteRankTask` implement the pair.
+:func:`resolve_task` undoes it in the worker, so a task's ``run`` only
+ever sees the values it was built with.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import secrets
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..exceptions import ValidationError
 from ..linalg.layout import ALIGNMENT, BumpLayout, family_nbytes
@@ -80,8 +89,9 @@ class ArenaRef:
     A ref is the *only* thing that crosses the process boundary: it names
     the segment and records, per array, the dtype and byte offset needed
     to rebuild a numpy view over the mapped buffer.  ``kind`` selects the
-    layout: ``"csr"`` (three arrays: ``data`` / ``indices`` / ``indptr``)
-    or ``"vector"`` (one ``data`` array).
+    layout: ``"csr"`` (three arrays: ``data`` / ``indices`` / ``indptr``),
+    ``"vector"`` (one ``data`` array of the recorded shape) or ``"ints"``
+    (one int64 array standing for a tuple of ints).
 
     Refs deliberately carry the shape and nnz so cost models
     (:mod:`repro.engine.adaptive`) can price a shared task without
@@ -89,7 +99,7 @@ class ArenaRef:
     """
 
     segment: str
-    kind: str  # "csr" | "vector"
+    kind: str  # "csr" | "vector" | "ints"
     shape: Tuple[int, ...]
     data_dtype: str
     data_offset: int
@@ -103,41 +113,16 @@ class ArenaRef:
         """Stored non-zeros (for vectors: the element count)."""
         return self.data_count
 
+    def __len__(self) -> int:
+        return self.shape[0]
+
     def __reduce__(self):
         # Positional form: a ref is what every shared task ships per
-        # matrix, so its pickle must not carry nine field-name strings.
+        # array, so its pickle must not carry nine field-name strings.
         return (ArenaRef, (self.segment, self.kind, self.shape,
                            self.data_dtype, self.data_offset,
                            self.data_count, self.index_dtype,
                            self.indices_offset, self.indptr_offset))
-
-
-@dataclass(frozen=True)
-class SharedSiteGraph:
-    """A :class:`~repro.web.sitegraph.SiteGraph` with its adjacency in an arena.
-
-    Carries the cheap metadata (site identifiers, sizes) by value and the
-    SiteLink-count matrix by reference; :meth:`resolve` rebuilds the real
-    SiteGraph over the attached buffers in a worker.  Exposes the
-    ``n_sites`` / ``adjacency.nnz`` surface the engine's cost model reads,
-    so a shared SiteRank task prices exactly like an unshared one.
-    """
-
-    sites: Tuple[str, ...]
-    site_sizes: Tuple[int, ...]
-    include_self_links: bool
-    adjacency: ArenaRef
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.sites)
-
-    def resolve(self) -> SiteGraph:
-        """Attach and rebuild the full SiteGraph (zero-copy adjacency)."""
-        return SiteGraph(sites=list(self.sites),
-                         adjacency=resolve_csr(self.adjacency),
-                         site_sizes=list(self.site_sizes),
-                         include_self_links=self.include_self_links)
 
 
 # --------------------------------------------------------------------- #
@@ -214,23 +199,15 @@ class GraphArena:
                         indices_offset=indices_offset,
                         indptr_offset=indptr_offset)
 
-    def add_vector(self, array) -> ArenaRef:
-        """Lay one 1-D array into the segment; return its ref."""
-        flat = np.ascontiguousarray(array).ravel()
-        offset = self._write(flat)
-        return ArenaRef(segment=self.name, kind="vector",
-                        shape=(int(flat.size),),
-                        data_dtype=flat.dtype.str,
+    def add_vector(self, array, *, kind: str = "vector") -> ArenaRef:
+        """Lay one array into the segment; its ref records the shape."""
+        array = np.ascontiguousarray(array)
+        offset = self._write(array)
+        return ArenaRef(segment=self.name, kind=kind,
+                        shape=tuple(int(s) for s in array.shape),
+                        data_dtype=array.dtype.str,
                         data_offset=offset,
-                        data_count=int(flat.size))
-
-    def add_sitegraph(self, sitegraph: SiteGraph) -> SharedSiteGraph:
-        """Share a SiteGraph: metadata by value, adjacency by reference."""
-        return SharedSiteGraph(
-            sites=tuple(sitegraph.sites),
-            site_sizes=tuple(int(s) for s in sitegraph.site_sizes),
-            include_self_links=bool(sitegraph.include_self_links),
-            adjacency=self.add_csr(sitegraph.adjacency))
+                        data_count=int(array.size))
 
     # ------------------------------------------------------------------ #
     def dispose(self) -> None:
@@ -366,81 +343,117 @@ def resolve_csr(ref: ArenaRef):
 
 
 def resolve_vector(ref: ArenaRef) -> np.ndarray:
-    """Rebuild a 1-D array as a zero-copy view over an arena segment."""
-    if ref.kind != "vector":
+    """Rebuild an array of the recorded shape as a zero-copy view."""
+    if ref.kind not in ("vector", "ints"):
         raise ValidationError(f"expected a vector ref, got kind={ref.kind!r}")
     shm = _segment(ref.segment)
-    return _view(shm, ref.data_dtype, ref.data_offset, ref.data_count)
-
-
-def resolve_matrix(adjacency):
-    """Pass through real matrices; attach :class:`ArenaRef` ones and cut
-    :class:`~repro.web.docgraph.SiteBlockRef` ones out of their layout."""
-    if isinstance(adjacency, ArenaRef):
-        return resolve_csr(adjacency)
-    if isinstance(adjacency, SiteBlockRef):
-        return adjacency.tocsr()
-    return adjacency
+    view = _view(shm, ref.data_dtype, ref.data_offset, ref.data_count)
+    return view.reshape(ref.shape)
 
 
 # --------------------------------------------------------------------- #
-# Optional-vector payloads (preference / start / id / score vectors)
+# Tasks: the type rule
 # --------------------------------------------------------------------- #
-# Task payloads carry optional vectors that may arrive as None, as any
-# array-like (list, float32 array, ...), or — once shared — as an
-# ArenaRef.  These three helpers are the single implementation of the
-# budget / share / resolve triple every payload type uses, so the byte
-# accounting can never drift from what share_vector actually writes.
 
-def _vector_payload(vector) -> np.ndarray:
-    """The exact float64 array :func:`share_vector` would write."""
-    return np.ascontiguousarray(np.asarray(vector, dtype=float)).ravel()
-
-
-def vector_arena_nbytes(*vectors) -> int:
-    """Arena bytes of optional vector payloads (0 for None / already shared).
-
-    Budgets the *written* form — the float64 cast of whatever array-like
-    the caller holds — plus one :data:`ALIGNMENT` slack per vector, so a
-    float32 or plain-list input can never overflow the segment it sized.
-    """
-    return family_nbytes(*(_vector_payload(v).nbytes for v in vectors
-                           if v is not None
-                           and not isinstance(v, ArenaRef)))
+def _kind(value) -> Optional[str]:
+    """How one task field crosses to a worker (``None``: by value)."""
+    if isinstance(value, SiteGraph):
+        return "sitegraph"
+    if sp.issparse(value) or isinstance(value, SiteBlockRef):
+        return "csr"
+    if isinstance(value, np.ndarray) and not value.dtype.hasobject:
+        return "vector"
+    if (isinstance(value, tuple) and value
+            and all(type(item) is int for item in value)):
+        return "ints"
+    return None
 
 
-def share_vector(arena: GraphArena, vector):
-    """Write an optional vector into *arena* (None / refs pass through)."""
-    if vector is None or isinstance(vector, ArenaRef):
-        return vector
-    return arena.add_vector(_vector_payload(vector))
+def _field_nbytes(value) -> int:
+    kind = _kind(value)
+    if kind == "sitegraph":
+        return _field_nbytes(value.adjacency)
+    if kind == "csr":
+        return csr_arena_nbytes(value)
+    if kind == "vector":
+        return family_nbytes(value.nbytes)
+    if kind == "ints":
+        return family_nbytes(8 * len(value))
+    return 0
 
 
-def resolve_vector_payload(vector):
-    """Pass through real (or absent) vectors; attach :class:`ArenaRef` ones."""
-    if isinstance(vector, ArenaRef):
-        return resolve_vector(vector)
-    return vector
+def _share_field(arena: GraphArena, value):
+    kind = _kind(value)
+    if kind == "sitegraph":
+        return dataclasses.replace(
+            value, adjacency=_share_field(arena, value.adjacency))
+    if kind == "csr":
+        return arena.add_csr(value)
+    if kind == "vector":
+        return arena.add_vector(value)
+    if kind == "ints":
+        return arena.add_vector(np.asarray(value, dtype=np.int64),
+                                kind="ints")
+    return value
+
+
+def _resolve_field(value):
+    if isinstance(value, SiteGraph) and isinstance(value.adjacency,
+                                                   ArenaRef):
+        return dataclasses.replace(value,
+                                   adjacency=resolve_csr(value.adjacency))
+    if not isinstance(value, ArenaRef):
+        return value
+    if value.kind == "csr":
+        return resolve_csr(value)
+    if value.kind == "ints":
+        return tuple(resolve_vector(value).tolist())
+    return resolve_vector(value)
+
+
+def _fields(task) -> tuple:
+    return dataclasses.fields(task) if dataclasses.is_dataclass(task) else ()
+
+
+def _map_fields(task, convert):
+    """*task* with *convert* applied to every field (itself if none moved)."""
+    changes = {}
+    for field in _fields(task):
+        value = getattr(task, field.name)
+        converted = convert(value)
+        if converted is not value:
+            changes[field.name] = converted
+    return dataclasses.replace(task, **changes) if changes else task
+
+
+def arena_bytes(task) -> int:
+    """Bytes of *task*'s fields an arena would absorb (0 when none)."""
+    return sum(_field_nbytes(getattr(task, field.name))
+               for field in _fields(task))
+
+
+def share_task(arena: GraphArena, task):
+    """*task* with every array-like field written into *arena* as a ref."""
+    return _map_fields(task, partial(_share_field, arena))
+
+
+def resolve_task(task):
+    """Undo :func:`share_task`: attach every ref *task* carries."""
+    return _map_fields(task, _resolve_field)
 
 
 # --------------------------------------------------------------------- #
 # Batch packing + dispatch accounting
 # --------------------------------------------------------------------- #
 
-def arena_bytes(item) -> int:
-    """Bytes of *item*'s payload an arena could absorb (0 when none)."""
-    measure = getattr(item, "__arena_bytes__", None)
-    return int(measure()) if measure is not None else 0
-
-
 def share_batch(items: Sequence) -> Tuple[list, Optional[GraphArena]]:
     """Pack a batch's heavy buffers into one arena.
 
-    Returns ``(shared_items, arena)`` — the items with their matrices
-    replaced by :class:`ArenaRef`\\ s, plus the owner handle the caller
-    must :meth:`~GraphArena.dispose` after the batch completes.  When no
-    item has anything to share the original list is returned with
-    ``arena=None`` and nothing is allocated.
+    Returns ``(shared_items, arena)`` — the items with their arrays
+    replaced by :class:`ArenaRef`\\ s (:func:`share_task`), plus the owner
+    handle the caller must :meth:`~GraphArena.dispose` after the batch
+    completes.  When no item has anything to share the original list is
+    returned with ``arena=None`` and nothing is allocated.
     """
     items = list(items)
     total = sum(arena_bytes(item) for item in items)
@@ -448,10 +461,7 @@ def share_batch(items: Sequence) -> Tuple[list, Optional[GraphArena]]:
         return items, None
     arena = GraphArena(total)
     try:
-        shared = [item.__arena_share__(arena)
-                  if getattr(item, "__arena_share__", None) is not None
-                  else item
-                  for item in items]
+        shared = [share_task(arena, item) for item in items]
     except BaseException:
         arena.dispose()
         raise
@@ -482,17 +492,14 @@ __all__ = [
     "ArenaRef",
     "GraphArena",
     "SEGMENT_PREFIX",
-    "SharedSiteGraph",
     "TASK_OVERHEAD_BYTES",
     "arena_bytes",
     "csr_arena_nbytes",
     "dispatch_bytes",
     "live_segments",
     "resolve_csr",
-    "resolve_matrix",
+    "resolve_task",
     "resolve_vector",
-    "resolve_vector_payload",
     "share_batch",
-    "share_vector",
-    "vector_arena_nbytes",
+    "share_task",
 ]

@@ -68,7 +68,15 @@ class CalibrationProfile:
         for name in ("serial_flops_threshold", "process_flops_threshold",
                      "batched_serial_flops_threshold",
                      "batched_process_flops_threshold"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            # A NaN cut-off fails every ``cost < threshold`` test and sends
+            # every batch to a pool; a bool is not a flop count.
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ValidationError(
+                    f"{name} must be a finite number, got {value!r}")
+            if value <= 0:
                 raise ValidationError(f"{name} must be positive")
         if self.serial_flops_threshold > self.process_flops_threshold:
             raise ValidationError(
@@ -111,7 +119,13 @@ class CalibrationProfile:
     def load(cls, path) -> "CalibrationProfile":
         """Read and validate a JSON profile."""
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+            try:
+                mapping = json.load(handle)
+            except json.JSONDecodeError as error:
+                raise ValidationError(
+                    f"calibration profile {path} is not valid JSON: "
+                    f"{error}") from None
+        return cls.from_dict(mapping)
 
 
 # --------------------------------------------------------------------- #

@@ -85,6 +85,24 @@ class _InstrumentedCall:
         return result
 
 
+class _ResolvingCall:
+    """Attaches a shared task's arena refs in the worker, then calls *fn*.
+
+    The worker-side half of :func:`repro.engine.arena.share_batch`: a task
+    crosses the pool holding refs and reaches *fn* as the plain value it
+    was built as.  Picklable by construction, like
+    :class:`_InstrumentedCall`.
+    """
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn
+
+    def __call__(self, item):
+        from .arena import resolve_task
+
+        return self.fn(resolve_task(item))
+
+
 def _maybe_instrument(fn: Callable, *, capture: bool) -> Callable:
     """The per-task telemetry wrapper, or *fn* itself when obs is off."""
     if not obs.enabled():
@@ -256,15 +274,16 @@ class ProcessExecutor(_BaseExecutor):
     containers for exactly this reason.
 
     Graph payloads do **not** travel through pickle: around each batch
-    the executor packs every shareable payload's CSR buffers
-    into a :class:`~repro.engine.arena.GraphArena` (one shared-memory
-    segment), ships only the tiny :class:`~repro.engine.arena.ArenaRef`
-    addresses, and disposes the segment — close *and* unlink — once the
-    batch's barrier returns, on success or error.  Workers attach by
-    segment name at task-run time, which keeps the transport safe under
-    both the ``fork`` and ``spawn`` start methods.  A batch with nothing
-    to share (no payload has arena hooks) is pickled as is and reported
-    as ``last_transport == "pickle"``.
+    the executor packs every payload's matrices and arrays into a
+    :class:`~repro.engine.arena.GraphArena` (one shared-memory segment),
+    ships only the tiny :class:`~repro.engine.arena.ArenaRef` addresses,
+    and disposes the segment — close *and* unlink — once the batch's
+    barrier returns, on success or error.  Each worker resolves the refs
+    by segment name before it calls the mapped function, which keeps the
+    transport safe under both the ``fork`` and ``spawn`` start methods.
+    A batch with nothing to share (no payload is a dataclass with an
+    array, matrix or SiteGraph field) is pickled as is and reported as
+    ``last_transport == "pickle"``.
 
     The batch is split into contiguous chunks to amortise per-task
     dispatch overhead; chunking never reorders results.
@@ -306,8 +325,8 @@ class ProcessExecutor(_BaseExecutor):
             raise ValidationError("executor is closed")
         if not items:
             return []
-        # Pack the batch's graph buffers into one shared-memory segment;
-        # the workers receive refs instead of matrices.  The arena lives
+        # Pack the batch's arrays into one shared-memory segment; the
+        # workers receive refs instead of matrices.  The arena lives
         # exactly as long as the batch: the finally below closes and
         # unlinks it even when a task raises.
         shipped, arena = share_batch(items)
@@ -321,7 +340,8 @@ class ProcessExecutor(_BaseExecutor):
         obs.observe("engine_dispatch_bytes",
                     float(self.last_dispatch_bytes),
                     transport=self.last_transport)
-        wrapped = _maybe_instrument(fn, capture=True)
+        call = _ResolvingCall(fn) if arena is not None else fn
+        wrapped = _maybe_instrument(call, capture=True)
         chunksize = max(1, len(items) // (4 * self.n_jobs))
         try:
             raw = list(self._ensure_pool().map(wrapped, shipped,
@@ -329,7 +349,7 @@ class ProcessExecutor(_BaseExecutor):
         finally:
             if arena is not None:
                 arena.dispose()
-        if wrapped is fn:
+        if wrapped is call:
             return raw
         # Merge each worker's telemetry delta, then unwrap its result.
         registry = obs.registry()

@@ -19,7 +19,9 @@ any :class:`~repro.engine.executor.Executor` in a single batch — the
 barrier of the batch *is* the step-5 synchronisation point.  Because the
 tasks are value-only, the same plan is the unit of scheduling for the
 centralized pipeline, the incremental ranker's refresh batches, the
-distributed simulator's peers, and the scaling benchmarks.
+distributed simulator's peers, and the scaling benchmarks.  How a task's
+values reach a worker process is :mod:`repro.engine.arena`'s business,
+never the task's.
 
 Step 3's inputs are the diagonal blocks of the DocGraph numbered site by
 site, and the plan treats them as exactly that: a per-site task holds a
@@ -59,7 +61,6 @@ from ..linalg.block_solver import (
 )
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
-from ..linalg.sparse_utils import csr_arena_nbytes
 from ..web.docgraph import DocGraph, SiteBlockRef
 from ..web.docrank import (
     LocalDocRank,
@@ -70,36 +71,8 @@ from ..web.docrank import (
 from ..web.pipeline import SITERANK_BLOCK, SegmentPreferences
 from ..web.sitegraph import SiteGraph, aggregate_sitegraph
 from ..web.siterank import SiteRankResult, siterank
-from .arena import (
-    ALIGNMENT,
-    ArenaRef,
-    SharedSiteGraph,
-    resolve_matrix,
-    resolve_vector,
-    resolve_vector_payload,
-    share_vector,
-    vector_arena_nbytes,
-)
 from .executor import Executor, resolve_executor
 from .warm import WarmSource, WarmStartState
-
-
-def _matrix_payload(vector: object, n_rows: int, n_vectors: int, *,
-                    fill_uniform: bool = True) -> Optional[np.ndarray]:
-    """Rebuild an ``(n_rows, K)`` column matrix from a task payload.
-
-    The shared-memory arena transports 1-D buffers only, so multi-vector
-    tasks ship their preference/start matrices flattened row-major; this
-    undoes the flattening (a no-op reshape for in-process matrices).  When
-    the payload is absent, returns a uniform matrix (*fill_uniform*) or
-    ``None``.
-    """
-    payload = resolve_vector_payload(vector)
-    if payload is None:
-        if not fill_uniform:
-            return None
-        return np.full((n_rows, n_vectors), 1.0 / n_rows)
-    return np.asarray(payload, dtype=float).reshape(n_rows, n_vectors)
 
 
 @dataclass(frozen=True)
@@ -109,86 +82,51 @@ class LocalRankTask:
     The task carries its local subgraph by value — never a DocGraph
     reference — so it is independent of any shared mutable state, the
     property that lets every backend schedule it freely.  ``adjacency`` is
-    the CSR matrix itself, a :class:`~repro.web.docgraph.SiteBlockRef`
+    the CSR matrix itself or a :class:`~repro.web.docgraph.SiteBlockRef`
     (the block of an immutable site-major snapshot, cut when the task runs
-    and pickled as its own slice), or an
-    :class:`~repro.engine.arena.ArenaRef` addressing the buffers in a
-    shared-memory arena — the zero-copy form the process backend
-    dispatches, resolved lazily in the worker by :meth:`run`.
+    and pickled as its own slice).
     """
 
     site: str
-    adjacency: object  #: local link matrix: CSR, SiteBlockRef or ArenaRef
-    doc_ids: object  #: tuple of global ids, or an ArenaRef to the id vector
+    adjacency: object  #: local link matrix: CSR or SiteBlockRef
+    doc_ids: Tuple[int, ...]  #: global ids of the site's documents
     damping: float = DEFAULT_DAMPING
-    preference: object = None  #: optional vector, or an ArenaRef to one
+    preference: object = None  #: optional teleport vector (or K columns)
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    start: object = None  #: optional vector, or an ArenaRef to one
+    start: object = None  #: optional warm-start vector (or K columns)
     #: Preference columns carried per document.  ``1`` is the classic
     #: single-vector task; ``K > 1`` means ``preference``/``start`` hold an
-    #: ``(n, K)`` matrix (flattened row-major when riding the 1-D arena —
-    #: :meth:`run` reshapes) and the task yields a
+    #: ``(n, K)`` matrix and the task yields a
     #: :class:`~repro.web.docrank.SiteColumns` instead of a LocalDocRank.
     n_vectors: int = 1
 
     @property
     def n_documents(self) -> int:
         """Number of documents the task ranks."""
-        if isinstance(self.doc_ids, ArenaRef):
-            return self.doc_ids.data_count
         return len(self.doc_ids)
 
     @property
     def nnz(self) -> int:
-        """Non-zeros of the local link matrix (cost-model input).
-
-        Works without attaching: an :class:`~repro.engine.arena.ArenaRef`
-        records its nnz, so shared tasks price exactly like unshared ones.
-        """
+        """Non-zeros of the local link matrix (cost-model input)."""
         return int(self.adjacency.nnz)
 
-    # -------------------------------------------------------------- #
-    # Shared-memory transport hooks (see repro.engine.arena)
-    # -------------------------------------------------------------- #
-    def __arena_bytes__(self) -> int:
-        if isinstance(self.adjacency, ArenaRef):
-            return 0
-        return (csr_arena_nbytes(self.adjacency)
-                + 8 * len(self.doc_ids) + ALIGNMENT
-                + vector_arena_nbytes(self.preference, self.start))
-
-    def __arena_share__(self, arena) -> "LocalRankTask":
-        if isinstance(self.adjacency, ArenaRef):
-            return self
-        return replace(
-            self,
-            adjacency=arena.add_csr(self.adjacency),
-            doc_ids=arena.add_vector(np.asarray(self.doc_ids,
-                                                dtype=np.int64)),
-            preference=share_vector(arena, self.preference),
-            start=share_vector(arena, self.start))
-
     def run(self):
-        """Execute the task on the calling thread (attaching shared buffers)."""
-        doc_ids = self.doc_ids
-        if isinstance(doc_ids, ArenaRef):
-            doc_ids = resolve_vector(doc_ids).tolist()
-        else:
-            doc_ids = list(doc_ids)
+        """Execute the task on the calling thread."""
+        adjacency = self.adjacency.tocsr()
         if self.n_vectors > 1:
+            preference = self.preference
+            if preference is None:
+                n = len(self.doc_ids)
+                preference = np.full((n, self.n_vectors), 1.0 / n)
             return solve_local_columns(
-                self.site, resolve_matrix(self.adjacency), doc_ids,
-                _matrix_payload(self.preference, len(doc_ids),
-                                self.n_vectors),
+                self.site, adjacency, self.doc_ids, preference,
                 self.damping, tol=self.tol, max_iter=self.max_iter,
-                start=_matrix_payload(self.start, len(doc_ids),
-                                      self.n_vectors, fill_uniform=False))
+                start=self.start)
         return solve_local_docrank(
-            self.site, resolve_matrix(self.adjacency), doc_ids, self.damping,
-            preference=resolve_vector_payload(self.preference),
-            tol=self.tol, max_iter=self.max_iter,
-            start=resolve_vector_payload(self.start))
+            self.site, adjacency, self.doc_ids, self.damping,
+            preference=self.preference, tol=self.tol,
+            max_iter=self.max_iter, start=self.start)
 
 
 @dataclass(frozen=True)
@@ -198,44 +136,20 @@ class SiteRankTask:
     Runs concurrently with every :class:`LocalRankTask` — the SiteGraph is
     built from link *counts* only, never from local rank values, which is
     exactly why the paper's method parallelises where BlockRank cannot.
-    ``sitegraph`` is either the :class:`~repro.web.sitegraph.SiteGraph`
-    itself or a :class:`~repro.engine.arena.SharedSiteGraph` whose
-    adjacency lives in a shared-memory arena.
     """
 
-    sitegraph: object  #: SiteGraph, or a SharedSiteGraph over an arena
+    sitegraph: SiteGraph
     damping: float = DEFAULT_DAMPING
-    preference: object = None  #: optional vector, or an ArenaRef to one
+    preference: object = None  #: optional teleport vector over the sites
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    start: object = None  #: optional vector, or an ArenaRef to one
-
-    # -------------------------------------------------------------- #
-    # Shared-memory transport hooks (see repro.engine.arena)
-    # -------------------------------------------------------------- #
-    def __arena_bytes__(self) -> int:
-        if isinstance(self.sitegraph, SharedSiteGraph):
-            return 0
-        return (csr_arena_nbytes(self.sitegraph.adjacency)
-                + vector_arena_nbytes(self.preference, self.start))
-
-    def __arena_share__(self, arena) -> "SiteRankTask":
-        if isinstance(self.sitegraph, SharedSiteGraph):
-            return self
-        return replace(self,
-                       sitegraph=arena.add_sitegraph(self.sitegraph),
-                       preference=share_vector(arena, self.preference),
-                       start=share_vector(arena, self.start))
+    start: object = None  #: optional warm-start vector over the sites
 
     def run(self) -> SiteRankResult:
-        """Execute the task on the calling thread (attaching shared buffers)."""
-        sitegraph = self.sitegraph
-        if isinstance(sitegraph, SharedSiteGraph):
-            sitegraph = sitegraph.resolve()
-        return siterank(sitegraph, self.damping,
-                        preference=resolve_vector_payload(self.preference),
-                        tol=self.tol, max_iter=self.max_iter,
-                        start=resolve_vector_payload(self.start))
+        """Execute the task on the calling thread."""
+        return siterank(self.sitegraph, self.damping,
+                        preference=self.preference, tol=self.tol,
+                        max_iter=self.max_iter, start=self.start)
 
 
 #: Sites at or below this many documents ride a fused batched task by
@@ -261,25 +175,22 @@ class BatchedSiteTask:
     freezing (:func:`repro.linalg.block_solver.solve_blocks`) — thousands
     of Python-level solver loops become a handful of large SpMVs per
     sweep.  Like :class:`LocalRankTask` the payload is value-only and
-    picklable; on the process backend the *packed* buffers (one CSR, one
-    id vector, one offset vector, optional packed start/preference
-    vectors) ride the shared-memory arena as a single family of refs
-    instead of per-site buffers.
+    picklable, and it is one family of packed arrays (one CSR, one id
+    vector, one offset vector, optional packed start/preference) rather
+    than per-site buffers.
     """
 
     sites: Tuple[str, ...]
-    adjacency: object  #: packed block-diagonal CSR, or an ArenaRef to one
-    offsets: object  #: int64 block boundaries (len sites+1), or an ArenaRef
-    doc_ids: object  #: int64 concatenated global ids, or an ArenaRef
+    adjacency: object  #: packed block-diagonal CSR
+    offsets: np.ndarray  #: int64 block boundaries (len sites+1)
+    doc_ids: np.ndarray  #: int64 concatenated global ids
     damping: float = DEFAULT_DAMPING
-    preference: object = None  #: packed vector, or an ArenaRef, or None
+    preference: object = None  #: packed vector or (n, K) matrix, or None
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    start: object = None  #: packed vector, or an ArenaRef, or None
+    start: object = None  #: packed vector or (n, K) matrix, or None
     #: Preference columns per document; ``K > 1`` runs the fused SpMM
     #: solve and yields :class:`~repro.web.docrank.SiteColumns` per site.
-    #: The packed preference/start matrices ride the 1-D arena flattened
-    #: row-major; :meth:`run` reshapes.
     n_vectors: int = 1
 
     #: Marker the adaptive cost model keys on to re-price fused batches
@@ -294,8 +205,6 @@ class BatchedSiteTask:
     @property
     def n_documents(self) -> int:
         """Total documents across the fused sites (cost-model input)."""
-        if isinstance(self.doc_ids, ArenaRef):
-            return self.doc_ids.data_count
         return int(len(self.doc_ids))
 
     @property
@@ -303,47 +212,13 @@ class BatchedSiteTask:
         """Non-zeros of the packed block-diagonal matrix."""
         return int(self.adjacency.nnz)
 
-    # -------------------------------------------------------------- #
-    # Shared-memory transport hooks (see repro.engine.arena)
-    # -------------------------------------------------------------- #
-    def __arena_bytes__(self) -> int:
-        if isinstance(self.adjacency, ArenaRef):
-            return 0
-        return (csr_arena_nbytes(self.adjacency)
-                + 8 * (self.n_documents + self.n_sites + 1) + 2 * ALIGNMENT
-                + vector_arena_nbytes(self.preference, self.start))
-
-    def __arena_share__(self, arena) -> "BatchedSiteTask":
-        if isinstance(self.adjacency, ArenaRef):
-            return self
-        return replace(
-            self,
-            adjacency=arena.add_csr(self.adjacency),
-            offsets=arena.add_vector(np.asarray(self.offsets,
-                                                dtype=np.int64)),
-            doc_ids=arena.add_vector(np.asarray(self.doc_ids,
-                                                dtype=np.int64)),
-            preference=share_vector(arena, self.preference),
-            start=share_vector(arena, self.start))
-
     def run(self):
         """Solve every fused site; results in :attr:`sites` order."""
-        offsets = np.asarray(resolve_vector_payload(self.offsets),
-                             dtype=np.int64)
-        doc_ids = np.asarray(resolve_vector_payload(self.doc_ids),
-                             dtype=np.int64)
-        n_rows = int(offsets[-1])
-        if self.n_vectors > 1:
-            start = _matrix_payload(self.start, n_rows, self.n_vectors,
-                                    fill_uniform=False)
-            preference = _matrix_payload(self.preference, n_rows,
-                                         self.n_vectors, fill_uniform=False)
-        else:
-            start = resolve_vector_payload(self.start)
-            preference = resolve_vector_payload(self.preference)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        doc_ids = np.asarray(self.doc_ids, dtype=np.int64)
         packed = PackedBlocks(
-            matrix=resolve_matrix(self.adjacency), offsets=offsets,
-            start=start, preference=preference)
+            matrix=self.adjacency, offsets=offsets,
+            start=self.start, preference=self.preference)
         solved = solve_blocks(packed, self.damping, tol=self.tol,
                               max_iter=self.max_iter)
         results = []
@@ -404,7 +279,7 @@ class BatchedSiteTask:
         else:
             doc_ids = np.concatenate([
                 np.asarray(task.doc_ids, dtype=np.int64) for task in tasks])
-            packed = pack_blocks([(resolve_matrix(task.adjacency), task.start,
+            packed = pack_blocks([(task.adjacency.tocsr(), task.start,
                                    task.preference) for task in tasks])
             matrix, offsets = packed.matrix, packed.offsets
             start, preference = packed.start, packed.preference
@@ -460,18 +335,14 @@ def batch_site_tasks(tasks: Sequence[LocalRankTask], *,
 
     Tasks are grouped by their solver parameters and each group scheduled
     by :func:`fuse_schedule` (small sites fused, chunked at *target_docs*
-    so pooled backends keep parallelism across batches); larger sites —
-    and tasks whose buffers already live in an arena — pass through
-    untouched.  The returned list mixes fused and dedicated tasks; callers
-    key results back by site, so ordering between the two kinds is
-    irrelevant.
+    so pooled backends keep parallelism across batches); larger sites
+    pass through untouched.  The returned list mixes fused and dedicated
+    tasks; callers key results back by site, so ordering between the two
+    kinds is irrelevant.
     """
     passthrough: List[RankTask] = []
     groups: "OrderedDict[tuple, List[LocalRankTask]]" = OrderedDict()
     for task in tasks:
-        if isinstance(task.adjacency, ArenaRef):
-            passthrough.append(task)
-            continue
         key = (task.damping, task.tol, task.max_iter, task.n_vectors)
         groups.setdefault(key, []).append(task)
 
@@ -726,41 +597,6 @@ class RankingPlan:
             if task.site == site:
                 return task
         raise ValidationError(f"plan has no task for site {site!r}")
-
-    def partition(self, assignment: Dict[str, Sequence[str]]
-                  ) -> Dict[str, List[LocalRankTask]]:
-        """Split the step-3 tasks along a peer → sites *assignment*.
-
-        The scheduling hook of the distributed deployments: the cluster
-        coordinator derives each peer's work queue from the very same plan
-        the centralized pipeline executes, so a live round computes the
-        same task set (same subgraphs, same solver parameters) as the
-        serial reference — the precondition for the bitwise-equality
-        checks in benchmark E18.  The assignment must cover every site of
-        the plan exactly once.
-        """
-        task_of_site = {task.site: task for task in self.site_tasks}
-        partitioned: Dict[str, List[LocalRankTask]] = {}
-        seen: Dict[str, str] = {}
-        for peer, sites in assignment.items():
-            queue = []
-            for site in sites:
-                if site in seen:
-                    raise ValidationError(
-                        f"site {site!r} assigned to both {seen[site]!r} "
-                        f"and {peer!r}")
-                if site not in task_of_site:
-                    raise ValidationError(
-                        f"assignment references unknown site {site!r}")
-                seen[site] = peer
-                queue.append(task_of_site[site])
-            partitioned[peer] = queue
-        missing = set(task_of_site) - set(seen)
-        if missing:
-            raise ValidationError(
-                f"assignment leaves {len(missing)} site(s) unowned "
-                f"(e.g. {sorted(missing)[0]!r})")
-        return partitioned
 
     def with_warm_state(self, warm: WarmStartState) -> "RankingPlan":
         """A copy of this plan re-seeded from *warm* (tasks otherwise equal)."""

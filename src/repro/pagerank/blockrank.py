@@ -117,8 +117,7 @@ def blockrank(adjacency, blocks: Sequence[int], *,
     for idx in members:
         local_adj = submatrix(adjacency, idx)
         local_result = pagerank(local_adj, damping=local_damping, tol=tol,
-                                max_iter=max_iter, method="dense"
-                                if idx.size <= 2000 else "sparse")
+                                max_iter=max_iter)
         local_pageranks.append(local_result.scores)
 
     # Step 2: block-level matrix weighted by local PageRank of source pages.
@@ -143,8 +142,7 @@ def blockrank(adjacency, blocks: Sequence[int], *,
 
     # Step 3: BlockRank over blocks.
     block_result: PageRankResult = pagerank(block_matrix, damping=damping,
-                                            tol=tol, max_iter=max_iter,
-                                            method="dense")
+                                            tol=tol, max_iter=max_iter)
     block_rank = block_result.scores
 
     # Step 4: approximate global vector.

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.arena import resolve_matrix
 from repro.engine.plan import LocalRankTask, SiteRankTask
 from repro.web.pipeline import SITERANK_BLOCK
 
@@ -181,7 +180,7 @@ def _assert_same_array(got, want, what: str) -> None:
 
 
 def _assert_same_matrix(got, want, what: str) -> None:
-    got, want = resolve_matrix(got).tocsr(), resolve_matrix(want).tocsr()
+    got, want = got.tocsr(), want.tocsr()
     assert got.shape == want.shape, what
     for part in ("indptr", "indices", "data"):
         _assert_same_array(getattr(got, part), getattr(want, part),

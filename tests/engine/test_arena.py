@@ -22,13 +22,21 @@ from repro.engine import (
     share_batch,
     site_tasks_for,
 )
-from repro.engine.arena import SEGMENT_PREFIX, ArenaRef, SharedSiteGraph, resolve_csr, resolve_vector
-from repro.engine.plan import RankingPlan
+from repro.engine.arena import (
+    SEGMENT_PREFIX,
+    ArenaRef,
+    arena_bytes,
+    resolve_csr,
+    resolve_task,
+    resolve_vector,
+    share_task,
+)
+from repro.engine.plan import RankingPlan, siterank_task_for
 from repro.exceptions import ValidationError
 from repro.io import toy_web
 from repro.linalg.sparse_utils import csr_from_buffers
 from repro.web.pipeline import _layered_docrank as layered_docrank
-from repro.web.sitegraph import aggregate_sitegraph
+from repro.web.sitegraph import SiteGraph, aggregate_sitegraph
 
 
 def shm_segments():
@@ -76,15 +84,16 @@ class TestRefsRoundTrip:
 
     def test_sitegraph_round_trips(self, toy_docgraph):
         sitegraph = aggregate_sitegraph(toy_docgraph)
-        nbytes = (sitegraph.adjacency.data.nbytes
-                  + sitegraph.adjacency.indices.nbytes
-                  + sitegraph.adjacency.indptr.nbytes + 64)
-        with GraphArena(nbytes) as arena:
-            shared = arena.add_sitegraph(sitegraph)
-            assert isinstance(shared, SharedSiteGraph)
-            assert shared.n_sites == sitegraph.n_sites
-            resolved = shared.resolve()
+        task = siterank_task_for(sitegraph)
+        with GraphArena(arena_bytes(task)) as arena:
+            shared = share_task(arena, task)
+            # A SiteGraph stays a SiteGraph; only its adjacency is a ref.
+            assert isinstance(shared.sitegraph, SiteGraph)
+            assert isinstance(shared.sitegraph.adjacency, ArenaRef)
+            assert shared.sitegraph.n_sites == sitegraph.n_sites
+            resolved = resolve_task(shared).sitegraph
             assert resolved.sites == sitegraph.sites
+            assert resolved.site_sizes == sitegraph.site_sizes
             assert np.array_equal(resolved.adjacency.toarray(),
                                   sitegraph.adjacency.toarray())
         assert_no_leaks()
@@ -151,7 +160,7 @@ class TestShareBatch:
         shared, arena = share_batch(tasks)
         try:
             for task, expected in zip(shared, reference):
-                result = run_task(task)
+                result = run_task(resolve_task(task))
                 assert np.array_equal(result.scores, expected.scores)
                 assert result.iterations == expected.iterations
         finally:
@@ -159,10 +168,10 @@ class TestShareBatch:
         assert_no_leaks()
 
     def test_non_float64_and_list_vectors_share_safely(self, toy_docgraph):
-        # Regression: the arena budget must account for the float64 form
-        # share_vector actually writes — a float32 or plain-list
-        # preference/start vector used to overflow (or crash) the segment
-        # sizing on the process backend while working fine on serial.
+        # Regression: the arena budget must account for the array actually
+        # written — a float32 or plain-list preference/start vector used to
+        # overflow (or crash) the segment sizing on the process backend
+        # while working fine on serial.
         site = toy_docgraph.sites()[0]
         n = len(toy_docgraph.documents_of_site(site))
         preferences = {site: np.full(n, 1.0 / n, dtype=np.float32)}
@@ -196,9 +205,9 @@ class TestShareBatch:
         batch = [plan.siterank_task, *plan.site_tasks]
         shared, arena = share_batch(batch)
         try:
-            assert isinstance(shared[0].sitegraph, SharedSiteGraph)
+            assert isinstance(shared[0].sitegraph.adjacency, ArenaRef)
             reference = run_task(plan.siterank_task)
-            result = run_task(shared[0])
+            result = run_task(resolve_task(shared[0]))
             assert np.array_equal(result.scores, reference.scores)
         finally:
             arena.dispose()
@@ -260,6 +269,48 @@ class TestExecutorLifecycle:
         executor = SerialExecutor()
         assert executor.last_transport == "in-process"
         assert executor.last_dispatch_bytes == 0
+
+
+class TestFieldsThatTravel:
+    """K-column matrices and warm starts cross the pool like any array."""
+
+    def test_segment_columns_match_serial(self, small_synthetic_web):
+        from repro.api import Ranker, RankingConfig
+
+        web = small_synthetic_web
+        # One segment weights a document, so its site's K-column
+        # preference matrix rides the fused batch.
+        spec = {"page": {"documents": {web.document(0).url: 3.0},
+                         "background": 0.2},
+                "flat": {"background": 1.0}}
+        serial = Ranker(RankingConfig(personalization=spec)).fit(web)
+        pooled = Ranker(RankingConfig(personalization=spec,
+                                      executor="process",
+                                      n_jobs=2)).fit(web)
+        assert pooled.provenance["transport"] == "arena"
+        assert serial.segments == pooled.segments == ("page", "flat")
+        assert np.array_equal(serial.scores, pooled.scores)
+        for segment in serial.segments:
+            assert np.array_equal(serial.segment_scores(segment),
+                                  pooled.segment_scores(segment))
+        assert_no_leaks()
+
+    def test_warm_started_fit_matches_serial(self, small_synthetic_web):
+        from repro.api import Ranker, RankingConfig
+
+        serial = Ranker(RankingConfig(warm_start=True))
+        pooled = Ranker(RankingConfig(warm_start=True, executor="process",
+                                      n_jobs=2))
+        cold = serial.fit(small_synthetic_web)
+        pooled.fit(small_synthetic_web)
+        # The second fits start from the first fits' vectors.
+        warm = serial.fit(small_synthetic_web)
+        result = pooled.fit(small_synthetic_web)
+        assert warm.iterations < cold.iterations
+        assert result.provenance["transport"] == "arena"
+        assert result.iterations == warm.iterations
+        assert np.array_equal(result.scores, warm.scores)
+        assert_no_leaks()
 
 
 class TestServiceLifecycle:

@@ -18,7 +18,7 @@ from repro.engine import (
     site_tasks_for,
     task_flops,
 )
-from repro.engine.arena import ArenaRef, share_batch
+from repro.engine.arena import ArenaRef, resolve_task, share_batch
 from repro.exceptions import ValidationError
 from repro.graphgen import generate_synthetic_web
 
@@ -118,7 +118,7 @@ class TestBatchedArenaTransport:
             assert shipped.n_documents == batched.n_documents
             # Attached execution reproduces the in-process result.
             reference = {r.site: r for r in batched.run()}
-            for rank in shipped.run():
+            for rank in resolve_task(shipped).run():
                 assert np.array_equal(rank.scores,
                                       reference[rank.site].scores)
         finally:

@@ -32,6 +32,11 @@ def make_profile(**overrides):
     return CalibrationProfile(**values)
 
 
+def _profile_text(**overrides):
+    """A profile file's JSON with some fields overwritten (unvalidated)."""
+    return json.dumps(dict(make_profile().to_dict(), **overrides))
+
+
 class TestCrossoverPoint:
     def rows(self, candidate_wins_from):
         return [{"x": 10.0 ** i, "base": 1.0,
@@ -147,6 +152,28 @@ class TestProfile:
             CalibrationProfile.from_dict({"unknown_key": 1})
         with pytest.raises(ValidationError):
             CalibrationProfile.from_dict([1, 2])
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"serial_flops_threshold": 1e6,', "not valid JSON"),
+        (_profile_text(serial_flops_threshold="1e6"),
+         "serial_flops_threshold"),
+        (_profile_text(process_flops_threshold=None),
+         "process_flops_threshold"),
+        (_profile_text(batched_serial_flops_threshold=float("nan")),
+         "batched_serial_flops_threshold"),
+        (_profile_text(batched_process_flops_threshold=float("inf")),
+         "batched_process_flops_threshold"),
+        (_profile_text(serial_flops_threshold=True),
+         "serial_flops_threshold"),
+    ], ids=["torn-json", "string", "null", "nan", "inf", "bool"])
+    def test_malformed_profile_file_is_a_validation_error(
+            self, tmp_path, text, field):
+        # What REPRO_CALIBRATION may point at: a NaN cut-off used to load
+        # and send every batch of two or more tasks to a pool.
+        path = tmp_path / "profile.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=field):
+            CalibrationProfile.load(path)
 
 
 class TestMeasurement:

@@ -29,6 +29,7 @@ from repro.engine import (
     plan_solve_units,
     rank_outofcore,
 )
+from repro.engine.arena import arena_bytes
 from repro.engine.plan import (
     LocalRankTask,
     RankingPlan,
@@ -230,7 +231,7 @@ class TestLazyReferenceTransport:
             cut = LocalRankTask(site=task.site, adjacency=block,
                                 doc_ids=task.doc_ids)
             assert len(pickle.dumps(task)) <= len(pickle.dumps(cut))
-            assert task.__arena_bytes__() == cut.__arena_bytes__()
+            assert arena_bytes(task) == arena_bytes(cut)
 
 
 # --------------------------------------------------------------------- #
