@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 # The per-site reference oracle (tests/engine/per_site_oracle.py) serves
 # test directories beyond its own.
@@ -22,6 +23,14 @@ if _ENGINE_TESTS not in sys.path:
 from repro.core import example_lmm
 from repro.graphgen import CampusWebConfig, generate_campus_web, generate_synthetic_web
 from repro.io import spammy_web, toy_web
+
+
+#: The long, derandomised property budget of the block-solver oracle test
+#: (its own CI step: ``pytest tests/linalg/test_block_solver_oracle.py
+#: --hypothesis-profile=oracle-long``); tier-1 runs that module's short
+#: fixed budget.
+settings.register_profile("oracle-long", max_examples=400, deadline=None,
+                          derandomize=True)
 
 
 @pytest.fixture
