@@ -11,6 +11,8 @@ inline::
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -137,6 +139,25 @@ def ensure_probability(value: float, *, name: str = "value",
         if not 0.0 < value < 1.0:
             raise ValidationError(f"{name} must be in (0, 1), got {value}")
     return value
+
+
+def ensure_solver_budget(tol, max_iter) -> None:
+    """Validate an iterative solver's tolerance and iteration budget.
+
+    ``tol`` must be a positive, finite number and ``max_iter`` an integer
+    (not a bool) of at least 1, as ``RankingConfig`` requires of its
+    fields (the config also caps ``tol`` below 1).  A NaN tolerance no
+    residual can meet, a fractional budget or ``True`` would otherwise run
+    to the budget and then report a misleading convergence failure.
+    """
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not (math.isfinite(tol) and tol > 0)):
+        raise ValidationError(
+            f"tol must be a positive finite number, got {tol!r}")
+    if (isinstance(max_iter, bool)
+            or not isinstance(max_iter, numbers.Integral) or max_iter < 1):
+        raise ValidationError(
+            f"max_iter must be an integer of at least 1, got {max_iter!r}")
 
 
 def ensure_same_length(a: Sequence, b: Sequence, *, name_a: str = "a",

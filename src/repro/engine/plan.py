@@ -223,10 +223,14 @@ class BatchedSiteTask:
                               max_iter=self.max_iter)
         results = []
         all_ids, bounds = doc_ids.tolist(), offsets.tolist()
+        vectors = solved.vectors  # views into one packed output vector
+        # A K-column site resided in the batch as long as its slowest column.
+        iterations = (solved.iterations if solved.iterations.ndim == 1
+                      else solved.iterations.max(axis=1)).tolist()
         for index, site in enumerate(self.sites):
             ids = all_ids[bounds[index]:bounds[index + 1]]
             if self.n_vectors > 1:
-                columns = solved.vectors[index]
+                columns = vectors[index]
                 if columns.ndim == 1:
                     # All-uniform preference degenerated to one column;
                     # every segment shares it.
@@ -235,12 +239,12 @@ class BatchedSiteTask:
                         (columns.size, self.n_vectors)).copy()
                 results.append(SiteColumns(
                     site=site, doc_ids=ids, columns=columns,
-                    iterations=int(np.max(solved.iterations[index]))))
+                    iterations=iterations[index]))
             else:
                 results.append(LocalDocRank(
                     site=site, doc_ids=ids,
-                    scores=solved.vectors[index],
-                    iterations=int(solved.iterations[index])))
+                    scores=vectors[index],
+                    iterations=iterations[index]))
         return results
 
     @classmethod

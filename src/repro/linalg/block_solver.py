@@ -59,13 +59,18 @@ measures the amortisation against K sequential single-vector solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .. import obs
-from .._validation import ensure_distribution, ensure_probability
+from .._validation import (
+    ensure_distribution,
+    ensure_probability,
+    ensure_solver_budget,
+)
 from ..exceptions import ConvergenceError, ValidationError
 from .power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .sparse_utils import block_diagonal
@@ -294,10 +299,12 @@ class BlockSolveResult:
 
     Attributes
     ----------
-    vectors:
-        Per-block stationary distributions, in block order.  For a
-        multi-vector solve each entry is an ``(size_b, K)`` matrix of
-        per-segment columns.
+    values:
+        Every block's stationary distribution, packed in block order into
+        one vector — an ``(n_rows, K)`` matrix of per-segment columns for a
+        multi-vector solve.
+    offsets:
+        ``int64`` block boundaries into :attr:`values`.
     iterations:
         Sweep index at which each block froze (its individual iteration
         count — the fused run performs ``max(iterations)`` sweeps).  Shape
@@ -322,7 +329,8 @@ class BlockSolveResult:
         The tolerance the run targeted.
     """
 
-    vectors: List[np.ndarray]
+    values: np.ndarray
+    offsets: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     final_residuals: np.ndarray
@@ -331,10 +339,20 @@ class BlockSolveResult:
     residuals: Optional[List[List[float]]] = None
     tolerance: float = DEFAULT_TOL
 
+    @cached_property
+    def vectors(self) -> List[np.ndarray]:
+        """Per-block distributions in block order: views into :attr:`values`.
+
+        For a multi-vector solve each entry is an ``(size_b, K)`` matrix.
+        """
+        bounds = self.offsets.tolist()
+        return [self.values[begin:end]
+                for begin, end in zip(bounds[:-1], bounds[1:])]
+
     @property
     def n_blocks(self) -> int:
         """Number of solved blocks."""
-        return len(self.vectors)
+        return self.offsets.size - 1
 
     @property
     def n_vectors(self) -> int:
@@ -354,6 +372,121 @@ class BlockSolveResult:
         return int(self.iterations.max(axis=1).sum())
 
 
+def _block_rows(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The rows of the blocks at *starts* with *sizes*, concatenated."""
+    ends = np.cumsum(sizes)
+    return np.arange(int(ends[-1])) + np.repeat(starts - (ends - sizes),
+                                                sizes)
+
+
+class _WorkingSet:
+    """The blocks a fused loop still sweeps: every live block, plus frozen
+    blocks not yet compacted out.
+
+    A block that freezes keeps its rows in the working set — the next
+    sweeps compute it and the loop ignores the values — until the live
+    rows are half the working rows or fewer; then the operator and the
+    per-row state are cut to the live blocks on both axes.  The matrix is
+    block-diagonal, so a live row's sum has the same terms in the same
+    order whichever other blocks share the set, and every compaction at
+    least halves the rows a sweep touches (at most ``log2(n_rows)`` of
+    them per solve).
+    """
+
+    def __init__(self, operator, offsets: np.ndarray) -> None:
+        self.operator = operator
+        self.offsets = offsets
+        self.sizes = np.diff(offsets)
+        self.block_ids = np.arange(self.sizes.size, dtype=np.int64)
+        self.live = np.ones(self.sizes.size, dtype=bool)
+        self.n_live = self.sizes.size
+        self.live_rows = int(offsets[-1])
+        self.compactions = 0
+        self._packed_starts = offsets[:-1]
+
+    def freeze(self, blocks: np.ndarray, values: np.ndarray,
+               out: np.ndarray) -> None:
+        """Write *blocks* (a mask over the set) of *values* into *out* and
+        take them out of the live set."""
+        positions = np.flatnonzero(blocks)
+        sizes = self.sizes[positions]
+        out[_block_rows(self._packed_starts[positions], sizes)] = \
+            values[_block_rows(self.offsets[positions], sizes)]
+        self.live[positions] = False
+        self.n_live -= positions.size
+        self.live_rows -= int(sizes.sum())
+
+    def compact(self) -> Optional[np.ndarray]:
+        """Cut the set to its live blocks once they hold half its rows or
+        fewer; returns the kept rows (to cut per-row state with), or None."""
+        if not self.live_rows or 2 * self.live_rows > int(self.offsets[-1]):
+            return None
+        keep = np.flatnonzero(self.live)
+        starts = self.offsets[keep]
+        rows = _block_rows(starts, self.sizes[keep])
+        self.block_ids = self.block_ids[keep]
+        self._packed_starts = self._packed_starts[keep]
+        self.sizes = self.sizes[keep]
+        self.offsets = np.zeros(keep.size + 1, dtype=np.int64)
+        np.cumsum(self.sizes, out=self.offsets[1:])
+        # A kept block's columns and their entries are contiguous runs of
+        # the CSC buffers, and its rows move by one shift: cut the
+        # operator on both axes by gathering those runs (each column keeps
+        # its entries in order, so every SpMV sum keeps its order).
+        indptr = self.operator.indptr
+        first = indptr[starts]
+        counts = indptr[starts + self.sizes] - first
+        entries = _block_rows(first, counts)
+        shift = np.repeat(starts - self.offsets[:-1], counts)
+        new_indptr = np.zeros(rows.size + 1, dtype=indptr.dtype)
+        np.cumsum(np.diff(indptr)[rows], out=new_indptr[1:])
+        self.operator = sp.csc_matrix(
+            (self.operator.data[entries],
+             (self.operator.indices[entries] - shift).astype(
+                 self.operator.indices.dtype),
+             new_indptr), shape=(rows.size, rows.size))
+        self.live = np.ones(keep.size, dtype=bool)
+        self.compactions += 1
+        return rows
+
+
+def _record_run(packed: PackedBlocks, work: _WorkingSet, iterations,
+                converged, final_residuals, sweeps: int,
+                active_history: List[int], unconverged: int,
+                **solver_labels) -> None:
+    """Telemetry of one solve, recorded once after the sweep loop."""
+    worst_residual = (float(final_residuals.max())
+                      if final_residuals.size else 0.0)
+    per_block = iterations if iterations.ndim == 1 else iterations.max(axis=1)
+    obs.record_solver("block", int(per_block.sum()), worst_residual,
+                      bool(converged.all()), n=packed.n_rows,
+                      nnz=packed.matrix.nnz, **solver_labels)
+    obs.inc("block_solver_runs_total")
+    obs.inc("block_solver_blocks_total", float(packed.n_blocks))
+    obs.inc("block_solver_sweeps_total", float(sweeps))
+    obs.inc("block_solver_compactions_total", float(work.compactions))
+    obs.observe("block_solver_sweeps", float(sweeps))
+    # Sites frozen during each sweep: the drop in active-block count
+    # between consecutive sweep entries (the last sweep freezes down to
+    # whatever remained unconverged).
+    remaining = [*active_history[1:], unconverged]
+    for entering, left in zip(active_history, remaining):
+        obs.observe("block_solver_frozen_per_sweep", float(entering - left))
+
+
+def _raise_unconverged(work: _WorkingSet, worst_by_block: np.ndarray,
+                       n_blocks: int, tol: float, max_iter: int) -> None:
+    """The ConvergenceError naming the live block with the worst residual."""
+    ids = work.block_ids[work.live]
+    worst = int(ids[int(np.argmax(worst_by_block[ids]))])
+    residual = float(worst_by_block[worst])
+    raise ConvergenceError(
+        f"{ids.size} of {n_blocks} blocks did not converge within "
+        f"{max_iter} iterations (worst: block {worst} at residual "
+        f"{residual:.3e}, tol {tol:.3e})",
+        iterations=max_iter, residual=residual)
+
+
 def solve_blocks(packed: PackedBlocks, damping: float, *,
                  tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER,
@@ -369,9 +502,9 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
     damping:
         Damping factor ``f`` shared by every block.
     tol:
-        Per-block L1 convergence tolerance; a block freezes (stops being
-        updated, and is compacted out of the active matrix) the sweep its
-        own residual first drops below this.
+        Per-block L1 convergence tolerance; a block freezes (its value is
+        final and written to the output) the sweep its own residual first
+        drops below this.
     max_iter:
         Sweep budget; blocks still active when it is exhausted are
         reported unconverged (or raise, per *raise_on_failure*).
@@ -392,10 +525,7 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
         batches, whose per-block freezing is always on.
     """
     damping = ensure_probability(damping, name="damping")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
+    ensure_solver_budget(tol, max_iter)
 
     if packed.n_vectors > 1:
         return _solve_blocks_multi(
@@ -405,37 +535,26 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
             freeze_columns=freeze_columns)
 
     n_blocks = packed.n_blocks
-    n_total = packed.n_rows
-    sizes = packed.sizes.copy()
-    offsets = packed.offsets.copy()
-
     link = row_normalize(packed.matrix).tocsr()
     row_sums = np.asarray(link.sum(axis=1)).ravel()
     dangling = (row_sums == 0.0).astype(float)
+    has_dangling = bool(dangling.any())
     # The sweep ``x @ link`` runs as ``operator @ x`` on the transpose (a
     # CSC view of the same buffers), taken once here and not once per
     # sweep; same additions in the same order.
-    operator = link.T
+    work = _WorkingSet(link.T, packed.offsets)
     # Uniform-within-block dangling redistribution and (default) teleport —
     # the same policies the per-site dense path applies.
-    uniform = np.repeat(1.0 / sizes, sizes)
+    uniform = np.repeat(1.0 / work.sizes, work.sizes)
     teleport = (uniform if packed.preference is None
-                else np.asarray(packed.preference,
-                                dtype=float).ravel().copy())
+                else np.asarray(packed.preference, dtype=float).ravel())
+    teleport_term = (1.0 - damping) * teleport
     if packed.start is None:
         x = uniform.copy()
     else:
         x = np.asarray(packed.start, dtype=float).ravel().copy()
 
-    # Frozen blocks are compacted out of the operator's columns (the link
-    # matrix's rows), but its rows keep their original positions (gathering
-    # along the compressed axis is cheap; across it is not): each sweep's
-    # SpMV produces a full-width vector and ``entry_ids`` gathers the
-    # active entries back out of it.
-    entry_ids = np.arange(n_total, dtype=np.int64)
-    block_ids = np.arange(n_blocks, dtype=np.int64)
-
-    vectors: List[Optional[np.ndarray]] = [None] * n_blocks
+    out = np.empty(packed.n_rows)
     iterations = np.zeros(n_blocks, dtype=np.int64)
     converged = np.zeros(n_blocks, dtype=bool)
     final_residuals = np.full(n_blocks, np.inf)
@@ -444,87 +563,65 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
     active_history: List[int] = []
 
     sweeps = 0
-    while block_ids.size and sweeps < max_iter:
+    while work.n_live and sweeps < max_iter:
+        rows = work.compact()
+        if rows is not None:
+            x, dangling, uniform, teleport_term = (
+                x[rows], dangling[rows], uniform[rows], teleport_term[rows])
+            has_dangling = bool(dangling.any())
         sweeps += 1
-        active_history.append(int(block_ids.size))
-        starts = offsets[:-1]
+        active_history.append(work.n_live)
+        starts, sizes = work.offsets[:-1], work.sizes
 
-        linked = (operator @ x)[entry_ids]
-        dangling_mass = np.add.reduceat(x * dangling, starts)
-        new_x = (damping * (linked + np.repeat(dangling_mass, sizes) * uniform)
-                 + (1.0 - damping) * teleport)
+        # ``f·(x·L + (x·d)·u) + (1 − f)·v``, in place, in that order.
+        new_x = work.operator @ x
+        if has_dangling:
+            # Exact zeros when no row of the set dangles: skipped there.
+            dangling_mass = np.add.reduceat(x * dangling, starts)
+            new_x += np.repeat(dangling_mass, sizes) * uniform
+        new_x *= damping
+        new_x += teleport_term
         totals = np.add.reduceat(new_x, starts)
         # Guard against floating point drift away from the simplex (a
         # per-block echo of the per-site solver's ``total > 0`` guard).
-        new_x = new_x / np.repeat(np.where(totals > 0.0, totals, 1.0), sizes)
-        residuals = np.add.reduceat(np.abs(new_x - x), starts)
+        new_x /= np.repeat(np.where(totals > 0.0, totals, 1.0), sizes)
+        # Residuals through x's buffer: x's next value is new_x.
+        np.subtract(new_x, x, out=x)
+        np.abs(x, out=x)
+        residuals = np.add.reduceat(x, starts)
         x = new_x
 
+        live = work.live
         if history is not None:
-            for block, residual in zip(block_ids, residuals):
+            for block, residual in zip(work.block_ids[live],
+                                       residuals[live]):
                 history[block].append(float(residual))
-        final_residuals[block_ids] = residuals
-        iterations[block_ids] = sweeps
-
-        frozen = residuals < tol
+        frozen = live & (residuals < tol)
         if not frozen.any():
             continue
-        for position in np.flatnonzero(frozen):
-            block = int(block_ids[position])
-            converged[block] = True
-            vectors[block] = x[offsets[position]:offsets[position + 1]].copy()
-        # Compact every still-active block's rows (and per-entry state) so
-        # the next sweep's SpMV only touches unconverged sites.
-        keep_blocks = ~frozen
-        keep_entries = np.repeat(keep_blocks, sizes)
-        block_ids = block_ids[keep_blocks]
-        sizes = sizes[keep_blocks]
-        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        x = x[keep_entries]
-        dangling = dangling[keep_entries]
-        uniform = uniform[keep_entries]
-        teleport = teleport[keep_entries]
-        entry_ids = entry_ids[keep_entries]
-        operator = operator[:, keep_entries]
+        ids = work.block_ids[frozen]
+        converged[ids] = True
+        iterations[ids] = sweeps
+        final_residuals[ids] = residuals[frozen]
+        work.freeze(frozen, x, out)
 
-    # Blocks that never froze keep their best iterate.
-    for position, block in enumerate(block_ids):
-        vectors[int(block)] = x[offsets[position]:offsets[position + 1]].copy()
+    unconverged = work.n_live
+    if unconverged:
+        # Blocks that never froze keep their best iterate.
+        ids = work.block_ids[work.live]
+        iterations[ids] = sweeps
+        final_residuals[ids] = residuals[work.live]
+        if raise_on_failure:
+            _raise_unconverged(work, final_residuals, n_blocks, tol,
+                               max_iter)
+        work.freeze(work.live, x, out)
 
-    if block_ids.size and raise_on_failure:
-        worst = int(block_ids[int(np.argmax(
-            final_residuals[block_ids]))])
-        raise ConvergenceError(
-            f"{block_ids.size} of {n_blocks} blocks did not converge within "
-            f"{max_iter} iterations (worst: block {worst} at residual "
-            f"{final_residuals[worst]:.3e}, tol {tol:.3e})",
-            iterations=max_iter, residual=float(final_residuals[worst]))
-
-    # Telemetry is recorded once per run, after the sweep loop — the fused
-    # kernel itself carries no instrumentation.
     if obs.enabled():
-        worst_residual = (float(final_residuals.max())
-                          if final_residuals.size else 0.0)
-        obs.record_solver("block", int(iterations.sum()), worst_residual,
-                          bool(converged.all()), n=n_total,
-                          nnz=packed.matrix.nnz)
-        obs.inc("block_solver_runs_total")
-        obs.inc("block_solver_blocks_total", float(n_blocks))
-        obs.inc("block_solver_sweeps_total", float(sweeps))
-        obs.observe("block_solver_sweeps", float(sweeps))
-        # Sites frozen during each sweep: the drop in active-block count
-        # between consecutive sweep entries (the last sweep freezes down
-        # to whatever remained unconverged).
-        remaining = [*active_history[1:], int(block_ids.size)]
-        for entering, left in zip(active_history, remaining):
-            obs.observe("block_solver_frozen_per_sweep",
-                        float(entering - left))
-
+        _record_run(packed, work, iterations, converged, final_residuals,
+                    sweeps, active_history, unconverged)
     return BlockSolveResult(
-        vectors=[vector for vector in vectors],  # type: ignore[misc]
-        iterations=iterations, converged=converged,
-        final_residuals=final_residuals, sweeps=sweeps,
+        values=out, offsets=packed.offsets, iterations=iterations,
+        converged=converged, final_residuals=final_residuals, sweeps=sweeps,
         active_history=active_history, residuals=history, tolerance=tol)
 
 
@@ -540,7 +637,7 @@ def _as_columns(vector: Optional[np.ndarray], uniform: np.ndarray,
 
 def _block_aggregators(sizes: np.ndarray, offsets: np.ndarray,
                        dangling: np.ndarray):
-    """Segment-sum operators for one active set, as CSR matrices.
+    """Segment-sum operators for one working set, as CSR matrices.
 
     ``agg @ M`` sums the rows of each block (exactly what
     ``np.add.reduceat(M, offsets[:-1], axis=0)`` computes, in the same
@@ -570,50 +667,56 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
     columns, and the per-block bookkeeping
     (dangling mass, normalisation, residuals) runs as sparse
     aggregation products (:func:`_block_aggregators`) so every reduction
-    shares the SpMM's C kernels.  Unlike the single-vector loop this
-    path compacts *columns* of the link matrix too: blocks leave the
-    batch whole, so the active matrix stays square and the SpMM output
-    needs no gather.
+    shares the SpMM's C kernels.  A block leaves the live set once all
+    of its columns have converged, and the working set compacts on the
+    same halving schedule as the single-vector loop.
     """
     n_blocks = packed.n_blocks
     n_vectors = packed.n_vectors
-    sizes = packed.sizes.copy()
-    offsets = packed.offsets.copy()
 
     link = row_normalize(packed.matrix).tocsr()
     row_sums = np.asarray(link.sum(axis=1)).ravel()
     dangling = (row_sums == 0.0).astype(float)
-    uniform = np.repeat(1.0 / sizes, sizes)
+    work = _WorkingSet(link.T, packed.offsets)
+    uniform = np.repeat(1.0 / work.sizes, work.sizes)
     teleport = _as_columns(packed.preference, uniform, n_vectors)
     teleport_term = (1.0 - damping) * teleport
     X = _as_columns(packed.start, uniform, n_vectors)
 
-    block_ids = np.arange(n_blocks, dtype=np.int64)
-    block_index = np.repeat(block_ids, sizes)
-    agg, agg_dangling = _block_aggregators(sizes, offsets, dangling)
+    block_index = np.repeat(work.block_ids, work.sizes)
+    agg, agg_dangling = _block_aggregators(work.sizes, work.offsets,
+                                           dangling)
     has_dangling = bool(dangling.any())
-    operator = link.T  # taken once per active set, never per sweep
 
-    vectors: List[Optional[np.ndarray]] = [None] * n_blocks
+    out = np.empty((packed.n_rows, n_vectors))
     iterations = np.zeros((n_blocks, n_vectors), dtype=np.int64)
     converged = np.zeros((n_blocks, n_vectors), dtype=bool)
     final_residuals = np.full((n_blocks, n_vectors), np.inf)
     # Per-(block, column) freeze registry, indexed by *global* block id so
-    # it survives compaction of the active set.
+    # it survives compaction; a frozen block is done in every column.
     column_done = np.zeros((n_blocks, n_vectors), dtype=bool)
     history: Optional[List[List[float]]] = (
         [[] for _ in range(n_blocks)] if record_residuals else None)
     active_history: List[int] = []
 
     sweeps = 0
-    while block_ids.size and sweeps < max_iter:
+    while work.n_live and sweeps < max_iter:
+        rows = work.compact()
+        if rows is not None:
+            X, dangling, uniform, teleport_term = (
+                X[rows], dangling[rows], uniform[rows], teleport_term[rows])
+            block_index = np.repeat(
+                np.arange(work.sizes.size, dtype=np.int64), work.sizes)
+            agg, agg_dangling = _block_aggregators(work.sizes, work.offsets,
+                                                   dangling)
+            has_dangling = bool(dangling.any())
         sweeps += 1
-        active_history.append(int(block_ids.size))
+        active_history.append(work.n_live)
 
-        # One SpMM advances every column: (n_active, n_active)·(n_active, K);
-        # the damped update runs in place on its output (same per-element
-        # expression the single-vector loop evaluates).
-        new_X = operator @ X
+        # One SpMM advances every column; the damped update runs in place
+        # on its output (same per-element expression the single-vector
+        # loop evaluates).
+        new_X = work.operator @ X
         if has_dangling:
             # Entry-wise exact zeros when nothing dangles, so the whole
             # term can be skipped without changing a single bit.
@@ -625,15 +728,14 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
         totals = agg @ new_X
         new_X /= np.where(totals > 0.0, totals, 1.0)[block_index]
 
-        frozen = column_done[block_ids]
+        frozen = column_done[work.block_ids]
         pinning = freeze_columns and bool(frozen.any())
         if pinning:
             # Pin converged columns at their frozen value *before* the
             # residual read: a pinned entry's |new - old| is then exactly
             # zero, so the block residuals come out identical to zeroing
             # the frozen columns afterwards.
-            pinned = frozen[block_index]
-            new_X[pinned] = X[pinned]
+            np.copyto(new_X, X, where=frozen[block_index])
         # Residuals in place through X's buffer — X's next value is new_X.
         np.subtract(new_X, X, out=X)
         np.abs(X, out=X)
@@ -642,84 +744,46 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
             residuals[frozen] = 0.0
         X = new_X
 
+        live = work.live
+        ids = work.block_ids[live]
+        residuals, moving = residuals[live], ~frozen[live]
         if history is not None:
-            worst_by_block = residuals.max(axis=1)
-            for block, residual in zip(block_ids, worst_by_block):
+            for block, residual in zip(ids, residuals.max(axis=1)):
                 history[block].append(float(residual))
-        live = ~frozen
-        final_residuals[block_ids] = np.where(
-            live, residuals, final_residuals[block_ids])
-        iterations[block_ids] = np.where(
-            live, sweeps, iterations[block_ids])
+        final_residuals[ids] = np.where(moving, residuals,
+                                        final_residuals[ids])
+        iterations[ids] = np.where(moving, sweeps, iterations[ids])
 
         below = residuals < tol
         if freeze_columns:
-            column_done[block_ids] |= below
-            converged[block_ids] |= below
-            block_done = column_done[block_ids].all(axis=1)
+            column_done[ids] |= below
+            converged[ids] |= below
+            block_done = column_done[ids].all(axis=1)
         else:
             # No per-column pinning: a block exits only the sweep every
             # column is simultaneously below tolerance.
             block_done = below.all(axis=1)
-            done_ids = block_ids[block_done]
-            converged[done_ids] = True
-            column_done[done_ids] = True
+            converged[ids[block_done]] = True
+            column_done[ids[block_done]] = True
         if not block_done.any():
             continue
-        for position in np.flatnonzero(block_done):
-            block = int(block_ids[position])
-            vectors[block] = X[offsets[position]:offsets[position + 1]].copy()
-        keep_blocks = ~block_done
-        keep_entries = np.repeat(keep_blocks, sizes)
-        block_ids = block_ids[keep_blocks]
-        sizes = sizes[keep_blocks]
-        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        X = X[keep_entries]
-        dangling = dangling[keep_entries]
-        uniform = uniform[keep_entries]
-        teleport_term = teleport_term[keep_entries]
-        # Blocks leave whole, so dropping their columns keeps the matrix
-        # square (cross-block entries never existed in a block-diagonal
-        # batch) and the next sweep's SpMM emits only active rows.
-        operator = operator[:, keep_entries][keep_entries]
-        block_index = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-        agg, agg_dangling = _block_aggregators(sizes, offsets, dangling)
-        has_dangling = bool(dangling.any())
+        done = np.zeros_like(live)
+        done[np.flatnonzero(live)[block_done]] = True
+        work.freeze(done, X, out)
 
-    for position, block in enumerate(block_ids):
-        vectors[int(block)] = X[offsets[position]:offsets[position + 1]].copy()
-
-    if block_ids.size and raise_on_failure:
-        worst_by_block = final_residuals[block_ids].max(axis=1)
-        worst = int(block_ids[int(np.argmax(worst_by_block))])
-        raise ConvergenceError(
-            f"{block_ids.size} of {n_blocks} blocks did not converge within "
-            f"{max_iter} iterations (worst: block {worst} at residual "
-            f"{float(final_residuals[worst].max()):.3e}, tol {tol:.3e})",
-            iterations=max_iter,
-            residual=float(final_residuals[worst].max()))
+    unconverged = work.n_live
+    if unconverged:
+        if raise_on_failure:
+            _raise_unconverged(work, final_residuals.max(axis=1), n_blocks,
+                               tol, max_iter)
+        work.freeze(work.live, X, out)
 
     if obs.enabled():
-        worst_residual = (float(final_residuals.max())
-                          if final_residuals.size else 0.0)
-        obs.record_solver("block", int(iterations.max(axis=1).sum()),
-                          worst_residual, bool(converged.all()),
-                          n=packed.n_rows, nnz=packed.matrix.nnz,
-                          vectors=n_vectors)
-        obs.inc("block_solver_runs_total")
-        obs.inc("block_solver_blocks_total", float(n_blocks))
-        obs.inc("block_solver_sweeps_total", float(sweeps))
-        obs.observe("block_solver_sweeps", float(sweeps))
-        remaining = [*active_history[1:], int(block_ids.size)]
-        for entering, left in zip(active_history, remaining):
-            obs.observe("block_solver_frozen_per_sweep",
-                        float(entering - left))
-
+        _record_run(packed, work, iterations, converged, final_residuals,
+                    sweeps, active_history, unconverged, vectors=n_vectors)
     return BlockSolveResult(
-        vectors=[vector for vector in vectors],  # type: ignore[misc]
-        iterations=iterations, converged=converged,
-        final_residuals=final_residuals, sweeps=sweeps,
+        values=out, offsets=packed.offsets, iterations=iterations,
+        converged=converged, final_residuals=final_residuals, sweeps=sweeps,
         active_history=active_history, residuals=history, tolerance=tol)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import obs
-from .._validation import ensure_distribution, is_sparse
+from .._validation import ensure_distribution, ensure_solver_budget, is_sparse
 from ..exceptions import ConvergenceError, ValidationError
 from .stochastic import uniform_distribution
 
@@ -120,10 +120,7 @@ def stationary_distribution(transition, *, start: Optional[np.ndarray] = None,
     if transition.shape[0] != transition.shape[1]:
         raise ValidationError(
             f"transition matrix must be square, got {transition.shape!r}")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    ensure_solver_budget(tol, max_iter)
 
     if start is None:
         x = uniform_distribution(n)
@@ -216,10 +213,7 @@ def stationary_distribution_dangling_aware(
     n = link_matrix.shape[0]
     if not 0.0 <= damping <= 1.0:
         raise ValidationError("damping must be in [0, 1]")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    ensure_solver_budget(tol, max_iter)
     if preference is None:
         v = uniform_distribution(n)
     else:

@@ -49,13 +49,14 @@ class LocalDocRank:
     doc_ids: List[int]
     scores: np.ndarray
     iterations: int
-    _position: Dict[int, int] = field(init=False, repr=False,
-                                      default_factory=dict)
+    #: ``{doc_id: position}``, built by the first :meth:`score_of` call
+    #: (a fit never makes one).
+    _position: Optional[Dict[int, int]] = field(
+        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if len(self.doc_ids) != self.scores.size:
             raise ValidationError("doc_ids and scores must align")
-        self._position = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
 
     @property
     def n_documents(self) -> int:
@@ -64,6 +65,8 @@ class LocalDocRank:
 
     def score_of(self, doc_id: int) -> float:
         """Local DocRank value of a global document id."""
+        if self._position is None:
+            self._position = {doc: i for i, doc in enumerate(self.doc_ids)}
         try:
             return float(self.scores[self._position[doc_id]])
         except KeyError:

@@ -23,6 +23,7 @@ model — a fact the integration tests verify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -91,8 +92,10 @@ class WebRankingResult:
     timings: Dict[str, float] = field(default_factory=dict)
     segments: Tuple[str, ...] = ()
     segment_columns: Optional[np.ndarray] = None
-    _position: Dict[int, int] = field(init=False, repr=False,
-                                      default_factory=dict)
+    #: ``{doc_id: position}``, built by the first :meth:`score_of` call
+    #: (a fit never makes one).
+    _position: Optional[Dict[int, int]] = field(
+        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not (len(self.doc_ids) == len(self.urls) == self.scores.size):
@@ -108,7 +111,6 @@ class WebRankingResult:
         elif self.segments:
             raise ValidationError(
                 "segments named but no segment_columns given")
-        self._position = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
 
     @property
     def n_documents(self) -> int:
@@ -117,6 +119,8 @@ class WebRankingResult:
 
     def score_of(self, doc_id: int) -> float:
         """Global score of a document id."""
+        if self._position is None:
+            self._position = {doc: i for i, doc in enumerate(self.doc_ids)}
         try:
             return float(self.scores[self._position[doc_id]])
         except KeyError:
@@ -176,16 +180,14 @@ def compose_ranking(docgraph: DocGraph, sites: List[str],
     (The super-peer architecture deliberately composes on the peers and
     only reassembles shards at the coordinator.)
     """
-    doc_ids: List[int] = []
-    scores_blocks: List[np.ndarray] = []
-    for site in sites:
-        local_rank = local[site]
-        doc_ids.extend(local_rank.doc_ids)
-        scores_blocks.append(site_result.score_of(site) * local_rank.scores)
+    ranks = [local[site] for site in sites]
+    doc_ids = list(chain.from_iterable(rank.doc_ids for rank in ranks))
+    site_scores = np.array([site_result.score_of(site) for site in sites])
+    weighted = (np.concatenate([rank.scores for rank in ranks])
+                * np.repeat(site_scores, [rank.scores.size for rank in ranks]))
     # The composition is a probability distribution by Theorem 1; renormalise
     # only to absorb floating point drift.
-    scores = normalize_distribution(np.concatenate(scores_blocks),
-                                    name="layered DocRank")
+    scores = normalize_distribution(weighted, name="layered DocRank")
     all_urls = docgraph.registry.urls
     urls = [all_urls[doc_id] for doc_id in doc_ids]
     return WebRankingResult(doc_ids=doc_ids, urls=urls, scores=scores,
