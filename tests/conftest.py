@@ -29,7 +29,7 @@ from repro.io import spammy_web, toy_web
 #: (its own CI step: ``pytest tests/linalg/test_block_solver_oracle.py
 #: --hypothesis-profile=oracle-long``); tier-1 runs that module's short
 #: fixed budget.
-settings.register_profile("oracle-long", max_examples=400, deadline=None,
+settings.register_profile("oracle-long", max_examples=1000, deadline=None,
                           derandomize=True)
 
 

@@ -4,8 +4,11 @@ Every case runs on both loops of :func:`repro.linalg.block_solver.solve_blocks`:
 the single-vector loop (1-D start / preference) and the K-column SpMM loop
 (``(n_rows, K)`` preference).  The dedicated kernel has its own copy of
 these checks in ``test_power_iteration.py``; the fused path must hold the
-same contract.
+same contract.  The ``tol`` / ``max_iter`` checks at the end run against
+every kernel.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +21,10 @@ from repro.exceptions import (
 )
 from repro.linalg import pack_blocks, solve_blocks, stationary_distribution
 from repro.linalg.block_solver import pack_block_vectors
-from repro.linalg.stochastic import transition_matrix
+from repro.linalg.power_iteration import (
+    stationary_distribution_dangling_aware,
+)
+from repro.linalg.stochastic import row_normalize, transition_matrix
 from repro.markov.irreducibility import maximal_irreducibility
 
 DAMPING = 0.85
@@ -237,3 +243,51 @@ class TestToleranceBelowResolution:
         assert caught.value.iterations == self.MAX_ITER
         assert caught.value.residual == by_block[worst]
         assert np.isfinite(caught.value.residual)
+
+
+def _kernels():
+    """Each solver kernel as ``run(tol, max_iter)`` on a small problem."""
+    rng = np.random.default_rng(8)
+    adjacency = _adjacency(rng, 6, dangling_rows=1)
+    single = pack_blocks([adjacency, _adjacency(rng, 4)])
+    multi = _pack([adjacency, _adjacency(rng, 4)], rng, True)
+    link = row_normalize(adjacency)
+    google = maximal_irreducibility(
+        transition_matrix(adjacency, dangling="uniform"), DAMPING)
+    return {
+        "solve_blocks": lambda tol, max_iter: solve_blocks(
+            single, DAMPING, tol=tol, max_iter=max_iter),
+        "solve_blocks_k_columns": lambda tol, max_iter: solve_blocks(
+            multi, DAMPING, tol=tol, max_iter=max_iter),
+        "dangling_aware": lambda tol, max_iter:
+            stationary_distribution_dangling_aware(
+                link, DAMPING, tol=tol, max_iter=max_iter),
+        "stationary_distribution": lambda tol, max_iter:
+            stationary_distribution(google, tol=tol, max_iter=max_iter),
+    }
+
+
+KERNELS = _kernels()
+
+
+class TestSolverBudget:
+    """``tol`` positive and finite, ``max_iter`` an int >= 1, in every kernel."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9,
+                                     True, "1e-6", None])
+    def test_bad_tol_is_rejected_naming_it(self, kernel, tol):
+        with pytest.raises(ValidationError, match=re.escape(repr(tol))):
+            KERNELS[kernel](tol, 100)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("max_iter", [True, False, 2.5, 0, -3, "10",
+                                          np.float64(50.0), None])
+    def test_bad_max_iter_is_rejected_naming_it(self, kernel, max_iter):
+        with pytest.raises(ValidationError,
+                           match=re.escape(repr(max_iter))):
+            KERNELS[kernel](1e-8, max_iter)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_numpy_scalars_are_accepted(self, kernel):
+        KERNELS[kernel](np.float64(1e-8), np.int64(500))

@@ -6,7 +6,8 @@ schedule, one packed output vector, no dangling term on dangling-free
 sets).  Every field of :class:`~repro.linalg.block_solver.BlockSolveResult`
 must come out bitwise equal: vectors, iterations, convergence flags, final
 residuals, the sweep count, the active-block history and the residual
-histories.
+histories.  Each solve also stays within the halving schedule's bound of
+``ceil(log2(n_rows)) + 1`` compactions (``block_solver_compactions_total``).
 
 The property tests run a short, derandomised example budget by default;
 ``--hypothesis-profile=oracle-long`` (registered in ``tests/conftest.py``)
@@ -54,6 +55,17 @@ def assert_bitwise(result, oracle):
     assert result.tolerance == oracle.tolerance
 
 
+def solve_counting(packed, damping, **kwargs):
+    """``solve_blocks`` plus the compactions it made, checked against the
+    halving bound: each one at least halves the working rows."""
+    counter = "block_solver_compactions_total"
+    before = obs.registry().counter_value(counter)
+    result = solve_blocks(packed, damping, **kwargs)
+    compactions = obs.registry().counter_value(counter) - before
+    assert compactions <= math.ceil(math.log2(packed.n_rows)) + 1
+    return result, compactions
+
+
 def _distribution(rng, n, k):
     values = rng.random((n, k) if k > 1 else n) + 1e-3
     return values / values.sum(axis=0)
@@ -97,8 +109,8 @@ class TestAgainstOracle:
     @given(batches())
     def test_random_batches(self, case):
         packed, damping, kwargs = case
-        assert_bitwise(solve_blocks(packed, damping, **kwargs),
-                       oracle_solve_blocks(packed, damping, **kwargs))
+        result, _ = solve_counting(packed, damping, **kwargs)
+        assert_bitwise(result, oracle_solve_blocks(packed, damping, **kwargs))
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_failure_message_matches(self, k):
@@ -134,7 +146,9 @@ class TestLargeWeb:
     def test_single_vector(self, fused_web_batch, record_residuals):
         kwargs = dict(tol=1e-10, max_iter=1000,
                       record_residuals=record_residuals)
-        assert_bitwise(solve_blocks(fused_web_batch, 0.85, **kwargs),
+        result, compactions = solve_counting(fused_web_batch, 0.85, **kwargs)
+        assert compactions >= 1
+        assert_bitwise(result,
                        oracle_solve_blocks(fused_web_batch, 0.85, **kwargs))
 
     def test_warm_started_and_personalised(self, fused_web_batch):
@@ -146,9 +160,9 @@ class TestLargeWeb:
         packed = PackedBlocks(matrix=fused_web_batch.matrix,
                               offsets=fused_web_batch.offsets,
                               start=start, preference=preference)
-        assert_bitwise(solve_blocks(packed, 0.85, tol=1e-10),
-                       oracle_solve_blocks(packed, 0.85, tol=1e-10,
-                                           max_iter=1000))
+        result, _ = solve_counting(packed, 0.85, tol=1e-10)
+        assert_bitwise(result, oracle_solve_blocks(packed, 0.85, tol=1e-10,
+                                                   max_iter=1000))
 
     @pytest.mark.parametrize("freeze_columns", [True, False])
     def test_k_columns(self, fused_web_batch, freeze_columns):
@@ -160,5 +174,6 @@ class TestLargeWeb:
                               preference=preference)
         kwargs = dict(tol=1e-8, max_iter=1000, record_residuals=True,
                       freeze_columns=freeze_columns)
-        assert_bitwise(solve_blocks(packed, 0.85, **kwargs),
-                       oracle_solve_blocks(packed, 0.85, **kwargs))
+        result, compactions = solve_counting(packed, 0.85, **kwargs)
+        assert compactions >= 1
+        assert_bitwise(result, oracle_solve_blocks(packed, 0.85, **kwargs))
