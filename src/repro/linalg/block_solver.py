@@ -20,10 +20,17 @@ the engine gathers them out of one site-major layout
 
 Convergence is still *per block*: each sweep computes every block's own L1
 residual, and blocks that have met the tolerance are **frozen** — their
-vector is fixed at its converged value and their rows are compacted out of
-the active matrix, so late-converging sites never drag the whole batch.
-This is the adaptive-PageRank idea (:mod:`repro.pagerank.adaptive`) applied
-across sites instead of across pages.
+vector is written, at its converged value, into the one packed output
+vector the solve returns, and the loop stops reading them.  This is the
+adaptive-PageRank idea (:mod:`repro.pagerank.adaptive`) applied across
+sites instead of across pages.  A frozen block's rows stay in the working
+set (computed, their values discarded) until the live rows are half the
+working rows or fewer; only then are the operator and the per-row state
+cut down to the live blocks, on both axes.  The matrix is block-diagonal,
+so a live row's sums keep their terms and order whatever else shares the
+set — the results are bitwise those of compacting every sweep — while the
+rows a sweep touches stay within twice the live rows and a solve compacts
+at most ``log2(n_rows)`` times (``block_solver_compactions_total``).
 
 Numerics match the per-site solvers: every block runs the damped update
 
@@ -51,9 +58,10 @@ preference vectors can share every matrix traversal: ``start`` and
 performs one sparse-matrix × dense-matrix product (SpMM) that advances all
 ``K`` columns at once.  Convergence freezing generalises to per-(block,
 column) granularity — a converged column is pinned at its value while its
-siblings keep iterating, and a block's rows compact out of the active
-matrix only once *all* of its columns have converged.  Benchmark E17
-measures the amortisation against K sequential single-vector solves.
+siblings keep iterating, and a block freezes only once *all* of its
+columns have converged; the working set compacts on the same halving
+schedule.  Benchmark E17 measures the amortisation against K sequential
+single-vector solves.
 """
 
 from __future__ import annotations
@@ -394,15 +402,15 @@ class _WorkingSet:
     """
 
     def __init__(self, operator, offsets: np.ndarray) -> None:
-        self.operator = operator
+        self.operator = operator  # CSC, square over the set's rows
         self.offsets = offsets
         self.sizes = np.diff(offsets)
         self.block_ids = np.arange(self.sizes.size, dtype=np.int64)
+        self.out_starts = offsets[:-1]  # each block's first output row
         self.live = np.ones(self.sizes.size, dtype=bool)
         self.n_live = self.sizes.size
         self.live_rows = int(offsets[-1])
         self.compactions = 0
-        self._packed_starts = offsets[:-1]
 
     def freeze(self, blocks: np.ndarray, values: np.ndarray,
                out: np.ndarray) -> None:
@@ -410,7 +418,7 @@ class _WorkingSet:
         take them out of the live set."""
         positions = np.flatnonzero(blocks)
         sizes = self.sizes[positions]
-        out[_block_rows(self._packed_starts[positions], sizes)] = \
+        out[_block_rows(self.out_starts[positions], sizes)] = \
             values[_block_rows(self.offsets[positions], sizes)]
         self.live[positions] = False
         self.n_live -= positions.size
@@ -422,29 +430,28 @@ class _WorkingSet:
         if not self.live_rows or 2 * self.live_rows > int(self.offsets[-1]):
             return None
         keep = np.flatnonzero(self.live)
-        starts = self.offsets[keep]
-        rows = _block_rows(starts, self.sizes[keep])
-        self.block_ids = self.block_ids[keep]
-        self._packed_starts = self._packed_starts[keep]
-        self.sizes = self.sizes[keep]
-        self.offsets = np.zeros(keep.size + 1, dtype=np.int64)
-        np.cumsum(self.sizes, out=self.offsets[1:])
+        starts, sizes = self.offsets[keep], self.sizes[keep]
+        rows = _block_rows(starts, sizes)
+        offsets = np.zeros(keep.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
         # A kept block's columns and their entries are contiguous runs of
-        # the CSC buffers, and its rows move by one shift: cut the
-        # operator on both axes by gathering those runs (each column keeps
-        # its entries in order, so every SpMV sum keeps its order).
-        indptr = self.operator.indptr
-        first = indptr[starts]
-        counts = indptr[starts + self.sizes] - first
+        # the CSC buffers, and its rows all move by one shift: cutting both
+        # axes is a gather of those runs.  Each column keeps its entries in
+        # order, so every SpMV sum keeps its terms in order.
+        operator = self.operator
+        first = operator.indptr[starts]
+        counts = operator.indptr[starts + sizes] - first
         entries = _block_rows(first, counts)
-        shift = np.repeat(starts - self.offsets[:-1], counts)
-        new_indptr = np.zeros(rows.size + 1, dtype=indptr.dtype)
-        np.cumsum(np.diff(indptr)[rows], out=new_indptr[1:])
+        indices = (operator.indices[entries]
+                   - np.repeat(starts - offsets[:-1], counts))
+        indptr = np.zeros(rows.size + 1, dtype=operator.indptr.dtype)
+        np.cumsum(np.diff(operator.indptr)[rows], out=indptr[1:])
         self.operator = sp.csc_matrix(
-            (self.operator.data[entries],
-             (self.operator.indices[entries] - shift).astype(
-                 self.operator.indices.dtype),
-             new_indptr), shape=(rows.size, rows.size))
+            (operator.data[entries], indices.astype(operator.indices.dtype),
+             indptr), shape=(rows.size, rows.size))
+        self.offsets, self.sizes = offsets, sizes
+        self.block_ids = self.block_ids[keep]
+        self.out_starts = self.out_starts[keep]
         self.live = np.ones(keep.size, dtype=bool)
         self.compactions += 1
         return rows

@@ -1,4 +1,4 @@
-"""The fused block solver's sweep loops as they stood before halving compaction.
+"""The fused block solver's sweep loops from before halving compaction.
 
 A frozen, test-only copy of :func:`repro.linalg.block_solver.solve_blocks`
 (single-vector loop) and its K-column SpMM loop, from before the loops

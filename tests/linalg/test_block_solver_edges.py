@@ -271,7 +271,7 @@ KERNELS = _kernels()
 
 
 class TestSolverBudget:
-    """``tol`` positive and finite, ``max_iter`` an int >= 1, in every kernel."""
+    """Every kernel: ``tol`` positive and finite, ``max_iter`` an int >= 1."""
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9,

@@ -24,7 +24,7 @@ BUDGET_PER_DOCUMENT = 32
 
 
 def _held_by_result_modules(snapshot) -> int:
-    """Bytes still allocated by lines of ``web/docrank.py`` / ``web/pipeline.py``."""
+    """Bytes still held by allocations made in the two result modules."""
     held = snapshot.filter_traces([
         tracemalloc.Filter(True, docrank.__file__),
         tracemalloc.Filter(True, pipeline.__file__)])
