@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from conftest import SMOKE, write_result
+from repro import obs
 from repro.engine import (
     BatchedSiteTask,
     batch_site_tasks,
@@ -50,6 +51,9 @@ ATOL = 1e-12
 
 #: Speedup the many-small-sites regime must reach.
 MIN_SPEEDUP = 1.5 if SMOKE else 3.0
+
+#: Counter the fused solver bumps once per working-set compaction.
+COMPACTIONS = "block_solver_compactions_total"
 
 #: The swept site-size distributions: (label, n_sites, n_documents).
 DISTRIBUTIONS = ([
@@ -168,13 +172,16 @@ def test_e15_per_site_freezing(benchmark, distribution_rows):
                                   offsets=np.asarray(task.offsets),
                                   start=task.start,
                                   preference=task.preference)
-            results.append(solve_blocks(packed, task.damping, tol=task.tol,
-                                        max_iter=task.max_iter))
+            before = obs.registry().counter_value(COMPACTIONS)
+            result = solve_blocks(packed, task.damping, tol=task.tol,
+                                  max_iter=task.max_iter)
+            results.append((result, obs.registry().counter_value(
+                COMPACTIONS) - before))
         return results
 
     solved = benchmark.pedantic(solve_all, rounds=1, iterations=1)
     rows = []
-    for index, result in enumerate(solved):
+    for index, (result, compactions) in enumerate(solved):
         rows.append({
             "batch": index,
             "blocks": result.n_blocks,
@@ -182,17 +189,21 @@ def test_e15_per_site_freezing(benchmark, distribution_rows):
             "summed_block_iterations": result.total_iterations,
             "active_blocks_first_sweep": result.active_history[0],
             "active_blocks_last_sweep": result.active_history[-1],
+            "compactions": int(compactions),
         })
     write_result("E15_freezing", rows,
                  ["batch", "blocks", "fused_sweeps",
                   "summed_block_iterations", "active_blocks_first_sweep",
-                  "active_blocks_last_sweep"],
+                  "active_blocks_last_sweep", "compactions"],
                  caption=f"Per-site convergence freezing on the {label} web: "
-                         "each fused batch runs max(site iterations) sweeps "
-                         "and compacts converged sites out of the active "
-                         "matrix as it goes.")
-    for result in solved:
+                         "each fused batch runs max(site iterations) sweeps; "
+                         "frozen sites stay in the working set until the "
+                         "live rows are half of it or fewer, then the "
+                         "operator is cut to the live sites.")
+    for result, compactions in solved:
         assert result.converged.all()
+        # Every compaction at least halves the working rows.
+        assert compactions <= np.ceil(np.log2(result.values.shape[0])) + 1
         # Freezing means the batch never runs more sweeps than its slowest
         # block needs, and the active set must actually shrink.
         assert result.sweeps == int(result.iterations.max())

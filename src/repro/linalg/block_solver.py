@@ -402,7 +402,7 @@ class _WorkingSet:
     """
 
     def __init__(self, operator, offsets: np.ndarray) -> None:
-        self.operator = operator  # CSC, square over the set's rows
+        self.operator = operator  # CSR, square over the set's rows
         self.offsets = offsets
         self.sizes = np.diff(offsets)
         self.block_ids = np.arange(self.sizes.size, dtype=np.int64)
@@ -412,17 +412,28 @@ class _WorkingSet:
         self.live_rows = int(offsets[-1])
         self.compactions = 0
 
-    def freeze(self, blocks: np.ndarray, values: np.ndarray,
-               out: np.ndarray) -> None:
-        """Write *blocks* (a mask over the set) of *values* into *out* and
-        take them out of the live set."""
+    def write(self, blocks: np.ndarray, values: np.ndarray, out: np.ndarray,
+              columns: Optional[np.ndarray] = None) -> None:
+        """Copy *blocks* (a mask over the set) of *values* into *out*; only
+        the ``True`` entries of *columns* (one row per written block) when
+        given."""
         positions = np.flatnonzero(blocks)
         sizes = self.sizes[positions]
-        out[_block_rows(self.out_starts[positions], sizes)] = \
-            values[_block_rows(self.offsets[positions], sizes)]
+        rows = _block_rows(self.out_starts[positions], sizes)
+        block_values = values[_block_rows(self.offsets[positions], sizes)]
+        if columns is not None:
+            written = out[rows]
+            np.copyto(written, block_values,
+                      where=np.repeat(columns, sizes, axis=0))
+            block_values = written
+        out[rows] = block_values
+
+    def retire(self, blocks: np.ndarray) -> None:
+        """Take *blocks* (a mask over the set) out of the live set."""
+        positions = np.flatnonzero(blocks)
         self.live[positions] = False
         self.n_live -= positions.size
-        self.live_rows -= int(sizes.sum())
+        self.live_rows -= int(self.sizes[positions].sum())
 
     def compact(self) -> Optional[np.ndarray]:
         """Cut the set to its live blocks once they hold half its rows or
@@ -434,9 +445,9 @@ class _WorkingSet:
         rows = _block_rows(starts, sizes)
         offsets = np.zeros(keep.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        # A kept block's columns and their entries are contiguous runs of
-        # the CSC buffers, and its rows all move by one shift: cutting both
-        # axes is a gather of those runs.  Each column keeps its entries in
+        # A kept block's rows and their entries are contiguous runs of the
+        # CSR buffers, and its columns all move by one shift: cutting both
+        # axes is a gather of those runs.  Each row keeps its entries in
         # order, so every SpMV sum keeps its terms in order.
         operator = self.operator
         first = operator.indptr[starts]
@@ -446,7 +457,7 @@ class _WorkingSet:
                    - np.repeat(starts - offsets[:-1], counts))
         indptr = np.zeros(rows.size + 1, dtype=operator.indptr.dtype)
         np.cumsum(np.diff(operator.indptr)[rows], out=indptr[1:])
-        self.operator = sp.csc_matrix(
+        self.operator = sp.csr_matrix(
             (operator.data[entries], indices.astype(operator.indices.dtype),
              indptr), shape=(rows.size, rows.size))
         self.offsets, self.sizes = offsets, sizes
@@ -546,10 +557,11 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
     row_sums = np.asarray(link.sum(axis=1)).ravel()
     dangling = (row_sums == 0.0).astype(float)
     has_dangling = bool(dangling.any())
-    # The sweep ``x @ link`` runs as ``operator @ x`` on the transpose (a
-    # CSC view of the same buffers), taken once here and not once per
-    # sweep; same additions in the same order.
-    work = _WorkingSet(link.T, packed.offsets)
+    # The sweep ``x @ link`` runs as ``operator @ x`` on the transpose,
+    # converted once to CSR: each row's sum runs over its columns in
+    # ascending order, the order the CSC view of the transpose adds them
+    # in, and the row-wise kernel is the faster one.
+    work = _WorkingSet(link.T.tocsr(), packed.offsets)
     # Uniform-within-block dangling redistribution and (default) teleport —
     # the same policies the per-site dense path applies.
     uniform = np.repeat(1.0 / work.sizes, work.sizes)
@@ -610,7 +622,8 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
         converged[ids] = True
         iterations[ids] = sweeps
         final_residuals[ids] = residuals[frozen]
-        work.freeze(frozen, x, out)
+        work.write(frozen, x, out)
+        work.retire(frozen)
 
     unconverged = work.n_live
     if unconverged:
@@ -621,7 +634,7 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
         if raise_on_failure:
             _raise_unconverged(work, final_residuals, n_blocks, tol,
                                max_iter)
-        work.freeze(work.live, x, out)
+        work.write(work.live, x, out)
 
     if obs.enabled():
         _record_run(packed, work, iterations, converged, final_residuals,
@@ -634,12 +647,12 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
 
 def _as_columns(vector: Optional[np.ndarray], uniform: np.ndarray,
                 n_vectors: int) -> np.ndarray:
-    """Materialise a (n, K) column matrix from a vector/matrix/None input."""
+    """A (n, K) column matrix (a read-only view where it can be) from a
+    vector/matrix/None input."""
     base = uniform if vector is None else np.asarray(vector, dtype=float)
     if base.ndim == 1:
-        return np.broadcast_to(
-            base[:, None], (base.size, n_vectors)).copy()
-    return base.copy()
+        return np.broadcast_to(base[:, None], (base.size, n_vectors))
+    return base
 
 
 def _block_aggregators(sizes: np.ndarray, offsets: np.ndarray,
@@ -684,16 +697,20 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
     link = row_normalize(packed.matrix).tocsr()
     row_sums = np.asarray(link.sum(axis=1)).ravel()
     dangling = (row_sums == 0.0).astype(float)
-    work = _WorkingSet(link.T, packed.offsets)
+    work = _WorkingSet(link.T.tocsr(), packed.offsets)
     uniform = np.repeat(1.0 / work.sizes, work.sizes)
-    teleport = _as_columns(packed.preference, uniform, n_vectors)
-    teleport_term = (1.0 - damping) * teleport
-    X = _as_columns(packed.start, uniform, n_vectors)
+    teleport_term = (1.0 - damping) * _as_columns(packed.preference,
+                                                  uniform, n_vectors)
+    X = _as_columns(packed.start, uniform, n_vectors).copy()
 
-    block_index = np.repeat(work.block_ids, work.sizes)
     agg, agg_dangling = _block_aggregators(work.sizes, work.offsets,
                                            dangling)
     has_dangling = bool(dangling.any())
+    block_index = np.repeat(work.block_ids, work.sizes)
+    # Per-block values spread over the rows land in this one buffer: a
+    # fresh (n_rows, K) temporary each sweep makes the allocator hand
+    # pages back to the system and fault them in again.
+    spread = np.empty_like(X)
 
     out = np.empty((packed.n_rows, n_vectors))
     iterations = np.zeros((n_blocks, n_vectors), dtype=np.int64)
@@ -712,11 +729,12 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
         if rows is not None:
             X, dangling, uniform, teleport_term = (
                 X[rows], dangling[rows], uniform[rows], teleport_term[rows])
-            block_index = np.repeat(
-                np.arange(work.sizes.size, dtype=np.int64), work.sizes)
             agg, agg_dangling = _block_aggregators(work.sizes, work.offsets,
                                                    dangling)
             has_dangling = bool(dangling.any())
+            block_index = np.repeat(
+                np.arange(work.sizes.size, dtype=np.int64), work.sizes)
+            spread = spread[:rows.size]
         sweeps += 1
         active_history.append(work.n_live)
 
@@ -727,63 +745,79 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
         if has_dangling:
             # Entry-wise exact zeros when nothing dangles, so the whole
             # term can be skipped without changing a single bit.
-            mass = (agg_dangling @ X)[block_index]
-            mass *= uniform[:, None]
-            new_X += mass
+            np.take(agg_dangling @ X, block_index, axis=0, out=spread,
+                    mode="clip")
+            spread *= uniform[:, None]
+            new_X += spread
         new_X *= damping
         new_X += teleport_term
         totals = agg @ new_X
-        new_X /= np.where(totals > 0.0, totals, 1.0)[block_index]
-
-        frozen = column_done[work.block_ids]
-        pinning = freeze_columns and bool(frozen.any())
-        if pinning:
-            # Pin converged columns at their frozen value *before* the
-            # residual read: a pinned entry's |new - old| is then exactly
-            # zero, so the block residuals come out identical to zeroing
-            # the frozen columns afterwards.
-            np.copyto(new_X, X, where=frozen[block_index])
+        np.take(np.where(totals > 0.0, totals, 1.0), block_index, axis=0,
+                out=spread, mode="clip")
+        new_X /= spread
         # Residuals in place through X's buffer — X's next value is new_X.
         np.subtract(new_X, X, out=X)
         np.abs(X, out=X)
         residuals = agg @ X
-        if pinning:
-            residuals[frozen] = 0.0
         X = new_X
 
+        # A converged column keeps iterating here, unread: its value went
+        # to the output the sweep it froze, and the columns of a block
+        # never mix.  Its residual reads as zero, as if it were pinned.
         live = work.live
         ids = work.block_ids[live]
-        residuals, moving = residuals[live], ~frozen[live]
+        live_residuals = (residuals if work.n_live == live.size
+                          else residuals[live])
+        moving = ~column_done[ids]
         if history is not None:
-            for block, residual in zip(ids, residuals.max(axis=1)):
+            for block, residual in zip(ids, np.where(
+                    moving, live_residuals, 0.0).max(axis=1)):
                 history[block].append(float(residual))
-        final_residuals[ids] = np.where(moving, residuals,
-                                        final_residuals[ids])
-        iterations[ids] = np.where(moving, sweeps, iterations[ids])
-
-        below = residuals < tol
+        below = live_residuals < tol
         if freeze_columns:
-            column_done[ids] |= below
-            converged[ids] |= below
+            newly = below & moving
+            if not newly.any():
+                continue
+            blocks, columns = np.nonzero(newly)
+            iterations[ids[blocks], columns] = sweeps
+            final_residuals[ids[blocks], columns] = \
+                live_residuals[blocks, columns]
+            converged[ids[blocks], columns] = True
+            column_done[ids[blocks], columns] = True
+            writing = np.zeros_like(live)
+            with_new = newly.any(axis=1)
+            writing[np.flatnonzero(live)[with_new]] = True
+            work.write(writing, X, out, columns=newly[with_new])
             block_done = column_done[ids].all(axis=1)
         else:
-            # No per-column pinning: a block exits only the sweep every
+            # No per-column freezing: a block exits only the sweep every
             # column is simultaneously below tolerance.
             block_done = below.all(axis=1)
-            converged[ids[block_done]] = True
-            column_done[ids[block_done]] = True
+            done_ids = ids[block_done]
+            iterations[done_ids] = sweeps
+            final_residuals[done_ids] = live_residuals[block_done]
+            converged[done_ids] = True
+            column_done[done_ids] = True
         if not block_done.any():
             continue
         done = np.zeros_like(live)
         done[np.flatnonzero(live)[block_done]] = True
-        work.freeze(done, X, out)
+        if not freeze_columns:
+            work.write(done, X, out)
+        work.retire(done)
 
     unconverged = work.n_live
     if unconverged:
+        # Columns that never froze keep their best iterate.
+        ids = work.block_ids[work.live]
+        moving = ~column_done[ids]
+        iterations[ids] = np.where(moving, sweeps, iterations[ids])
+        final_residuals[ids] = np.where(moving, residuals[work.live],
+                                        final_residuals[ids])
         if raise_on_failure:
             _raise_unconverged(work, final_residuals.max(axis=1), n_blocks,
                                tol, max_iter)
-        work.freeze(work.live, X, out)
+        work.write(work.live, X, out, columns=moving)
 
     if obs.enabled():
         _record_run(packed, work, iterations, converged, final_residuals,
