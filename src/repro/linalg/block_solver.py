@@ -710,7 +710,7 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
     # Per-block values spread over the rows land in this one buffer: a
     # fresh (n_rows, K) temporary each sweep makes the allocator hand
     # pages back to the system and fault them in again.
-    spread = np.empty_like(X)
+    spread = np.empty(X.shape)
 
     out = np.empty((packed.n_rows, n_vectors))
     iterations = np.zeros((n_blocks, n_vectors), dtype=np.int64)
