@@ -412,12 +412,11 @@ class _WorkingSet:
         self.live_rows = int(offsets[-1])
         self.compactions = 0
 
-    def write(self, blocks: np.ndarray, values: np.ndarray, out: np.ndarray,
-              columns: Optional[np.ndarray] = None) -> None:
-        """Copy *blocks* (a mask over the set) of *values* into *out*; only
-        the ``True`` entries of *columns* (one row per written block) when
-        given."""
-        positions = np.flatnonzero(blocks)
+    def write(self, positions: np.ndarray, values: np.ndarray,
+              out: np.ndarray, columns: Optional[np.ndarray] = None) -> None:
+        """Copy the blocks at *positions* (in the set) of *values* into
+        *out*; only the ``True`` entries of *columns* (one row per written
+        block) when given."""
         sizes = self.sizes[positions]
         rows = _block_rows(self.out_starts[positions], sizes)
         block_values = values[_block_rows(self.offsets[positions], sizes)]
@@ -428,9 +427,8 @@ class _WorkingSet:
             block_values = written
         out[rows] = block_values
 
-    def retire(self, blocks: np.ndarray) -> None:
-        """Take *blocks* (a mask over the set) out of the live set."""
-        positions = np.flatnonzero(blocks)
+    def retire(self, positions: np.ndarray) -> None:
+        """Take the blocks at *positions* (in the set) out of the live set."""
         self.live[positions] = False
         self.n_live -= positions.size
         self.live_rows -= int(self.sizes[positions].sum())
@@ -615,8 +613,8 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
             for block, residual in zip(work.block_ids[live],
                                        residuals[live]):
                 history[block].append(float(residual))
-        frozen = live & (residuals < tol)
-        if not frozen.any():
+        frozen = np.flatnonzero(live & (residuals < tol))
+        if not frozen.size:
             continue
         ids = work.block_ids[frozen]
         converged[ids] = True
@@ -634,7 +632,7 @@ def solve_blocks(packed: PackedBlocks, damping: float, *,
         if raise_on_failure:
             _raise_unconverged(work, final_residuals, n_blocks, tol,
                                max_iter)
-        work.write(work.live, x, out)
+        work.write(np.flatnonzero(work.live), x, out)
 
     if obs.enabled():
         _record_run(packed, work, iterations, converged, final_residuals,
@@ -784,10 +782,9 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
                 live_residuals[blocks, columns]
             converged[ids[blocks], columns] = True
             column_done[ids[blocks], columns] = True
-            writing = np.zeros_like(live)
             with_new = newly.any(axis=1)
-            writing[np.flatnonzero(live)[with_new]] = True
-            work.write(writing, X, out, columns=newly[with_new])
+            work.write(np.flatnonzero(live)[with_new], X, out,
+                       columns=newly[with_new])
             block_done = column_done[ids].all(axis=1)
         else:
             # No per-column freezing: a block exits only the sweep every
@@ -800,8 +797,7 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
             column_done[done_ids] = True
         if not block_done.any():
             continue
-        done = np.zeros_like(live)
-        done[np.flatnonzero(live)[block_done]] = True
+        done = np.flatnonzero(live)[block_done]
         if not freeze_columns:
             work.write(done, X, out)
         work.retire(done)
@@ -817,7 +813,7 @@ def _solve_blocks_multi(packed: PackedBlocks, damping: float, *,
         if raise_on_failure:
             _raise_unconverged(work, final_residuals.max(axis=1), n_blocks,
                                tol, max_iter)
-        work.write(work.live, X, out, columns=moving)
+        work.write(np.flatnonzero(work.live), X, out, columns=moving)
 
     if obs.enabled():
         _record_run(packed, work, iterations, converged, final_residuals,
