@@ -389,16 +389,9 @@ def _block_rows(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 class _WorkingSet:
     """The blocks a fused loop still sweeps: every live block, plus frozen
-    blocks not yet compacted out.
-
-    A block that freezes keeps its rows in the working set — the next
-    sweeps compute it and the loop ignores the values — until the live
-    rows are half the working rows or fewer; then the operator and the
-    per-row state are cut to the live blocks on both axes.  The matrix is
-    block-diagonal, so a live row's sum has the same terms in the same
-    order whichever other blocks share the set, and every compaction at
-    least halves the rows a sweep touches (at most ``log2(n_rows)`` of
-    them per solve).
+    blocks not yet compacted out (the module docstring says why that
+    leaves every float as it was).  Block positions index the set;
+    ``block_ids`` maps them back to the packed batch's blocks.
     """
 
     def __init__(self, operator, offsets: np.ndarray) -> None:
