@@ -2,14 +2,13 @@
 
 :class:`ClusterCoordinator` runs the same flat-architecture protocol as
 the simulator's :class:`~repro.distributed.coordinator.DistributedRankingCoordinator`,
-but against peers that are separate OS processes on TCP.  The round's
-per-site requests come from the same :class:`~repro.engine.plan.RankingPlan`
-the centralized pipeline executes (its sites assigned to peers by
-:func:`~repro.distributed.partitioning.partition_sites`), the SiteRank
-is assembled from the peers' SiteLink
-summaries exactly as in the simulation, and the final composition is the
-shared step-5 code — which is why a live round's scores are bitwise those
-of the serial reference.
+but against peers that are separate OS processes on TCP.  Sites are
+assigned to peers by
+:func:`~repro.distributed.partitioning.partition_sites`, each peer builds
+its step-3 tasks with the centralized pipeline's own task builder, the
+SiteRank is assembled from the peers' SiteLink summaries exactly as in the
+simulation, and the final composition is the shared step-5 code — which
+is why a live round's scores are bitwise those of the serial reference.
 
 Reality adds what the simulation never needed:
 
@@ -45,7 +44,6 @@ from ..distributed.messages import (
 )
 from ..distributed.partitioning import PartitionPolicy, partition_sites
 from ..distributed.peer import summarize_sitelinks
-from ..engine.plan import RankingPlan
 from ..exceptions import ProtocolError, SimulationError
 from ..io import docgraph_digest
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
@@ -53,6 +51,12 @@ from ..markov.irreducibility import DEFAULT_DAMPING
 from ..web.docgraph import DocGraph
 from ..web.docrank import LocalDocRank
 from ..web.pipeline import WebRankingResult, compose_ranking
+from ..serving.frontend import (
+    _MAX_LINE,
+    encode_response,
+    read_request_head,
+)
+from ..serving.httpd import _ClientError
 from ..web.siterank import SiteRankResult, siterank
 from .ledger import JobLedger
 from .protocol import (
@@ -124,12 +128,6 @@ class ClusterCoordinator:
         self.heartbeat_seconds = heartbeat_seconds
         self.round_timeout = round_timeout
         self.graph_digest = docgraph_digest(docgraph)
-        # The shared scheduling source: the same plan the centralized
-        # pipeline executes, its site tasks sent to peers instead of
-        # dispatched locally.
-        self.plan = RankingPlan.from_docgraph(
-            docgraph, damping, site_damping=self.site_damping, tol=tol,
-            max_iter=max_iter)
         self.assignment = partition_sites(docgraph, n_peers,
                                           policy=partition_policy)
         self.ledger = JobLedger.open(
@@ -184,7 +182,8 @@ class ClusterCoordinator:
         self.port = self._server.sockets[0].getsockname()[1]
         if metrics_port is not None:
             self._metrics_server = await asyncio.start_server(
-                self._handle_metrics, self.host, metrics_port)
+                self._handle_metrics, self.host, metrics_port,
+                limit=_MAX_LINE)
             self.metrics_port = \
                 self._metrics_server.sockets[0].getsockname()[1]
 
@@ -222,7 +221,7 @@ class ClusterCoordinator:
         for session in list(self._sessions):
             if not session.alive:
                 continue
-            # Assignment-list order, not plan order: it is what the
+            # Assignment-list order, not site order: it is what the
             # simulator sends, so fault-free live frames match it bytewise.
             sites = [site for site in self.assignment.get(session.name, [])
                      if site in pending]
@@ -382,8 +381,8 @@ class ClusterCoordinator:
         for site in sites:
             self.ledger.record_assignment(site, session.name)
         for site in sites:
-            task = self.plan.task_for(site)
-            start = self.ledger.warm.local_start(site, task.doc_ids)
+            start = self.ledger.warm.local_start(
+                site, self.docgraph.documents_of_site(site))
             request = ComputeLocalRankRequest(
                 sender=COORDINATOR, recipient=session.name, site=site,
                 damping=self.damping, tol=self.tol, max_iter=self.max_iter,
@@ -610,25 +609,24 @@ class ClusterCoordinator:
 
     async def _handle_metrics(self, reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> None:
-        """Minimal Prometheus scrape surface (GET /metrics)."""
+        """Minimal Prometheus scrape surface (GET /metrics), read within
+        the serving front end's request limits (414 / 431 past them)."""
+        text = "text/plain; charset=utf-8"
         try:
-            request_line = await reader.readline()
-            while (await reader.readline()).strip():
-                pass  # drain headers
-            parts = request_line.decode("latin-1").split()
-            path = parts[1] if len(parts) >= 2 else ""
-            if path == "/metrics":
-                body = obs.render_prometheus().encode("utf-8")
-                status = "200 OK"
-                content_type = "text/plain; version=0.0.4; charset=utf-8"
+            try:
+                request = await read_request_head(reader)
+            except _ClientError as error:
+                status, body = error.status, f"{error}\n".encode("utf-8")
             else:
-                body = b"not found\n"
-                status = "404 Not Found"
-                content_type = "text/plain; charset=utf-8"
-            writer.write(
-                f"HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n".encode("latin-1") + body)
+                if request is None:
+                    return
+                if request[4] == "/metrics":
+                    status, body = 200, obs.render_prometheus().encode("utf-8")
+                    text = "text/plain; version=0.0.4; charset=utf-8"
+                else:
+                    status, body = 404, b"not found\n"
+            writer.write(encode_response(status, body, content_type=text,
+                                         keep_alive=False))
             await writer.drain()
         except (ConnectionError, OSError):  # pragma: no cover - scrape races
             pass

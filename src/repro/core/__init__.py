@@ -67,7 +67,6 @@ from .personalization import (
     personalized_gatekeeper_vectors,
     personalized_layered_ranking,
     personalized_phase_weights,
-    profile_preference_columns,
 )
 
 __all__ = [
@@ -116,5 +115,4 @@ __all__ = [
     "personalized_gatekeeper_vectors",
     "personalized_layered_ranking",
     "personalized_phase_weights",
-    "profile_preference_columns",
 ]

@@ -16,7 +16,7 @@ The LMM admits personalisation *at both layers*:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Sequence
+from typing import Dict, Hashable, Optional
 
 import numpy as np
 
@@ -85,26 +85,6 @@ class PersonalizationProfile:
             raise ValidationError("sub-state preferences must be non-negative")
         return normalize_distribution(
             vector, name=f"sub-state preference of phase {phase.name!r}")
-
-
-def profile_preference_columns(model: LayeredMarkovModel,
-                               profiles: "Sequence[PersonalizationProfile]",
-                               ) -> np.ndarray:
-    """Stack K profiles' site-layer preferences into an ``(n_phases, K)`` matrix.
-
-    One column per profile, uniform for profiles without phase preferences —
-    the shape the fused multi-vector block solver consumes, so K user
-    segments share every matrix sweep of the phase-transition solve.
-    """
-    if not len(profiles):
-        raise ValidationError("need at least one personalization profile")
-    matrix = np.empty((model.n_phases, len(profiles)), dtype=float)
-    for index, profile in enumerate(profiles):
-        vector = profile.phase_preference_vector(model)
-        if vector is None:
-            vector = np.full(model.n_phases, 1.0 / model.n_phases)
-        matrix[:, index] = vector
-    return matrix
 
 
 def personalized_gatekeeper_vectors(model: LayeredMarkovModel,

@@ -119,9 +119,9 @@ class DeploymentReport:
         Engine backend that executed the batch.
     dispatch_bytes:
         Bytes the engine serialised to dispatch the per-site batch to its
-        workers (0 for in-process backends).  Under the shared-memory
-        arena transport this stays small however large the web is; under
-        the 1.2 pickle transport it scaled with the matrices.
+        workers (0 for in-process backends).  The matrices travel through
+        the shared-memory arena, so this stays small however large the
+        web is.
     transport:
         How the batch's payloads reached the engine's workers
         (``"in-process"`` / ``"pickle"`` / ``"arena"``).

@@ -50,11 +50,10 @@ SERIAL_FLOPS_THRESHOLD = 2e7
 
 #: Estimated flops above which worker-process spawn pays off.
 #:
-#: Re-priced for the zero-copy arena transport (:mod:`repro.engine.arena`):
-#: the process backend no longer pays a per-nnz pickle penalty to ship each
-#: site's adjacency — workers attach to the shared segment instead — so its
-#: remaining fixed costs (worker spawn, per-task dispatch) amortise roughly
-#: 3x earlier than under the 1.2 ship-by-value transport (5e8).
+#: The process backend ships no adjacency: workers attach to the
+#: zero-copy shared-memory arena (:mod:`repro.engine.arena`), so what this
+#: threshold prices is its fixed costs — worker spawn and per-task
+#: dispatch.
 PROCESS_FLOPS_THRESHOLD = 1.5e8
 
 #: Serial cut-off for batches dominated by fused

@@ -586,10 +586,7 @@ class DiskGraphBuilder:
     def __init__(self, path: str | os.PathLike, *,
                  site_extractor: Optional[Callable[[str], str]] = None,
                  normalize: bool = True,
-                 include_site_self_links: bool = False,
-                 spill_buckets: int = SPILL_BUCKETS) -> None:
-        if spill_buckets <= 0:
-            raise ValidationError("spill_buckets must be positive")
+                 include_site_self_links: bool = False) -> None:
         self._path = os.fspath(path)
         os.makedirs(self._path, exist_ok=True)
         self._registry = DocumentRegistry(site_extractor=site_extractor,
@@ -597,11 +594,10 @@ class DiskGraphBuilder:
         self._include_self_links = bool(include_site_self_links)
         self._spill = tempfile.TemporaryDirectory(
             dir=self._path, prefix=".build.")
-        self._n_buckets = int(spill_buckets)
         # Per bucket: (k, 2) id-pair arrays awaiting a spill write.
         self._buffers: List[List[np.ndarray]] = \
-            [[] for _ in range(self._n_buckets)]
-        self._bucket_files: List[Optional[str]] = [None] * self._n_buckets
+            [[] for _ in range(SPILL_BUCKETS)]
+        self._bucket_files: List[Optional[str]] = [None] * SPILL_BUCKETS
         # SiteLink counts keyed by ``source site << 32 | target site``.
         self._sitelink_counts: Dict[int, int] = {}
         self._n_links = 0
@@ -671,7 +667,7 @@ class DiskGraphBuilder:
         for code, count in zip(codes.tolist(), counts.tolist()):
             self._sitelink_counts[code] = \
                 self._sitelink_counts.get(code, 0) + count
-        links, buckets = links[intra], sites[intra, 0] % self._n_buckets
+        links, buckets = links[intra], sites[intra, 0] % SPILL_BUCKETS
         for bucket in np.unique(buckets).tolist():
             buffer = self._buffers[bucket]
             buffer.append(links[buckets == bucket])
@@ -704,17 +700,17 @@ class DiskGraphBuilder:
         if not registry.urls:
             raise GraphStructureError("cannot persist an empty graph")
         self._finalized = True
-        for bucket in range(self._n_buckets):
+        for bucket in range(SPILL_BUCKETS):
             self._flush_bucket(bucket)
         doc_site = np.array(registry.doc_site, dtype=np.int64)
         n_sites = len(registry.sites)
 
         def fill(writer: _BlockWriter) -> dict:
             entries: List[Optional[dict]] = [None] * n_sites
-            for bucket in range(self._n_buckets):
+            for bucket in range(SPILL_BUCKETS):
                 edges = self._bucket_edges(bucket)
                 source_sites = doc_site[edges[:, 0]]
-                for site_index in range(bucket, n_sites, self._n_buckets):
+                for site_index in range(bucket, n_sites, SPILL_BUCKETS):
                     doc_ids = np.asarray(registry.docs_by_site[site_index],
                                          dtype=np.int64)
                     local_edges = edges[source_sites == site_index]

@@ -10,7 +10,6 @@ from .personalized import (
     personalized_pagerank,
     preference_from_nodes,
     preference_from_weights,
-    preference_matrix,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "personalized_pagerank",
     "preference_from_nodes",
     "preference_from_weights",
-    "preference_matrix",
 ]

@@ -95,31 +95,6 @@ def blend_preferences(vectors: Sequence[np.ndarray],
     return normalize_distribution(blended, name="blended preference")
 
 
-def preference_matrix(n: int,
-                      columns: Sequence[Optional[Mapping[int, float]]], *,
-                      background: float = 0.0) -> np.ndarray:
-    """Build an ``(n, K)`` preference matrix, one column per segment.
-
-    Each entry of *columns* is a ``{node: weight}`` mapping handed to
-    :func:`preference_from_weights` (sharing its NaN / negative-weight
-    validation and per-column renormalisation), or ``None`` / an empty
-    mapping for a uniform column.  This is the shape the fused
-    multi-vector block solver consumes directly.
-    """
-    if not len(columns):
-        raise ValidationError("need at least one preference column")
-    if n < 1:
-        raise ValidationError("n must be at least 1")
-    matrix = np.empty((n, len(columns)), dtype=float)
-    for index, weights in enumerate(columns):
-        if not weights:
-            matrix[:, index] = 1.0 / n
-            continue
-        matrix[:, index] = preference_from_weights(
-            n, weights, background=background)
-    return matrix
-
-
 def personalized_pagerank(adjacency, preference: np.ndarray,
                           damping: float = DEFAULT_DAMPING, *,
                           tol: float = 1e-10, max_iter: int = 1000,

@@ -5,7 +5,8 @@ this subsystem turns that DocRank into a service.  It mirrors the paper's
 partition at serving time:
 
 * :mod:`repro.serving.store` — :class:`ShardedScoreStore`, document scores
-  partitioned by web site with O(1) point lookup and score-ordered shards;
+  laid out site-major and cut into score-ordered per-site shards, with
+  point lookup through the inverse permutation;
 * :mod:`repro.serving.topk` — :class:`TopKEngine`, global top-k as a
   prefix of one order sorted per store generation (not per query),
   per-site top-k as a shard-local prefix read;
@@ -25,8 +26,8 @@ partition at serving time:
 * :mod:`repro.serving.frontend` — :class:`AsyncRankingServer`, the one
   HTTP server: asyncio, admission control (``429``) and deadlines
   (``504``) around the router;
-* :mod:`repro.serving.mmapstore` — :class:`MmapScoreStore`, the same shard
-  protocol served straight off a published ranked generation's mmap'd
+* :mod:`repro.serving.mmapstore` — :class:`MmapScoreStore`, the same store
+  with its arrays memory-mapped from a published ranked generation's
   files (``repro serve --store``), replicas sharing one mapping.
 
 Quickstart::

@@ -102,6 +102,62 @@ def _runs_inline(path: str, params: Dict[str, List[str]]) -> bool:
         return True  # the router's 400 costs nothing
 
 
+async def read_request_head(reader: asyncio.StreamReader
+                            ) -> Optional[Tuple[str, str, str,
+                                                Dict[str, str], str,
+                                                Dict[str, List[str]]]]:
+    """Read one request head: ``(method, target, version, headers, path,
+    params)`` — the target and its one parse.
+
+    ``None`` at end of stream; :class:`_ClientError` (400/414/431) for a
+    head that is malformed or over ``_MAX_LINE`` / ``_MAX_HEADERS``
+    (``readline`` raises ``ValueError`` past the stream limit — the
+    reader's server must be started with ``limit=_MAX_LINE`` — and
+    ``urlsplit`` on a target like ``//[``).
+    """
+    try:
+        request = await reader.readline()
+    except ValueError:
+        raise _ClientError(414, "request line too long") from None
+    if not request:
+        return None
+    parts = request.decode("latin-1").strip().split()
+    if len(parts) != 3:
+        raise _ClientError(400, "malformed request line")
+    try:
+        split = urlsplit(parts[1])
+        params = parse_qs(split.query)
+    except ValueError as error:
+        raise _ClientError(400, f"malformed request target: {error}") \
+            from None
+    headers: Dict[str, str] = {}
+    while True:
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise _ClientError(431, "header line too long") from None
+        if line in (b"\r\n", b"\n", b""):
+            return parts[0], parts[1], parts[2], headers, split.path, params
+        if len(headers) >= _MAX_HEADERS:
+            raise _ClientError(431, "too many headers")
+        name, _sep, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+
+
+def encode_response(status: int, body: bytes, *,
+                    content_type: str = "application/json",
+                    extra: Tuple[str, ...] = (),
+                    keep_alive: bool = True) -> bytes:
+    """One HTTP/1.1 response: status line, headers, *body*."""
+    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
+             f"Content-Type: {content_type}",
+             f"Content-Length: {len(body)}"]
+    lines.extend(extra)
+    if not keep_alive:
+        lines.append("Connection: close")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
 class Overloaded(Exception):
     """The in-flight budget is exhausted; shed with 429 + Retry-After."""
 
@@ -277,13 +333,13 @@ class AsyncRankingServer:
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
+                    request = await read_request_head(reader)
                 except _ClientError as error:
                     # Unparseable or over a limit: say why, then hang up
                     # — whatever follows on the wire cannot be trusted.
                     obs.inc("http_requests_total", path="other",
                             status=str(error.status))
-                    writer.write(self._encode(
+                    writer.write(encode_response(
                         error.status,
                         json.dumps({"error": str(error)}).encode("utf-8"),
                         keep_alive=False))
@@ -300,7 +356,7 @@ class AsyncRankingServer:
                 started = perf_counter()
                 status, body, content_type, extra = \
                     await self._respond(method, path, params, headers)
-                writer.write(self._encode(status, body,
+                writer.write(encode_response(status, body,
                                           content_type=content_type,
                                           extra=extra,
                                           keep_alive=keep_alive))
@@ -325,61 +381,6 @@ class AsyncRankingServer:
                 pass
             finally:
                 del self._connections[handler]
-
-    @staticmethod
-    async def _read_request(reader: asyncio.StreamReader
-                            ) -> Optional[Tuple[str, str, str,
-                                                Dict[str, str], str,
-                                                Dict[str, List[str]]]]:
-        """Read one request head: ``(method, target, version, headers,
-        path, params)`` — the target and its one parse.
-
-        ``None`` at end of stream; :class:`_ClientError` (400/414/431) for
-        a head that is malformed or over ``_MAX_LINE`` / ``_MAX_HEADERS``
-        (``readline`` raises ``ValueError`` past the stream limit, and
-        ``urlsplit`` on a target like ``//[``).
-        """
-        try:
-            request = await reader.readline()
-        except ValueError:
-            raise _ClientError(414, "request line too long") from None
-        if not request:
-            return None
-        parts = request.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise _ClientError(400, "malformed request line")
-        try:
-            split = urlsplit(parts[1])
-            params = parse_qs(split.query)
-        except ValueError as error:
-            raise _ClientError(400, f"malformed request target: {error}") \
-                from None
-        headers: Dict[str, str] = {}
-        while True:
-            try:
-                line = await reader.readline()
-            except ValueError:
-                raise _ClientError(431, "header line too long") from None
-            if line in (b"\r\n", b"\n", b""):
-                return (parts[0], parts[1], parts[2], headers, split.path,
-                        params)
-            if len(headers) >= _MAX_HEADERS:
-                raise _ClientError(431, "too many headers")
-            name, _sep, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-
-    @staticmethod
-    def _encode(status: int, body: bytes, *,
-                content_type: str = "application/json",
-                extra: Tuple[str, ...] = (),
-                keep_alive: bool = True) -> bytes:
-        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
-                 f"Content-Type: {content_type}",
-                 f"Content-Length: {len(body)}"]
-        lines.extend(extra)
-        if not keep_alive:
-            lines.append("Connection: close")
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
     # ------------------------------------------------------------------ #
     # Request dispatch

@@ -2,15 +2,29 @@
 
 The Partition Theorem decomposes the global DocRank into a tiny SiteRank
 plus independent per-site local vectors; :class:`ShardedScoreStore` mirrors
-that decomposition at serving time.  Scores are partitioned into one shard
-per web site, so
+that decomposition at serving time.  Laid out site-major, a ranking is one
+set of arrays — document ids, scores, each site's descending sort order,
+URLs and the inverse permutation ``doc_position`` (document id →
+position) — the very layout a ranked generation writes to disk
+(:class:`~repro.io.artifacts.GenerationWriter`).  A store is such a
+*base*, held in RAM (:meth:`ShardedScoreStore.from_ranking`) or
+memory-mapped from a generation's files
+(:class:`~repro.serving.mmapstore.MmapScoreStore`), plus the replacement
+shards later updates install.  Every shard is one class over arrays: a
+base shard is a window into the base, a replacement shard holds its own.
+So
 
-* a point lookup (``score_of``) is a single dictionary access, O(1);
+* a point lookup (``score_of``) of a base document reads ``doc_position``
+  and the shard offsets, O(log sites); only the documents of replacement
+  shards sit in a dictionary, which stays empty until the first update;
 * each shard keeps its documents in score order, so a per-site top-k is a
   prefix of one array;
-* a global top-k is a prefix too: the store sorts all shards' scores once
-  per generation (one ``lexsort``, built lazily by the first global
-  top-k after a change) and every later query slices that order in O(k);
+* a global top-k over a resident base is a prefix too: the store sorts all
+  shards' scores once per generation (one ``lexsort``, built lazily by the
+  first global top-k after a change) and every later query slices that
+  order in O(k).  Over a mapped base it merges the first ``k`` entries of
+  every shard's order instead, which faults in only the pages the answer
+  needs;
 * an incremental update that touched one site replaces exactly one shard
   (``update_site``) and leaves every other shard — its sort order, its
   cached per-document JSON fragments and every cached result that does not
@@ -20,7 +34,7 @@ per web site, so
 
 The store is deliberately decoupled from how the ranking was computed: it
 can be filled from a centralized :class:`~repro.web.pipeline.WebRankingResult`,
-from the shards of the distributed coordinator, or incrementally from an
+from a published generation, or incrementally from an
 :class:`~repro.web.incremental.IncrementalLayeredRanker` (the
 :class:`~repro.serving.service.RankingService` does the latter).
 """
@@ -28,6 +42,7 @@ from the shards of the distributed coordinator, or incrementally from an
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from copy import copy
 from dataclasses import dataclass
 from itertools import repeat
@@ -120,43 +135,50 @@ class _GlobalOrder(NamedTuple):
 
 
 class _Shard:
-    """One site's slice of the score vector, kept in score order.
+    """One site's documents, position-aligned, plus their score order.
 
-    With personalisation, the shard additionally holds an ``(n_docs, K)``
-    block of per-segment scores; the per-segment sort orders are computed
-    lazily on the first query of each segment (a shard whose segments are
-    never queried pays nothing beyond the matrix itself).
+    ``ids``, ``scores`` and ``order`` are numpy arrays (or memmap slices);
+    ``urls`` is any sequence of ``str``.  A base shard is a window of its
+    store's site-major arrays starting at position ``offset``; a
+    replacement shard installed by an update has ``offset`` ``None``.
+    With personalisation, the shard additionally holds an
+    ``(n_docs, K)`` block of per-segment scores; the per-segment sort
+    orders are computed lazily on the first query of each segment (a
+    shard whose segments are never queried pays nothing beyond the matrix
+    itself).
     """
 
-    __slots__ = ("site", "doc_ids", "ids", "urls", "scores", "order",
+    __slots__ = ("site", "ids", "urls", "scores", "order", "offset",
                  "generation", "segment_columns", "_segment_orders",
                  "_fragments")
 
-    def __init__(self, site: str, doc_ids: List[int], urls: List[str],
+    def __init__(self, site: str, ids: np.ndarray, urls: Sequence[str],
                  scores: np.ndarray, generation: int,
-                 segment_columns: Optional[np.ndarray] = None) -> None:
+                 segment_columns: Optional[np.ndarray] = None, *,
+                 order: Optional[np.ndarray] = None,
+                 offset: Optional[int] = None) -> None:
         self.site = site
-        self.doc_ids = doc_ids
-        self.ids = np.asarray(doc_ids, dtype=np.int64)
+        self.ids = ids
         self.urls = urls
         self.scores = scores
         # Descending by score, ties broken by ascending doc id — the same
         # deterministic order WebRankingResult.top_k uses.
-        self.order = np.lexsort((self.ids, -scores))
+        self.order = np.lexsort((ids, -scores)) if order is None else order
+        self.offset = offset
         self.generation = generation
         self.segment_columns = segment_columns
         # Lazily filled per-segment sort orders and per-document JSON
-        # fragments (keyed by score column).  Shards are shared across
-        # double-buffered store generations; filling a slot is an
+        # fragments (score column -> row -> text).  Shards are shared
+        # across double-buffered store generations; filling a slot is an
         # idempotent cache write (two racing readers compute identical
         # values), so no lock is needed.
         self._segment_orders: List[Optional[np.ndarray]] = (
             [] if segment_columns is None
             else [None] * segment_columns.shape[1])
-        self._fragments: Dict[Optional[int], List[Optional[str]]] = {}
+        self._fragments: Dict[Optional[int], Dict[int, str]] = {}
 
     def __len__(self) -> int:
-        return len(self.doc_ids)
+        return len(self.ids)
 
     def order_for(self, segment_index: Optional[int] = None) -> np.ndarray:
         """Rows of the shard in descending score order."""
@@ -179,26 +201,42 @@ class _Shard:
     def document(self, row: int,
                  segment_index: Optional[int] = None) -> ScoredDocument:
         """The served record of the document stored at *row*."""
-        score = (self.scores[row] if segment_index is None
-                 else self.segment_columns[row, segment_index])
-        return ScoredDocument(doc_id=self.doc_ids[row], url=self.urls[row],
-                              site=self.site, score=float(score))
+        score = (self.scores.item(row) if segment_index is None
+                 else self.segment_columns.item(row, segment_index))
+        return ScoredDocument(doc_id=self.ids.item(row), url=self.urls[row],
+                              site=self.site, score=score)
 
     def fragment(self, row: int, segment_index: Optional[int] = None) -> str:
         """``json.dumps`` of :meth:`document`'s payload, encoded once."""
-        fragments = self._fragments.get(segment_index)
-        if fragments is None:
-            fragments = self._fragments[segment_index] = \
-                [None] * len(self.doc_ids)
-        fragment = fragments[row]
+        fragments = self._fragments.setdefault(segment_index, {})
+        fragment = fragments.get(row)
         if fragment is None:
             fragment = fragments[row] = json.dumps(
                 _document_payload(self.document(row, segment_index)))
         return fragment
 
 
+class _Base(NamedTuple):
+    """The site-major arrays a store was built from.
+
+    Shard ``i`` is positions ``bounds[i]:bounds[i + 1]`` — the window
+    ``shards[i]`` — and ``doc_position[d]`` is document ``d``'s position
+    (``-1`` for an id the base does not hold).  ``mapped`` says whether
+    the arrays are memory-mapped files, which decides how a global top-k
+    is answered.
+    """
+
+    ids: np.ndarray
+    scores: np.ndarray
+    order: np.ndarray
+    doc_position: np.ndarray
+    bounds: List[int]
+    shards: Tuple[_Shard, ...]
+    mapped: bool
+
+
 class ShardedScoreStore:
-    """Document scores partitioned by web site with O(1) point lookup.
+    """Document scores partitioned by web site with cheap point lookup.
 
     Parameters
     ----------
@@ -215,14 +253,18 @@ class ShardedScoreStore:
         if len(set(self._segments)) != len(self._segments):
             raise ValidationError("segment names must be unique")
         self._shards: Dict[str, _Shard] = {}
-        #: doc_id -> (site, url, score); the O(1) lookup structure.
-        self._entries: Dict[int, Tuple[str, str, float]] = {}
+        #: The site-major arrays the base shards are windows of (``None``
+        #: for a store filled by updates alone); shared by every clone.
+        self._base: Optional[_Base] = None
+        #: doc_id -> (shard, row) for the documents of replacement shards,
+        #: the only per-document structure a store keeps.
+        self._replaced: Dict[int, Tuple[_Shard, int]] = {}
+        self._n_documents = 0
         self._generation = 0
-        #: What :meth:`_global_winners` keeps per store generation — here
-        #: score column -> global descending order of the current shards.
-        #: Filled lazily by the first global top-k, rebound (never
+        #: What a global top-k keeps per store generation and score column
+        #: (:meth:`_cached_order` / :meth:`_merged_heads`).  Filled lazily by the first global top-k, rebound (never
         #: mutated in place) by whatever changes the shards.  Two racing
-        #: readers may both fill a slot — they compute identical orders.
+        #: readers may both fill a slot — they compute identical values.
         self._global_cache: Dict[Optional[int], Any] = {}
 
     # ------------------------------------------------------------------ #
@@ -233,8 +275,11 @@ class ShardedScoreStore:
                      docgraph: DocGraph) -> "ShardedScoreStore":
         """Partition a computed global ranking by the DocGraph's sites.
 
-        A ranking carrying personalisation segments yields a multi-column
-        store: each shard gets the site's rows of
+        One vectorised pass lays the ranking out site-major — sites in the
+        order they first appear in the ranking, ranking order kept inside
+        each site — and installs it as the store's base.  A ranking
+        carrying personalisation segments yields a multi-column store:
+        each shard gets the site's rows of
         :attr:`~repro.web.pipeline.WebRankingResult.segment_columns`.
         """
         store = cls(ranking.segments)
@@ -244,24 +289,65 @@ class ShardedScoreStore:
         if unknown.any():
             raise GraphStructureError(
                 f"unknown document id {int(doc_ids[unknown][0])}")
-        # One stable argsort groups the ranking's positions by site and
-        # keeps ranking order inside each group; shards are installed in
-        # the order their sites first appear in the ranking.
-        site_rows = site_of_document[doc_ids]
-        grouped = np.argsort(site_rows, kind="stable")
-        present, first_seen, counts = np.unique(
-            site_rows, return_index=True, return_counts=True)
+        present, first_seen, shard_of, counts = np.unique(
+            site_of_document[doc_ids], return_index=True,
+            return_inverse=True, return_counts=True)
+        by_first_seen = np.argsort(first_seen)
+        shard_rank = np.empty_like(by_first_seen)
+        shard_rank[by_first_seen] = np.arange(by_first_seen.size)
+        shard_of = shard_rank[shard_of]
+        grouped = np.argsort(shard_of, kind="stable")
+        shard_of = shard_of[grouped]
+        counts = counts[by_first_seen]
         bounds = np.concatenate(([0], np.cumsum(counts)))
-        sites = docgraph.sites()
-        urls = np.asarray(ranking.urls, dtype=object)
-        for group in np.argsort(first_seen).tolist():
-            positions = grouped[bounds[group]:bounds[group + 1]]
-            store.update_site(
-                sites[present[group]], doc_ids[positions].tolist(),
-                urls[positions].tolist(), ranking.scores[positions],
-                segment_columns=(ranking.segment_columns[positions]
-                                 if ranking.segments else None))
+        ids = doc_ids[grouped]
+        scores = np.asarray(ranking.scores, dtype=float)[grouped]
+        columns = (np.asarray(ranking.segment_columns, dtype=float)[grouped]
+                   if ranking.segments else None)
+        all_sites = docgraph.sites()
+        sites = [all_sites[index] for index in present[by_first_seen]]
+        doc_position = np.full(site_of_document.size, -1, dtype=np.int64)
+        doc_position[ids] = np.arange(ids.size)
+        for bad, problem in (
+                (doc_position[ids] != np.arange(ids.size),
+                 "duplicate document ids"),
+                (~np.isfinite(scores), "non-finite scores"),
+                (None if columns is None
+                 else ~np.isfinite(columns).all(axis=1),
+                 "non-finite segment scores")):
+            if bad is not None and bad.any():
+                raise ValidationError(
+                    f"shard {sites[shard_of[np.argmax(bad)]]!r} has {problem}")
+        # One lexsort orders every shard: by shard, then descending score,
+        # then ascending doc id — per shard the order _Shard would sort.
+        order = np.lexsort((ids, -scores, shard_of)) \
+            - np.repeat(bounds[:-1], counts)
+        store._install_base(sites, bounds.tolist(), ids, scores, order,
+                            np.asarray(ranking.urls, dtype=object)[grouped],
+                            doc_position, columns)
         return store
+
+    def _install_base(self, sites: Sequence[str], bounds: List[int],
+                      ids: np.ndarray, scores: np.ndarray, order: np.ndarray,
+                      urls: Sequence[str], doc_position: np.ndarray,
+                      segment_columns: Optional[np.ndarray] = None) -> None:
+        """Serve site-major arrays: site ``i`` holds positions
+        ``bounds[i]:bounds[i + 1]`` and ``order`` is every site's
+        shard-local descending order.  Each site's window becomes a shard
+        with the next generation stamp."""
+        shards = []
+        for site, start, stop in zip(sites, bounds, bounds[1:]):
+            self._generation += 1
+            shards.append(_Shard(
+                site, ids[start:stop], urls[start:stop], scores[start:stop],
+                self._generation,
+                None if segment_columns is None
+                else segment_columns[start:stop],
+                order=order[start:stop], offset=start))
+        self._shards.update((shard.site, shard) for shard in shards)
+        self._base = _Base(ids, scores, order, doc_position, bounds,
+                           tuple(shards), isinstance(scores, np.memmap))
+        self._n_documents += bounds[-1]
 
     def update_site(self, site: str, doc_ids: Sequence[int],
                     urls: Sequence[str], scores, *,
@@ -277,9 +363,10 @@ class ShardedScoreStore:
         scores = np.asarray(scores, dtype=float).ravel()
         if not (len(doc_ids) == len(urls) == scores.size):
             raise ValidationError("doc_ids, urls and scores must align")
+        ids = np.array(doc_ids, dtype=np.int64).ravel()
         if scores.size and not np.all(np.isfinite(scores)):
             raise ValidationError(f"shard {site!r} has non-finite scores")
-        if len(set(doc_ids)) != len(doc_ids):
+        if np.unique(ids).size != ids.size:
             raise ValidationError(f"shard {site!r} has duplicate document ids")
         if self._segments:
             if segment_columns is None:
@@ -287,10 +374,10 @@ class ShardedScoreStore:
                     f"store serves segments {list(self._segments)!r}; "
                     f"shard {site!r} update must supply segment_columns")
             segment_columns = np.asarray(segment_columns, dtype=float)
-            if segment_columns.shape != (len(doc_ids), len(self._segments)):
+            if segment_columns.shape != (ids.size, len(self._segments)):
                 raise ValidationError(
                     f"shard {site!r} segment_columns must be "
-                    f"({len(doc_ids)}, {len(self._segments)}), got "
+                    f"({ids.size}, {len(self._segments)}), got "
                     f"{segment_columns.shape}")
             if segment_columns.size and \
                     not np.all(np.isfinite(segment_columns)):
@@ -303,40 +390,62 @@ class ShardedScoreStore:
         # Validate ownership before mutating anything, so a rejected update
         # leaves the store untouched: a document may reappear in its own
         # site's replacement but never be stolen from another live shard.
-        for doc_id in doc_ids:
-            entry = self._lookup(doc_id)
-            if entry is not None and entry[0] != site:
-                raise GraphStructureError(
-                    f"document {doc_id} already belongs to shard "
-                    f"{entry[0]!r}")
-        self._forget_entries(self._shards.get(site))
+        id_list = ids.tolist()
+        stolen = self._held_elsewhere(site, ids, id_list)
+        if stolen:
+            doc_id = next(doc_id for doc_id in id_list if doc_id in stolen)
+            raise GraphStructureError(
+                f"document {doc_id} already belongs to shard "
+                f"{self.site_of(doc_id)!r}")
+        self._release(self._shards.get(site))
         self._generation += 1
         self._global_cache = {}
-        shard = _Shard(site, list(doc_ids), list(urls), scores,
-                       self._generation, segment_columns)
+        shard = _Shard(site, ids, list(urls), scores, self._generation,
+                       segment_columns)
         self._shards[site] = shard
-        self._entries.update(zip(shard.doc_ids,
-                                 zip(repeat(site), shard.urls,
-                                     scores.tolist())))
+        self._replaced.update(zip(id_list, zip(repeat(shard),
+                                               range(ids.size))))
+        self._n_documents += ids.size
         return shard.generation
+
+    def _held_elsewhere(self, site: str, ids: np.ndarray,
+                        id_list: List[int]) -> set:
+        """The ids of *ids* a live shard of another site holds — looked up
+        in the replaced-document dict, and in the base array-wide."""
+        stolen = {doc_id for doc_id in self._replaced.keys() & set(id_list)
+                  if self._replaced[doc_id][0].site != site}
+        base = self._base
+        if base is None:
+            return stolen
+        ids = ids[(ids >= 0) & (ids < base.doc_position.size)]
+        positions = np.asarray(base.doc_position[ids])
+        held = positions >= 0
+        ids, positions = ids[held], positions[held]
+        held = np.asarray(base.ids[positions]) == ids
+        ids, positions = ids[held], positions[held]
+        windows = np.searchsorted(base.bounds, positions, side="right") - 1
+        for window in np.unique(windows).tolist():
+            shard = base.shards[window]
+            if shard.site != site and self._shards.get(shard.site) is shard:
+                stolen.update(ids[windows == window].tolist())
+        return stolen
 
     def drop_site(self, site: str) -> None:
         """Remove one site's shard entirely."""
-        self._forget_entries(self._shard(site))
+        self._release(self._shard(site))
         del self._shards[site]
         self._generation += 1
         self._global_cache = {}
 
-    def _forget_entries(self, shard) -> None:
-        """Drop a departing shard's documents from the lookup dict.
-
-        Only a resident :class:`_Shard` has entries; a subclass's foreign
-        shards (served through :meth:`_missing_entry`) stop resolving the
-        moment they leave ``_shards``.
-        """
-        if isinstance(shard, _Shard):
-            for doc_id in shard.doc_ids:
-                del self._entries[doc_id]
+    def _release(self, shard: Optional[_Shard]) -> None:
+        """Forget a departing shard's documents (a base window's stop
+        resolving the moment it leaves ``_shards``)."""
+        if shard is None:
+            return
+        if shard.offset is None:
+            for doc_id in shard.ids.tolist():
+                del self._replaced[doc_id]
+        self._n_documents -= len(shard)
 
     def rebuilt(self, replacements: Dict[str, Tuple],
                 *, drop: Iterable[str] = ()) -> "ShardedScoreStore":
@@ -354,16 +463,16 @@ class ShardedScoreStore:
         moment queries wait.
 
         Untouched shards are *shared* with this store (a shard is never
-        mutated after construction, so sharing is safe), as is everything
-        else a subclass hangs on the instance; the generation counter
-        continues from this store's, preserving the deterministic
-        per-shard generation sequence ``update_site`` in place would have
-        produced: drops first, then replacements in the order
-        *replacements* iterates.
+        mutated after construction, so sharing is safe), as is the base
+        and everything else a subclass hangs on the instance; the
+        generation counter continues from this store's, preserving the
+        deterministic per-shard generation sequence ``update_site`` in
+        place would have produced: drops first, then replacements in the
+        order *replacements* iterates.
         """
         clone = copy(self)
         clone._shards = dict(self._shards)
-        clone._entries = dict(self._entries)
+        clone._replaced = dict(self._replaced)
         # copy() shares the dict: an order either store fills later would
         # otherwise be served by the other one after their shards diverge.
         clone._global_cache = {}
@@ -384,34 +493,32 @@ class ShardedScoreStore:
         but evolves independently from here on: replacing a shard in one
         store never affects the other.  This is the replication primitive
         of :class:`~repro.serving.replicas.ReplicaSet`: every replica gets
-        its own swappable store pointer at the cost of the per-document
-        lookup dict, not of the score data.
+        its own swappable store pointer at the cost of the replaced-document
+        dict, not of the score data.
         """
         return self.rebuilt({})
 
     # ------------------------------------------------------------------ #
-    # Point lookups (O(1))
+    # Point lookups
     # ------------------------------------------------------------------ #
     def score_of(self, doc_id: int) -> float:
-        """Global score of a document id (O(1))."""
-        return self._entry(doc_id)[2]
+        """Global score of a document id."""
+        shard, row = self._located(doc_id)
+        return float(shard.scores[row])
 
     def site_of(self, doc_id: int) -> str:
-        """Owning site of a document id (O(1))."""
-        return self._entry(doc_id)[0]
+        """Owning site of a document id."""
+        return self._located(doc_id)[0].site
 
     def document(self, doc_id: int) -> ScoredDocument:
-        """The full :class:`ScoredDocument` record of an id (O(1))."""
-        site, url, score = self._entry(doc_id)
-        return ScoredDocument(doc_id=doc_id, url=url, site=site, score=score)
+        """The full :class:`ScoredDocument` record of an id."""
+        shard, row = self._located(doc_id)
+        return shard.document(row)
 
     def find(self, doc_id: int) -> Optional[ScoredDocument]:
         """:meth:`document`, or ``None`` when the id is not held."""
-        entry = self._lookup(doc_id)
-        if entry is None:
-            return None
-        site, url, score = entry
-        return ScoredDocument(doc_id=doc_id, url=url, site=site, score=score)
+        located = self._locate(doc_id)
+        return None if located is None else located[0].document(located[1])
 
     def link_scores(self, segment: Optional[str] = None) -> Dict[int, float]:
         """``{doc_id: score}`` over all shards, for the combined ranking.
@@ -468,7 +575,7 @@ class ShardedScoreStore:
         return LinkScoreView(scores, site_rows, sites)
 
     def __contains__(self, doc_id: int) -> bool:
-        return self._lookup(doc_id) is not None
+        return self._locate(doc_id) is not None
 
     # ------------------------------------------------------------------ #
     # Shard access
@@ -494,14 +601,13 @@ class ShardedScoreStore:
     def segment_score_of(self, doc_id: int, segment: str) -> float:
         """One document's score under a named segment."""
         column = self.segment_position(segment)
-        shard = self._shards[self._entry(doc_id)[0]]
-        row = int(np.flatnonzero(shard.ids == doc_id)[0])
+        shard, row = self._located(doc_id)
         return float(shard.segment_columns[row, column])
 
     @property
     def n_documents(self) -> int:
         """Total documents across all shards."""
-        return len(self._entries)
+        return self._n_documents
 
     @property
     def n_shards(self) -> int:
@@ -542,8 +648,8 @@ class ShardedScoreStore:
         """The JSON objects of the best ``k`` documents, best first.
 
         Entry ``i`` equals ``json.dumps`` of the payload of document ``i``
-        of :meth:`global_top` (or, with *site*, :meth:`shard_top`);
-        resident shards encode each document once and keep the text.
+        of :meth:`global_top` (or, with *site*, :meth:`shard_top`); each
+        shard encodes a document once and keeps the text.
         """
         column, winners = self._top_rows(k, site, segment)
         return [shard.fragment(row, column) for shard, row in winners]
@@ -561,7 +667,7 @@ class ShardedScoreStore:
     # ------------------------------------------------------------------ #
     def _top_rows(self, k: int, site: Optional[str],
                   segment: Optional[str]
-                  ) -> Tuple[Optional[int], Iterable[Tuple[Any, int]]]:
+                  ) -> Tuple[Optional[int], Iterable[Tuple[_Shard, int]]]:
         """Validate a top-k request; its score column and the winning
         ``(shard, row)`` pairs, best first."""
         if k < 0:
@@ -572,16 +678,19 @@ class ShardedScoreStore:
             shard = self._shard(site)
             return column, zip(repeat(shard),
                                shard.order_for(column)[:k].tolist())
-        shards, shard_rows, rows = self._global_winners(k, column)
+        if self._base is not None and self._base.mapped:
+            shards, shard_rows, rows = self._merged_heads(k, column)
+        else:
+            shards, shard_rows, rows = self._cached_order(k, column)
         return column, zip(map(shards.__getitem__, shard_rows), rows)
 
-    def _global_winners(self, k: int, column: Optional[int]
-                        ) -> Tuple[list, List[int], List[int]]:
+    def _cached_order(self, k: int, column: Optional[int]
+                      ) -> Tuple[list, List[int], List[int]]:
         """``(shards, shard_rows, rows)`` of the global top ``k``.
 
         Winner ``i`` is document ``rows[i]`` of ``shards[shard_rows[i]]``.
         Served from the generation's cached global order, built on first
-        use; a subclass whose shards are not resident overrides this.
+        use — the strategy of a store whose scores are resident.
         """
         # Filled through the dict read here: should the shards change
         # meanwhile, the order lands in the dict that change discarded.
@@ -611,6 +720,64 @@ class ShardedScoreStore:
         return (order.shards, order.shard_rows[:k].tolist(),
                 order.rows[:k].tolist())
 
+    def _merged_heads(self, k: int, column: Optional[int]
+                      ) -> Tuple[list, List[int], List[int]]:
+        """The global top ``k`` from the shard heads alone — the strategy
+        of a store whose base is memory-mapped.
+
+        No winner lies beyond row ``k`` of its own shard's order, so the
+        candidates are the first ``min(k, n_s)`` entries of every shard:
+        one fancy-indexed read of the base's order, id and score arrays
+        for all base windows together, the heads of the replacement
+        shards, one ``lexsort`` of the candidates that reach the k-th best
+        score.  It never sorts — never faults in — a whole score column.
+        What the current shards are is worked out once per store
+        generation.
+        """
+        base = self._base
+        layout = self._global_cache.get(column)
+        if layout is None:
+            shards = list(self._shards.values())
+            windows = [row for row, shard in enumerate(shards)
+                       if shard.offset is not None]
+            layout = self._global_cache[column] = (
+                shards, np.asarray(windows, dtype=np.int64),
+                np.asarray([shards[row].offset for row in windows],
+                           dtype=np.int64),
+                np.asarray([len(shards[row]) for row in windows],
+                           dtype=np.int64),
+                [row for row, shard in enumerate(shards)
+                 if shard.offset is None])
+        shards, windows, offsets, counts, replacements = layout
+        heads = np.minimum(counts, min(k, base.ids.size))
+        # Candidate c of a window is entry c of its slice of the order.
+        first = np.repeat(offsets, heads)
+        entry = np.arange(int(heads.sum())) \
+            - np.repeat(np.cumsum(heads) - heads, heads)
+        head_rows = np.asarray(base.order[first + entry], dtype=np.int64)
+        shard_rows = [np.repeat(windows, heads)]
+        rows = [head_rows]
+        ids = [np.asarray(base.ids[first + head_rows])]
+        scores = [np.asarray(base.scores[first + head_rows])]
+        for shard_row in replacements:
+            shard = shards[shard_row]
+            head_rows = shard.order_for(column)[:k]
+            shard_ids, shard_scores = shard.id_score_arrays(column)
+            shard_rows.append(np.full(head_rows.size, shard_row))
+            rows.append(head_rows)
+            ids.append(shard_ids[head_rows])
+            scores.append(shard_scores[head_rows])
+        ids, scores = np.concatenate(ids), np.concatenate(scores)
+        # Only candidates at or above the k-th best score can win; the
+        # sort (with its doc-id tie-break) sees just those.
+        pool = np.arange(scores.size)
+        if scores.size > k:
+            cut = scores.size - k
+            pool = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+        winners = pool[np.lexsort((ids[pool], -scores[pool]))[:k]]
+        return (shards, np.concatenate(shard_rows)[winners].tolist(),
+                np.concatenate(rows)[winners].tolist())
+
     # ------------------------------------------------------------------ #
     def _shard(self, site: str) -> _Shard:
         try:
@@ -618,26 +785,32 @@ class ShardedScoreStore:
         except KeyError:
             raise GraphStructureError(f"unknown shard {site!r}") from None
 
-    def _lookup(self, doc_id: int) -> Optional[Tuple[str, str, float]]:
-        """``(site, url, score)`` of a document, ``None`` when not held."""
-        entry = self._entries.get(doc_id)
-        return entry if entry is not None else self._missing_entry(doc_id)
+    def _locate(self, doc_id: int) -> Optional[Tuple[_Shard, int]]:
+        """``(shard, row)`` of a held document, ``None`` otherwise.
 
-    def _missing_entry(self, doc_id: int
-                       ) -> Optional[Tuple[str, str, float]]:
-        """Resolve a document absent from the lookup dict.
-
-        The one hook a subclass whose shards are not all resident
-        overrides; point lookups *and* the ownership check of
-        :meth:`update_site` go through it.
+        The one lookup path: the replaced-document dict first, else the
+        base's ``doc_position`` and shard bounds — valid while the site's
+        current shard is still that base window.
         """
-        return None
+        located = self._replaced.get(doc_id)
+        base = self._base
+        if located is not None or base is None \
+                or not isinstance(doc_id, (int, np.integer)) \
+                or not 0 <= doc_id < base.doc_position.size:
+            return located
+        position = base.doc_position.item(doc_id)
+        if position < 0 or base.ids.item(position) != doc_id:
+            return None
+        shard = base.shards[bisect_right(base.bounds, position) - 1]
+        if self._shards.get(shard.site) is not shard:
+            return None
+        return shard, position - shard.offset
 
-    def _entry(self, doc_id: int) -> Tuple[str, str, float]:
-        entry = self._lookup(doc_id)
-        if entry is None:
+    def _located(self, doc_id: int) -> Tuple[_Shard, int]:
+        located = self._locate(doc_id)
+        if located is None:
             raise ValidationError(f"unknown document id {doc_id}")
-        return entry
+        return located
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ShardedScoreStore(n_shards={self.n_shards}, "

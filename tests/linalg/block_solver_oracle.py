@@ -168,14 +168,17 @@ def _block_aggregators(sizes: np.ndarray, offsets: np.ndarray,
                        dangling: np.ndarray):
     """Segment-sum operators for one active set, as CSR matrices.
 
-    ``agg @ M`` sums the rows of each block (exactly what
-    ``np.add.reduceat(M, offsets[:-1], axis=0)`` computes, in the same
-    sequential element order, so results are bitwise identical) but runs
-    through the ``csr_matvecs`` C kernel — the 2-D ``reduceat`` has no
-    fast path in numpy and dominated the sweep cost on many-block
-    batches.  ``agg_dangling`` folds the dangling indicator into the
-    operator so the dangling-mass reduction needs no ``X * dangling``
-    temporary.
+    ``agg @ M`` sums the rows of each block one after another, in row
+    order, through the ``csr_matvecs`` C kernel.  That is *not* bitwise
+    ``np.add.reduceat(M, offsets[:-1], axis=0)`` (the two differ in the
+    last bits on most many-block inputs), and the loops do not need it to
+    be: the frozen reference loops in
+    ``tests/linalg/block_solver_oracle.py`` use this same sequential
+    per-block sum, and the oracle test pins the two bitwise.  The 2-D
+    ``reduceat`` has no fast path in numpy and dominated the sweep cost
+    on many-block batches.  ``agg_dangling`` folds the dangling indicator
+    into the operator so the dangling-mass reduction needs no
+    ``X * dangling`` temporary.
     """
     cols = np.arange(int(offsets[-1]), dtype=np.int64)
     shape = (sizes.size, cols.size)

@@ -26,7 +26,6 @@ from repro.serving import (
     ShardedScoreStore,
     TopKEngine,
 )
-from repro.serving.mmapstore import _MmapShard
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +91,7 @@ class TestSharedMapping:
         clone = store.clone()
         assert isinstance(clone, MmapScoreStore)
         assert clone.ranked_generation is store.ranked_generation
-        assert clone._map is store._map
+        assert clone._base is store._base
         # Untouched shards are the very same objects, not copies.
         for site in store.sites():
             assert clone._shard(site) is store._shard(site)
@@ -100,13 +99,14 @@ class TestSharedMapping:
     def test_rebuilt_shares_the_mapping(self, store):
         site = store.sites()[0]
         shard = store._shard(site)
-        ids = shard.doc_ids
+        ids = shard.ids.tolist()
         urls = [store.document(doc_id).url for doc_id in ids]
         scores = np.linspace(1.0, 2.0, len(ids))
         rebuilt = store.rebuilt({site: (ids, urls, scores)})
-        assert rebuilt._map is store._map
+        assert rebuilt._base is store._base
         # The replaced shard is in-RAM now; the rest still serve from disk.
-        assert not isinstance(rebuilt._shard(site), _MmapShard)
+        assert rebuilt._shard(site).offset is None
+        assert not isinstance(rebuilt._shard(site).scores, np.memmap)
         for other in store.sites()[1:]:
             assert rebuilt._shard(other) is store._shard(other)
         # Double buffering: the source store is untouched.
@@ -114,7 +114,7 @@ class TestSharedMapping:
 
     def test_update_site_masks_the_mapped_shard(self, store):
         site = store.sites()[0]
-        ids = store._shard(site).doc_ids
+        ids = store._shard(site).ids.tolist()
         urls = [store.document(doc_id).url for doc_id in ids]
         scores = np.linspace(1.0, 2.0, len(ids))
         generation = store.update_site(site, ids, urls, scores)
@@ -127,14 +127,14 @@ class TestSharedMapping:
 
     def test_ownership_is_still_enforced(self, store):
         site_a, site_b = store.sites()[:2]
-        stolen = store._shard(site_a).doc_ids[0]
+        stolen = int(store._shard(site_a).ids[0])
         with pytest.raises(GraphStructureError, match="already belongs"):
             store.update_site(site_b, [stolen], ["http://x/"],
                               np.array([1.0]))
 
     def test_drop_site(self, store):
         site = store.sites()[0]
-        doc_id = store._shard(site).doc_ids[0]
+        doc_id = int(store._shard(site).ids[0])
         store.drop_site(site)
         assert site not in store.sites()
         assert doc_id not in store
@@ -239,7 +239,7 @@ class TestValidation:
 
     def test_segment_columns_rejected_on_update(self, store):
         site = store.sites()[0]
-        ids = store._shard(site).doc_ids
+        ids = store._shard(site).ids.tolist()
         urls = [store.document(doc_id).url for doc_id in ids]
         scores = np.ones(len(ids))
         with pytest.raises(ValidationError, match="no personalisation"):

@@ -359,11 +359,11 @@ class TestTopBody:
         assert histograms[("serving_top_seconds", "global")] == 1
         assert histograms[("serving_top_seconds", "site")] == 1
 
-    def test_mapped_shards_cache_no_fragments(self, tmp_path):
+    def test_mapped_shards_cache_only_what_they_served(self, tmp_path):
         specs = [("a", [0, 1], ["u0", "u1"], np.array([0.5, 0.25]), None)]
         store = mapped_store(specs, tmp_path / "generation")
-        assert store.top_fragments(2) == store.top_fragments(2)
-        assert not hasattr(store._shard("a"), "_fragments")
+        assert store.top_fragments(1) == store.top_fragments(1)
+        assert list(store._shard("a")._fragments[None]) == [0]
 
 
 class TestFromRanking:
@@ -389,13 +389,14 @@ class TestFromRanking:
         assert store.sites() == oracle.sites()
         assert store.segments == oracle.segments
         assert store.generation == oracle.generation
-        assert store._entries == oracle._entries
-        assert list(store._entries) == list(oracle._entries)
+        assert store.n_documents == oracle.n_documents
+        for doc_id in range(-1, web.n_documents + 1):
+            assert store.find(doc_id) == oracle.find(doc_id)
         for site in oracle.sites():
             ours, theirs = store._shard(site), oracle._shard(site)
             assert ours.generation == theirs.generation
-            assert ours.doc_ids == theirs.doc_ids
-            assert ours.urls == theirs.urls
+            assert ours.ids.tolist() == theirs.ids.tolist()
+            assert list(ours.urls) == list(theirs.urls)
             assert np.array_equal(ours.scores, theirs.scores)
             assert np.array_equal(ours.order, theirs.order)
             if personalised:
