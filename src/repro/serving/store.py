@@ -208,12 +208,13 @@ class _Shard:
 
     def fragment(self, row: int, segment_index: Optional[int] = None) -> str:
         """``json.dumps`` of :meth:`document`'s payload, encoded once."""
-        fragments = self._fragments.setdefault(segment_index, {})
-        fragment = fragments.get(row)
-        if fragment is None:
-            fragment = fragments[row] = json.dumps(
+        try:
+            return self._fragments[segment_index][row]
+        except KeyError:
+            fragment = json.dumps(
                 _document_payload(self.document(row, segment_index)))
-        return fragment
+            self._fragments.setdefault(segment_index, {})[row] = fragment
+            return fragment
 
 
 class _Base(NamedTuple):
@@ -504,7 +505,7 @@ class ShardedScoreStore:
     def score_of(self, doc_id: int) -> float:
         """Global score of a document id."""
         shard, row = self._located(doc_id)
-        return float(shard.scores[row])
+        return shard.scores.item(row)
 
     def site_of(self, doc_id: int) -> str:
         """Owning site of a document id."""
