@@ -48,15 +48,15 @@ from ..exceptions import ProtocolError, SimulationError
 from ..io import docgraph_digest
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
-from ..web.docgraph import DocGraph
-from ..web.docrank import LocalDocRank
-from ..web.pipeline import WebRankingResult, compose_ranking
 from ..serving.frontend import (
     _MAX_LINE,
     encode_response,
     read_request_head,
 )
 from ..serving.httpd import _ClientError
+from ..web.docgraph import DocGraph
+from ..web.docrank import LocalDocRank
+from ..web.pipeline import WebRankingResult, compose_ranking
 from ..web.siterank import SiteRankResult, siterank
 from .ledger import JobLedger
 from .protocol import (

@@ -357,9 +357,9 @@ class AsyncRankingServer:
                 status, body, content_type, extra = \
                     await self._respond(method, path, params, headers)
                 writer.write(encode_response(status, body,
-                                          content_type=content_type,
-                                          extra=extra,
-                                          keep_alive=keep_alive))
+                                             content_type=content_type,
+                                             extra=extra,
+                                             keep_alive=keep_alive))
                 await writer.drain()
                 duration = perf_counter() - started
                 endpoint = path if path in _KNOWN_ENDPOINTS else "other"

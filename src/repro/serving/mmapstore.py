@@ -83,8 +83,8 @@ class MmapScoreStore(ShardedScoreStore):
             + [generation.n_documents],
             generation.array("doc_ids"), generation.array("scores"),
             generation.array("order"),
-            _MappedUrls(generation.array("url_offsets"),
-                        generation.array("urls")),
+            _MappedUrls(np.asarray(generation.array("url_offsets")),
+                        np.asarray(generation.array("urls"))),
             generation.array("doc_position"))
 
     @classmethod
