@@ -49,11 +49,11 @@ from ..io import docgraph_digest
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
 from ..serving.frontend import (
-    _MAX_LINE,
     encode_response,
     read_request_head,
+    start_bounded_server,
 )
-from ..serving.httpd import _ClientError
+from ..serving.httpd import ClientError
 from ..web.docgraph import DocGraph
 from ..web.docrank import LocalDocRank
 from ..web.pipeline import WebRankingResult, compose_ranking
@@ -181,9 +181,8 @@ class ClusterCoordinator:
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         if metrics_port is not None:
-            self._metrics_server = await asyncio.start_server(
-                self._handle_metrics, self.host, metrics_port,
-                limit=_MAX_LINE)
+            self._metrics_server = await start_bounded_server(
+                self._handle_metrics, self.host, metrics_port)
             self.metrics_port = \
                 self._metrics_server.sockets[0].getsockname()[1]
 
@@ -615,7 +614,7 @@ class ClusterCoordinator:
         try:
             try:
                 request = await read_request_head(reader)
-            except _ClientError as error:
+            except ClientError as error:
                 status, body = error.status, f"{error}\n".encode("utf-8")
             else:
                 if request is None:

@@ -60,7 +60,7 @@ from ..exceptions import GraphStructureError, ValidationError
 from .httpd import (
     _KNOWN_ENDPOINTS,
     ACCESS_LOGGER,
-    _ClientError,
+    ClientError,
     _str_param,
     enable_access_log,
     parse_query_request,
@@ -102,6 +102,14 @@ def _runs_inline(path: str, params: Dict[str, List[str]]) -> bool:
         return True  # the router's 400 costs nothing
 
 
+async def start_bounded_server(handler, host: str, port: int
+                               ) -> asyncio.AbstractServer:
+    """``asyncio.start_server`` for readers of :func:`read_request_head`:
+    its stream limit is ``_MAX_LINE``, so a longer request or header line
+    is answered 414 / 431 instead of filling memory."""
+    return await asyncio.start_server(handler, host, port, limit=_MAX_LINE)
+
+
 async def read_request_head(reader: asyncio.StreamReader
                             ) -> Optional[Tuple[str, str, str,
                                                 Dict[str, str], str,
@@ -109,37 +117,37 @@ async def read_request_head(reader: asyncio.StreamReader
     """Read one request head: ``(method, target, version, headers, path,
     params)`` — the target and its one parse.
 
-    ``None`` at end of stream; :class:`_ClientError` (400/414/431) for a
+    ``None`` at end of stream; :class:`ClientError` (400/414/431) for a
     head that is malformed or over ``_MAX_LINE`` / ``_MAX_HEADERS``
-    (``readline`` raises ``ValueError`` past the stream limit — the
-    reader's server must be started with ``limit=_MAX_LINE`` — and
-    ``urlsplit`` on a target like ``//[``).
+    (``readline`` raises ``ValueError`` past the stream limit that
+    :func:`start_bounded_server` sets, and ``urlsplit`` on a target like
+    ``//[``).
     """
     try:
         request = await reader.readline()
     except ValueError:
-        raise _ClientError(414, "request line too long") from None
+        raise ClientError(414, "request line too long") from None
     if not request:
         return None
     parts = request.decode("latin-1").strip().split()
     if len(parts) != 3:
-        raise _ClientError(400, "malformed request line")
+        raise ClientError(400, "malformed request line")
     try:
         split = urlsplit(parts[1])
         params = parse_qs(split.query)
     except ValueError as error:
-        raise _ClientError(400, f"malformed request target: {error}") \
+        raise ClientError(400, f"malformed request target: {error}") \
             from None
     headers: Dict[str, str] = {}
     while True:
         try:
             line = await reader.readline()
         except ValueError:
-            raise _ClientError(431, "header line too long") from None
+            raise ClientError(431, "header line too long") from None
         if line in (b"\r\n", b"\n", b""):
             return parts[0], parts[1], parts[2], headers, split.path, params
         if len(headers) >= _MAX_HEADERS:
-            raise _ClientError(431, "too many headers")
+            raise ClientError(431, "too many headers")
         name, _sep, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
 
@@ -291,9 +299,8 @@ class AsyncRankingServer:
         return serving_samples(self.service, self.uptime_seconds)
 
     async def _start(self, host: str, port: int) -> Tuple[str, int]:
-        self._server = await asyncio.start_server(self._handle_client,
-                                                  host, port,
-                                                  limit=_MAX_LINE)
+        self._server = await start_bounded_server(self._handle_client,
+                                                  host, port)
         address = self._server.sockets[0].getsockname()
         return address[0], address[1]
 
@@ -334,7 +341,7 @@ class AsyncRankingServer:
             while True:
                 try:
                     request = await read_request_head(reader)
-                except _ClientError as error:
+                except ClientError as error:
                     # Unparseable or over a limit: say why, then hang up
                     # — whatever follows on the wire cannot be trusted.
                     obs.inc("http_requests_total", path="other",
@@ -406,7 +413,7 @@ class AsyncRankingServer:
                 body, status = await self._loop.run_in_executor(
                     self._executor, call)
             return status, body, "application/json", ()
-        except _ClientError as error:
+        except ClientError as error:
             payload, status = {"error": str(error)}, error.status
         except Overloaded as error:
             retry_after = max(1, ceil(error.retry_after))
@@ -441,13 +448,13 @@ class AsyncRankingServer:
             try:
                 deadline = float(raw_deadline)
             except ValueError:
-                raise _ClientError(400, "X-Request-Deadline must be a "
+                raise ClientError(400, "X-Request-Deadline must be a "
                                         f"number, got {raw_deadline!r}") \
                     from None
             # NaN fails every comparison and inf is no budget at all:
             # either would slip past the configured deadline.
             if not (isfinite(deadline) and deadline > 0):
-                raise _ClientError(400, "X-Request-Deadline must be "
+                raise ClientError(400, "X-Request-Deadline must be "
                                         "positive and finite")
         self._admission.admit()
         try:

@@ -85,7 +85,7 @@ def enable_access_log(stream=None) -> logging.Logger:
     return ACCESS_LOGGER
 
 
-class _ClientError(Exception):
+class ClientError(Exception):
     """A request error mapped to a 4xx JSON response."""
 
     def __init__(self, status: int, message: str) -> None:
@@ -107,12 +107,12 @@ def _int_param(params: Dict[str, List[str]], name: str, *,
     raw = _str_param(params, name)
     if raw is None:
         if required:
-            raise _ClientError(400, f"missing required parameter {name!r}")
+            raise ClientError(400, f"missing required parameter {name!r}")
         return default
     try:
         return int(raw)
     except ValueError:
-        raise _ClientError(400,
+        raise ClientError(400,
                            f"parameter {name!r} must be an integer, "
                            f"got {raw!r}") from None
 
@@ -125,7 +125,7 @@ def _float_param(params: Dict[str, List[str]],
     try:
         return float(raw)
     except ValueError:
-        raise _ClientError(400,
+        raise ClientError(400,
                            f"parameter {name!r} must be a number, "
                            f"got {raw!r}") from None
 
@@ -155,17 +155,17 @@ def parse_query_request(params: Dict[str, List[str]]
     """Validate a ``/query`` request's parameters.
 
     Returns ``(queries, k, rule, weight, segment)``; raises
-    :class:`_ClientError` on malformed input.  The server calls it ahead
+    :class:`ClientError` on malformed input.  The server calls it ahead
     of admission control, so a malformed request is a ``400`` even under
     overload.
     """
     queries = params.get("q")
     if not queries:
-        raise _ClientError(400, "missing required parameter 'q'")
+        raise ClientError(400, "missing required parameter 'q'")
     k = _int_param(params, "k", default=10)
     rule = _str_param(params, "rule")
     if rule not in (None, "linear", "rrf"):
-        raise _ClientError(400, f"unknown rule {rule!r}")
+        raise ClientError(400, f"unknown rule {rule!r}")
     weight = _float_param(params, "weight")
     segment = _str_param(params, "segment")
     return queries, k, rule, weight, segment
@@ -192,7 +192,7 @@ def route_request(service, path: str, params: Dict[str, List[str]], *,
     *service* is anything with the :class:`RankingService` query surface —
     a single service or a :class:`~repro.serving.replicas.ReplicaSet`.
     The server sends ``json.dumps`` of the returned payload unchanged;
-    raises :class:`_ClientError` for 4xx/5xx conditions.
+    raises :class:`ClientError` for 4xx/5xx conditions.
     """
     if path == "/health":
         return {"status": "ok"}, 200
@@ -221,7 +221,7 @@ def route_request(service, path: str, params: Dict[str, List[str]], *,
             detail = next((entry for entry in readiness["replicas"]
                            if entry["name"] == replica), None)
             if detail is None:
-                raise _ClientError(404, f"unknown replica {replica!r}")
+                raise ClientError(404, f"unknown replica {replica!r}")
             status = 200 if detail["ready"] else 503
             return {"status": "ready" if detail["ready"] else "draining",
                     "ready": detail["ready"], "replica": detail}, status
@@ -237,7 +237,7 @@ def route_request(service, path: str, params: Dict[str, List[str]], *,
         try:
             documents = service.top(k, site=site, segment=segment)
         except GraphStructureError as error:
-            raise _ClientError(404, str(error)) from None
+            raise ClientError(404, str(error)) from None
         payload = {"k": k, "site": site,
                    "results": [_document_payload(d) for d in documents]}
         # Only segment-qualified requests mention the segment — the
@@ -254,9 +254,9 @@ def route_request(service, path: str, params: Dict[str, List[str]], *,
         doc_id = _int_param(params, "doc", required=True)
         document = service.describe(doc_id)
         if document is None:
-            raise _ClientError(404, f"unknown document id {doc_id}")
+            raise ClientError(404, f"unknown document id {doc_id}")
         return _document_payload(document), 200
-    raise _ClientError(404, f"unknown path {path!r}")
+    raise ClientError(404, f"unknown path {path!r}")
 
 
 def route_body(service, path: str, params: Dict[str, List[str]], *,
@@ -272,7 +272,7 @@ def route_body(service, path: str, params: Dict[str, List[str]], *,
         try:
             return service.top_body(k, site=site, segment=segment), 200
         except GraphStructureError as error:
-            raise _ClientError(404, str(error)) from None
+            raise ClientError(404, str(error)) from None
     payload, status = route_request(service, path, params,
                                     uptime_seconds=uptime_seconds)
     return json.dumps(payload).encode("utf-8"), status

@@ -35,31 +35,29 @@ from __future__ import annotations
 import os
 from typing import Union
 
-import numpy as np
-
 from ..io.artifacts import ArtifactStore, RankedGeneration
 from .store import ShardedScoreStore
 
 
 class _MappedUrls:
-    """URLs of a run of positions, decoded from a generation's
-    ``url_offsets`` / ``urls`` files as they are read."""
+    """URLs of a range of a generation's site-major positions, decoded by
+    :meth:`RankedGeneration.url_at` as they are read."""
 
-    __slots__ = ("offsets", "blob")
+    __slots__ = ("generation", "positions")
 
-    def __init__(self, offsets: np.ndarray, blob: np.ndarray) -> None:
-        self.offsets = offsets
-        self.blob = blob
+    def __init__(self, generation: RankedGeneration,
+                 positions: range) -> None:
+        self.generation = generation
+        self.positions = positions
 
     def __len__(self) -> int:
-        return self.offsets.size - 1
+        return len(self.positions)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):  # a window of positions
-            return _MappedUrls(self.offsets[index.start:index.stop + 1],
-                               self.blob)
-        start, end = self.offsets[index], self.offsets[index + 1]
-        return bytes(self.blob[start:end]).decode("utf-8")
+        position = self.positions[index]
+        if isinstance(position, range):  # a slice: a window of positions
+            return _MappedUrls(self.generation, position)
+        return self.generation.url_at(position)
 
 
 class MmapScoreStore(ShardedScoreStore):
@@ -83,8 +81,7 @@ class MmapScoreStore(ShardedScoreStore):
             + [generation.n_documents],
             generation.array("doc_ids"), generation.array("scores"),
             generation.array("order"),
-            _MappedUrls(np.asarray(generation.array("url_offsets")),
-                        np.asarray(generation.array("urls"))),
+            _MappedUrls(generation, range(generation.n_documents)),
             generation.array("doc_position"))
 
     @classmethod

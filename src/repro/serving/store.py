@@ -145,7 +145,9 @@ class _Shard:
     ``(n_docs, K)`` block of per-segment scores; the per-segment sort
     orders are computed lazily on the first query of each segment (a
     shard whose segments are never queried pays nothing beyond the matrix
-    itself).
+    itself).  A window of a memory-mapped base caches no JSON fragments
+    (its ``_fragments`` slot stays unset): the mapped pages are the only
+    copy of its documents the store keeps.
     """
 
     __slots__ = ("site", "ids", "urls", "scores", "order", "offset",
@@ -156,7 +158,8 @@ class _Shard:
                  scores: np.ndarray, generation: int,
                  segment_columns: Optional[np.ndarray] = None, *,
                  order: Optional[np.ndarray] = None,
-                 offset: Optional[int] = None) -> None:
+                 offset: Optional[int] = None,
+                 cache_fragments: bool = True) -> None:
         self.site = site
         self.ids = ids
         self.urls = urls
@@ -175,7 +178,8 @@ class _Shard:
         self._segment_orders: List[Optional[np.ndarray]] = (
             [] if segment_columns is None
             else [None] * segment_columns.shape[1])
-        self._fragments: Dict[Optional[int], Dict[int, str]] = {}
+        if cache_fragments:
+            self._fragments: Dict[Optional[int], Dict[int, str]] = {}
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -207,14 +211,16 @@ class _Shard:
                               site=self.site, score=score)
 
     def fragment(self, row: int, segment_index: Optional[int] = None) -> str:
-        """``json.dumps`` of :meth:`document`'s payload, encoded once."""
+        """``json.dumps`` of :meth:`document`'s payload, encoded once (on
+        every call for a window of a mapped base)."""
         try:
             return self._fragments[segment_index][row]
-        except KeyError:
+        except (AttributeError, KeyError):
             fragment = json.dumps(
                 _document_payload(self.document(row, segment_index)))
+        if hasattr(self, "_fragments"):  # a mapped window keeps nothing
             self._fragments.setdefault(segment_index, {})[row] = fragment
-            return fragment
+        return fragment
 
 
 class _Base(NamedTuple):
@@ -262,10 +268,11 @@ class ShardedScoreStore:
         self._replaced: Dict[int, Tuple[_Shard, int]] = {}
         self._n_documents = 0
         self._generation = 0
-        #: What a global top-k keeps per store generation and score column
-        #: (:meth:`_cached_order` / :meth:`_merged_heads`).  Filled lazily by the first global top-k, rebound (never
-        #: mutated in place) by whatever changes the shards.  Two racing
-        #: readers may both fill a slot — they compute identical values.
+        #: What a global top-k keeps per store generation and score
+        #: column (:meth:`_cached_order` / :meth:`_merged_heads`).  Filled
+        #: lazily by the first global top-k, rebound (never mutated in
+        #: place) by whatever changes the shards.  Two racing readers may
+        #: both fill a slot — they compute identical values.
         self._global_cache: Dict[Optional[int], Any] = {}
 
     # ------------------------------------------------------------------ #
@@ -349,7 +356,8 @@ class ShardedScoreStore:
                 self._generation,
                 None if segment_columns is None
                 else segment_columns[start:stop],
-                order=order[start:stop], offset=start))
+                order=order[start:stop], offset=start,
+                cache_fragments=not mapped))
         self._shards.update((shard.site, shard) for shard in shards)
         self._base = _Base(ids, scores, order, doc_position, bounds,
                            tuple(shards), mapped)
@@ -397,7 +405,7 @@ class ShardedScoreStore:
         # leaves the store untouched: a document may reappear in its own
         # site's replacement but never be stolen from another live shard.
         id_list = ids.tolist()
-        stolen = self._held_elsewhere(site, ids, id_list)
+        stolen = self._held_elsewhere(site, ids)
         if stolen:
             doc_id = next(doc_id for doc_id in id_list if doc_id in stolen)
             raise GraphStructureError(
@@ -414,11 +422,11 @@ class ShardedScoreStore:
         self._n_documents += ids.size
         return shard.generation
 
-    def _held_elsewhere(self, site: str, ids: np.ndarray,
-                        id_list: List[int]) -> set:
+    def _held_elsewhere(self, site: str, ids: np.ndarray) -> set:
         """The ids of *ids* a live shard of another site holds — looked up
         in the replaced-document dict, and in the base array-wide."""
-        stolen = {doc_id for doc_id in self._replaced.keys() & set(id_list)
+        replaced = self._replaced.keys() & set(ids.tolist())
+        stolen = {doc_id for doc_id in replaced
                   if self._replaced[doc_id][0].site != site}
         base = self._base
         if base is None:

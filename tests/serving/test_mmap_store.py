@@ -73,6 +73,20 @@ class TestParityWithInMemoryStore:
     def test_link_scores_are_identical(self, store, memory_store):
         assert store.link_scores() == memory_store.link_scores()
 
+    def test_shard_urls_index_and_slice_like_lists(self, store,
+                                                   memory_store):
+        for site in store.sites():
+            urls = store._shard(site).urls
+            listed = list(memory_store._shard(site).urls)
+            assert len(urls) == len(listed)
+            assert list(urls) == listed
+            assert urls[-1] == listed[-1]
+            assert list(urls[1:]) == listed[1:]
+            assert list(urls[:2]) == listed[:2]
+            assert list(urls[len(listed):]) == []
+            with pytest.raises(IndexError):
+                urls[len(listed)]
+
     def test_unknown_document(self, store):
         assert 10_000 not in store
         assert "nope" not in store
@@ -124,6 +138,24 @@ class TestSharedMapping:
         assert best.score == 2.0
         # Masked documents resolve through the overlay, others via mmap.
         assert store.score_of(ids[-1]) == 2.0
+
+    def test_mapped_windows_keep_no_fragments(self, store):
+        # Serving every document encodes each once and keeps nothing: the
+        # mapped pages stay the only copy, however large k is.
+        site = store.sites()[0]
+        every = store.top_fragments(store.n_documents)
+        assert store.top_fragments(store.n_documents) == every
+        assert store.top_fragments(store.n_documents, site=site) \
+            == store.top_fragments(store.n_documents, site=site)
+        for other in store.sites():
+            assert not hasattr(store._shard(other), "_fragments")
+        # A replacement shard an update installs is in RAM and caches.
+        ids = store._shard(site).ids.tolist()
+        urls = [store.document(doc_id).url for doc_id in ids]
+        store.update_site(site, ids, urls, np.linspace(1.0, 2.0, len(ids)))
+        store.top_fragments(1, site=site)
+        assert list(store._shard(site)._fragments[None]) \
+            == store._shard(site).order[:1].tolist()
 
     def test_ownership_is_still_enforced(self, store):
         site_a, site_b = store.sites()[:2]

@@ -359,11 +359,11 @@ class TestTopBody:
         assert histograms[("serving_top_seconds", "global")] == 1
         assert histograms[("serving_top_seconds", "site")] == 1
 
-    def test_mapped_shards_cache_only_what_they_served(self, tmp_path):
+    def test_mapped_shards_cache_no_fragments(self, tmp_path):
         specs = [("a", [0, 1], ["u0", "u1"], np.array([0.5, 0.25]), None)]
         store = mapped_store(specs, tmp_path / "generation")
-        assert store.top_fragments(1) == store.top_fragments(1)
-        assert list(store._shard("a")._fragments[None]) == [0]
+        assert store.top_fragments(2) == store.top_fragments(2)
+        assert not hasattr(store._shard("a"), "_fragments")
 
 
 class TestFromRanking:
