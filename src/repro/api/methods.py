@@ -20,7 +20,7 @@ engine keywords and run on the calling thread.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -64,13 +64,6 @@ def flat_method(docgraph: DocGraph, config: RankingConfig, *,
                                   max_iter=config.max_iter)
 
 
-def _site_blocks(docgraph: DocGraph) -> List[int]:
-    """Block id (site index) of every document, in document-id order."""
-    index_of_site = {site: i for i, site in enumerate(docgraph.sites())}
-    return [index_of_site[docgraph.site_of_document(doc_id)]
-            for doc_id in range(docgraph.n_documents)]
-
-
 @register_method("blockrank", uses_engine=False)
 def blockrank_method(docgraph: DocGraph, config: RankingConfig, *,
                      executor=None, n_jobs=None, warm=None,
@@ -81,11 +74,11 @@ def blockrank_method(docgraph: DocGraph, config: RankingConfig, *,
     disable it to get the pure aggregate-of-local-ranks approximation the
     E12 ablation compares against the layered method.
     """
-    result = blockrank(docgraph.adjacency(), _site_blocks(docgraph),
+    result = blockrank(docgraph.adjacency(), docgraph.site_indices().tolist(),
                        damping=config.damping, tol=config.tol,
                        max_iter=config.max_iter, refine=refine)
     doc_ids = list(range(docgraph.n_documents))
-    urls = [docgraph.document(doc_id).url for doc_id in doc_ids]
+    urls = docgraph.urls()
     return WebRankingResult(doc_ids=doc_ids, urls=urls,
                             scores=result.global_scores, method="blockrank",
                             iterations=result.refinement_iterations)
@@ -105,7 +98,7 @@ def hits_method(docgraph: DocGraph, config: RankingConfig, *,
                   max_iter=config.max_iter,
                   raise_on_failure=False)
     doc_ids = list(range(docgraph.n_documents))
-    urls = [docgraph.document(doc_id).url for doc_id in doc_ids]
+    urls = docgraph.urls()
     return WebRankingResult(doc_ids=doc_ids, urls=urls,
                             scores=result.authorities, method="hits",
                             iterations=result.iterations)

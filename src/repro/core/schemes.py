@@ -221,7 +221,8 @@ def layered_docrank_with_schemes(docgraph: DocGraph,
         blocks.append(site_weights[site_index] * local)
     scores = normalize_distribution(np.concatenate(blocks),
                                     name="scheme-composed DocRank")
-    urls = [docgraph.document(doc_id).url for doc_id in doc_ids]
+    all_urls = docgraph.registry.urls
+    urls = [all_urls[doc_id] for doc_id in doc_ids]
     return WebRankingResult(
         doc_ids=doc_ids, urls=urls, scores=scores,
         method=f"layered[{local_scheme.name}+{site_scheme.name}]")

@@ -436,7 +436,8 @@ class DistributedRankingCoordinator:
         scores = normalize_distribution(
             np.asarray([score_by_doc[d] for d in doc_ids], dtype=float),
             name="distributed DocRank")
-        urls = [self.docgraph.document(d).url for d in doc_ids]
+        all_urls = self.docgraph.registry.urls
+        urls = [all_urls[d] for d in doc_ids]
         total_iterations = site_result.iterations + sum(
             r.iterations for r in local_results.values())
         return WebRankingResult(doc_ids=doc_ids, urls=urls, scores=scores,

@@ -5,6 +5,9 @@ Two plain-text formats are supported:
 * **URL edge list** — one ``source-URL <whitespace> target-URL`` pair per
   line; comments start with ``#``.  This is the natural interchange format
   for crawls and is how users plug their own graphs into the library.
+  Files are UTF-8 (a leading byte-order mark is skipped); lines are read
+  and split a bounded chunk at a time, and the chunks resolve to document
+  ids in bulk (:meth:`repro.web.registry.DocumentRegistry.add_edges`).
 * **Integer edge list** — ``source-id target-id`` pairs with a separate URL
   table, produced by :func:`write_docgraph` for round-tripping DocGraphs
   losslessly (site assignments included).
@@ -14,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+from contextlib import contextmanager
+from itertools import chain, count, islice, starmap
 from typing import Callable, Iterable, Iterator, List, Optional, TextIO, Tuple
 
 from .. import obs
@@ -24,20 +29,29 @@ from ..web.docgraph import DocGraph
 STREAM_CHUNK_EDGES = 8192
 
 
+def _split_lines(lines: List[str], first: int) -> List[Tuple[str, str]]:
+    """The edges of consecutive *lines*, numbered from *first*."""
+    # Tuples, not the lists split() makes: the cyclic collector untracks
+    # a tuple of strings at its first pass, while lists it keeps walking
+    # in ever older generations (full collections cost ~60 ms an ingest).
+    rows = list(map(tuple, map(str.split, lines)))
+    if set(map(len, rows)) == {2} and "#" not in " ".join(lines):
+        return rows
+    for number, row in enumerate(rows, start=first):
+        if row and row[0][0] != "#" and len(row) != 2:
+            raise ValidationError(
+                f"line {number}: expected 2 fields, got {len(row)}")
+    return [row for row in rows if row and row[0][0] != "#"]
+
+
 def iter_url_edges(lines: Iterable[str]) -> Iterator[Tuple[str, str]]:
     """Yield ``(source, target)`` URL pairs from edge-list lines.
 
     Blank lines and ``#`` comments are skipped; a line with other than two
-    whitespace-separated fields raises.
+    whitespace-separated fields raises.  Lines are split a chunk of
+    :data:`STREAM_CHUNK_EDGES` at a time.
     """
-    for line_number, raw in enumerate(lines, start=1):
-        fields = raw.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        if len(fields) != 2:
-            raise ValidationError(
-                f"line {line_number}: expected 2 fields, got {len(fields)}")
-        yield fields[0], fields[1]
+    return chain.from_iterable(stream_url_edges(lines))
 
 
 def stream_url_edges(lines: Iterable[str], *,
@@ -47,21 +61,39 @@ def stream_url_edges(lines: Iterable[str], *,
 
     The streaming counterpart of :func:`iter_url_edges` for out-of-core
     builds (:class:`repro.io.diskgraph.DiskGraphBuilder`): *lines* is
-    consumed lazily — at most *chunk_edges* parsed edges (plus the one
-    line being parsed) are resident at any moment, so an edge list larger
-    than RAM streams through in constant memory.  Validation is identical
-    to :func:`iter_url_edges` (same line numbering in errors).
+    consumed lazily — never more lines than the chunk still lacks edges,
+    so at most *chunk_edges* parsed edges and lines are resident at any
+    moment and an edge list larger than RAM streams through in constant
+    memory.  Validation is identical to :func:`iter_url_edges` (same line
+    numbering in errors).
     """
     if chunk_edges <= 0:
         raise ValidationError("chunk_edges must be positive")
-    chunk: List[Tuple[str, str]] = []
-    for edge in iter_url_edges(lines):
-        chunk.append(edge)
-        if len(chunk) >= chunk_edges:
+    lines, chunk, first = iter(lines), [], 1
+    while batch := list(islice(lines, chunk_edges - len(chunk))):
+        chunk += _split_lines(batch, first)
+        first += len(batch)
+        if len(chunk) == chunk_edges:
             yield chunk
             chunk = []
     if chunk:
         yield chunk
+
+
+@contextmanager
+def _open_url_edgelist(path: str | os.PathLike) -> Iterator[TextIO]:
+    """*path* as UTF-8 text, a leading byte-order mark skipped; a byte that
+    is not UTF-8 raises :class:`ValidationError` naming its line."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as error:
+            with open(path, "rb") as raw:
+                number = next(number for number, line in enumerate(raw, 1)
+                              if line.decode("utf-8", "ignore").encode()
+                              != line)
+            raise ValidationError(f"{os.fspath(path)}: line {number}: not "
+                                  f"UTF-8 text ({error.reason})") from None
 
 
 def stream_url_edgelist(path: str | os.PathLike, *,
@@ -73,7 +105,7 @@ def stream_url_edgelist(path: str | os.PathLike, *,
     handle: the file is opened lazily on first iteration and closed when
     the generator is exhausted or garbage-collected.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_url_edgelist(path) as handle:
         yield from stream_url_edges(handle, chunk_edges=chunk_edges)
 
 
@@ -94,7 +126,7 @@ def read_url_edgelist(path: str | os.PathLike, *,
                       ) -> DocGraph:
     """Load a DocGraph from a URL edge-list file."""
     with obs.span("ingest.edgelist.read"), \
-            open(path, "r", encoding="utf-8") as handle:
+            _open_url_edgelist(path) as handle:
         graph = DocGraph.from_edges(iter_url_edges(handle),
                                     site_extractor=site_extractor)
     record_ingest(graph.n_links, graph.n_documents, graph.registry.n_parses)
@@ -103,11 +135,22 @@ def read_url_edgelist(path: str | os.PathLike, *,
 
 def write_url_edgelist(docgraph: DocGraph, path: str | os.PathLike) -> None:
     """Write a DocGraph as a URL edge list (links only; isolated pages are lost)."""
+    urls = docgraph.registry.urls
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("# repro URL edge list\n")
-        for source, target in docgraph.edges():
-            handle.write(f"{docgraph.document(source).url}\t"
-                         f"{docgraph.document(target).url}\n")
+        handle.writelines(f"{urls[source]}\t{urls[target]}\n"
+                          for source, target in docgraph.edges())
+
+
+def _docgraph_records(docgraph: DocGraph) -> Iterator[str]:
+    """The lines of :func:`write_docgraph` after ``*NODES``, from the
+    registry columns and the edge arrays."""
+    registry = docgraph.registry
+    sites = map(registry.sites.__getitem__, registry.doc_site)
+    return chain(map("{}\t{}\t{}\t{}\n".format, count(), sites,
+                     registry.dynamic, registry.urls),
+                 ("*EDGES\n",),
+                 starmap("{}\t{}\n".format, docgraph.edges()))
 
 
 def write_docgraph(docgraph: DocGraph, path: str | os.PathLike) -> None:
@@ -118,12 +161,7 @@ def write_docgraph(docgraph: DocGraph, path: str | os.PathLike) -> None:
     """
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("*NODES\n")
-        for document in docgraph.documents():
-            handle.write(f"{document.doc_id}\t{document.site}\t"
-                         f"{int(document.is_dynamic)}\t{document.url}\n")
-        handle.write("*EDGES\n")
-        for source, target in docgraph.edges():
-            handle.write(f"{source}\t{target}\n")
+        handle.writelines(_docgraph_records(docgraph))
 
 
 def docgraph_digest(docgraph: DocGraph) -> str:
@@ -135,14 +173,9 @@ def docgraph_digest(docgraph: DocGraph) -> str:
     cluster subsystem uses it to refuse peers ranking a different web than
     the coordinator and to validate job-ledger resumes.
     """
-    digest = hashlib.sha256()
-    for document in docgraph.documents():
-        digest.update(f"{document.doc_id}\t{document.site}\t"
-                      f"{int(document.is_dynamic)}\t{document.url}\n"
-                      .encode("utf-8"))
-    digest.update(b"*EDGES\n")
-    for source, target in docgraph.edges():
-        digest.update(f"{source}\t{target}\n".encode("utf-8"))
+    digest, records = hashlib.sha256(), _docgraph_records(docgraph)
+    while block := "".join(islice(records, STREAM_CHUNK_EDGES)):
+        digest.update(block.encode("utf-8"))
     return digest.hexdigest()[:16]
 
 

@@ -179,7 +179,6 @@ class DocGraph:
                  normalize: bool = True) -> None:
         self._registry = DocumentRegistry(site_extractor=site_extractor,
                                           normalize=normalize)
-        self._documents: List[Document] = []
         self._sources = array("q")
         self._targets = array("q")
         self._adjacency_cache: Optional[sp.csr_matrix] = None
@@ -188,16 +187,6 @@ class DocGraph:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def _sync_documents(self) -> None:
-        """Give every document the registry gained its :class:`Document`."""
-        registry, documents = self._registry, self._documents
-        for doc_id in range(len(documents), len(registry)):
-            documents.append(Document(
-                doc_id=doc_id, url=registry.urls[doc_id],
-                site=registry.sites[registry.doc_site[doc_id]],
-                is_dynamic=bool(registry.dynamic[doc_id])))
-        self._adjacency_cache = self._site_blocks_cache = None
-
     def add_document(self, url: str, *, site: Optional[str] = None,
                      is_dynamic: Optional[bool] = None) -> int:
         """Add a document (idempotent) and return its integer id.
@@ -209,9 +198,10 @@ class DocGraph:
         is_dynamic:
             Explicit dynamic-page flag; derived from the URL when omitted.
         """
+        n = len(self._registry)
         doc_id = self._registry.add(url, site=site, is_dynamic=is_dynamic)
-        if doc_id == len(self._documents):
-            self._sync_documents()
+        if doc_id == n:
+            self._adjacency_cache = self._site_blocks_cache = None
         return doc_id
 
     def add_link(self, source_url: str, target_url: str) -> Tuple[int, int]:
@@ -228,7 +218,7 @@ class DocGraph:
 
     def add_link_by_id(self, source: int, target: int) -> None:
         """Add a DocLink between two already-registered document ids."""
-        n = len(self._documents)
+        n = len(self._registry)
         if not (0 <= source < n and 0 <= target < n):
             raise GraphStructureError(
                 f"link ({source}, {target}) references unknown documents "
@@ -251,7 +241,6 @@ class DocGraph:
         """Build a DocGraph from an iterable of ``(source URL, target URL)``."""
         graph = cls(site_extractor=site_extractor, normalize=normalize)
         graph._sources, graph._targets = graph._registry.add_edges(edges)
-        graph._sync_documents()
         return graph
 
     # ------------------------------------------------------------------ #
@@ -265,7 +254,7 @@ class DocGraph:
     @property
     def n_documents(self) -> int:
         """Number of documents ``N_D``."""
-        return len(self._documents)
+        return len(self._registry)
 
     @property
     def n_links(self) -> int:
@@ -285,20 +274,20 @@ class DocGraph:
 
     def documents(self) -> Iterator[Document]:
         """Iterate over all documents in id order."""
-        return iter(self._documents)
+        return map(self.document, range(len(self._registry)))
 
     def document(self, doc_id: int) -> Document:
-        """The :class:`Document` with the given id."""
-        if not 0 <= doc_id < len(self._documents):
-            raise GraphStructureError(f"unknown document id {doc_id}")
-        return self._documents[doc_id]
+        """The :class:`Document` with the given id, built from the registry."""
+        site, registry = self.site_of_document(doc_id), self._registry
+        return Document(doc_id=int(doc_id), url=registry.urls[doc_id],
+                        site=site, is_dynamic=bool(registry.dynamic[doc_id]))
 
     def document_by_url(self, url: str) -> Document:
         """The :class:`Document` with the given URL."""
         doc_id = self._registry.find(url)
         if doc_id is None:
             raise GraphStructureError(f"unknown document URL {url!r}")
-        return self._documents[doc_id]
+        return self.document(doc_id)
 
     def urls(self) -> List[str]:
         """All document URLs in id order."""
@@ -310,7 +299,10 @@ class DocGraph:
 
     def site_of_document(self, doc_id: int) -> str:
         """Site identifier of a document id."""
-        return self.document(doc_id).site
+        registry = self._registry
+        if not 0 <= doc_id < len(registry):
+            raise GraphStructureError(f"unknown document id {doc_id}")
+        return registry.sites[registry.doc_site[doc_id]]
 
     def documents_of_site(self, site: str) -> List[int]:
         """Document ids belonging to a site ("V_d(s)" in the paper)."""
@@ -396,12 +388,12 @@ class DocGraph:
         import networkx as nx
 
         graph = nx.MultiDiGraph()
-        for document in self._documents:
+        for document in self.documents():
             graph.add_node(document.url, site=document.site,
                            is_dynamic=document.is_dynamic)
+        urls = self._registry.urls
         for source, target in zip(self._sources, self._targets):
-            graph.add_edge(self._documents[source].url,
-                           self._documents[target].url)
+            graph.add_edge(urls[source], urls[target])
         return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

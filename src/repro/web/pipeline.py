@@ -468,7 +468,7 @@ def _flat_pagerank_ranking(docgraph: DocGraph,
     result = pagerank(docgraph.adjacency(), damping=damping,
                       preference=preference, tol=tol, max_iter=max_iter)
     doc_ids = list(range(docgraph.n_documents))
-    urls = [docgraph.document(doc_id).url for doc_id in doc_ids]
+    urls = docgraph.urls()
     return WebRankingResult(doc_ids=doc_ids, urls=urls, scores=result.scores,
                             method="pagerank", iterations=result.iterations)
 
@@ -496,7 +496,7 @@ def lmm_from_docgraph(docgraph: DocGraph, *,
                                         dangling="uniform")
     primitive_site_matrix = maximal_irreducibility(site_transition,
                                                    site_damping)
-    phases = []
+    phases, urls = [], docgraph.registry.urls
     for site in sitegraph.sites:
         local_adjacency, doc_ids = docgraph.local_adjacency(site)
         local_transition = transition_matrix(local_adjacency,
@@ -505,7 +505,6 @@ def lmm_from_docgraph(docgraph: DocGraph, *,
                  if hasattr(local_transition, "toarray")
                  else np.asarray(local_transition, dtype=float))
         phases.append(Phase(name=site, transition=dense,
-                            sub_state_names=[docgraph.document(d).url
-                                             for d in doc_ids]))
+                            sub_state_names=[urls[d] for d in doc_ids]))
     return LayeredMarkovModel(phases=phases,
                               phase_transition=primitive_site_matrix)

@@ -9,15 +9,24 @@ A URL is parsed once per distinct *spelling*: lookups try the raw string
 first, and a spelling that differs from its canonical form is remembered
 as an alias of the same id.  Canonical input therefore adds no entries
 beyond one per document; resident state is O(distinct URL spellings).
+Edges resolve a chunk at a time: the chunk's new spellings register in
+first-seen order, then all its endpoints map to ids in one array pass —
+the ids an edge-by-edge loop would give.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import chain, filterfalse, islice
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from ..exceptions import ValidationError
 from .url import canonicalize_url
+
+#: Edges :meth:`DocumentRegistry.add_edges` resolves per bulk step.
+ADD_CHUNK_EDGES = 8192
 
 
 class DocumentRegistry:
@@ -112,17 +121,21 @@ class DocumentRegistry:
                   ) -> Tuple[array, array]:
         """Resolve ``(source URL, target URL)`` pairs to two int64 id columns.
 
-        Endpoints are registered on first sight.
+        Endpoints are registered on first sight: per chunk of
+        :data:`ADD_CHUNK_EDGES`, each new spelling once through :meth:`add`.
         """
-        get, add = self._ids.get, self.add
+        ids, edges = self._ids, iter(edges)
         sources, targets = array("q"), array("q")
-        for source_url, target_url in edges:
-            source = get(source_url)
-            if source is None:
-                source = add(source_url)
-            target = get(target_url)
-            if target is None:
-                target = add(target_url)
-            sources.append(source)
-            targets.append(target)
+        while chunk := list(islice(edges, ADD_CHUNK_EDGES)):
+            endpoints = list(chain.from_iterable(chunk))
+            if len(endpoints) != 2 * len(chunk):
+                raise ValidationError(
+                    "edges must be (source URL, target URL) pairs")
+            for url in filterfalse(ids.__contains__,
+                                   dict.fromkeys(endpoints)):
+                self.add(url)
+            resolved = np.fromiter(map(ids.__getitem__, endpoints),
+                                   dtype=np.int64, count=len(endpoints))
+            sources.frombytes(resolved[0::2].tobytes())
+            targets.frombytes(resolved[1::2].tobytes())
         return sources, targets

@@ -5,14 +5,17 @@ one page d, we denote its corresponding site as s = site(d)".  In the EPFL
 experiment sites correspond to host names (``www.epfl.ch``,
 ``research.epfl.ch``, ``lamp.epfl.ch`` …).  This module provides the
 ``site_of`` mapping together with light-weight URL normalisation so that the
-DocGraph builder treats ``http://a/b`` and ``http://a/b/`` as the same
-document, and exposes alternative grouping policies (by host, by registered
-domain, by path prefix) since the paper notes the hierarchy may also come
-from domains or geography.
+DocGraph builder treats ``HTTP://A:80/b#x`` and ``http://a/b`` as the same
+document (a URL already canonical is recognised by one regular-expression
+match; only other spellings are parsed by ``urllib``), and exposes
+alternative grouping policies (by host, by registered domain, by path
+prefix) since the paper notes the hierarchy may also come from domains or
+geography.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Literal, Tuple
 from urllib.parse import urlsplit, urlunsplit
@@ -20,6 +23,14 @@ from urllib.parse import urlsplit, urlunsplit
 from ..exceptions import ValidationError
 
 GroupingPolicy = Literal["host", "domain", "path-prefix"]
+
+_SCRIPT_EXTENSIONS = (".php", ".asp", ".aspx", ".jsp", ".cgi")
+#: URLs that are their own canonical form: lower-case http(s) scheme and
+#: ASCII host (no userinfo, no port), a path and an optional non-empty
+#: query of RFC 3986 characters (so no fragment, space or control).
+_PCHARS = r"A-Za-z0-9\-._~!$&'()*+,;=:@%/"
+_CANONICAL = re.compile(rf"https?://(?P<host>[a-z0-9.-]+)"
+                        rf"(?P<path>/[{_PCHARS}]*)(?P<query>\?[{_PCHARS}?]+)?")
 
 
 @dataclass(frozen=True)
@@ -45,10 +56,8 @@ class ParsedURL:
 
     @property
     def is_dynamic(self) -> bool:
-        if self.query:
-            return True
-        return self.path.lower().endswith(
-            (".php", ".asp", ".aspx", ".jsp", ".cgi"))
+        return bool(self.query) or self.path.lower().endswith(
+            _SCRIPT_EXTENSIONS)
 
     def unparse(self) -> str:
         """Reassemble the normalised URL string."""
@@ -96,7 +105,14 @@ def canonicalize_url(url: str) -> Tuple[str, str, bool]:
 
     Everything document identity needs; graph ingest calls it once per
     distinct URL spelling (:class:`repro.web.registry.DocumentRegistry`).
+    A URL that is already canonical is answered by one regular-expression
+    match; every other one is parsed by :func:`parse_url`.
     """
+    match = _CANONICAL.fullmatch(url) if isinstance(url, str) else None
+    if match is not None:
+        host, path, query = match.groups()
+        return url, host, query is not None \
+            or path.lower().endswith(_SCRIPT_EXTENSIONS)
     parsed = parse_url(url)
     return parsed.unparse(), parsed.host, parsed.is_dynamic
 

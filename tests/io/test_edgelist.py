@@ -55,6 +55,44 @@ class TestUrlEdgelistRoundTrip:
             read_url_edgelist(path)
 
 
+class TestEncoding:
+    """Both URL-edge-list readers: UTF-8 only, a leading BOM is skipped."""
+
+    _LINES = "http://a.org/x http://b.org/\nhttp://b.org/ http://a.org/x\n"
+
+    @staticmethod
+    def _streamed(path):
+        from repro.io import stream_url_edgelist
+
+        return [edge for chunk in stream_url_edgelist(path) for edge in chunk]
+
+    def test_read_skips_a_leading_bom(self, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(self._LINES, encoding="utf-8")
+        marked.write_text("\ufeff" + self._LINES, encoding="utf-8")
+        assert read_url_edgelist(marked).urls() == \
+            read_url_edgelist(plain).urls() == ["http://a.org/x",
+                                                "http://b.org/"]
+
+    def test_stream_skips_a_leading_bom(self, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(self._LINES, encoding="utf-8")
+        marked.write_text("\ufeff" + self._LINES, encoding="utf-8")
+        assert self._streamed(marked) == self._streamed(plain) == [
+            ("http://a.org/x", "http://b.org/"),
+            ("http://b.org/", "http://a.org/x")]
+
+    @pytest.mark.parametrize("reader", ["read", "stream"])
+    def test_non_utf8_names_the_file_and_line(self, tmp_path, reader):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(self._LINES.encode() * 2
+                         + b"http://a.org/caf\xe9 http://b.org/\n")
+        read = read_url_edgelist if reader == "read" else self._streamed
+        with pytest.raises(ValidationError, match=r"latin1\.txt: line 5: "
+                           r"not UTF-8"):
+            read(path)
+
+
 class TestDocGraphRoundTrip:
     def test_lossless_round_trip(self, tmp_path, spam_docgraph):
         path = tmp_path / "graph.txt"

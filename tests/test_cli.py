@@ -99,6 +99,19 @@ class TestErrorExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--on-disk", "--output", "store"]])
+    def test_rank_edgelist_that_is_not_utf8(self, tmp_path, capsys, extra):
+        bad = tmp_path / "edges.txt"
+        bad.write_bytes(b"http://a.org/ http://b.org/\n"
+                        b"http://a.org/caf\xe9 http://b.org/\n")
+        extra = [str(tmp_path / arg) if arg == "store" else arg
+                 for arg in extra]
+        assert main(["rank", "--input", str(bad)] + extra) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert str(bad) in err and "line 2" in err
+
 
 class TestExampleCommand:
     def test_prints_all_four_approaches(self, capsys):

@@ -1,14 +1,18 @@
 """Reference implementations the array-native ingest path is held to.
 
 These are the scalar forms the package shipped before graph ingest went
-parse-once / array-native: three independent URL parses per document, and
-the per-document / per-edge Python loop that aggregated the SiteGraph.
+parse-once / array-native: three independent URL parses per document, the
+per-document / per-edge Python loop that aggregated the SiteGraph, the
+per-edge loop that resolved URL pairs to ids, and the writers and digest
+that read every record from a :class:`~repro.web.docgraph.Document`.
 They live under ``tests/`` on purpose — the package keeps one
 implementation, the tests keep the oracle.
 """
 
 from __future__ import annotations
 
+import hashlib
+from array import array
 from typing import List, Tuple
 from urllib.parse import urlsplit, urlunsplit
 
@@ -33,6 +37,9 @@ def _parse(url: str) -> Tuple[str, str, object, str, str]:
 
 def _normalize(url: str) -> str:
     scheme, host, port, path, query = _parse(url)
+    # An IPv6 literal keeps its brackets (without them the key would not
+    # parse again).
+    host = f"[{host}]" if ":" in host else host
     netloc = host if port is None else f"{host}:{port}"
     return urlunsplit((scheme, netloc, path, query, ""))
 
@@ -68,3 +75,55 @@ def aggregate_sitegraph_loop(docgraph, *, include_self_links: bool = False,
                            shape=(len(sites), len(sites)))
     matrix.sum_duplicates()
     return matrix.tocsr()
+
+
+def add_edges_per_edge(registry, edges) -> Tuple[array, array]:
+    """``DocumentRegistry.add_edges`` as one lookup (and, on a miss, one
+    ``add``) per endpoint and one append per id, edge by edge."""
+    get, add = registry._ids.get, registry.add
+    sources, targets = array("q"), array("q")
+    for source_url, target_url in edges:
+        source = get(source_url)
+        if source is None:
+            source = add(source_url)
+        target = get(target_url)
+        if target is None:
+            target = add(target_url)
+        sources.append(source)
+        targets.append(target)
+    return sources, targets
+
+
+def write_url_edgelist_per_document(docgraph, path) -> None:
+    """``write_url_edgelist`` with one ``Document`` per endpoint."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("# repro URL edge list\n")
+        for source, target in docgraph.edges():
+            handle.write(f"{docgraph.document(source).url}\t"
+                         f"{docgraph.document(target).url}\n")
+
+
+def write_docgraph_per_document(docgraph, path) -> None:
+    """``write_docgraph`` with one ``Document`` per node record."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("*NODES\n")
+        for document in docgraph.documents():
+            handle.write(f"{document.doc_id}\t{document.site}\t"
+                         f"{int(document.is_dynamic)}\t{document.url}\n")
+        handle.write("*EDGES\n")
+        for source, target in docgraph.edges():
+            handle.write(f"{source}\t{target}\n")
+
+
+def docgraph_digest_per_document(docgraph) -> str:
+    """``docgraph_digest`` with one ``Document`` and one hash update per
+    record."""
+    digest = hashlib.sha256()
+    for document in docgraph.documents():
+        digest.update(f"{document.doc_id}\t{document.site}\t"
+                      f"{int(document.is_dynamic)}\t{document.url}\n"
+                      .encode("utf-8"))
+    digest.update(b"*EDGES\n")
+    for source, target in docgraph.edges():
+        digest.update(f"{source}\t{target}\n".encode("utf-8"))
+    return digest.hexdigest()[:16]

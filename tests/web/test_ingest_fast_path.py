@@ -34,20 +34,38 @@ from repro.web.url import canonicalize_url
 # --------------------------------------------------------------------- #
 # (a) one parse == the old three, and normalisation is idempotent
 # --------------------------------------------------------------------- #
-_label = st.text("abcXYZ019-", min_size=1, max_size=6).filter(
+_label = st.text("abcXYZ019-\u00e9\u00dc", min_size=1, max_size=6).filter(
     lambda s: s[0] != "-" and s[-1] != "-")
-_urls = st.builds(
-    lambda ws, scheme, labels, port, path, query, fragment, tail: (
-        f"{ws}{scheme}//{'.'.join(labels)}{port}{path}{query}{fragment}{tail}"),
-    st.sampled_from(["", " ", "\t", "\n "]),
-    st.sampled_from(["http:", "HTTP:", "https:", "hTTpS:", ""]),
-    st.lists(_label, min_size=1, max_size=3),
-    st.sampled_from(["", ":", ":80", ":443", ":080", ":8080", ":81"]),
-    st.sampled_from(["", "/", "/a/B.html", "/x.php", "/Dir/Y.ASPX", "/d/",
-                     "/cgi-bin/s.cgi", "/a b"]),
-    st.sampled_from(["", "?", "?q=1&r=2", "?LO=1#not-a-fragment"]),
-    st.sampled_from(["", "#", "#frag"]),
-    st.sampled_from(["", " ", "\r\n"]),
+_hosts = st.one_of(st.lists(_label, min_size=1, max_size=3).map(".".join),
+                   st.sampled_from(["a.b", "s0.bench.test", "[::1]",
+                                    "[2001:DB8::a]", "127.0.0.1"]))
+_paths = st.sampled_from([
+    "", "/", "/a/B.html", "/x.php", "/Dir/Y.ASPX", "/d/", "/cgi-bin/s.cgi",
+    "/a b", "/a/../b/./c", "/%7Eu/%2f", "/caf\u00e9.php", "/a\x01b\x7f",
+    "/a\tb", "/x;p=1@y:z", "//double"])
+_queries = st.sampled_from(["", "?", "?q=1&r=2", "?LO=1#not-a-fragment",
+                            "?a=%20&b=\u00fc", "??", "?x?y"])
+# Spellings next to the canonical form (what the regular-expression fast
+# path takes or must refuse), and every kind of spelling that goes through
+# the full parse: upper-case schemes and hosts, non-ASCII hosts and paths,
+# userinfo, ports, IPv6 literals, escapes, dot segments, control
+# characters, empty paths and queries, fragments, surrounding whitespace.
+_urls = st.one_of(
+    st.builds(lambda scheme, host, path, query: (
+        f"{scheme}//{host}{path}{query}"),
+        st.sampled_from(["http:", "https:", "HTTP:"]), _hosts, _paths,
+        _queries),
+    st.builds(
+        lambda ws, scheme, user, host, port, path, query, fragment, tail: (
+            f"{ws}{scheme}//{user}{host}{port}{path}{query}{fragment}{tail}"),
+        st.sampled_from(["", " ", "\t", "\n "]),
+        st.sampled_from(["http:", "HTTP:", "https:", "hTTpS:", ""]),
+        st.sampled_from(["", "user@", "u:p@", "@"]),
+        _hosts,
+        st.sampled_from(["", ":", ":80", ":443", ":080", ":8080", ":81"]),
+        _paths, _queries,
+        st.sampled_from(["", "#", "#frag"]),
+        st.sampled_from(["", " ", "\r\n"])),
 )
 
 
