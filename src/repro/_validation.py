@@ -172,9 +172,9 @@ def ensure_same_length(a: Sequence, b: Sequence, *, name_a: str = "a",
 def normalize_distribution(vector, *, name: str = "vector") -> np.ndarray:
     """Return *vector* scaled so its entries sum to 1.
 
-    Raises :class:`NotADistributionError` when the vector is all zeros or has
-    negative entries, since such a vector cannot be normalised into a
-    distribution.
+    Raises :class:`NotADistributionError` when the vector is all zeros, has
+    negative entries or a non-finite total (a NaN or infinite entry), since
+    such a vector cannot be normalised into a distribution.
     """
     arr = np.asarray(vector, dtype=float).ravel()
     if arr.size == 0:
@@ -182,6 +182,9 @@ def normalize_distribution(vector, *, name: str = "vector") -> np.ndarray:
     if float(arr.min()) < 0.0:
         raise NotADistributionError(f"{name} has negative entries")
     total = float(arr.sum())
+    if not math.isfinite(total):
+        raise NotADistributionError(
+            f"{name} has a non-finite total; cannot normalise")
     if total <= 0.0:
         raise NotADistributionError(f"{name} sums to zero; cannot normalise")
     return arr / total

@@ -36,8 +36,9 @@ This module is the only place that builds step-3 and step-4 tasks:
 incremental ranker and the segment pass alike.  They read blocks from any
 **block source** — an object with ``sites()`` and ``local_block(site) ->
 (adjacency, doc_ids)``: :class:`~repro.web.docgraph.DocGraph` (lazy
-references into RAM) or :class:`~repro.io.diskgraph.DiskGraph` (fresh
-memmaps) — and start vectors from any **warm source**
+references into RAM) or a disk graph's
+:class:`~repro.io.diskgraph.UnitBlocks` (views of one mapping per solve
+unit) — and start vectors from any **warm source**
 (:class:`~repro.engine.warm.WarmSource`), so power iterations resume from
 the previously converged vector instead of restarting from uniform.
 """
@@ -402,7 +403,8 @@ def site_tasks_for(source, damping: float = DEFAULT_DAMPING, *,
     out: a DocGraph's lazy reference into its one
     :meth:`~repro.web.docgraph.DocGraph.site_blocks` snapshot (no matrix is
     cut per site; later graph mutations do not reach the tasks) or a
-    DiskGraph's memmap views, unmapped when the task is dropped.  *warm*
+    disk graph's mapped views, unmapped when the tasks and their source
+    are dropped.  *warm*
     seeds each task's start from the previously converged values; with
     ``n_vectors = K > 1`` preferences and starts are ``(n, K)`` matrices.
     """

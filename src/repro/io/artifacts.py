@@ -28,6 +28,11 @@ A generation's arrays each live in their own flat file:
 ``urls.bin`` / ``url_offsets.bin``
     UTF-8 URL blob plus int64 offsets per position.
 
+:class:`GenerationWriter` streams these files a solve unit at a time —
+doc ids, vectors and URL bytes arrive as concatenated arrays and are
+copied undecoded, one write per file per call — and indexes them in
+windows of whole shards at ``finalize``.
+
 ``repro serve --store dir/`` boots an mmap-backed score store
 (:mod:`repro.serving.mmapstore`) straight over these files — no
 re-ranking, no score column resident in RSS.
@@ -36,11 +41,13 @@ re-ranking, no score column resident in RSS.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..exceptions import NotADistributionError, ValidationError
 from .serialization import load_json, save_json
 
@@ -68,6 +75,12 @@ GENERATION_ARRAYS: Dict[str, str] = {
 #: Elements per chunk when the writer streams a whole-array operation
 #: (normalisation divide) without materialising the array.
 _CHUNK_ELEMENTS = 1 << 20
+
+#: Positions per ``finalize`` indexing window (whole shards; a bigger
+#: shard is a window of its own).  Small enough that the window's sort
+#: runs in cache: one sort of many small shards beats a sort per shard,
+#: one sort of many large ones loses to it.
+_INDEX_WINDOW = 1 << 11
 
 
 def _array_file(name: str) -> str:
@@ -226,13 +239,16 @@ class RankedGeneration:
 class GenerationWriter:
     """Streamed site-major writer of one generation.
 
-    ``append_site`` writes each site's block as it is solved — doc ids,
-    URLs, the raw local vector, and the SiteRank-weighted (but not yet
-    normalised) scores — so the producer never holds more than one block.
-    ``finalize`` then performs the whole-array steps: the single
-    normalisation sum (bitwise the in-memory
+    :meth:`append_sites` writes a run of consecutive sites as they are
+    solved — a solve unit's doc ids, local vectors and undecoded URL bytes
+    arrive concatenated, with per-site counts, and each array file takes
+    one write per call — so the producer never holds more than one unit.
+    Each site's scores are stored SiteRank-weighted but not yet
+    normalised.  ``finalize`` then performs the whole-array steps: the
+    single normalisation sum (bitwise the in-memory
     :func:`~repro._validation.normalize_distribution`), the inverse
-    permutation, the per-shard sort orders, and the manifest write.
+    permutation and the per-shard sort orders (one scatter and one sort
+    per window of whole shards), and the manifest write.
     """
 
     def __init__(self, path: str | os.PathLike, *, method: str,
@@ -259,42 +275,84 @@ class GenerationWriter:
                     urls: Sequence[str], local_scores: np.ndarray,
                     site_score: float, iterations: int) -> None:
         """Write one site's block (in site order — site-major layout)."""
+        ids = np.asarray(doc_ids, dtype=np.int64).ravel()
+        encoded = [url.encode("utf-8") for url in urls]
+        self.append_sites([site], [ids.size], ids, local_scores,
+                          np.frombuffer(b"".join(encoded), dtype=np.uint8),
+                          [len(url) for url in encoded], [site_score],
+                          [iterations])
+
+    def append_sites(self, sites: Sequence[str], counts: Sequence[int],
+                     doc_ids: np.ndarray, local_scores: np.ndarray,
+                     url_bytes: np.ndarray, url_lengths: Sequence[int],
+                     site_scores: Sequence[float],
+                     iterations: Sequence[int]) -> None:
+        """Write consecutive sites' blocks at once (site-major layout).
+
+        *doc_ids*, *local_scores* and *url_lengths* hold the sites'
+        documents concatenated in site order (*counts* per site),
+        *url_bytes* their UTF-8 URLs back to back; *site_scores* and
+        *iterations* hold one entry per site.
+        """
         if self._finalized:
             raise ValidationError("generation writer is already finalized")
-        if site in self._seen_sites:
-            raise ValidationError(f"site {site!r} appended twice")
-        local_scores = np.asarray(local_scores, dtype=float).ravel()
+        sites = list(sites)
+        fresh: set = set()
+        for site in sites:
+            if site in self._seen_sites or site in fresh:
+                raise ValidationError(f"site {site!r} appended twice")
+            fresh.add(site)
+        counts = np.asarray(counts, dtype=np.int64).ravel()
         ids = np.asarray(doc_ids, dtype=np.int64).ravel()
-        if not (ids.size == len(urls) == local_scores.size):
+        local_scores = np.asarray(local_scores, dtype=float).ravel()
+        blob = np.asarray(url_bytes, dtype=np.uint8).ravel()
+        lengths = np.asarray(url_lengths, dtype=np.int64).ravel()
+        weights = np.asarray(site_scores, dtype=float).ravel()
+        if not (len(sites) == counts.size == weights.size == len(iterations)
+                and int(counts.sum()) == ids.size == lengths.size
+                == local_scores.size and int(lengths.sum()) == blob.size
+                and counts.min(initial=0) >= 0
+                and lengths.min(initial=0) >= 0):
+            named = ", ".join(map(repr, sites[:3])) \
+                + (", ..." if len(sites) > 3 else "")
             raise ValidationError(
-                f"site {site!r}: doc_ids, urls and scores must align")
-        if self._cursor + ids.size > self._n_documents:
+                f"site {named}: doc_ids, urls and scores must align")
+        if not sites:
+            return
+        ends = self._cursor + np.cumsum(counts)
+        if ends[-1] > self._n_documents:
+            site = sites[int(np.argmax(ends > self._n_documents))]
             raise ValidationError(
                 f"site {site!r} overflows the declared "
                 f"{self._n_documents} documents")
-        if ids.size and (int(ids.min()) < 0
-                         or int(ids.max()) >= self._n_documents):
+        outside = (ids < 0) | (ids >= self._n_documents)
+        if outside.any():
+            first = self._cursor + int(outside.argmax())
+            site = sites[int(np.searchsorted(ends, first, side="right"))]
             raise ValidationError(
                 f"site {site!r} has document ids outside "
                 f"[0, {self._n_documents})")
         # The same composition op compose_ranking performs per block.
-        weighted = float(site_score) * local_scores
-        weighted.tofile(self._handles["scores"])
-        local_scores.tofile(self._handles["local_scores"])
-        ids.tofile(self._handles["doc_ids"])
-        offsets = np.empty(len(urls), dtype=np.int64)
-        for index, url in enumerate(urls):
-            blob = url.encode("utf-8")
-            self._handles["urls"].write(blob)
-            self._url_cursor += len(blob)
-            offsets[index] = self._url_cursor
-        offsets.tofile(self._handles["url_offsets"])
-        self._seen_sites.add(site)
-        self._shards.append({"site": site, "offset": self._cursor,
-                             "count": int(ids.size),
-                             "site_score": float(site_score),
-                             "iterations": int(iterations)})
-        self._cursor += int(ids.size)
+        weighted = np.repeat(weights, counts) * local_scores
+        offsets = self._url_cursor + np.cumsum(lengths)
+        written = 0
+        # Buffered writes of the arrays' bytes (ndarray.tofile re-syncs
+        # the file object around every call).
+        for name, array in (("scores", weighted),
+                            ("local_scores", local_scores),
+                            ("doc_ids", ids), ("urls", blob),
+                            ("url_offsets", offsets)):
+            written += self._handles[name].write(array)
+        self._url_cursor += blob.size
+        obs.inc("generation_bytes_written_total", written)
+        self._seen_sites |= fresh
+        self._shards.extend(
+            {"site": site, "offset": offset, "count": count,
+             "site_score": weight, "iterations": int(iteration)}
+            for site, offset, count, weight, iteration in zip(
+                sites, (ends - counts).tolist(), counts.tolist(),
+                weights.tolist(), iterations))
+        self._cursor = int(ends[-1])
 
     def abort(self) -> None:
         """Close the partial files (the generation is never published)."""
@@ -314,50 +372,8 @@ class GenerationWriter:
                 f"generation covers {self._cursor} documents, "
                 f"declared {self._n_documents}")
         self._finalized = True
-        for handle in self._handles.values():
-            handle.flush()
-            os.fsync(handle.fileno())
-            handle.close()
-
-        scores_path = os.path.join(self._path, _array_file("scores"))
-        scores = np.memmap(scores_path, dtype=np.float64, mode="r+")
-        # Bitwise the in-memory normalize_distribution(concatenated):
-        # one pairwise sum over the whole contiguous array, then an
-        # elementwise divide by that scalar (chunked — same per-element op).
-        if float(scores.min()) < 0.0:
-            raise NotADistributionError("layered DocRank has negative entries")
-        total = float(np.sum(scores))
-        if total <= 0.0:
-            raise NotADistributionError(
-                "layered DocRank sums to zero; cannot normalise")
-        for start in range(0, scores.size, _CHUNK_ELEMENTS):
-            chunk = scores[start:start + _CHUNK_ELEMENTS]
-            scores[start:start + _CHUNK_ELEMENTS] = chunk / total
-        scores.flush()
-
-        doc_ids = np.memmap(os.path.join(self._path, _array_file("doc_ids")),
-                            dtype=np.int64, mode="r")
-        position = np.memmap(
-            os.path.join(self._path, _array_file("doc_position")),
-            dtype=np.int64, mode="w+", shape=(self._n_documents,))
-        order = np.memmap(os.path.join(self._path, _array_file("order")),
-                          dtype=np.int64, mode="w+",
-                          shape=(self._n_documents,))
-        covered = 0
-        for shard in self._shards:
-            start, count = shard["offset"], shard["count"]
-            ids = np.asarray(doc_ids[start:start + count])
-            position[ids] = np.arange(start, start + count, dtype=np.int64)
-            covered += count
-            # The exact _Shard order: descending score, ties by doc id.
-            block = np.asarray(scores[start:start + count])
-            order[start:start + count] = np.lexsort((ids, -block))
-        if covered != self._n_documents:
-            raise ValidationError("shards do not cover every document")
-        position.flush()
-        order.flush()
-        del scores, doc_ids, position, order
-
+        with obs.span("artifacts.finalize"):
+            self._index()
         manifest = {
             "format": GENERATION_FORMAT,
             "version": FORMAT_VERSION,
@@ -375,6 +391,84 @@ class GenerationWriter:
         save_json(manifest, os.path.join(self._path, GENERATION_MANIFEST),
                   atomic=True)
         return RankedGeneration(self._path)
+
+    def _index(self) -> None:
+        """Make the streamed files durable, normalise, write the indexes."""
+        for handle in self._handles.values():
+            handle.flush()
+            os.fsync(handle.fileno())
+            handle.close()
+
+        scores_path = os.path.join(self._path, _array_file("scores"))
+        scores = np.memmap(scores_path, dtype=np.float64, mode="r+")
+        # Bitwise the in-memory normalize_distribution(concatenated):
+        # one pairwise sum over the whole contiguous array, then an
+        # elementwise divide by that scalar (chunked — same per-element op).
+        if float(scores.min()) < 0.0:
+            raise NotADistributionError("layered DocRank has negative entries")
+        total = float(np.sum(scores))
+        if not math.isfinite(total):
+            raise NotADistributionError(
+                "layered DocRank has a non-finite total; cannot normalise")
+        if total <= 0.0:
+            raise NotADistributionError(
+                "layered DocRank sums to zero; cannot normalise")
+        for start in range(0, scores.size, _CHUNK_ELEMENTS):
+            chunk = scores[start:start + _CHUNK_ELEMENTS]
+            scores[start:start + _CHUNK_ELEMENTS] = chunk / total
+        scores.flush()
+
+        doc_ids = np.memmap(os.path.join(self._path, _array_file("doc_ids")),
+                            dtype=np.int64, mode="r")
+        position = np.memmap(
+            os.path.join(self._path, _array_file("doc_position")),
+            dtype=np.int64, mode="w+", shape=(self._n_documents,))
+        order = np.memmap(os.path.join(self._path, _array_file("order")),
+                          dtype=np.int64, mode="w+",
+                          shape=(self._n_documents,))
+        counts = np.fromiter((shard["count"] for shard in self._shards),
+                             dtype=np.int64, count=len(self._shards))
+        bounds = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        if bounds[-1] != self._n_documents:
+            raise ValidationError("shards do not cover every document")
+        # Plain views of the mappings: slicing a memmap costs ~10x more.
+        all_ids, normalised = np.asarray(doc_ids), np.asarray(scores)
+        positions, orders = np.asarray(position), np.asarray(order)
+        for first, last in _shard_windows(counts.tolist(), _INDEX_WINDOW):
+            start, stop = int(bounds[first]), int(bounds[last])
+            ids = all_ids[start:stop]
+            positions[ids] = np.arange(start, stop, dtype=np.int64)
+            # The exact _Shard order — descending score, ties by doc id —
+            # of every shard in the window at once, i.e.
+            # np.lexsort((ids, -scores, shard_key)): a complex argsort
+            # compares (-score, id) lexicographically (ids are unique, so
+            # the unstable sort is exact), then a stable radix sort on the
+            # small shard key groups the shards.  Minus each shard's offset
+            # in the window, that is every shard's own lexsort.
+            window = counts[first:last]
+            shard_key = np.repeat(np.arange(
+                window.size, dtype=np.min_scalar_type(window.size)), window)
+            ranked = np.argsort(-normalised[start:stop] + 1j * ids)
+            ranked = ranked[np.argsort(shard_key[ranked], kind="stable")]
+            ranked -= np.repeat(bounds[first:last] - start, window)
+            orders[start:stop] = ranked
+        position.flush()
+        order.flush()
+
+
+def _shard_windows(counts: Sequence[int], limit: int
+                   ) -> List[Tuple[int, int]]:
+    """Runs ``[first, last)`` of whole shards holding at most *limit*
+    positions each (a shard bigger than *limit* is a run of its own)."""
+    windows, first, size = [], 0, 0
+    for index, count in enumerate(counts):
+        if size and size + count > limit:
+            windows.append((first, index))
+            first, size = index, 0
+        size += count
+    windows.append((first, len(counts)))
+    return windows
 
 
 class ArtifactStore:

@@ -15,10 +15,15 @@ same :class:`~repro.linalg.layout.BumpLayout` codec the shared-memory
 :class:`~repro.engine.arena.GraphArena` uses, and a ``manifest.json``
 (written atomically via :func:`repro.io.serialization.save_json`) records
 each array's dtype, byte offset and element count.  Readers rebuild every
-matrix zero-copy with ``np.memmap`` +
+matrix zero-copy with ``np.frombuffer`` views of one ``mmap`` +
 :func:`repro.linalg.sparse_utils.csr_from_buffers`: opening a disk graph
-faults in manifest-sized metadata only, and ranking it touches one site
-block (or one packed batch of small sites) at a time.
+faults in manifest-sized metadata only, and ranking it touches one solve
+unit at a time.  :meth:`DiskGraph.unit_blocks` maps the byte range holding
+a unit's arrays *once* and answers every site of the unit from that one
+mapping; :meth:`DiskGraph.url_bytes` gathers many documents' URLs as one
+undecoded UTF-8 blob plus per-document lengths (one mapping of the URL
+table, one vectorised gather), which is what the artifact writer copies
+into a generation — URLs never become Python strings on the rank path.
 
 Two build paths exist:
 
@@ -41,6 +46,7 @@ the equivalent in-memory DocGraph.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import tempfile
 from itertools import islice
@@ -176,13 +182,14 @@ class _BlockWriter:
 class DiskGraph:
     """Zero-copy reader over a disk-graph directory.
 
-    Every accessor creates *fresh* ``np.memmap`` views over exactly the
-    byte ranges it needs and holds no mapping itself — when the caller
-    drops the returned arrays the pages are unmapped, so streaming over
-    the sites keeps process RSS bounded by one block regardless of graph
-    size.  Manifest problems (missing files, truncated blocks, unknown
-    versions, corrupt JSON) raise
-    :class:`~repro.exceptions.ValidationError` at open time.
+    Every accessor maps *fresh* the byte range it needs — one mapping per
+    call, however many arrays it answers with — and holds no mapping
+    itself: when the caller drops the returned arrays the pages are
+    unmapped, so streaming over the solve units keeps process RSS bounded
+    by one unit regardless of graph size.  Manifest problems (missing
+    files, truncated blocks, unknown versions, corrupt JSON) raise
+    :class:`~repro.exceptions.ValidationError` at open time; a corrupt
+    URL table raises it when read.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -272,6 +279,10 @@ class DiskGraph:
         for key, dtypes in _DOCUMENT_DTYPES.items():
             _check_spec(documents.get(key), self._blocks_nbytes,
                         f"documents.{key}", dtypes)
+        if documents["url_offsets"]["count"] != manifest["n_documents"] + 1:
+            raise ValidationError(
+                "disk-graph manifest: documents.url_offsets must hold "
+                "n_documents + 1 offsets")
         self._manifest = manifest
 
     def _check_csr(self, family: object, what: str, n: int) -> None:
@@ -291,20 +302,47 @@ class DiskGraph:
     # ------------------------------------------------------------------ #
     # Mapping primitives
     # ------------------------------------------------------------------ #
-    def _map(self, spec: Dict[str, object]) -> np.ndarray:
-        """A fresh read-only memmap over one manifest array."""
-        dtype = np.dtype(spec["dtype"])
-        count = int(spec["count"])
-        if count == 0:
-            return np.empty(0, dtype=dtype)
-        return np.memmap(self._blocks_path, dtype=dtype, mode="r",
-                         offset=int(spec["offset"]), shape=(count,))
+    def _map_arrays(self, specs: Sequence[Optional[Dict[str, object]]]
+                    ) -> List[Optional[np.ndarray]]:
+        """Read-only views of several manifest arrays over ONE mapping.
 
-    def _map_csr(self, family: Dict[str, object]):
-        shape = tuple(int(s) for s in family["shape"])
-        return csr_from_buffers(self._map(family["data"]),
-                                self._map(family["indices"]),
-                                self._map(family["indptr"]), shape)
+        The mapping spans the first array's first byte to the last one's
+        end and lives as long as any returned view; ``None`` specs answer
+        ``None`` and empty arrays map nothing.
+        """
+        live = [spec for spec in specs if spec is not None and spec["count"]]
+        views: List[Optional[np.ndarray]] = []
+        if live:
+            start = min(int(spec["offset"]) for spec in live)
+            stop = max(int(spec["offset"]) + int(spec["count"])
+                       * np.dtype(spec["dtype"]).itemsize for spec in live)
+            # mmap offsets must sit on the allocation granularity.
+            start -= start % mmap.ALLOCATIONGRANULARITY
+            descriptor = os.open(self._blocks_path,
+                                 os.O_RDONLY | getattr(os, "O_BINARY", 0))
+            try:
+                mapping = np.frombuffer(mmap.mmap(
+                    descriptor, stop - start, offset=start,
+                    access=mmap.ACCESS_READ), dtype=np.uint8)
+            finally:
+                os.close(descriptor)
+            obs.inc("diskgraph_mappings_total")
+        for spec in specs:
+            if spec is None:
+                views.append(None)
+                continue
+            dtype, count = np.dtype(spec["dtype"]), int(spec["count"])
+            if count == 0:
+                views.append(np.empty(0, dtype=dtype))
+                continue
+            begin = int(spec["offset"]) - start
+            views.append(mapping[begin:begin + count * dtype.itemsize]
+                         .view(dtype))
+        return views
+
+    def _map(self, spec: Dict[str, object]) -> np.ndarray:
+        """A fresh read-only mapping of one manifest array."""
+        return self._map_arrays([spec])[0]
 
     # ------------------------------------------------------------------ #
     # Graph surface
@@ -354,13 +392,22 @@ class DiskGraph:
         return self._map(self._entry(site)["doc_ids"])
 
     def local_block(self, site: str) -> Tuple[object, np.ndarray]:
-        """One site's ``(local CSR, doc-id vector)`` as fresh memmap views.
+        """One site's ``(local CSR, doc-id vector)`` over one fresh mapping.
 
-        The zero-copy form the out-of-core engine hydrates per chunk;
-        dropping the returned objects unmaps the block.
+        Dropping the returned objects unmaps the block.  The out-of-core
+        engine reads a whole solve unit through :meth:`unit_blocks`
+        instead.
         """
-        entry = self._entry(site)
-        return self._map_csr(entry["adjacency"]), self._map(entry["doc_ids"])
+        return self.unit_blocks([site]).local_block(site)
+
+    def unit_blocks(self, sites: Sequence[str]) -> "UnitBlocks":
+        """The block source of one solve unit: its sites over one mapping."""
+        return UnitBlocks(self, sites)
+
+    def personalized_sites(self) -> List[str]:
+        """Sites that persist a preference vector (nothing is mapped)."""
+        return [site for site, entry in self._entries.items()
+                if entry.get("preference") is not None]
 
     def local_adjacency(self, site: str) -> Tuple[object, List[int]]:
         """Drop-in for :meth:`DocGraph.local_adjacency` (ids as a list)."""
@@ -375,8 +422,10 @@ class DiskGraph:
     def sitegraph(self) -> SiteGraph:
         """The aggregated SiteGraph (adjacency zero-copy over the blocks)."""
         entry = self._manifest["sitegraph"]
+        family = entry["adjacency"]
         return SiteGraph(sites=self.sites(),
-                         adjacency=self._map_csr(entry["adjacency"]),
+                         adjacency=_csr_over(
+                             family, self._map_arrays(_csr_specs(family))),
                          site_sizes=[int(size)
                                      for size in entry["site_sizes"]],
                          include_self_links=bool(
@@ -410,30 +459,136 @@ class DiskGraph:
                         is_dynamic=bool(dynamic[doc_id]))
 
     def urls_of_positions(self, doc_ids: Sequence[int]) -> List[str]:
-        """URLs of many document ids with one mapping of the URL table."""
+        """URLs of many document ids: a decode of :meth:`url_bytes`."""
+        blob, lengths = self.url_bytes(doc_ids)
+        raw = blob.tobytes()
+        bounds = np.concatenate(([0], np.cumsum(lengths))).tolist()
+        return [raw[start:end].decode("utf-8")
+                for start, end in zip(bounds, bounds[1:])]
+
+    def url_bytes(self, doc_ids: Sequence[int]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """Many documents' URLs as one UTF-8 ``uint8`` blob + byte lengths.
+
+        One mapping of the URL table and one vectorised gather; the bytes
+        are never decoded into strings.  The gathered table is checked as
+        a per-URL decode would check it — offsets ascending and inside the
+        blob, every URL valid UTF-8 (one decode of the whole blob, and no
+        non-empty URL opening on a continuation byte) — and a corrupt one
+        raises :class:`~repro.exceptions.ValidationError` naming the graph
+        and the first bad document id.
+        """
         ids = np.asarray(doc_ids, dtype=np.int64).ravel()
         if ids.size == 0:
-            return []
+            return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
         self._check_doc_id(ids.min())
         self._check_doc_id(ids.max())
         documents = self._manifest["documents"]
-        offsets = self._map(documents["url_offsets"])
-        # A plain view: slicing a memmap per document costs more than the
-        # read it performs.
-        blob = np.asarray(self._map(documents["url_blob"]))
-        starts, ends = offsets[ids].tolist(), offsets[ids + 1].tolist()
-        if starts[1:] == ends[:-1]:
-            # Adjacent byte ranges (consecutive ids): one read.
-            base = starts[0]
-            raw = blob[base:ends[-1]].tobytes()
-            return [raw[start - base:end - base].decode("utf-8")
-                    for start, end in zip(starts, ends)]
-        return [blob[start:end].tobytes().decode("utf-8")
-                for start, end in zip(starts, ends)]
+        offsets, blob = self._map_arrays([documents["url_offsets"],
+                                          documents["url_blob"]])
+        starts, ends = offsets[ids], offsets[ids + 1]
+        lengths = ends - starts
+        broken = (starts < 0) | (lengths < 0) | (ends > blob.size)
+        if broken.any():
+            self._corrupt_url(ids, int(broken.argmax()),
+                              "its offsets are not ascending inside the blob")
+        if np.array_equal(starts[1:], ends[:-1]):
+            # Adjacent byte ranges (consecutive ids): one slice.
+            gathered = blob[starts[0]:ends[-1]].copy()
+        else:
+            firsts = np.cumsum(lengths) - lengths
+            gathered = blob[np.repeat(starts - firsts, lengths)
+                            + np.arange(firsts[-1] + lengths[-1])]
+        self._check_utf8(ids, gathered, lengths)
+        return gathered, lengths
+
+    def _check_utf8(self, ids: np.ndarray, blob: np.ndarray,
+                    lengths: np.ndarray) -> None:
+        """Raise unless every URL piece of *blob* decodes on its own.
+
+        The pieces all decode exactly when the whole blob does and no
+        non-empty piece opens on a continuation byte (``10xxxxxx``).
+        """
+        firsts = np.cumsum(lengths) - lengths
+        try:
+            str(memoryview(blob), "utf-8")
+            valid = not np.any(blob[firsts[lengths > 0]] & 0xC0 == 0x80)
+        except UnicodeDecodeError:
+            valid = False
+        if valid:
+            return
+        # The error path: name the first URL a per-URL decode rejects.
+        raw = blob.tobytes()
+        for index, (first, length) in enumerate(zip(firsts.tolist(),
+                                                     lengths.tolist())):
+            try:
+                raw[first:first + length].decode("utf-8")
+            except UnicodeDecodeError:
+                self._corrupt_url(ids, index, "its bytes are not UTF-8")
+
+    def _corrupt_url(self, ids: np.ndarray, index: int, why: str) -> None:
+        raise ValidationError(
+            f"disk graph {self._path!r}: the URL table is corrupt at "
+            f"document {int(ids[index])}: {why}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DiskGraph(path={self._path!r}, "
                 f"n_documents={self.n_documents}, n_sites={self.n_sites})")
+
+
+class UnitBlocks:
+    """The block source of one solve unit, over ONE mapping.
+
+    Every array of the unit's sites — CSR family, document ids, preference
+    — is a view of a single mapping of the byte range of ``blocks.bin``
+    that holds them.  Like any block source (see :mod:`repro.engine.plan`)
+    it answers ``sites()`` and ``local_block(site)``; dropping it and every
+    task built from it unmaps the range.
+    """
+
+    def __init__(self, graph: DiskGraph, sites: Sequence[str]) -> None:
+        self._sites = list(sites)
+        entries = [graph._entry(site) for site in self._sites]
+        specs: List[Optional[Dict[str, object]]] = []
+        for entry in entries:
+            specs += _csr_specs(entry["adjacency"]) + [
+                entry["doc_ids"], entry.get("preference")]
+        views = iter(graph._map_arrays(specs))
+        self._blocks: Dict[str, tuple] = {}
+        for site, entry in zip(self._sites, entries):
+            csr = _csr_over(entry["adjacency"],
+                            [next(views), next(views), next(views)])
+            self._blocks[site] = (csr, next(views), next(views))
+
+    def _block(self, site: str) -> tuple:
+        try:
+            return self._blocks[site]
+        except KeyError:
+            raise GraphStructureError(
+                f"site {site!r} is not in this unit") from None
+
+    def sites(self) -> List[str]:
+        """The unit's sites, in the order they were asked for."""
+        return list(self._sites)
+
+    def local_block(self, site: str) -> Tuple[object, np.ndarray]:
+        """One site's ``(local CSR, doc-id vector)`` (views, no copy)."""
+        csr, doc_ids, _ = self._block(site)
+        return csr, doc_ids
+
+    def preference(self, site: str) -> Optional[np.ndarray]:
+        """One site's persisted preference vector, or ``None``."""
+        return self._block(site)[2]
+
+
+def _csr_specs(family: Dict[str, object]) -> List[Dict[str, object]]:
+    # Canonical family order (layout.CSR_FAMILY): data, indices, indptr.
+    return [family["data"], family["indices"], family["indptr"]]
+
+
+def _csr_over(family: Dict[str, object], views: Sequence[np.ndarray]):
+    return csr_from_buffers(*views,
+                            tuple(int(size) for size in family["shape"]))
 
 
 def open_diskgraph(path: str | os.PathLike) -> DiskGraph:
@@ -765,6 +920,7 @@ __all__ = [
     "SPILL_BUCKETS",
     "DiskGraph",
     "DiskGraphBuilder",
+    "UnitBlocks",
     "open_diskgraph",
     "write_diskgraph",
 ]

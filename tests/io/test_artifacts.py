@@ -120,6 +120,31 @@ class TestGenerationWriter:
         with pytest.raises(NotADistributionError):
             writer.finalize(**SITERANK)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_fail_normalisation(self, store, bad):
+        # min < 0 and sum <= 0 are both false for NaN: the parent wrote a
+        # scores.bin of NaNs, published it and served it.
+        writer = store.create_generation(method="layered", n_documents=3)
+        writer.append_site("alpha.org", [0, 1], ["http://a/", "http://b/"],
+                           np.array([0.5, bad]), 1.0, iterations=1)
+        writer.append_site("beta.org", [2], ["http://c/"], np.array([1.0]),
+                           1.0, iterations=1)
+        with pytest.raises(NotADistributionError, match="non-finite"):
+            writer.finalize(**SITERANK)
+        with pytest.raises(ValidationError, match="not a ranked generation"):
+            store.publish("gen-000001")
+        assert store.current is None
+
+    def test_normalize_distribution_rejects_a_non_finite_total(self):
+        from repro._validation import normalize_distribution
+
+        for vector in ([0.5, np.nan], [np.inf, 1.0], [np.nan]):
+            with pytest.raises(NotADistributionError, match="non-finite"):
+                normalize_distribution(vector)
+        valid = np.array([0.1, 0.7, 0.2])
+        assert np.array_equal(normalize_distribution(valid),
+                              valid / float(valid.sum()))
+
     def test_abort_leaves_no_generation(self, store, tmp_path):
         writer = store.create_generation(method="layered", n_documents=5)
         writer.append_site(*SITES[0][:4], SITES[0][4], iterations=1)
@@ -127,6 +152,57 @@ class TestGenerationWriter:
         writer.abort()  # idempotent
         with pytest.raises(ValidationError, match="not a ranked generation"):
             RankedGeneration(tmp_path / "store" / "gen-000001")
+
+
+class TestAppendSites:
+    """The unit append: what append_site checked, for a run of sites."""
+
+    def _unit(self, **changes):
+        unit = dict(sites=["alpha.org", "beta.org"], counts=[3, 2],
+                    doc_ids=[2, 0, 4, 1, 3],
+                    local_scores=np.array([0.5, 0.3, 0.2, 0.7, 0.3]),
+                    url_bytes=np.frombuffer(b"cAeBd", dtype=np.uint8),
+                    url_lengths=[1, 1, 1, 1, 1], site_scores=[0.6, 0.4],
+                    iterations=[3, 3])
+        unit.update(changes)
+        return unit
+
+    def test_a_unit_writes_what_its_sites_write(self, store, generation):
+        writer = store.create_generation(method="layered", n_documents=5)
+        writer.append_sites(**self._unit(
+            url_bytes=np.frombuffer("".join(
+                url for _, _, urls, _, _ in SITES for url in urls
+            ).encode(), dtype=np.uint8),
+            url_lengths=[len(url) for _, _, urls, _, _ in SITES
+                         for url in urls]))
+        unit = writer.finalize(iterations=13, **SITERANK)
+        for name in sorted(os.listdir(generation.path)):
+            with open(os.path.join(generation.path, name), "rb") as one, \
+                    open(os.path.join(unit.path, name), "rb") as other:
+                assert one.read() == other.read(), name
+
+    @pytest.mark.parametrize("changes, match", [
+        (dict(sites=["alpha.org", "alpha.org"]), "appended twice"),
+        (dict(counts=[3, 3]), "must align"),
+        (dict(url_lengths=[1, 1, 1, 1, 2]), "must align"),
+        (dict(site_scores=[0.6]), "must align"),
+        (dict(doc_ids=[2, 0, 4, 1, 9]), "'beta.org' has document ids"),
+    ])
+    def test_rejects_what_append_site_rejects(self, store, changes, match):
+        writer = store.create_generation(method="layered", n_documents=5)
+        with pytest.raises(ValidationError, match=match):
+            writer.append_sites(**self._unit(**changes))
+
+    def test_names_the_site_that_overflows(self, store):
+        writer = store.create_generation(method="layered", n_documents=4)
+        with pytest.raises(ValidationError, match="'beta.org' overflows"):
+            writer.append_sites(**self._unit(doc_ids=[2, 0, 3, 1, 3]))
+
+    def test_rejects_a_site_of_an_earlier_unit(self, store):
+        writer = store.create_generation(method="layered", n_documents=5)
+        writer.append_site(*SITES[0][:4], SITES[0][4], iterations=1)
+        with pytest.raises(ValidationError, match="appended twice"):
+            writer.append_sites(**self._unit())
 
 
 class TestArtifactStore:

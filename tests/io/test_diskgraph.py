@@ -209,6 +209,8 @@ HOSTILE_MANIFESTS = [
                  id="float-indices"),
     pytest.param(_set(["documents", "url_offsets", "dtype"], "<i4"),
                  id="narrow-url-offsets"),
+    pytest.param(_set(["documents", "url_offsets", "count"], 3),
+                 id="url-offsets-not-one-per-document"),
     pytest.param(_set(["sitegraph"], []), id="sitegraph-is-a-list"),
     pytest.param(_drop(["sitegraph", "site_sizes"]), id="no-site-sizes"),
     pytest.param(_set(["sitegraph", "site_sizes"], [1, "two"]),
@@ -241,3 +243,70 @@ class TestHostileManifest:
             json.dump(manifest, handle)
         with pytest.raises(ValidationError):
             open_diskgraph(disk.path)
+
+
+def _url_table(disk):
+    """(url_blob offset in blocks.bin, the offsets array, blocks path)."""
+    with open(os.path.join(disk.path, MANIFEST_FILE), encoding="utf-8") as f:
+        documents = json.load(f)["documents"]
+    blocks = os.path.join(disk.path, "blocks.bin")
+    spec = documents["url_offsets"]
+    offsets = np.fromfile(blocks, dtype=np.int64, count=spec["count"],
+                          offset=spec["offset"])
+    return documents["url_blob"]["offset"], spec["offset"], offsets, blocks
+
+
+def _poke(path, at, data: bytes):
+    with open(path, "r+b") as handle:
+        handle.seek(at)
+        handle.write(data)
+
+
+class TestCorruptUrlTable:
+    """A damaged URL table is a ValidationError naming the graph and the
+    first bad document — at the parent a bare UnicodeDecodeError, or
+    wrong / empty URLs without any error."""
+
+    def test_bytes_that_are_not_utf8(self, disk):
+        blob_at, _, offsets, blocks = _url_table(disk)
+        _poke(blocks, blob_at + int(offsets[7]) + 3, b"\xff")
+        with pytest.raises(ValidationError,
+                           match=r"graph.*corrupt at document 7: .*UTF-8"):
+            disk.urls_of_positions([2, 9, 7, 8])
+        assert disk.urls_of_positions([2, 9, 8])  # the rest still reads
+
+    def test_url_opening_inside_a_character(self, disk):
+        # Documents 4 and 5 share a two-byte character across their
+        # boundary: the joined bytes decode, neither URL does alone.
+        blob_at, _, offsets, blocks = _url_table(disk)
+        _poke(blocks, blob_at + int(offsets[5]) - 1, b"\xc3\xa9")
+        with pytest.raises(ValidationError, match="document 5: "):
+            disk.urls_of_positions([5])
+        with pytest.raises(ValidationError, match="document 4: "):
+            disk.urls_of_positions([3, 4, 5])
+
+    @pytest.mark.parametrize("value, doc", [
+        (lambda offsets: int(offsets[2]) - 1, 2),
+        (lambda offsets: int(offsets[-1]) + 64, 2),
+    ], ids=["backwards", "past-the-blob"])
+    def test_offsets_out_of_order_or_past_the_blob(self, disk, value, doc):
+        _, offsets_at, offsets, blocks = _url_table(disk)
+        _poke(blocks, offsets_at + 8 * 3,
+              np.int64(value(offsets)).tobytes())
+        with pytest.raises(ValidationError,
+                           match=f"corrupt at document {doc}: .*offsets"):
+            disk.urls_of_positions([0, 1, 2])
+
+    def test_rank_outofcore_fails_and_publishes_nothing(self, disk,
+                                                        tmp_path):
+        from repro.engine import rank_outofcore
+        from repro.io import ArtifactStore
+
+        blob_at, _, offsets, blocks = _url_table(disk)
+        _poke(blocks, blob_at + int(offsets[11]), b"\x80")
+        store = ArtifactStore(tmp_path / "store", create=True)
+        with pytest.raises(ValidationError,
+                           match="corrupt at document 11: .*UTF-8"):
+            rank_outofcore(disk, store)
+        store.reload()
+        assert store.current is None

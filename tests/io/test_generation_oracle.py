@@ -1,0 +1,172 @@
+"""``rank_outofcore`` writes the generation its per-site oracle wrote.
+
+The out-of-core round moves arrays: URLs travel from the disk graph to
+the generation as undecoded bytes, the writer takes a run of sites per
+call and ``finalize`` indexes whole windows of shards.  None of that may
+change a byte on disk: every file of the generation — ``manifest.json``
+included — must equal what the per-site loop frozen in
+``generation_oracle.py`` writes, cold and warm, on webs with non-ASCII
+and ``%``-escaped URLs, one-document sites, fused and dedicated units
+interleaved in site order, and preferences.
+
+Tier-1 runs a short fixed budget; the long one is a CI step::
+
+    PYTHONPATH=src python -m pytest tests/io/test_generation_oracle.py \\
+        --hypothesis-profile=oracle-long
+"""
+
+import mmap
+import os
+import tempfile
+from functools import partial
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from generation_oracle import oracle_rank
+from repro import obs
+from repro.engine import outofcore, plan_solve_units, rank_outofcore
+from repro.io import ArtifactStore, write_diskgraph
+from repro.io.diskgraph import BLOCKS_FILE
+from repro.web.docgraph import DocGraph
+
+LONG_PROFILE = "oracle-long"
+
+#: The property budget: the loaded profile's under ``oracle-long``, a
+#: short fixed one in tier-1.
+BUDGET = (
+    settings(deadline=None)
+    if settings.get_current_profile_name() == LONG_PROFILE
+    else settings(max_examples=10, deadline=None, derandomize=True))
+
+#: Path characters: ASCII, two- and three-byte UTF-8, and escapes.
+_PATH_TEXT = st.text(alphabet="az09-_.~éü日本%2F", max_size=5)
+
+
+@st.composite
+def webs(draw):
+    """A DocGraph, its preferences, a site preference and a chunk size."""
+    sizes = draw(st.lists(st.sampled_from([1, 1, 2, 3, 8, 30, 520]),
+                          min_size=1, max_size=6))
+    names = draw(st.lists(_PATH_TEXT, min_size=len(sizes),
+                          max_size=len(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    # Documents arrive interleaved across sites, so a site's ids are
+    # scattered and its URLs are not one byte range of the table.
+    owners = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    graph, made = DocGraph(), [0] * len(sizes)
+    for owner in owners.tolist():
+        graph.add_document(
+            f"http://s{owner}.example.org/{names[owner]}{made[owner]}",
+            site=f"s{owner}.example.org")
+        made[owner] += 1
+    n = graph.n_documents
+    for source, target in rng.integers(0, n, size=(2 * n, 2)).tolist():
+        graph.add_link_by_id(source, target)
+    preferences = {
+        site: _distribution(rng, len(graph.documents_of_site(site)))
+        for site in graph.sites() if draw(st.booleans())}
+    site_preference = (_distribution(rng, len(graph.sites()))
+                       if draw(st.booleans()) else None)
+    # A small chunk target splits the fused sites into several units.
+    target_docs = draw(st.sampled_from([None, 1, 4, 40]))
+    return graph, preferences, site_preference, target_docs
+
+
+def _distribution(rng, size: int) -> np.ndarray:
+    vector = rng.random(size) + 0.1
+    return vector / vector.sum()
+
+
+def _same_files(left: str, right: str) -> None:
+    assert sorted(os.listdir(left)) == sorted(os.listdir(right))
+    for name in os.listdir(left):
+        with open(os.path.join(left, name), "rb") as ours, \
+                open(os.path.join(right, name), "rb") as theirs:
+            assert ours.read() == theirs.read(), name
+
+
+@BUDGET
+@given(webs())
+def test_generation_is_byte_equal_to_the_oracle(web):
+    graph, preferences, site_preference, target_docs = web
+    schedule = (plan_solve_units if target_docs is None
+                else partial(plan_solve_units, target_docs=target_docs))
+    with tempfile.TemporaryDirectory() as root, \
+            mock.patch.object(outofcore, "plan_solve_units", schedule):
+        disk = write_diskgraph(graph, os.path.join(root, "graph"),
+                               preferences=preferences)
+        store = ArtifactStore(os.path.join(root, "store"), create=True)
+        cold = rank_outofcore(disk, store, site_preference=site_preference)
+        _same_files(cold.generation.path,
+                    oracle_rank(disk, os.path.join(root, "oracle-cold"),
+                                site_preference=site_preference).path)
+        warm = rank_outofcore(disk, store, site_preference=site_preference,
+                              warm=cold.generation)
+        _same_files(warm.generation.path,
+                    oracle_rank(disk, os.path.join(root, "oracle-warm"),
+                                site_preference=site_preference,
+                                warm=cold.generation).path)
+
+
+def test_cold_rank_maps_each_unit_once(tmp_path, monkeypatch):
+    """Two mappings of ``blocks.bin`` per solve unit (its blocks, its
+    URLs) plus the SiteGraph's — not six per site."""
+    from repro.graphgen import generate_synthetic_web
+
+    web = generate_synthetic_web(n_sites=60, n_documents=900, seed=3)
+    disk = write_diskgraph(web, tmp_path / "graph")
+    blocks = os.stat(os.path.join(disk.path, BLOCKS_FILE))
+    opened = []
+    original = mmap.mmap
+
+    def counting(fileno, *args, **kwargs):
+        # np.memmap maps through mmap.mmap too, so this sees every mapping.
+        if fileno >= 0 and os.path.samestat(os.fstat(fileno), blocks):
+            opened.append(fileno)
+        return original(fileno, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", counting)
+    # Sites above 16 documents solve on their own: fused and dedicated
+    # units interleave.
+    schedule = partial(plan_solve_units, max_docs=16)
+    monkeypatch.setattr(outofcore, "plan_solve_units", schedule)
+    units = schedule(disk.sites(), disk.site_sizes())
+    assert {unit.kind for unit in units} == {"fused", "dedicated"}
+    obs.enable()
+    before = obs.registry().counter_value("diskgraph_mappings_total")
+    ranked = rank_outofcore(disk, tmp_path / "store")
+    counted = obs.registry().counter_value("diskgraph_mappings_total")
+    assert len(opened) <= 2 * len(units) + 4
+    assert counted - before == len(opened)
+    assert len(units) < disk.n_sites  # the bound is below one per site
+    assert ranked.n_documents == web.n_documents
+
+
+@pytest.mark.parametrize("kind", ["fused", "dedicated"])
+def test_units_and_bytes_are_counted_per_unit(tmp_path, kind):
+    from repro.graphgen import generate_synthetic_web
+
+    web = generate_synthetic_web(n_sites=12, n_documents=300, seed=4)
+    disk = write_diskgraph(web, tmp_path / "graph")
+    units = plan_solve_units(disk.sites(), disk.site_sizes(),
+                             max_docs=0 if kind == "dedicated" else 512)
+    obs.enable()
+    registry = obs.registry()
+    before = {name: registry.counter_value(name) for name in (
+        "outofcore_units_total", "generation_bytes_written_total")}
+    with mock.patch.object(outofcore, "plan_solve_units",
+                           lambda sites, sizes: units):
+        ranked = rank_outofcore(disk, tmp_path / "store")
+    assert registry.counter_value("outofcore_units_total") \
+        - before["outofcore_units_total"] == len(units)
+    # Every streamed byte of the five appended files: two float vectors,
+    # the ids, the URL bytes and one offset per document.
+    streamed = sum(os.path.getsize(os.path.join(ranked.generation.path, f))
+                   for f in ("scores.bin", "local_scores.bin", "doc_ids.bin",
+                             "urls.bin", "url_offsets.bin")) - 8
+    assert registry.counter_value("generation_bytes_written_total") \
+        - before["generation_bytes_written_total"] == streamed
