@@ -20,11 +20,6 @@ from .layout import (
     align_offset,
     family_nbytes,
 )
-from .linear_solvers import (
-    LinearSolveResult,
-    gauss_seidel_pagerank,
-    jacobi_pagerank,
-)
 from .power_iteration import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -72,9 +67,6 @@ __all__ = [
     "BumpLayout",
     "align_offset",
     "family_nbytes",
-    "LinearSolveResult",
-    "gauss_seidel_pagerank",
-    "jacobi_pagerank",
     "DEFAULT_MAX_ITER",
     "DEFAULT_TOL",
     "PowerIterationResult",

@@ -136,19 +136,33 @@ def _sparse_transition(adjacency, sums: np.ndarray, dangling_idx: np.ndarray,
 
 
 def row_normalize(matrix):
-    """Normalise the rows of a non-negative matrix to sum to 1.
+    """Normalise the rows of a non-negative, finite matrix to sum to 1.
 
     Rows that sum to zero are left untouched (they remain all-zero), which
     makes this helper suitable for *sub-stochastic* matrices; use
-    :func:`transition_matrix` when dangling rows must be repaired.
+    :func:`transition_matrix` when dangling rows must be repaired.  Sparse
+    input comes back as a CSR matrix.  A canonical CSR (sorted indices, no
+    duplicates) keeps its sparsity pattern: each stored entry is scaled by
+    its row's ``1 / sum``, and an entry that underflows stays stored as
+    zero.
     """
     ensure_nonnegative(matrix, name="matrix")
     sums = row_sums(matrix)
     safe = sums.copy()
     safe[safe == 0.0] = 1.0
-    if is_sparse(matrix):
-        return (sp.diags(1.0 / safe) @ matrix.tocsr().astype(float)).tocsr()
-    return np.asarray(matrix, dtype=float) / safe[:, None]
+    if not is_sparse(matrix):
+        return np.asarray(matrix, dtype=float) / safe[:, None]
+    csr = matrix.tocsr()
+    if not csr.has_canonical_format:
+        # The product sums duplicate entries after scaling them, which
+        # scaling the stored entries would not reproduce.
+        return (sp.diags(1.0 / safe) @ csr.astype(float)).tocsr()
+    # Each stored entry times its row's ``1 / sum``: the products the
+    # diagonal matmul forms, without the matmul.
+    scaled = csr.data.astype(float, copy=False) * np.repeat(
+        1.0 / safe, np.diff(csr.indptr))
+    return sp.csr_matrix((scaled, csr.indices.copy(), csr.indptr.copy()),
+                         shape=csr.shape)
 
 
 def is_row_stochastic(matrix, *, atol: float = 1e-8) -> bool:

@@ -310,3 +310,30 @@ class TestCorruptUrlTable:
             rank_outofcore(disk, store)
         store.reload()
         assert store.current is None
+
+
+class TestNonFiniteLinkWeight:
+    """A NaN or infinite link weight in ``blocks.bin`` fails the rank with a
+    ValidationError and publishes nothing — at the parent NaN burned the
+    whole iteration budget and an infinite weight silently emptied its
+    row."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("family", ["site", "sitegraph"])
+    def test_rank_outofcore_fails_and_publishes_nothing(self, disk, tmp_path,
+                                                        family, bad):
+        from repro.engine import rank_outofcore
+        from repro.io import ArtifactStore
+
+        with open(os.path.join(disk.path, MANIFEST_FILE),
+                  encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        csr = (manifest["sites"][0]["adjacency"] if family == "site"
+               else manifest["sitegraph"]["adjacency"])
+        _poke(os.path.join(disk.path, "blocks.bin"), csr["data"]["offset"],
+              np.float64(bad).tobytes())
+        store = ArtifactStore(tmp_path / "store", create=True)
+        with pytest.raises(ValidationError, match="non-negative and finite"):
+            rank_outofcore(open_diskgraph(disk.path), store)
+        store.reload()
+        assert store.current is None

@@ -113,6 +113,30 @@ class TestRowNormalize:
         assert sums[2] == pytest.approx(0.0)
         assert np.allclose(sums[:2], 1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_non_finite_weight_is_rejected(self, bad, sparse):
+        # An infinite weight used to empty its row (``inf * 0`` is pruned),
+        # turning the page dangling without a word; NaN passed the
+        # ``< 0`` check.
+        adjacency = simple_adjacency()
+        adjacency[0, 1] = bad
+        if sparse:
+            adjacency = sp.csr_matrix(adjacency)
+        with pytest.raises(ValidationError, match="non-negative and finite"):
+            row_normalize(adjacency)
+
+    def test_sparse_result_keeps_sorted_indices(self):
+        adjacency = sp.csr_matrix(np.array([[0, 2, 1, 4], [1, 0, 0, 0],
+                                            [0, 0, 0, 0], [3, 0, 5, 0]],
+                                           dtype=float))
+        normalised = row_normalize(adjacency)
+        assert np.array_equal(normalised.indices, adjacency.indices)
+        assert np.array_equal(normalised.indptr, adjacency.indptr)
+        assert normalised.has_canonical_format
+        assert np.array_equal(normalised.toarray(),
+                              row_normalize(adjacency.toarray()))
+
 
 class TestPredicates:
     def test_is_row_stochastic_true(self):

@@ -102,6 +102,16 @@ class TestPageRankBasics:
         with pytest.raises(ValidationError):
             pagerank(FOUR_PAGES, preference=np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_non_finite_link_weight_is_rejected(self, bad, method):
+        # Before: ``inf`` made page 0 dangling and a ranking came back;
+        # NaN ran the whole budget and ended in a ConvergenceError.
+        adjacency = FOUR_PAGES.copy()
+        adjacency[0, 1] = bad
+        with pytest.raises(ValidationError, match="non-negative and finite"):
+            pagerank(sp.csr_matrix(adjacency), method=method)
+
 
 class TestPageRankResultHelpers:
     def test_ranking_is_descending(self):
