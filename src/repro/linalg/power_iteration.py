@@ -205,7 +205,7 @@ def stationary_distribution_dangling_aware(
     The operator (the transposed link matrix) and the dangling indicator
     are built once per solve.  An iteration is one sparse product plus
     in-place updates of that product's output and one scratch vector —
-    nothing else is allocated — and the ``(x_k · d) w`` term is skipped
+    no other vector is allocated — and the ``(x_k · d) w`` term is skipped
     when no row dangles (it would add ``+0.0`` everywhere).  The caller's
     ``start`` is copied, never written to.
 
