@@ -172,6 +172,31 @@ def ensure_solver_budget(tol, max_iter) -> None:
             f"max_iter must be an integer of at least 1, got {max_iter!r}")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(
+        value, (bool, np.bool_))
+
+
+def ensure_doc_id(doc_id) -> int:
+    """Validate a document id: an integer, not a bool or a float.
+
+    A float or ``True`` would otherwise find document ``int(value)``
+    through dict key equality.
+    """
+    if not _is_integer(doc_id):
+        raise ValidationError(
+            f"document id must be an integer, got {doc_id!r}")
+    return int(doc_id)
+
+
+def ensure_top_k(k) -> int:
+    """Validate a top-k length: a non-negative integer, not a bool."""
+    if not _is_integer(k) or k < 0:
+        raise ValidationError(
+            f"k must be a non-negative integer, got {k!r}")
+    return int(k)
+
+
 def ensure_same_length(a: Sequence, b: Sequence, *, name_a: str = "a",
                        name_b: str = "b") -> None:
     """Validate that two sequences have equal length."""

@@ -24,16 +24,21 @@ values reach a worker process is :mod:`repro.engine.arena`'s business,
 never the task's.
 
 Step 3's inputs are the diagonal blocks of the DocGraph numbered site by
-site, and the plan treats them as exactly that: a per-site task holds a
-lazy reference into the graph's one site-major layout
-(:meth:`repro.web.docgraph.DocGraph.site_blocks`), a fused batch is a
-single row-range gather of that layout, and only a dedicated task ever
-cuts its own matrix — no scipy object per site, no global adjacency.
+site, and a plan over a DocGraph (:meth:`RankingPlan.from_docgraph`)
+works on exactly that layout
+(:meth:`repro.web.docgraph.DocGraph.site_blocks`): it schedules from the
+blocks' sizes, builds each fused batch with one row-range gather by site
+index, scatters each batch's packed result into one site-major vector
+and hands step 5 that vector (a :class:`~repro.web.docrank.LocalRanks`).
+Only a site too large to fuse gets a task of its own, holding a lazy
+reference into the layout — no Python object per fused site, no scipy
+object per site, no global adjacency.
 
 This module is the only place that builds step-3 and step-4 tasks:
 :func:`site_tasks_for`, :func:`siterank_task_for` and
-:func:`segment_tasks_for` serve the plan, the out-of-core runner, the
-incremental ranker and the segment pass alike.  They read blocks from any
+:func:`segment_tasks_for` serve the out-of-core runner, the incremental
+ranker and the segment pass alike (a plan over a DocGraph cuts the same
+tasks from its layout, field for field).  They read blocks from any
 **block source** — an object with ``sites()`` and ``local_block(site) ->
 (adjacency, doc_ids)``: :class:`~repro.web.docgraph.DocGraph` (lazy
 references into RAM) or a disk graph's
@@ -55,6 +60,7 @@ import numpy as np
 from .. import obs
 from ..exceptions import GraphStructureError, ValidationError
 from ..linalg.block_solver import (
+    BlockSolveResult,
     PackedBlocks,
     pack_block_vectors,
     pack_blocks,
@@ -62,9 +68,10 @@ from ..linalg.block_solver import (
 )
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
-from ..web.docgraph import DocGraph, SiteBlockRef
+from ..web.docgraph import DocGraph, SiteBlockRef, SiteBlocks
 from ..web.docrank import (
     LocalDocRank,
+    LocalRanks,
     SiteColumns,
     solve_local_columns,
     solve_local_docrank,
@@ -216,17 +223,21 @@ class BatchedSiteTask:
         """Non-zeros of the packed block-diagonal matrix."""
         return int(self.adjacency.nnz)
 
-    def run(self):
-        """Solve every fused site; results in :attr:`sites` order."""
-        offsets = np.asarray(self.offsets, dtype=np.int64)
-        doc_ids = np.asarray(self.doc_ids, dtype=np.int64)
+    def solve(self) -> BlockSolveResult:
+        """Solve every fused site in one run; the packed result."""
         packed = PackedBlocks(
-            matrix=self.adjacency, offsets=offsets,
+            matrix=self.adjacency,
+            offsets=np.asarray(self.offsets, dtype=np.int64),
             start=self.start, preference=self.preference)
-        solved = solve_blocks(packed, self.damping, tol=self.tol,
-                              max_iter=self.max_iter)
+        return solve_blocks(packed, self.damping, tol=self.tol,
+                            max_iter=self.max_iter)
+
+    def run(self):
+        """Solve every fused site; per-site results in :attr:`sites` order."""
+        solved = self.solve()
         results = []
-        all_ids, bounds = doc_ids.tolist(), offsets.tolist()
+        all_ids = np.asarray(self.doc_ids, dtype=np.int64).tolist()
+        bounds = solved.offsets.tolist()
         vectors = solved.vectors  # views into one packed output vector
         # A K-column site resided in the batch as long as its slowest column.
         iterations = (solved.iterations if solved.iterations.ndim == 1
@@ -252,16 +263,46 @@ class BatchedSiteTask:
         return results
 
     @classmethod
+    def from_layout(cls, blocks: SiteBlocks, indices: Sequence[int],
+                    sites: Sequence[str], *,
+                    damping: float = DEFAULT_DAMPING,
+                    tol: float = DEFAULT_TOL,
+                    max_iter: int = DEFAULT_MAX_ITER,
+                    starts: Optional[Sequence] = None,
+                    preferences: Optional[Sequence] = None,
+                    n_vectors: int = 1) -> "BatchedSiteTask":
+        """Fuse some sites of one site-major layout, named by index.
+
+        One row-range gather of *blocks* (:meth:`SiteBlocks.packed`);
+        *sites* names the blocks at *indices*.  *starts* / *preferences*,
+        when given, hold one optional vector (or ``(n, K)`` matrix) per
+        entry of *indices* and are validated and packed alongside.
+        """
+        with obs.span("plan.site_blocks.pack"):
+            matrix, offsets, doc_ids = blocks.packed(indices)
+        sizes = np.diff(offsets)
+        start = preference = None
+        if starts is not None:
+            start = pack_block_vectors(starts, sizes, name="start")
+        if preferences is not None:
+            preference = pack_block_vectors(preferences, sizes,
+                                            name="preference")
+        obs.inc("block_pack_builds_total")
+        return cls(sites=tuple(sites), adjacency=matrix, offsets=offsets,
+                   doc_ids=doc_ids, damping=damping, preference=preference,
+                   tol=tol, max_iter=max_iter, start=start,
+                   n_vectors=n_vectors)
+
+    @classmethod
     def from_tasks(cls, tasks: Sequence[LocalRankTask]) -> "BatchedSiteTask":
         """Fuse per-site tasks (which must share damping/tol/max_iter/K).
 
         Tasks whose adjacencies are references into one
-        :class:`~repro.web.docgraph.SiteBlocks` pack with a single
-        row-range gather of that layout; anything else (mmap'd disk
-        blocks, the SiteRank pseudo-site riding a segment batch) is
-        materialised and concatenated by
-        :func:`~repro.linalg.block_solver.pack_blocks`.  Either way the
-        packed buffers are copies.
+        :class:`~repro.web.docgraph.SiteBlocks` pack through
+        :meth:`from_layout`; anything else (mmap'd disk blocks, the
+        SiteRank pseudo-site riding a segment batch) is materialised and
+        concatenated by :func:`~repro.linalg.block_solver.pack_blocks`.
+        Either way the packed buffers are copies.
         """
         if not tasks:
             raise ValidationError("cannot batch zero site tasks")
@@ -275,28 +316,23 @@ class BatchedSiteTask:
         refs = [task.adjacency for task in tasks]
         if all(isinstance(ref, SiteBlockRef) and ref.blocks is refs[0].blocks
                for ref in refs):
-            with obs.span("plan.site_blocks.pack"):
-                matrix, offsets, doc_ids = refs[0].blocks.packed(
-                    [ref.index for ref in refs])
-            sizes = np.diff(offsets)
-            start = pack_block_vectors([task.start for task in tasks],
-                                       sizes, name="start")
-            preference = pack_block_vectors(
-                [task.preference for task in tasks], sizes,
-                name="preference")
-        else:
-            doc_ids = np.concatenate([
-                np.asarray(task.doc_ids, dtype=np.int64) for task in tasks])
-            packed = pack_blocks([(task.adjacency.tocsr(), task.start,
-                                   task.preference) for task in tasks])
-            matrix, offsets = packed.matrix, packed.offsets
-            start, preference = packed.start, packed.preference
+            return cls.from_layout(
+                refs[0].blocks, [ref.index for ref in refs],
+                [task.site for task in tasks], damping=head.damping,
+                tol=head.tol, max_iter=head.max_iter,
+                starts=[task.start for task in tasks],
+                preferences=[task.preference for task in tasks],
+                n_vectors=head.n_vectors)
+        doc_ids = np.concatenate([
+            np.asarray(task.doc_ids, dtype=np.int64) for task in tasks])
+        packed = pack_blocks([(task.adjacency.tocsr(), task.start,
+                               task.preference) for task in tasks])
         obs.inc("block_pack_builds_total")
         return cls(sites=tuple(task.site for task in tasks),
-                   adjacency=matrix, offsets=offsets,
+                   adjacency=packed.matrix, offsets=packed.offsets,
                    doc_ids=doc_ids, damping=head.damping,
-                   preference=preference, tol=head.tol,
-                   max_iter=head.max_iter, start=start,
+                   preference=packed.preference, tol=head.tol,
+                   max_iter=head.max_iter, start=packed.start,
                    n_vectors=head.n_vectors)
 
 
@@ -372,6 +408,11 @@ RankTask = Union[LocalRankTask, SiteRankTask, BatchedSiteTask]
 def run_task(task: RankTask):
     """Execute one engine task (module-level so process pools can pickle it)."""
     return task.run()
+
+
+def solve_task(task: RankTask):
+    """:func:`run_task`, but a fused batch answers its packed result."""
+    return task.solve() if isinstance(task, BatchedSiteTask) else task.run()
 
 
 def execute_tasks(tasks: Sequence[RankTask], *,
@@ -506,6 +547,86 @@ def collect_site_results(payload: Sequence["RankTask"],
     return by_site
 
 
+@dataclass(frozen=True)
+class _LayoutStep:
+    """Step 3 of a plan, read straight off a DocGraph's site-major layout.
+
+    Sites are the layout's, by index.  ``starts`` / ``preferences`` hold
+    one optional vector per site, or are ``None`` when no site has one —
+    the default fit, which then packs no vector at all.
+    """
+
+    blocks: SiteBlocks
+    sites: List[str]
+    damping: float
+    tol: float
+    max_iter: int
+    starts: Optional[List[Optional[np.ndarray]]] = None
+    preferences: Optional[List[Optional[np.ndarray]]] = None
+
+    def doc_ids(self, index: int) -> Tuple[int, ...]:
+        """The document ids of one site, in its block's row order."""
+        offsets = self.blocks.offsets
+        return self.blocks.doc_ids[offsets[index]:offsets[index + 1]]
+
+    def with_starts(self, warm: WarmSource) -> "_LayoutStep":
+        """This step with every site's start taken from *warm*."""
+        return replace(self, starts=[warm.local_start(site, self.doc_ids(i))
+                                     for i, site in enumerate(self.sites)])
+
+    def task(self, index: int) -> LocalRankTask:
+        """The dedicated task of one site (what ``site_tasks_for`` builds)."""
+        return LocalRankTask(
+            site=self.sites[index],
+            adjacency=SiteBlockRef(self.blocks, index),
+            doc_ids=self.doc_ids(index), damping=self.damping,
+            preference=_pick(self.preferences, index), tol=self.tol,
+            max_iter=self.max_iter, start=_pick(self.starts, index))
+
+    def payload(self) -> Tuple[List["RankTask"], list]:
+        """The fused and dedicated tasks, with where each result goes.
+
+        :func:`fuse_schedule` over the layout's block sizes; each chunk is
+        one :meth:`BatchedSiteTask.from_layout` gather (its place: the
+        chunk's site indices), each dedicated site a :class:`LocalRankTask`
+        (its place: the site index).
+        """
+        chunks, dedicated = fuse_schedule(
+            np.diff(self.blocks.offsets).tolist(),
+            max_docs=BATCH_SITE_MAX_DOCS, target_docs=BATCH_TARGET_DOCS)
+        tasks: List[RankTask] = [
+            BatchedSiteTask.from_layout(
+                self.blocks, chunk, [self.sites[i] for i in chunk],
+                damping=self.damping, tol=self.tol, max_iter=self.max_iter,
+                starts=_pick_all(self.starts, chunk),
+                preferences=_pick_all(self.preferences, chunk))
+            for chunk in chunks]
+        tasks.extend(self.task(index) for index in dedicated)
+        return tasks, [*chunks, *dedicated]
+
+    def collect(self, places: list, results: Sequence) -> LocalRanks:
+        """Scatter :meth:`payload`'s results into one site-major vector."""
+        offsets = self.blocks.offsets
+        scores = np.empty(int(offsets[-1]))
+        iterations = np.empty(len(self.sites), dtype=np.int64)
+        for place, result in zip(places, results):
+            if isinstance(result, BlockSolveResult):
+                scores[self.blocks.rows(place)[0]] = result.values
+            else:
+                scores[offsets[place]:offsets[place + 1]] = result.scores
+            iterations[place] = result.iterations
+        return LocalRanks(self.sites, self.blocks.doc_ids, scores, offsets,
+                          iterations)
+
+
+def _pick(values: Optional[list], index: int):
+    return None if values is None else values[index]
+
+
+def _pick_all(values: Optional[list], indices: Sequence[int]):
+    return None if values is None else [values[i] for i in indices]
+
+
 @dataclass
 class PlanExecution:
     """Everything one :meth:`RankingPlan.execute` run produced.
@@ -513,7 +634,8 @@ class PlanExecution:
     Attributes
     ----------
     local:
-        Per-site local DocRanks, keyed by site, in plan (site) order.
+        Per-site local DocRanks held site-major, in plan (site) order: a
+        read-only mapping whose entries are views built on access.
     siterank:
         The SiteRank computed at step 4.
     wall_seconds:
@@ -526,7 +648,7 @@ class PlanExecution:
         far below ``n_sites + 1``.
     """
 
-    local: Dict[str, LocalDocRank]
+    local: LocalRanks
     siterank: SiteRankResult
     wall_seconds: float
     executor_name: str
@@ -535,19 +657,19 @@ class PlanExecution:
     @property
     def total_iterations(self) -> int:
         """Power iterations summed over every task of the batch."""
-        return self.siterank.iterations + sum(
-            rank.iterations for rank in self.local.values())
+        return self.siterank.iterations + self.local.total_iterations
 
 
 class RankingPlan:
     """The layered method's step-3/4/5 dependency graph over one DocGraph.
 
     Construction performs the cheap serial steps (step 2's SiteGraph
-    aggregation and the per-site subgraph extraction); :meth:`execute`
-    dispatches the concurrent steps through an executor and returns at the
-    step-5 barrier.  The plan itself is immutable once built, so one plan
-    can be executed on several backends — the determinism-guard tests do
-    exactly that and require bitwise-identical results.
+    aggregation; for a plan :meth:`from_docgraph` builds, capturing the
+    graph's site-major layout); :meth:`execute` dispatches the concurrent
+    steps through an executor and returns at the step-5 barrier.  The plan
+    itself is immutable once built, so one plan can be executed on several
+    backends — the determinism-guard tests do exactly that and require
+    bitwise-identical results.
     """
 
     def __init__(self, sitegraph: SiteGraph,
@@ -558,8 +680,17 @@ class RankingPlan:
             raise ValidationError(
                 "site tasks must cover exactly the SiteGraph's sites")
         self.sitegraph = sitegraph
-        self.site_tasks = list(site_tasks)
         self.siterank_task = siterank_task
+        self._site_tasks: Optional[List[LocalRankTask]] = list(site_tasks)
+        self._layout: Optional[_LayoutStep] = None
+
+    @classmethod
+    def _over_layout(cls, sitegraph: SiteGraph, layout: _LayoutStep,
+                     siterank_task: SiteRankTask) -> "RankingPlan":
+        plan = cls.__new__(cls)
+        plan.sitegraph, plan.siterank_task = sitegraph, siterank_task
+        plan._site_tasks, plan._layout = None, layout
+        return plan
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -573,7 +704,12 @@ class RankingPlan:
                       max_iter: int = DEFAULT_MAX_ITER,
                       warm: Optional[WarmStartState] = None
                       ) -> "RankingPlan":
-        """Build the plan for a DocGraph (steps 1–2 happen here, serially)."""
+        """Build the plan for a DocGraph (steps 1–2 happen here, serially).
+
+        Step 3 is scheduled from the graph's
+        :meth:`~repro.web.docgraph.DocGraph.site_blocks` at execution: no
+        per-site task exists unless :attr:`site_tasks` is read.
+        """
         if docgraph.n_documents == 0:
             raise GraphStructureError("cannot plan over an empty DocGraph")
         if site_damping is None:
@@ -581,24 +717,42 @@ class RankingPlan:
         with obs.span(obs.PHASE_PLAN_BUILD):
             sitegraph = aggregate_sitegraph(
                 docgraph, include_self_links=include_site_self_links)
-            tasks = site_tasks_for(docgraph, damping,
-                                   preferences=document_preferences,
-                                   tol=tol, max_iter=max_iter, warm=warm)
+            sites = sitegraph.sites
+            preferences = None
+            if document_preferences:
+                preferences = [document_preferences.get(site)
+                               for site in sites]
+            layout = _LayoutStep(docgraph.site_blocks(), sites, damping,
+                                 tol, max_iter, preferences=preferences)
+            if warm is not None:
+                layout = layout.with_starts(warm)
             siterank_task = siterank_task_for(
                 sitegraph, site_damping, preference=site_preference,
                 tol=tol, max_iter=max_iter, warm=warm)
-        return cls(sitegraph, tasks, siterank_task)
+        return cls._over_layout(sitegraph, layout, siterank_task)
 
     # ------------------------------------------------------------------ #
     @property
+    def site_tasks(self) -> List[LocalRankTask]:
+        """The step-3 tasks, one per site.
+
+        A plan over a layout builds them on first read (as
+        :func:`site_tasks_for` would); :meth:`execute` never reads them.
+        """
+        if self._site_tasks is None:
+            self._site_tasks = [self._layout.task(index)
+                                for index in range(len(self._layout.sites))]
+        return self._site_tasks
+
+    @property
     def n_sites(self) -> int:
         """Number of step-3 tasks."""
-        return len(self.site_tasks)
+        return len(self.sitegraph.sites)
 
     @property
     def n_tasks(self) -> int:
         """Total tasks of the concurrent batch (sites + the SiteRank)."""
-        return len(self.site_tasks) + 1
+        return self.n_sites + 1
 
     def task_for(self, site: str) -> LocalRankTask:
         """The step-3 task of one site."""
@@ -609,12 +763,16 @@ class RankingPlan:
 
     def with_warm_state(self, warm: WarmStartState) -> "RankingPlan":
         """A copy of this plan re-seeded from *warm* (tasks otherwise equal)."""
-        tasks = [replace(task,
-                         start=warm.local_start(task.site, task.doc_ids))
-                 for task in self.site_tasks]
         siterank_task = replace(
             self.siterank_task,
             start=warm.siterank_start(self.sitegraph.sites))
+        if self._layout is not None:
+            return self._over_layout(self.sitegraph,
+                                     self._layout.with_starts(warm),
+                                     siterank_task)
+        tasks = [replace(task,
+                         start=warm.local_start(task.site, task.doc_ids))
+                 for task in self.site_tasks]
         return RankingPlan(self.sitegraph, tasks, siterank_task)
 
     # ------------------------------------------------------------------ #
@@ -625,11 +783,14 @@ class RankingPlan:
 
         The SiteRank task is submitted *first* so that on parallel
         backends the single site-level computation overlaps the per-site
-        work instead of trailing it.  Results are keyed back to their
-        tasks by position, so scheduling order never affects the output.
-        Small sites are fused into block-diagonal :class:`BatchedSiteTask`
-        payloads at dispatch time (:func:`fuse_schedule` decides from the
-        sizes alone) and their results spliced back per site.
+        work instead of trailing it.  Small sites are fused into
+        block-diagonal :class:`BatchedSiteTask` payloads at dispatch time
+        (:func:`fuse_schedule` decides from the sizes alone).  A plan over
+        a layout gathers each batch by site index and scatters each
+        batch's packed result into one site-major vector; a plan of
+        explicit tasks batches them with :func:`batch_site_tasks` and
+        concatenates the results in task order.  Scheduling order never
+        affects the output.
 
         When *warm* is given, the execution also records every converged
         vector back into it, making consecutive executions resume from
@@ -637,7 +798,10 @@ class RankingPlan:
         """
         plan = self if warm is None else self.with_warm_state(warm)
         resolved, owned = resolve_executor(executor, n_jobs)
-        site_payload = batch_site_tasks(plan.site_tasks)
+        if plan._layout is None:
+            site_payload, places = batch_site_tasks(plan.site_tasks), None
+        else:
+            site_payload, places = plan._layout.payload()
         batch: List[RankTask] = [plan.siterank_task, *site_payload]
         obs.inc("plan_executions_total", executor=resolved.name)
         obs.observe("plan_batch_tasks", float(len(batch)),
@@ -645,14 +809,19 @@ class RankingPlan:
         started = time.perf_counter()
         try:
             with obs.span(obs.PHASE_PLAN_EXECUTE):
-                results = resolved.map(run_task, batch)
+                results = resolved.map(
+                    run_task if places is None else solve_task, batch)
         finally:
             if owned:
                 resolved.close()
         wall_seconds = time.perf_counter() - started
         site_result: SiteRankResult = results[0]
-        by_site = collect_site_results(site_payload, results[1:])
-        local = {task.site: by_site[task.site] for task in plan.site_tasks}
+        if places is None:
+            by_site = collect_site_results(site_payload, results[1:])
+            local = LocalRanks.from_ranks([by_site[task.site]
+                                           for task in plan.site_tasks])
+        else:
+            local = plan._layout.collect(places, results[1:])
         if warm is not None:
             for site, rank in local.items():
                 warm.record_local(site, rank.doc_ids, rank.scores)

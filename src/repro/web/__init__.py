@@ -4,6 +4,7 @@ from .diagnostics import GraphDiagnostics, SiteDiagnostics, diagnose
 from .docgraph import DocGraph, Document
 from .docrank import (
     LocalDocRank,
+    LocalRanks,
     SiteColumns,
     all_local_docranks,
     local_docrank,
@@ -37,6 +38,7 @@ __all__ = [
     "IncrementalLayeredRanker",
     "UpdateReport",
     "LocalDocRank",
+    "LocalRanks",
     "SiteColumns",
     "all_local_docranks",
     "local_docrank",

@@ -17,6 +17,7 @@ from __future__ import annotations
 from array import array
 from copy import copy
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -95,6 +96,26 @@ class SiteBlocks:
             shape=self.matrix.shape))
         return patched
 
+    @cached_property
+    def doc_ids(self) -> Tuple[int, ...]:
+        """:attr:`order` as Python ints, built once per layout."""
+        return tuple(self.order.tolist())
+
+    def rows(self, sites: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Site-major positions of some sites' rows, and their boundaries.
+
+        The rows of the named sites (by index, in the order given) as one
+        position array, plus the ``int64`` boundaries of each site's run
+        in it: where a packed batch of those sites reads its rows from,
+        and where its results go back to.
+        """
+        sites = np.asarray(sites, dtype=np.int64)
+        low = self.offsets[sites]
+        sizes = self.offsets[sites + 1] - low
+        offsets = np.pad(np.cumsum(sizes), (1, 0))
+        return np.arange(offsets[-1]) + np.repeat(low - offsets[:-1],
+                                                  sizes), offsets
+
     def packed(self, sites: Sequence[int]
                ) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """``(matrix, offsets, doc_ids)`` of some sites' blocks, packed.
@@ -104,14 +125,11 @@ class SiteBlocks:
         source), its ``int64`` block boundaries and the document id of
         every packed row.
         """
-        sites = np.asarray(sites, dtype=np.int64)
-        source, low = self.matrix, self.offsets[sites]
-        sizes = self.offsets[sites + 1] - low
-        offsets = np.pad(np.cumsum(sizes), (1, 0))
-        # Source row of every packed row, then source entry of every
-        # packed entry; columns move by their row's shift.
-        shift = np.repeat(low - offsets[:-1], sizes)
-        rows = np.arange(offsets[-1]) + shift
+        source = self.matrix
+        rows, offsets = self.rows(sites)
+        # Source entry of every packed entry; columns move by their
+        # row's shift.
+        shift = rows - np.arange(rows.size)
         counts = source.indptr[rows + 1] - source.indptr[rows]
         indptr = np.pad(np.cumsum(counts, dtype=counts.dtype), (1, 0))
         entries = np.arange(indptr[-1]) + np.repeat(

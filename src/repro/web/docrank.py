@@ -17,11 +17,14 @@ solver that small sites ride.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from .._validation import ensure_doc_id
 from ..exceptions import ValidationError
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
@@ -65,6 +68,7 @@ class LocalDocRank:
 
     def score_of(self, doc_id: int) -> float:
         """Local DocRank value of a global document id."""
+        ensure_doc_id(doc_id)
         if self._position is None:
             self._position = {doc: i for i, doc in enumerate(self.doc_ids)}
         try:
@@ -75,27 +79,100 @@ class LocalDocRank:
             ) from None
 
     def top_k(self, k: int) -> List[int]:
-        """The ``k`` best documents of the site (global ids), best first.
-
-        For ``k ≪ n`` (the serving layer's per-shard rebuild pattern) this
-        avoids a full ``O(n log n)`` sort: an ``O(n)`` partition finds the
-        k-th score, only the candidates at or above it are sorted, and
-        ties are broken by local position exactly like the historical full
-        ``np.lexsort`` — including ties *across* the cut, which the
-        candidate set keeps in full so the deterministic tie-break decides
-        them, not the partition's arbitrary placement.
-        """
-        n = self.scores.size
+        """The ``k`` best documents of the site (global ids), best first."""
         if k <= 0:
             return []
-        if k < n:
-            cutoff = np.partition(self.scores, n - k)[n - k]
-            candidates = np.flatnonzero(self.scores >= cutoff)
-            order = candidates[np.lexsort((candidates,
-                                           -self.scores[candidates]))]
-        else:
-            order = np.lexsort((np.arange(n), -self.scores))
-        return [self.doc_ids[int(i)] for i in order[:k]]
+        return [self.doc_ids[int(i)] for i in best_positions(self.scores, k)]
+
+
+def best_positions(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` best *scores*, best first, ties by position.
+
+    The order of a full ``np.lexsort((positions, -scores))`` cut at *k*,
+    without the full sort when ``k < n`` (the serving layer's per-shard
+    rebuild pattern): an ``O(n)`` partition finds the k-th score, and
+    only the pool at or above it is sorted — ties *across* the cut
+    included, so the position tie-break decides them, not the partition's
+    arbitrary placement.  ``-0.0`` ties ``0.0`` as it does in the sort.
+    """
+    negated = -np.asarray(scores, dtype=float)
+    n = negated.size
+    if k < n:
+        cutoff = np.partition(negated, k - 1)[k - 1]
+        if not np.isnan(cutoff):
+            pool = np.flatnonzero(negated <= cutoff)
+            return pool[np.lexsort((pool, negated[pool]))][:k]
+    return np.lexsort((np.arange(n), negated))[:k]
+
+
+class LocalRanks(Mapping):
+    """Every site's local DocRank at once, held site-major.
+
+    One score vector over all documents in the site-major order of
+    :class:`~repro.web.docgraph.SiteBlocks`, the matching document ids,
+    the ``n_sites + 1`` site boundaries and one iteration count per site.
+    As a read-only mapping ``site -> LocalDocRank`` it builds each
+    :class:`LocalDocRank` on access, as a view of the site's range, so
+    holding every site's result costs no Python object per site.
+    """
+
+    def __init__(self, sites: Sequence[str], doc_ids: Sequence[int],
+                 scores: np.ndarray, offsets: np.ndarray,
+                 iterations: np.ndarray) -> None:
+        if not (len(doc_ids) == scores.size == int(offsets[-1])
+                and len(sites) + 1 == offsets.size == iterations.size + 1):
+            raise ValidationError(
+                "sites, doc_ids, scores, offsets and iterations must align")
+        self.sites = sites
+        self.doc_ids = doc_ids
+        self.scores = scores
+        self.offsets = offsets
+        self.iterations = iterations
+        self._index: Optional[Dict[str, int]] = None
+
+    @classmethod
+    def from_ranks(cls, ranks: Sequence[LocalDocRank]) -> "LocalRanks":
+        """Concatenate per-site results, in the order given."""
+        sizes = [rank.scores.size for rank in ranks]
+        return cls([rank.site for rank in ranks],
+                   list(chain.from_iterable(rank.doc_ids for rank in ranks)),
+                   np.concatenate([rank.scores for rank in ranks]),
+                   np.pad(np.cumsum(sizes, dtype=np.int64), (1, 0)),
+                   np.array([rank.iterations for rank in ranks],
+                            dtype=np.int64))
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Documents per site, in :attr:`sites` order."""
+        return np.diff(self.offsets)
+
+    @property
+    def total_iterations(self) -> int:
+        """Power iterations summed over the sites."""
+        return int(self.iterations.sum())
+
+    def _site_index(self, site: str) -> Optional[int]:
+        if self._index is None:
+            self._index = {name: index for index, name in enumerate(self.sites)}
+        return self._index.get(site)
+
+    def __getitem__(self, site: str) -> LocalDocRank:
+        index = self._site_index(site)
+        if index is None:
+            raise KeyError(site)
+        low, high = int(self.offsets[index]), int(self.offsets[index + 1])
+        return LocalDocRank(site=site, doc_ids=list(self.doc_ids[low:high]),
+                            scores=self.scores[low:high],
+                            iterations=int(self.iterations[index]))
+
+    def __contains__(self, site: object) -> bool:
+        return isinstance(site, str) and self._site_index(site) is not None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.sites)
+
+    def __len__(self) -> int:
+        return len(self.sites)
 
 
 @dataclass

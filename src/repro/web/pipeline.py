@@ -23,14 +23,13 @@ model — a fact the integration tests verify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .. import obs
-from .._validation import normalize_distribution
+from .._validation import ensure_doc_id, ensure_top_k, normalize_distribution
 from ..exceptions import GraphStructureError, ValidationError
 from ..core.lmm import LayeredMarkovModel, Phase
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
@@ -39,7 +38,7 @@ from ..markov.irreducibility import DEFAULT_DAMPING
 from ..pagerank.pagerank import pagerank
 from ..pagerank.personalized import preference_from_weights
 from .docgraph import DocGraph
-from .docrank import LocalDocRank, SiteColumns
+from .docrank import LocalDocRank, LocalRanks, SiteColumns, best_positions
 from .sitegraph import SiteGraph, aggregate_sitegraph
 from .siterank import SiteRankResult
 
@@ -63,7 +62,10 @@ class WebRankingResult:
     siterank:
         The SiteRank used (layered method only).
     local_docranks:
-        The per-site local DocRanks (layered method only).
+        The per-site local DocRanks (layered method only), a mapping
+        ``site -> LocalDocRank``; a fit's is a
+        :class:`~repro.web.docrank.LocalRanks`, whose entries are views
+        built on access.
     iterations:
         Total power iterations: for the layered method the sum over sites
         plus the SiteRank iterations, for the flat baseline the global run.
@@ -87,7 +89,7 @@ class WebRankingResult:
     scores: np.ndarray
     method: str
     siterank: Optional[SiteRankResult] = None
-    local_docranks: Optional[Dict[str, LocalDocRank]] = None
+    local_docranks: Optional[Mapping[str, LocalDocRank]] = None
     iterations: int = 0
     timings: Dict[str, float] = field(default_factory=dict)
     segments: Tuple[str, ...] = ()
@@ -119,6 +121,7 @@ class WebRankingResult:
 
     def score_of(self, doc_id: int) -> float:
         """Global score of a document id."""
+        ensure_doc_id(doc_id)
         if self._position is None:
             self._position = {doc: i for i, doc in enumerate(self.doc_ids)}
         try:
@@ -128,10 +131,9 @@ class WebRankingResult:
 
     def scores_by_doc_id(self) -> np.ndarray:
         """Scores re-indexed by document id (position ``i`` = document ``i``)."""
-        n = max(self.doc_ids) + 1 if self.doc_ids else 0
-        vector = np.zeros(n, dtype=float)
-        for position, doc_id in enumerate(self.doc_ids):
-            vector[doc_id] = self.scores[position]
+        doc_ids = np.asarray(self.doc_ids, dtype=np.int64)
+        vector = np.zeros(int(doc_ids.max()) + 1 if doc_ids.size else 0)
+        vector[doc_ids] = self.scores
         return vector
 
     def segment_index(self, segment: str) -> int:
@@ -155,44 +157,72 @@ class WebRankingResult:
         return self.segment_scores(segment)
 
     def top_k(self, k: int, *, segment: Optional[str] = None) -> List[int]:
-        """The ``k`` best document ids, best first (per segment if named)."""
-        scores = self._ranking_scores(segment)
-        order = np.lexsort((np.arange(scores.size), -scores))
-        return [self.doc_ids[int(i)] for i in order[:k]]
+        """The ``k`` best document ids, best first (per segment if named).
+
+        Ties keep score order position; *k* is a non-negative integer and
+        may exceed the documents ranked.
+        """
+        positions = best_positions(self._ranking_scores(segment),
+                                   ensure_top_k(k))
+        return [self.doc_ids[i] for i in positions.tolist()]
 
     def top_k_urls(self, k: int, *,
                    segment: Optional[str] = None) -> List[str]:
         """The ``k`` best document URLs, best first — the paper's Figure 3/4 lists."""
-        scores = self._ranking_scores(segment)
-        order = np.lexsort((np.arange(scores.size), -scores))
-        return [self.urls[int(i)] for i in order[:k]]
+        positions = best_positions(self._ranking_scores(segment),
+                                   ensure_top_k(k))
+        return [self.urls[i] for i in positions.tolist()]
+
+
+def compose_local_ranks(docgraph: DocGraph, site_result: SiteRankResult,
+                        local: LocalRanks, *, method: str,
+                        iterations: int = 0,
+                        site_scores: Optional[np.ndarray] = None,
+                        local_docranks: Optional[Mapping] = None
+                        ) -> WebRankingResult:
+    """Step 5: the ``π_S(s) · π_D(s)`` weighting, one multiply for the web.
+
+    *local* holds every site's local DocRank site-major; each site's range
+    is weighted by its SiteRank score (*site_scores*, aligned with
+    ``local.sites``; by default ``site_result.scores``, whose sites must
+    then be ``local.sites``).  The result carries *local_docranks*, by
+    default *local* itself.
+    """
+    if site_scores is None:
+        if list(site_result.sites) != list(local.sites):
+            raise ValidationError(
+                "the SiteRank and the local DocRanks cover different sites")
+        site_scores = site_result.scores
+    weighted = local.scores * np.repeat(site_scores, local.sizes)
+    # The composition is a probability distribution by Theorem 1; renormalise
+    # only to absorb floating point drift.
+    scores = normalize_distribution(weighted, name="layered DocRank")
+    doc_ids = list(local.doc_ids)
+    urls = list(map(docgraph.registry.urls.__getitem__, doc_ids))
+    return WebRankingResult(
+        doc_ids=doc_ids, urls=urls, scores=scores, method=method,
+        siterank=site_result, iterations=iterations,
+        local_docranks=local if local_docranks is None else local_docranks)
 
 
 def compose_ranking(docgraph: DocGraph, sites: List[str],
                     site_result: SiteRankResult,
-                    local: Dict[str, LocalDocRank], *,
+                    local: Mapping[str, LocalDocRank], *,
                     method: str, iterations: int = 0) -> WebRankingResult:
-    """Step 5: the ``π_S(s) · π_D(s)`` weighted concatenation.
+    """Step 5 over per-site results: :func:`compose_local_ranks` in *sites* order.
 
-    Shared by the centralized pipeline, the incremental ranker and the
-    distributed coordinator's flat aggregation, so those layers compose in
-    the same (site-major) order with the same floating point operations.
-    (The super-peer architecture deliberately composes on the peers and
-    only reassembles shards at the coordinator.)
+    Shared by the incremental ranker and the distributed coordinators'
+    flat aggregation, so every layer composes in the same (site-major)
+    order with the same floating point operations as a fit.  (The
+    super-peer architecture deliberately composes on the peers and only
+    reassembles shards at the coordinator.)
     """
-    ranks = [local[site] for site in sites]
-    doc_ids = list(chain.from_iterable(rank.doc_ids for rank in ranks))
-    site_scores = np.array([site_result.score_of(site) for site in sites])
-    weighted = (np.concatenate([rank.scores for rank in ranks])
-                * np.repeat(site_scores, [rank.scores.size for rank in ranks]))
-    # The composition is a probability distribution by Theorem 1; renormalise
-    # only to absorb floating point drift.
-    scores = normalize_distribution(weighted, name="layered DocRank")
-    all_urls = docgraph.registry.urls
-    urls = [all_urls[doc_id] for doc_id in doc_ids]
-    return WebRankingResult(doc_ids=doc_ids, urls=urls, scores=scores,
-                            method=method, siterank=site_result,
-                            local_docranks=local, iterations=iterations)
+    return compose_local_ranks(
+        docgraph, site_result,
+        LocalRanks.from_ranks([local[site] for site in sites]),
+        method=method, iterations=iterations,
+        site_scores=np.array([site_result.score_of(site) for site in sites]),
+        local_docranks=local)
 
 
 #: Pseudo-site key under which the SiteRank block rides a fused segment
@@ -426,10 +456,9 @@ def _layered_docrank(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
         method = "layered-personalized"
     compose_started = perf_counter()
     with obs.span(obs.PHASE_PLAN_COMPOSE):
-        result = compose_ranking(docgraph, plan.sitegraph.sites,
-                                 execution.siterank, execution.local,
-                                 method=method,
-                                 iterations=execution.total_iterations)
+        result = compose_local_ranks(docgraph, execution.siterank,
+                                     execution.local, method=method,
+                                     iterations=execution.total_iterations)
     result.timings = {
         obs.PHASE_PLAN_BUILD: build_seconds,
         obs.PHASE_PLAN_EXECUTE: execution.wall_seconds,

@@ -11,11 +11,21 @@ costs several times that.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from fit_oracle import oracle_fit
 from repro.api import Ranker
+from repro.engine import plan
+from repro.engine.plan import (
+    BATCH_SITE_MAX_DOCS,
+    BATCH_TARGET_DOCS,
+    LocalRankTask,
+)
 from repro.graphgen import generate_synthetic_web
 from repro.web import docrank, pipeline
+from repro.web.docgraph import SiteBlockRef
+from repro.web.docrank import LocalDocRank
 
 #: Bytes per document the result modules may keep alive after a fit: the
 #: two pointer lists of the composed ranking plus list over-allocation.
@@ -63,3 +73,79 @@ def test_score_of_builds_the_map_on_first_use(toy_docgraph):
     assert ranking.score_of(doc) == float(ranking.scores[3])
     assert local.score_of(local.doc_ids[-1]) == float(local.scores[-1])
     assert ranking._position is not None and local._position is not None
+
+
+def _with_big_site(graph, n_pages=600):
+    """*graph* plus one site over ``BATCH_SITE_MAX_DOCS`` (a ring of pages)."""
+    pages = [f"http://big.example.org/p{i}.html" for i in range(n_pages)]
+    for source, target in zip(pages, pages[1:] + pages[:1]):
+        graph.add_link(source, target)
+    return graph
+
+
+def _count_constructions(monkeypatch, graph):
+    """Patch the per-site classes to record the site each one is built for."""
+    built = []
+
+    def record(cls, site_of):
+        original = cls.__init__
+
+        def init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append((cls.__name__, site_of(self)))
+        monkeypatch.setattr(cls, "__init__", init)
+
+    sites = graph.sites()
+    record(LocalRankTask, lambda task: task.site)
+    record(SiteBlockRef, lambda ref: sites[ref.index])
+    record(LocalDocRank, lambda rank: rank.site)
+    return built
+
+
+def test_a_fit_builds_no_per_site_object_for_fused_sites(monkeypatch):
+    graph = _with_big_site(
+        generate_synthetic_web(n_sites=199, n_documents=3400, seed=4))
+    sizes = graph.site_sizes()
+    dedicated = [site for site, size in sizes.items()
+                 if size > BATCH_SITE_MAX_DOCS]
+    assert len(sizes) == 200 and dedicated == ["big.example.org"]
+    Ranker().fit(graph)  # the site layout, outside the count
+    built = _count_constructions(monkeypatch, graph)
+    ranking = Ranker().fit(graph).ranking
+    assert sorted(built) == [("LocalDocRank", dedicated[0]),
+                             ("LocalRankTask", dedicated[0]),
+                             ("SiteBlockRef", dedicated[0])]
+    # Read back, every site's local DocRank is the per-site chain's.
+    monkeypatch.undo()
+    want = oracle_fit(graph, max_docs=BATCH_SITE_MAX_DOCS,
+                      target_docs=BATCH_TARGET_DOCS).local_docranks
+    for site in graph.sites():
+        local = ranking.local_docranks[site]
+        assert local.doc_ids == want[site].doc_ids
+        assert np.array_equal(local.scores, want[site].scores)
+        assert local.iterations == want[site].iterations
+
+
+def _held_after_fit(graph) -> int:
+    """Bytes the result modules and the plan still hold after a fit."""
+    Ranker().fit(graph)
+    tracemalloc.start(1)
+    try:
+        result = Ranker().fit(graph)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    del result
+    held = snapshot.filter_traces([
+        tracemalloc.Filter(True, module.__file__)
+        for module in (docrank, pipeline, plan)])
+    return sum(stat.size for stat in held.statistics("filename"))
+
+
+def test_fit_results_do_not_grow_with_the_site_count():
+    few, many = (generate_synthetic_web(n_sites=n_sites, n_documents=4000,
+                                        seed=4) for n_sites in (20, 400))
+    assert few.n_documents == many.n_documents
+    # One int64 iteration count per site is all a site may add; a
+    # LocalDocRank with its id list costs ten times that.
+    assert _held_after_fit(many) <= _held_after_fit(few) + 16 * (400 - 20)
