@@ -397,14 +397,15 @@ def _layered_docrank(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
     """Run the full 5-step Layered Method for DocRank on a DocGraph.
 
     The method is executed as a :class:`repro.engine.RankingPlan`: step 3's
-    per-site DocRank tasks and step 4's SiteRank task run as one concurrent
-    batch, and step 5 composes at the batch's barrier.  The default
-    (serial) backend performs exactly the operations the historical serial
-    loop performed, in the same order.  On a process backend the run
-    builds one shared-memory :class:`~repro.engine.arena.GraphArena` for
-    the batch — every site's local adjacency and the SiteGraph are laid
-    into it once, workers attach zero-copy, and the arena is unlinked at
-    the barrier — so dispatch cost does not scale with the web's size.
+    fused batches (cut from the DocGraph's site-major layout) and
+    dedicated large-site tasks run with step 4's SiteRank task as one
+    concurrent batch, and step 5 composes the site-major result at the
+    batch's barrier with one multiply (:func:`compose_local_ranks`).  On
+    a process backend the run builds one shared-memory
+    :class:`~repro.engine.arena.GraphArena` for the batch — the packed
+    matrices and the SiteGraph are laid into it once, workers attach
+    zero-copy, and the arena is unlinked at the barrier — so dispatch
+    cost does not scale with the web's size.
 
     Parameters
     ----------
