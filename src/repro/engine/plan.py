@@ -344,8 +344,9 @@ def fuse_schedule(sizes: Sequence[int], *, max_docs: int, target_docs: int
     *max_docs* are dedicated; the rest fuse in order, a chunk flushing
     whenever the next entry would take it past *target_docs*; a *trailing*
     chunk of one has nothing to amortise and is dedicated too (a
-    mid-stream flush of one stays fused).  :func:`batch_site_tasks` and
-    :func:`repro.engine.outofcore.plan_solve_units` both schedule with it,
+    mid-stream flush of one stays fused).  :func:`batch_site_tasks`, a
+    plan over a DocGraph's layout and
+    :func:`repro.engine.outofcore.plan_solve_units` all schedule with it,
     which is what keeps the out-of-core units equal to the in-memory ones.
     """
     if max_docs < 0 or target_docs < 1:
@@ -517,6 +518,42 @@ def segment_tasks_for(source, sitegraph: SiteGraph,
     return tasks
 
 
+def solve_segment_layout(docgraph: DocGraph, sitegraph: SiteGraph,
+                         segments: SegmentPreferences,
+                         damping: float = DEFAULT_DAMPING, *,
+                         site_damping: Optional[float] = None,
+                         tol: float = DEFAULT_TOL,
+                         max_iter: int = DEFAULT_MAX_ITER,
+                         executor: Optional[Executor] = None,
+                         n_jobs: Optional[int] = None):
+    """The segment pass's K-column solves, scheduled off the layout.
+
+    Every site is one K-column block of the DocGraph's
+    :meth:`~repro.web.docgraph.DocGraph.site_blocks`; the segment-level
+    SiteRank (the :data:`~repro.web.pipeline.SITERANK_BLOCK` task of
+    :func:`segment_tasks_for`) rides as the tail block.  Returns
+    :meth:`_LayoutStep.collect`'s ``(values, iterations, (site values,
+    site iterations))``.
+    """
+    preferences = segments.document_columns
+    layout = _LayoutStep(
+        docgraph.site_blocks(), list(sitegraph.sites), damping, tol,
+        max_iter, n_vectors=segments.n_segments,
+        preferences=([preferences.get(site) for site in sitegraph.sites]
+                     if preferences else None))
+    tail, = segment_tasks_for(docgraph, sitegraph, segments, damping,
+                              site_damping=site_damping, sites=(), tol=tol,
+                              max_iter=max_iter)
+    tasks, places = layout.payload(tail)
+    resolved, owned = resolve_executor(executor, n_jobs)
+    try:
+        results = resolved.map(solve_task, tasks)
+    finally:
+        if owned:
+            resolved.close()
+    return layout.collect(places, results)
+
+
 def execute_site_tasks(tasks: Sequence[LocalRankTask], *,
                        executor: Optional[Executor] = None,
                        n_jobs: Optional[int] = None) -> List[LocalDocRank]:
@@ -552,8 +589,9 @@ class _LayoutStep:
     """Step 3 of a plan, read straight off a DocGraph's site-major layout.
 
     Sites are the layout's, by index.  ``starts`` / ``preferences`` hold
-    one optional vector per site, or are ``None`` when no site has one —
-    the default fit, which then packs no vector at all.
+    one optional vector (``(n, K)`` matrix for ``n_vectors = K > 1``) per
+    site, or are ``None`` when no site has one — the default fit, which
+    then packs no vector at all.
     """
 
     blocks: SiteBlocks
@@ -563,6 +601,7 @@ class _LayoutStep:
     max_iter: int
     starts: Optional[List[Optional[np.ndarray]]] = None
     preferences: Optional[List[Optional[np.ndarray]]] = None
+    n_vectors: int = 1
 
     def doc_ids(self, index: int) -> Tuple[int, ...]:
         """The document ids of one site, in its block's row order."""
@@ -581,42 +620,84 @@ class _LayoutStep:
             adjacency=SiteBlockRef(self.blocks, index),
             doc_ids=self.doc_ids(index), damping=self.damping,
             preference=_pick(self.preferences, index), tol=self.tol,
-            max_iter=self.max_iter, start=_pick(self.starts, index))
+            max_iter=self.max_iter, start=_pick(self.starts, index),
+            n_vectors=self.n_vectors)
 
-    def payload(self) -> Tuple[List["RankTask"], list]:
+    def payload(self, tail: Optional[LocalRankTask] = None
+                ) -> Tuple[List["RankTask"], list]:
         """The fused and dedicated tasks, with where each result goes.
 
         :func:`fuse_schedule` over the layout's block sizes; each chunk is
         one :meth:`BatchedSiteTask.from_layout` gather (its place: the
         chunk's site indices), each dedicated site a :class:`LocalRankTask`
-        (its place: the site index).
+        (its place: the site index).  *tail*, a block outside the layout
+        (the segment pass's SiteRank pseudo-site), is scheduled after the
+        last site as :func:`batch_site_tasks` would — with the sites when
+        it shares their settings, alone otherwise — and placed at index
+        ``len(sites)``; a batch it joins is packed by
+        :meth:`BatchedSiteTask.from_tasks`.
         """
+        n_sites = len(self.sites)
+        sizes = np.diff(self.blocks.offsets).tolist()
+        joined = tail is not None and (tail.damping, tail.tol,
+                                       tail.max_iter) == (self.damping,
+                                                          self.tol,
+                                                          self.max_iter)
         chunks, dedicated = fuse_schedule(
-            np.diff(self.blocks.offsets).tolist(),
+            sizes + [tail.n_documents] if joined else sizes,
             max_docs=BATCH_SITE_MAX_DOCS, target_docs=BATCH_TARGET_DOCS)
         tasks: List[RankTask] = [
-            BatchedSiteTask.from_layout(
+            BatchedSiteTask.from_tasks([*map(self.task, chunk[:-1]), tail])
+            if chunk[-1] == n_sites else BatchedSiteTask.from_layout(
                 self.blocks, chunk, [self.sites[i] for i in chunk],
                 damping=self.damping, tol=self.tol, max_iter=self.max_iter,
                 starts=_pick_all(self.starts, chunk),
-                preferences=_pick_all(self.preferences, chunk))
+                preferences=_pick_all(self.preferences, chunk),
+                n_vectors=self.n_vectors)
             for chunk in chunks]
-        tasks.extend(self.task(index) for index in dedicated)
+        if tail is not None and not joined:
+            dedicated.append(n_sites)
+        tasks.extend(tail if index == n_sites else self.task(index)
+                     for index in dedicated)
         return tasks, [*chunks, *dedicated]
 
-    def collect(self, places: list, results: Sequence) -> LocalRanks:
-        """Scatter :meth:`payload`'s results into one site-major vector."""
-        offsets = self.blocks.offsets
-        scores = np.empty(int(offsets[-1]))
-        iterations = np.empty(len(self.sites), dtype=np.int64)
+    def collect(self, places: list, results: Sequence):
+        """Scatter :meth:`payload`'s results site-major.
+
+        Returns every site's values in one array (``(n,)``, or ``(n, K)``
+        columns for ``n_vectors = K > 1``), the per-site iterations (a
+        K-column site resided as long as its slowest column) and the tail
+        block's ``(values, iterations)`` (``None`` without a tail).
+        """
+        offsets, n_sites = self.blocks.offsets, len(self.sites)
+        values = np.empty((int(offsets[-1]),) if self.n_vectors == 1
+                          else (int(offsets[-1]), self.n_vectors))
+        iterations = np.empty(n_sites, dtype=np.int64)
+        tail = None
         for place, result in zip(places, results):
             if isinstance(result, BlockSolveResult):
-                scores[self.blocks.rows(place)[0]] = result.values
+                solved, counts = result.values, result.iterations
+                if counts.ndim == 2:
+                    counts = counts.max(axis=1)
+                if place[-1] == n_sites:  # the tail's rows come last
+                    cut = int(result.offsets[-2])
+                    tail = (solved[cut:], int(counts[-1]))
+                    solved, counts = solved[:cut], counts[:-1]
+                    place = place[:-1]
+                # A K-column batch solved as one column (every preference
+                # uniform) fills all K columns with it.
+                values[self.blocks.rows(place)[0]] = (
+                    solved[:, None] if solved.ndim < values.ndim else solved)
             else:
-                scores[offsets[place]:offsets[place + 1]] = result.scores
-            iterations[place] = result.iterations
-        return LocalRanks(self.sites, self.blocks.doc_ids, scores, offsets,
-                          iterations)
+                solved = (result.columns if isinstance(result, SiteColumns)
+                          else result.scores)
+                counts = result.iterations
+                if place == n_sites:
+                    tail = (solved, counts)
+                    continue
+                values[offsets[place]:offsets[place + 1]] = solved
+            iterations[place] = counts
+        return values, iterations, tail
 
 
 def _pick(values: Optional[list], index: int):
@@ -821,7 +902,10 @@ class RankingPlan:
             local = LocalRanks.from_ranks([by_site[task.site]
                                            for task in plan.site_tasks])
         else:
-            local = plan._layout.collect(places, results[1:])
+            scores, iterations, _ = plan._layout.collect(places, results[1:])
+            local = LocalRanks(plan._layout.sites, plan._layout.blocks.doc_ids,
+                               scores, plan._layout.blocks.offsets,
+                               iterations)
         if warm is not None:
             for site, rank in local.items():
                 warm.record_local(site, rank.doc_ids, rank.scores)

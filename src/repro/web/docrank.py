@@ -153,7 +153,8 @@ class LocalRanks(Mapping):
 
     def _site_index(self, site: str) -> Optional[int]:
         if self._index is None:
-            self._index = {name: index for index, name in enumerate(self.sites)}
+            self._index = {name: index
+                           for index, name in enumerate(self.sites)}
         return self._index.get(site)
 
     def __getitem__(self, site: str) -> LocalDocRank:

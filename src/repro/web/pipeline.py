@@ -209,11 +209,12 @@ def compose_ranking(docgraph: DocGraph, sites: List[str],
                     site_result: SiteRankResult,
                     local: Mapping[str, LocalDocRank], *,
                     method: str, iterations: int = 0) -> WebRankingResult:
-    """Step 5 over per-site results: :func:`compose_local_ranks` in *sites* order.
+    """Step 5 over per-site results, in *sites* order.
 
-    Shared by the incremental ranker and the distributed coordinators'
-    flat aggregation, so every layer composes in the same (site-major)
-    order with the same floating point operations as a fit.  (The
+    Concatenates them into one :func:`compose_local_ranks` call.  Shared
+    by the incremental ranker and the distributed coordinators' flat
+    aggregation, so every layer composes in the same (site-major) order
+    with the same floating point operations as a fit.  (The
     super-peer architecture deliberately composes on the peers and only
     reassembles shards at the coordinator.)
     """
@@ -351,36 +352,34 @@ def solve_segment_columns(docgraph: DocGraph, sitegraph: SiteGraph,
                           ) -> Tuple[np.ndarray, int]:
     """Solve all K segments' score columns in fused multi-vector batches.
 
-    Every site becomes one K-column block; the SiteRank solve rides the
-    same packed batch as just another block (it shares the damping factor
-    whenever ``site_damping`` is unset, and the batcher fuses it whenever
-    it is small enough).  One matrix sweep per batch advances all K
-    segments — the SpMV → SpMM amortisation benchmark E17 measures.
+    Every site becomes one K-column block of the DocGraph's site-major
+    layout, batched like a fit's
+    (:func:`repro.engine.plan.solve_segment_layout`); the SiteRank solve
+    rides the last batch as just another block (it
+    shares the damping factor whenever ``site_damping`` is unset, and the
+    batcher fuses it whenever it is small enough).  One matrix sweep per
+    batch advances all K segments — the SpMV → SpMM amortisation
+    benchmark E17 measures — and the columns are weighted with one
+    multiply by the repeated SiteRank columns.
 
     Returns the ``(n_documents, K)`` score matrix in the site-major
     document order of :func:`compose_ranking`, plus the iteration total.
     """
-    from ..engine.plan import execute_site_tasks, segment_tasks_for
+    from ..engine.plan import solve_segment_layout
 
-    tasks = segment_tasks_for(docgraph, sitegraph, segments, damping,
-                              site_damping=site_damping, tol=tol,
-                              max_iter=max_iter)
-    by_site = dict(zip(
-        [*sitegraph.sites, SITERANK_BLOCK],
-        execute_site_tasks(tasks, executor=executor, n_jobs=n_jobs)))
-
-    siterank_block = ensure_site_columns(by_site[SITERANK_BLOCK])
-    site_scores = siterank_block.columns  # (n_sites, K)
-    blocks = []
-    iterations = siterank_block.iterations
-    for index, site in enumerate(sitegraph.sites):
-        solved = ensure_site_columns(by_site[site])
-        blocks.append(solved.columns * site_scores[index][None, :])
-        iterations += solved.iterations
-    matrix = np.concatenate(blocks, axis=0)
+    values, iterations, (site_values, site_iterations) = solve_segment_layout(
+        docgraph, sitegraph, segments, damping, site_damping=site_damping,
+        tol=tol, max_iter=max_iter, executor=executor, n_jobs=n_jobs)
+    # A block solved as one column (every preference uniform, or K = 1)
+    # carries it for every segment.
+    site_scores = np.broadcast_to(
+        site_values.reshape(len(sitegraph.sites), -1),
+        (len(sitegraph.sites), segments.n_segments))
+    matrix = values.reshape(values.shape[0], -1) * np.repeat(
+        site_scores, np.diff(docgraph.site_blocks().offsets), axis=0)
     totals = matrix.sum(axis=0)
     matrix = matrix / np.where(totals > 0.0, totals, 1.0)
-    return matrix, int(iterations)
+    return matrix, int(site_iterations + iterations.sum())
 
 
 def _layered_docrank(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,

@@ -7,7 +7,9 @@ Before the plan scheduled step 3 straight off
 (``batch_site_tasks`` -> ``BatchedSiteTask.from_tasks``), unpacked every
 fused batch into one ``LocalDocRank`` per site (``BatchedSiteTask.run``),
 keyed them by site (``collect_site_results``) and composed the ranking
-site by site (``compose_ranking``).  That chain lives on here, copied
+site by site (``compose_ranking``); the personalisation segment pass
+built K-column tasks the same way (``solve_segment_columns``).  That
+chain lives on here, copied
 unchanged apart from being lifted out of ``RankingPlan`` and
 ``_layered_docrank`` into :func:`oracle_fit`, trimmed to the arguments a
 fit passes and stripped of its metrics, as the bitwise oracle of
@@ -43,9 +45,9 @@ from repro.markov.irreducibility import DEFAULT_DAMPING
 from repro.web.docgraph import DocGraph, SiteBlockRef
 from repro.web.docrank import LocalDocRank, SiteColumns
 from repro.web.pipeline import (
+    SITERANK_BLOCK,
     WebRankingResult,
     build_segment_preferences,
-    solve_segment_columns,
 )
 from repro.web.sitegraph import SiteGraph, aggregate_sitegraph
 from repro.web.siterank import SiteRankResult
@@ -199,7 +201,8 @@ def site_tasks_for(source, damping: float = DEFAULT_DAMPING, *,
                    preferences: Optional[Dict[str, np.ndarray]] = None,
                    tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER,
-                   warm: Optional[WarmSource] = None) -> List[LocalRankTask]:
+                   warm: Optional[WarmSource] = None,
+                   n_vectors: int = 1) -> List[LocalRankTask]:
     """One task per site, its adjacency a lazy reference into the layout."""
     preferences = preferences or {}
     tasks = []
@@ -211,8 +214,52 @@ def site_tasks_for(source, damping: float = DEFAULT_DAMPING, *,
         tasks.append(LocalRankTask(site=site, adjacency=adjacency,
                                    doc_ids=tuple(doc_ids), damping=damping,
                                    preference=preferences.get(site),
-                                   tol=tol, max_iter=max_iter, start=start))
+                                   tol=tol, max_iter=max_iter, start=start,
+                                   n_vectors=n_vectors))
     return tasks
+
+
+def ensure_site_columns(result) -> SiteColumns:
+    """Adapt an engine result to column form."""
+    if isinstance(result, SiteColumns):
+        return result
+    return SiteColumns(site=result.site, doc_ids=result.doc_ids,
+                       columns=result.scores[:, None],
+                       iterations=result.iterations)
+
+
+def solve_segment_columns(docgraph: DocGraph, sitegraph: SiteGraph,
+                          segments, damping: float, *, site_damping: float,
+                          tol: float, max_iter: int, max_docs: int,
+                          target_docs: int) -> Tuple[np.ndarray, int]:
+    """The K segments' score columns from per-site K-column tasks."""
+    n_vectors = segments.n_segments
+    # segment_tasks_for: every site, then the SiteRank pseudo-site.
+    tasks = site_tasks_for(docgraph, damping,
+                           preferences=segments.document_columns, tol=tol,
+                           max_iter=max_iter, n_vectors=n_vectors)
+    tasks.append(LocalRankTask(
+        site=SITERANK_BLOCK, adjacency=sitegraph.adjacency,
+        doc_ids=tuple(range(len(sitegraph.sites))), damping=site_damping,
+        preference=segments.site_columns, tol=tol, max_iter=max_iter,
+        n_vectors=n_vectors))
+    # execute_site_tasks
+    payload = batch_site_tasks(tasks, max_docs=max_docs,
+                               target_docs=target_docs)
+    by_site = collect_site_results(payload, [task.run() for task in payload])
+
+    siterank_block = ensure_site_columns(by_site[SITERANK_BLOCK])
+    site_scores = siterank_block.columns  # (n_sites, K)
+    blocks = []
+    iterations = siterank_block.iterations
+    for index, site in enumerate(sitegraph.sites):
+        solved = ensure_site_columns(by_site[site])
+        blocks.append(solved.columns * site_scores[index][None, :])
+        iterations += solved.iterations
+    matrix = np.concatenate(blocks, axis=0)
+    totals = matrix.sum(axis=0)
+    matrix = matrix / np.where(totals > 0.0, totals, 1.0)
+    return matrix, int(iterations)
 
 
 def compose_ranking(docgraph: DocGraph, sites: List[str],
@@ -284,7 +331,8 @@ def oracle_fit(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
                                              personalization)
         columns, segment_iterations = solve_segment_columns(
             docgraph, sitegraph, segments, damping,
-            site_damping=site_damping, tol=tol, max_iter=max_iter)
+            site_damping=site_damping, tol=tol, max_iter=max_iter,
+            max_docs=max_docs, target_docs=target_docs)
         result.segments = segments.names
         result.segment_columns = columns
         result.iterations += segment_iterations

@@ -97,10 +97,14 @@ def document_preferences(graph: DocGraph, rng):
     return preferences
 
 
-def personalization(sizes):
-    return {"x": {"sites": {host(0): 2.0},
-                  "documents": {url(0, 0): 3.0}, "background": 0.1},
-            "y": {"sites": {host(len(sizes) - 1): 1.0}}}
+def personalization(sizes, rng):
+    """One to three segments; the first weights a page, the rest sites."""
+    segments = {"x": {"sites": {host(0): 2.0},
+                      "documents": {url(0, 0): 3.0}, "background": 0.1}}
+    for index in range(int(rng.integers(3))):
+        segments[f"s{index}"] = {
+            "sites": {host(int(rng.integers(len(sizes)))): 1.0}}
+    return segments
 
 
 def outcome(fit):
@@ -144,16 +148,19 @@ def test_fit_equals_the_per_site_chain(variant, case):
     sizes, links_per_page, max_docs, target_docs, tol, max_iter, seed = case
     rng = np.random.default_rng(seed)
     graph = build_graph(sizes, links_per_page, rng)
+    personalized = variant == "personalized"
     config = RankingConfig(
         tol=tol, max_iter=max_iter, warm_start=variant == "warm",
-        personalization=(personalization(sizes)
-                         if variant == "personalized" else None))
+        # A SiteRank damping of its own keeps the segment pass's SiteRank
+        # block out of the site batches.
+        site_damping=0.6 if personalized and rng.random() < 0.5 else None,
+        personalization=personalization(sizes, rng) if personalized else None)
     options = {}
     if variant == "preferences":
         options["document_preferences"] = document_preferences(graph, rng)
     oracle_options = dict(options, max_docs=max_docs,
                           target_docs=target_docs, tol=tol,
-                          max_iter=max_iter,
+                          max_iter=max_iter, site_damping=config.site_damping,
                           personalization=config.personalization)
     ranker = Ranker(config)
     warm = WarmStartState() if variant == "warm" else None
