@@ -181,8 +181,9 @@ class BatchedSiteTask:
     """Step 3 for *many small sites* as one fused unit of work.
 
     The constituent sites' local adjacencies are packed into a single
-    block-diagonal CSR at construction (:meth:`from_tasks`)
-    and solved by one fused power iteration with per-site convergence
+    block-diagonal CSR at construction (:meth:`from_layout`, or
+    :meth:`from_tasks` for blocks outside a layout) and solved by one
+    fused power iteration with per-site convergence
     freezing (:func:`repro.linalg.block_solver.solve_blocks`) — thousands
     of Python-level solver loops become a handful of large SpMVs per
     sweep.  Like :class:`LocalRankTask` the payload is value-only and
