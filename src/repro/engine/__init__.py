@@ -9,9 +9,10 @@ compute layer of the repository:
   serial, thread-pool and process-pool backends;
 * :mod:`repro.engine.plan` — the :class:`RankingPlan` task graph encoding
   the 5-step layered method (concurrent steps 3/4, composing barrier at
-  step 5), and the only builders of its tasks (:func:`site_tasks_for`,
-  :func:`siterank_task_for`, :func:`segment_tasks_for`) over any block
-  source: an object with ``sites()`` and ``local_block(site)``;
+  step 5), the one step-3 scheduler over a DocGraph in RAM
+  (:func:`~repro.engine.plan.layout_step`) and the per-site builders
+  (:func:`site_tasks_for`, :func:`batch_site_tasks`) for block sources
+  outside RAM or on peers;
 * :mod:`repro.engine.warm` — the warm-source protocol
   (``local_start(site, doc_ids)`` / ``siterank_start(sites)``,
   :class:`WarmSource`), the one way a previously converged vector reaches
@@ -90,10 +91,8 @@ from .plan import (
     SiteRankTask,
     batch_site_tasks,
     collect_site_results,
-    execute_site_tasks,
     execute_tasks,
     run_task,
-    segment_tasks_for,
     site_tasks_for,
     siterank_task_for,
 )
@@ -144,10 +143,8 @@ __all__ = [
     "SiteRankTask",
     "batch_site_tasks",
     "collect_site_results",
-    "execute_site_tasks",
     "execute_tasks",
     "run_task",
-    "segment_tasks_for",
     "site_tasks_for",
     "siterank_task_for",
     "WarmSource",

@@ -14,36 +14,27 @@ its own serial loop:
    steps 3 and 4 join.
 
 A :class:`RankingPlan` materialises steps 3 and 4 as picklable task objects
-(:class:`LocalRankTask`, :class:`SiteRankTask`) and executes them through
-any :class:`~repro.engine.executor.Executor` in a single batch — the
-barrier of the batch *is* the step-5 synchronisation point.  Because the
-tasks are value-only, the same plan is the unit of scheduling for the
-centralized pipeline, the incremental ranker's refresh batches, the
-distributed simulator's peers, and the scaling benchmarks.  How a task's
-values reach a worker process is :mod:`repro.engine.arena`'s business,
-never the task's.
+(:class:`LocalRankTask`, :class:`BatchedSiteTask`, :class:`SiteRankTask`)
+and executes them through any :class:`~repro.engine.executor.Executor` in
+a single batch — the barrier of the batch *is* the step-5 synchronisation
+point.  How a task's values reach a worker process is
+:mod:`repro.engine.arena`'s business, never the task's.
 
 Step 3's inputs are the diagonal blocks of the DocGraph numbered site by
-site, and a plan over a DocGraph (:meth:`RankingPlan.from_docgraph`)
-works on exactly that layout
-(:meth:`repro.web.docgraph.DocGraph.site_blocks`): it schedules from the
-blocks' sizes, builds each fused batch with one row-range gather by site
-index, scatters each batch's packed result into one site-major vector
-and hands step 5 that vector (a :class:`~repro.web.docrank.LocalRanks`).
-Only a site too large to fuse gets a task of its own, holding a lazy
-reference into the layout — no Python object per fused site, no scipy
-object per site, no global adjacency.
+site (:meth:`repro.web.docgraph.DocGraph.site_blocks`).  Every step 3 over
+a DocGraph in RAM — a fit, the segment pass, the incremental refresh,
+:func:`~repro.web.docrank.all_local_docranks` — is one scheduler over that
+layout (:func:`layout_step`, run by :func:`solve_layout_steps`): sites
+named by layout index, fused batches cut by one row-range gather, each
+batch's packed result scattered into one vector over the step's sites.
+Only a site too large to fuse gets a task of its own, a lazy reference
+into the layout.
 
-This module is the only place that builds step-3 and step-4 tasks:
-:func:`site_tasks_for`, :func:`siterank_task_for` and
-:func:`segment_tasks_for` serve the out-of-core runner, the incremental
-ranker and the segment pass alike (a plan over a DocGraph cuts the same
-tasks from its layout, field for field).  They read blocks from any
-**block source** — an object with ``sites()`` and ``local_block(site) ->
-(adjacency, doc_ids)``: :class:`~repro.web.docgraph.DocGraph` (lazy
-references into RAM) or a disk graph's
-:class:`~repro.io.diskgraph.UnitBlocks` (views of one mapping per solve
-unit) — and start vectors from any **warm source**
+The per-site builders (:func:`site_tasks_for`, :func:`batch_site_tasks`)
+serve what has no layout in RAM — the out-of-core runner, the simulator's
+and the live cluster's peers, calibration — over any **block source**
+(``sites()`` and ``local_block(site) -> (adjacency, doc_ids)``).  Start
+vectors come from any **warm source**
 (:class:`~repro.engine.warm.WarmSource`), so power iterations resume from
 the previously converged vector instead of restarting from uniform.
 """
@@ -53,11 +44,12 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import obs
+from .._validation import ensure_distribution
 from ..exceptions import GraphStructureError, ValidationError
 from ..linalg.block_solver import (
     BlockSolveResult,
@@ -68,7 +60,7 @@ from ..linalg.block_solver import (
 )
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
-from ..web.docgraph import DocGraph, SiteBlockRef, SiteBlocks
+from ..web.docgraph import DocGraph, SiteBlockRef, SiteBlocks, block_rows
 from ..web.docrank import (
     LocalDocRank,
     LocalRanks,
@@ -484,39 +476,23 @@ def siterank_task_for(sitegraph: SiteGraph, damping: float = DEFAULT_DAMPING,
                         start=start)
 
 
-def segment_tasks_for(source, sitegraph: SiteGraph,
-                      segments: SegmentPreferences,
-                      damping: float = DEFAULT_DAMPING, *,
-                      site_damping: Optional[float] = None,
-                      sites: Optional[Sequence[str]] = None,
-                      siterank: bool = True,
-                      tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER,
-                      warm: Optional[WarmSource] = None
-                      ) -> List[LocalRankTask]:
-    """Build the K-column tasks of the personalisation segment pass.
+def segment_siterank_task_for(sitegraph: SiteGraph,
+                              segments: SegmentPreferences, damping: float,
+                              *, tol: float, max_iter: int,
+                              warm: Optional[WarmSource] = None
+                              ) -> LocalRankTask:
+    """The segment pass's K-column SiteRank: the SiteGraph as one more block.
 
-    One K-column site task per entry of *sites* (default: all of the
-    SiteGraph's) and, with *siterank*, the segment-level SiteRank as the
-    :data:`~repro.web.pipeline.SITERANK_BLOCK` pseudo-site last: the
-    SiteGraph adjacency is just one more K-column block for the fused
-    solver.  *warm* must hold K-column values.
+    The :data:`~repro.web.pipeline.SITERANK_BLOCK` pseudo-site, the tail of
+    a segment step; *damping* is the SiteRank's, *warm* K-column values.
     """
-    n_vectors = segments.n_segments
-    tasks = site_tasks_for(
-        source, damping, sites=sitegraph.sites if sites is None else sites,
-        preferences=segments.document_columns, tol=tol, max_iter=max_iter,
-        warm=warm, n_vectors=n_vectors)
-    if siterank:
-        start = (warm.siterank_start(sitegraph.sites) if warm is not None
-                 else None)
-        tasks.append(LocalRankTask(
-            site=SITERANK_BLOCK, adjacency=sitegraph.adjacency,
-            doc_ids=tuple(range(len(sitegraph.sites))),
-            damping=damping if site_damping is None else site_damping,
-            preference=segments.site_columns, tol=tol, max_iter=max_iter,
-            start=start, n_vectors=n_vectors))
-    return tasks
+    start = (warm.siterank_start(sitegraph.sites) if warm is not None
+             else None)
+    return LocalRankTask(
+        site=SITERANK_BLOCK, adjacency=sitegraph.adjacency,
+        doc_ids=tuple(range(len(sitegraph.sites))), damping=damping,
+        preference=segments.site_columns, tol=tol, max_iter=max_iter,
+        start=start, n_vectors=segments.n_segments)
 
 
 def solve_segment_layout(docgraph: DocGraph, sitegraph: SiteGraph,
@@ -527,49 +503,21 @@ def solve_segment_layout(docgraph: DocGraph, sitegraph: SiteGraph,
                          max_iter: int = DEFAULT_MAX_ITER,
                          executor: Optional[Executor] = None,
                          n_jobs: Optional[int] = None):
-    """The segment pass's K-column solves, scheduled off the layout.
+    """The segment pass: every site one K-column block of the layout.
 
-    Every site is one K-column block of the DocGraph's
-    :meth:`~repro.web.docgraph.DocGraph.site_blocks`; the segment-level
-    SiteRank (the :data:`~repro.web.pipeline.SITERANK_BLOCK` task of
-    :func:`segment_tasks_for`) rides as the tail block.  Returns
-    :meth:`_LayoutStep.collect`'s ``(values, iterations, (site values,
-    site iterations))``.
+    The segment SiteRank (:func:`segment_siterank_task_for`) is the tail.
+    Returns :meth:`_LayoutStep.collect`'s ``(values, iterations, (site
+    values, site iterations))`` over every site, in layout order.
     """
-    preferences = segments.document_columns
-    layout = _LayoutStep(
-        docgraph.site_blocks(), list(sitegraph.sites), damping, tol,
-        max_iter, n_vectors=segments.n_segments,
-        preferences=([preferences.get(site) for site in sitegraph.sites]
-                     if preferences else None))
-    tail, = segment_tasks_for(docgraph, sitegraph, segments, damping,
-                              site_damping=site_damping, sites=(), tol=tol,
-                              max_iter=max_iter)
-    tasks, places = layout.payload(tail)
-    resolved, owned = resolve_executor(executor, n_jobs)
-    try:
-        results = resolved.map(solve_task, tasks)
-    finally:
-        if owned:
-            resolved.close()
-    return layout.collect(places, results)
-
-
-def execute_site_tasks(tasks: Sequence[LocalRankTask], *,
-                       executor: Optional[Executor] = None,
-                       n_jobs: Optional[int] = None) -> List[LocalDocRank]:
-    """Run step-3 tasks only (no SiteRank), preserving submission order.
-
-    Small sites are fused into block-diagonal :class:`BatchedSiteTask`
-    payloads before dispatch (:func:`batch_site_tasks`); the returned list
-    is still aligned with *tasks*.
-    """
-    tasks = list(tasks)
-    payload = batch_site_tasks(tasks)
-    results, _seconds = execute_tasks(payload, executor=executor,
-                                      n_jobs=n_jobs)
-    by_site = collect_site_results(payload, results)
-    return [by_site[task.site] for task in tasks]
+    step = layout_step(docgraph, damping, preferences=(
+        segments.document_columns or None), tol=tol, max_iter=max_iter,
+        n_vectors=segments.n_segments)
+    tail = segment_siterank_task_for(
+        sitegraph, segments, damping if site_damping is None else site_damping,
+        tol=tol, max_iter=max_iter)
+    _first, (collected,), _n_tasks = solve_layout_steps(
+        [(step, tail)], executor=executor, n_jobs=n_jobs)
+    return collected
 
 
 def collect_site_results(payload: Sequence["RankTask"],
@@ -587,16 +535,20 @@ def collect_site_results(payload: Sequence["RankTask"],
 
 @dataclass(frozen=True)
 class _LayoutStep:
-    """Step 3 of a plan, read straight off a DocGraph's site-major layout.
+    """Step 3 over some sites of a DocGraph's site-major layout.
 
-    Sites are the layout's, by index.  ``starts`` / ``preferences`` hold
-    one optional vector (``(n, K)`` matrix for ``n_vectors = K > 1``) per
-    site, or are ``None`` when no site has one — the default fit, which
-    then packs no vector at all.
+    ``indices`` are the layout indices of the sites solved, in schedule
+    order, ``sites`` their names.  ``starts`` / ``preferences`` hold one
+    optional vector (``(n, K)`` matrix for ``n_vectors = K > 1``) per
+    site, or are ``None`` when no site has one (nothing is packed then).
+    Results are selection-major: the sites' rows in turn, cut at
+    :attr:`offsets`.
     """
 
     blocks: SiteBlocks
-    sites: List[str]
+    sites: Sequence[str]
+    indices: Sequence[int]
+    offsets: np.ndarray  #: ``len(sites) + 1`` boundaries of their rows
     damping: float
     tol: float
     max_iter: int
@@ -604,42 +556,40 @@ class _LayoutStep:
     preferences: Optional[List[Optional[np.ndarray]]] = None
     n_vectors: int = 1
 
-    def doc_ids(self, index: int) -> Tuple[int, ...]:
-        """The document ids of one site, in its block's row order."""
-        offsets = self.blocks.offsets
+    def doc_ids(self, position: int) -> Tuple[int, ...]:
+        """The document ids of one selected site, in its block's row order."""
+        offsets, index = self.blocks.offsets, self.indices[position]
         return self.blocks.doc_ids[offsets[index]:offsets[index + 1]]
 
     def with_starts(self, warm: WarmSource) -> "_LayoutStep":
         """This step with every site's start taken from *warm*."""
-        return replace(self, starts=[warm.local_start(site, self.doc_ids(i))
-                                     for i, site in enumerate(self.sites)])
+        return replace(self, starts=[warm.local_start(site, self.doc_ids(p))
+                                     for p, site in enumerate(self.sites)])
 
-    def task(self, index: int) -> LocalRankTask:
-        """The dedicated task of one site (what ``site_tasks_for`` builds)."""
+    def task(self, position: int) -> LocalRankTask:
+        """The dedicated task of one selected site."""
         return LocalRankTask(
-            site=self.sites[index],
-            adjacency=SiteBlockRef(self.blocks, index),
-            doc_ids=self.doc_ids(index), damping=self.damping,
-            preference=_pick(self.preferences, index), tol=self.tol,
-            max_iter=self.max_iter, start=_pick(self.starts, index),
+            site=self.sites[position],
+            adjacency=SiteBlockRef(self.blocks, self.indices[position]),
+            doc_ids=self.doc_ids(position), damping=self.damping,
+            preference=_pick(self.preferences, position), tol=self.tol,
+            max_iter=self.max_iter, start=_pick(self.starts, position),
             n_vectors=self.n_vectors)
 
     def payload(self, tail: Optional[LocalRankTask] = None
                 ) -> Tuple[List["RankTask"], list]:
         """The fused and dedicated tasks, with where each result goes.
 
-        :func:`fuse_schedule` over the layout's block sizes; each chunk is
+        :func:`fuse_schedule` over the sites' block sizes; each chunk is
         one :meth:`BatchedSiteTask.from_layout` gather (its place: the
-        chunk's site indices), each dedicated site a :class:`LocalRankTask`
-        (its place: the site index).  *tail*, a block outside the layout
-        (the segment pass's SiteRank pseudo-site), is scheduled after the
-        last site as :func:`batch_site_tasks` would — with the sites when
-        it shares their settings, alone otherwise — and placed at index
-        ``len(sites)``; a batch it joins is packed by
-        :meth:`BatchedSiteTask.from_tasks`.
+        chunk's positions), each dedicated site a :class:`LocalRankTask`
+        (its place: its position).  *tail*, a block outside the layout
+        (the segment SiteRank), is scheduled after the last site as
+        :func:`batch_site_tasks` would — with the sites when it shares
+        their settings, alone otherwise — at position ``len(sites)``.
         """
         n_sites = len(self.sites)
-        sizes = np.diff(self.blocks.offsets).tolist()
+        sizes = np.diff(self.offsets).tolist()
         joined = tail is not None and (tail.damping, tail.tol,
                                        tail.max_iter) == (self.damping,
                                                           self.tol,
@@ -650,27 +600,28 @@ class _LayoutStep:
         tasks: List[RankTask] = [
             BatchedSiteTask.from_tasks([*map(self.task, chunk[:-1]), tail])
             if chunk[-1] == n_sites else BatchedSiteTask.from_layout(
-                self.blocks, chunk, [self.sites[i] for i in chunk],
-                damping=self.damping, tol=self.tol, max_iter=self.max_iter,
+                self.blocks, [self.indices[p] for p in chunk],
+                [self.sites[p] for p in chunk], damping=self.damping,
+                tol=self.tol, max_iter=self.max_iter,
                 starts=_pick_all(self.starts, chunk),
                 preferences=_pick_all(self.preferences, chunk),
                 n_vectors=self.n_vectors)
             for chunk in chunks]
         if tail is not None and not joined:
             dedicated.append(n_sites)
-        tasks.extend(tail if index == n_sites else self.task(index)
-                     for index in dedicated)
+        tasks.extend(tail if position == n_sites else self.task(position)
+                     for position in dedicated)
         return tasks, [*chunks, *dedicated]
 
     def collect(self, places: list, results: Sequence):
-        """Scatter :meth:`payload`'s results site-major.
+        """Scatter :meth:`payload`'s results selection-major.
 
-        Returns every site's values in one array (``(n,)``, or ``(n, K)``
-        columns for ``n_vectors = K > 1``), the per-site iterations (a
+        Returns the selected sites' values in one array (``(n,)``, or
+        ``(n, K)`` columns for ``n_vectors = K > 1``), their iterations (a
         K-column site resided as long as its slowest column) and the tail
         block's ``(values, iterations)`` (``None`` without a tail).
         """
-        offsets, n_sites = self.blocks.offsets, len(self.sites)
+        offsets, n_sites = self.offsets, len(self.sites)
         values = np.empty((int(offsets[-1]),) if self.n_vectors == 1
                           else (int(offsets[-1]), self.n_vectors))
         iterations = np.empty(n_sites, dtype=np.int64)
@@ -687,7 +638,7 @@ class _LayoutStep:
                     place = place[:-1]
                 # A K-column batch solved as one column (every preference
                 # uniform) fills all K columns with it.
-                values[self.blocks.rows(place)[0]] = (
+                values[block_rows(offsets, place)[0]] = (
                     solved[:, None] if solved.ndim < values.ndim else solved)
             else:
                 solved = (result.columns if isinstance(result, SiteColumns)
@@ -700,6 +651,18 @@ class _LayoutStep:
             iterations[place] = counts
         return values, iterations, tail
 
+    def local_ranks(self, scores: np.ndarray,
+                    iterations: np.ndarray) -> LocalRanks:
+        """:meth:`collect`'s single-vector values as the sites' DocRanks."""
+        blocks = self.blocks
+        if np.array_equal(self.indices, np.arange(blocks.offsets.size - 1)):
+            doc_ids = blocks.doc_ids
+        else:
+            doc_ids = blocks.order[block_rows(blocks.offsets,
+                                              self.indices)[0]].tolist()
+        return LocalRanks(self.sites, doc_ids, scores, self.offsets,
+                          iterations)
+
 
 def _pick(values: Optional[list], index: int):
     return None if values is None else values[index]
@@ -707,6 +670,87 @@ def _pick(values: Optional[list], index: int):
 
 def _pick_all(values: Optional[list], indices: Sequence[int]):
     return None if values is None else [values[i] for i in indices]
+
+
+def layout_step(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
+                sites: Optional[Sequence[str]] = None,
+                preferences: Optional[Mapping[str, np.ndarray]] = None,
+                tol: float = DEFAULT_TOL,
+                max_iter: int = DEFAULT_MAX_ITER,
+                warm: Optional[WarmSource] = None,
+                n_vectors: int = 1) -> _LayoutStep:
+    """Step 3 over *sites* (default: all, in layout order) of a DocGraph.
+
+    *preferences* maps sites to teleport vectors (``(n, K)`` matrices for
+    ``n_vectors = K > 1``), validated here once: an unknown site, or a
+    vector of the wrong shape, non-finite or not a distribution, is a
+    :class:`~repro.exceptions.ValidationError` naming the site.  *warm*
+    seeds every start.
+    """
+    blocks = docgraph.site_blocks()
+    site_index = docgraph.registry.site_index
+    if sites is None:
+        sites = docgraph.sites()
+        indices: Sequence[int] = range(len(sites))
+    else:
+        indices = [site_index[site] for site in sites]
+    sizes = np.diff(blocks.offsets)[np.asarray(indices, dtype=np.int64)]
+    picked = None
+    if preferences:
+        for site in preferences:
+            if site not in site_index:
+                raise ValidationError(
+                    f"document preferences name unknown site {site!r}")
+        picked = [preferences.get(site) for site in sites]
+        for site, size, vector in zip(sites, sizes.tolist(), picked):
+            if vector is not None:
+                _check_preference(site, vector, size, n_vectors)
+    offsets = np.pad(np.cumsum(sizes), (1, 0))
+    step = _LayoutStep(blocks, sites, indices, offsets, damping, tol,
+                       max_iter, preferences=picked, n_vectors=n_vectors)
+    return step if warm is None else step.with_starts(warm)
+
+
+def _check_preference(site: str, vector, n: int, n_vectors: int) -> None:
+    name = f"document preference of site {site!r}"
+    shape = (n,) if n_vectors == 1 else (n, n_vectors)
+    array = np.asarray(vector, dtype=float)
+    columns = array.reshape(-1, 1) if n_vectors == 1 else array
+    if columns.shape != (n, n_vectors):
+        raise ValidationError(f"{name} has shape {array.shape}, "
+                              f"expected {shape}")
+    if not np.isfinite(columns).all():
+        raise ValidationError(f"{name} has non-finite entries")
+    for column in columns.T:
+        ensure_distribution(column, name=name)
+
+
+def solve_layout_steps(steps: Sequence[Tuple[_LayoutStep,
+                                             Optional[LocalRankTask]]], *,
+                       executor: Optional[Executor] = None,
+                       n_jobs: Optional[int] = None,
+                       first: Optional[RankTask] = None
+                       ) -> Tuple[object, list, int]:
+    """Run layout steps, each with its optional tail, as one batch.
+
+    *first* (the SiteRank) leads, so a parallel backend overlaps it with
+    the per-site work.  Returns its result (``None`` without one), every
+    step's :meth:`_LayoutStep.collect` and the number of tasks run.
+    """
+    payloads = [step.payload(tail) for step, tail in steps]
+    batch = [first] if first is not None else []
+    for tasks, _places in payloads:
+        batch.extend(tasks)
+    resolved, owned = resolve_executor(executor, n_jobs)
+    try:
+        results = iter(resolved.map(solve_task, batch))
+    finally:
+        if owned:
+            resolved.close()
+    lead = next(results) if first is not None else None
+    collected = [step.collect(places, [next(results) for _ in tasks])
+                 for (step, _tail), (tasks, places) in zip(steps, payloads)]
+    return lead, collected, len(batch)
 
 
 @dataclass
@@ -745,13 +789,12 @@ class PlanExecution:
 class RankingPlan:
     """The layered method's step-3/4/5 dependency graph over one DocGraph.
 
-    Construction performs the cheap serial steps (step 2's SiteGraph
-    aggregation; for a plan :meth:`from_docgraph` builds, capturing the
-    graph's site-major layout); :meth:`execute` dispatches the concurrent
-    steps through an executor and returns at the step-5 barrier.  The plan
-    itself is immutable once built, so one plan can be executed on several
-    backends — the determinism-guard tests do exactly that and require
-    bitwise-identical results.
+    :meth:`from_docgraph` performs the cheap serial steps (step 2's
+    SiteGraph aggregation, capturing the graph's site-major layout);
+    :meth:`execute` dispatches the concurrent steps through an executor
+    and returns at the step-5 barrier.  The plan is immutable, so one plan
+    can run on several backends — bitwise alike, as the determinism tests
+    require.  A plan of explicit tasks only holds them; it cannot execute.
     """
 
     def __init__(self, sitegraph: SiteGraph,
@@ -799,15 +842,9 @@ class RankingPlan:
         with obs.span(obs.PHASE_PLAN_BUILD):
             sitegraph = aggregate_sitegraph(
                 docgraph, include_self_links=include_site_self_links)
-            sites = sitegraph.sites
-            preferences = None
-            if document_preferences:
-                preferences = [document_preferences.get(site)
-                               for site in sites]
-            layout = _LayoutStep(docgraph.site_blocks(), sites, damping,
-                                 tol, max_iter, preferences=preferences)
-            if warm is not None:
-                layout = layout.with_starts(warm)
+            layout = layout_step(docgraph, damping,
+                                 preferences=document_preferences, tol=tol,
+                                 max_iter=max_iter, warm=warm)
             siterank_task = siterank_task_for(
                 sitegraph, site_damping, preference=site_preference,
                 tol=tol, max_iter=max_iter, warm=warm)
@@ -822,8 +859,8 @@ class RankingPlan:
         :func:`site_tasks_for` would); :meth:`execute` never reads them.
         """
         if self._site_tasks is None:
-            self._site_tasks = [self._layout.task(index)
-                                for index in range(len(self._layout.sites))]
+            self._site_tasks = [self._layout.task(position)
+                                for position in range(len(self._layout.sites))]
         return self._site_tasks
 
     @property
@@ -843,19 +880,19 @@ class RankingPlan:
                 return task
         raise ValidationError(f"plan has no task for site {site!r}")
 
+    def _checked_layout(self) -> _LayoutStep:
+        if self._layout is None:
+            raise ValidationError("a plan of explicit tasks cannot execute; "
+                                  "build it with RankingPlan.from_docgraph")
+        return self._layout
+
     def with_warm_state(self, warm: WarmStartState) -> "RankingPlan":
         """A copy of this plan re-seeded from *warm* (tasks otherwise equal)."""
-        siterank_task = replace(
-            self.siterank_task,
-            start=warm.siterank_start(self.sitegraph.sites))
-        if self._layout is not None:
-            return self._over_layout(self.sitegraph,
-                                     self._layout.with_starts(warm),
-                                     siterank_task)
-        tasks = [replace(task,
-                         start=warm.local_start(task.site, task.doc_ids))
-                 for task in self.site_tasks]
-        return RankingPlan(self.sitegraph, tasks, siterank_task)
+        layout = self._checked_layout()
+        return self._over_layout(
+            self.sitegraph, layout.with_starts(warm),
+            replace(self.siterank_task,
+                    start=warm.siterank_start(self.sitegraph.sites)))
 
     # ------------------------------------------------------------------ #
     def execute(self, *, executor: Optional[Executor] = None,
@@ -865,56 +902,38 @@ class RankingPlan:
 
         The SiteRank task is submitted *first* so that on parallel
         backends the single site-level computation overlaps the per-site
-        work instead of trailing it.  Small sites are fused into
-        block-diagonal :class:`BatchedSiteTask` payloads at dispatch time
-        (:func:`fuse_schedule` decides from the sizes alone).  A plan over
-        a layout gathers each batch by site index and scatters each
-        batch's packed result into one site-major vector; a plan of
-        explicit tasks batches them with :func:`batch_site_tasks` and
-        concatenates the results in task order.  Scheduling order never
-        affects the output.
+        work instead of trailing it.  Step 3 is the plan's layout step
+        (:func:`solve_layout_steps`); scheduling order never affects the
+        output.
 
         When *warm* is given, the execution also records every converged
         vector back into it, making consecutive executions resume from
         each other.
         """
         plan = self if warm is None else self.with_warm_state(warm)
+        layout = plan._checked_layout()
         resolved, owned = resolve_executor(executor, n_jobs)
-        if plan._layout is None:
-            site_payload, places = batch_site_tasks(plan.site_tasks), None
-        else:
-            site_payload, places = plan._layout.payload()
-        batch: List[RankTask] = [plan.siterank_task, *site_payload]
         obs.inc("plan_executions_total", executor=resolved.name)
-        obs.observe("plan_batch_tasks", float(len(batch)),
-                    executor=resolved.name)
         started = time.perf_counter()
         try:
             with obs.span(obs.PHASE_PLAN_EXECUTE):
-                results = resolved.map(
-                    run_task if places is None else solve_task, batch)
+                site_result, ((scores, iterations, _),), n_tasks = \
+                    solve_layout_steps([(layout, None)], executor=resolved,
+                                       first=plan.siterank_task)
         finally:
             if owned:
                 resolved.close()
         wall_seconds = time.perf_counter() - started
-        site_result: SiteRankResult = results[0]
-        if places is None:
-            by_site = collect_site_results(site_payload, results[1:])
-            local = LocalRanks.from_ranks([by_site[task.site]
-                                           for task in plan.site_tasks])
-        else:
-            scores, iterations, _ = plan._layout.collect(places, results[1:])
-            local = LocalRanks(plan._layout.sites, plan._layout.blocks.doc_ids,
-                               scores, plan._layout.blocks.offsets,
-                               iterations)
+        obs.observe("plan_batch_tasks", float(n_tasks),
+                    executor=resolved.name)
+        local = layout.local_ranks(scores, iterations)
         if warm is not None:
             for site, rank in local.items():
                 warm.record_local(site, rank.doc_ids, rank.scores)
             warm.record_siterank(site_result.sites, site_result.scores)
         return PlanExecution(local=local, siterank=site_result,
                              wall_seconds=wall_seconds,
-                             executor_name=resolved.name,
-                             n_tasks=len(batch))
+                             executor_name=resolved.name, n_tasks=n_tasks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RankingPlan(n_sites={self.n_sites})"

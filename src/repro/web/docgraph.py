@@ -54,6 +54,19 @@ class Document:
     is_dynamic: bool = False
 
 
+def block_rows(offsets: np.ndarray, blocks: Sequence[int]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions of the rows of *blocks* (indices, in the order given)
+    under the row boundaries *offsets*, and each block's run in them: where
+    a packed batch reads its rows from and its results go back to."""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    low = offsets[blocks]
+    sizes = offsets[blocks + 1] - low
+    bounds = np.pad(np.cumsum(sizes), (1, 0))
+    return np.arange(bounds[-1]) + np.repeat(low - bounds[:-1],
+                                             sizes), bounds
+
+
 class SiteBlocks:
     """Every site's local link matrix, stored once in site-major order.
 
@@ -101,21 +114,6 @@ class SiteBlocks:
         """:attr:`order` as Python ints, built once per layout."""
         return tuple(self.order.tolist())
 
-    def rows(self, sites: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Site-major positions of some sites' rows, and their boundaries.
-
-        The rows of the named sites (by index, in the order given) as one
-        position array, plus the ``int64`` boundaries of each site's run
-        in it: where a packed batch of those sites reads its rows from,
-        and where its results go back to.
-        """
-        sites = np.asarray(sites, dtype=np.int64)
-        low = self.offsets[sites]
-        sizes = self.offsets[sites + 1] - low
-        offsets = np.pad(np.cumsum(sizes), (1, 0))
-        return np.arange(offsets[-1]) + np.repeat(low - offsets[:-1],
-                                                  sizes), offsets
-
     def packed(self, sites: Sequence[int]
                ) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """``(matrix, offsets, doc_ids)`` of some sites' blocks, packed.
@@ -126,7 +124,7 @@ class SiteBlocks:
         every packed row.
         """
         source = self.matrix
-        rows, offsets = self.rows(sites)
+        rows, offsets = block_rows(self.offsets, sites)
         # Source entry of every packed entry; columns move by their
         # row's shift.
         shift = rows - np.arange(rows.size)

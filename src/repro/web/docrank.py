@@ -310,16 +310,14 @@ def all_local_docranks(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
     decentralisability claim), so they are dispatched through the execution
     engine: pass ``n_jobs`` or an ``executor`` to run them concurrently;
     the default remains a serial in-order run with identical results.
-    Small sites are fused into block-diagonal tasks solved by one power
-    iteration with per-site convergence freezing
-    (:mod:`repro.linalg.block_solver`), large ones keep a dedicated solve;
-    :func:`repro.engine.plan.fuse_schedule` decides from the sizes alone.
-    A process backend ships the matrices through the engine's
-    shared-memory arena (one segment per batch, attached zero-copy by the
-    workers).
+    This is a fit's step 3 (:func:`repro.engine.plan.layout_step`), so
+    the vectors are bitwise a fit's: small sites fused into block-diagonal
+    tasks (:mod:`repro.linalg.block_solver`), large ones solved alone.
 
     Parameters
     ----------
+    preferences:
+        Optional teleport vectors by site, validated before anything runs.
     executor / n_jobs:
         Execution backend selection, resolved by
         :func:`repro.engine.resolve_executor` (serial when both omitted).
@@ -327,10 +325,10 @@ def all_local_docranks(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
         Optional :class:`repro.engine.WarmStartState` supplying previously
         converged vectors to resume from.
     """
-    from ..engine.plan import execute_site_tasks, site_tasks_for
+    from ..engine.plan import layout_step, solve_layout_steps
 
-    preferences = preferences or {}
-    tasks = site_tasks_for(docgraph, damping, preferences=preferences,
-                           tol=tol, max_iter=max_iter, warm=warm)
-    results = execute_site_tasks(tasks, executor=executor, n_jobs=n_jobs)
-    return {result.site: result for result in results}
+    step = layout_step(docgraph, damping, preferences=preferences, tol=tol,
+                       max_iter=max_iter, warm=warm)
+    _first, ((scores, iterations, _tail),), _n_tasks = solve_layout_steps(
+        [(step, None)], executor=executor, n_jobs=n_jobs)
+    return dict(step.local_ranks(scores, iterations))

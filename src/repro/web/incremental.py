@@ -18,17 +18,18 @@ update needed compared to ranking from scratch — the quantity the
 incremental-update ablation benchmark measures.  Flat PageRank has no such
 decomposition: any change invalidates the single global vector.
 
-The ranker builds no engine task itself: a refresh asks the builders of
-:mod:`repro.engine.plan` for the changed sites' tasks, handing them the
-DocGraph as the block source and its own cached factors — exactly the
-``(ids, values)`` pairs a :class:`~repro.engine.warm.WarmSource` aligns —
-as the warm source, so every power iteration resumes from the site's
-previously converged vector (new documents start from the uniform share).
+A refresh runs on the scheduler a fit runs on
+(:func:`repro.engine.plan.layout_step`, over the changed sites), with the
+ranker's cached factors — the ``(ids, values)`` pairs a
+:class:`~repro.engine.warm.WarmSource` aligns — as the warm source, so
+every power iteration resumes from the site's previously converged vector
+(new documents start from the uniform share).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -36,24 +37,24 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
 
 import numpy as np
 
-from ..exceptions import GraphStructureError
+from ..exceptions import GraphStructureError, ValidationError
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
 from .docgraph import DocGraph
 from .docrank import LocalDocRank, SiteColumns
 from .pipeline import (
-    SITERANK_BLOCK,
     SegmentPreferences,
     WebRankingResult,
     build_segment_preferences,
     compose_ranking,
-    ensure_site_columns,
+    weight_segment_columns,
 )
 from .sitegraph import SiteGraph, aggregate_sitegraph
 from .siterank import SiteRankResult
@@ -229,18 +230,20 @@ class IncrementalLayeredRanker:
                 intersite_changed: bool) -> UpdateReport:
         """Repair the cached ranking after an external mutation.
 
-        All changed sites (plus, when needed, the SiteRank) are submitted
-        to the engine as *one* batch, so a multi-site change is repaired
-        concurrently on parallel executors (with the matrices riding the
-        engine's shared-memory arena on a process backend); every power
-        iteration is warm-started from the site's previously converged
-        vector, which makes refresh iteration counts drop by an order of
-        magnitude (asserted by the tests and benchmark E14).
+        The changed sites, sorted by name, are one layout step scheduled
+        as a fit's step 3; with segments on, a K-column step over them
+        (and the segment SiteRank block) rides along, and the SiteRank
+        task, when needed, leads.  All of it is *one* batch, so a
+        multi-site change is repaired concurrently on parallel executors;
+        every power iteration is warm-started from the site's previously
+        converged vector, which makes refresh iteration counts drop by an
+        order of magnitude (asserted by the tests and benchmark E14).
 
         Parameters
         ----------
         changed_sites:
-            Sites whose *internal* link structure (or document set) changed.
+            Sites whose *internal* link structure (or document set) changed:
+            a collection of site names (a bare string is rejected).
         intersite_changed:
             Whether any link between two different sites was added or
             removed (requires a SiteRank recomputation).
@@ -248,6 +251,10 @@ class IncrementalLayeredRanker:
         from ..engine import plan
         from ..engine.warm import WarmSource
 
+        if isinstance(changed_sites, str):
+            raise ValidationError(
+                "changed_sites must be a collection of site names, got the "
+                f"string {changed_sites!r}")
         changed: Set[str] = set(changed_sites)
         known_sites = set(self._docgraph.sites())
         unknown = changed - known_sites
@@ -271,59 +278,42 @@ class IncrementalLayeredRanker:
 
         warm = WarmSource(_previous(self._local, ordered, "scores"),
                           (self._siterank.sites, self._siterank.scores))
-        site_tasks = plan.site_tasks_for(
-            self._docgraph, self._damping, sites=ordered, warm=warm,
-            **self._solver)
-        segment_tasks: List = []
+        step = partial(plan.layout_step, self._docgraph, self._damping,
+                       sites=ordered, **self._solver)
+        steps = [(step(warm=warm), None)]
         if self._segments is not None:
-            segment_tasks = plan.segment_tasks_for(
-                self._docgraph, sitegraph, self._segments, self._damping,
-                site_damping=self._site_damping, sites=ordered,
-                siterank=siterank_recomputed, warm=WarmSource(
-                    _previous(self._local_columns, ordered, "columns"),
-                    self._segment_site_state), **self._solver)
-        # The changed-site set rides the same batched path as a full plan:
-        # small sites fuse into block-diagonal tasks, large ones keep
-        # dedicated tasks a parallel backend can overlap.
-        site_payload = plan.batch_site_tasks(site_tasks)
-        segment_payload = plan.batch_site_tasks(segment_tasks)
-        tasks = [*site_payload, *segment_payload]
-        if siterank_recomputed:
-            # Prepend so the site-level task overlaps the per-site work on
-            # parallel backends (mirroring RankingPlan.execute).
-            tasks.insert(0, plan.siterank_task_for(
-                sitegraph, self._site_damping, warm=warm, **self._solver))
-        results, _wall_seconds = plan.execute_tasks(tasks,
-                                                    executor=self._executor)
+            segment_warm = WarmSource(
+                _previous(self._local_columns, ordered, "columns"),
+                self._segment_site_state)
+            steps.append((
+                step(preferences=self._segments.document_columns,
+                     warm=segment_warm, n_vectors=self._segments.n_segments),
+                plan.segment_siterank_task_for(
+                    sitegraph, self._segments, self._site_damping,
+                    warm=segment_warm, **self._solver)
+                if siterank_recomputed else None))
+        siterank, ((scores, iterations, _), *segment_results), _n_tasks = \
+            plan.solve_layout_steps(
+                steps, executor=self._executor,
+                first=plan.siterank_task_for(
+                    sitegraph, self._site_damping, warm=warm, **self._solver)
+                if siterank_recomputed else None)
 
-        siterank_iterations = 0
-        if siterank_recomputed:
-            self._siterank = results.pop(0)
-            siterank_iterations = self._siterank.iterations
-
-        by_site = plan.collect_site_results(site_payload,
-                                            results[:len(site_payload)])
-        local_iterations = 0
-        documents_recomputed = 0
-        for site in ordered:
-            rank = by_site[site]
-            self._local[site] = rank
-            local_iterations += rank.iterations
-            documents_recomputed += rank.n_documents
-
-        segment_iterations = 0
-        if self._segments is not None:
-            segment_iterations = self._store_segment_results(
-                plan.collect_site_results(segment_payload,
-                                          results[len(site_payload):]),
-                sitegraph=sitegraph)
+        if siterank is not None:
+            self._siterank = siterank
+        local = steps[0][0].local_ranks(scores, iterations)
+        self._local.update(local)
+        segment_iterations = (self._store_segments(
+            local.sites, local.doc_ids, local.offsets, *segment_results,
+            sitegraph=sitegraph) if segment_results else 0)
 
         return self._notify(UpdateReport(
             recomputed_sites=ordered,
             siterank_recomputed=siterank_recomputed,
-            local_iterations=local_iterations,
-            siterank_iterations=siterank_iterations,
-            documents_recomputed=documents_recomputed,
+            local_iterations=local.total_iterations,
+            siterank_iterations=(siterank.iterations
+                                 if siterank is not None else 0),
+            documents_recomputed=int(local.offsets[-1]),
             documents_total=self._docgraph.n_documents,
             segment_iterations=segment_iterations,
         ))
@@ -377,14 +367,12 @@ class IncrementalLayeredRanker:
         if self._segments is not None and self._segment_site_state is not None:
             site_order, site_matrix = self._segment_site_state
             position = {site: index for index, site in enumerate(site_order)}
-            blocks = [self._local_columns[site].columns
-                      * site_matrix[position[site]][None, :]
-                      for site in sites]
-            matrix = np.concatenate(blocks, axis=0)
-            totals = matrix.sum(axis=0)
+            columns = [self._local_columns[site].columns for site in sites]
             result.segments = self._segments.names
-            result.segment_columns = matrix / np.where(totals > 0.0,
-                                                       totals, 1.0)
+            result.segment_columns = weight_segment_columns(
+                np.concatenate(columns, axis=0),
+                site_matrix[[position[site] for site in sites]],
+                [block.shape[0] for block in columns])
         return result
 
     @property
@@ -418,12 +406,9 @@ class IncrementalLayeredRanker:
         if self._segments is None or self._segment_site_state is None:
             return None
         site_order, site_matrix = self._segment_site_state
-        if site not in self._local_columns:
+        if site not in self._local_columns or site not in site_order:
             raise GraphStructureError(f"unknown site {site!r}")
-        try:
-            weights = site_matrix[site_order.index(site)]
-        except ValueError:
-            raise GraphStructureError(f"unknown site {site!r}") from None
+        weights = site_matrix[site_order.index(site)]
         return self._local_columns[site].columns * weights[None, :]
 
     # ------------------------------------------------------------------ #
@@ -435,34 +420,49 @@ class IncrementalLayeredRanker:
             self._docgraph,
             include_self_links=self._include_site_self_links)
 
-    def _store_segment_results(self, by_site: Dict[str, SiteColumns], *,
-                               sitegraph: Optional[SiteGraph]) -> int:
-        """Fold one batch's segment results back into the caches."""
-        iterations = 0
-        for site, result in by_site.items():
-            solved = ensure_site_columns(result)
-            if site == SITERANK_BLOCK:
-                assert sitegraph is not None
-                self._segment_site_state = (tuple(sitegraph.sites),
-                                            solved.columns.copy())
-            else:
-                self._local_columns[site] = solved
-            iterations += solved.iterations
-        return iterations
+    def _store_segments(self, sites: Sequence[str], doc_ids: Sequence[int],
+                        offsets: np.ndarray, solved: Tuple, *,
+                        sitegraph: Optional[SiteGraph]) -> int:
+        """Fold a segment step's ``(values, iterations, tail)`` into the caches.
+
+        *sites*' rows are cut at *offsets*; returns the iterations spent.
+        """
+        values, iterations, tail = solved
+        columns = values if values.ndim == 2 else values[:, None]
+        bounds = offsets.tolist()
+        for position, site in enumerate(sites):
+            low, high = bounds[position], bounds[position + 1]
+            self._local_columns[site] = SiteColumns(
+                site=site, doc_ids=list(doc_ids[low:high]),
+                columns=columns[low:high],
+                iterations=int(iterations[position]))
+        total = int(iterations.sum())
+        if tail is not None:
+            assert sitegraph is not None
+            site_values, site_iterations = tail
+            n_sites = len(sitegraph.sites)
+            # A block solved as one column carries it for every segment.
+            self._segment_site_state = (
+                tuple(sitegraph.sites),
+                np.broadcast_to(site_values.reshape(n_sites, -1),
+                                (n_sites, self._segments.n_segments)).copy())
+            total += site_iterations
+        return total
 
     def _rebuild_segments(self) -> int:
         """Re-solve every site's segment columns (cold path, one batch)."""
-        from ..engine.plan import execute_site_tasks, segment_tasks_for
+        from ..engine.plan import solve_segment_layout
 
         sitegraph = self._sitegraph()
         self._segments = build_segment_preferences(
             self._docgraph, sitegraph, self._personalization)
         self._local_columns = {}
         self._segment_site_state = None
-        tasks = segment_tasks_for(
-            self._docgraph, sitegraph, self._segments, self._damping,
-            site_damping=self._site_damping, **self._solver)
-        results = execute_site_tasks(tasks, executor=self._executor)
-        return self._store_segment_results(
-            {task.site: result for task, result in zip(tasks, results)},
+        blocks = self._docgraph.site_blocks()
+        return self._store_segments(
+            sitegraph.sites, blocks.doc_ids, blocks.offsets,
+            solve_segment_layout(
+                self._docgraph, sitegraph, self._segments, self._damping,
+                site_damping=self._site_damping, executor=self._executor,
+                **self._solver),
             sitegraph=sitegraph)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from ..markov.irreducibility import DEFAULT_DAMPING
 from ..pagerank.pagerank import pagerank
 from ..pagerank.personalized import preference_from_weights
 from .docgraph import DocGraph
-from .docrank import LocalDocRank, LocalRanks, SiteColumns, best_positions
+from .docrank import LocalDocRank, LocalRanks, best_positions
 from .sitegraph import SiteGraph, aggregate_sitegraph
 from .siterank import SiteRankResult
 
@@ -326,20 +326,13 @@ def build_segment_preferences(docgraph: DocGraph, sitegraph: SiteGraph,
                               document_columns=dict(document_columns))
 
 
-def ensure_site_columns(result) -> SiteColumns:
-    """Adapt an engine result to column form.
-
-    A ``n_vectors == 1`` task deliberately runs the verbatim single-vector
-    solver (so the base ranking stays byte-identical) and yields a
-    :class:`~repro.web.docrank.LocalDocRank`; the segment machinery is
-    written against :class:`~repro.web.docrank.SiteColumns`, so the
-    degenerate K=1 case is wrapped here.
-    """
-    if isinstance(result, SiteColumns):
-        return result
-    return SiteColumns(site=result.site, doc_ids=result.doc_ids,
-                       columns=result.scores[:, None],
-                       iterations=result.iterations)
+def weight_segment_columns(columns: np.ndarray, site_columns: np.ndarray,
+                           sizes: Sequence[int]) -> np.ndarray:
+    """Step 5 for K segments: each site's *sizes* rows of the site-major
+    *columns* times its row of *site_columns*, each column renormalised."""
+    matrix = columns * np.repeat(site_columns, sizes, axis=0)
+    totals = matrix.sum(axis=0)
+    return matrix / np.where(totals > 0.0, totals, 1.0)
 
 
 def solve_segment_columns(docgraph: DocGraph, sitegraph: SiteGraph,
@@ -352,15 +345,12 @@ def solve_segment_columns(docgraph: DocGraph, sitegraph: SiteGraph,
                           ) -> Tuple[np.ndarray, int]:
     """Solve all K segments' score columns in fused multi-vector batches.
 
-    Every site becomes one K-column block of the DocGraph's site-major
-    layout, batched like a fit's
-    (:func:`repro.engine.plan.solve_segment_layout`); the SiteRank solve
-    rides the last batch as just another block (it
-    shares the damping factor whenever ``site_damping`` is unset, and the
-    batcher fuses it whenever it is small enough).  One matrix sweep per
+    Every site is one K-column block of the DocGraph's site-major layout,
+    batched like a fit's, and the SiteRank one more block
+    (:func:`repro.engine.plan.solve_segment_layout`): one matrix sweep per
     batch advances all K segments — the SpMV → SpMM amortisation
-    benchmark E17 measures — and the columns are weighted with one
-    multiply by the repeated SiteRank columns.
+    benchmark E17 measures.  The columns are then weighted by the SiteRank
+    columns in one multiply (:func:`weight_segment_columns`).
 
     Returns the ``(n_documents, K)`` score matrix in the site-major
     document order of :func:`compose_ranking`, plus the iteration total.
@@ -372,13 +362,10 @@ def solve_segment_columns(docgraph: DocGraph, sitegraph: SiteGraph,
         tol=tol, max_iter=max_iter, executor=executor, n_jobs=n_jobs)
     # A block solved as one column (every preference uniform, or K = 1)
     # carries it for every segment.
-    site_scores = np.broadcast_to(
+    matrix = weight_segment_columns(
+        values.reshape(values.shape[0], -1),
         site_values.reshape(len(sitegraph.sites), -1),
-        (len(sitegraph.sites), segments.n_segments))
-    matrix = values.reshape(values.shape[0], -1) * np.repeat(
-        site_scores, np.diff(docgraph.site_blocks().offsets), axis=0)
-    totals = matrix.sum(axis=0)
-    matrix = matrix / np.where(totals > 0.0, totals, 1.0)
+        np.diff(docgraph.site_blocks().offsets))
     return matrix, int(site_iterations + iterations.sum())
 
 

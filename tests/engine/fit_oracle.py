@@ -12,7 +12,9 @@ built K-column tasks the same way (``solve_segment_columns``).  That
 chain lives on here, copied
 unchanged apart from being lifted out of ``RankingPlan`` and
 ``_layered_docrank`` into :func:`oracle_fit`, trimmed to the arguments a
-fit passes and stripped of its metrics, as the bitwise oracle of
+fit (or, for ``site_tasks_for``'s ``sites``, the incremental refresh of
+``tests/web/refresh_oracle.py``) passes and stripped of its metrics, as
+the bitwise oracle of
 ``test_fit_oracle.py``: a ``Ranker.fit`` must return the same floats,
 ids, URLs and iteration counts, the same SiteRank and the same per-site
 local vectors.
@@ -198,6 +200,7 @@ def collect_site_results(payload: Sequence, results: Sequence
 
 
 def site_tasks_for(source, damping: float = DEFAULT_DAMPING, *,
+                   sites: Optional[Sequence[str]] = None,
                    preferences: Optional[Dict[str, np.ndarray]] = None,
                    tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER,
@@ -205,8 +208,10 @@ def site_tasks_for(source, damping: float = DEFAULT_DAMPING, *,
                    n_vectors: int = 1) -> List[LocalRankTask]:
     """One task per site, its adjacency a lazy reference into the layout."""
     preferences = preferences or {}
+    if sites is None:
+        sites = source.sites()
     tasks = []
-    for site in source.sites():
+    for site in sites:
         adjacency, doc_ids = source.local_block(site)
         if isinstance(doc_ids, np.ndarray):
             doc_ids = doc_ids.tolist()

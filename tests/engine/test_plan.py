@@ -8,13 +8,12 @@ from repro.engine import (
     SerialExecutor,
     WarmStartState,
     align_warm_start,
-    execute_site_tasks,
     execute_tasks,
     run_task,
     site_tasks_for,
 )
 from repro.exceptions import GraphStructureError, ValidationError
-from repro.web import DocGraph, local_docrank, siterank
+from repro.web import DocGraph, all_local_docranks, local_docrank, siterank
 from repro.web.pipeline import _layered_docrank as layered_docrank
 
 from per_site_oracle import per_site_local_docranks
@@ -45,6 +44,17 @@ class TestPlanConstruction:
         with pytest.raises(ValidationError):
             RankingPlan(plan.sitegraph, plan.site_tasks[:-1],
                         plan.siterank_task)
+
+    def test_explicit_task_plan_cannot_execute(self, toy_docgraph):
+        built = RankingPlan.from_docgraph(toy_docgraph)
+        plan = RankingPlan(built.sitegraph, built.site_tasks,
+                           built.siterank_task)
+        assert plan.n_tasks == built.n_tasks
+        assert plan.site_tasks == built.site_tasks
+        with pytest.raises(ValidationError, match="from_docgraph"):
+            plan.execute()
+        with pytest.raises(ValidationError, match="from_docgraph"):
+            plan.with_warm_state(WarmStartState())
 
     def test_task_for(self, toy_docgraph):
         plan = RankingPlan.from_docgraph(toy_docgraph)
@@ -109,8 +119,12 @@ class TestPlanExecution:
         results, seconds = execute_tasks(tasks)
         assert [r.site for r in results] == [t.site for t in tasks]
         assert seconds >= 0.0
-        only_sites = execute_site_tasks(tasks, executor=SerialExecutor())
-        assert [r.site for r in only_sites] == [t.site for t in tasks]
+        # Step 3 alone runs on the layout, in the same site order.
+        only_sites = all_local_docranks(toy_docgraph,
+                                        executor=SerialExecutor())
+        assert list(only_sites) == [t.site for t in tasks]
+        assert [r.site for r in only_sites.values()] == \
+            [t.site for t in tasks]
 
 
 class TestWarmStart:
@@ -180,3 +194,53 @@ class TestWarmStart:
         assert second.iterations < first.iterations
         assert np.allclose(first.scores_by_doc_id(),
                            second.scores_by_doc_id(), atol=1e-9)
+
+
+def two_site_web() -> DocGraph:
+    graph = DocGraph()
+    for url in ("http://a.org/", "http://a.org/x", "http://b.org/",
+                "http://b.org/y"):
+        graph.add_document(url)
+    graph.add_link("http://a.org/", "http://a.org/x")
+    graph.add_link("http://a.org/x", "http://b.org/")
+    graph.add_link("http://b.org/y", "http://b.org/")
+    return graph
+
+
+class TestDocumentPreferenceValidation:
+    """Preferences are checked once, where the step is built, by site."""
+
+    BAD = [
+        ({"typo.org": np.array([0.5, 0.5])}, "unknown site 'typo.org'"),
+        ({"a.org": np.array([0.2, 0.3, 0.5])}, "'a.org' has shape"),
+        ({"a.org": np.array([0.2, 0.3])}, "'a.org' must sum to 1"),
+        ({"a.org": np.array([1.5, -0.5])}, "'a.org' has negative"),
+        ({"a.org": np.array([np.nan, 1.0])}, "'a.org' has non-finite"),
+        ({"a.org": np.array([np.inf, 0.0])}, "'a.org' has non-finite"),
+    ]
+
+    @pytest.mark.parametrize("max_docs", [0, 512])  # dedicated, fused
+    @pytest.mark.parametrize("preferences, message", BAD)
+    def test_fit_rejects_a_bad_preference(self, preferences, message,
+                                          max_docs, monkeypatch):
+        from repro.api import Ranker
+        from repro.engine import plan
+
+        monkeypatch.setattr(plan, "BATCH_SITE_MAX_DOCS", max_docs)
+        with pytest.raises(ValidationError, match=message):
+            Ranker().fit(two_site_web(), document_preferences=preferences)
+        with pytest.raises(ValidationError, match=message):
+            all_local_docranks(two_site_web(), preferences=preferences)
+
+    def test_valid_preferences_still_personalise(self):
+        from repro.api import Ranker
+
+        graph = two_site_web()
+        plain = Ranker().fit(graph).ranking
+        tilted = Ranker().fit(graph, document_preferences={
+            "a.org": [0.9, 0.1]}).ranking
+        assert tilted.method == "layered-personalized"
+        assert not np.array_equal(tilted.scores, plain.scores)
+        local = all_local_docranks(graph, preferences={"a.org": [0.9, 0.1]})
+        assert np.array_equal(local["a.org"].scores,
+                              tilted.local_docranks["a.org"].scores)

@@ -1,12 +1,15 @@
 """The planner's task builders against the hand-built constructors they replaced.
 
-``site_tasks_for`` / ``siterank_task_for`` / ``segment_tasks_for`` are the
-only task constructors of the product path; ``task_oracle.py`` keeps what
-the incremental ranker, the segment pass and the out-of-core runner used
-to assemble by hand.  Over random DocGraphs and update sequences the two
-must agree field by field — arrays (``start``, ``preference``,
-``doc_ids``, the materialised adjacency) bitwise — for the base tasks, the
-K-column tasks and the ``SITERANK_BLOCK`` pseudo-site, cold and warm.
+``site_tasks_for`` / ``siterank_task_for`` and the layout steps
+(``layout_step``, whose ``_LayoutStep.task(i)`` is the task a site would
+get on its own, plus ``segment_siterank_task_for`` for the K-column
+SiteRank block) are the only task constructors of the product path;
+``task_oracle.py`` keeps what the incremental ranker, the segment pass
+and the out-of-core runner used to assemble by hand.  Over random
+DocGraphs and update sequences the two must agree field by field — arrays
+(``start``, ``preference``, ``doc_ids``, the materialised adjacency)
+bitwise — for the base tasks, the K-column tasks and the
+``SITERANK_BLOCK`` pseudo-site, cold and warm.
 """
 
 import tempfile
@@ -18,16 +21,11 @@ from hypothesis import strategies as st
 
 from repro.engine import WarmStartState, plan, rank_outofcore
 from repro.engine.outofcore import GenerationWarmStart
-from repro.engine.plan import (
-    RankingPlan,
-    SiteRankTask,
-    segment_tasks_for,
-    site_tasks_for,
-)
+from repro.engine.plan import RankingPlan, site_tasks_for
 from repro.io import write_diskgraph
 from repro.web.docgraph import DocGraph
 from repro.web.incremental import IncrementalLayeredRanker
-from repro.web.pipeline import build_segment_preferences
+from repro.web.pipeline import build_segment_preferences, solve_segment_columns
 from repro.web.sitegraph import aggregate_sitegraph
 from task_oracle import (
     assert_same_task,
@@ -105,6 +103,27 @@ def apply_updates(graph: DocGraph, updates):
     return changed, intersite
 
 
+def capture_steps(submitted):
+    """A ``plan.solve_layout_steps`` that records what it is handed.
+
+    The leading task, then every step's per-site task views
+    (``_LayoutStep.task(i)``) followed by its tail, in dispatch order.
+    """
+    solve_layout_steps = plan.solve_layout_steps
+
+    def capture(steps, **kwargs):
+        if kwargs.get("first") is not None:
+            submitted.append(kwargs["first"])
+        for step, tail in steps:
+            submitted.extend(step.task(position)
+                             for position in range(len(step.sites)))
+            if tail is not None:
+                submitted.append(tail)
+        return solve_layout_steps(steps, **kwargs)
+
+    return mock.patch.object(plan, "solve_layout_steps", capture)
+
+
 def assert_same_tasks(got, want):
     assert len(got) == len(want)
     for got_task, want_task in zip(got, want):
@@ -120,7 +139,6 @@ def test_incremental_refresh_submits_the_oracle_tasks(web):
     ranker = IncrementalLayeredRanker(
         graph, DAMPING, site_damping=SITE_DAMPING,
         personalization=spec, **SOLVER)
-    batch_site_tasks, execute_tasks = plan.batch_site_tasks, plan.execute_tasks
     for updates in rounds:
         changed, intersite = apply_updates(graph, updates)
         ordered = sorted(changed | (set(graph.sites()) - set(ranker._local)))
@@ -141,21 +159,10 @@ def test_incremental_refresh_submits_the_oracle_tasks(web):
             want.insert(0, oracle_siterank_task(
                 sitegraph, ranker._siterank, SITE_DAMPING, TOL, MAX_ITER))
 
-        # The per-site tasks are what the refresh hands the fuse schedule;
-        # the SiteRank task skips it and leads the dispatched batch.
+        # The refresh's steps: the SiteRank task leads, then the base
+        # step's sites, the K-column step's and its SiteRank block.
         submitted = []
-
-        def capture(tasks, **kwargs):
-            submitted.extend(tasks)
-            return batch_site_tasks(tasks, **kwargs)
-
-        def capture_siterank(tasks, **kwargs):
-            submitted[:0] = [task for task in tasks
-                             if isinstance(task, SiteRankTask)]
-            return execute_tasks(tasks, **kwargs)
-
-        with mock.patch.object(plan, "batch_site_tasks", capture), \
-                mock.patch.object(plan, "execute_tasks", capture_siterank):
+        with capture_steps(submitted):
             report = ranker.refresh(changed, intersite_changed=intersite)
         assert report.recomputed_sites == ordered
         assert_same_tasks(submitted, want)
@@ -168,10 +175,13 @@ def test_plan_and_segment_pass_build_the_oracle_tasks(web):
     graph = build_graph(sizes, edges)
     sitegraph = aggregate_sitegraph(graph)
     segments = build_segment_preferences(graph, sitegraph, PERSONALIZATION)
-    # Cold K-column pass (solve_segment_columns' task list).
+    # Cold K-column pass (solve_segment_columns' step and its tail).
+    submitted = []
+    with capture_steps(submitted):
+        solve_segment_columns(graph, sitegraph, segments, DAMPING,
+                              site_damping=SITE_DAMPING, **SOLVER)
     assert_same_tasks(
-        segment_tasks_for(graph, sitegraph, segments, DAMPING,
-                          site_damping=SITE_DAMPING, **SOLVER),
+        submitted,
         oracle_pipeline_segment_tasks(graph, sitegraph, segments, DAMPING,
                                       SITE_DAMPING, TOL, MAX_ITER))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ThreadedExecutor
-from repro.exceptions import GraphStructureError
+from repro.exceptions import GraphStructureError, ValidationError
 from repro.io import toy_web
 from repro.web import DocGraph, aggregate_sitegraph, local_docrank, siterank
 
@@ -113,6 +113,13 @@ class TestRefreshAndSavings:
         ranker = IncrementalLayeredRanker(toy_web())
         with pytest.raises(GraphStructureError):
             ranker.refresh(["nowhere.org"], intersite_changed=False)
+
+    def test_refresh_rejects_a_bare_site_name(self):
+        ranker = IncrementalLayeredRanker(toy_web())
+        with pytest.raises(ValidationError, match="collection of site names"):
+            ranker.refresh("a.example.org", intersite_changed=False)
+        report = ranker.refresh(["a.example.org"], intersite_changed=False)
+        assert report.recomputed_sites == ["a.example.org"]
 
     def test_external_mutation_plus_refresh(self):
         graph = toy_web()
