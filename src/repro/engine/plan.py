@@ -194,7 +194,7 @@ class BatchedSiteTask:
     max_iter: int = DEFAULT_MAX_ITER
     start: object = None  #: packed vector or (n, K) matrix, or None
     #: Preference columns per document; ``K > 1`` runs the fused SpMM
-    #: solve and yields :class:`~repro.web.docrank.SiteColumns` per site.
+    #: solve (read through :meth:`solve`).
     n_vectors: int = 1
 
     #: Marker the adaptive cost model keys on to re-price fused batches
@@ -225,34 +225,28 @@ class BatchedSiteTask:
         return solve_blocks(packed, self.damping, tol=self.tol,
                             max_iter=self.max_iter)
 
-    def run(self):
-        """Solve every fused site; per-site results in :attr:`sites` order."""
+    def run(self) -> List[LocalDocRank]:
+        """Solve every fused site; per-site results in :attr:`sites` order.
+
+        What the per-site callers read; a K-column batch answers
+        :meth:`solve` only.
+        """
+        if self.n_vectors > 1:
+            raise ValidationError("a K-column batch answers solve() only")
         solved = self.solve()
         results = []
         all_ids = np.asarray(self.doc_ids, dtype=np.int64).tolist()
         bounds = solved.offsets.tolist()
         vectors = solved.vectors  # views into one packed output vector
-        # A K-column site resided in the batch as long as its slowest column.
+        # A (n, 1) preference solves as a one-column block.
         iterations = (solved.iterations if solved.iterations.ndim == 1
                       else solved.iterations.max(axis=1)).tolist()
         for index, site in enumerate(self.sites):
             ids = all_ids[bounds[index]:bounds[index + 1]]
-            if self.n_vectors > 1:
-                columns = vectors[index]
-                if columns.ndim == 1:
-                    # All-uniform preference degenerated to one column;
-                    # every segment shares it.
-                    columns = np.broadcast_to(
-                        columns[:, None],
-                        (columns.size, self.n_vectors)).copy()
-                results.append(SiteColumns(
-                    site=site, doc_ids=ids, columns=columns,
-                    iterations=iterations[index]))
-            else:
-                results.append(LocalDocRank(
-                    site=site, doc_ids=ids,
-                    scores=vectors[index],
-                    iterations=iterations[index]))
+            results.append(LocalDocRank(
+                site=site, doc_ids=ids,
+                scores=vectors[index],
+                iterations=iterations[index]))
         return results
 
     @classmethod

@@ -423,7 +423,7 @@ class IncrementalLayeredRanker:
     def _store_segments(self, sites: Sequence[str], doc_ids: Sequence[int],
                         offsets: np.ndarray, solved: Tuple, *,
                         sitegraph: Optional[SiteGraph]) -> int:
-        """Fold a segment step's ``(values, iterations, tail)`` into the caches.
+        """Fold a segment step's ``(values, iterations, tail)`` into caches.
 
         *sites*' rows are cut at *offsets*; returns the iterations spent.
         """

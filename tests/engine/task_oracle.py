@@ -1,8 +1,9 @@
 """The hand-built engine tasks the planner's builders replaced.
 
 Before :func:`repro.engine.plan.site_tasks_for`,
-:func:`~repro.engine.plan.siterank_task_for` and
-:func:`~repro.engine.plan.segment_tasks_for` became the only task
+:func:`~repro.engine.plan.siterank_task_for` and ``segment_tasks_for``
+(since replaced by the layout steps' per-site views and
+:func:`~repro.engine.plan.segment_siterank_task_for`) became the only task
 constructors, the incremental ranker, the segment pass and the
 out-of-core runner each assembled their ``LocalRankTask`` /
 ``SiteRankTask`` objects and re-aligned their warm vectors by hand.

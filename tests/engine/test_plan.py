@@ -244,3 +244,14 @@ class TestDocumentPreferenceValidation:
         local = all_local_docranks(graph, preferences={"a.org": [0.9, 0.1]})
         assert np.array_equal(local["a.org"].scores,
                               tilted.local_docranks["a.org"].scores)
+
+
+def test_a_k_column_batch_answers_solve_only(toy_docgraph):
+    from repro.engine.plan import BatchedSiteTask
+
+    blocks = toy_docgraph.site_blocks()
+    batch = BatchedSiteTask.from_layout(blocks, [0, 1],
+                                        toy_docgraph.sites()[:2], n_vectors=2)
+    assert batch.solve().values.shape[0] == int(blocks.offsets[2])
+    with pytest.raises(ValidationError, match="solve"):
+        batch.run()
