@@ -44,6 +44,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -652,8 +653,8 @@ class _LayoutStep:
         if np.array_equal(self.indices, np.arange(blocks.offsets.size - 1)):
             doc_ids = blocks.doc_ids
         else:
-            doc_ids = blocks.order[block_rows(blocks.offsets,
-                                              self.indices)[0]].tolist()
+            doc_ids = tuple(chain.from_iterable(
+                map(self.doc_ids, range(len(self.sites)))))
         return LocalRanks(self.sites, doc_ids, scores, self.offsets,
                           iterations)
 
@@ -699,7 +700,7 @@ def layout_step(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
         for site, size, vector in zip(sites, sizes.tolist(), picked):
             if vector is not None:
                 _check_preference(site, vector, size, n_vectors)
-    offsets = np.pad(np.cumsum(sizes), (1, 0))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
     step = _LayoutStep(blocks, sites, indices, offsets, damping, tol,
                        max_iter, preferences=picked, n_vectors=n_vectors)
     return step if warm is None else step.with_starts(warm)

@@ -62,7 +62,7 @@ def block_rows(offsets: np.ndarray, blocks: Sequence[int]
     blocks = np.asarray(blocks, dtype=np.int64)
     low = offsets[blocks]
     sizes = offsets[blocks + 1] - low
-    bounds = np.pad(np.cumsum(sizes), (1, 0))
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
     return np.arange(bounds[-1]) + np.repeat(low - bounds[:-1],
                                              sizes), bounds
 
