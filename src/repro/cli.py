@@ -329,7 +329,7 @@ def _command_rank_on_disk(args: argparse.Namespace) -> int:
 
     The graph goes straight into an on-disk block store (URL edge lists
     stream through in bounded memory, never materialising a DocGraph),
-    the layered solve hydrates one solve unit's adjacency at a time, and
+    the layered solve hydrates one window of sites at a time, and
     the composed scores are published as a ranked generation an
     ``repro serve --store`` process can mmap.  Re-running against the
     same ``--output`` warm-starts from the published generation.  The
@@ -357,7 +357,7 @@ def _command_rank_on_disk(args: argparse.Namespace) -> int:
          config.wants_auto_backend or config.executor != "serial")) if given]
     if unsupported:
         raise ValidationError(
-            "--on-disk streams one solve unit at a time on the calling "
+            "--on-disk streams one window of sites at a time on the calling "
             "thread and cannot honour: " + ", ".join(unsupported))
     graph_dir = os.path.join(args.output, "graph")
     self_links = config.include_site_self_links

@@ -9,10 +9,11 @@ compute layer of the repository:
   serial, thread-pool and process-pool backends;
 * :mod:`repro.engine.plan` — the :class:`RankingPlan` task graph encoding
   the 5-step layered method (concurrent steps 3/4, composing barrier at
-  step 5), the one step-3 scheduler over a DocGraph in RAM
-  (:func:`~repro.engine.plan.layout_step`) and the per-site builders
-  (:func:`site_tasks_for`, :func:`batch_site_tasks`) for block sources
-  outside RAM or on peers;
+  step 5), the one step-3 scheduler over a site-major layout
+  (:func:`~repro.engine.plan.layout_step` for a DocGraph in RAM,
+  :func:`~repro.engine.plan.window_step` for a window of disk blocks)
+  and the per-site builders (:func:`site_tasks_for`,
+  :func:`batch_site_tasks`) for the peers and calibration;
 * :mod:`repro.engine.warm` — the warm-source protocol
   (``local_start(site, doc_ids)`` / ``siterank_start(sites)``,
   :class:`WarmSource`), the one way a previously converged vector reaches
@@ -26,9 +27,9 @@ compute layer of the repository:
   field's type, and ships only tiny :class:`ArenaRef` addresses, so
   dispatch cost no longer scales with the web's size;
 * :mod:`repro.engine.outofcore` — :func:`rank_outofcore`, the same
-  builders and solve schedule driven over an mmap'd
-  :class:`~repro.io.diskgraph.DiskGraph` one unit at a time, publishing
-  scores into a ranked-artifact store.
+  scheduler and solve schedule driven over an mmap'd
+  :class:`~repro.io.diskgraph.DiskGraph` one window of sites at a time,
+  publishing scores into a ranked-artifact store.
 
 The centralized pipeline (:mod:`repro.web.pipeline`), the
 incremental ranker and the distributed simulator all
@@ -79,6 +80,7 @@ from .outofcore import (
     OutOfCoreRanking,
     SolveUnit,
     plan_solve_units,
+    plan_windows,
     rank_outofcore,
 )
 from .plan import (
@@ -133,6 +135,7 @@ __all__ = [
     "OutOfCoreRanking",
     "SolveUnit",
     "plan_solve_units",
+    "plan_windows",
     "rank_outofcore",
     "BATCH_SITE_MAX_DOCS",
     "BATCH_TARGET_DOCS",

@@ -4,30 +4,27 @@ The layered decomposition is what makes ranking a web larger than RAM
 possible at all: step 3 touches one site's local adjacency at a time and
 step 4 only the (tiny) SiteGraph, so no step ever needs the global link
 matrix resident.  :func:`rank_outofcore` is the planner's driver with one
-solve unit resident at a time: the units come from the rule
-:func:`repro.engine.plan.batch_site_tasks` schedules with
-(:func:`~repro.engine.plan.fuse_schedule`, from manifest sizes alone), each
-unit's tasks from the same :func:`~repro.engine.plan.site_tasks_for` the
-in-memory plan calls, over the unit's block source
-(:meth:`~repro.io.diskgraph.DiskGraph.unit_blocks`: ONE mapping of the
-byte range holding the unit's arrays, every site a view of it) — and the
-start vectors from any :class:`~repro.engine.warm.WarmSource`.  A unit is
-dropped as soon as it is solved, so its mapping goes with it and peak RSS
-is bounded by the largest unit, not the web.
-
-The round moves arrays, not Python objects per site or per URL: a unit's
-URLs are gathered once as undecoded UTF-8 bytes
-(:meth:`~repro.io.diskgraph.DiskGraph.url_bytes`), and each run of
-consecutive solved sites goes to the
-:class:`repro.io.artifacts.GenerationWriter` with one
+*window* resident at a time: the in-memory plan's solve units
+(:func:`plan_solve_units`, :func:`~repro.engine.plan.fuse_schedule` from
+manifest sizes alone) cut into runs of at most
+:data:`~repro.engine.plan.BATCH_TARGET_DOCS` documents
+(:func:`plan_windows`).  A window is ONE mapping of its blocks
+(:meth:`~repro.io.diskgraph.DiskGraph.unit_blocks`), one dispatch of the
+fit's scheduler (:func:`~repro.engine.plan.window_step`), one
+:class:`~repro.web.docrank.LocalRanks` of results and one gather of its
+URLs as undecoded bytes (:meth:`~repro.io.diskgraph.DiskGraph.url_bytes`);
+start vectors come from any :class:`~repro.engine.warm.WarmSource`.  A
+window is dropped as soon as it is solved, so peak RSS is bounded by a
+window's documents, not the web's.  Each run of consecutive solved sites
+goes to the :class:`repro.io.artifacts.GenerationWriter` with one
 :meth:`~repro.io.artifacts.GenerationWriter.append_sites` call, in
-site-major order.  The writer's ``finalize`` performs the same single-sum
-normalisation :func:`repro._validation.normalize_distribution` applies to
-the concatenated in-memory vector.
+site-major order; ``finalize`` performs the same single-sum normalisation
+:func:`repro._validation.normalize_distribution` applies to the
+concatenated in-memory vector.
 
 Bitwise parity with the in-memory pipeline is a hard requirement (the
 out-of-core path must be an *optimisation*, not a different ranking):
-same schedule, same builders, same task code — and the generation files
+same schedule, same solvers, same task code — and the generation files
 are byte-identical to those of the per-site writer this round replaced.
 """
 
@@ -45,16 +42,15 @@ from ..io.artifacts import ArtifactStore, GenerationWriter, RankedGeneration
 from ..io.diskgraph import DiskGraph
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
-from ..web.docrank import LocalDocRank
+from ..web.docrank import LocalRanks
 from ..web.siterank import SiteRankResult
 from .plan import (
     BATCH_SITE_MAX_DOCS,
     BATCH_TARGET_DOCS,
-    BatchedSiteTask,
-    collect_site_results,
     fuse_schedule,
-    site_tasks_for,
     siterank_task_for,
+    solve_layout_steps,
+    window_step,
 )
 from .warm import Previous, WarmSource, WarmStartState
 
@@ -71,9 +67,9 @@ def plan_solve_units(sites: Sequence[str], sizes: Mapping[str, int], *,
                      max_docs: int = BATCH_SITE_MAX_DOCS,
                      target_docs: int = BATCH_TARGET_DOCS
                      ) -> List[SolveUnit]:
-    """The :func:`~repro.engine.plan.batch_site_tasks` schedule, from sizes only.
+    """The in-memory plan's step-3 schedule, from sizes only.
 
-    Because the out-of-core tasks all share one parameter set, chunk
+    Because the out-of-core solves all share one parameter set, chunk
     membership depends only on each site's document count — which the
     disk-graph manifest records — so the whole schedule is planned by the
     shared :func:`~repro.engine.plan.fuse_schedule` without mapping a
@@ -89,6 +85,28 @@ def plan_solve_units(sites: Sequence[str], sizes: Mapping[str, int], *,
     return ([SolveUnit("fused", tuple(sites[i] for i in chunk))
              for chunk in chunks]
             + [SolveUnit("dedicated", (sites[i],)) for i in dedicated])
+
+
+def plan_windows(units: Sequence[SolveUnit], sizes: Mapping[str, int], *,
+                 target_docs: int = BATCH_TARGET_DOCS
+                 ) -> List[List[SolveUnit]]:
+    """Cut *units*, in the order given, into runs of at most *target_docs*.
+
+    A window is a run of consecutive units holding at most *target_docs*
+    documents; a unit larger than that (one dedicated site) is a window of
+    its own.  :func:`rank_outofcore` maps, solves and gathers window by
+    window.
+    """
+    windows: List[List[SolveUnit]] = []
+    docs = 0
+    for unit in units:
+        size = sum(int(sizes[site]) for site in unit.sites)
+        if not windows or docs + size > target_docs:
+            windows.append([])
+            docs = 0
+        windows[-1].append(unit)
+        docs += size
+    return windows
 
 
 class GenerationWarmStart(WarmSource):
@@ -160,15 +178,17 @@ def rank_outofcore(graph: DiskGraph,
     """Rank a DiskGraph in bounded memory, publishing a ranked generation.
 
     Steps 2 and 4 run in RAM (the SiteGraph is orders of magnitude smaller
-    than the web); step 3 streams the solve units of
-    :func:`plan_solve_units` through memory one at a time, each unit's
-    blocks read through one mapping (:meth:`DiskGraph.unit_blocks`) for
-    the unit's lifetime and its URLs gathered as undecoded bytes in one
-    read (:meth:`DiskGraph.url_bytes`).  Solved sites go to the artifact
-    store as soon as every site before them has — one
+    than the web); step 3 streams the windows of :func:`plan_windows`
+    through memory one at a time, so memory is bounded per window, in
+    documents (at most :data:`~repro.engine.plan.BATCH_TARGET_DOCS`, or
+    one larger site).  Each window's blocks are read through one mapping
+    (:meth:`DiskGraph.unit_blocks`) for the window's lifetime, solved as
+    one layout step and its URLs gathered as undecoded bytes in one read
+    (:meth:`DiskGraph.url_bytes`).  Solved sites go to the artifact store
+    as soon as every site before them has — one
     :meth:`~repro.io.artifacts.GenerationWriter.append_sites` per run of
-    consecutive sites, so held vectors never exceed one chunk's worth plus
-    the units a fused chunk straddles — and the finished generation is
+    consecutive sites, so held vectors never exceed a window's worth plus
+    the sites a fused chunk straddles — and the finished generation is
     published with an atomic manifest-pointer flip.
 
     *warm* is any :class:`~repro.engine.warm.WarmSource` — a live
@@ -188,9 +208,11 @@ def rank_outofcore(graph: DiskGraph,
     record = warm if isinstance(warm, WarmStartState) else None
     common = {"tol": tol, "max_iter": max_iter, "warm": seed}
     sites = graph.sites()
+    sizes = graph.site_sizes()
     with obs.span("outofcore.rank"):
         # Step 4 — the SiteGraph fits in RAM by construction; its
-        # adjacency is still read straight off the block file.
+        # adjacency is still read straight off the block file.  Its sites
+        # are the graph's, in order: a run's site scores are a slice.
         site_result = siterank_task_for(
             graph.sitegraph(),
             damping if site_damping is None else site_damping,
@@ -201,29 +223,32 @@ def rank_outofcore(graph: DiskGraph,
         # Units in the order their first site comes: the generation is
         # written in site order, so a unit is solved when the write
         # cursor first needs one of its sites.
-        first = {site: index for index, site in enumerate(sites)}
-        units = sorted(plan_solve_units(sites, graph.site_sizes()),
-                       key=lambda unit: first[unit.sites[0]])
+        order = {site: index for index, site in enumerate(sites)}
+        units = sorted(plan_solve_units(sites, sizes),
+                       key=lambda unit: order[unit.sites[0]])
         writer = store.create_generation(method=method,
                                          n_documents=graph.n_documents)
-        pending: Dict[str, _SolvedSite] = {}
+        pending: Dict[str, Tuple[_SolvedWindow, int]] = {}
         cursor = 0
         iterations = site_result.iterations
         try:
-            for unit in units:
-                pending.update(_solve_unit(graph, unit, damping, common))
-                run = []
-                while cursor < len(sites) and sites[cursor] in pending:
-                    run.append(pending.pop(sites[cursor]))
-                    cursor += 1
-                if run:
-                    _append_run(writer, run, site_result)
-                for solved in run:
-                    iterations += solved.rank.iterations
-                    if record is not None:
-                        record.record_local(solved.rank.site,
-                                            solved.rank.doc_ids,
-                                            solved.rank.scores)
+            for window in plan_windows(units, sizes):
+                ranks = _solve_window(graph, window, order, damping, common)
+                with obs.span("outofcore.window.write"):
+                    solved = _SolvedWindow(ranks,
+                                           *graph.url_bytes(ranks.doc_ids))
+                    pending.update((site, (solved, position)) for position,
+                                   site in enumerate(ranks.sites))
+                    start = cursor
+                    while cursor < len(sites) and sites[cursor] in pending:
+                        cursor += 1
+                    if cursor > start:
+                        iterations += _append_run(
+                            writer, sites[start:cursor],
+                            [pending.pop(site) for site in sites[start:cursor]],
+                            site_result.scores[start:cursor], record)
+                    # A written window goes now, not after the next solve.
+                    del ranks, solved
             generation = writer.finalize(
                 siterank_sites=site_result.sites,
                 siterank_scores=site_result.scores,
@@ -241,62 +266,83 @@ def rank_outofcore(graph: DiskGraph,
                             iterations=iterations)
 
 
-@dataclass
-class _SolvedSite:
-    """One solved site waiting for its turn in site order."""
+def _solve_window(graph: DiskGraph, window: Sequence[SolveUnit],
+                  order: Mapping[str, int], damping: float,
+                  common: dict) -> LocalRanks:
+    """Solve one window over one mapping of its blocks, in site order.
 
-    rank: LocalDocRank
-    doc_ids: np.ndarray
+    The units' kinds are the *whole web's* schedule (a mid-stream chunk
+    of one stays fused, a trailing one is dedicated): the window's fused
+    sites are one batch, every other site a dedicated task.
+    """
+    obs.inc("outofcore_windows_total")
+    obs.inc("outofcore_units_total", len(window))
+    sites = sorted((site for unit in window for site in unit.sites),
+                   key=order.__getitem__)
+    fused = {site for unit in window if unit.kind == "fused"
+             for site in unit.sites}
+    chunk = [position for position, site in enumerate(sites) if site in fused]
+    schedule = ([chunk] if chunk else [],
+                [position for position, site in enumerate(sites)
+                 if site not in fused])
+    with obs.span("outofcore.window.map"):
+        blocks = graph.unit_blocks(sites)
+        preferences = blocks.preferences
+        step = window_step(blocks, schedule, damping, preferences=(
+            preferences if any(vector is not None for vector in preferences)
+            else None), **common)
+    with obs.span("outofcore.window.solve"):
+        _first, ((scores, iterations, _tail),), _n_tasks = \
+            solve_layout_steps([(step, None)])
+        return step.local_ranks(scores, iterations)
+
+
+@dataclass
+class _SolvedWindow:
+    """A solved window's sites, waiting for their turn in site order."""
+
+    ranks: LocalRanks
     url_bytes: np.ndarray
     url_lengths: np.ndarray
 
-
-def _solve_unit(graph: DiskGraph, unit: SolveUnit, damping: float,
-                common: dict) -> Dict[str, _SolvedSite]:
-    """Solve one unit over one mapping of its blocks; gather its URLs."""
-    obs.inc("outofcore_units_total")
-    source = graph.unit_blocks(unit.sites)
-    preferences = {}
-    for site in unit.sites:
-        preference = source.preference(site)
-        if preference is not None:
-            preferences[site] = preference
-    payload = site_tasks_for(source, damping, sites=unit.sites,
-                             preferences=preferences, **common)
-    site_ids = [source.local_block(site)[1] for site in unit.sites]
-    counts = [ids.size for ids in site_ids]
-    doc_ids = np.concatenate(site_ids)
-    del source, preferences, site_ids
-    if unit.kind == "fused":
-        # The unit's kind is the *global* schedule's word (a mid-stream
-        # chunk of one stays fused).  Packing copies the blocks into one
-        # block-diagonal CSR; rebinding drops the per-site tasks, which
-        # unmaps the source pages before the solve runs.
-        payload = [BatchedSiteTask.from_tasks(payload)]
-    ranks = collect_site_results(payload, [task.run() for task in payload])
-    del payload
-    url_bytes, url_lengths = graph.url_bytes(doc_ids)
-    docs = np.concatenate(([0], np.cumsum(counts)))
-    nbytes = np.concatenate(([0], np.cumsum(url_lengths)))[docs]
-    return {site: _SolvedSite(ranks[site], doc_ids[start:stop],
-                              url_bytes[first:last], url_lengths[start:stop])
-            for site, start, stop, first, last in zip(
-                unit.sites, docs.tolist(), docs[1:].tolist(),
-                nbytes.tolist(), nbytes[1:].tolist())}
+    def cut(self, low: int, high: int) -> tuple:
+        """Sites ``low:high``: counts, ids, scores, URLs and iterations."""
+        ranks = self.ranks
+        first, last = ranks.offsets[low], ranks.offsets[high]
+        lengths = self.url_lengths[first:last]
+        skip = int(self.url_lengths[:first].sum())
+        return (ranks.sizes[low:high], ranks.doc_ids[first:last],
+                ranks.scores[first:last],
+                self.url_bytes[skip:skip + int(lengths.sum())], lengths,
+                ranks.iterations[low:high])
 
 
-def _append_run(writer: GenerationWriter, run: Sequence[_SolvedSite],
-                site_result: SiteRankResult) -> None:
-    """Write a run of consecutive solved sites with one writer call."""
-    writer.append_sites(
-        [solved.rank.site for solved in run],
-        [solved.doc_ids.size for solved in run],
-        np.concatenate([solved.doc_ids for solved in run]),
-        np.concatenate([solved.rank.scores for solved in run]),
-        np.concatenate([solved.url_bytes for solved in run]),
-        np.concatenate([solved.url_lengths for solved in run]),
-        [site_result.score_of(solved.rank.site) for solved in run],
-        [solved.rank.iterations for solved in run])
+def _append_run(writer: GenerationWriter, sites: Sequence[str],
+                run: Sequence[Tuple[_SolvedWindow, int]],
+                site_scores: np.ndarray,
+                record: Optional[WarmStartState]) -> int:
+    """Write a run of consecutive solved sites with one writer call.
+
+    *run* holds each site's ``(window, position)``; consecutive positions
+    of one window are cut as one slice.  Returns the run's iterations.
+    """
+    pieces: List[list] = []
+    for window, position in run:
+        if pieces and pieces[-1][0] is window and pieces[-1][2] == position:
+            pieces[-1][2] += 1
+        else:
+            pieces.append([window, position, position + 1])
+    counts, doc_ids, scores, url_bytes, url_lengths, iterations = (
+        np.concatenate(column) for column in zip(
+            *(window.cut(low, high) for window, low, high in pieces)))
+    writer.append_sites(sites, counts, doc_ids, scores, url_bytes,
+                        url_lengths, site_scores, iterations.tolist())
+    if record is not None:
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        for site, low, high in zip(sites, bounds, bounds[1:]):
+            record.record_local(site, doc_ids[low:high].tolist(),
+                                scores[low:high])
+    return int(iterations.sum())
 
 
 __all__ = [
@@ -304,5 +350,6 @@ __all__ = [
     "OutOfCoreRanking",
     "SolveUnit",
     "plan_solve_units",
+    "plan_windows",
     "rank_outofcore",
 ]

@@ -28,12 +28,14 @@ layout (:func:`layout_step`, run by :func:`solve_layout_steps`): sites
 named by layout index, fused batches cut by one row-range gather, each
 batch's packed result scattered into one vector over the step's sites.
 Only a site too large to fuse gets a task of its own, a lazy reference
-into the layout.
+into the layout.  The out-of-core round runs the same step over a window
+of mapped disk blocks (:func:`window_step` over a
+:class:`~repro.io.diskgraph.UnitBlocks`).
 
 The per-site builders (:func:`site_tasks_for`, :func:`batch_site_tasks`)
-serve what has no layout in RAM — the out-of-core runner, the simulator's
-and the live cluster's peers, calibration — over any **block source**
-(``sites()`` and ``local_block(site) -> (adjacency, doc_ids)``).  Start
+serve the simulator's and the live cluster's peers and calibration, over
+any **block source** (``sites()`` and ``local_block(site) -> (adjacency,
+doc_ids)``).  Start
 vectors come from any **warm source**
 (:class:`~repro.engine.warm.WarmSource`), so power iterations resume from
 the previously converged vector instead of restarting from uniform.
@@ -287,7 +289,7 @@ class BatchedSiteTask:
 
         Tasks whose adjacencies are references into one
         :class:`~repro.web.docgraph.SiteBlocks` pack through
-        :meth:`from_layout`; anything else (mmap'd disk blocks, the
+        :meth:`from_layout`; anything else (blocks of another source, the
         SiteRank pseudo-site riding a segment batch) is materialised and
         concatenated by :func:`~repro.linalg.block_solver.pack_blocks`.
         Either way the packed buffers are copies.
@@ -530,17 +532,22 @@ def collect_site_results(payload: Sequence["RankTask"],
 
 @dataclass(frozen=True)
 class _LayoutStep:
-    """Step 3 over some sites of a DocGraph's site-major layout.
+    """Step 3 over some sites of a site-major layout.
 
-    ``indices`` are the layout indices of the sites solved, in schedule
-    order, ``sites`` their names.  ``starts`` / ``preferences`` hold one
-    optional vector (``(n, K)`` matrix for ``n_vectors = K > 1``) per
-    site, or are ``None`` when no site has one (nothing is packed then).
-    Results are selection-major: the sites' rows in turn, cut at
-    :attr:`offsets`.
+    ``blocks`` is a DocGraph's :class:`~repro.web.docgraph.SiteBlocks` or
+    a window of disk blocks (:class:`~repro.io.diskgraph.UnitBlocks`):
+    whatever answers ``offsets``, ``doc_ids``, ``nnz`` and
+    ``packed(indices)``.  ``indices`` are the layout indices of the sites
+    solved, in schedule order, ``sites`` their names.  ``starts`` /
+    ``preferences`` hold one optional vector (``(n, K)`` matrix for
+    ``n_vectors = K > 1``) per site, or are ``None`` when no site has one
+    (nothing is packed then).  ``schedule``, when given, is the
+    ``(chunks, dedicated)`` positions to run in place of
+    :func:`fuse_schedule`'s.  Results are selection-major: the sites' rows
+    in turn, cut at :attr:`offsets`.
     """
 
-    blocks: SiteBlocks
+    blocks: object
     sites: Sequence[str]
     indices: Sequence[int]
     offsets: np.ndarray  #: ``len(sites) + 1`` boundaries of their rows
@@ -550,11 +557,14 @@ class _LayoutStep:
     starts: Optional[List[Optional[np.ndarray]]] = None
     preferences: Optional[List[Optional[np.ndarray]]] = None
     n_vectors: int = 1
+    schedule: Optional[Tuple[List[List[int]], List[int]]] = None
 
     def doc_ids(self, position: int) -> Tuple[int, ...]:
         """The document ids of one selected site, in its block's row order."""
         offsets, index = self.blocks.offsets, self.indices[position]
-        return self.blocks.doc_ids[offsets[index]:offsets[index + 1]]
+        ids = self.blocks.doc_ids[offsets[index]:offsets[index + 1]]
+        # A window of disk blocks holds them as one int64 array.
+        return tuple(ids.tolist()) if isinstance(ids, np.ndarray) else ids
 
     def with_starts(self, warm: WarmSource) -> "_LayoutStep":
         """This step with every site's start taken from *warm*."""
@@ -575,21 +585,22 @@ class _LayoutStep:
                 ) -> Tuple[List["RankTask"], list]:
         """The fused and dedicated tasks, with where each result goes.
 
-        :func:`fuse_schedule` over the sites' block sizes; each chunk is
-        one :meth:`BatchedSiteTask.from_layout` gather (its place: the
-        chunk's positions), each dedicated site a :class:`LocalRankTask`
-        (its place: its position).  *tail*, a block outside the layout
-        (the segment SiteRank), is scheduled after the last site as
+        :func:`fuse_schedule` over the sites' block sizes (or the step's
+        own :attr:`schedule`); each chunk is one
+        :meth:`BatchedSiteTask.from_layout` gather (its place: the chunk's
+        positions), each dedicated site a :class:`LocalRankTask` (its
+        place: its position).  *tail*, a block outside the layout (the
+        segment SiteRank), is scheduled after the last site as
         :func:`batch_site_tasks` would — with the sites when it shares
-        their settings, alone otherwise — at position ``len(sites)``.
+        their settings and no schedule is given, alone otherwise — at
+        position ``len(sites)``.
         """
         n_sites = len(self.sites)
+        joined = tail is not None and self.schedule is None and (
+            tail.damping, tail.tol, tail.max_iter) == (self.damping, self.tol,
+                                                       self.max_iter)
         sizes = np.diff(self.offsets).tolist()
-        joined = tail is not None and (tail.damping, tail.tol,
-                                       tail.max_iter) == (self.damping,
-                                                          self.tol,
-                                                          self.max_iter)
-        chunks, dedicated = fuse_schedule(
+        chunks, dedicated = self.schedule or fuse_schedule(
             sizes + [tail.n_documents] if joined else sizes,
             max_docs=BATCH_SITE_MAX_DOCS, target_docs=BATCH_TARGET_DOCS)
         tasks: List[RankTask] = [
@@ -603,7 +614,7 @@ class _LayoutStep:
                 n_vectors=self.n_vectors)
             for chunk in chunks]
         if tail is not None and not joined:
-            dedicated.append(n_sites)
+            dedicated = [*dedicated, n_sites]
         tasks.extend(tail if position == n_sites else self.task(position)
                      for position in dedicated)
         return tasks, [*chunks, *dedicated]
@@ -703,6 +714,26 @@ def layout_step(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     step = _LayoutStep(blocks, sites, indices, offsets, damping, tol,
                        max_iter, preferences=picked, n_vectors=n_vectors)
+    return step if warm is None else step.with_starts(warm)
+
+
+def window_step(blocks, schedule: Tuple[List[List[int]], List[int]],
+                damping: float = DEFAULT_DAMPING, *,
+                preferences: Optional[List[Optional[np.ndarray]]] = None,
+                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                warm: Optional[WarmSource] = None) -> _LayoutStep:
+    """Step 3 over every site of a window of disk blocks, on *schedule*.
+
+    *blocks* is a :class:`~repro.io.diskgraph.UnitBlocks`; *schedule* the
+    ``(chunks, dedicated)`` positions of its sites, so each site keeps the
+    kind the whole web's schedule gave it.  *preferences* holds one
+    optional vector per site (``None``: none has one), checked where the
+    solves check theirs; *warm* seeds every start.
+    """
+    sites = blocks.sites()
+    step = _LayoutStep(blocks, sites, range(len(sites)), blocks.offsets,
+                       damping, tol, max_iter, preferences=preferences,
+                       schedule=schedule)
     return step if warm is None else step.with_starts(warm)
 
 

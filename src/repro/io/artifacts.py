@@ -28,7 +28,7 @@ A generation's arrays each live in their own flat file:
 ``urls.bin`` / ``url_offsets.bin``
     UTF-8 URL blob plus int64 offsets per position.
 
-:class:`GenerationWriter` streams these files a solve unit at a time —
+:class:`GenerationWriter` streams these files a run of sites at a time —
 doc ids, vectors and URL bytes arrive as concatenated arrays and are
 copied undecoded, one write per file per call — and indexes them in
 windows of whole shards at ``finalize``.
@@ -240,9 +240,9 @@ class GenerationWriter:
     """Streamed site-major writer of one generation.
 
     :meth:`append_sites` writes a run of consecutive sites as they are
-    solved — a solve unit's doc ids, local vectors and undecoded URL bytes
-    arrive concatenated, with per-site counts, and each array file takes
-    one write per call — so the producer never holds more than one unit.
+    solved — their doc ids, local vectors and undecoded URL bytes arrive
+    concatenated, with per-site counts, and each array file takes one
+    write per call — so the producer holds no more than it has solved.
     Each site's scores are stored SiteRank-weighted but not yet
     normalised.  ``finalize`` then performs the whole-array steps: the
     single normalisation sum (bitwise the in-memory

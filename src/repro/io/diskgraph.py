@@ -17,13 +17,14 @@ same :class:`~repro.linalg.layout.BumpLayout` codec the shared-memory
 each array's dtype, byte offset and element count.  Readers rebuild every
 matrix zero-copy with ``np.frombuffer`` views of one ``mmap`` +
 :func:`repro.linalg.sparse_utils.csr_from_buffers`: opening a disk graph
-faults in manifest-sized metadata only, and ranking it touches one solve
-unit at a time.  :meth:`DiskGraph.unit_blocks` maps the byte range holding
-a unit's arrays *once* and answers every site of the unit from that one
-mapping; :meth:`DiskGraph.url_bytes` gathers many documents' URLs as one
-undecoded UTF-8 blob plus per-document lengths (one mapping of the URL
-table, one vectorised gather), which is what the artifact writer copies
-into a generation — URLs never become Python strings on the rank path.
+faults in manifest-sized metadata only, and ranking it touches one window
+of sites at a time.  :meth:`DiskGraph.unit_blocks` maps the byte range
+holding a window's arrays *once* and answers every site of the window
+from that one mapping; :meth:`DiskGraph.url_bytes` gathers many
+documents' URLs as one undecoded UTF-8 blob plus per-document lengths
+(one mapping of the URL table, one vectorised gather), which is what the
+artifact writer copies into a generation — URLs never become Python
+strings on the rank path.
 
 Two build paths exist:
 
@@ -49,6 +50,7 @@ import json
 import mmap
 import os
 import tempfile
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -57,8 +59,12 @@ import numpy as np
 from .. import obs
 from ..exceptions import GraphStructureError, ValidationError
 from ..linalg.layout import ALIGNMENT, BumpLayout
-from ..linalg.sparse_utils import coo_from_edges, csr_from_buffers
-from ..web.docgraph import DocGraph, Document
+from ..linalg.sparse_utils import (
+    coo_from_edges,
+    csr_direct_sum,
+    csr_from_buffers,
+)
+from ..web.docgraph import DocGraph, Document, block_rows
 from ..web.registry import DocumentRegistry
 from ..web.sitegraph import SiteGraph, aggregate_sitegraph
 from .edgelist import record_ingest
@@ -185,8 +191,8 @@ class DiskGraph:
     Every accessor maps *fresh* the byte range it needs — one mapping per
     call, however many arrays it answers with — and holds no mapping
     itself: when the caller drops the returned arrays the pages are
-    unmapped, so streaming over the solve units keeps process RSS bounded
-    by one unit regardless of graph size.  Manifest problems (missing
+    unmapped, so streaming over the windows keeps process RSS bounded by
+    one window regardless of graph size.  Manifest problems (missing
     files, truncated blocks, unknown versions, corrupt JSON) raise
     :class:`~repro.exceptions.ValidationError` at open time; a corrupt
     URL table raises it when read.
@@ -395,13 +401,13 @@ class DiskGraph:
         """One site's ``(local CSR, doc-id vector)`` over one fresh mapping.
 
         Dropping the returned objects unmaps the block.  The out-of-core
-        engine reads a whole solve unit through :meth:`unit_blocks`
-        instead.
+        engine reads a whole window through :meth:`unit_blocks` instead.
         """
-        return self.unit_blocks([site]).local_block(site)
+        unit = self.unit_blocks([site])
+        return unit.packed([0])[0], unit.doc_ids
 
     def unit_blocks(self, sites: Sequence[str]) -> "UnitBlocks":
-        """The block source of one solve unit: its sites over one mapping."""
+        """The layout of one out-of-core window: its sites, one mapping."""
         return UnitBlocks(self, sites)
 
     def personalized_sites(self) -> List[str]:
@@ -537,13 +543,17 @@ class DiskGraph:
 
 
 class UnitBlocks:
-    """The block source of one solve unit, over ONE mapping.
+    """The block source of one out-of-core window, over ONE mapping.
 
-    Every array of the unit's sites — CSR family, document ids, preference
-    — is a view of a single mapping of the byte range of ``blocks.bin``
-    that holds them.  Like any block source (see :mod:`repro.engine.plan`)
-    it answers ``sites()`` and ``local_block(site)``; dropping it and every
-    task built from it unmaps the range.
+    Every array of the window's sites — CSR family, document ids,
+    preference — is a view of a single mapping of the byte range of
+    ``blocks.bin`` that holds them; dropping the object and every task
+    built from it unmaps the range, so the round's memory is bounded per
+    window, in documents.  It answers what a step-3 layout step reads
+    (:mod:`repro.engine.plan`): ``offsets`` (the sites' row boundaries,
+    in the order asked for), ``doc_ids`` (their ids in row order),
+    ``nnz`` and ``packed(indices)``; plus ``sites()`` and one optional
+    vector per site in ``preferences``.
     """
 
     def __init__(self, graph: DiskGraph, sites: Sequence[str]) -> None:
@@ -553,32 +563,51 @@ class UnitBlocks:
         for entry in entries:
             specs += _csr_specs(entry["adjacency"]) + [
                 entry["doc_ids"], entry.get("preference")]
-        views = iter(graph._map_arrays(specs))
-        self._blocks: Dict[str, tuple] = {}
-        for site, entry in zip(self._sites, entries):
-            csr = _csr_over(entry["adjacency"],
-                            [next(views), next(views), next(views)])
-            self._blocks[site] = (csr, next(views), next(views))
+        views = graph._map_arrays(specs)
+        # Five views per site: data, indices, indptr, doc ids, preference.
+        # A CSR object is only built for a block handed out alone.
+        self._families = [views[at:at + 3] for at in range(0, len(views), 5)]
+        self._ids = views[3::5]
+        self.preferences = views[4::5]
+        self.offsets = np.zeros(len(entries) + 1, dtype=np.int64)
+        np.cumsum([entry["doc_ids"]["count"] for entry in entries],
+                  out=self.offsets[1:])
+        self.nnz = np.array([family[0].size for family in self._families],
+                            dtype=np.int64)
 
-    def _block(self, site: str) -> tuple:
-        try:
-            return self._blocks[site]
-        except KeyError:
-            raise GraphStructureError(
-                f"site {site!r} is not in this unit") from None
+    @cached_property
+    def doc_ids(self) -> np.ndarray:
+        """Every site's document ids in row order (one ``int64`` copy)."""
+        return np.concatenate(self._ids)
+
+    def packed(self, indices: Sequence[int]
+               ) -> Tuple[object, np.ndarray, np.ndarray]:
+        """``(matrix, offsets, doc_ids)`` of some sites' blocks, packed.
+
+        Several blocks are concatenated into one block-diagonal CSR in
+        fresh buffers, canonicalised as
+        :func:`~repro.linalg.sparse_utils.block_diagonal` canonicalises;
+        one block is handed out as a CSR over its mapped views.
+        """
+        rows, offsets = block_rows(self.offsets, indices)
+        sizes = np.diff(offsets).tolist()
+        if len(sizes) == 1:
+            matrix = csr_from_buffers(*self._families[indices[0]],
+                                      (sizes[0], sizes[0]))
+        else:
+            matrix = csr_direct_sum([self._families[index]
+                                     for index in indices],
+                                    [(size, size) for size in sizes])
+            # Rows never cross blocks: the packed matrix is canonical
+            # exactly when every block is, and summing its duplicates
+            # canonicalises each block in place.
+            if not matrix.has_canonical_format:
+                matrix.sum_duplicates()
+        return matrix, offsets, self.doc_ids[rows]
 
     def sites(self) -> List[str]:
-        """The unit's sites, in the order they were asked for."""
+        """The window's sites, in the order they were asked for."""
         return list(self._sites)
-
-    def local_block(self, site: str) -> Tuple[object, np.ndarray]:
-        """One site's ``(local CSR, doc-id vector)`` (views, no copy)."""
-        csr, doc_ids, _ = self._block(site)
-        return csr, doc_ids
-
-    def preference(self, site: str) -> Optional[np.ndarray]:
-        """One site's persisted preference vector, or ``None``."""
-        return self._block(site)[2]
 
 
 def _csr_specs(family: Dict[str, object]) -> List[Dict[str, object]]:

@@ -153,12 +153,11 @@ class TestBitwiseParity:
 
     def test_failed_run_publishes_nothing(self, disk, tmp_path, monkeypatch):
         store = ArtifactStore(tmp_path / "store", create=True)
-        from repro.engine import outofcore
 
         def explode(*args, **kwargs):
             raise RuntimeError("solver died")
 
-        monkeypatch.setattr(outofcore.BatchedSiteTask, "run", explode)
+        monkeypatch.setattr(BatchedSiteTask, "solve", explode)
         with pytest.raises(RuntimeError):
             rank_outofcore(disk, store)
         store.reload()

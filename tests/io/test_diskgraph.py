@@ -337,3 +337,55 @@ class TestNonFiniteLinkWeight:
             rank_outofcore(open_diskgraph(disk.path), store)
         store.reload()
         assert store.current is None
+
+
+def _same_arrays(got, want) -> None:
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        np.testing.assert_array_equal(getattr(got, name),
+                                      getattr(want, name), err_msg=name)
+
+
+class TestWindowBlocks:
+    """A window of disk blocks packs its sites as ``block_diagonal`` packs
+    their blocks, without a matrix object per site."""
+
+    def test_packed_is_the_block_diagonal_of_its_blocks(self, disk):
+        from repro.linalg import block_diagonal
+
+        sites = disk.sites()
+        window = disk.unit_blocks(sites)
+        picked = [0, 2, 3]
+        matrix, offsets, doc_ids = window.packed(picked)
+        _same_arrays(matrix, block_diagonal(
+            [disk.local_block(sites[index])[0] for index in picked]))
+        np.testing.assert_array_equal(doc_ids, np.concatenate(
+            [disk.doc_ids_of(sites[index]) for index in picked]))
+        np.testing.assert_array_equal(np.diff(offsets), [
+            disk.site_sizes()[sites[index]] for index in picked])
+        np.testing.assert_array_equal(window.nnz, [
+            disk.local_block(site)[0].nnz for site in sites])
+
+    @pytest.mark.parametrize("edit", ["unsorted", "duplicate"])
+    def test_a_non_canonical_block_packs_canonicalised(self, disk, edit):
+        from repro.linalg import block_diagonal
+
+        with open(os.path.join(disk.path, MANIFEST_FILE),
+                  encoding="utf-8") as handle:
+            spec = json.load(handle)["sites"][0]["adjacency"]["indices"]
+        block = disk.local_block(disk.sites()[0])[0]
+        row = int(np.argmax(np.diff(block.indptr) >= 2))
+        first = int(block.indptr[row])
+        columns = block.indices[first:first + 2]
+        assert columns.size == 2
+        columns = columns[::-1] if edit == "unsorted" else columns[[0, 0]]
+        _poke(os.path.join(disk.path, "blocks.bin"),
+              spec["offset"] + np.dtype(spec["dtype"]).itemsize * first,
+              columns.astype(spec["dtype"]).tobytes())
+        graph = open_diskgraph(disk.path)
+        sites = graph.sites()
+        assert not graph.local_block(sites[0])[0].has_canonical_format
+        matrix = graph.unit_blocks(sites).packed([0, 1])[0]
+        assert matrix.has_canonical_format
+        _same_arrays(matrix, block_diagonal(
+            [graph.local_block(site)[0] for site in sites[:2]]))

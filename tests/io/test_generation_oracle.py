@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 from generation_oracle import oracle_rank
 from repro import obs
 from repro.engine import outofcore, plan_solve_units, rank_outofcore
+from repro.engine.outofcore import plan_windows
+from repro.engine.plan import BATCH_TARGET_DOCS
 from repro.io import ArtifactStore, write_diskgraph
 from repro.io.diskgraph import BLOCKS_FILE
 from repro.web.docgraph import DocGraph
@@ -71,9 +73,12 @@ def webs(draw):
         for site in graph.sites() if draw(st.booleans())}
     site_preference = (_distribution(rng, len(graph.sites()))
                        if draw(st.booleans()) else None)
-    # A small chunk target splits the fused sites into several units.
+    # A small chunk target splits the fused sites into several units; a
+    # small window target splits the units into several windows, so a
+    # fused chunk can wait for a dedicated site of a later window.
     target_docs = draw(st.sampled_from([None, 1, 4, 40]))
-    return graph, preferences, site_preference, target_docs
+    window_docs = draw(st.sampled_from([None, 1, 30, 600]))
+    return graph, preferences, site_preference, target_docs, window_docs
 
 
 def _distribution(rng, size: int) -> np.ndarray:
@@ -92,11 +97,14 @@ def _same_files(left: str, right: str) -> None:
 @BUDGET
 @given(webs())
 def test_generation_is_byte_equal_to_the_oracle(web):
-    graph, preferences, site_preference, target_docs = web
+    graph, preferences, site_preference, target_docs, window_docs = web
     schedule = (plan_solve_units if target_docs is None
                 else partial(plan_solve_units, target_docs=target_docs))
+    windows = (plan_windows if window_docs is None
+               else partial(plan_windows, target_docs=window_docs))
     with tempfile.TemporaryDirectory() as root, \
-            mock.patch.object(outofcore, "plan_solve_units", schedule):
+            mock.patch.object(outofcore, "plan_solve_units", schedule), \
+            mock.patch.object(outofcore, "plan_windows", windows):
         disk = write_diskgraph(graph, os.path.join(root, "graph"),
                                preferences=preferences)
         store = ArtifactStore(os.path.join(root, "store"), create=True)
@@ -144,6 +152,72 @@ def test_cold_rank_maps_each_unit_once(tmp_path, monkeypatch):
     assert counted - before == len(opened)
     assert len(units) < disk.n_sites  # the bound is below one per site
     assert ranked.n_documents == web.n_documents
+
+
+def _dedicated_and_tiny_sites() -> DocGraph:
+    """Six sites over ``BATCH_SITE_MAX_DOCS`` (rings of 600 pages), each
+    followed by a tiny one: seven solve units, six dedicated."""
+    graph = DocGraph()
+    for index in range(6):
+        for site, n_pages in ((f"big{index}", 600), (f"tiny{index}", 3)):
+            pages = [f"http://{site}.example.org/p{page}.html"
+                     for page in range(n_pages)]
+            for source, target in zip(pages, pages[1:] + pages[:1]):
+                graph.add_link(source, target)
+    return graph
+
+
+@pytest.mark.parametrize("window_docs", [BATCH_TARGET_DOCS, 1300])
+def test_cold_rank_maps_each_window_once(tmp_path, monkeypatch, window_docs):
+    """Two mappings of ``blocks.bin`` per window (its blocks, its URLs)
+    plus the SiteGraph's — fewer than two per solve unit."""
+    disk = write_diskgraph(_dedicated_and_tiny_sites(), tmp_path / "graph")
+    blocks = os.stat(os.path.join(disk.path, BLOCKS_FILE))
+    opened = []
+    original = mmap.mmap
+
+    def counting(fileno, *args, **kwargs):
+        if fileno >= 0 and os.path.samestat(os.fstat(fileno), blocks):
+            opened.append(fileno)
+        return original(fileno, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", counting)
+    monkeypatch.setattr(outofcore, "plan_windows",
+                        partial(plan_windows, target_docs=window_docs))
+    units = plan_solve_units(disk.sites(), disk.site_sizes())
+    assert [unit.kind for unit in units].count("dedicated") == 6
+    # One window holds every unit; 1300 documents hold two big sites.
+    n_windows = 1 if window_docs == BATCH_TARGET_DOCS else 3
+    obs.enable()
+    registry = obs.registry()
+    before = {name: registry.counter_value(name) for name in (
+        "diskgraph_mappings_total", "outofcore_windows_total",
+        "outofcore_units_total")}
+    ranked = rank_outofcore(disk, tmp_path / "store")
+    counted = {name: registry.counter_value(name) - value
+               for name, value in before.items()}
+    assert counted["outofcore_windows_total"] == n_windows
+    assert counted["outofcore_units_total"] == len(units)
+    assert len(opened) <= 2 * n_windows + 4 < 2 * len(units)
+    assert counted["diskgraph_mappings_total"] == len(opened)
+    assert ranked.n_documents == disk.n_documents
+
+
+def test_window_spans_are_recorded_per_window(tmp_path, monkeypatch):
+    disk = write_diskgraph(_dedicated_and_tiny_sites(), tmp_path / "graph")
+    monkeypatch.setattr(outofcore, "plan_windows",
+                        partial(plan_windows, target_docs=1300))
+    obs.enable()
+    obs.reset()
+    rank_outofcore(disk, tmp_path / "store")
+    phases = {sample["labels"]["phase"]: sample["count"]
+              for sample in obs.snapshot()["histograms"]
+              if sample["name"] == "phase_seconds"}
+    assert {phase: phases.get(phase) for phase in (
+        "outofcore.window.map", "outofcore.window.solve",
+        "outofcore.window.write")} == dict.fromkeys((
+            "outofcore.window.map", "outofcore.window.solve",
+            "outofcore.window.write"), 3)
 
 
 @pytest.mark.parametrize("kind", ["fused", "dedicated"])
