@@ -263,7 +263,8 @@ class BatchedSiteTask:
                     n_vectors: int = 1) -> "BatchedSiteTask":
         """Fuse some sites of one site-major layout, named by index.
 
-        One row-range gather of *blocks* (:meth:`SiteBlocks.packed`);
+        One row-range gather of *blocks* (:meth:`SiteBlocks.packed`, or
+        a disk window's :meth:`~repro.io.diskgraph.UnitBlocks.packed`);
         *sites* names the blocks at *indices*.  *starts* / *preferences*,
         when given, hold one optional vector (or ``(n, K)`` matrix) per
         entry of *indices* and are validated and packed alongside.

@@ -140,7 +140,8 @@ class SiteBlocks:
 
 
 class SiteBlockRef:
-    """One site's block of a :class:`SiteBlocks`, cut on demand.
+    """One site's block of a :class:`SiteBlocks` (or of a disk window,
+    :class:`~repro.io.diskgraph.UnitBlocks`), cut on demand.
 
     What a per-site engine task carries in place of a CSR matrix; pickling
     ships the block itself, never the shared layout.
