@@ -120,13 +120,8 @@ def test_generation_is_byte_equal_to_the_oracle(web):
                                 warm=cold.generation).path)
 
 
-def test_cold_rank_maps_each_unit_once(tmp_path, monkeypatch):
-    """Two mappings of ``blocks.bin`` per solve unit (its blocks, its
-    URLs) plus the SiteGraph's — not six per site."""
-    from repro.graphgen import generate_synthetic_web
-
-    web = generate_synthetic_web(n_sites=60, n_documents=900, seed=3)
-    disk = write_diskgraph(web, tmp_path / "graph")
+def _count_block_mappings(monkeypatch, disk) -> list:
+    """A list that grows by one per mapping of *disk*'s ``blocks.bin``."""
     blocks = os.stat(os.path.join(disk.path, BLOCKS_FILE))
     opened = []
     original = mmap.mmap
@@ -138,6 +133,17 @@ def test_cold_rank_maps_each_unit_once(tmp_path, monkeypatch):
         return original(fileno, *args, **kwargs)
 
     monkeypatch.setattr(mmap, "mmap", counting)
+    return opened
+
+
+def test_cold_rank_maps_each_unit_once(tmp_path, monkeypatch):
+    """Two mappings of ``blocks.bin`` per solve unit (its blocks, its
+    URLs) plus the SiteGraph's — not six per site."""
+    from repro.graphgen import generate_synthetic_web
+
+    web = generate_synthetic_web(n_sites=60, n_documents=900, seed=3)
+    disk = write_diskgraph(web, tmp_path / "graph")
+    opened = _count_block_mappings(monkeypatch, disk)
     # Sites above 16 documents solve on their own: fused and dedicated
     # units interleave.
     schedule = partial(plan_solve_units, max_docs=16)
@@ -172,16 +178,7 @@ def test_cold_rank_maps_each_window_once(tmp_path, monkeypatch, window_docs):
     """Two mappings of ``blocks.bin`` per window (its blocks, its URLs)
     plus the SiteGraph's — fewer than two per solve unit."""
     disk = write_diskgraph(_dedicated_and_tiny_sites(), tmp_path / "graph")
-    blocks = os.stat(os.path.join(disk.path, BLOCKS_FILE))
-    opened = []
-    original = mmap.mmap
-
-    def counting(fileno, *args, **kwargs):
-        if fileno >= 0 and os.path.samestat(os.fstat(fileno), blocks):
-            opened.append(fileno)
-        return original(fileno, *args, **kwargs)
-
-    monkeypatch.setattr(mmap, "mmap", counting)
+    opened = _count_block_mappings(monkeypatch, disk)
     monkeypatch.setattr(outofcore, "plan_windows",
                         partial(plan_windows, target_docs=window_docs))
     units = plan_solve_units(disk.sites(), disk.site_sizes())
@@ -213,11 +210,8 @@ def test_window_spans_are_recorded_per_window(tmp_path, monkeypatch):
     phases = {sample["labels"]["phase"]: sample["count"]
               for sample in obs.snapshot()["histograms"]
               if sample["name"] == "phase_seconds"}
-    assert {phase: phases.get(phase) for phase in (
-        "outofcore.window.map", "outofcore.window.solve",
-        "outofcore.window.write")} == dict.fromkeys((
-            "outofcore.window.map", "outofcore.window.solve",
-            "outofcore.window.write"), 3)
+    assert [phases.get(f"outofcore.window.{name}")
+            for name in ("map", "solve", "write")] == [3, 3, 3]
 
 
 @pytest.mark.parametrize("kind", ["fused", "dedicated"])
