@@ -80,7 +80,6 @@ from .outofcore import (
     OutOfCoreRanking,
     SolveUnit,
     plan_solve_units,
-    plan_windows,
     rank_outofcore,
 )
 from .plan import (
@@ -135,7 +134,6 @@ __all__ = [
     "OutOfCoreRanking",
     "SolveUnit",
     "plan_solve_units",
-    "plan_windows",
     "rank_outofcore",
     "BATCH_SITE_MAX_DOCS",
     "BATCH_TARGET_DOCS",

@@ -7,8 +7,8 @@ matrix resident.  :func:`rank_outofcore` is the planner's driver with one
 *window* resident at a time: the in-memory plan's solve units
 (:func:`plan_solve_units`, :func:`~repro.engine.plan.fuse_schedule` from
 manifest sizes alone) cut into runs of at most
-:data:`~repro.engine.plan.BATCH_TARGET_DOCS` documents
-(:func:`plan_windows`).  A window is ONE mapping of its blocks
+:data:`~repro.engine.plan.BATCH_TARGET_DOCS` documents.  A window is ONE
+mapping of its blocks
 (:meth:`~repro.io.diskgraph.DiskGraph.unit_blocks`), one dispatch of the
 fit's scheduler (:func:`~repro.engine.plan.window_step`), one
 :class:`~repro.web.docrank.LocalRanks` of results and one gather of its
@@ -87,21 +87,16 @@ def plan_solve_units(sites: Sequence[str], sizes: Mapping[str, int], *,
             + [SolveUnit("dedicated", (sites[i],)) for i in dedicated])
 
 
-def plan_windows(units: Sequence[SolveUnit], sizes: Mapping[str, int], *,
-                 target_docs: int = BATCH_TARGET_DOCS
-                 ) -> List[List[SolveUnit]]:
-    """Cut *units*, in the order given, into runs of at most *target_docs*.
-
-    A window is a run of consecutive units holding at most *target_docs*
-    documents; a unit larger than that (one dedicated site) is a window of
-    its own.  :func:`rank_outofcore` maps, solves and gathers window by
-    window.
-    """
+def _plan_windows(units: Sequence[SolveUnit], sizes: Mapping[str, int]
+                  ) -> List[List[SolveUnit]]:
+    """Cut *units*, in the order given, into windows: runs of consecutive
+    units holding at most :data:`BATCH_TARGET_DOCS` documents, a larger
+    unit (one dedicated site) a window of its own."""
     windows: List[List[SolveUnit]] = []
     docs = 0
     for unit in units:
         size = sum(int(sizes[site]) for site in unit.sites)
-        if not windows or docs + size > target_docs:
+        if not windows or docs + size > BATCH_TARGET_DOCS:
             windows.append([])
             docs = 0
         windows[-1].append(unit)
@@ -178,10 +173,9 @@ def rank_outofcore(graph: DiskGraph,
     """Rank a DiskGraph in bounded memory, publishing a ranked generation.
 
     Steps 2 and 4 run in RAM (the SiteGraph is orders of magnitude smaller
-    than the web); step 3 streams the windows of :func:`plan_windows`
-    through memory one at a time, so memory is bounded per window, in
-    documents (at most :data:`~repro.engine.plan.BATCH_TARGET_DOCS`, or
-    one larger site).  Each window's blocks are read through one mapping
+    than the web); step 3 streams windows of solve units through memory
+    one at a time, so memory is bounded per window, in documents (at most
+    :data:`~repro.engine.plan.BATCH_TARGET_DOCS`, or one larger site).  Each window's blocks are read through one mapping
     (:meth:`DiskGraph.unit_blocks`) for the window's lifetime, solved as
     one layout step and its URLs gathered as undecoded bytes in one read
     (:meth:`DiskGraph.url_bytes`).  Solved sites go to the artifact store
@@ -232,7 +226,7 @@ def rank_outofcore(graph: DiskGraph,
         cursor = 0
         iterations = site_result.iterations
         try:
-            for window in plan_windows(units, sizes):
+            for window in _plan_windows(units, sizes):
                 ranks = _solve_window(graph, window, order, damping, common)
                 with obs.span("outofcore.window.write"):
                     solved = _SolvedWindow(ranks,
@@ -286,11 +280,8 @@ def _solve_window(graph: DiskGraph, window: Sequence[SolveUnit],
                 [position for position, site in enumerate(sites)
                  if site not in fused])
     with obs.span("outofcore.window.map"):
-        blocks = graph.unit_blocks(sites)
-        preferences = blocks.preferences
-        step = window_step(blocks, schedule, damping, preferences=(
-            preferences if any(vector is not None for vector in preferences)
-            else None), **common)
+        step = window_step(graph.unit_blocks(sites), schedule, damping,
+                           **common)
     with obs.span("outofcore.window.solve"):
         _first, ((scores, iterations, _tail),), _n_tasks = \
             solve_layout_steps([(step, None)])
@@ -350,6 +341,5 @@ __all__ = [
     "OutOfCoreRanking",
     "SolveUnit",
     "plan_solve_units",
-    "plan_windows",
     "rank_outofcore",
 ]

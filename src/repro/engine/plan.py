@@ -536,16 +536,16 @@ class _LayoutStep:
     """Step 3 over some sites of a site-major layout.
 
     ``blocks`` is a DocGraph's :class:`~repro.web.docgraph.SiteBlocks` or
-    a window of disk blocks (:class:`~repro.io.diskgraph.UnitBlocks`):
-    whatever answers ``offsets``, ``doc_ids``, ``nnz`` and
-    ``packed(indices)``.  ``indices`` are the layout indices of the sites
-    solved, in schedule order, ``sites`` their names.  ``starts`` /
-    ``preferences`` hold one optional vector (``(n, K)`` matrix for
-    ``n_vectors = K > 1``) per site, or are ``None`` when no site has one
-    (nothing is packed then).  ``schedule``, when given, is the
-    ``(chunks, dedicated)`` positions to run in place of
-    :func:`fuse_schedule`'s.  Results are selection-major: the sites' rows
-    in turn, cut at :attr:`offsets`.
+    a window of disk blocks (:class:`~repro.io.diskgraph.UnitBlocks`);
+    both answer ``offsets``, ``doc_ids``, ``site_doc_ids(index)``,
+    ``nnz``, ``block(index)`` and ``packed(indices)``.  ``indices`` are
+    the layout indices of the sites solved, in schedule order, ``sites``
+    their names.  ``starts`` / ``preferences`` hold one optional vector
+    (``(n, K)`` matrix for ``n_vectors = K > 1``) per site, or are
+    ``None`` when no site has one (nothing is packed then).
+    ``schedule``, when given, is the ``(chunks, dedicated)`` positions to
+    run in place of :func:`fuse_schedule`'s.  Results are
+    selection-major: the sites' rows in turn, cut at :attr:`offsets`.
     """
 
     blocks: object
@@ -562,10 +562,7 @@ class _LayoutStep:
 
     def doc_ids(self, position: int) -> Tuple[int, ...]:
         """The document ids of one selected site, in its block's row order."""
-        offsets, index = self.blocks.offsets, self.indices[position]
-        ids = self.blocks.doc_ids[offsets[index]:offsets[index + 1]]
-        # A window of disk blocks holds them as one int64 array.
-        return tuple(ids.tolist()) if isinstance(ids, np.ndarray) else ids
+        return self.blocks.site_doc_ids(self.indices[position])
 
     def with_starts(self, warm: WarmSource) -> "_LayoutStep":
         """This step with every site's start taken from *warm*."""
@@ -720,21 +717,21 @@ def layout_step(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
 
 def window_step(blocks, schedule: Tuple[List[List[int]], List[int]],
                 damping: float = DEFAULT_DAMPING, *,
-                preferences: Optional[List[Optional[np.ndarray]]] = None,
                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                 warm: Optional[WarmSource] = None) -> _LayoutStep:
     """Step 3 over every site of a window of disk blocks, on *schedule*.
 
     *blocks* is a :class:`~repro.io.diskgraph.UnitBlocks`; *schedule* the
     ``(chunks, dedicated)`` positions of its sites, so each site keeps the
-    kind the whole web's schedule gave it.  *preferences* holds one
-    optional vector per site (``None``: none has one), checked where the
-    solves check theirs; *warm* seeds every start.
+    kind the whole web's schedule gave it.  The sites' stored preferences
+    are checked where the solves check theirs; *warm* seeds every start.
     """
-    sites = blocks.sites()
+    sites, preferences = blocks.sites(), blocks.preferences
     step = _LayoutStep(blocks, sites, range(len(sites)), blocks.offsets,
-                       damping, tol, max_iter, preferences=preferences,
-                       schedule=schedule)
+                       damping, tol, max_iter, schedule=schedule,
+                       preferences=preferences if any(
+                           vector is not None for vector in preferences)
+                       else None)
     return step if warm is None else step.with_starts(warm)
 
 

@@ -309,29 +309,31 @@ class DiskGraph:
     # Mapping primitives
     # ------------------------------------------------------------------ #
     def _map_arrays(self, specs: Sequence[Optional[Dict[str, object]]]
-                    ) -> List[Optional[np.ndarray]]:
+                    ) -> Tuple[List[Optional[np.ndarray]],
+                               Optional[mmap.mmap], int]:
         """Read-only views of several manifest arrays over ONE mapping.
 
-        The mapping spans the first array's first byte to the last one's
-        end and lives as long as any returned view; ``None`` specs answer
-        ``None`` and empty arrays map nothing.
+        Returns the views, the mapping and its file offset.  The mapping
+        spans the first array's first byte to the last one's end and lives
+        as long as any returned view; ``None`` specs answer ``None`` and
+        empty arrays map nothing (no mapping: ``None``).
         """
         live = [spec for spec in specs if spec is not None and spec["count"]]
         views: List[Optional[np.ndarray]] = []
+        region, start = None, 0
         if live:
             start = min(int(spec["offset"]) for spec in live)
-            stop = max(int(spec["offset"]) + int(spec["count"])
-                       * np.dtype(spec["dtype"]).itemsize for spec in live)
+            stop = max(_end(spec) for spec in live)
             # mmap offsets must sit on the allocation granularity.
             start -= start % mmap.ALLOCATIONGRANULARITY
             descriptor = os.open(self._blocks_path,
                                  os.O_RDONLY | getattr(os, "O_BINARY", 0))
             try:
-                mapping = np.frombuffer(mmap.mmap(
-                    descriptor, stop - start, offset=start,
-                    access=mmap.ACCESS_READ), dtype=np.uint8)
+                region = mmap.mmap(descriptor, stop - start, offset=start,
+                                   access=mmap.ACCESS_READ)
             finally:
                 os.close(descriptor)
+            mapping = np.frombuffer(region, dtype=np.uint8)
             obs.inc("diskgraph_mappings_total")
         for spec in specs:
             if spec is None:
@@ -344,11 +346,11 @@ class DiskGraph:
             begin = int(spec["offset"]) - start
             views.append(mapping[begin:begin + count * dtype.itemsize]
                          .view(dtype))
-        return views
+        return views, region, start
 
     def _map(self, spec: Dict[str, object]) -> np.ndarray:
         """A fresh read-only mapping of one manifest array."""
-        return self._map_arrays([spec])[0]
+        return self._map_arrays([spec])[0][0]
 
     # ------------------------------------------------------------------ #
     # Graph surface
@@ -404,7 +406,7 @@ class DiskGraph:
         engine reads a whole window through :meth:`unit_blocks` instead.
         """
         unit = self.unit_blocks([site])
-        return unit.packed([0])[0], unit.doc_ids
+        return unit.block(0), unit.doc_ids
 
     def unit_blocks(self, sites: Sequence[str]) -> "UnitBlocks":
         """The layout of one out-of-core window: its sites, one mapping."""
@@ -431,7 +433,7 @@ class DiskGraph:
         family = entry["adjacency"]
         return SiteGraph(sites=self.sites(),
                          adjacency=_csr_over(
-                             family, self._map_arrays(_csr_specs(family))),
+                             family, self._map_arrays(_csr_specs(family))[0]),
                          site_sizes=[int(size)
                                      for size in entry["site_sizes"]],
                          include_self_links=bool(
@@ -491,7 +493,7 @@ class DiskGraph:
         self._check_doc_id(ids.max())
         documents = self._manifest["documents"]
         offsets, blob = self._map_arrays([documents["url_offsets"],
-                                          documents["url_blob"]])
+                                          documents["url_blob"]])[0]
         starts, ends = offsets[ids], offsets[ids + 1]
         lengths = ends - starts
         broken = (starts < 0) | (lengths < 0) | (ends > blob.size)
@@ -550,10 +552,11 @@ class UnitBlocks:
     ``blocks.bin`` that holds them; dropping the object and every task
     built from it unmaps the range, so the round's memory is bounded per
     window, in documents.  It answers what a step-3 layout step reads
-    (:mod:`repro.engine.plan`): ``offsets`` (the sites' row boundaries,
-    in the order asked for), ``doc_ids`` (their ids in row order),
-    ``nnz`` and ``packed(indices)``; plus ``sites()`` and one optional
-    vector per site in ``preferences``.
+    (:mod:`repro.engine.plan`), as :class:`~repro.web.docgraph.SiteBlocks`
+    does: ``offsets`` (the sites' row boundaries, in the order asked for),
+    ``doc_ids`` (their ids in row order), ``site_doc_ids(index)``,
+    ``nnz``, ``block(index)`` and ``packed(indices)``; plus ``sites()``
+    and one optional vector per site in ``preferences``.
     """
 
     def __init__(self, graph: DiskGraph, sites: Sequence[str]) -> None:
@@ -563,7 +566,8 @@ class UnitBlocks:
         for entry in entries:
             specs += _csr_specs(entry["adjacency"]) + [
                 entry["doc_ids"], entry.get("preference")]
-        views = graph._map_arrays(specs)
+        views, self._region, self._start = graph._map_arrays(specs)
+        self._specs = specs
         # Five views per site: data, indices, indptr, doc ids, preference.
         # A CSR object is only built for a block handed out alone.
         self._families = [views[at:at + 3] for at in range(0, len(views), 5)]
@@ -580,34 +584,63 @@ class UnitBlocks:
         """Every site's document ids in row order (one ``int64`` copy)."""
         return np.concatenate(self._ids)
 
+    def site_doc_ids(self, index: int) -> Tuple[int, ...]:
+        """One site's document ids as Python ints, in row order."""
+        return tuple(self._ids[index].tolist())
+
+    def block(self, index: int):
+        """One site's block as stored: a CSR over the mapped views."""
+        size = int(self.offsets[index + 1] - self.offsets[index])
+        return csr_from_buffers(*self._families[index], (size, size))
+
     def packed(self, indices: Sequence[int]
                ) -> Tuple[object, np.ndarray, np.ndarray]:
         """``(matrix, offsets, doc_ids)`` of some sites' blocks, packed.
 
-        Several blocks are concatenated into one block-diagonal CSR in
-        fresh buffers, canonicalised as
+        The blocks are concatenated into one block-diagonal CSR in fresh
+        buffers and canonicalised — one block as much as several — as
         :func:`~repro.linalg.sparse_utils.block_diagonal` canonicalises;
-        one block is handed out as a CSR over its mapped views.
+        their mapped pages are then released (:meth:`_release`), so a
+        fused site is resident once, as the packed copy.
         """
         rows, offsets = block_rows(self.offsets, indices)
-        sizes = np.diff(offsets).tolist()
-        if len(sizes) == 1:
-            matrix = csr_from_buffers(*self._families[indices[0]],
-                                      (sizes[0], sizes[0]))
-        else:
-            matrix = csr_direct_sum([self._families[index]
-                                     for index in indices],
-                                    [(size, size) for size in sizes])
-            # Rows never cross blocks: the packed matrix is canonical
-            # exactly when every block is, and summing its duplicates
-            # canonicalises each block in place.
-            if not matrix.has_canonical_format:
-                matrix.sum_duplicates()
-        return matrix, offsets, self.doc_ids[rows]
+        matrix = csr_direct_sum(
+            [self._families[index] for index in indices],
+            [(size, size) for size in np.diff(offsets).tolist()])
+        # Rows never cross blocks: the packed matrix is canonical exactly
+        # when every block is, and summing its duplicates canonicalises
+        # each block in place.
+        if not matrix.has_canonical_format:
+            matrix.sum_duplicates()
+        doc_ids = self.doc_ids[rows]
+        self._release(indices)
+        return matrix, offsets, doc_ids
+
+    def _release(self, indices: Sequence[int]) -> None:
+        """Advise the mapped pages of some packed sites' blocks away.
+
+        The mapping lives as long as the window's step, which solves over
+        the packed copy; a page read again faults back in from the file.
+        """
+        if not hasattr(self._region, "madvise"):
+            return
+        for index in indices:
+            family = [spec for spec in self._specs[5 * index:5 * index + 3]
+                      if spec["count"]]
+            low = min(int(spec["offset"]) for spec in family) - self._start
+            low -= low % mmap.PAGESIZE
+            high = max(_end(spec) for spec in family) - self._start
+            self._region.madvise(mmap.MADV_DONTNEED, low, high - low)
 
     def sites(self) -> List[str]:
         """The window's sites, in the order they were asked for."""
         return list(self._sites)
+
+
+def _end(spec: Dict[str, object]) -> int:
+    """The file offset just past a manifest array."""
+    return int(spec["offset"]) + int(spec["count"]) * np.dtype(
+        spec["dtype"]).itemsize
 
 
 def _csr_specs(family: Dict[str, object]) -> List[Dict[str, object]]:

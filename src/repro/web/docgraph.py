@@ -114,6 +114,14 @@ class SiteBlocks:
         """:attr:`order` as Python ints, built once per layout."""
         return tuple(self.order.tolist())
 
+    def site_doc_ids(self, index: int) -> Tuple[int, ...]:
+        """One site's document ids as Python ints, in row order."""
+        return self.doc_ids[self.offsets[index]:self.offsets[index + 1]]
+
+    def block(self, index: int) -> sp.csr_matrix:
+        """One site's block as a CSR matrix (caller-owned buffers)."""
+        return self.packed([index])[0]
+
     def packed(self, sites: Sequence[int]
                ) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """``(matrix, offsets, doc_ids)`` of some sites' blocks, packed.
@@ -164,8 +172,8 @@ class SiteBlockRef:
         return int(self.blocks.nnz[self.index])
 
     def tocsr(self) -> sp.csr_matrix:
-        """The block as a real CSR matrix (caller-owned buffers)."""
-        return self.blocks.packed([self.index])[0]
+        """The block as a real CSR matrix."""
+        return self.blocks.block(self.index)
 
     def __reduce__(self):
         block = self.tocsr()

@@ -366,6 +366,17 @@ class TestWindowBlocks:
         np.testing.assert_array_equal(window.nnz, [
             disk.local_block(site)[0].nnz for site in sites])
 
+    def test_a_packed_block_reads_back_after_its_pages_are_released(
+            self, disk):
+        sites = disk.sites()
+        window = disk.unit_blocks(sites)
+        first = window.packed([0, 1])[0]
+        # The released pages fault back in from the file.
+        for index in (0, 1):
+            _same_arrays(window.block(index),
+                         disk.local_block(sites[index])[0])
+        _same_arrays(window.packed([0, 1])[0], first)
+
     @pytest.mark.parametrize("edit", ["unsorted", "duplicate"])
     def test_a_non_canonical_block_packs_canonicalised(self, disk, edit):
         from repro.linalg import block_diagonal
@@ -385,7 +396,11 @@ class TestWindowBlocks:
         graph = open_diskgraph(disk.path)
         sites = graph.sites()
         assert not graph.local_block(sites[0])[0].has_canonical_format
-        matrix = graph.unit_blocks(sites).packed([0, 1])[0]
-        assert matrix.has_canonical_format
-        _same_arrays(matrix, block_diagonal(
-            [graph.local_block(site)[0] for site in sites[:2]]))
+        # A fused batch of one site is canonicalised as several are.
+        for picked in ([0, 1], [0]):
+            matrix = graph.unit_blocks(sites).packed(picked)[0]
+            assert matrix.has_canonical_format
+            _same_arrays(matrix, block_diagonal(
+                [graph.local_block(sites[index])[0] for index in picked]))
+        # A dedicated site's block is handed out as stored.
+        assert not graph.unit_blocks(sites).block(0).has_canonical_format

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from generation_oracle import oracle_rank
 from repro import obs
 from repro.engine import outofcore, plan_solve_units, rank_outofcore
-from repro.engine.outofcore import plan_windows
 from repro.engine.plan import BATCH_TARGET_DOCS
 from repro.io import ArtifactStore, write_diskgraph
 from repro.io.diskgraph import BLOCKS_FILE
@@ -100,11 +99,10 @@ def test_generation_is_byte_equal_to_the_oracle(web):
     graph, preferences, site_preference, target_docs, window_docs = web
     schedule = (plan_solve_units if target_docs is None
                 else partial(plan_solve_units, target_docs=target_docs))
-    windows = (plan_windows if window_docs is None
-               else partial(plan_windows, target_docs=window_docs))
     with tempfile.TemporaryDirectory() as root, \
             mock.patch.object(outofcore, "plan_solve_units", schedule), \
-            mock.patch.object(outofcore, "plan_windows", windows):
+            mock.patch.object(outofcore, "BATCH_TARGET_DOCS",
+                              window_docs or BATCH_TARGET_DOCS):
         disk = write_diskgraph(graph, os.path.join(root, "graph"),
                                preferences=preferences)
         store = ArtifactStore(os.path.join(root, "store"), create=True)
@@ -179,8 +177,7 @@ def test_cold_rank_maps_each_window_once(tmp_path, monkeypatch, window_docs):
     plus the SiteGraph's — fewer than two per solve unit."""
     disk = write_diskgraph(_dedicated_and_tiny_sites(), tmp_path / "graph")
     opened = _count_block_mappings(monkeypatch, disk)
-    monkeypatch.setattr(outofcore, "plan_windows",
-                        partial(plan_windows, target_docs=window_docs))
+    monkeypatch.setattr(outofcore, "BATCH_TARGET_DOCS", window_docs)
     units = plan_solve_units(disk.sites(), disk.site_sizes())
     assert [unit.kind for unit in units].count("dedicated") == 6
     # One window holds every unit; 1300 documents hold two big sites.
@@ -202,8 +199,7 @@ def test_cold_rank_maps_each_window_once(tmp_path, monkeypatch, window_docs):
 
 def test_window_spans_are_recorded_per_window(tmp_path, monkeypatch):
     disk = write_diskgraph(_dedicated_and_tiny_sites(), tmp_path / "graph")
-    monkeypatch.setattr(outofcore, "plan_windows",
-                        partial(plan_windows, target_docs=1300))
+    monkeypatch.setattr(outofcore, "BATCH_TARGET_DOCS", 1300)
     obs.enable()
     obs.reset()
     rank_outofcore(disk, tmp_path / "store")
