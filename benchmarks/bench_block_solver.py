@@ -7,9 +7,8 @@ small sites into one block-diagonal CSR and runs a single fused power
 iteration with per-site convergence freezing
 (:mod:`repro.linalg.block_solver`).  This benchmark measures that path
 against the per-site serial path — one dedicated task per site, built by
-``site_tasks_for`` and run unfused by ``execute_tasks``, the schedule the
-distributed peers use — across site-size distributions, on synthetic webs
-and the campus web:
+``site_tasks_for`` and run unfused — across site-size distributions, on
+synthetic webs and the campus web:
 
 * **speedup** — all-local-DocRanks wall time, fused vs per-site, on the
   same serial backend.  The acceptance target is a >= 3x speedup in the
@@ -35,7 +34,6 @@ from repro import obs
 from repro.engine import (
     BatchedSiteTask,
     batch_site_tasks,
-    execute_tasks,
     site_tasks_for,
 )
 from repro.graphgen import generate_synthetic_web
@@ -70,9 +68,8 @@ DISTRIBUTIONS = ([
 def _compare_paths(graph):
     """Time both paths and verify the equality contract; returns a row."""
     started = time.perf_counter()
-    tasks = site_tasks_for(graph, tol=TOL)
-    results, _seconds = execute_tasks(tasks)
-    per_site = {task.site: result for task, result in zip(tasks, results)}
+    per_site = {task.site: task.run()
+                for task in site_tasks_for(graph, tol=TOL)}
     per_site_seconds = time.perf_counter() - started
     started = time.perf_counter()
     batched = all_local_docranks(graph, tol=TOL)

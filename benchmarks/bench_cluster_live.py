@@ -9,10 +9,9 @@ first result, and puts measured makespan next to the simulated one.
 
 Three correctness claims ride along as assertions:
 
-* every deployment's scores are *bitwise* the serial per-site reference
-  (one dedicated ``site_tasks_for`` task per site run by
-  ``execute_tasks``, plus the SiteRank task — the schedule live peers
-  use);
+* every deployment's scores are *bitwise* the serial facade's
+  (``Ranker(RankingConfig()).fit``: the peers run the fit's own layout
+  step over their sites, every site of its whole-web kind);
 * the fault-free live round puts exactly the same bytes on the wire as
   the simulator accounts for the four shared protocol message types;
 * the kill-one-peer round re-assigns the dead peer's pending sites and
@@ -26,13 +25,11 @@ import numpy as np
 import pytest
 
 from conftest import SMOKE, write_result
+from repro.api import Ranker, RankingConfig
 from repro.cluster import run_live_cluster
 from repro.distributed.coordinator import DistributedRankingCoordinator
-from repro.engine import execute_tasks, site_tasks_for, siterank_task_for
 from repro.graphgen import generate_campus_web, generate_synthetic_web
 from repro.io import read_docgraph, write_docgraph
-from repro.web import aggregate_sitegraph
-from repro.web.pipeline import compose_ranking
 
 N_PEERS = 3
 
@@ -42,22 +39,9 @@ SHARED_TYPES = ("AssignSitesMessage", "ComputeLocalRankRequest",
                 "SiteLinkSummary", "LocalRankResult")
 
 
-def per_site_reference(graph):
-    """The layered ranking with every site solved by its own task."""
-    tasks = site_tasks_for(graph)
-    results, _seconds = execute_tasks(tasks)
-    local = {task.site: result for task, result in zip(tasks, results)}
-    sitegraph = aggregate_sitegraph(graph)
-    site_result = siterank_task_for(sitegraph).run()
-    return compose_ranking(
-        graph, sitegraph.sites, site_result, local, method="layered",
-        iterations=site_result.iterations + sum(
-            rank.iterations for rank in local.values()))
-
-
 @pytest.fixture(scope="module")
 def workload(tmp_path_factory):
-    """The web (file + graph) and the serial per-site reference ranking."""
+    """The web (file + graph) and the serial facade's ranking of it."""
     if SMOKE:
         graph = generate_synthetic_web(n_sites=10, n_documents=260, seed=11)
     else:
@@ -70,7 +54,7 @@ def workload(tmp_path_factory):
     path = os.path.join(workdir, "web.docgraph")
     write_docgraph(graph, path)
     shared = read_docgraph(path)  # rank exactly the file the peers load
-    serial = per_site_reference(shared)
+    serial = Ranker(RankingConfig()).fit(shared).ranking
     return {"graph": shared, "workdir": workdir, "serial": serial}
 
 

@@ -4,11 +4,12 @@
 the simulator's :class:`~repro.distributed.coordinator.DistributedRankingCoordinator`,
 but against peers that are separate OS processes on TCP.  Sites are
 assigned to peers by
-:func:`~repro.distributed.partitioning.partition_sites`, each peer builds
-its step-3 tasks with the centralized pipeline's own task builder, the
-SiteRank is assembled from the peers' SiteLink summaries exactly as in the
-simulation, and the final composition is the shared step-5 code — which
-is why a live round's scores are bitwise those of the serial reference.
+:func:`~repro.distributed.partitioning.partition_sites`, each peer runs
+its sites' step 3 as the fit's scheduler does (one layout step, every
+site of its whole-web kind), the SiteRank is assembled from the peers'
+SiteLink summaries exactly as in the simulation, and the final
+composition is the shared step-5 code — which is why a live round's
+scores are bitwise those of ``Ranker.fit``.
 
 Reality adds what the simulation never needed:
 
@@ -100,8 +101,9 @@ class ClusterCoordinator:
 
     or ``await coordinator.run()`` when the peers connect on their own.
     Only the flat architecture is deployed live (the super-peer flavour
-    remains simulation-only).  Peers solve one dedicated task per site, as
-    the simulator's peers do, so the round's scores equal the simulator's
+    remains simulation-only).  Peers solve their sites as the fit's
+    layout step does, each site of its whole-web kind, as the simulator's
+    peers do, so the round's scores equal the fit's and the simulator's
     bit for bit.
     """
 

@@ -2,12 +2,13 @@
 
 A :class:`ClusterPeer` connects to the coordinator over TCP, registers,
 and then mirrors what the simulator's in-process peers do — summarise
-SiteLinks, compute local DocRanks through the same engine task objects
-(:func:`repro.engine.plan.site_tasks_for` → :func:`execute_tasks`), stream
+SiteLinks, compute local DocRanks as one layout step over its sites
+(:func:`repro.engine.plan.sites_step`, each site of the kind the whole
+web's fit gives it), stream
 :class:`~repro.distributed.messages.LocalRankResult` frames back — except
 every message now actually crosses a socket.  Because the compute path is
-the engine's own, a live peer's scores are bitwise those of the serial
-reference for the same sites.
+the fit's own, a live peer's scores are bitwise those of ``Ranker.fit``
+for the same sites.
 
 Compute runs in a worker thread (``asyncio.to_thread``) so heartbeats keep
 flowing while the power iterations grind; a SIGTERM drains — the current
@@ -22,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
-from dataclasses import replace
+import time
 from typing import Dict, List, Optional
 
 from .. import obs
@@ -33,7 +34,8 @@ from ..distributed.messages import (
     LocalRankResult,
 )
 from ..distributed.peer import summarize_sitelinks
-from ..engine.plan import execute_tasks, site_tasks_for
+from ..engine.plan import check_block_vector, sites_step, solve_layout_steps
+from ..engine.warm import WarmSource
 from ..exceptions import ProtocolError
 from ..io import docgraph_digest
 from ..web.docgraph import DocGraph
@@ -163,25 +165,37 @@ class ClusterPeer:
             requests: Dict[str, ComputeLocalRankRequest]) -> None:
         """Rank *sites* through the engine and stream the results back.
 
-        One dedicated task per site, exactly the simulator's schedule, so
-        results align with the tasks and are bitwise the simulator's.
+        One layout step over the sites' blocks, each site of its kind in
+        the whole web's schedule, so the results are bitwise the fit's.
+        Every wire start is checked against its site before anything
+        runs, and reaches the solves through a :class:`WarmSource`.
         """
         head = requests[sites[0]]
-        tasks = site_tasks_for(self.docgraph, head.damping, sites=sites,
-                               tol=head.tol, max_iter=head.max_iter)
-        tasks = [
-            task if requests[task.site].start_vector() is None
-            else replace(task, start=requests[task.site].start_vector())
-            for task in tasks
-        ]
-        results, wall = await asyncio.to_thread(execute_tasks, tasks)
+        blocks = self.docgraph.site_blocks()
+        indices = [self.docgraph.registry.site_index[site] for site in sites]
+        previous = {}
+        for site, index in zip(sites, indices):
+            start = requests[site].start_vector()
+            if start is not None:
+                doc_ids = blocks.site_doc_ids(index)
+                check_block_vector(
+                    f"warm start of site {site!r} on peer {self.name!r}",
+                    start, len(doc_ids))
+                previous[site] = (doc_ids, start)
+        step = sites_step(blocks, indices, sites, head.damping,
+                          tol=head.tol, max_iter=head.max_iter,
+                          warm=WarmSource(previous) if previous else None)
+        started = time.perf_counter()
+        _first, ((scores, iterations, _tail),), _n_tasks = \
+            await asyncio.to_thread(solve_layout_steps, [(step, None)])
+        wall = time.perf_counter() - started
         self.busy_seconds += wall
         obs.observe("cluster_peer_batch_seconds", wall, peer=self.name)
-        for task, rank in zip(tasks, results):
+        for site, rank in step.local_ranks(scores, iterations).items():
             await self._send(LocalRankResult(
-                sender=self.name, recipient=COORDINATOR, site=task.site,
-                doc_ids=tuple(int(d) for d in rank.doc_ids),
-                scores=tuple(float(s) for s in rank.scores),
+                sender=self.name, recipient=COORDINATOR, site=site,
+                doc_ids=tuple(rank.doc_ids),
+                scores=tuple(rank.scores.tolist()),
                 iterations=rank.iterations))
             self.sites_ranked += 1
             self._results_sent += 1

@@ -19,6 +19,7 @@ benchmark (E9) measures.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Literal, Optional, Tuple
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .._validation import normalize_distribution
 from ..engine.executor import Executor, resolve_executor, warmup_for
-from ..engine.plan import execute_tasks, site_tasks_for
+from ..engine.plan import layout_step, solve_layout_steps
 from ..exceptions import SimulationError
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..linalg.sparse_utils import coo_from_edges
@@ -212,11 +213,11 @@ class DistributedRankingCoordinator:
     damping / site_damping:
         Damping factors of the local DocRanks and the SiteRank.
     executor / n_jobs:
-        Engine backend the per-site rank batch is *actually* executed on
-        (serial by default).  The batch is the same step-3 task list
-        (:func:`repro.engine.plan.site_tasks_for`) the cost model is
-        priced from, so modeled makespan and measured wall-clock describe
-        one and the same schedule.
+        Engine backend the peers' step 3 is *actually* executed on
+        (serial by default).  It is the fit's own layout step
+        (:func:`repro.engine.plan.layout_step`), so every peer's local
+        DocRanks are bitwise those of ``Ranker.fit``; the cost model
+        charges each peer its sites' ``(n, nnz, iterations)``.
     """
 
     def __init__(self, docgraph: DocGraph, *, n_peers: int = 8,
@@ -240,14 +241,6 @@ class DistributedRankingCoordinator:
         self.tol = tol
         self.max_iter = max_iter
         self._executor_spec = (executor, n_jobs)
-
-        # The shared source of truth: the step-3 task objects the engine
-        # executes are the ones the cost model charges simulated seconds
-        # for.  (Only the per-site half of a RankingPlan is built — the
-        # protocol derives its SiteRank from the peers' SiteLink summaries
-        # in phase 2, never from a locally aggregated SiteGraph.)
-        self.site_tasks = site_tasks_for(docgraph, damping, tol=tol,
-                                         max_iter=max_iter)
         self.assignment = partition_sites(docgraph, n_peers,
                                           policy=partition_policy)
         self.network = SimulatedNetwork(
@@ -282,28 +275,28 @@ class DistributedRankingCoordinator:
 
         # Phase 1b: *in parallel*, peers compute their local DocRanks.  The
         # requests are tiny; the heavy lifting happens on the peers.  The
-        # work units are the shared step-3 engine tasks: the engine
-        # executes them (measured wall-clock) while the simulated clocks
-        # are charged the cost model's price for the same tasks.
-        task_of_site = {task.site: task for task in self.site_tasks}
-        schedule = [(peer_name, task_of_site[site])
-                    for peer_name, peer in self.peers.items()
-                    for site in peer.sites]
-        for peer_name, task in schedule:
-            network.send(ComputeLocalRankRequest(sender=COORDINATOR,
-                                                 recipient=peer_name,
-                                                 site=task.site,
-                                                 damping=self.damping,
-                                                 tol=self.tol,
-                                                 max_iter=self.max_iter))
+        # engine runs the fit's step 3 (measured wall-clock; only the
+        # per-site half of a RankingPlan — the protocol derives its
+        # SiteRank from the summaries in phase 2) while each peer's
+        # simulated clock is charged the cost model's price for its sites.
+        for peer_name, peer in self.peers.items():
+            for site in peer.sites:
+                network.send(ComputeLocalRankRequest(
+                    sender=COORDINATOR, recipient=peer_name, site=site,
+                    damping=self.damping, tol=self.tol,
+                    max_iter=self.max_iter))
+        step = layout_step(self.docgraph, self.damping, tol=self.tol,
+                           max_iter=self.max_iter)
         executor, n_jobs = self._executor_spec
         resolved, owned = resolve_executor(executor, n_jobs)
         try:
             # Spin up any worker pool outside the timed region, so the
             # measured wall-clock describes the batch, not pool start-up.
-            batch = [task for _peer, task in schedule]
-            warmup_for(resolved, batch)
-            results, measured_wall = execute_tasks(batch, executor=resolved)
+            warmup_for(resolved, step.payload()[0])
+            started = time.perf_counter()
+            _first, ((scores, iterations, _tail),), _n_tasks = \
+                solve_layout_steps([(step, None)], executor=resolved)
+            measured_wall = time.perf_counter() - started
             executor_name = resolved.name
             # Peers are simulated against the engine's shared arena: on a
             # process backend the batch above shipped ArenaRefs, not
@@ -314,11 +307,14 @@ class DistributedRankingCoordinator:
         finally:
             if owned:
                 resolved.close()
-        for (peer_name, task), result in zip(schedule, results):
-            seconds = self.peers[peer_name].adopt_local_rank(
-                task.site, result, task.nnz)
-            network.compute(peer_name, seconds)
-            compute_seconds[peer_name] += seconds
+        local = step.local_ranks(scores, iterations)
+        nnz, site_index = step.blocks.nnz, self.docgraph.registry.site_index
+        for peer_name, peer in self.peers.items():
+            for site in peer.sites:
+                seconds = peer.adopt_local_rank(
+                    site, local[site], int(nnz[site_index[site]]))
+                network.compute(peer_name, seconds)
+                compute_seconds[peer_name] += seconds
 
         # Phase 2: the coordinator assembles the SiteGraph from the summaries
         # and computes the SiteRank.  This happens concurrently with phase 1b

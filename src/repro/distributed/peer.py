@@ -101,8 +101,8 @@ class Peer:
                          nnz: int) -> float:
         """Install a local DocRank the execution engine computed for this peer.
 
-        The coordinator schedules every peer's step-3 tasks through one
-        engine batch (see
+        The coordinator runs every peer's sites through one engine batch,
+        the fit's own layout step (see
         :class:`~repro.distributed.coordinator.DistributedRankingCoordinator`);
         the result is handed back to the owning peer here so subsequent
         message construction (:meth:`local_rank_message`,

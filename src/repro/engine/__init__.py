@@ -11,9 +11,10 @@ compute layer of the repository:
   the 5-step layered method (concurrent steps 3/4, composing barrier at
   step 5), the one step-3 scheduler over a site-major layout
   (:func:`~repro.engine.plan.layout_step` for a DocGraph in RAM,
-  :func:`~repro.engine.plan.window_step` for a window of disk blocks)
-  and the per-site builders (:func:`site_tasks_for`,
-  :func:`batch_site_tasks`) for the peers and calibration;
+  :func:`~repro.engine.plan.sites_step` for a subset of sites that keeps
+  the whole web's kinds: a peer's sites, a window of disk blocks) and the
+  per-site builders (:func:`site_tasks_for`, :func:`batch_site_tasks`)
+  for calibration;
 * :mod:`repro.engine.warm` — the warm-source protocol
   (``local_start(site, doc_ids)`` / ``siterank_start(sites)``,
   :class:`WarmSource`), the one way a previously converged vector reaches
@@ -92,7 +93,6 @@ from .plan import (
     SiteRankTask,
     batch_site_tasks,
     collect_site_results,
-    execute_tasks,
     run_task,
     site_tasks_for,
     siterank_task_for,
@@ -144,7 +144,6 @@ __all__ = [
     "SiteRankTask",
     "batch_site_tasks",
     "collect_site_results",
-    "execute_tasks",
     "run_task",
     "site_tasks_for",
     "siterank_task_for",

@@ -254,7 +254,12 @@ def measure_backend_thresholds(
         batch_flops,
     )
     from .executor import default_n_jobs, make_executor
-    from .plan import batch_site_tasks, execute_tasks, site_tasks_for
+    from .plan import batch_site_tasks, run_task, site_tasks_for
+
+    def timed(executor, payload) -> float:
+        started = time.perf_counter()
+        executor.map(run_task, payload)
+        return round(time.perf_counter() - started, 6)
 
     if n_jobs is not None and n_jobs < 1:
         raise ValidationError("n_jobs must be at least 1")
@@ -274,16 +279,12 @@ def measure_backend_thresholds(
         # not of the per-site one.
         for label, payload in (("serial", tasks),
                                ("batched_serial", batched)):
-            executor = make_executor("serial")
-            _results, seconds = execute_tasks(payload, executor=executor)
-            row[f"{label}_seconds"] = round(seconds, 6)
+            row[f"{label}_seconds"] = timed(make_executor("serial"), payload)
         for backend in ("threaded", "process"):
             with make_executor(backend, workers) as executor:
                 executor.warmup()
-                _results, seconds = execute_tasks(tasks, executor=executor)
-                row[f"{backend}_seconds"] = round(seconds, 6)
-                _results, seconds = execute_tasks(batched, executor=executor)
-                row[f"batched_{backend}_seconds"] = round(seconds, 6)
+                row[f"{backend}_seconds"] = timed(executor, tasks)
+                row[f"batched_{backend}_seconds"] = timed(executor, batched)
         rows.append(row)
 
     serial_default, process_default = (SERIAL_FLOPS_THRESHOLD,

@@ -4,23 +4,22 @@ The layered decomposition is what makes ranking a web larger than RAM
 possible at all: step 3 touches one site's local adjacency at a time and
 step 4 only the (tiny) SiteGraph, so no step ever needs the global link
 matrix resident.  :func:`rank_outofcore` is the planner's driver with one
-*window* resident at a time: the in-memory plan's solve units
-(:func:`plan_solve_units`, :func:`~repro.engine.plan.fuse_schedule` from
-manifest sizes alone) cut into runs of at most
-:data:`~repro.engine.plan.BATCH_TARGET_DOCS` documents.  A window is ONE
-mapping of its blocks
+*window* resident at a time: a run of consecutive sites holding at most
+:data:`~repro.engine.plan.BATCH_TARGET_DOCS` documents, or one larger
+site alone.  A window is ONE mapping of its blocks
 (:meth:`~repro.io.diskgraph.DiskGraph.unit_blocks`), one dispatch of the
-fit's scheduler (:func:`~repro.engine.plan.window_step`), one
-:class:`~repro.web.docrank.LocalRanks` of results and one gather of its
-URLs as undecoded bytes (:meth:`~repro.io.diskgraph.DiskGraph.url_bytes`);
-start vectors come from any :class:`~repro.engine.warm.WarmSource`.  A
-window is dropped as soon as it is solved, so peak RSS is bounded by a
-window's documents, not the web's.  Each run of consecutive solved sites
-goes to the :class:`repro.io.artifacts.GenerationWriter` with one
-:meth:`~repro.io.artifacts.GenerationWriter.append_sites` call, in
-site-major order; ``finalize`` performs the same single-sum normalisation
-:func:`repro._validation.normalize_distribution` applies to the
-concatenated in-memory vector.
+fit's scheduler (:func:`~repro.engine.plan.sites_step`, every site of
+the kind the in-memory plan's solve units give it:
+:func:`plan_solve_units`, :func:`~repro.engine.plan.fuse_schedule` from
+manifest sizes alone), one :class:`~repro.web.docrank.LocalRanks` of
+results, one gather of its URLs as undecoded bytes
+(:meth:`~repro.io.diskgraph.DiskGraph.url_bytes`) and one
+:meth:`~repro.io.artifacts.GenerationWriter.append_sites` call; start
+vectors come from any :class:`~repro.engine.warm.WarmSource`.  A window
+is dropped as soon as it is written, so peak RSS is bounded by a
+window's documents, not the web's; ``finalize`` performs the same
+single-sum normalisation :func:`repro._validation.normalize_distribution`
+applies to the concatenated in-memory vector.
 
 Bitwise parity with the in-memory pipeline is a hard requirement (the
 out-of-core path must be an *optimisation*, not a different ranking):
@@ -32,13 +31,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import obs
 from ..exceptions import ValidationError
-from ..io.artifacts import ArtifactStore, GenerationWriter, RankedGeneration
+from ..io.artifacts import ArtifactStore, RankedGeneration
 from ..io.diskgraph import DiskGraph
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
@@ -49,8 +48,8 @@ from .plan import (
     BATCH_TARGET_DOCS,
     fuse_schedule,
     siterank_task_for,
+    sites_step,
     solve_layout_steps,
-    window_step,
 )
 from .warm import Previous, WarmSource, WarmStartState
 
@@ -87,21 +86,18 @@ def plan_solve_units(sites: Sequence[str], sizes: Mapping[str, int], *,
             + [SolveUnit("dedicated", (sites[i],)) for i in dedicated])
 
 
-def _plan_windows(units: Sequence[SolveUnit], sizes: Mapping[str, int]
-                  ) -> List[List[SolveUnit]]:
-    """Cut *units*, in the order given, into windows: runs of consecutive
-    units holding at most :data:`BATCH_TARGET_DOCS` documents, a larger
-    unit (one dedicated site) a window of its own."""
-    windows: List[List[SolveUnit]] = []
-    docs = 0
-    for unit in units:
-        size = sum(int(sizes[site]) for site in unit.sites)
-        if not windows or docs + size > BATCH_TARGET_DOCS:
-            windows.append([])
+def _plan_windows(sizes: Sequence[int]) -> List[Tuple[int, int]]:
+    """Cut sites of *sizes* documents, in order, into windows: ``(low,
+    high)`` runs holding at most :data:`BATCH_TARGET_DOCS` documents, a
+    larger site a window of its own."""
+    bounds, docs = [0], 0
+    for position, size in enumerate(sizes):
+        if position > bounds[-1] and docs + size > BATCH_TARGET_DOCS:
+            bounds.append(position)
             docs = 0
-        windows[-1].append(unit)
         docs += size
-    return windows
+    bounds.append(len(sizes))
+    return list(zip(bounds, bounds[1:]))
 
 
 class GenerationWarmStart(WarmSource):
@@ -173,17 +169,15 @@ def rank_outofcore(graph: DiskGraph,
     """Rank a DiskGraph in bounded memory, publishing a ranked generation.
 
     Steps 2 and 4 run in RAM (the SiteGraph is orders of magnitude smaller
-    than the web); step 3 streams windows of solve units through memory
-    one at a time, so memory is bounded per window, in documents (at most
-    :data:`~repro.engine.plan.BATCH_TARGET_DOCS`, or one larger site).  Each window's blocks are read through one mapping
-    (:meth:`DiskGraph.unit_blocks`) for the window's lifetime, solved as
-    one layout step and its URLs gathered as undecoded bytes in one read
-    (:meth:`DiskGraph.url_bytes`).  Solved sites go to the artifact store
-    as soon as every site before them has — one
-    :meth:`~repro.io.artifacts.GenerationWriter.append_sites` per run of
-    consecutive sites, so held vectors never exceed a window's worth plus
-    the sites a fused chunk straddles — and the finished generation is
-    published with an atomic manifest-pointer flip.
+    than the web); step 3 streams windows of consecutive sites through
+    memory one at a time, so memory is bounded per window, in documents
+    (at most :data:`~repro.engine.plan.BATCH_TARGET_DOCS`, or one larger
+    site).  Each window's blocks are read through one mapping
+    (:meth:`DiskGraph.unit_blocks`), solved as one layout step, its URLs
+    gathered as undecoded bytes in one read (:meth:`DiskGraph.url_bytes`)
+    and its sites written with one
+    :meth:`~repro.io.artifacts.GenerationWriter.append_sites`; the
+    finished generation is published with an atomic manifest-pointer flip.
 
     *warm* is any :class:`~repro.engine.warm.WarmSource` — a live
     :class:`~repro.engine.warm.WarmStartState` is also recorded into, like
@@ -214,35 +208,34 @@ def rank_outofcore(graph: DiskGraph,
         method = ("layered-personalized"
                   if site_preference is not None
                   or graph.personalized_sites() else "layered")
-        # Units in the order their first site comes: the generation is
-        # written in site order, so a unit is solved when the write
-        # cursor first needs one of its sites.
-        order = {site: index for index, site in enumerate(sites)}
-        units = sorted(plan_solve_units(sites, sizes),
-                       key=lambda unit: order[unit.sites[0]])
+        # Each site keeps the kind the whole web's schedule gives it.
+        fused = {site for unit in plan_solve_units(sites, sizes)
+                 if unit.kind == "fused" for site in unit.sites}
         writer = store.create_generation(method=method,
                                          n_documents=graph.n_documents)
-        pending: Dict[str, Tuple[_SolvedWindow, int]] = {}
-        cursor = 0
         iterations = site_result.iterations
         try:
-            for window in _plan_windows(units, sizes):
-                ranks = _solve_window(graph, window, order, damping, common)
+            for low, high in _plan_windows([sizes[site] for site in sites]):
+                window = sites[low:high]
+                ranks = _solve_window(graph, window,
+                                      [site in fused for site in window],
+                                      damping, common)
                 with obs.span("outofcore.window.write"):
-                    solved = _SolvedWindow(ranks,
-                                           *graph.url_bytes(ranks.doc_ids))
-                    pending.update((site, (solved, position)) for position,
-                                   site in enumerate(ranks.sites))
-                    start = cursor
-                    while cursor < len(sites) and sites[cursor] in pending:
-                        cursor += 1
-                    if cursor > start:
-                        iterations += _append_run(
-                            writer, sites[start:cursor],
-                            [pending.pop(site) for site in sites[start:cursor]],
-                            site_result.scores[start:cursor], record)
+                    url_bytes, url_lengths = graph.url_bytes(ranks.doc_ids)
+                    writer.append_sites(
+                        window, ranks.sizes, ranks.doc_ids, ranks.scores,
+                        url_bytes, url_lengths, site_result.scores[low:high],
+                        ranks.iterations.tolist())
+                    iterations += ranks.total_iterations
+                    if record is not None:
+                        bounds = ranks.offsets.tolist()
+                        for site, first, last in zip(window, bounds,
+                                                     bounds[1:]):
+                            record.record_local(
+                                site, ranks.doc_ids[first:last].tolist(),
+                                ranks.scores[first:last])
                     # A written window goes now, not after the next solve.
-                    del ranks, solved
+                    del ranks, url_bytes
             generation = writer.finalize(
                 siterank_sites=site_result.sites,
                 siterank_scores=site_result.scores,
@@ -260,80 +253,26 @@ def rank_outofcore(graph: DiskGraph,
                             iterations=iterations)
 
 
-def _solve_window(graph: DiskGraph, window: Sequence[SolveUnit],
-                  order: Mapping[str, int], damping: float,
+def _solve_window(graph: DiskGraph, sites: Sequence[str],
+                  fused: Sequence[bool], damping: float,
                   common: dict) -> LocalRanks:
     """Solve one window over one mapping of its blocks, in site order.
 
-    The units' kinds are the *whole web's* schedule (a mid-stream chunk
-    of one stays fused, a trailing one is dedicated): the window's fused
-    sites are one batch, every other site a dedicated task.
+    Counts the window (``outofcore_windows_total``) and the solve tasks it
+    dispatched, one per fused batch and one per dedicated site
+    (``outofcore_units_total``).
     """
     obs.inc("outofcore_windows_total")
-    obs.inc("outofcore_units_total", len(window))
-    sites = sorted((site for unit in window for site in unit.sites),
-                   key=order.__getitem__)
-    fused = {site for unit in window if unit.kind == "fused"
-             for site in unit.sites}
-    chunk = [position for position, site in enumerate(sites) if site in fused]
-    schedule = ([chunk] if chunk else [],
-                [position for position, site in enumerate(sites)
-                 if site not in fused])
     with obs.span("outofcore.window.map"):
-        step = window_step(graph.unit_blocks(sites), schedule, damping,
-                           **common)
+        blocks = graph.unit_blocks(sites)
+        step = sites_step(blocks, range(len(sites)), sites, damping,
+                          fused=fused, preferences=blocks.preferences,
+                          **common)
     with obs.span("outofcore.window.solve"):
-        _first, ((scores, iterations, _tail),), _n_tasks = \
+        _first, ((scores, iterations, _tail),), n_tasks = \
             solve_layout_steps([(step, None)])
+        obs.inc("outofcore_units_total", n_tasks)
         return step.local_ranks(scores, iterations)
-
-
-@dataclass
-class _SolvedWindow:
-    """A solved window's sites, waiting for their turn in site order."""
-
-    ranks: LocalRanks
-    url_bytes: np.ndarray
-    url_lengths: np.ndarray
-
-    def cut(self, low: int, high: int) -> tuple:
-        """Sites ``low:high``: counts, ids, scores, URLs and iterations."""
-        ranks = self.ranks
-        first, last = ranks.offsets[low], ranks.offsets[high]
-        lengths = self.url_lengths[first:last]
-        skip = int(self.url_lengths[:first].sum())
-        return (ranks.sizes[low:high], ranks.doc_ids[first:last],
-                ranks.scores[first:last],
-                self.url_bytes[skip:skip + int(lengths.sum())], lengths,
-                ranks.iterations[low:high])
-
-
-def _append_run(writer: GenerationWriter, sites: Sequence[str],
-                run: Sequence[Tuple[_SolvedWindow, int]],
-                site_scores: np.ndarray,
-                record: Optional[WarmStartState]) -> int:
-    """Write a run of consecutive solved sites with one writer call.
-
-    *run* holds each site's ``(window, position)``; consecutive positions
-    of one window are cut as one slice.  Returns the run's iterations.
-    """
-    pieces: List[list] = []
-    for window, position in run:
-        if pieces and pieces[-1][0] is window and pieces[-1][2] == position:
-            pieces[-1][2] += 1
-        else:
-            pieces.append([window, position, position + 1])
-    counts, doc_ids, scores, url_bytes, url_lengths, iterations = (
-        np.concatenate(column) for column in zip(
-            *(window.cut(low, high) for window, low, high in pieces)))
-    writer.append_sites(sites, counts, doc_ids, scores, url_bytes,
-                        url_lengths, site_scores, iterations.tolist())
-    if record is not None:
-        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-        for site, low, high in zip(sites, bounds, bounds[1:]):
-            record.record_local(site, doc_ids[low:high].tolist(),
-                                scores[low:high])
-    return int(iterations.sum())
 
 
 __all__ = [

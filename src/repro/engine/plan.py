@@ -21,24 +21,25 @@ point.  How a task's values reach a worker process is
 :mod:`repro.engine.arena`'s business, never the task's.
 
 Step 3's inputs are the diagonal blocks of the DocGraph numbered site by
-site (:meth:`repro.web.docgraph.DocGraph.site_blocks`).  Every step 3 over
-a DocGraph in RAM — a fit, the segment pass, the incremental refresh,
-:func:`~repro.web.docrank.all_local_docranks` — is one scheduler over that
-layout (:func:`layout_step`, run by :func:`solve_layout_steps`): sites
-named by layout index, fused batches cut by one row-range gather, each
-batch's packed result scattered into one vector over the step's sites.
-Only a site too large to fuse gets a task of its own, a lazy reference
-into the layout.  The out-of-core round runs the same step over a window
-of mapped disk blocks (:func:`window_step` over a
-:class:`~repro.io.diskgraph.UnitBlocks`).
+site (:meth:`repro.web.docgraph.DocGraph.site_blocks`).  Every step 3 is
+one scheduler over such a layout, run by :func:`solve_layout_steps`:
+sites named by layout index, fused batches cut by one row-range gather,
+each batch's packed result scattered into one vector over the step's
+sites.  Only a site too large to fuse gets a task of its own, a lazy
+reference into the layout.  A fit, the segment pass, the incremental
+refresh and :func:`~repro.web.docrank.all_local_docranks` build their
+step with :func:`layout_step`; a subset of sites that must rank as the
+whole web's fit ranks them — a simulated or live peer's sites, a window
+of mapped disk blocks (:class:`~repro.io.diskgraph.UnitBlocks`) in the
+out-of-core round — with :func:`sites_step`, which keeps every site's
+whole-web kind.
 
 The per-site builders (:func:`site_tasks_for`, :func:`batch_site_tasks`)
-serve the simulator's and the live cluster's peers and calibration, over
-any **block source** (``sites()`` and ``local_block(site) -> (adjacency,
-doc_ids)``).  Start
-vectors come from any **warm source**
-(:class:`~repro.engine.warm.WarmSource`), so power iterations resume from
-the previously converged vector instead of restarting from uniform.
+remain for calibration, over any **block source** (``sites()`` and
+``local_block(site) -> (adjacency, doc_ids)``).  Start vectors come from
+any **warm source** (:class:`~repro.engine.warm.WarmSource`), so power
+iterations resume from the previously converged vector instead of
+restarting from uniform.
 """
 
 from __future__ import annotations
@@ -407,25 +408,6 @@ def solve_task(task: RankTask):
     return task.solve() if isinstance(task, BatchedSiteTask) else task.run()
 
 
-def execute_tasks(tasks: Sequence[RankTask], *,
-                  executor: Optional[Executor] = None,
-                  n_jobs: Optional[int] = None) -> Tuple[list, float]:
-    """Run a batch of tasks through an executor; a barrier with timing.
-
-    Returns ``(results, wall_seconds)`` with results aligned to *tasks*.
-    The measured wall-clock is what the scaling benchmarks and the
-    distributed simulator report next to their modeled costs.
-    """
-    resolved, owned = resolve_executor(executor, n_jobs)
-    started = time.perf_counter()
-    try:
-        results = resolved.map(run_task, list(tasks))
-    finally:
-        if owned:
-            resolved.close()
-    return results, time.perf_counter() - started
-
-
 def site_tasks_for(source, damping: float = DEFAULT_DAMPING, *,
                    sites: Optional[Sequence[str]] = None,
                    preferences: Optional[Dict[str, np.ndarray]] = None,
@@ -708,35 +690,68 @@ def layout_step(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
         picked = [preferences.get(site) for site in sites]
         for site, size, vector in zip(sites, sizes.tolist(), picked):
             if vector is not None:
-                _check_preference(site, vector, size, n_vectors)
+                check_block_vector(f"document preference of site {site!r}",
+                                   vector, size, n_vectors)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     step = _LayoutStep(blocks, sites, indices, offsets, damping, tol,
                        max_iter, preferences=picked, n_vectors=n_vectors)
     return step if warm is None else step.with_starts(warm)
 
 
-def window_step(blocks, schedule: Tuple[List[List[int]], List[int]],
-                damping: float = DEFAULT_DAMPING, *,
-                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                warm: Optional[WarmSource] = None) -> _LayoutStep:
-    """Step 3 over every site of a window of disk blocks, on *schedule*.
+def sites_step(blocks, indices: Sequence[int], sites: Sequence[str],
+               damping: float = DEFAULT_DAMPING, *,
+               fused: Optional[Sequence[bool]] = None,
+               preferences: Optional[Sequence] = None,
+               tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+               warm: Optional[WarmSource] = None) -> _LayoutStep:
+    """Step 3 over some sites of a layout, each of its whole-web kind.
 
-    *blocks* is a :class:`~repro.io.diskgraph.UnitBlocks`; *schedule* the
-    ``(chunks, dedicated)`` positions of its sites, so each site keeps the
-    kind the whole web's schedule gave it.  The sites' stored preferences
-    are checked where the solves check theirs; *warm* seeds every start.
+    *blocks* is a DocGraph's :class:`~repro.web.docgraph.SiteBlocks` or a
+    window of disk blocks (:class:`~repro.io.diskgraph.UnitBlocks`);
+    *indices* are the layout indices of the sites solved, *sites* their
+    names.  *fused* says per site whether :func:`fuse_schedule` over the
+    whole web fuses it; by default it is read off the schedule of every
+    block of *blocks*, which must then be the whole web's layout.  Fused
+    sites are chunked in order at :data:`BATCH_TARGET_DOCS` documents (a
+    chunk of one stays fused), every other site is a dedicated task: a
+    site's result depends on its kind, never on its chunk, so any subset
+    ranks bitwise as the whole web's fit ranks it.  *preferences* holds
+    one optional vector per site; *warm* seeds every start.
     """
-    sites, preferences = blocks.sites(), blocks.preferences
-    step = _LayoutStep(blocks, sites, range(len(sites)), blocks.offsets,
-                       damping, tol, max_iter, schedule=schedule,
-                       preferences=preferences if any(
-                           vector is not None for vector in preferences)
-                       else None)
+    picked = np.asarray(indices, dtype=np.int64)
+    sizes = np.diff(blocks.offsets)
+    if fused is None:
+        chunks, _dedicated = fuse_schedule(
+            sizes.tolist(), max_docs=BATCH_SITE_MAX_DOCS,
+            target_docs=BATCH_TARGET_DOCS)
+        web = np.zeros(sizes.size, dtype=bool)
+        web[list(chain.from_iterable(chunks))] = True
+        fused = web[picked].tolist()
+    sizes = sizes[picked]
+    chunks, dedicated, docs = [], [], 0
+    for position, (size, kind) in enumerate(zip(sizes.tolist(), fused)):
+        if not kind:
+            dedicated.append(position)
+            continue
+        if not chunks or docs + size > BATCH_TARGET_DOCS:
+            chunks.append([])
+            docs = 0
+        chunks[-1].append(position)
+        docs += size
+    if preferences is not None and all(v is None for v in preferences):
+        preferences = None
+    step = _LayoutStep(blocks, sites, indices,
+                       np.concatenate(([0], np.cumsum(sizes))), damping, tol,
+                       max_iter, preferences=preferences,
+                       schedule=(chunks, dedicated))
     return step if warm is None else step.with_starts(warm)
 
 
-def _check_preference(site: str, vector, n: int, n_vectors: int) -> None:
-    name = f"document preference of site {site!r}"
+def check_block_vector(name: str, vector, n: int, n_vectors: int = 1
+                       ) -> None:
+    """Raise :class:`~repro.exceptions.ValidationError`, citing *name*,
+    unless *vector* is a distribution over a block of *n* documents
+    (``(n, K)`` columns for ``n_vectors = K > 1``)."""
     shape = (n,) if n_vectors == 1 else (n, n_vectors)
     array = np.asarray(vector, dtype=float)
     columns = array.reshape(-1, 1) if n_vectors == 1 else array

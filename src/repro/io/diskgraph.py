@@ -555,13 +555,12 @@ class UnitBlocks:
     (:mod:`repro.engine.plan`), as :class:`~repro.web.docgraph.SiteBlocks`
     does: ``offsets`` (the sites' row boundaries, in the order asked for),
     ``doc_ids`` (their ids in row order), ``site_doc_ids(index)``,
-    ``nnz``, ``block(index)`` and ``packed(indices)``; plus ``sites()``
-    and one optional vector per site in ``preferences``.
+    ``nnz``, ``block(index)`` and ``packed(indices)``; plus one optional
+    vector per site in ``preferences``.
     """
 
     def __init__(self, graph: DiskGraph, sites: Sequence[str]) -> None:
-        self._sites = list(sites)
-        entries = [graph._entry(site) for site in self._sites]
+        entries = [graph._entry(site) for site in sites]
         specs: List[Optional[Dict[str, object]]] = []
         for entry in entries:
             specs += _csr_specs(entry["adjacency"]) + [
@@ -631,10 +630,6 @@ class UnitBlocks:
             low -= low % mmap.PAGESIZE
             high = max(_end(spec) for spec in family) - self._start
             self._region.madvise(mmap.MADV_DONTNEED, low, high - low)
-
-    def sites(self) -> List[str]:
-        """The window's sites, in the order they were asked for."""
-        return list(self._sites)
 
 
 def _end(spec: Dict[str, object]) -> int:

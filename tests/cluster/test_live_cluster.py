@@ -3,7 +3,7 @@
 Three tiers of realism, all deterministic:
 
 * in-process rounds (peers as asyncio tasks in this interpreter) for the
-  fast protocol assertions — bitwise equality with the serial reference,
+  fast protocol assertions — bitwise equality with ``Ranker.fit``,
   byte parity with the simulator, ledger resume;
 * real subprocess rounds (``repro cluster peer`` children) for the things
   only separate processes can show — crash injection via ``--fail-after``
@@ -19,6 +19,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from repro.api import Ranker, RankingConfig
 from repro.cluster import (
     ClusterCoordinator,
     ClusterPeer,
@@ -27,11 +28,10 @@ from repro.cluster import (
 )
 from repro.cluster.ledger import JobLedger
 from repro.distributed import DistributedRankingCoordinator
-from repro.exceptions import ProtocolError
+from repro.distributed.messages import ComputeLocalRankRequest
+from repro.exceptions import ProtocolError, ValidationError
 from repro.graphgen import generate_synthetic_web
 from repro.io import docgraph_digest, read_docgraph, write_docgraph
-
-from per_site_oracle import per_site_layered_docrank
 
 #: The protocol messages both deployments send with identical contents —
 #: the byte-parity surface between simulated and live runs.
@@ -43,13 +43,13 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 @pytest.fixture(scope="module")
 def web(tmp_path_factory):
-    """One shared small web: graph file, in-memory graph, serial scores."""
+    """One shared small web: graph file, in-memory graph and its fit."""
     workdir = tmp_path_factory.mktemp("cluster-web")
     graph = generate_synthetic_web(n_sites=10, n_documents=260, seed=11)
     path = os.path.join(workdir, "web.docgraph")
     write_docgraph(graph, path)
     shared = read_docgraph(path)  # rank exactly what the peers will load
-    serial = per_site_layered_docrank(shared)
+    serial = Ranker(RankingConfig()).fit(shared).ranking
     return {"graph": shared, "path": path, "serial": serial,
             "workdir": str(workdir)}
 
@@ -150,6 +150,66 @@ class TestInProcessRound:
 
         with pytest.raises(ProtocolError, match="digest mismatch"):
             asyncio.run(join_wrong_graph())
+
+
+class TestWireWarmStart:
+    @pytest.mark.parametrize("broken", ["length", "non-finite", "negative",
+                                        "not a distribution"])
+    def test_a_start_that_does_not_fit_its_site_is_refused(
+            self, web, monkeypatch, broken):
+        """A wire start is checked against its site before anything is
+        solved, and the error names the site and the peer."""
+        graph = web["graph"]
+        first, site = [name for name in graph.sites()
+                       if len(graph.documents_of_site(name)) > 2][:2]
+        n = len(graph.documents_of_site(site))
+        start = np.full(n, 1.0 / n)
+        if broken == "length":
+            start = np.full(n - 1, 1.0 / (n - 1))
+        elif broken == "non-finite":
+            start[0] = np.nan
+        elif broken == "negative":
+            start[0], start[1] = -0.5, start[1] + 0.5 + start[0]
+        else:
+            start *= 2.0
+        requests = {
+            name: ComputeLocalRankRequest(
+                sender="coordinator", recipient="peer-0007", site=name,
+                start=tuple(vector))
+            for name, vector in ((first, ()), (site, start.tolist()))}
+        async def solve(*args, **kwargs):  # the peer's compute hop
+            raise AssertionError("solved before the starts were checked")
+
+        monkeypatch.setattr(asyncio, "to_thread", solve)
+        peer = ClusterPeer(graph, "127.0.0.1", 0, name="peer-0007")
+        with pytest.raises(ValidationError,
+                           match=f"site {site!r} on peer 'peer-0007'"):
+            asyncio.run(peer._compute_batch([first, site], requests))
+        assert peer.sites_ranked == 0
+
+
+    def test_a_fitting_start_seeds_the_solve(self, web):
+        """A site started from its converged vector stops at once."""
+        graph, serial = web["graph"], web["serial"]
+        sites = graph.sites()[:3]
+        requests = {site: ComputeLocalRankRequest(
+            sender="coordinator", recipient="peer-0007", site=site,
+            start=tuple(serial.local_docranks[site].scores.tolist()))
+            for site in sites}
+        sent = []
+
+        async def send(message):
+            sent.append(message)
+
+        peer = ClusterPeer(graph, "127.0.0.1", 0, name="peer-0007")
+        peer._send = send
+        asyncio.run(peer._compute_batch(sites, requests))
+        assert [message.site for message in sent] == sites
+        for message in sent:
+            cold = serial.local_docranks[message.site]
+            assert message.doc_ids == tuple(cold.doc_ids)
+            assert message.iterations < cold.iterations
+            assert np.allclose(message.scores, cold.scores, atol=1e-9)
 
 
 class TestSubprocessRound:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import Ranker, RankingConfig
 from repro.distributed import (
     DistributedRankingCoordinator,
     NetworkParameters,
@@ -120,10 +121,19 @@ class TestTrafficAccounting:
 class TestEngineScheduling:
     """The coordinator executes the shared RankingPlan through the engine."""
 
-    def test_engine_tasks_cover_every_site(self, small_synthetic_web):
-        coordinator = DistributedRankingCoordinator(small_synthetic_web,
-                                                    n_peers=3)
-        assert sorted(task.site for task in coordinator.site_tasks) == \
+    @pytest.mark.parametrize("architecture", ["flat", "super-peer"])
+    def test_peers_rank_bitwise_as_the_fit(self, small_synthetic_web,
+                                           architecture):
+        """The peers run the fit's own step 3: how a peer's sites are
+        batched changes no score."""
+        fit = Ranker(RankingConfig()).fit(small_synthetic_web)
+        coordinator = DistributedRankingCoordinator(
+            small_synthetic_web, n_peers=3, architecture=architecture)
+        report = coordinator.run()
+        assert np.array_equal(report.ranking.scores, fit.scores)
+        assert report.ranking.doc_ids == fit.doc_ids
+        assert sorted(site for peer in coordinator.peers.values()
+                      for site in peer.local_results) == \
             sorted(small_synthetic_web.sites())
 
     def test_report_carries_measured_wall_clock(self, toy_docgraph):

@@ -8,7 +8,6 @@ from repro.engine import (
     SerialExecutor,
     WarmStartState,
     align_warm_start,
-    execute_tasks,
     run_task,
     site_tasks_for,
 )
@@ -114,11 +113,10 @@ class TestPlanExecution:
         site_result = run_task(plan.siterank_task)
         assert site_result.scores.sum() == pytest.approx(1.0)
 
-    def test_execute_tasks_helper_preserves_order(self, toy_docgraph):
+    def test_executor_map_preserves_task_order(self, toy_docgraph):
         tasks = site_tasks_for(toy_docgraph)
-        results, seconds = execute_tasks(tasks)
+        results = SerialExecutor().map(run_task, tasks)
         assert [r.site for r in results] == [t.site for t in tasks]
-        assert seconds >= 0.0
         # Step 3 alone runs on the layout, in the same site order.
         only_sites = all_local_docranks(toy_docgraph,
                                         executor=SerialExecutor())

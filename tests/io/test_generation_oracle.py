@@ -31,7 +31,8 @@ from repro import obs
 from repro.engine import outofcore, plan_solve_units, rank_outofcore
 from repro.engine.plan import BATCH_TARGET_DOCS
 from repro.io import ArtifactStore, write_diskgraph
-from repro.io.diskgraph import BLOCKS_FILE
+from repro.io.artifacts import GenerationWriter
+from repro.io.diskgraph import BLOCKS_FILE, DiskGraph
 from repro.web.docgraph import DocGraph
 
 LONG_PROFILE = "oracle-long"
@@ -191,10 +192,61 @@ def test_cold_rank_maps_each_window_once(tmp_path, monkeypatch, window_docs):
     counted = {name: registry.counter_value(name) - value
                for name, value in before.items()}
     assert counted["outofcore_windows_total"] == n_windows
-    assert counted["outofcore_units_total"] == len(units)
+    # Solve tasks dispatched: the six big sites, plus the tiny sites'
+    # fused batch in each window.
+    assert counted["outofcore_units_total"] == 6 + n_windows
     assert len(opened) <= 2 * n_windows + 4 < 2 * len(units)
     assert counted["diskgraph_mappings_total"] == len(opened)
     assert ranked.n_documents == disk.n_documents
+
+
+def _small_sites_around_big_ones() -> DocGraph:
+    """Five sites of three pages around two of 600: the small sites are
+    one fused unit that straddles both dedicated ones."""
+    graph = DocGraph()
+    for site, n_pages in (("tiny0", 3), ("tiny1", 3), ("big0", 600),
+                          ("tiny2", 3), ("tiny3", 3), ("big1", 600),
+                          ("tiny4", 3)):
+        pages = [f"http://{site}.example.org/p{page}.html"
+                 for page in range(n_pages)]
+        for source, target in zip(pages, pages[1:] + pages[:1]):
+            graph.add_link(source, target)
+    return graph
+
+
+def test_windows_are_runs_of_sites_written_at_once(tmp_path, monkeypatch):
+    """A window is a run of consecutive sites: the sites it maps are the
+    sites it writes, with one ``append_sites`` call, so no solved site is
+    held for a later window — even where a fused unit straddles a
+    dedicated site."""
+    disk = write_diskgraph(_small_sites_around_big_ones(),
+                           tmp_path / "graph")
+    units = plan_solve_units(disk.sites(), disk.site_sizes())
+    assert [unit.kind for unit in units] == ["fused", "dedicated",
+                                             "dedicated"]
+    mapped, written = [], []
+
+    def recording(calls, method):
+        def wrapper(self, sites, *args, **kwargs):
+            calls.append(list(sites))
+            return method(self, sites, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(DiskGraph, "unit_blocks",
+                        recording(mapped, DiskGraph.unit_blocks))
+    monkeypatch.setattr(GenerationWriter, "append_sites",
+                        recording(written, GenerationWriter.append_sites))
+    monkeypatch.setattr(outofcore, "BATCH_TARGET_DOCS", 700)
+    opened = _count_block_mappings(monkeypatch, disk)
+    ranked = rank_outofcore(disk, tmp_path / "store")
+    assert written == [
+        ["tiny0.example.org", "tiny1.example.org", "big0.example.org",
+         "tiny2.example.org", "tiny3.example.org"],
+        ["big1.example.org", "tiny4.example.org"]]
+    assert mapped == written
+    assert len(opened) <= 2 * len(written) + 4
+    _same_files(ranked.generation.path,
+                oracle_rank(disk, str(tmp_path / "oracle")).path)
 
 
 def test_window_spans_are_recorded_per_window(tmp_path, monkeypatch):
