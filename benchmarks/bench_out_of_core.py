@@ -16,8 +16,13 @@ than a configured memory budget and holds the pipeline to three claims:
 
 Bitwise parity with the in-memory pipeline is asserted on a web that fits
 in RAM (the out-of-core path must be an optimisation, not a different
-ranking).  Each phase runs in its own subprocess so ``ru_maxrss`` — a
-*cumulative* high-water mark — measures that phase alone.
+ranking).  Each phase runs in its own subprocess and reads its peak from
+``VmHWM`` in ``/proc/self/status``: the high-water mark of that address
+space alone, reset by exec.  (``ru_maxrss`` is not: on Linux it carries
+the launching process's peak across ``subprocess.run``'s fork/exec, so a
+pytest process an earlier benchmark grew would lift every phase to its
+own peak.)  Where ``/proc`` is absent the probe falls back to
+``ru_maxrss``.
 """
 
 import json
@@ -58,6 +63,13 @@ PROBE = r"""
 import json, os, resource, sys
 
 def peak_mib():
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 phase = sys.argv[1]
@@ -131,6 +143,20 @@ def _write_edge_list(path: str) -> int:
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("e19"))
+
+
+def test_probe_peak_is_the_phase_own():
+    """Memory the launching process touched (~128 MiB, still held) does
+    not reach a phase's peak: a baseline probe reads as a fresh one."""
+    fresh = _run_probe("baseline")["peak_mib"]
+    ballast = np.ones(128 * MIB // 8)
+    try:
+        loaded = _run_probe("baseline")["peak_mib"]
+    finally:
+        del ballast
+    assert abs(loaded - fresh) < 8.0, \
+        f"baseline read {loaded:.1f} MiB beside a launcher holding " \
+        f"128 MiB more, {fresh:.1f} MiB without"
 
 
 def test_out_of_core_rss_bounds(workdir):

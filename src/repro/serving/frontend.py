@@ -16,8 +16,11 @@ depends on what it can cost:
   hold it.  The bound is a module constant because no deployment has a
   reason to move it: a ``/top`` page is tens of results, and beyond the
   bound the only change is which thread answers.
-* ``/query`` (text scoring, milliseconds), ``/stats`` and larger ``/top``
-  requests run on a small worker pool.
+* ``/query`` (a text match and its link combine: a few tenths of a
+  millisecond for one cache-cold text on 10k documents, growing with the
+  candidates and the texts of a batch, and the one route under admission
+  control), ``/stats`` and larger ``/top`` requests run on a small worker
+  pool.
 
 Around the ``/query`` call it shapes load:
 

@@ -3,8 +3,8 @@
 This module is the transport-free half of the HTTP endpoint:
 :func:`route_request` turns a path and its parsed query string into
 service calls and a JSON-ready payload, :func:`route_body` into the encoded
-body (``json.dumps`` of that payload, except that ``/top`` is assembled
-from cached per-document fragments), and
+body (``json.dumps`` of that payload, except that ``/top`` and ``/query``
+are assembled from per-document fragments the store encodes once), and
 :class:`~repro.serving.frontend.AsyncRankingServer` is the one server that
 puts it on a socket.  Tests and benchmarks call :func:`route_request`
 directly as the oracle for what the server must answer, byte for byte.
@@ -264,8 +264,9 @@ def route_body(service, path: str, params: Dict[str, List[str]], *,
     """The encoded response body of one GET request — what the server calls.
 
     Always ``json.dumps(route_request(...)[0])`` byte for byte; ``/top``
-    gets there through :meth:`RankingService.top_body`, which joins cached
-    per-document fragments instead of building and dumping a payload.
+    and ``/query`` get there through :meth:`RankingService.top_body` and
+    :meth:`RankingService.query_body`, which join per-document fragments
+    the store encodes once instead of building and dumping a payload.
     """
     if path == "/top":
         k, site, segment = _parse_top_request(params)
@@ -273,6 +274,10 @@ def route_body(service, path: str, params: Dict[str, List[str]], *,
             return service.top_body(k, site=site, segment=segment), 200
         except GraphStructureError as error:
             raise ClientError(404, str(error)) from None
+    if path == "/query":
+        queries, k, rule, weight, segment = parse_query_request(params)
+        return service.query_body(queries, k, rule=rule, weight=weight,
+                                  segment=segment), 200
     payload, status = route_request(service, path, params,
                                     uptime_seconds=uptime_seconds)
     return json.dumps(payload).encode("utf-8"), status

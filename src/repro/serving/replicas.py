@@ -401,6 +401,22 @@ class ReplicaSet:
         ``query_many`` batch each, and the answers reassemble in input
         order — byte-identical to answering against a single service.
         """
+        return self._query_many(texts, k, rule, weight, segment)[0]
+
+    def query_body(self, texts: Sequence[str], k: int = 10, *,
+                   rule: Optional[CombinationRule] = None,
+                   weight: Optional[float] = None,
+                   segment: Optional[str] = None) -> bytes:
+        """The encoded ``/query`` body of :meth:`query_many`, encoded by
+        the replica that answered the first text."""
+        batches, first = self._query_many(texts, k, rule, weight, segment)
+        return first.service.hits_body(texts, batches, k, segment)
+
+    def _query_many(self, texts: Sequence[str], k: int,
+                    rule: Optional[CombinationRule],
+                    weight: Optional[float], segment: Optional[str]
+                    ) -> Tuple[List[Tuple[SearchHit, ...]], Replica]:
+        """:meth:`query_many`'s answers and the replica of the first text."""
         groups: Dict[str, List[int]] = {}
         for position, text in enumerate(texts):
             groups.setdefault(self.route(text).name, []).append(position)
@@ -411,7 +427,10 @@ class ReplicaSet:
                 rule=rule, weight=weight, segment=segment)
             for position, answer in zip(positions, answers):
                 results[position] = answer
-        return results  # type: ignore[return-value]
+        # An empty batch reads no record: any replica can encode it.
+        first = self._by_name[next(iter(groups))] if groups \
+            else self._replicas[0]
+        return results, first  # type: ignore[return-value]
 
     def score_of(self, doc_id: int) -> float:
         """Point lookup of one document's current global score."""

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import threading
+from math import isfinite
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,6 +56,40 @@ from ..web.pipeline import WebRankingResult
 from .cache import GLOBAL_TAG, CacheStats, QueryCache
 from .store import LinkScoreView, ScoredDocument, ShardedScoreStore
 from .topk import TopKEngine
+
+
+def candidate_tags(links: LinkScoreView, rows: np.ndarray) -> Sequence:
+    """The cache tags of a query whose candidates are *rows* of *links*.
+
+    The sites owning any candidate, in :attr:`LinkScoreView.sites` order,
+    or the one global tag when they are every site.  The candidates' site
+    rows are marked in a presence mask with one slot per site plus a last
+    one, where the ``-1`` rows of documents the store does not hold land.
+    """
+    present = np.zeros(len(links.sites) + 1, dtype=bool)
+    present[links.site_rows[rows]] = True
+    site_rows = np.flatnonzero(present[:-1])
+    if site_rows.size == len(links.sites):
+        return (GLOBAL_TAG,)
+    return [links.sites[row] for row in site_rows.tolist()]
+
+
+def _hit_numbers(hit: SearchHit) -> str:
+    """The numeric members of a ``/query`` hit's JSON object, opening brace
+    included, as ``json.dumps`` writes them.
+
+    ``json.dumps`` writes a finite float as its ``repr``; a sum of the
+    three scores that is finite proves each is, and anything else (NaN,
+    an infinity or an overflowing sum) goes through the encoder itself.
+    """
+    combined, query, link = hit.combined_score, hit.query_score, \
+        hit.link_score
+    if isfinite(combined + query + link):
+        return (f'{{"doc_id": {hit.doc_id!r}, "combined_score": '
+                f'{combined!r}, "query_score": {query!r}, '
+                f'"link_score": {link!r}')
+    return json.dumps({"doc_id": hit.doc_id, "combined_score": combined,
+                       "query_score": query, "link_score": link})[:-1]
 
 
 class RankingService:
@@ -417,12 +452,7 @@ class RankingService:
             obs.observe("serving_query_combine_seconds",
                         perf_counter() - combine_started)
             obs.observe("serving_query_candidates", float(rows.size))
-            site_rows = np.unique(links.site_rows[rows])
-            site_rows = site_rows[site_rows >= 0]
-            if site_rows.size == len(links.sites):
-                tags = (GLOBAL_TAG,)
-            else:
-                tags = [links.sites[row] for row in site_rows.tolist()]
+            tags = candidate_tags(links, rows)
             with self._lock:
                 # Admit only when no rebuild swapped the store (and no
                 # refresh replaced the index) mid-compute — a stale entry
@@ -439,6 +469,49 @@ class RankingService:
         with self._lock:
             self.queries_served += 1
         return hits
+
+    def query_body(self, texts: Sequence[str], k: int = 10, *,
+                   rule: Optional[CombinationRule] = None,
+                   weight: Optional[float] = None,
+                   segment: Optional[str] = None) -> bytes:
+        """The encoded ``/query`` response body of :meth:`query_many`.
+
+        The ``/query`` twin of :meth:`top_body`: byte-identical to
+        ``json.dumps`` of the router's payload for the same request
+        (:func:`repro.serving.httpd.query_response`), built by
+        :meth:`hits_body` without payload dicts.
+        """
+        return self.hits_body(texts, self.query_many(
+            texts, k, rule=rule, weight=weight, segment=segment), k, segment)
+
+    def hits_body(self, texts: Sequence[str],
+                  batches: Sequence[Sequence[SearchHit]], k: int,
+                  segment: Optional[str]) -> bytes:
+        """The encoded ``/query`` body of already-answered *batches*.
+
+        Every hit's ``"url"`` / ``"site"`` members come from the store's
+        per-document text (:meth:`ShardedScoreStore.locations`), all of
+        them resolved under one acquisition of the service lock; a hit the
+        store does not hold carries its numbers only, as in the router's
+        payload.
+        """
+        with self._lock:
+            located = iter(self._store.locations(
+                [hit.doc_id for hits in batches for hit in hits]))
+        results = []
+        for text, hits in zip(texts, batches):
+            entries = []
+            for hit in hits:
+                numbers = _hit_numbers(hit)
+                location = next(located)
+                entries.append(numbers + "}" if location is None
+                               else f"{numbers}, {location}}}")
+            results.append(f'{{"query": {json.dumps(text)}, '
+                           f'"hits": [{", ".join(entries)}]}}')
+        tail = "" if segment is None \
+            else f', "segment": {json.dumps(segment)}'
+        return (f'{{"k": {json.dumps(k)}, "results": [{", ".join(results)}]'
+                f'{tail}}}').encode("utf-8")
 
     def query_many(self, texts: Sequence[str], k: int = 10, *,
                    rule: Optional[CombinationRule] = None,

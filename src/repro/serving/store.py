@@ -57,6 +57,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -171,15 +172,15 @@ class _Shard:
         self.generation = generation
         self.segment_columns = segment_columns
         # Lazily filled per-segment sort orders and per-document JSON
-        # fragments (score column -> row -> text).  Shards are shared
-        # across double-buffered store generations; filling a slot is an
-        # idempotent cache write (two racing readers compute identical
-        # values), so no lock is needed.
+        # fragments (score column, or "location", -> row -> text).
+        # Shards are shared across double-buffered store generations;
+        # filling a slot is an idempotent cache write (two racing readers
+        # compute identical values), so no lock is needed.
         self._segment_orders: List[Optional[np.ndarray]] = (
             [] if segment_columns is None
             else [None] * segment_columns.shape[1])
         if cache_fragments:
-            self._fragments: Dict[Optional[int], Dict[int, str]] = {}
+            self._fragments: Dict[Union[int, str, None], Dict[int, str]] = {}
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -221,6 +222,19 @@ class _Shard:
         if hasattr(self, "_fragments"):  # a mapped window keeps nothing
             self._fragments.setdefault(segment_index, {})[row] = fragment
         return fragment
+
+    def location(self, row: int) -> str:
+        """``"url": …, "site": …`` of the document stored at *row* — the
+        members a ``/query`` hit carries — encoded once like
+        :meth:`fragment` (kept under the column key ``"location"``)."""
+        try:
+            return self._fragments["location"][row]
+        except (AttributeError, KeyError):
+            location = (f'"url": {json.dumps(self.urls[row])}, '
+                        f'"site": {json.dumps(self.site)}')
+        if hasattr(self, "_fragments"):
+            self._fragments.setdefault("location", {})[row] = location
+        return location
 
 
 class _Base(NamedTuple):
@@ -667,6 +681,19 @@ class ShardedScoreStore:
         """
         column, winners = self._top_rows(k, site, segment)
         return [shard.fragment(row, column) for shard, row in winners]
+
+    def locations(self, doc_ids: Iterable[int]) -> List[Optional[str]]:
+        """The ``"url": …, "site": …`` JSON members of each document id's
+        record (``None`` for an id the store does not hold).
+
+        What a ``/query`` hit adds to its numbers: entry ``i`` is the text
+        between the braces of ``json.dumps({"url": …, "site": …})`` for
+        :meth:`find` of id ``i``, encoded once per document like
+        :meth:`top_fragments`.
+        """
+        located = map(self._locate, doc_ids)
+        return [None if entry is None else entry[0].location(entry[1])
+                for entry in located]
 
     def iter_shard_descending(self, site: str, *,
                               segment: Optional[str] = None

@@ -255,8 +255,8 @@ class TestSingleFlight:
 
 
 class _GatedService:
-    """Wraps a service so query_many blocks until released, logging the
-    texts of every call that reached it."""
+    """Wraps a service so query_body (the server's ``/query`` call) blocks
+    until released, logging the texts of every call that reached it."""
 
     def __init__(self, service):
         self._service = service
@@ -266,10 +266,10 @@ class _GatedService:
     def __getattr__(self, name):
         return getattr(self._service, name)
 
-    def query_many(self, texts, *args, **kwargs):
+    def query_body(self, texts, *args, **kwargs):
         self.calls.append(list(texts))
         self.gate.wait(30.0)
-        return self._service.query_many(texts, *args, **kwargs)
+        return self._service.query_body(texts, *args, **kwargs)
 
 
 class TestBackpressure:
