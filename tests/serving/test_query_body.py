@@ -20,6 +20,8 @@ step::
 """
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -187,6 +189,47 @@ def test_non_finite_scores_are_written_as_json_dumps_writes_them():
         assert service.hits_body(["q"], batches, 3, segment) == json.dumps(
             query_response(service, ["q"], batches, 3, segment)
         ).encode("utf-8")
+
+
+def test_concurrent_misses_fill_the_shared_fragments_consistently():
+    """Threads answering overlapping texts fill one store's location
+    text side by side; every body still equals the oracle's."""
+    store = ShardedScoreStore()
+    for number in range(5):
+        site = f"s{number}.exämple.org"
+        ids = list(range(number * 8, number * 8 + 8))
+        store.update_site(site, ids, [f"http://{site}/{i}" for i in ids],
+                          np.linspace(0.1, 0.9, 8))
+    corpus = {doc_id: " ".join(WORDS[doc_id % 8:doc_id % 8 + 2])
+              for doc_id in range(44)}
+    texts = [" ".join(WORDS[start:start + 2]) for start in range(7)]
+    index = VectorSpaceIndex.from_corpus(corpus)
+    oracle = RankingService(store.clone(), index=index)
+    expected = {text: expected_body(oracle, {"q": [text], "k": ["50"]})
+                for text in texts}
+    service = RankingService(store, index=index, cache_size=2)
+    failures = []
+
+    def client(offset):
+        for turn in range(60):
+            text = texts[(offset + turn) % len(texts)]
+            body = route_body(service, "/query", {"q": [text], "k": ["50"]})
+            if body != expected[text]:
+                failures.append(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(offset,))
+                   for offset in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 # --------------------------------------------------------------------- #
