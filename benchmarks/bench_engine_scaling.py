@@ -6,16 +6,10 @@ This benchmark quantifies the two practical payoffs on a synthetic web of
 (by default) 200 sites / 100k documents:
 
 * **executor scaling** — wall-clock of the full layered pipeline on the
-  serial, threaded and process backends, with the hard requirement that
-  all of them produce *bitwise identical* scores (speedup must never buy
-  a different ranking).  The process backend is expected to beat serial
-  by >= 2x when enough CPUs are available;
-* **dispatch transport** — the process backend ships its batch through
-  the zero-copy shared-memory arena (:mod:`repro.engine.arena`).  Each
-  row records the ``dispatch_bytes`` the batch serialised; the arena must
-  cut them by at least 10x against pickling the same batch by value
-  (:func:`repro.engine.arena.dispatch_bytes` of the unshared tasks) —
-  they are O(refs), not O(matrices);
+  serial, threaded and adaptive (``auto``) backends, with the hard
+  requirement that all of them produce *bitwise identical* scores
+  (speedup must never buy a different ranking).  The thread pool is
+  expected to be no slower than serial when enough CPUs are available;
 * **warm starts** — total power iterations of an
   :class:`~repro.web.incremental.IncrementalLayeredRanker` refresh seeded
   from the previous stationary vectors versus the cold full rebuild, which
@@ -34,14 +28,12 @@ import numpy as np
 import pytest
 
 from conftest import IncrementalLayeredRanker, SMOKE, layered_docrank, write_result
-from repro.engine import ProcessExecutor, SerialExecutor, ThreadedExecutor
-from repro.engine.arena import dispatch_bytes
-from repro.engine.plan import RankingPlan, batch_site_tasks
+from repro.engine import AutoExecutor, SerialExecutor, ThreadedExecutor
 from repro.graphgen import generate_synthetic_web
 
 #: Size of the benchmark web (acceptance target: >= 200 sites / >= 50k docs;
-#: 500 documents per site keeps each task heavy enough to amortise the
-#: process pool's ~2ms/task dispatch cost).
+#: 500 documents per site keeps each task heavy enough to amortise a
+#: pool's per-task dispatch cost).
 N_SITES = 24 if SMOKE else 200
 N_DOCUMENTS = 1_500 if SMOKE else 100_000
 
@@ -55,7 +47,7 @@ VISIBLE_CPUS = (sorted(os.sched_getaffinity(0))
 #: Worker count of the parallel backends.
 N_WORKERS = max(2, min(8, len(VISIBLE_CPUS)))
 
-#: The >= 2x process-pool speedup is only physically possible with enough
+#: The thread pool's speedup is only physically possible with enough
 #: cores; with one core visible (or few, or in smoke mode) the benchmark
 #: still runs and records the measured numbers, but only enforces
 #: correctness.
@@ -75,11 +67,13 @@ def executor_rows(engine_web):
     executors = [
         ("serial", SerialExecutor()),
         ("threaded", ThreadedExecutor(N_WORKERS)),
-        ("process-arena", ProcessExecutor(N_WORKERS)),
+        ("auto", AutoExecutor(N_WORKERS)),
     ]
     for label, executor in executors:
         with executor:
-            executor.warmup()  # exclude pool start-up from the timing
+            # exclude pool start-up from the timing (auto starts its
+            # thread pool lazily, at the first batch priced onto it)
+            executor.warmup()
             start = time.perf_counter()
             result = layered_docrank(engine_web, executor=executor)
             seconds = time.perf_counter() - start
@@ -89,8 +83,6 @@ def executor_rows(engine_web):
             "workers": executor.n_jobs,
             "seconds": round(seconds, 3),
             "iterations": result.iterations,
-            "transport": executor.last_transport,
-            "dispatch_bytes": executor.last_dispatch_bytes,
             "sched_affinity": ",".join(map(str, VISIBLE_CPUS)),
         })
     serial_seconds = rows[0]["seconds"]
@@ -107,42 +99,19 @@ def test_e14_executor_speedup_table(benchmark, executor_rows):
     rows = benchmark.pedantic(lambda: rows, rounds=1, iterations=1)
     write_result("E14_engine_scaling", rows,
                  ["executor", "workers", "seconds", "iterations",
-                  "transport", "dispatch_bytes", "speedup_vs_serial",
-                  "sched_affinity"],
+                  "speedup_vs_serial", "sched_affinity"],
                  caption=f"Layered pipeline on {N_SITES} sites / "
                          f"{N_DOCUMENTS} documents per execution backend "
                          f"({len(VISIBLE_CPUS)} CPUs visible; scores are "
-                         "bitwise identical across backends; "
-                         "dispatch_bytes = payload bytes serialised to "
-                         "reach the pool's workers).")
+                         "bitwise identical across backends).")
     # Correctness is unconditional: parallelism must not change the ranking.
-    for label in ("threaded", "process-arena"):
+    for label in ("threaded", "auto"):
         assert np.array_equal(scores["serial"], scores[label]), \
             f"{label} diverged from the serial reference"
     by_name = {row["executor"]: row for row in rows}
     if ENFORCE_SPEEDUP:
-        assert by_name["process-arena"]["speedup_vs_serial"] >= 2.0, \
-            "process pool failed the 2x speedup acceptance target"
-
-
-@pytest.mark.benchmark(group="E14 engine scaling")
-def test_e14_arena_cuts_dispatch_bytes_10x(benchmark, engine_web,
-                                           executor_rows):
-    rows, _scores = executor_rows
-    rows = benchmark.pedantic(lambda: rows, rounds=1, iterations=1)
-    by_name = {row["executor"]: row for row in rows}
-    # The batch the plan dispatches, pickled by value as it stands.
-    plan = RankingPlan.from_docgraph(engine_web)
-    pickle_bytes = dispatch_bytes(
-        [plan.siterank_task, *batch_site_tasks(plan.site_tasks)])
-    arena_bytes = by_name["process-arena"]["dispatch_bytes"]
-    assert by_name["process-arena"]["transport"] == "arena"
-    # The acceptance target of the shared-memory transport: dispatch cost
-    # no longer scales with the matrices, so it must drop by >= 10x even
-    # at smoke scale (the gap only widens on the full 100k-document web).
-    assert arena_bytes * 10 <= pickle_bytes, \
-        (f"arena transport only cut dispatch from {pickle_bytes} to "
-         f"{arena_bytes} bytes (< 10x)")
+        assert by_name["threaded"]["speedup_vs_serial"] >= 1.0, \
+            "thread pool ran slower than the serial reference"
 
 
 @pytest.fixture(scope="module")
@@ -195,13 +164,13 @@ def test_e14_warm_start_iterations(benchmark, warm_start_rows):
 
 
 @pytest.mark.benchmark(group="E14 engine scaling")
-@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize("backend", ["serial", "threaded"])
 def test_e14_pipeline_time(benchmark, engine_web, backend):
     if backend == "serial":
         executor = SerialExecutor()
     else:
-        executor = ProcessExecutor(N_WORKERS)
-        executor.warmup()  # spin the pool up outside the timed region
+        executor = ThreadedExecutor(N_WORKERS)
+        executor.warmup()  # start the pool outside the timed region
     with executor:
         benchmark.pedantic(layered_docrank, args=(engine_web,),
                            kwargs={"executor": executor},

@@ -24,7 +24,8 @@ Latency percentiles come from per-request wall-clock times collected by
 the clients themselves.  Because a single-core CI runner schedules 48
 client threads noisily, the ratio is taken as the best of ``TRIALS``
 stampeding/single-flight pairs — standard best-of-N noise filtering;
-every individual trial's work ratio is identical.  In smoke mode
+every trial drives the same seeded rounds, so every individual trial's
+work ratio is identical.  In smoke mode
 (``REPRO_BENCH_SMOKE=1``) the web shrinks so the module runs in CI.
 """
 
@@ -162,15 +163,19 @@ def _fresh_service(qps_web):
                                        cache_size=CACHE_SIZE)
 
 
-def _measure(qps_web, trial, *, stampede):
-    """``(qps, p50_ms, p99_ms, flights_coalesced)`` of one seeded trial."""
+#: Seed of the Zipf rounds every trial drives.
+ROUNDS_SEED = 16
+
+
+def _measure(qps_web, *, stampede):
+    """``(qps, p50_ms, p99_ms, flights_coalesced)`` of one trial."""
     service = _fresh_service(qps_web)
     if stampede:
         service._cache = StampedeCache(maxsize=CACHE_SIZE)
     with serve_frontend(service, max_inflight=1024,
                         deadline=DEADLINE) as frontend:
         qps, p50, p99, errors = burst_drive(frontend.host, frontend.port,
-                                            make_rounds(16 + trial))
+                                            make_rounds(ROUNDS_SEED))
     assert errors == []
     return qps, p50, p99, service.cache_stats.flights_coalesced
 
@@ -180,19 +185,17 @@ def test_e16_single_flight_vs_stampede_qps(qps_web):
     web, _ranking, _index = qps_web
     total = CLIENTS * ROUNDS
 
-    # Best-of-TRIALS pairs: each trial's two runs see the same seeded
-    # rounds, so the work ratio inside a pair is fixed; trials only
-    # filter scheduler noise.
+    # Best-of-TRIALS pairs: every run sees the same seeded rounds, so the
+    # work ratio is fixed and the committed row always measures the same
+    # workload; trials only filter scheduler noise.
     pairs = []
-    for trial in range(TRIALS):
-        stampede = _measure(qps_web, trial, stampede=True)
-        single_flight = _measure(qps_web, trial, stampede=False)
+    for _trial in range(TRIALS):
+        stampede = _measure(qps_web, stampede=True)
+        single_flight = _measure(qps_web, stampede=False)
         pairs.append((single_flight[0] / stampede[0], stampede,
-                      single_flight, trial))
-    ratio, stampede, single_flight, best_trial = max(
-        pairs, key=lambda pair: pair[0])
-    distinct = sum(len(set(texts))
-                   for texts in make_rounds(16 + best_trial))
+                      single_flight))
+    ratio, stampede, single_flight = max(pairs, key=lambda pair: pair[0])
+    distinct = sum(len(set(texts)) for texts in make_rounds(ROUNDS_SEED))
 
     rows = [
         {"cache": "stampeding (seed)",

@@ -4,7 +4,7 @@ The paper's decentralisability theorem says every site's local DocRank is
 independent of every other site's and of the SiteRank.  This example shows
 the three ways the repository exploits that:
 
-1. the one-liner — ``Ranker(RankingConfig(executor="process", n_jobs=N))``
+1. the one-liner — ``Ranker(RankingConfig(executor="threaded", n_jobs=N))``
    (and ``executor="auto"``, which prices the batch and picks a backend);
 2. the explicit route — build a :class:`RankingPlan`, execute it on
    different backends, and verify the scores are bitwise identical;
@@ -28,7 +28,6 @@ import numpy as np
 from repro.api import Ranker, RankingConfig
 from repro.engine import (
     AutoExecutor,
-    ProcessExecutor,
     RankingPlan,
     SerialExecutor,
     ThreadedExecutor,
@@ -53,16 +52,16 @@ def main() -> None:
     # 1. The one-liner: the same declarative config that drives the CLI
     #    selects the backend; the result is identical to serial.
     serial = Ranker(RankingConfig(executor="serial")).fit(web)
-    parallel = Ranker(RankingConfig(executor="process",
+    parallel = Ranker(RankingConfig(executor="threaded",
                                     n_jobs=args.jobs)).fit(web)
-    process_identical = np.array_equal(serial.scores, parallel.scores)
-    print(f"\nRanker(executor='process', n_jobs={args.jobs}) "
-          f"identical to serial: {process_identical}")
+    threaded_identical = np.array_equal(serial.scores, parallel.scores)
+    print(f"\nRanker(executor='threaded', n_jobs={args.jobs}) "
+          f"identical to serial: {threaded_identical}")
     auto = Ranker(RankingConfig(executor="auto")).fit(web)
     auto_identical = np.array_equal(serial.scores, auto.scores)
     print(f"Ranker(executor='auto') identical to serial: {auto_identical} "
           "(backend chosen from the plan's cost model)")
-    if not (process_identical and auto_identical):
+    if not (threaded_identical and auto_identical):
         raise SystemExit("determinism regression: backends disagree")
 
     # 2. The explicit route: one plan, three backends.
@@ -70,7 +69,7 @@ def main() -> None:
     print(f"\nplan: {plan.n_sites} per-site tasks + 1 SiteRank task, "
           "executed concurrently, composed at the barrier")
     for executor in (SerialExecutor(), ThreadedExecutor(args.jobs),
-                     ProcessExecutor(args.jobs), AutoExecutor(args.jobs)):
+                     AutoExecutor(args.jobs)):
         with executor:
             # Absorb pool start-up outside the timing (the adaptive
             # backend warms only the pool this batch will use).
@@ -96,7 +95,7 @@ def main() -> None:
 
     # The same machinery powers incremental maintenance: a refresh after a
     # small change is warm-started and touches only the changed site.
-    ranker = Ranker(RankingConfig(executor="process",
+    ranker = Ranker(RankingConfig(executor="threaded",
                                   n_jobs=args.jobs)).incremental(web)
     site = web.sites()[0]
     docs = web.documents_of_site(site)

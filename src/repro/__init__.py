@@ -17,14 +17,13 @@ contribution:
   campus-web generator used in place of the paper's 2003 EPFL crawl;
 * :mod:`repro.distributed` — a simulated peer-to-peer deployment of the
   layered computation;
-* :mod:`repro.engine` — the parallel execution engine: serial / threaded /
-  process executors and the :class:`RankingPlan` task graph every compute
+* :mod:`repro.engine` — the parallel execution engine: serial and
+  threaded executors and the :class:`RankingPlan` task graph every compute
   layer schedules its rank work through;
 * :mod:`repro.metrics`, :mod:`repro.ir`, :mod:`repro.io` — ranking-comparison
   metrics, a small IR substrate, and serialisation helpers;
 * :mod:`repro.obs` — dependency-free telemetry: the process-local metrics
-  registry, trace spans, Prometheus text exposition and the
-  cross-process delta merge the engine uses;
+  registry, trace spans and Prometheus text exposition;
 * :mod:`repro.serving` — the online query-serving layer: sharded score
   store, lazy top-k engine, LRU result cache, the :class:`RankingService`
   facade and a JSON-over-HTTP endpoint;
@@ -55,7 +54,6 @@ from .core import (
     verify_partition_theorem,
 )
 from .engine import (
-    ProcessExecutor,
     RankingPlan,
     SerialExecutor,
     ThreadedExecutor,
@@ -94,7 +92,6 @@ __all__ = [
     "example_lmm",
     "layered_ranking",
     "verify_partition_theorem",
-    "ProcessExecutor",
     "RankingPlan",
     "SerialExecutor",
     "ThreadedExecutor",

@@ -27,7 +27,7 @@ from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
 
 #: Engine backends a config may name; ``"auto"`` defers to the cost model.
-EXECUTOR_CHOICES = ("serial", "threaded", "process", "auto")
+EXECUTOR_CHOICES = ("serial", "threaded", "auto")
 
 #: Query/link combination rules of the serving layer.
 RULE_CHOICES = ("linear", "rrf")
@@ -115,8 +115,8 @@ class RankingConfig:
     include_site_self_links:
         Whether intra-site links count in the SiteGraph aggregation.
     executor:
-        Engine backend: ``"serial"`` (reference), ``"threaded"``,
-        ``"process"``, or ``"auto"`` (cost-model selection per batch).
+        Engine backend: ``"serial"`` (reference), ``"threaded"``, or
+        ``"auto"`` (cost-model selection per batch).
     n_jobs:
         Worker count for pooled backends (``None`` = one per CPU), or
         ``"auto"`` as a shorthand for ``executor="auto"``.
@@ -179,6 +179,12 @@ class RankingConfig:
                  f"max_iter must be a positive integer, got {self.max_iter!r}")
         _require(isinstance(self.include_site_self_links, bool),
                  "include_site_self_links must be a boolean")
+        # The process pool lost to serial on every web measured and was
+        # removed; a config that still names it fails rather than being
+        # silently remapped to another backend.
+        _require(self.executor != "process",
+                 "executor='process' is no longer supported: the process "
+                 "backend was removed; use executor='threaded'")
         _require(self.executor in EXECUTOR_CHOICES,
                  f"executor must be one of {EXECUTOR_CHOICES}, "
                  f"got {self.executor!r}")
@@ -193,8 +199,8 @@ class RankingConfig:
             _require(self.n_jobs == "auto" or self.executor != "serial"
                      or self.n_jobs == 1,
                      f"n_jobs={self.n_jobs} has no effect with "
-                     f"executor='serial'; pick executor='threaded', "
-                     f"'process' or 'auto'")
+                     f"executor='serial'; pick executor='threaded' or "
+                     f"'auto'")
             _require(self.n_jobs != "auto"
                      or self.executor in ("serial", "auto"),
                      f"n_jobs='auto' selects the adaptive backend and "

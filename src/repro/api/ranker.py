@@ -114,7 +114,7 @@ class Ranker:
             executor, n_jobs, owned = self._engine_spec()
         else:
             # Single-vector methods run inline: building a pool for them
-            # would waste a spawn and misdescribe the run's provenance.
+            # would waste a pool and misdescribe the run's provenance.
             executor, n_jobs, owned = None, None, False
         previous_tracer = obs.current_tracer()
         tracer = obs.enable_tracing() if trace is not None else None
@@ -151,19 +151,6 @@ class Ranker:
                     engine_executor=None) -> Dict[str, Any]:
         from .. import __version__
 
-        if not uses_engine:
-            transport, dispatched = "inline", 0
-        elif engine_executor is None:  # serial reference backend
-            transport, dispatched = "in-process", 0
-        else:
-            # What the run *actually* shipped to engine workers: 0 bytes
-            # for in-process backends, the pickled payloads or (tiny)
-            # arena refs for the process pool — the number the transport
-            # benchmarks compare.
-            transport = str(getattr(engine_executor, "last_transport",
-                                    "in-process"))
-            dispatched = int(getattr(engine_executor,
-                                     "total_dispatch_bytes", 0))
         provenance = {
             "method": resolve_method_name(self.config.method),
             # Inline methods never touch the engine, whatever the config
@@ -171,8 +158,6 @@ class Ranker:
             "executor": self.config.executor if uses_engine else "inline",
             "n_jobs": self.config.n_jobs if uses_engine else None,
             "warm_start": self.config.warm_start,
-            "transport": transport,
-            "dispatch_bytes": dispatched,
             "n_documents": docgraph.n_documents,
             "n_sites": docgraph.n_sites,
             "repro_version": __version__,

@@ -4,10 +4,8 @@ All four deployment modes already produce a
 :class:`~repro.web.pipeline.WebRankingResult`; this wrapper adds what the
 facade is in a position to know and the raw result is not — the exact
 config that produced the scores, the wall-clock of the run, and a
-provenance record (method, executor, how payloads reached the engine's
-workers — ``transport`` (``"in-process"`` / ``"pickle"`` / ``"arena"`` /
-``"inline"``) and the ``dispatch_bytes`` that shipment serialised — and
-the package version) — so a result can be logged, compared, and
+provenance record (method, executor, warm start, the web's size and the
+package version) — so a result can be logged, compared, and
 re-produced without reverse-engineering call sites.
 """
 

@@ -56,7 +56,7 @@ facade does the rest.  Flags given explicitly on the command line win over
 values from ``--config``; config-file values win over built-in defaults.
 
 All numeric output is deterministic for a fixed ``--seed``.  The graph
-sub-commands accept ``--jobs N`` to run the rank computation on a process
+sub-commands accept ``--jobs N`` to run the rank computation on a thread
 pool of N workers, or ``--jobs auto`` to let the engine pick a backend
 from its cost model; the default of 1 keeps the serial reference path and
 every backend produces identical scores.  Errors — bad input paths,
@@ -243,10 +243,10 @@ def _ranking_config(args: argparse.Namespace, **extra) -> RankingConfig:
         else:
             # An explicit worker count adjusts the config's pooled backend
             # rather than replacing it: a file saying executor="threaded"
-            # keeps threads, only the worker count changes.  Process is
+            # keeps threads, only the worker count changes.  Threads are
             # the default only when the config has no pooled backend.
             executor = (config.executor if config.executor != "serial"
-                        else "process")
+                        else "threaded")
             changes.update(executor=executor, n_jobs=args.jobs)
     if hasattr(args, "cache_size") and _is_explicit(args, "cache_size",
                                                     DEFAULT_CACHE_SIZE_ARG):
@@ -286,7 +286,7 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--documents", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--jobs", default=DEFAULT_JOBS_ARG, metavar="N",
-                        help="worker processes for the rank computation "
+                        help="worker threads for the rank computation "
                              "(default: 1, serial; 'auto' lets the engine "
                              "pick a backend — results are identical "
                              "either way)")
@@ -563,14 +563,10 @@ def _command_calibrate(args: argparse.Namespace) -> int:
     profile = calibrate(quick=args.quick, n_jobs=args.jobs_int)
     print(f"measured on {profile.machine} ({profile.cpu_count} CPUs), "
           f"{profile.measured_at}")
-    print(f"serial -> threaded threshold:      "
+    print(f"serial -> threaded threshold:         "
           f"{profile.serial_flops_threshold:.3g} flops")
-    print(f"threaded -> process threshold:     "
-          f"{profile.process_flops_threshold:.3g} flops")
-    print(f"batched serial -> pool threshold:  "
+    print(f"batched serial -> threaded threshold: "
           f"{profile.batched_serial_flops_threshold:.3g} flops")
-    print(f"batched pool -> process threshold: "
-          f"{profile.batched_process_flops_threshold:.3g} flops")
     if args.output:
         profile.save(args.output)
         print(f"profile written to {args.output} (activate it with "
@@ -862,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="shrunk measurement sizes (seconds instead "
                                 "of minutes; coarser cut-offs)")
     calibrate.add_argument("--jobs", type=int, default=None, dest="jobs_int",
-                           help="worker count for the pooled backends "
+                           help="worker count of the thread pool "
                                 "(default: one per CPU)")
     calibrate.set_defaults(handler=_command_calibrate)
 

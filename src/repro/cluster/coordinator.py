@@ -264,8 +264,6 @@ class ClusterCoordinator:
             per_peer_compute_seconds=dict(per_peer),
             measured_wall_seconds=makespan,
             executor_name="cluster",
-            dispatch_bytes=0,
-            transport="tcp",
             mode="live",
             per_peer_wall_seconds=dict(per_peer),
             reassigned_sites=tuple(self._reassigned),

@@ -118,14 +118,6 @@ class DeploymentReport:
         :class:`~repro.engine.plan.RankingPlan` tasks.
     executor_name:
         Engine backend that executed the batch.
-    dispatch_bytes:
-        Bytes the engine serialised to dispatch the per-site batch to its
-        workers (0 for in-process backends).  The matrices travel through
-        the shared-memory arena, so this stays small however large the
-        web is.
-    transport:
-        How the batch's payloads reached the engine's workers
-        (``"in-process"`` / ``"pickle"`` / ``"arena"``).
     mode:
         ``"simulated"`` (in-process network model) or ``"live"`` (real
         TCP peers in separate OS processes).
@@ -153,8 +145,6 @@ class DeploymentReport:
     per_peer_compute_seconds: Dict[str, float] = field(default_factory=dict)
     measured_wall_seconds: float = 0.0
     executor_name: str = "serial"
-    dispatch_bytes: int = 0
-    transport: str = "in-process"
     mode: str = "simulated"
     per_peer_wall_seconds: Dict[str, float] = field(default_factory=dict)
     reassigned_sites: Tuple[str, ...] = ()
@@ -298,12 +288,6 @@ class DistributedRankingCoordinator:
                 solve_layout_steps([(step, None)], executor=resolved)
             measured_wall = time.perf_counter() - started
             executor_name = resolved.name
-            # Peers are simulated against the engine's shared arena: on a
-            # process backend the batch above shipped ArenaRefs, not
-            # matrices — record what actually crossed the pool boundary.
-            dispatch = int(getattr(resolved, "last_dispatch_bytes", 0))
-            transport = str(getattr(resolved, "last_transport",
-                                    "in-process"))
         finally:
             if owned:
                 resolved.close()
@@ -352,8 +336,6 @@ class DistributedRankingCoordinator:
             per_peer_compute_seconds=compute_seconds,
             measured_wall_seconds=measured_wall,
             executor_name=executor_name,
-            dispatch_bytes=dispatch,
-            transport=transport,
         )
 
     # ------------------------------------------------------------------ #

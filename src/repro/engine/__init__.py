@@ -6,7 +6,7 @@ package turns that theorem into scheduling machinery shared by every
 compute layer of the repository:
 
 * :mod:`repro.engine.executor` — the :class:`Executor` protocol with
-  serial, thread-pool and process-pool backends;
+  serial and thread-pool backends;
 * :mod:`repro.engine.plan` — the :class:`RankingPlan` task graph encoding
   the 5-step layered method (concurrent steps 3/4, composing barrier at
   step 5), the one step-3 scheduler over a site-major layout
@@ -21,12 +21,7 @@ compute layer of the repository:
   a task so power iterations resume instead of restarting from uniform;
 * :mod:`repro.engine.adaptive` — cost-model-driven backend selection:
   ``n_jobs="auto"`` prices each batch (task nnz × expected iterations) and
-  picks serial / threaded / process per batch;
-* :mod:`repro.engine.arena` — zero-copy shared-memory transport: the
-  process backend lays each batch's matrices and arrays into one
-  ``SharedMemory`` segment (a :class:`GraphArena`), choosing by each task
-  field's type, and ships only tiny :class:`ArenaRef` addresses, so
-  dispatch cost no longer scales with the web's size;
+  picks serial or threaded per batch;
 * :mod:`repro.engine.outofcore` — :func:`rank_outofcore`, the same
   scheduler and solve schedule driven over an mmap'd
   :class:`~repro.io.diskgraph.DiskGraph` one window of sites at a time,
@@ -38,16 +33,6 @@ schedule their work through this package; the determinism-guard tests pin
 down that every backend produces bitwise-identical rankings.
 """
 
-from .arena import (
-    ArenaRef,
-    GraphArena,
-    dispatch_bytes,
-    live_segments,
-    resolve_csr,
-    resolve_task,
-    resolve_vector,
-    share_batch,
-)
 from .adaptive import (
     AutoExecutor,
     auto_executor,
@@ -67,7 +52,6 @@ from .calibrate import calibrate as run_calibration
 from .executor import (
     BACKENDS,
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadedExecutor,
     default_n_jobs,
@@ -100,14 +84,6 @@ from .plan import (
 from .warm import WarmSource, WarmStartState, align_warm_start
 
 __all__ = [
-    "ArenaRef",
-    "GraphArena",
-    "dispatch_bytes",
-    "live_segments",
-    "resolve_csr",
-    "resolve_task",
-    "resolve_vector",
-    "share_batch",
     "AutoExecutor",
     "auto_executor",
     "batch_flops",
@@ -122,7 +98,6 @@ __all__ = [
     "deactivate_profile",
     "BACKENDS",
     "Executor",
-    "ProcessExecutor",
     "SerialExecutor",
     "ThreadedExecutor",
     "default_n_jobs",

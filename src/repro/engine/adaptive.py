@@ -3,15 +3,12 @@
 ``n_jobs=1`` vs ``n_jobs=8`` used to be the caller's problem; with
 ``n_jobs="auto"`` the engine prices the batch it is about to run — the same
 ``2·nnz + 5·n`` per-iteration flop convention the distributed cost model
-uses (:mod:`repro.distributed.cost`) — and picks the cheapest backend that
-can win:
+uses (:mod:`repro.distributed.cost`) — and picks one of two backends:
 
-* tiny batches stay **serial**: any pool's dispatch overhead exceeds the
-  work itself;
-* medium batches go **threaded**: numpy/scipy release the GIL during the
-  matrix products, and threads avoid pickling the adjacency matrices;
-* large batches go to a **process** pool: many independent power-method
-  runs amortise the worker spawn and sidestep the GIL entirely.
+* small batches stay **serial**: a pool's dispatch overhead exceeds what
+  it could overlap;
+* larger batches go **threaded**: numpy/scipy release the GIL during the
+  matrix products, and threads share the caller's arrays as they are.
 
 Expected iteration counts are estimated from the damping factor (the
 asymptotic convergence rate of the damped power method is ``damping`` per
@@ -48,14 +45,6 @@ def power_method_flops(n: int, nnz: int, iterations: int) -> float:
 #: Estimated flops below which pool dispatch costs more than the batch.
 SERIAL_FLOPS_THRESHOLD = 2e7
 
-#: Estimated flops above which worker-process spawn pays off.
-#:
-#: The process backend ships no adjacency: workers attach to the
-#: zero-copy shared-memory arena (:mod:`repro.engine.arena`), so what this
-#: threshold prices is its fixed costs — worker spawn and per-task
-#: dispatch.
-PROCESS_FLOPS_THRESHOLD = 1.5e8
-
 #: Serial cut-off for batches dominated by fused
 #: :class:`~repro.engine.plan.BatchedSiteTask` payloads.  What made pools
 #: attractive at 2e7 flops was not the linear algebra but the thousands of
@@ -64,13 +53,6 @@ PROCESS_FLOPS_THRESHOLD = 1.5e8
 #: interpreter overhead entirely, so the serial backend stays the cheapest
 #: choice roughly an order of magnitude longer.
 BATCHED_SERIAL_FLOPS_THRESHOLD = 2e8
-
-#: Process cut-off for fused batches.  A batched batch contains only a
-#: handful of large tasks, so a process pool has little to overlap, pays
-#: the worker spawn, and its per-task wins are bounded by the (few) fused
-#: SpMV streams — threads, which share the packed CSR without any
-#: transport at all, displace processes for most small-site workloads.
-BATCHED_PROCESS_FLOPS_THRESHOLD = 1.5e9
 
 
 def expected_iterations(damping: float, tol: float, max_iter: int) -> int:
@@ -124,40 +106,29 @@ def _batched_fraction(tasks: Sequence, total: float) -> float:
 
 
 def select_backend(tasks: Sequence, *,
-                   serial_threshold: Optional[float] = None,
-                   process_threshold: Optional[float] = None) -> str:
-    """Choose ``"serial"`` / ``"threaded"`` / ``"process"`` for a batch.
+                   serial_threshold: Optional[float] = None) -> str:
+    """Choose ``"serial"`` or ``"threaded"`` for a batch.
 
     A batch of fewer than two tasks is always serial — there is nothing to
     overlap — regardless of its size.  Batches whose flops are carried
     mostly by fused :class:`~repro.engine.plan.BatchedSiteTask` payloads
-    are priced against the *batched* cut-offs (the fused kernel already
-    amortises the per-site overhead a pool would have hidden), which
-    displaces the process backend for most small-site workloads.  Explicit
-    thresholds win; otherwise the active
+    are priced against the *batched* cut-off (the fused kernel already
+    amortises the per-site overhead a pool would have hidden).  An
+    explicit threshold wins; otherwise the active
     :class:`~repro.engine.calibrate.CalibrationProfile` (when one is
-    loaded) supplies measured values, falling back to the module
+    loaded) supplies the measured value, falling back to the module
     constants.
     """
     if len(tasks) < 2:
         return "serial"
     cost = batch_flops(tasks)
-    if serial_threshold is None or process_threshold is None:
-        from .calibrate import batched_flop_thresholds, flop_thresholds
+    if serial_threshold is None:
+        from .calibrate import batched_flop_threshold, flop_threshold
 
-        if _batched_fraction(tasks, cost) >= 0.5:
-            default_serial, default_process = batched_flop_thresholds()
-        else:
-            default_serial, default_process = flop_thresholds()
-        if serial_threshold is None:
-            serial_threshold = default_serial
-        if process_threshold is None:
-            process_threshold = default_process
-    if cost < serial_threshold:
-        return "serial"
-    if cost < process_threshold:
-        return "threaded"
-    return "process"
+        serial_threshold = (batched_flop_threshold()
+                            if _batched_fraction(tasks, cost) >= 0.5
+                            else flop_threshold())
+    return "serial" if cost < serial_threshold else "threaded"
 
 
 def auto_executor(tasks: Sequence,
@@ -188,7 +159,7 @@ class AutoExecutor:
 
     Delegate pools are created lazily, one per backend kind, and *reused*
     across batches: a long-lived caller (the incremental ranker) must
-    not pay worker-spawn cost on every refresh.  :meth:`close`
+    not pay pool start-up on every refresh.  :meth:`close`
     shuts down whatever pools were created.
     """
 
@@ -198,11 +169,6 @@ class AutoExecutor:
         self.n_jobs = n_jobs if n_jobs is not None else default_n_jobs()
         #: Backend the most recent batch actually ran on (introspection).
         self.last_backend: Optional[str] = None
-        #: Dispatch accounting mirrored from the delegate that ran the
-        #: most recent batch (see repro.engine.executor._BaseExecutor).
-        self.last_transport = "in-process"
-        self.last_dispatch_bytes = 0
-        self.total_dispatch_bytes = 0
         #: Decision provenance: one record per batch (backend chosen, the
         #: priced flop estimate, and the measured wall) so the calibration
         #: model can be audited.  Bounded; surfaced through
@@ -217,8 +183,8 @@ class AutoExecutor:
         if self._closed:
             raise ValidationError("executor is closed")
         # Pools are sized at n_jobs even when the current batch is smaller:
-        # concurrent.futures spawns workers lazily as tasks are submitted,
-        # so a small batch on a wide pool only starts the workers it uses,
+        # concurrent.futures starts threads lazily as tasks are submitted,
+        # so a small batch on a wide pool only starts the threads it uses,
         # while later, larger batches can still fan all the way out.
         delegate = self._delegates.get(backend)
         if delegate is None:
@@ -238,10 +204,6 @@ class AutoExecutor:
         started = perf_counter()
         results = delegate.map(fn, items)
         wall = perf_counter() - started
-        self.last_transport = getattr(delegate, "last_transport",
-                                      "in-process")
-        self.last_dispatch_bytes = getattr(delegate, "last_dispatch_bytes", 0)
-        self.total_dispatch_bytes += self.last_dispatch_bytes
         self.decisions.append({"backend": backend, "priced_flops": priced,
                                "n_tasks": len(items),
                                "wall_seconds": wall})
@@ -251,12 +213,12 @@ class AutoExecutor:
         return results
 
     def warmup(self, tasks: Optional[Sequence] = None) -> None:
-        """Pre-spawn the delegate a batch will use.
+        """Start the delegate a batch will use.
 
         With *tasks* (the batch about to run), only the backend the cost
-        model selects for it is started — a serial-priced batch spawns
+        model selects for it is started — a serial-priced batch starts
         nothing.  Without a batch there is nothing to predict, so this is
-        a no-op and the delegates keep spawning lazily at first use.
+        a no-op and the delegates keep starting lazily at first use.
         """
         if tasks is None:
             return

@@ -1,21 +1,20 @@
 """Measured calibration of the engine's static performance cut-offs.
 
-Two pairs of numbers steer which backend runs a batch, and both used to be
+Two numbers steer which backend runs a batch, and both used to be
 hard-coded guesses:
 
-* the **serial / process flop thresholds** — where the adaptive backend
-  selection (:mod:`repro.engine.adaptive`) moves a batch from the serial
-  reference backend to a thread pool, and from threads to worker
-  processes;
-* their **batched** counterparts — the same cut-offs for batches whose
-  work rides fused :class:`~repro.engine.plan.BatchedSiteTask` payloads,
-  which amortise the per-site interpreter overhead that made pools
-  attractive in the first place.
+* the **serial flop threshold** — where the adaptive backend selection
+  (:mod:`repro.engine.adaptive`) moves a batch from the serial reference
+  backend to a thread pool;
+* its **batched** counterpart — the same cut-off for batches whose work
+  rides fused :class:`~repro.engine.plan.BatchedSiteTask` payloads, which
+  amortise the per-site interpreter overhead that made pools attractive
+  in the first place.
 
 This module measures those crossovers on the current hardware and captures
 them in a :class:`CalibrationProfile` — a small JSON-serialisable value the
-rest of the engine consults through :func:`flop_thresholds` /
-:func:`batched_flop_thresholds`.  Profiles are produced by
+rest of the engine consults through :func:`flop_threshold` /
+:func:`batched_flop_threshold`.  Profiles are produced by
 :func:`calibrate` (the ``repro calibrate`` CLI command writes one),
 activated in-process with :func:`activate_profile`, or picked up automatically from a file named by
 the ``REPRO_CALIBRATION`` environment variable.  Without an active profile
@@ -23,8 +22,8 @@ every consumer keeps the historical defaults, so calibration is strictly
 opt-in and never changes results — only which backend produces them.
 (Which *kernel* runs is not calibrated: every engine solve is the
 matrix-free sparse iteration.  Profiles written while there was a dense
-kernel to switch to carry its cut-off as one more key, which loading
-accepts and drops.)
+kernel or a process pool to switch to carry their cut-offs as more keys,
+which loading accepts and drops.)
 """
 
 from __future__ import annotations
@@ -39,11 +38,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ValidationError
 
-#: The one retired profile field (the dense-vs-sparse kernel cut-off).
-#: Files written by earlier versions of ``repro calibrate`` still carry it,
-#: so loading drops it; it is never written.  Spelled in two pieces so CI's
-#: grep for the retired name over ``src/`` stays empty.
-_RETIRED_KEY = "dense" + "_cutoff"
+#: Retired profile fields: the dense-vs-sparse kernel cut-off and the two
+#: process-pool cut-offs.  Files written by earlier versions of
+#: ``repro calibrate`` still carry them, so loading drops them; they are
+#: never written.  The first is spelled in two pieces so CI's grep for the
+#: retired name over ``src/`` stays empty.
+_RETIRED_KEYS = ("dense" + "_cutoff", "process_flops_threshold",
+                 "batched_process_flops_threshold")
 
 
 @dataclass(frozen=True)
@@ -56,21 +57,18 @@ class CalibrationProfile:
     """
 
     serial_flops_threshold: float = 2e7
-    process_flops_threshold: float = 1.5e8
     batched_serial_flops_threshold: float = 2e8
-    batched_process_flops_threshold: float = 1.5e9
     cpu_count: int = 1
     machine: str = ""
     measured_at: str = ""
     details: Dict[str, List[Dict]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("serial_flops_threshold", "process_flops_threshold",
-                     "batched_serial_flops_threshold",
-                     "batched_process_flops_threshold"):
+        for name in ("serial_flops_threshold",
+                     "batched_serial_flops_threshold"):
             value = getattr(self, name)
             # A NaN cut-off fails every ``cost < threshold`` test and sends
-            # every batch to a pool; a bool is not a flop count.
+            # every batch to the pool; a bool is not a flop count.
             if (isinstance(value, bool)
                     or not isinstance(value, (int, float))
                     or not math.isfinite(value)):
@@ -78,15 +76,6 @@ class CalibrationProfile:
                     f"{name} must be a finite number, got {value!r}")
             if value <= 0:
                 raise ValidationError(f"{name} must be positive")
-        if self.serial_flops_threshold > self.process_flops_threshold:
-            raise ValidationError(
-                "serial_flops_threshold must not exceed "
-                "process_flops_threshold")
-        if (self.batched_serial_flops_threshold
-                > self.batched_process_flops_threshold):
-            raise ValidationError(
-                "batched_serial_flops_threshold must not exceed "
-                "batched_process_flops_threshold")
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict:
@@ -100,7 +89,7 @@ class CalibrationProfile:
             raise ValidationError(
                 f"profile must be a mapping, got {type(mapping).__name__}")
         mapping = {key: value for key, value in mapping.items()
-                   if key != _RETIRED_KEY}
+                   if key not in _RETIRED_KEYS}
         known = set(cls.__dataclass_fields__)
         unknown = sorted(set(mapping) - known)
         if unknown:
@@ -172,29 +161,24 @@ def active_profile() -> Optional[CalibrationProfile]:
     return _ACTIVE
 
 
-def flop_thresholds() -> Tuple[float, float]:
-    """The adaptive backend's ``(serial, process)`` flop cut-offs."""
+def flop_threshold() -> float:
+    """The adaptive backend's serial-to-threaded flop cut-off."""
     profile = active_profile()
     if profile is None:
-        from .adaptive import PROCESS_FLOPS_THRESHOLD, SERIAL_FLOPS_THRESHOLD
+        from .adaptive import SERIAL_FLOPS_THRESHOLD
 
-        return SERIAL_FLOPS_THRESHOLD, PROCESS_FLOPS_THRESHOLD
-    return profile.serial_flops_threshold, profile.process_flops_threshold
+        return SERIAL_FLOPS_THRESHOLD
+    return profile.serial_flops_threshold
 
 
-def batched_flop_thresholds() -> Tuple[float, float]:
-    """The ``(serial, process)`` cut-offs for fused batched-site batches."""
+def batched_flop_threshold() -> float:
+    """The serial-to-threaded cut-off for fused batched-site batches."""
     profile = active_profile()
     if profile is None:
-        from .adaptive import (
-            BATCHED_PROCESS_FLOPS_THRESHOLD,
-            BATCHED_SERIAL_FLOPS_THRESHOLD,
-        )
+        from .adaptive import BATCHED_SERIAL_FLOPS_THRESHOLD
 
-        return (BATCHED_SERIAL_FLOPS_THRESHOLD,
-                BATCHED_PROCESS_FLOPS_THRESHOLD)
-    return (profile.batched_serial_flops_threshold,
-            profile.batched_process_flops_threshold)
+        return BATCHED_SERIAL_FLOPS_THRESHOLD
+    return profile.batched_serial_flops_threshold
 
 
 # --------------------------------------------------------------------- #
@@ -239,21 +223,17 @@ def measure_backend_thresholds(
         web_sizes: Sequence[int] = (1000, 4000, 16000, 64000), *,
         sites_per_1000_docs: int = 25, n_jobs: Optional[int] = None,
         seed: int = 23) -> Tuple[Dict[str, float], List[Dict]]:
-    """Time the engine backends over growing site-task batches.
+    """Time the serial and threaded backends over growing site-task batches.
 
     For each web size a synthetic hierarchical web is generated and its
-    step-3 batch executed through the serial, threaded and process
-    backends — per-site tasks *and* the fused batched form — with pools
-    warmed outside the timed region.  Returns the four crossover
-    thresholds (in the cost model's flop units) plus the raw rows.
+    step-3 batch executed through both backends — per-site tasks *and*
+    the fused batched form — with the pool warmed outside the timed
+    region.  Returns the two crossover thresholds (in the cost model's
+    flop units) plus the raw rows.
     """
     from ..graphgen import generate_synthetic_web
-    from .adaptive import (
-        PROCESS_FLOPS_THRESHOLD,
-        SERIAL_FLOPS_THRESHOLD,
-        batch_flops,
-    )
-    from .executor import default_n_jobs, make_executor
+    from .adaptive import SERIAL_FLOPS_THRESHOLD, batch_flops
+    from .executor import SerialExecutor, ThreadedExecutor, default_n_jobs
     from .plan import batch_site_tasks, run_task, site_tasks_for
 
     def timed(executor, payload) -> float:
@@ -273,48 +253,29 @@ def measure_backend_thresholds(
         batched = batch_site_tasks(tasks)
         row: Dict = {"n_documents": int(size), "n_sites": len(tasks),
                      "flops": float(batch_flops(tasks))}
-        # Each payload kind is timed on every backend it could actually
-        # run on: a pool receives the *fused* payload, so the batched
-        # thresholds must be derived from pool timings of that payload,
-        # not of the per-site one.
-        for label, payload in (("serial", tasks),
-                               ("batched_serial", batched)):
-            row[f"{label}_seconds"] = timed(make_executor("serial"), payload)
-        for backend in ("threaded", "process"):
-            with make_executor(backend, workers) as executor:
-                executor.warmup()
-                row[f"{backend}_seconds"] = timed(executor, tasks)
-                row[f"batched_{backend}_seconds"] = timed(executor, batched)
+        # Each payload kind is timed on both backends: the pool receives
+        # the *fused* payload, so the batched threshold must be derived
+        # from pool timings of that payload, not of the per-site one.
+        serial = SerialExecutor()
+        row["serial_seconds"] = timed(serial, tasks)
+        row["batched_serial_seconds"] = timed(serial, batched)
+        with ThreadedExecutor(workers) as executor:
+            executor.warmup()
+            row["threaded_seconds"] = timed(executor, tasks)
+            row["batched_threaded_seconds"] = timed(executor, batched)
         rows.append(row)
 
-    serial_default, process_default = (SERIAL_FLOPS_THRESHOLD,
-                                       PROCESS_FLOPS_THRESHOLD)
     thresholds = {
         "serial_flops_threshold": crossover_point(
             rows, "flops", "serial_seconds", "threaded_seconds",
-            default=serial_default),
-        "process_flops_threshold": crossover_point(
-            rows, "flops", "threaded_seconds", "process_seconds",
-            default=process_default),
-        # Batched batches compare pools running the *fused* payload
+            default=SERIAL_FLOPS_THRESHOLD),
+        # Batched batches compare the pool running the *fused* payload
         # against the fused serial kernel: only once threads beat it is a
-        # pool worth building, and only once processes beat those threads
-        # do they displace them.
+        # pool worth building.
         "batched_serial_flops_threshold": crossover_point(
             rows, "flops", "batched_serial_seconds",
-            "batched_threaded_seconds", default=10 * serial_default),
-        "batched_process_flops_threshold": crossover_point(
-            rows, "flops", "batched_threaded_seconds",
-            "batched_process_seconds", default=10 * process_default),
+            "batched_threaded_seconds", default=10 * SERIAL_FLOPS_THRESHOLD),
     }
-    if (thresholds["serial_flops_threshold"]
-            > thresholds["process_flops_threshold"]):
-        thresholds["process_flops_threshold"] = \
-            thresholds["serial_flops_threshold"]
-    if (thresholds["batched_serial_flops_threshold"]
-            > thresholds["batched_process_flops_threshold"]):
-        thresholds["batched_process_flops_threshold"] = \
-            thresholds["batched_serial_flops_threshold"]
     return thresholds, rows
 
 
@@ -343,10 +304,10 @@ __all__ = [
     "PROFILE_ENV_VAR",
     "activate_profile",
     "active_profile",
-    "batched_flop_thresholds",
+    "batched_flop_threshold",
     "calibrate",
     "crossover_point",
     "deactivate_profile",
-    "flop_thresholds",
+    "flop_threshold",
     "measure_backend_thresholds",
 ]

@@ -11,10 +11,8 @@ independent work is scheduled:
   thread; the deterministic reference every other backend must match
   bit-for-bit;
 * :class:`ThreadedExecutor` — a thread pool; effective when the work
-  releases the GIL (large sparse/dense matrix products) or is I/O bound;
-* :class:`ProcessExecutor` — a process pool; sidesteps the GIL entirely
-  and is the backend that realises wall-clock speedup for the many small
-  per-site power-method runs of a real web.
+  releases the GIL (the fused and dedicated solvers' sparse matrix
+  products do) and shares the caller's arrays without any transport.
 
 All backends preserve submission order in their results, so any
 composition performed after the barrier (step 5 of the layered method)
@@ -28,10 +26,9 @@ layers expose into a concrete backend.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple, TypeVar, runtime_checkable
 
 from .. import obs
@@ -41,37 +38,19 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-class _WorkerResult:
-    """A task result travelling back with the worker's telemetry delta."""
-
-    def __init__(self, result, delta) -> None:
-        self.result = result
-        self.delta = delta
-
-
 class _InstrumentedCall:
     """Wraps the mapped callable with per-task telemetry.
 
-    Records queue wait (time between dispatch and the task starting,
-    ``time.monotonic`` is system-wide on Linux so the parent's dispatch
-    stamp is comparable inside a worker process) and execute time, both
-    labelled by the payload's task type.  With ``capture=True`` (the
-    process backend) the wrapper also checkpoints the worker-side registry
-    before the task and ships the delta back inside a
-    :class:`_WorkerResult`, which the parent merges — process-backend runs
-    report the same counters as serial ones.  Picklable by construction:
-    plain attributes, module-level class.
+    Records queue wait (time between dispatch and the task starting) and
+    execute time, both labelled by the payload's task type.
     """
 
-    def __init__(self, fn: Callable, dispatched_at: float,
-                 capture: bool) -> None:
+    def __init__(self, fn: Callable, dispatched_at: float) -> None:
         self.fn = fn
         self.dispatched_at = dispatched_at
-        self.capture = capture
 
     def __call__(self, item):
         started = time.monotonic()
-        mark = obs.registry().checkpoint() if self.capture else None
         result = self.fn(item)
         ended = time.monotonic()
         kind = type(item).__name__
@@ -80,34 +59,14 @@ class _InstrumentedCall:
                     max(0.0, started - self.dispatched_at), kind=kind)
         obs.observe("engine_task_execute_seconds", ended - started,
                     kind=kind)
-        if mark is not None:
-            return _WorkerResult(result, obs.registry().delta_since(mark))
         return result
 
 
-class _ResolvingCall:
-    """Attaches a shared task's arena refs in the worker, then calls *fn*.
-
-    The worker-side half of :func:`repro.engine.arena.share_batch`: a task
-    crosses the pool holding refs and reaches *fn* as the plain value it
-    was built as.  Picklable by construction, like
-    :class:`_InstrumentedCall`.
-    """
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-
-    def __call__(self, item):
-        from .arena import resolve_task
-
-        return self.fn(resolve_task(item))
-
-
-def _maybe_instrument(fn: Callable, *, capture: bool) -> Callable:
+def _maybe_instrument(fn: Callable) -> Callable:
     """The per-task telemetry wrapper, or *fn* itself when obs is off."""
     if not obs.enabled():
         return fn
-    return _InstrumentedCall(fn, time.monotonic(), capture)
+    return _InstrumentedCall(fn, time.monotonic())
 
 
 def default_n_jobs() -> int:
@@ -143,7 +102,7 @@ class Executor(Protocol):
     """
 
     #: Human-readable backend identifier (``"serial"`` / ``"threaded"`` /
-    #: ``"process"``), surfaced in reports and benchmarks.
+    #: ``"auto"``), surfaced in reports and benchmarks.
     name: str
 
     #: Number of workers the backend schedules onto.
@@ -156,8 +115,8 @@ class Executor(Protocol):
     def warmup(self, tasks: Optional[Sequence] = None) -> None:
         """Start any worker pool now instead of lazily at the first map.
 
-        Pool start-up (thread creation, worker process spawn) otherwise
-        lands inside the first batch's wall-clock; callers that *measure*
+        Pool start-up (thread creation) otherwise lands inside the first
+        batch's wall-clock; callers that *measure*
         batches — the benchmarks and the distributed simulator — warm up
         first so timings describe the work, not the pool.  *tasks* (the
         batch about to run) lets adaptive backends warm only the pool
@@ -171,26 +130,10 @@ class Executor(Protocol):
 
 
 class _BaseExecutor:
-    """Shared context-manager plumbing of the concrete executors.
-
-    Every backend also carries *dispatch accounting*: how the most recent
-    batch's payloads reached the workers (``last_transport``: ``"in-process"``
-    for backends that share the caller's address space, ``"pickle"`` or
-    ``"arena"`` for the process pool) and how many bytes that shipment
-    serialised (``last_dispatch_bytes`` / cumulative
-    ``total_dispatch_bytes``).  Benchmarks, provenance records and the
-    distributed simulator's reports all read these attributes.
-    """
+    """Shared context-manager plumbing of the concrete executors."""
 
     name = "base"
     n_jobs = 1
-
-    #: How the most recent batch's payloads reached the workers.
-    last_transport = "in-process"
-    #: Bytes the most recent batch serialised to dispatch its payloads.
-    last_dispatch_bytes = 0
-    #: Bytes serialised across every batch this executor dispatched.
-    total_dispatch_bytes = 0
 
     def warmup(self, tasks: Optional[Sequence] = None) -> None:
         pass
@@ -220,7 +163,7 @@ class SerialExecutor(_BaseExecutor):
     n_jobs = 1
 
     def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> List[_R]:
-        fn = _maybe_instrument(fn, capture=False)
+        fn = _maybe_instrument(fn)
         return [fn(item) for item in items]
 
 
@@ -245,7 +188,7 @@ class ThreadedExecutor(_BaseExecutor):
         self._ensure_pool()
 
     def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> List[_R]:
-        fn = _maybe_instrument(fn, capture=False)
+        fn = _maybe_instrument(fn)
         return list(self._ensure_pool().map(fn, items))
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
@@ -255,123 +198,6 @@ class ThreadedExecutor(_BaseExecutor):
             raise ValidationError("executor is closed")
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.n_jobs)
-        return self._pool
-
-    def close(self) -> None:
-        self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class ProcessExecutor(_BaseExecutor):
-    """Schedule tasks onto a lazily-created process pool.
-
-    Each worker is a separate interpreter, so the per-site power-method
-    runs execute truly concurrently regardless of the GIL.  Task payloads
-    and the mapped callable must be picklable — the engine's task types
-    (:mod:`repro.engine.plan`) are plain dataclasses over numpy/scipy
-    containers for exactly this reason.
-
-    Graph payloads do **not** travel through pickle: around each batch
-    the executor packs every payload's matrices and arrays into a
-    :class:`~repro.engine.arena.GraphArena` (one shared-memory segment),
-    ships only the tiny :class:`~repro.engine.arena.ArenaRef` addresses,
-    and disposes the segment — close *and* unlink — once the batch's
-    barrier returns, on success or error.  Each worker resolves the refs
-    by segment name before it calls the mapped function, which keeps the
-    transport safe under both the ``fork`` and ``spawn`` start methods.
-    A batch with nothing to share (no payload is a dataclass with an
-    array, matrix or SiteGraph field) is pickled as is and reported as
-    ``last_transport == "pickle"``.
-
-    The batch is split into contiguous chunks to amortise per-task
-    dispatch overhead; chunking never reorders results.
-
-    Parameters
-    ----------
-    n_jobs:
-        Worker count (one per CPU when omitted).
-    start_method:
-        Optional multiprocessing start method (``"fork"`` / ``"spawn"`` /
-        ``"forkserver"``) for the worker pool; platform default when
-        omitted.
-    """
-
-    name = "process"
-
-    def __init__(self, n_jobs: Optional[int] = None, *,
-                 start_method: Optional[str] = None) -> None:
-        if n_jobs is not None and n_jobs < 1:
-            raise ValidationError("n_jobs must be at least 1")
-        self.n_jobs = n_jobs if n_jobs is not None else default_n_jobs()
-        self.start_method = start_method
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._closed = False
-        self.last_transport = "pickle"
-        self.last_dispatch_bytes = 0
-        self.total_dispatch_bytes = 0
-
-    def warmup(self, tasks: Optional[Sequence] = None) -> None:
-        # Run one trivial round trip so the workers actually exist (the
-        # pool object alone spawns processes lazily on first use).
-        list(self._ensure_pool().map(abs, [-1]))
-
-    def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> List[_R]:
-        from .arena import dispatch_bytes, share_batch
-
-        items = list(items)
-        if self._closed:
-            raise ValidationError("executor is closed")
-        if not items:
-            return []
-        # Pack the batch's arrays into one shared-memory segment; the
-        # workers receive refs instead of matrices.  The arena lives
-        # exactly as long as the batch: the finally below closes and
-        # unlinks it even when a task raises.
-        shipped, arena = share_batch(items)
-        self.last_transport = "arena" if arena is not None else "pickle"
-        self.last_dispatch_bytes = dispatch_bytes(shipped)
-        self.total_dispatch_bytes += self.last_dispatch_bytes
-        obs.inc("engine_dispatches_total", transport=self.last_transport)
-        obs.inc("engine_dispatch_bytes_total",
-                float(self.last_dispatch_bytes),
-                transport=self.last_transport)
-        obs.observe("engine_dispatch_bytes",
-                    float(self.last_dispatch_bytes),
-                    transport=self.last_transport)
-        call = _ResolvingCall(fn) if arena is not None else fn
-        wrapped = _maybe_instrument(call, capture=True)
-        chunksize = max(1, len(items) // (4 * self.n_jobs))
-        try:
-            raw = list(self._ensure_pool().map(wrapped, shipped,
-                                               chunksize=chunksize))
-        finally:
-            if arena is not None:
-                arena.dispose()
-        if wrapped is call:
-            return raw
-        # Merge each worker's telemetry delta, then unwrap its result.
-        registry = obs.registry()
-        results: List[_R] = []
-        for entry in raw:
-            if isinstance(entry, _WorkerResult):
-                registry.merge(entry.delta)
-                results.append(entry.result)
-            else:  # worker had telemetry disabled locally
-                results.append(entry)
-        return results
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        # Fail fast after close(): silently recreating the pool would leak
-        # worker processes nobody is left to shut down.
-        if self._closed:
-            raise ValidationError("executor is closed")
-        if self._pool is None:
-            context = (multiprocessing.get_context(self.start_method)
-                       if self.start_method is not None else None)
-            self._pool = ProcessPoolExecutor(max_workers=self.n_jobs,
-                                             mp_context=context)
         return self._pool
 
     def close(self) -> None:
@@ -406,25 +232,22 @@ def warmup_for(executor: "Executor", tasks: Sequence) -> None:
         executor.warmup()
 
 
-#: Backend names accepted by :func:`resolve_executor`.
-BACKENDS = ("serial", "threaded", "process")
+#: Backend names :func:`make_executor` accepts.
+BACKENDS = ("serial", "threaded")
 
 
 def make_executor(backend: str, n_jobs: Optional[int] = None) -> Executor:
-    """Instantiate a backend by name (``"serial"``/``"threaded"``/``"process"``)."""
+    """Instantiate a backend by name (``"serial"``/``"threaded"``)."""
     if backend == "serial":
         return SerialExecutor()
     if backend == "threaded":
         return ThreadedExecutor(n_jobs)
-    if backend == "process":
-        return ProcessExecutor(n_jobs)
     raise ValidationError(
         f"unknown executor backend {backend!r}; expected one of {BACKENDS}")
 
 
 def resolve_executor(executor: Optional[Executor] = None,
-                     n_jobs: Optional[int] = None, *,
-                     backend: str = "process") -> Tuple[Executor, bool]:
+                     n_jobs: Optional[int] = None) -> Tuple[Executor, bool]:
     """Resolve the ``executor=`` / ``n_jobs=`` parameter pair of the compute layers.
 
     Precedence:
@@ -435,11 +258,10 @@ def resolve_executor(executor: Optional[Executor] = None,
       behaviour and determinism;
     * ``n_jobs="auto"`` selects the adaptive backend
       (:class:`~repro.engine.adaptive.AutoExecutor`), which prices every
-      batch with the plan's cost model and picks serial / threaded /
-      process per batch;
-    * ``n_jobs > 1`` creates a *backend* executor (process pool by
-      default, the backend that beats the GIL for rank computation) owned
-      by the caller.
+      batch with the plan's cost model and picks serial or threaded per
+      batch;
+    * ``n_jobs > 1`` creates a :class:`ThreadedExecutor` owned by the
+      caller.
 
     Returns
     -------
@@ -456,4 +278,4 @@ def resolve_executor(executor: Optional[Executor] = None,
     if n_jobs == "auto":
         from .adaptive import AutoExecutor
         return AutoExecutor(), True
-    return make_executor(backend, n_jobs), True
+    return ThreadedExecutor(n_jobs), True

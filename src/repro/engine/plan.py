@@ -13,12 +13,11 @@ its own serial loop:
 5. *compose* — the ``π_S(s) · π_D(s)`` weighting at the barrier where
    steps 3 and 4 join.
 
-A :class:`RankingPlan` materialises steps 3 and 4 as picklable task objects
-(:class:`LocalRankTask`, :class:`BatchedSiteTask`, :class:`SiteRankTask`)
-and executes them through any :class:`~repro.engine.executor.Executor` in
-a single batch — the barrier of the batch *is* the step-5 synchronisation
-point.  How a task's values reach a worker process is
-:mod:`repro.engine.arena`'s business, never the task's.
+A :class:`RankingPlan` materialises steps 3 and 4 as value-only task
+objects (:class:`LocalRankTask`, :class:`BatchedSiteTask`,
+:class:`SiteRankTask`) and executes them through any
+:class:`~repro.engine.executor.Executor` in a single batch — the barrier
+of the batch *is* the step-5 synchronisation point.
 
 Step 3's inputs are the diagonal blocks of the DocGraph numbered site by
 site (:meth:`repro.web.docgraph.DocGraph.site_blocks`).  Every step 3 is
@@ -399,7 +398,7 @@ RankTask = Union[LocalRankTask, SiteRankTask, BatchedSiteTask]
 
 
 def run_task(task: RankTask):
-    """Execute one engine task (module-level so process pools can pickle it)."""
+    """Execute one engine task (the callable every executor maps)."""
     return task.run()
 
 

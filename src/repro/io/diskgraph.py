@@ -11,8 +11,7 @@ families the engine already works with in RAM:
   document table (URL blob + offsets, site index, dynamic flags).
 
 All arrays live back to back in a single ``blocks.bin``, placed by the
-same :class:`~repro.linalg.layout.BumpLayout` codec the shared-memory
-:class:`~repro.engine.arena.GraphArena` uses, and a ``manifest.json``
+:class:`~repro.linalg.layout.BumpLayout` codec, and a ``manifest.json``
 (written atomically via :func:`repro.io.serialization.save_json`) records
 each array's dtype, byte offset and element count.  Readers rebuild every
 matrix zero-copy with ``np.frombuffer`` views of one ``mmap`` +
@@ -161,8 +160,7 @@ class _BlockWriter:
 
     def write_csr(self, matrix) -> Dict[str, object]:
         csr = matrix.tocsr()
-        # Canonical family order (layout.CSR_FAMILY): data, indices, indptr
-        # — the same order GraphArena.add_csr writes into a segment.
+        # Canonical family order (layout.CSR_FAMILY): data, indices, indptr.
         return {"shape": [int(csr.shape[0]), int(csr.shape[1])],
                 "data": self.write_array(csr.data),
                 "indices": self.write_array(csr.indices),

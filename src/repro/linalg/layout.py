@@ -1,16 +1,15 @@
-"""Buffer-family layout codec shared by arena segments and disk blocks.
+"""Buffer-family layout codec of the on-disk graph store's blocks.
 
-The engine's shared-memory transport (:mod:`repro.engine.arena`) and the
-on-disk graph store (:mod:`repro.io.diskgraph`) persist the same thing: the
+The on-disk graph store (:mod:`repro.io.diskgraph`) persists the
 ``(data, indices, indptr)`` CSR buffer families and flat vectors of a web,
 laid back to back into one contiguous byte span with every array start
 aligned.  This module is the single home of that offset arithmetic — a
-:class:`BumpLayout` places arrays the same way whether the span is a
-``SharedMemory`` segment or a ``blocks.bin`` file, and the sizing helpers
-budget the aligned form so a span sized from them can never overflow.
+:class:`BumpLayout` places arrays in a ``blocks.bin`` file, and the sizing
+helpers budget the aligned form so a span sized from them can never
+overflow.
 
-Keeping the codec in :mod:`repro.linalg` (a leaf package) lets both the
-engine and the io layers import it without cycles.
+Keeping the codec in :mod:`repro.linalg` (a leaf package) lets the io
+layer import it without cycles.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ from ..exceptions import ValidationError
 #: Byte alignment of every array start inside a laid-out span.
 ALIGNMENT = 16
 
-#: Canonical write order of a CSR buffer family inside a span.  Both the
-#: arena (:meth:`repro.engine.arena.GraphArena.add_csr`) and the disk
-#: format emit the three arrays in this order.
+#: Canonical write order of a CSR buffer family inside a span; the disk
+#: format emits the three arrays in this order.
 CSR_FAMILY = ("data", "indices", "indptr")
 
 

@@ -14,7 +14,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..exceptions import ValidationError
-from .layout import ALIGNMENT, family_nbytes
 
 
 def coo_from_edges(edges: Iterable[Tuple[int, int]], n: int,
@@ -103,12 +102,12 @@ def csr_from_buffers(data, indices, indptr,
                      shape: Tuple[int, int]) -> sp.csr_matrix:
     """Build a CSR matrix over *externally owned* buffers, without copying.
 
-    This is the attach side of the engine's shared-memory graph transport
-    (:mod:`repro.engine.arena`): ``data`` / ``indices`` / ``indptr`` are
-    numpy views over a mapped :class:`~multiprocessing.shared_memory.SharedMemory`
-    segment, and the returned matrix reads them in place.  The caller owns
-    the buffers' lifetime; scipy operations that would mutate the matrix
-    copy first (the views are handed over read-only).
+    This is the read side of the on-disk graph store
+    (:mod:`repro.io.diskgraph`): ``data`` / ``indices`` / ``indptr`` are
+    numpy views over a memory-mapped block file, and the returned matrix
+    reads them in place.  The caller owns the buffers' lifetime; scipy
+    operations that would mutate the matrix copy first (the views are
+    handed over read-only).
 
     The three arrays must already be in canonical CSR form — this function
     validates consistency (lengths, monotone ``indptr``) but never sorts
@@ -132,19 +131,6 @@ def csr_from_buffers(data, indices, indptr,
             f"stored entries")
     return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols),
                          copy=False)
-
-
-def csr_arena_nbytes(matrix, *, alignment: int = ALIGNMENT) -> int:
-    """Bytes a CSR matrix's buffer family occupies in an aligned span.
-
-    The sum of the three CSR array payloads plus one *alignment* slack per
-    array (:func:`repro.linalg.layout.family_nbytes`).  Used to size arena
-    segments and disk blocks, and as the by-value cost of shipping the
-    matrix through pickle instead.
-    """
-    csr = matrix.tocsr()
-    return family_nbytes(csr.data.nbytes, csr.indices.nbytes,
-                         csr.indptr.nbytes, alignment=alignment)
 
 
 def block_diagonal(blocks: Sequence) -> sp.csr_matrix:

@@ -25,11 +25,6 @@ Canonical phase names — shared by spans, ``RankingResult.timings``,
     plan.execute    steps 3-4: local DocRank + SiteRank task batch
     plan.compose    step 5: score composition pi_S(s) * pi_D(d)
     fit.total       the whole Ranker.fit() call
-
-Cross-process runs stay consistent: the process executor wraps each task
-so workers return their registry deltas alongside results, and the parent
-merges them — a process-backend run reports the same solver/task counters
-as a serial one.
 """
 
 from __future__ import annotations

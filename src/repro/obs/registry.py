@@ -14,14 +14,6 @@ engine's dispatch path and the serving layer's request path:
   p50/p90/p99 summaries are interpolated from the cumulative bucket counts
   at snapshot time, never maintained per observation.
 
-Cross-process support is built from two primitives: :meth:`~MetricsRegistry.checkpoint`
-captures the raw internal state, :meth:`~MetricsRegistry.delta_since`
-diffs the current state against a checkpoint into a picklable delta, and
-:meth:`~MetricsRegistry.merge` adds a delta into another registry.  The
-process executor wraps each task with checkpoint/delta in the worker and
-merges in the parent, so process-backend runs report the same counters as
-serial ones.
-
 Scrape-time *collectors* — callables returning ``(kind, name, labels,
 value)`` samples — let subsystems that already keep their own counters
 (the serving cache, the score store) appear in snapshots and in the
@@ -210,62 +202,6 @@ class MetricsRegistry:
         for fn in collectors:
             samples.extend(fn())
         return samples
-
-    # ------------------------------------------------------------------ #
-    # Cross-process deltas
-    # ------------------------------------------------------------------ #
-    def checkpoint(self) -> Dict[str, dict]:
-        """Capture the raw internal state (for a later :meth:`delta_since`)."""
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {key: (list(h.counts), h.sum)
-                               for key, h in self._histograms.items()},
-            }
-
-    def delta_since(self, mark: Dict[str, dict]) -> Dict[str, dict]:
-        """The picklable difference between now and a :meth:`checkpoint`."""
-        delta: Dict[str, dict] = {"counters": {}, "gauges": {},
-                                  "histograms": {}}
-        with self._lock:
-            for key, value in self._counters.items():
-                change = value - mark["counters"].get(key, 0.0)
-                if change:
-                    delta["counters"][key] = change
-            for key, value in self._gauges.items():
-                if value != mark["gauges"].get(key):
-                    delta["gauges"][key] = value
-            for key, histogram in self._histograms.items():
-                before = mark["histograms"].get(key)
-                counts = list(histogram.counts)
-                total_sum = histogram.sum
-                if before is not None:
-                    counts = [c - b for c, b in zip(counts, before[0])]
-                    total_sum -= before[1]
-                if any(counts):
-                    delta["histograms"][key] = (tuple(histogram.bounds),
-                                                counts, total_sum)
-        return delta
-
-    def merge(self, delta: Dict[str, dict]) -> None:
-        """Fold a :meth:`delta_since` delta into this registry."""
-        with self._lock:
-            for key, change in delta.get("counters", {}).items():
-                self._counters[key] = self._counters.get(key, 0.0) + change
-            for key, value in delta.get("gauges", {}).items():
-                self._gauges[key] = value
-            for key, (bounds, counts, total_sum) in \
-                    delta.get("histograms", {}).items():
-                histogram = self._histograms.get(key)
-                if histogram is None:
-                    histogram = self._histograms[key] = _Histogram(
-                        tuple(bounds))
-                for index, count in enumerate(counts):
-                    histogram.counts[index] += count
-                added = sum(counts)
-                histogram.total += added
-                histogram.sum += total_sum
 
     # ------------------------------------------------------------------ #
     # Reading

@@ -251,9 +251,8 @@ def solve_local_docrank(site: str, local_adjacency, doc_ids: List[int],
     This is the pure computational kernel shared by :func:`local_docrank`
     and the execution engine's per-site tasks
     (:class:`repro.engine.plan.LocalRankTask`): it touches no
-    :class:`DocGraph`, only the picklable ``(adjacency, doc_ids)`` pair, so
-    it can run unchanged on the calling thread, a pool thread, or a worker
-    process.
+    :class:`DocGraph`, only the ``(adjacency, doc_ids)`` pair, so it can
+    run unchanged on the calling thread or a pool thread.
     """
     if preference is not None:
         preference = np.asarray(preference, dtype=float)

@@ -386,12 +386,7 @@ def _layered_docrank(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
     fused batches (cut from the DocGraph's site-major layout) and
     dedicated large-site tasks run with step 4's SiteRank task as one
     concurrent batch, and step 5 composes the site-major result at the
-    batch's barrier with one multiply (:func:`compose_local_ranks`).  On
-    a process backend the run builds one shared-memory
-    :class:`~repro.engine.arena.GraphArena` for the batch — the packed
-    matrices and the SiteGraph are laid into it once, workers attach
-    zero-copy, and the arena is unlinked at the barrier — so dispatch
-    cost does not scale with the web's size.
+    batch's barrier with one multiply (:func:`compose_local_ranks`).
 
     Parameters
     ----------
@@ -411,7 +406,7 @@ def _layered_docrank(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
     executor / n_jobs:
         Execution backend for the concurrent batch, resolved by
         :func:`repro.engine.resolve_executor`; serial when both omitted,
-        a process pool of ``n_jobs`` workers when ``n_jobs > 1``.
+        a thread pool of ``n_jobs`` workers when ``n_jobs > 1``.
     warm:
         Optional :class:`repro.engine.WarmStartState` to resume power
         iterations from (and record the converged vectors into).

@@ -15,10 +15,7 @@ from repro.engine import (
     select_backend,
     task_flops,
 )
-from repro.engine.adaptive import (
-    PROCESS_FLOPS_THRESHOLD,
-    SERIAL_FLOPS_THRESHOLD,
-)
+from repro.engine.adaptive import SERIAL_FLOPS_THRESHOLD
 from repro.exceptions import ValidationError
 from repro.web.pipeline import _layered_docrank
 
@@ -67,14 +64,13 @@ class TestSelection:
 
     def test_medium_batch_is_threaded(self):
         batch = fake_batch(8, 20_000)
-        assert SERIAL_FLOPS_THRESHOLD <= batch_flops(batch) \
-            < PROCESS_FLOPS_THRESHOLD
+        assert batch_flops(batch) >= SERIAL_FLOPS_THRESHOLD
         assert select_backend(batch) == "threaded"
 
-    def test_large_batch_is_process(self):
+    def test_large_batch_is_threaded(self):
         batch = fake_batch(8, 10**6)
-        assert batch_flops(batch) >= PROCESS_FLOPS_THRESHOLD
-        assert select_backend(batch) == "process"
+        assert batch_flops(batch) >= 10 * SERIAL_FLOPS_THRESHOLD
+        assert select_backend(batch) == "threaded"
 
 
 class TestAutoExecutor:

@@ -55,14 +55,14 @@ class TestValidation:
         assert config.wants_auto_backend
 
     def test_n_jobs_accepted_with_pooled_backends(self):
-        for executor in ("threaded", "process", "auto"):
+        for executor in ("threaded", "auto"):
             assert RankingConfig(executor=executor, n_jobs=2).n_jobs == 2
         assert RankingConfig(executor="serial", n_jobs=1).n_jobs == 1
         assert RankingConfig(executor="auto", n_jobs="auto").wants_auto_backend
 
     def test_executor_auto_accepted(self):
         assert RankingConfig(executor="auto").wants_auto_backend
-        assert not RankingConfig(executor="process").wants_auto_backend
+        assert not RankingConfig(executor="threaded").wants_auto_backend
 
     def test_replace_revalidates(self):
         config = RankingConfig()
@@ -181,3 +181,35 @@ class TestFileRoundTrip:
         message = str(raised.value)
         assert "batch_sites=false" in message and "removed" in message
         assert len(message.splitlines()) == 1
+
+    def test_the_removed_process_executor_fails_loudly(self, tmp_path):
+        # What RankingConfig(executor="process", n_jobs=2).save() wrote
+        # while the process backend existed.
+        files = {".json": (
+            '{\n  "architecture": "flat",\n  "cache_size": 1024,\n'
+            '  "damping": 0.85,\n  "executor": "process",\n'
+            '  "include_site_self_links": false,\n  "max_iter": 1000,\n'
+            '  "method": "layered",\n  "n_jobs": 2,\n  "n_peers": 8,\n'
+            '  "partition_policy": "balanced",\n  "rule": "linear",\n'
+            '  "tol": 1e-10,\n  "warm_start": false,\n  "weight": 0.5\n}\n')}
+        if TOML_READ_AVAILABLE:
+            files[".toml"] = (
+                'method = "layered"\ndamping = 0.85\ntol = 1e-10\n'
+                'max_iter = 1000\ninclude_site_self_links = false\n'
+                'executor = "process"\nn_jobs = 2\nwarm_start = false\n'
+                'cache_size = 1024\nrule = "linear"\nweight = 0.5\n'
+                'n_peers = 8\narchitecture = "flat"\n'
+                'partition_policy = "balanced"\n')
+        messages = []
+        for suffix, text in files.items():
+            path = tmp_path / f"parent{suffix}"
+            path.write_text(text)
+            with pytest.raises(ValidationError) as raised:
+                RankingConfig.load(path)
+            messages.append(str(raised.value))
+        with pytest.raises(ValidationError) as raised:
+            RankingConfig(executor="process")
+        messages.append(str(raised.value))
+        for message in messages:
+            assert "removed" in message and "executor='threaded'" in message
+            assert len(message.splitlines()) == 1

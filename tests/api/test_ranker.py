@@ -2,7 +2,7 @@
 
 The load-bearing property is the acceptance criterion of the API redesign:
 ``Ranker(config).fit(g)`` must be *bitwise identical* to the historical
-pipeline path for the serial, threaded and process executors, on both the
+pipeline path for the serial, threaded and auto executors, on both the
 toy web and the campus web.
 """
 
@@ -48,7 +48,6 @@ class TestLegacyEquivalence:
     @pytest.mark.parametrize("executor_config", [
         {"executor": "serial"},
         {"executor": "threaded", "n_jobs": 2},
-        {"executor": "process", "n_jobs": 2},
         {"executor": "auto"},
     ])
     def test_bitwise_identical_on_toy_web(self, toy_docgraph,
@@ -62,7 +61,6 @@ class TestLegacyEquivalence:
     @pytest.mark.parametrize("executor_config", [
         {"executor": "serial"},
         {"executor": "threaded", "n_jobs": 2},
-        {"executor": "process", "n_jobs": 2},
     ])
     def test_bitwise_identical_on_campus_web(self, small_campus,
                                              executor_config):
@@ -140,13 +138,13 @@ class TestFacadeErgonomics:
     def test_inline_methods_report_inline_provenance(self, toy_docgraph):
         # flat/blockrank/hits never touch the engine; a configured pooled
         # backend must not be recorded as if it produced the scores.
-        config = RankingConfig(method="flat", executor="process", n_jobs=4)
+        config = RankingConfig(method="flat", executor="threaded", n_jobs=4)
         result = Ranker(config).fit(toy_docgraph)
         assert result.provenance["executor"] == "inline"
         assert result.provenance["n_jobs"] is None
-        layered = Ranker(RankingConfig(executor="process",
+        layered = Ranker(RankingConfig(executor="threaded",
                                        n_jobs=2)).fit(toy_docgraph)
-        assert layered.provenance["executor"] == "process"
+        assert layered.provenance["executor"] == "threaded"
         assert layered.provenance["n_jobs"] == 2
 
     def test_result_delegation_and_provenance(self, toy_docgraph):
@@ -209,7 +207,7 @@ class TestAdapters:
         from repro.web.docgraph import DocGraph
 
         closed = []
-        ranker = Ranker(RankingConfig(executor="process", n_jobs=2))
+        ranker = Ranker(RankingConfig(executor="threaded", n_jobs=2))
         real_spec = ranker._engine_spec
 
         def tracking_spec():
@@ -259,7 +257,7 @@ class TestAdapters:
     def test_serve_owned_ranker_executor_is_released(self, toy_docgraph):
         from repro.exceptions import ValidationError as EngineClosed
 
-        with Ranker(RankingConfig(executor="process",
+        with Ranker(RankingConfig(executor="threaded",
                                   n_jobs=2)).serve(docgraph=toy_docgraph,
                                                    incremental=True) as service:
             ranker = service._ranker
@@ -289,14 +287,12 @@ class TestAdapters:
             api.serve(docgraph=toy_docgraph, incremental=True, corpus={})
         assert closed == [True]
 
-    @pytest.mark.parametrize("backend", ["threaded", "process"])
     def test_serve_plumbs_pooled_executor_into_the_service(self,
                                                            toy_docgraph,
-                                                           backend,
                                                            monkeypatch):
         made = record_made_executors(monkeypatch)
         before = threading.active_count()
-        with Ranker(RankingConfig(executor=backend,
+        with Ranker(RankingConfig(executor="threaded",
                                   n_jobs=2)).serve(docgraph=toy_docgraph,
                                                    incremental=True) as service:
             # The config's pool is the incremental ranker's solver pool;
@@ -335,7 +331,7 @@ class TestAdapters:
     def test_detach_closes_an_owned_ranker(self, toy_docgraph):
         from repro.exceptions import ValidationError as EngineClosed
 
-        service = Ranker(RankingConfig(executor="process",
+        service = Ranker(RankingConfig(executor="threaded",
                                        n_jobs=2)).serve(docgraph=toy_docgraph,
                                                         incremental=True)
         ranker = service._ranker

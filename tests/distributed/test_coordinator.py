@@ -155,7 +155,7 @@ class TestEngineScheduling:
         serial = distributed_layered_docrank(small_synthetic_web, n_peers=4)
         parallel = distributed_layered_docrank(small_synthetic_web, n_peers=4,
                                                n_jobs=2)
-        assert parallel.executor_name == "process"
+        assert parallel.executor_name == "threaded"
         assert np.array_equal(parallel.ranking.scores, serial.ranking.scores)
         # The simulated cost model is independent of the real backend.
         assert parallel.makespan_seconds == serial.makespan_seconds

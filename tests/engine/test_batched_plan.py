@@ -6,19 +6,16 @@ import pytest
 from repro.engine import (
     BATCH_SITE_MAX_DOCS,
     BatchedSiteTask,
-    ProcessExecutor,
     RankingPlan,
     SerialExecutor,
     ThreadedExecutor,
     batch_site_tasks,
     collect_site_results,
-    live_segments,
     run_task,
     select_backend,
     site_tasks_for,
     task_flops,
 )
-from repro.engine.arena import ArenaRef, resolve_task, share_batch
 from repro.exceptions import ValidationError
 from repro.graphgen import generate_synthetic_web
 
@@ -103,41 +100,15 @@ class TestBatching:
         assert set(by_site) == {task.site for task in tasks}
 
 
-class TestBatchedArenaTransport:
-    def test_one_packed_ref_family_per_batch(self, batched_web):
-        tasks = site_tasks_for(batched_web)
-        (batched,) = batch_site_tasks(tasks)
-        shared, arena = share_batch([batched])
-        try:
-            (shipped,) = shared
-            assert isinstance(shipped.adjacency, ArenaRef)
-            assert isinstance(shipped.offsets, ArenaRef)
-            assert isinstance(shipped.doc_ids, ArenaRef)
-            # The cost model prices shared batches without attaching.
-            assert shipped.nnz == batched.nnz
-            assert shipped.n_documents == batched.n_documents
-            # Attached execution reproduces the in-process result.
-            reference = {r.site: r for r in batched.run()}
-            for rank in resolve_task(shipped).run():
-                assert np.array_equal(rank.scores,
-                                      reference[rank.site].scores)
-        finally:
-            arena.dispose()
-        assert live_segments() == []
-
-    def test_process_executor_matches_serial(self, batched_web):
+class TestBatchedPooledExecution:
+    def test_threaded_executor_matches_serial(self, batched_web):
         plan = RankingPlan.from_docgraph(batched_web)
         serial = plan.execute(executor=SerialExecutor())
-        with ProcessExecutor(2) as executor:
-            parallel = plan.execute(executor=executor)
         with ThreadedExecutor(2) as executor:
             threaded = plan.execute(executor=executor)
         for site in batched_web.sites():
             assert np.array_equal(serial.local[site].scores,
-                                  parallel.local[site].scores)
-            assert np.array_equal(serial.local[site].scores,
                                   threaded.local[site].scores)
-        assert live_segments() == []
 
 
 class TestBatchedCostModel:
@@ -174,14 +145,6 @@ class TestBatchedCostModel:
         assert batch_flops(batch(nnz, True)) < BATCHED_SERIAL_FLOPS_THRESHOLD
         assert select_backend(batch(nnz, False)) != "serial"
         assert select_backend(batch(nnz, True)) == "serial"
-
-    def test_batched_thresholds_displace_processes(self):
-        from repro.engine.adaptive import (
-            BATCHED_PROCESS_FLOPS_THRESHOLD,
-            PROCESS_FLOPS_THRESHOLD,
-        )
-
-        assert BATCHED_PROCESS_FLOPS_THRESHOLD >= 10 * PROCESS_FLOPS_THRESHOLD
 
 
 class TestBatchedWarmStart:

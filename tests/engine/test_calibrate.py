@@ -8,10 +8,10 @@ from repro.engine import calibrate as cal
 from repro.engine.calibrate import (
     CalibrationProfile,
     activate_profile,
-    batched_flop_thresholds,
+    batched_flop_threshold,
     crossover_point,
     deactivate_profile,
-    flop_thresholds,
+    flop_threshold,
 )
 from repro.exceptions import ValidationError
 
@@ -25,9 +25,7 @@ def _clean_profile():
 
 def make_profile(**overrides):
     values = dict(serial_flops_threshold=1e6,
-                  process_flops_threshold=1e8,
-                  batched_serial_flops_threshold=1e7,
-                  batched_process_flops_threshold=1e9)
+                  batched_serial_flops_threshold=1e7)
     values.update(overrides)
     return CalibrationProfile(**values)
 
@@ -71,25 +69,21 @@ class TestCrossoverPoint:
 class TestProfile:
     def test_defaults_without_active_profile(self):
         from repro.engine.adaptive import (
-            BATCHED_PROCESS_FLOPS_THRESHOLD,
             BATCHED_SERIAL_FLOPS_THRESHOLD,
-            PROCESS_FLOPS_THRESHOLD,
             SERIAL_FLOPS_THRESHOLD,
         )
 
-        assert flop_thresholds() == (SERIAL_FLOPS_THRESHOLD,
-                                     PROCESS_FLOPS_THRESHOLD)
-        assert batched_flop_thresholds() == (BATCHED_SERIAL_FLOPS_THRESHOLD,
-                                             BATCHED_PROCESS_FLOPS_THRESHOLD)
+        assert flop_threshold() == SERIAL_FLOPS_THRESHOLD
+        assert batched_flop_threshold() == BATCHED_SERIAL_FLOPS_THRESHOLD
 
     def test_activation_changes_every_consumer(self):
         from repro.engine.adaptive import SERIAL_FLOPS_THRESHOLD
 
         activate_profile(make_profile())
-        assert flop_thresholds() == (1e6, 1e8)
-        assert batched_flop_thresholds() == (1e7, 1e9)
+        assert flop_threshold() == 1e6
+        assert batched_flop_threshold() == 1e7
         deactivate_profile()
-        assert flop_thresholds()[0] == SERIAL_FLOPS_THRESHOLD
+        assert flop_threshold() == SERIAL_FLOPS_THRESHOLD
 
     def test_parent_format_profile_still_loads(self, tmp_path, monkeypatch):
         # Every profile `repro calibrate` wrote before the dense kernel
@@ -103,12 +97,46 @@ class TestProfile:
         monkeypatch.setenv(cal.PROFILE_ENV_VAR, str(path))
         monkeypatch.setattr(cal, "_ACTIVE", None)
         monkeypatch.setattr(cal, "_ENV_CHECKED", False)
-        assert flop_thresholds() == (1e6, 1e8)
+        assert flop_threshold() == 1e6
         loaded = CalibrationProfile.load(path)
         assert "dense_cutoff" not in loaded.to_dict()
         assert not hasattr(loaded, "dense_cutoff")
-        with pytest.raises(ValidationError):  # only that one key is excused
+        with pytest.raises(ValidationError):  # only retired keys are excused
             CalibrationProfile.from_dict(dict(legacy, dense_cutof=1))
+
+    def test_profile_with_process_thresholds_loads(self, tmp_path,
+                                                   monkeypatch):
+        # What `repro calibrate` wrote while there was a process pool: two
+        # more cut-offs, dropped on load and never written back.
+        legacy = {
+            "batched_process_flops_threshold": 1.5e9,
+            "batched_serial_flops_threshold": 1e7,
+            "cpu_count": 2,
+            "details": {"backends": [{
+                "n_documents": 500, "n_sites": 12, "flops": 1e6,
+                "serial_seconds": 0.01, "batched_serial_seconds": 0.002,
+                "threaded_seconds": 0.02, "batched_threaded_seconds": 0.003,
+                "process_seconds": 0.05, "batched_process_seconds": 0.04}]},
+            "machine": "Linux-x86_64",
+            "measured_at": "2026-01-01T00:00:00",
+            "process_flops_threshold": 1.5e8,
+            "serial_flops_threshold": 1e6,
+        }
+        path = tmp_path / "parent.json"
+        path.write_text(json.dumps(legacy, indent=2, sort_keys=True))
+        monkeypatch.setenv(cal.PROFILE_ENV_VAR, str(path))
+        monkeypatch.setattr(cal, "_ACTIVE", None)
+        monkeypatch.setattr(cal, "_ENV_CHECKED", False)
+        assert (flop_threshold(), batched_flop_threshold()) == (1e6, 1e7)
+        loaded = CalibrationProfile.load(path)
+        for key in ("process_flops_threshold",
+                    "batched_process_flops_threshold"):
+            assert key not in loaded.to_dict()
+            assert not hasattr(loaded, key)
+        resaved = tmp_path / "resaved.json"
+        loaded.save(resaved)
+        assert not [key for key in json.loads(resaved.read_text())
+                    if "process" in key]
 
     def test_select_backend_uses_active_thresholds(self):
         from repro.engine import select_backend
@@ -120,8 +148,7 @@ class TestProfile:
 
         batch = [FakeTask(), FakeTask()]
         assert select_backend(batch) == "serial"
-        activate_profile(make_profile(serial_flops_threshold=1.0,
-                                      process_flops_threshold=1e18))
+        activate_profile(make_profile(serial_flops_threshold=1.0))
         assert select_backend(batch) == "threaded"
 
     def test_roundtrip_through_json(self, tmp_path):
@@ -139,15 +166,13 @@ class TestProfile:
         monkeypatch.setenv(cal.PROFILE_ENV_VAR, str(path))
         monkeypatch.setattr(cal, "_ACTIVE", None)
         monkeypatch.setattr(cal, "_ENV_CHECKED", False)
-        assert flop_thresholds()[0] == 77.0
+        assert flop_threshold() == 77.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            make_profile(batched_process_flops_threshold=-1.0)
+            make_profile(batched_serial_flops_threshold=-1.0)
         with pytest.raises(ValidationError):
             make_profile(serial_flops_threshold=0.0)
-        with pytest.raises(ValidationError):
-            make_profile(serial_flops_threshold=1e9)  # above process
         with pytest.raises(ValidationError):
             CalibrationProfile.from_dict({"unknown_key": 1})
         with pytest.raises(ValidationError):
@@ -157,12 +182,12 @@ class TestProfile:
         ('{"serial_flops_threshold": 1e6,', "not valid JSON"),
         (_profile_text(serial_flops_threshold="1e6"),
          "serial_flops_threshold"),
-        (_profile_text(process_flops_threshold=None),
-         "process_flops_threshold"),
+        (_profile_text(serial_flops_threshold=None),
+         "serial_flops_threshold"),
         (_profile_text(batched_serial_flops_threshold=float("nan")),
          "batched_serial_flops_threshold"),
-        (_profile_text(batched_process_flops_threshold=float("inf")),
-         "batched_process_flops_threshold"),
+        (_profile_text(batched_serial_flops_threshold=float("inf")),
+         "batched_serial_flops_threshold"),
         (_profile_text(serial_flops_threshold=True),
          "serial_flops_threshold"),
     ], ids=["torn-json", "string", "null", "nan", "inf", "bool"])
@@ -185,9 +210,12 @@ class TestMeasurement:
         # The batched thresholds are derived from pool timings of the
         # *fused* payload, so every backend row must carry both variants.
         for row in profile.details["backends"]:
+            assert set(row) == {"n_documents", "n_sites", "flops",
+                                "serial_seconds", "batched_serial_seconds",
+                                "threaded_seconds",
+                                "batched_threaded_seconds"}
             for column in ("serial_seconds", "batched_serial_seconds",
-                           "threaded_seconds", "batched_threaded_seconds",
-                           "process_seconds", "batched_process_seconds"):
+                           "threaded_seconds", "batched_threaded_seconds"):
                 assert row[column] > 0
         path = tmp_path / "p.json"
         profile.save(path)

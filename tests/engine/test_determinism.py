@@ -2,7 +2,7 @@
 rankings.
 
 The engine's contract is that scheduling is invisible in the output: the
-serial, threaded and process backends run the same task objects through the
+serial, threaded and auto backends run the same task objects through the
 same floating point operations and compose in the same site order, so
 ``WebRankingResult.scores`` must match bit for bit — not merely within
 tolerance.  The guard pins this down on the paper's Figure-2 worked example
@@ -13,7 +13,7 @@ and on the campus-web fixture.
 import numpy as np
 import pytest
 
-from repro.engine import ProcessExecutor, SerialExecutor, ThreadedExecutor
+from repro.engine import AutoExecutor, SerialExecutor, ThreadedExecutor
 from repro.web import DocGraph
 from repro.web.pipeline import _layered_docrank as layered_docrank
 
@@ -64,7 +64,7 @@ def figure2_docgraph():
 
 
 def executors():
-    return [SerialExecutor(), ThreadedExecutor(2), ProcessExecutor(2)]
+    return [SerialExecutor(), ThreadedExecutor(2), AutoExecutor(2)]
 
 
 class TestExecutorDeterminism:
@@ -95,7 +95,7 @@ class TestExecutorDeterminism:
 
     def test_siterank_and_locals_match_too(self, figure2_docgraph):
         reference = layered_docrank(figure2_docgraph)
-        with ProcessExecutor(2) as executor:
+        with ThreadedExecutor(2) as executor:
             result = layered_docrank(figure2_docgraph, executor=executor)
         assert np.array_equal(result.siterank.scores,
                               reference.siterank.scores)

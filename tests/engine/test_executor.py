@@ -5,7 +5,6 @@ import pytest
 from repro.engine import (
     BACKENDS,
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadedExecutor,
     default_n_jobs,
@@ -33,6 +32,9 @@ class TestSerialExecutor:
         executor = SerialExecutor()
         executor.close()
         executor.close()
+
+    def test_warmup_is_a_noop(self):
+        SerialExecutor().warmup()
 
 
 class TestThreadedExecutor:
@@ -69,38 +71,6 @@ class TestThreadedExecutor:
             assert executor._pool is not None
 
 
-class TestProcessExecutor:
-    def test_map_preserves_order(self):
-        # ``abs`` is picklable by reference; the engine's real task types
-        # are exercised in test_plan.py / test_determinism.py.
-        with ProcessExecutor(2) as executor:
-            assert executor.map(abs, [-5, 2, -1]) == [5, 2, 1]
-
-    def test_empty_batch_creates_no_pool(self):
-        executor = ProcessExecutor(2)
-        assert executor.map(abs, []) == []
-        assert executor._pool is None
-
-    def test_map_after_close_fails_fast(self):
-        executor = ProcessExecutor(1)
-        executor.close()
-        with pytest.raises(ValidationError):
-            executor.map(abs, [-1])
-
-    def test_serial_warmup_is_a_noop(self):
-        SerialExecutor().warmup()
-
-    def test_rejects_non_positive_workers(self):
-        with pytest.raises(ValidationError):
-            ProcessExecutor(-1)
-
-    def test_metadata(self):
-        executor = ProcessExecutor(3)
-        assert executor.name == "process"
-        assert executor.n_jobs == 3
-        executor.close()
-
-
 class TestMakeExecutor:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_known_backends(self, backend):
@@ -108,9 +78,10 @@ class TestMakeExecutor:
         assert executor.name == backend
         executor.close()
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("backend", ["gpu", "process"])
+    def test_unknown_backend_rejected(self, backend):
         with pytest.raises(ValidationError):
-            make_executor("gpu")
+            make_executor(backend)
 
 
 class TestResolveExecutor:
@@ -124,9 +95,9 @@ class TestResolveExecutor:
         assert executor.name == "serial"
         assert owned
 
-    def test_n_jobs_many_is_a_process_pool(self):
+    def test_n_jobs_many_is_a_thread_pool(self):
         executor, owned = resolve_executor(n_jobs=2)
-        assert executor.name == "process"
+        assert isinstance(executor, ThreadedExecutor)
         assert executor.n_jobs == 2
         assert owned
         executor.close()
@@ -144,9 +115,3 @@ class TestResolveExecutor:
     def test_rejects_non_positive_n_jobs(self):
         with pytest.raises(ValidationError):
             resolve_executor(n_jobs=0)
-
-    def test_backend_override(self):
-        executor, owned = resolve_executor(n_jobs=2, backend="threaded")
-        assert executor.name == "threaded"
-        assert owned
-        executor.close()

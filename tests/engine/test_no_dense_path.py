@@ -16,7 +16,7 @@ import pytest
 from repro.api import Ranker, RankingConfig
 from repro.distributed.coordinator import DistributedRankingCoordinator
 from repro.engine import (
-    ProcessExecutor,
+    AutoExecutor,
     ThreadedExecutor,
     WarmStartState,
     rank_outofcore,
@@ -90,7 +90,7 @@ def test_every_backend_fits_without_a_dense_matrix(no_dense, web):
     reference = _layered_docrank(web)
     facade = Ranker().fit(web)
     assert np.array_equal(facade.scores, reference.scores)
-    for executor in (ThreadedExecutor(2), ProcessExecutor(2)):
+    for executor in (ThreadedExecutor(2), AutoExecutor(2)):
         with executor:
             result = _layered_docrank(web, executor=executor)
         assert result.doc_ids == reference.doc_ids

@@ -44,7 +44,7 @@ class TestFamilyNbytes:
             layout.place(nbytes)  # must not raise
 
     def test_csr_family_order_is_stable(self):
-        # Both the arena and the disk format rely on this exact order.
+        # The disk format relies on this exact order.
         assert CSR_FAMILY == ("data", "indices", "indptr")
 
 

@@ -1,6 +1,5 @@
-"""Tests for the MetricsRegistry core: counters, histograms, deltas."""
+"""Tests for the MetricsRegistry core: counters, gauges, histograms."""
 
-import pickle
 import threading
 
 import pytest
@@ -119,40 +118,6 @@ class TestHistograms:
     def test_declare_rejects_nonincreasing(self):
         with pytest.raises(ValueError):
             MetricsRegistry().declare_histogram("h", (1.0, 1.0, 2.0))
-
-
-class TestDeltas:
-    def test_delta_round_trips_through_pickle(self):
-        worker = MetricsRegistry()
-        worker.inc("warm_total", 5.0)  # pre-existing state
-        mark = worker.checkpoint()
-        worker.inc("warm_total", 2.0)
-        worker.inc("task_total", kind="x")
-        worker.set_gauge("residual", 1e-9)
-        worker.observe("run_seconds", 0.125)
-
-        delta = pickle.loads(pickle.dumps(worker.delta_since(mark)))
-
-        parent = MetricsRegistry()
-        parent.inc("warm_total", 100.0)
-        parent.merge(delta)
-        # only the post-checkpoint change crosses the boundary
-        assert parent.counter_value("warm_total") == 102.0
-        assert parent.counter_value("task_total", kind="x") == 1.0
-        assert parent.gauge_value("residual") == 1e-9
-        (entry,) = parent.snapshot()["histograms"]
-        assert entry["count"] == 1
-        assert entry["sum"] == pytest.approx(0.125)
-
-    def test_empty_delta_when_nothing_changed(self):
-        registry = MetricsRegistry()
-        registry.inc("a_total")
-        registry.observe("a_seconds", 0.1)
-        mark = registry.checkpoint()
-        delta = registry.delta_since(mark)
-        assert delta["counters"] == {}
-        assert delta["gauges"] == {}
-        assert delta["histograms"] == {}
 
 
 class TestCollectors:

@@ -467,20 +467,20 @@ class TestDoubleBufferedRebuild:
         assert [d.doc_id for d in service.top(10)] == \
             ranker.ranking().top_k(10)
 
-    def test_process_executor_rebuild_matches_serial(self, web):
+    def test_threaded_executor_rebuild_matches_serial(self, web):
         serial_ranker = IncrementalLayeredRanker(web)
         serial = RankingService.from_incremental(serial_ranker)
-        process_web = generate_synthetic_web(n_sites=8, n_documents=300,
-                                             seed=3)
-        with pooled_ranker(process_web, "process") as process_ranker:
-            process = RankingService.from_incremental(process_ranker)
+        threaded_web = generate_synthetic_web(n_sites=8, n_documents=300,
+                                              seed=3)
+        with pooled_ranker(threaded_web, "threaded") as threaded_ranker:
+            threaded = RankingService.from_incremental(threaded_ranker)
             add_intersite_link(web, serial_ranker)
-            add_intersite_link(process_web, process_ranker)
-            # The ranker's factors came back from worker processes; the
+            add_intersite_link(threaded_web, threaded_ranker)
+            # The ranker's factors came back from pool threads; the
             # served scores must still be bitwise the serial ranker's.
             assert [d.score for d in serial.top(20)] == \
-                [d.score for d in process.top(20)]
-            assert shard_generations(process, process_web) == \
+                [d.score for d in threaded.top(20)]
+            assert shard_generations(threaded, threaded_web) == \
                 shard_generations(serial, web)
 
 

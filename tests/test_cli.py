@@ -387,10 +387,21 @@ class TestRankWithConfigFile:
         assert main(argv) == 0
         flag_out = capsys.readouterr().out
         path = tmp_path / "ranking.toml"
-        path.write_text('method = "layered"\nexecutor = "process"\n'
+        path.write_text('method = "layered"\nexecutor = "threaded"\n'
                         'n_jobs = 2\n')
         assert main(argv + ["--config", str(path)]) == 0
         assert capsys.readouterr().out == flag_out
+
+    def test_config_naming_the_removed_process_executor_fails(
+            self, tmp_path, capsys):
+        path = tmp_path / "ranking.json"
+        path.write_text('{"executor": "process", "n_jobs": 2}\n')
+        assert main(["rank", "--generate", "hierarchical", "--sites", "5",
+                     "--documents", "120", "--config",
+                     str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "executor='threaded'" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_rank_with_missing_config_file(self, capsys):
         assert main(["rank", "--config", "/no/such.toml"]) == EXIT_ERROR
@@ -400,7 +411,7 @@ class TestRankWithConfigFile:
         from repro.cli import _ranking_config
 
         path = tmp_path / "ranking.json"
-        path.write_text('{"executor": "process", "n_jobs": 4}\n')
+        path.write_text('{"executor": "threaded", "n_jobs": 4}\n')
         args = build_parser().parse_args(
             ["rank", "--config", str(path), "--jobs", "auto"])
         args._explicit = {"jobs"}
@@ -636,7 +647,7 @@ class TestOutOfCoreCommands:
          "personalization"),
         ({"batch_sites": False}, [], "batch_sites=false"),
         ({"executor": "threaded", "n_jobs": 2}, [], "executor='threaded'"),
-        ({}, ["--jobs", "2"], "executor='process'"),
+        ({}, ["--jobs", "2"], "executor='threaded'"),
         ({}, ["--jobs", "auto"], "executor='auto'"),
     ])
     def test_on_disk_rejects_settings_it_cannot_honour(
