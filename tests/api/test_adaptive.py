@@ -9,13 +9,14 @@ from repro.engine import (
     AutoExecutor,
     RankingPlan,
     SerialExecutor,
+    ThreadedExecutor,
     batch_flops,
     expected_iterations,
     resolve_executor,
     select_backend,
     task_flops,
 )
-from repro.engine.adaptive import SERIAL_FLOPS_THRESHOLD
+from repro.engine.adaptive import SERIAL_FLOPS_THRESHOLD, auto_executor
 from repro.exceptions import ValidationError
 from repro.web.pipeline import _layered_docrank
 
@@ -73,7 +74,35 @@ class TestSelection:
         assert select_backend(batch) == "threaded"
 
 
+    def test_explicit_threshold_wins(self):
+        batch = fake_batch(8, 20_000)
+        cost = batch_flops(batch)
+        assert select_backend(batch, serial_threshold=cost * 2) == "serial"
+        assert select_backend(batch, serial_threshold=cost / 2) == "threaded"
+
+
+class TestAutoExecutorFactory:
+    def test_serial_priced_batch_gets_a_serial_executor(self):
+        executor = auto_executor(fake_batch(8, 10), n_jobs=4)
+        assert isinstance(executor, SerialExecutor)
+
+    def test_pool_is_capped_at_the_batch_size(self):
+        with auto_executor(fake_batch(3, 10**6), n_jobs=8) as executor:
+            assert isinstance(executor, ThreadedExecutor)
+            assert executor.n_jobs == 3
+
+
 class TestAutoExecutor:
+    def test_decisions_record_each_batch(self):
+        with AutoExecutor(n_jobs=2) as executor:
+            executor.map(task_flops, fake_batch(2, 10))
+            executor.map(task_flops, fake_batch(8, 20_000))
+        first, second = executor.decisions
+        assert (first["backend"], first["n_tasks"]) == ("serial", 2)
+        assert (second["backend"], second["n_tasks"]) == ("threaded", 8)
+        assert second["priced_flops"] == batch_flops(fake_batch(8, 20_000))
+        assert executor.last_backend == "threaded"
+
     def test_resolve_executor_auto(self):
         executor, owned = resolve_executor(None, "auto")
         assert isinstance(executor, AutoExecutor)

@@ -32,6 +32,7 @@ class TestValidation:
         {"max_iter": 1.5},
         {"include_site_self_links": "yes"},
         {"executor": "gpu"},
+        {"executor": "process"},  # the removed backend
         {"n_jobs": 0},
         {"n_jobs": -3},
         {"n_jobs": "many"},

@@ -49,6 +49,7 @@ class TestLegacyEquivalence:
         {"executor": "serial"},
         {"executor": "threaded", "n_jobs": 2},
         {"executor": "auto"},
+        {"executor": "auto", "n_jobs": 2},
     ])
     def test_bitwise_identical_on_toy_web(self, toy_docgraph,
                                           executor_config):
@@ -61,6 +62,7 @@ class TestLegacyEquivalence:
     @pytest.mark.parametrize("executor_config", [
         {"executor": "serial"},
         {"executor": "threaded", "n_jobs": 2},
+        {"executor": "auto"},
     ])
     def test_bitwise_identical_on_campus_web(self, small_campus,
                                              executor_config):
@@ -287,12 +289,14 @@ class TestAdapters:
             api.serve(docgraph=toy_docgraph, incremental=True, corpus={})
         assert closed == [True]
 
+    @pytest.mark.parametrize("backend", ["threaded"])
     def test_serve_plumbs_pooled_executor_into_the_service(self,
                                                            toy_docgraph,
+                                                           backend,
                                                            monkeypatch):
         made = record_made_executors(monkeypatch)
         before = threading.active_count()
-        with Ranker(RankingConfig(executor="threaded",
+        with Ranker(RankingConfig(executor=backend,
                                   n_jobs=2)).serve(docgraph=toy_docgraph,
                                                    incremental=True) as service:
             # The config's pool is the incremental ranker's solver pool;

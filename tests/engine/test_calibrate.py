@@ -138,6 +138,15 @@ class TestProfile:
         assert not [key for key in json.loads(resaved.read_text())
                     if "process" in key]
 
+    @pytest.mark.parametrize("key", cal._RETIRED_KEYS)
+    def test_each_retired_key_alone_is_dropped(self, key):
+        # Whatever value a retired cut-off held, it neither fails the
+        # load nor changes the thresholds that stayed.
+        loaded = CalibrationProfile.from_dict(
+            dict(make_profile().to_dict(), **{key: -1.0}))
+        assert loaded == make_profile()
+        assert key not in loaded.to_dict()
+
     def test_select_backend_uses_active_thresholds(self):
         from repro.engine import select_backend
 

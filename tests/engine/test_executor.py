@@ -11,6 +11,7 @@ from repro.engine import (
     make_executor,
     resolve_executor,
 )
+from repro.engine.executor import normalize_n_jobs
 from repro.exceptions import ValidationError
 
 
@@ -35,6 +36,15 @@ class TestSerialExecutor:
 
     def test_warmup_is_a_noop(self):
         SerialExecutor().warmup()
+
+    def test_task_error_propagates(self):
+        def fail_on_two(item):
+            if item == 2:
+                raise RuntimeError("task failure injected by the test")
+            return item
+
+        with pytest.raises(RuntimeError, match="injected"):
+            SerialExecutor().map(fail_on_two, [1, 2, 3])
 
 
 class TestThreadedExecutor:
@@ -70,6 +80,50 @@ class TestThreadedExecutor:
             executor.warmup()
             assert executor._pool is not None
 
+    def test_empty_batch_returns_empty(self):
+        with ThreadedExecutor(2) as executor:
+            assert executor.map(abs, []) == []
+
+    def test_metadata(self):
+        with ThreadedExecutor(3) as executor:
+            assert executor.name == "threaded"
+            assert executor.n_jobs == 3
+            assert isinstance(executor, Executor)
+
+    def test_close_is_idempotent(self):
+        executor = ThreadedExecutor(2)
+        executor.map(abs, [-1, -2])
+        executor.close()
+        executor.close()
+        assert executor._pool is None
+
+    def test_close_before_first_batch_starts_no_pool(self):
+        executor = ThreadedExecutor(2)
+        executor.close()
+        assert executor._pool is None
+        with pytest.raises(ValidationError):
+            executor.warmup()
+
+    def test_task_error_propagates_and_the_pool_survives(self):
+        def fail_on_two(item):
+            if item == 2:
+                raise RuntimeError("task failure injected by the test")
+            return item
+
+        with ThreadedExecutor(2) as executor:
+            with pytest.raises(RuntimeError, match="injected"):
+                executor.map(fail_on_two, [1, 2, 3])
+            # One failed batch does not poison the pool for the next.
+            assert executor.map(abs, [-5, -6]) == [5, 6]
+
+    def test_tasks_run_off_the_calling_thread(self):
+        import threading
+
+        caller = threading.get_ident()
+        with ThreadedExecutor(2) as executor:
+            idents = executor.map(lambda _: threading.get_ident(), range(4))
+        assert caller not in idents
+
 
 class TestMakeExecutor:
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -82,6 +136,26 @@ class TestMakeExecutor:
     def test_unknown_backend_rejected(self, backend):
         with pytest.raises(ValidationError):
             make_executor(backend)
+
+    def test_pooled_backend_takes_the_worker_count(self):
+        with make_executor("threaded", 3) as executor:
+            assert isinstance(executor, ThreadedExecutor)
+            assert executor.n_jobs == 3
+
+    def test_pooled_backend_defaults_to_cpu_count(self):
+        with make_executor("threaded") as executor:
+            assert executor.n_jobs == default_n_jobs()
+
+
+class TestNormalizeNJobs:
+    @pytest.mark.parametrize("value", [1, 2, 64, "auto"])
+    def test_accepted_values_pass_through(self, value):
+        assert normalize_n_jobs(value) == value
+
+    @pytest.mark.parametrize("value", [0, -1, 2.0, True, "2", "many", None])
+    def test_rejected_values_name_the_parameter(self, value):
+        with pytest.raises(ValidationError, match="--jobs"):
+            normalize_n_jobs(value, name="--jobs")
 
 
 class TestResolveExecutor:

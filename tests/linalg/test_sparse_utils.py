@@ -8,6 +8,8 @@ from repro.exceptions import ValidationError
 from repro.linalg.sparse_utils import (
     block_diagonal,
     coo_from_edges,
+    csr_direct_sum,
+    csr_from_buffers,
     empty_adjacency,
     in_degrees,
     nnz,
@@ -129,6 +131,92 @@ class TestBlockDiagonal:
     def test_rejects_empty_list(self):
         with pytest.raises(ValidationError):
             block_diagonal([])
+
+
+def _family(matrix):
+    return matrix.data, matrix.indices, matrix.indptr
+
+
+class TestCsrFromBuffers:
+    def test_round_trips_bitwise(self, toy_docgraph):
+        matrix = toy_docgraph.adjacency()
+        rebuilt = csr_from_buffers(*_family(matrix), matrix.shape)
+        assert rebuilt.shape == matrix.shape
+        assert rebuilt.nnz == matrix.nnz
+        assert np.array_equal(rebuilt.toarray(), matrix.toarray())
+
+    def test_reads_the_buffers_in_place(self):
+        matrix = sp.csr_matrix(np.array([[0, 2.0], [3.0, 0]]))
+        rebuilt = csr_from_buffers(*_family(matrix), matrix.shape)
+        assert np.shares_memory(rebuilt.data, matrix.data)
+        assert np.shares_memory(rebuilt.indices, matrix.indices)
+        assert np.shares_memory(rebuilt.indptr, matrix.indptr)
+
+    def test_read_only_buffers_serve_products(self):
+        # The on-disk graph hands over read-only memory-mapped views.
+        matrix = sp.csr_matrix(np.array([[0, 2.0], [3.0, 0]]))
+        views = []
+        for array in _family(matrix):
+            view = array.view()
+            view.flags.writeable = False
+            views.append(view)
+        rebuilt = csr_from_buffers(*views, matrix.shape)
+        assert np.array_equal(rebuilt @ np.array([1.0, 1.0]), [2.0, 3.0])
+        assert np.array_equal(rebuilt.T @ np.array([1.0, 1.0]), [3.0, 2.0])
+
+    def test_empty_matrix(self):
+        rebuilt = csr_from_buffers(np.zeros(0), np.zeros(0, dtype=np.int32),
+                                   np.zeros(4, dtype=np.int32), (3, 3))
+        assert rebuilt.shape == (3, 3)
+        assert rebuilt.nnz == 0
+
+    def test_rejects_indptr_of_the_wrong_length(self):
+        matrix = sp.csr_matrix(np.eye(3))
+        with pytest.raises(ValidationError, match="indptr"):
+            csr_from_buffers(matrix.data, matrix.indices,
+                             matrix.indptr[:-1], matrix.shape)
+
+    def test_rejects_misaligned_data_and_indices(self):
+        matrix = sp.csr_matrix(np.eye(3))
+        with pytest.raises(ValidationError, match="align"):
+            csr_from_buffers(matrix.data[:-1], matrix.indices,
+                             matrix.indptr, matrix.shape)
+
+    def test_rejects_an_entry_count_indptr_disagrees_with(self):
+        matrix = sp.csr_matrix(np.eye(3))
+        indptr = matrix.indptr.copy()
+        indptr[-1] += 1
+        with pytest.raises(ValidationError, match="stored entries"):
+            csr_from_buffers(matrix.data, matrix.indices, indptr,
+                             matrix.shape)
+
+    def test_rejects_negative_shape(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            csr_from_buffers(np.zeros(0), np.zeros(0), np.zeros(1), (-1, 3))
+
+
+class TestCsrDirectSum:
+    def test_matches_block_diagonal(self):
+        blocks = [sp.csr_matrix(np.array([[0, 1.0], [2.0, 0]])),
+                  sp.csr_matrix(np.array([[5.0]])),
+                  sp.csr_matrix(np.array([[0, 0, 3.0], [0, 0, 0],
+                                          [4.0, 0, 0]]))]
+        direct = csr_direct_sum([_family(block) for block in blocks],
+                                [block.shape for block in blocks])
+        expected = sp.block_diag(blocks, format="csr")
+        assert direct.shape == (6, 6)
+        assert np.array_equal(direct.toarray(), expected.toarray())
+
+    def test_owns_fresh_buffers(self):
+        block = sp.csr_matrix(np.array([[0, 1.0], [2.0, 0]]))
+        direct = csr_direct_sum([_family(block)], [block.shape])
+        assert not np.shares_memory(direct.data, block.data)
+        assert np.array_equal(direct.toarray(), block.toarray())
+
+    def test_rejects_a_family_that_disagrees_with_its_shape(self):
+        block = sp.csr_matrix(np.eye(2))
+        with pytest.raises(ValidationError, match="disagree"):
+            csr_direct_sum([_family(block)], [(3, 3)])
 
 
 class TestEmptyAdjacency:
