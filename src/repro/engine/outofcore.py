@@ -6,8 +6,9 @@ step 4 only the (tiny) SiteGraph, so no step ever needs the global link
 matrix resident.  :func:`rank_outofcore` is the planner's driver with one
 *window* resident at a time: a run of consecutive sites holding at most
 :data:`~repro.engine.plan.BATCH_TARGET_DOCS` documents, or one larger
-site alone.  A window is ONE mapping of its blocks
-(:meth:`~repro.io.diskgraph.DiskGraph.unit_blocks`), one dispatch of the
+site alone.  A window is ONE checked mapping of its rows of the stored
+layout (:meth:`~repro.io.diskgraph.DiskGraph.unit_blocks`, a
+:class:`~repro.web.docgraph.SiteBlocks`), one dispatch of the
 fit's scheduler (:func:`~repro.engine.plan.sites_step`, every site of
 the kind the in-memory plan's solve units give it:
 :func:`plan_solve_units`, :func:`~repro.engine.plan.fuse_schedule` from
@@ -173,7 +174,8 @@ def rank_outofcore(graph: DiskGraph,
     memory one at a time, so memory is bounded per window, in documents
     (at most :data:`~repro.engine.plan.BATCH_TARGET_DOCS`, or one larger
     site).  Each window's blocks are read through one mapping
-    (:meth:`DiskGraph.unit_blocks`), solved as one layout step, its URLs
+    (:meth:`DiskGraph.unit_blocks`; a corrupt one fails the round, and
+    nothing is published), solved as one layout step, its URLs
     gathered as undecoded bytes in one read (:meth:`DiskGraph.url_bytes`)
     and its sites written with one
     :meth:`~repro.io.artifacts.GenerationWriter.append_sites`; the
@@ -264,15 +266,15 @@ def _solve_window(graph: DiskGraph, sites: Sequence[str],
     """
     obs.inc("outofcore_windows_total")
     with obs.span("outofcore.window.map"):
-        blocks = graph.unit_blocks(sites)
+        blocks, preferences = graph.unit_blocks(sites)
         step = sites_step(blocks, range(len(sites)), sites, damping,
-                          fused=fused, preferences=blocks.preferences,
-                          **common)
+                          fused=fused, preferences=preferences, **common)
     with obs.span("outofcore.window.solve"):
         _first, ((scores, iterations, _tail),), n_tasks = \
             solve_layout_steps([(step, None)])
         obs.inc("outofcore_units_total", n_tasks)
-        return step.local_ranks(scores, iterations)
+        return LocalRanks(sites, blocks.order, scores, blocks.offsets,
+                          iterations)
 
 
 __all__ = [

@@ -28,10 +28,9 @@ sites.  Only a site too large to fuse gets a task of its own, a lazy
 reference into the layout.  A fit, the segment pass, the incremental
 refresh and :func:`~repro.web.docrank.all_local_docranks` build their
 step with :func:`layout_step`; a subset of sites that must rank as the
-whole web's fit ranks them — a simulated or live peer's sites, a window
-of mapped disk blocks (:class:`~repro.io.diskgraph.UnitBlocks`) in the
-out-of-core round — with :func:`sites_step`, which keeps every site's
-whole-web kind.
+whole web's fit ranks them — a simulated or live peer's sites, a mapped
+window of a disk graph's layout in the out-of-core round — with
+:func:`sites_step`, which keeps every site's whole-web kind.
 
 The per-site builders (:func:`site_tasks_for`, :func:`batch_site_tasks`)
 remain for calibration, over any **block source** (``sites()`` and
@@ -263,8 +262,8 @@ class BatchedSiteTask:
                     n_vectors: int = 1) -> "BatchedSiteTask":
         """Fuse some sites of one site-major layout, named by index.
 
-        One row-range gather of *blocks* (:meth:`SiteBlocks.packed`, or
-        a disk window's :meth:`~repro.io.diskgraph.UnitBlocks.packed`);
+        One row-range gather of *blocks* (:meth:`SiteBlocks.packed`,
+        over a DocGraph's layout or a mapped disk window);
         *sites* names the blocks at *indices*.  *starts* / *preferences*,
         when given, hold one optional vector (or ``(n, K)`` matrix) per
         entry of *indices* and are validated and packed alongside.
@@ -420,8 +419,7 @@ def site_tasks_for(source, damping: float = DEFAULT_DAMPING, *,
     out: a DocGraph's lazy reference into its one
     :meth:`~repro.web.docgraph.DocGraph.site_blocks` snapshot (no matrix is
     cut per site; later graph mutations do not reach the tasks) or a
-    disk graph's mapped views, unmapped when the tasks and their source
-    are dropped.  *warm*
+    disk graph's block, gathered from its mapped window.  *warm*
     seeds each task's start from the previously converged values; with
     ``n_vectors = K > 1`` preferences and starts are ``(n, K)`` matrices.
     """
@@ -517,9 +515,8 @@ class _LayoutStep:
     """Step 3 over some sites of a site-major layout.
 
     ``blocks`` is a DocGraph's :class:`~repro.web.docgraph.SiteBlocks` or
-    a window of disk blocks (:class:`~repro.io.diskgraph.UnitBlocks`);
-    both answer ``offsets``, ``doc_ids``, ``site_doc_ids(index)``,
-    ``nnz``, ``block(index)`` and ``packed(indices)``.  ``indices`` are
+    a disk graph's mapped window of it; every block the step takes, fused
+    or dedicated, is one ``blocks.packed`` gather.  ``indices`` are
     the layout indices of the sites solved, in schedule order, ``sites``
     their names.  ``starts`` / ``preferences`` hold one optional vector
     (``(n, K)`` matrix for ``n_vectors = K > 1``) per site, or are
@@ -706,7 +703,7 @@ def sites_step(blocks, indices: Sequence[int], sites: Sequence[str],
     """Step 3 over some sites of a layout, each of its whole-web kind.
 
     *blocks* is a DocGraph's :class:`~repro.web.docgraph.SiteBlocks` or a
-    window of disk blocks (:class:`~repro.io.diskgraph.UnitBlocks`);
+    disk graph's mapped window of it (:meth:`DiskGraph.unit_blocks`);
     *indices* are the layout indices of the sites solved, *sites* their
     names.  *fused* says per site whether :func:`fuse_schedule` over the
     whole web fuses it; by default it is read off the schedule of every

@@ -1,29 +1,25 @@
 """On-disk, memory-mapped graph store for out-of-core ranking.
 
-A *disk graph* is one versioned directory persisting exactly the buffer
-families the engine already works with in RAM:
-
-* per-site local adjacency blocks — the ``(data, indices, indptr)`` CSR
-  triples :meth:`repro.web.docgraph.DocGraph.local_adjacency` extracts;
-* the aggregated :class:`~repro.web.sitegraph.SiteGraph` (one more CSR
-  family plus the site-size vector);
-* per-site document-id vectors, optional preference vectors, and the
-  document table (URL blob + offsets, site index, dynamic flags).
+A *disk graph* is one versioned directory persisting what the engine
+works with in RAM: the site-major block layout of the intra-site links
+(:meth:`repro.web.docgraph.DocGraph.site_blocks` — its ``matrix``'s
+``data`` / ``indices`` / ``indptr``, its ``order`` and its ``n_sites + 1``
+``offsets``; document preferences, if any, as one site-major vector and
+one flag per site), the aggregated :class:`~repro.web.sitegraph.SiteGraph`
+(one more CSR family) and the document table (URL blob + offsets, site
+index, dynamic flags).
 
 All arrays live back to back in a single ``blocks.bin``, placed by the
 :class:`~repro.linalg.layout.BumpLayout` codec, and a ``manifest.json``
 (written atomically via :func:`repro.io.serialization.save_json`) records
-each array's dtype, byte offset and element count.  Readers rebuild every
-matrix zero-copy with ``np.frombuffer`` views of one ``mmap`` +
-:func:`repro.linalg.sparse_utils.csr_from_buffers`: opening a disk graph
-faults in manifest-sized metadata only, and ranking it touches one window
-of sites at a time.  :meth:`DiskGraph.unit_blocks` maps the byte range
-holding a window's arrays *once* and answers every site of the window
-from that one mapping; :meth:`DiskGraph.url_bytes` gathers many
-documents' URLs as one undecoded UTF-8 blob plus per-document lengths
-(one mapping of the URL table, one vectorised gather), which is what the
-artifact writer copies into a generation — URLs never become Python
-strings on the rank path.
+scalars, the site names and each array's dtype, byte offset and element
+count — nothing per site.  :meth:`DiskGraph.unit_blocks` maps a window
+of consecutive sites *once* and answers the
+:class:`~repro.web.docgraph.SiteBlocks` a DocGraph's layout is, so one
+step-3 scheduler serves both; :meth:`DiskGraph.url_bytes` gathers many
+documents' URLs as one undecoded UTF-8 blob plus per-document lengths,
+which is what the artifact writer copies into a generation — URLs never
+become Python strings on the rank path.
 
 Two build paths exist:
 
@@ -32,15 +28,15 @@ Two build paths exist:
 * :class:`DiskGraphBuilder` — the streaming path behind
   ``repro rank --on-disk``: it ingests an edge list chunk by chunk,
   keeping only O(distinct URL spellings) vertex metadata resident while
-  intra-site edges spill to bucketed temporary files, and emits the site
-  blocks bucket by bucket at :meth:`~DiskGraphBuilder.finalize` — the
+  intra-site edges spill to bucketed temporary files, and lays the site
+  blocks out bucket by bucket at :meth:`~DiskGraphBuilder.finalize` — the
   full web's edge set is never materialised in memory.
 
 The builder holds the same
 :class:`~repro.web.registry.DocumentRegistry` a :class:`DocGraph` does
 (first-seen ids, URL normalisation, host-based site extraction), so a
-streamed build of an edge list is block-for-block identical to writing
-the equivalent in-memory DocGraph.
+streamed build of an edge list is byte-for-byte a :func:`write_diskgraph`
+of the equivalent in-memory DocGraph.
 """
 
 from __future__ import annotations
@@ -49,21 +45,17 @@ import json
 import mmap
 import os
 import tempfile
-from functools import cached_property
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .. import obs
 from ..exceptions import GraphStructureError, ValidationError
 from ..linalg.layout import ALIGNMENT, BumpLayout
-from ..linalg.sparse_utils import (
-    coo_from_edges,
-    csr_direct_sum,
-    csr_from_buffers,
-)
-from ..web.docgraph import DocGraph, Document, block_rows
+from ..linalg.sparse_utils import coo_from_edges, csr_from_buffers
+from ..web.docgraph import DocGraph, SiteBlocks
 from ..web.registry import DocumentRegistry
 from ..web.sitegraph import SiteGraph, aggregate_sitegraph
 from .edgelist import record_ingest
@@ -72,8 +64,10 @@ from .serialization import load_json, save_json
 #: ``format`` field every disk-graph manifest must carry.
 FORMAT_NAME = "repro-diskgraph"
 
-#: Current (and only) manifest schema version.
-FORMAT_VERSION = 1
+#: Current (and only) manifest schema version.  Version 1 kept one CSR
+#: family per site; nothing persists a disk graph between runs (``repro
+#: rank --on-disk`` rebuilds its graph), so it is not read: rebuild.
+FORMAT_VERSION = 2
 
 #: File names inside a disk-graph directory.
 MANIFEST_FILE = "manifest.json"
@@ -104,9 +98,15 @@ def _spec(dtype: np.dtype, offset: int, count: int) -> Dict[str, object]:
 _FLOAT = (np.dtype(np.float64).str,)
 _INDEX = (np.dtype(np.int32).str, np.dtype(np.int64).str)
 _ID = (np.dtype(np.int64).str,)
-_DOCUMENT_DTYPES = {"url_blob": ("|u1",), "url_offsets": _ID,
+_FLAG = ("|u1",)
+_BLOCK_DTYPES = {"data": _FLOAT, "indices": _INDEX, "indptr": _INDEX,
+                 "order": _ID, "offsets": _ID, "preference": _FLOAT,
+                 "personalized": _FLAG}
+_OPTIONAL = ("preference", "personalized")
+_CSR_DTYPES = {"data": _FLOAT, "indices": _INDEX, "indptr": _INDEX}
+_DOCUMENT_DTYPES = {"url_blob": _FLAG, "url_offsets": _ID,
                     "doc_sites": (np.dtype(np.int32).str,),
-                    "is_dynamic": ("|u1",)}
+                    "is_dynamic": _FLAG}
 
 
 def _is_count(value: object) -> bool:
@@ -153,10 +153,17 @@ class _BlockWriter:
 
     def write_array(self, array) -> Dict[str, object]:
         array = np.ascontiguousarray(array)
-        offset = self._layout.place(array.nbytes)
+        return self.write_pieces(array.dtype, array.size, [array])
+
+    def write_pieces(self, dtype, count: int,
+                     pieces: Iterable[np.ndarray]) -> Dict[str, object]:
+        """Place one array of *count* elements and write it piece by piece."""
+        dtype = np.dtype(dtype)
+        offset = self._layout.place(count * dtype.itemsize)
         self._handle.seek(offset)
-        array.tofile(self._handle)
-        return _spec(array.dtype, offset, array.size)
+        for piece in pieces:
+            self._handle.write(np.ascontiguousarray(piece, dtype=dtype))
+        return _spec(dtype, offset, count)
 
     def write_csr(self, matrix) -> Dict[str, object]:
         csr = matrix.tocsr()
@@ -190,10 +197,9 @@ class DiskGraph:
     call, however many arrays it answers with — and holds no mapping
     itself: when the caller drops the returned arrays the pages are
     unmapped, so streaming over the windows keeps process RSS bounded by
-    one window regardless of graph size.  Manifest problems (missing
-    files, truncated blocks, unknown versions, corrupt JSON) raise
-    :class:`~repro.exceptions.ValidationError` at open time; a corrupt
-    URL table raises it when read.
+    one window regardless of graph size.  A bad manifest or site offsets
+    raise :class:`~repro.exceptions.ValidationError` at open time, bad
+    block rows when their window is mapped, a bad URL table when read.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -216,9 +222,10 @@ class DiskGraph:
         if manifest.get("version") != FORMAT_VERSION:
             raise ValidationError(
                 f"unsupported disk-graph version {manifest.get('version')!r} "
-                f"(this build reads version {FORMAT_VERSION})")
+                f"(this build reads version {FORMAT_VERSION}): rebuild the "
+                f"graph from its edge list")
         for key in ("blocks_file", "n_documents", "n_links", "sites",
-                    "sitegraph", "documents"):
+                    "blocks", "sitegraph", "documents"):
             if key not in manifest:
                 raise ValidationError(
                     f"disk-graph manifest is missing {key!r}")
@@ -230,78 +237,66 @@ class DiskGraph:
             raise ValidationError(
                 f"disk graph {self._path!r} is missing its block file "
                 f"{manifest['blocks_file']!r}") from None
-        if not isinstance(manifest["sites"], list):
-            raise ValidationError("disk-graph manifest: sites must be a list")
-        self._entries: Dict[str, dict] = {}
-        id_ranges = []
-        for entry in manifest["sites"]:
-            if not isinstance(entry, dict) or "site" not in entry:
-                raise ValidationError(
-                    "disk-graph manifest: malformed site entry")
-            site = str(entry["site"])
-            if site in self._entries:
-                raise ValidationError(
-                    f"disk-graph manifest: duplicate site {site!r}")
-            ids = _check_spec(entry.get("doc_ids"), self._blocks_nbytes,
-                              f"site {site!r} doc_ids", _ID)
-            self._check_csr(entry.get("adjacency"), f"site {site!r}",
-                            ids["count"])
-            if entry.get("preference") is not None:
-                _check_spec(entry["preference"], self._blocks_nbytes,
-                            f"site {site!r} preference", _FLOAT)
-            if ids["count"]:
-                id_ranges.append((ids["offset"],
-                                  ids["offset"] + 8 * ids["count"]))
-            self._entries[site] = entry
-        id_ranges.sort()
-        if any(end > start for (_, end), (start, _)
-               in zip(id_ranges, id_ranges[1:])):
+        sites, n = manifest["sites"], manifest["n_documents"]
+        if not isinstance(sites, list) \
+                or not all(isinstance(site, str) for site in sites) \
+                or len(set(sites)) != len(sites) or not _is_count(n):
             raise ValidationError(
-                "disk-graph manifest: two sites share a doc-id range")
-        sizes = self.site_sizes()
-        if not _is_count(manifest["n_documents"]) \
-                or sum(sizes.values()) != manifest["n_documents"]:
-            raise ValidationError(
-                f"disk-graph manifest: n_documents must be the sites' "
-                f"{sum(sizes.values())} documents, got "
-                f"{manifest['n_documents']!r}")
+                "disk-graph manifest: sites must be a list of distinct names "
+                f"and n_documents a count, not {n!r}")
         sitegraph = manifest["sitegraph"]
-        if not isinstance(sitegraph, dict):
+        family = sitegraph.get("adjacency") \
+            if isinstance(sitegraph, dict) else None
+        if not isinstance(family, dict) \
+                or family.get("shape") != [len(sites)] * 2:
             raise ValidationError(
-                "disk-graph manifest: sitegraph must be an object")
-        self._check_csr(sitegraph.get("adjacency"), "sitegraph", len(sizes))
-        site_sizes = sitegraph.get("site_sizes")
-        if not isinstance(site_sizes, list) or len(site_sizes) != len(sizes) \
-                or not all(map(_is_count, site_sizes)):
+                "disk-graph manifest: sitegraph.adjacency must be a CSR "
+                "family of one row and column per site")
+        specs: Dict[str, Dict[str, object]] = {}
+        for group, table, roles in (
+                ("blocks", manifest["blocks"], _BLOCK_DTYPES),
+                ("documents", manifest["documents"], _DOCUMENT_DTYPES),
+                ("sitegraph", family, _CSR_DTYPES)):
+            if not isinstance(table, dict):
+                raise ValidationError(
+                    f"disk-graph manifest: {group} must be an object")
+            for name, dtypes in roles.items():
+                if name not in _OPTIONAL or table.get(name) is not None:
+                    specs[f"{group}.{name}"] = _check_spec(
+                        table.get(name), self._blocks_nbytes,
+                        f"{group}.{name}", dtypes)
+        expected = {
+            "blocks.order": n, "blocks.indptr": n + 1,
+            "blocks.offsets": len(sites) + 1,
+            "blocks.indices": specs["blocks.data"]["count"],
+            "blocks.preference": n, "blocks.personalized": len(sites),
+            "documents.url_offsets": n + 1, "documents.doc_sites": n,
+            "documents.is_dynamic": n, "sitegraph.indptr": len(sites) + 1,
+            "sitegraph.indices": specs["sitegraph.data"]["count"]}
+        for name, spec in specs.items():
+            if spec["count"] != expected.get(name, spec["count"]):
+                raise ValidationError(
+                    f"disk-graph manifest: {name} must hold "
+                    f"{expected[name]} entries, not {spec['count']}")
+        if ("blocks.preference" in specs) != ("blocks.personalized" in specs) \
+                or specs["blocks.indptr"]["dtype"] \
+                != specs["blocks.indices"]["dtype"]:
             raise ValidationError(
-                "disk-graph manifest: sitegraph.site_sizes must list one "
-                "document count per site")
-        documents = manifest["documents"]
-        if not isinstance(documents, dict):
+                "disk-graph manifest: preferences come with their flags, "
+                "and indptr and indices share one index dtype")
+        # O(sites) arrays, read (not mapped) once.
+        self._offsets = self._read(specs["blocks.offsets"])
+        self._personalized = self._read(specs["blocks.personalized"]) != 0 \
+            if "blocks.personalized" in specs \
+            else np.zeros(len(sites), dtype=bool)
+        if self._offsets[0] != 0 or self._offsets[-1] != n \
+                or np.any(np.diff(self._offsets) < 0):
             raise ValidationError(
-                "disk-graph manifest: documents must be an object")
-        for key, dtypes in _DOCUMENT_DTYPES.items():
-            _check_spec(documents.get(key), self._blocks_nbytes,
-                        f"documents.{key}", dtypes)
-        if documents["url_offsets"]["count"] != manifest["n_documents"] + 1:
-            raise ValidationError(
-                "disk-graph manifest: documents.url_offsets must hold "
-                "n_documents + 1 offsets")
+                f"disk graph {self._path!r}: blocks.offsets must ascend "
+                f"from 0 to the {n} documents")
+        self._sites = sites
+        self._site_index = {site: index for index, site in enumerate(sites)}
         self._manifest = manifest
-
-    def _check_csr(self, family: object, what: str, n: int) -> None:
-        """One square CSR family of *n* rows, as ``write_csr`` lays it out."""
-        if not isinstance(family, dict) or family.get("shape") != [n, n]:
-            raise ValidationError(
-                f"{what}: CSR family must have shape [{n}, {n}]")
-        specs = [_check_spec(family.get(name), self._blocks_nbytes,
-                             f"{what} {name}", dtypes)
-                 for name, dtypes in (("data", _FLOAT), ("indices", _INDEX),
-                                      ("indptr", _INDEX))]
-        if specs[0]["count"] != specs[1]["count"] \
-                or specs[2]["count"] != n + 1:
-            raise ValidationError(
-                f"{what}: CSR arrays disagree with shape [{n}, {n}]")
 
     # ------------------------------------------------------------------ #
     # Mapping primitives
@@ -317,11 +312,11 @@ class DiskGraph:
         empty arrays map nothing (no mapping: ``None``).
         """
         live = [spec for spec in specs if spec is not None and spec["count"]]
-        views: List[Optional[np.ndarray]] = []
         region, start = None, 0
         if live:
             start = min(int(spec["offset"]) for spec in live)
-            stop = max(_end(spec) for spec in live)
+            stop = max(int(spec["offset"]) + int(spec["count"])
+                       * np.dtype(spec["dtype"]).itemsize for spec in live)
             # mmap offsets must sit on the allocation granularity.
             start -= start % mmap.ALLOCATIONGRANULARITY
             descriptor = os.open(self._blocks_path,
@@ -331,20 +326,20 @@ class DiskGraph:
                                    access=mmap.ACCESS_READ)
             finally:
                 os.close(descriptor)
-            mapping = np.frombuffer(region, dtype=np.uint8)
             obs.inc("diskgraph_mappings_total")
-        for spec in specs:
-            if spec is None:
-                views.append(None)
-                continue
-            dtype, count = np.dtype(spec["dtype"]), int(spec["count"])
-            if count == 0:
-                views.append(np.empty(0, dtype=dtype))
-                continue
-            begin = int(spec["offset"]) - start
-            views.append(mapping[begin:begin + count * dtype.itemsize]
-                         .view(dtype))
-        return views, region, start
+        # One buffer per array: scipy copies a CSR array that is a small
+        # view of a larger one.
+        return [None if spec is None
+                else np.empty(0, dtype=spec["dtype"]) if not spec["count"]
+                else np.frombuffer(region, dtype=spec["dtype"],
+                                   count=int(spec["count"]),
+                                   offset=int(spec["offset"]) - start)
+                for spec in specs], region, start
+
+    def _read(self, spec: Dict[str, object]) -> np.ndarray:
+        """One manifest array read into RAM (no mapping)."""
+        return np.fromfile(self._blocks_path, dtype=spec["dtype"],
+                           count=spec["count"], offset=spec["offset"])
 
     def _map(self, spec: Dict[str, object]) -> np.ndarray:
         """A fresh read-only mapping of one manifest array."""
@@ -376,64 +371,136 @@ class DiskGraph:
     @property
     def n_sites(self) -> int:
         """Number of web sites ``N_S``."""
-        return len(self._entries)
+        return len(self._sites)
 
     def sites(self) -> List[str]:
         """All site identifiers, in first-seen order."""
-        return list(self._entries)
+        return list(self._sites)
 
     def site_sizes(self) -> Dict[str, int]:
         """``size(s)`` for every site."""
-        return {site: int(entry["doc_ids"]["count"])
-                for site, entry in self._entries.items()}
+        return dict(zip(self._sites, np.diff(self._offsets).tolist()))
 
-    def _entry(self, site: str) -> dict:
+    def _index(self, site: str) -> int:
         try:
-            return self._entries[site]
+            return self._site_index[site]
         except KeyError:
             raise GraphStructureError(f"unknown site {site!r}") from None
 
+    def _rows(self, name: str, site: str) -> np.ndarray:
+        """A fresh mapping of one site's rows of a site-major array."""
+        index = self._index(site)
+        low, high = self._offsets[index:index + 2].tolist()
+        return self._map(self._manifest["blocks"][name])[low:high]
+
     def doc_ids_of(self, site: str) -> np.ndarray:
         """One site's global document ids (fresh int64 memmap)."""
-        return self._map(self._entry(site)["doc_ids"])
+        return self._rows("order", site)
 
     def local_block(self, site: str) -> Tuple[object, np.ndarray]:
         """One site's ``(local CSR, doc-id vector)`` over one fresh mapping.
 
-        Dropping the returned objects unmaps the block.  The out-of-core
-        engine reads a whole window through :meth:`unit_blocks` instead.
+        The block is gathered into fresh buffers.  The out-of-core engine
+        reads a whole window through :meth:`unit_blocks` instead.
         """
-        unit = self.unit_blocks([site])
-        return unit.block(0), unit.doc_ids
+        blocks, _preferences = self.unit_blocks([site])
+        return blocks.block(0), blocks.order
 
-    def unit_blocks(self, sites: Sequence[str]) -> "UnitBlocks":
-        """The layout of one out-of-core window: its sites, one mapping."""
-        return UnitBlocks(self, sites)
+    def unit_blocks(self, sites: Sequence[str]
+                    ) -> Tuple[SiteBlocks, List[Optional[np.ndarray]]]:
+        """A window of consecutive *sites* over ONE mapping: its
+        :class:`~repro.web.docgraph.SiteBlocks` (a gather advises the
+        gathered rows' pages away) and one preference view or ``None``
+        per site.  One vectorised pass checks the rows before anything
+        solves — ``indptr`` ascends inside the entries, every column lies
+        in its row's site block, each site's ids ascend inside
+        ``[0, n_documents)`` and belong to it — and raises
+        :class:`~repro.exceptions.ValidationError` naming the window.
+        """
+        first = self._index(sites[0]) if len(sites) else 0
+        last = first + len(sites)
+        if not len(sites) or self._sites[first:last] != list(sites):
+            raise ValidationError(
+                "a window must be a run of consecutive sites, in order")
+        offsets = self._offsets[first:last + 1]
+        low, high = int(offsets[0]), int(offsets[-1])
+        specs = self._manifest["blocks"]
+        flags = self._personalized[first:last]
+        views, region, start = self._map_arrays([
+            specs["data"], specs["indices"], specs["indptr"], specs["order"],
+            specs["preference"] if flags.any() else None,
+            self._manifest["documents"]["doc_sites"]])
+        data, indices, indptr, order, preference, doc_sites = views
+        indptr, order = indptr[low:high + 1], order[low:high]
+        where = (f"disk graph {self._path!r}, sites "
+                 f"{sites[0]!r}..{sites[-1]!r}")
+        if indptr[0] < 0 or indptr[-1] > data.size \
+                or np.any(indptr[1:] < indptr[:-1]):
+            raise ValidationError(
+                f"{where}: blocks.indptr does not ascend inside the entries")
+        entry, count = int(indptr[0]), int(indptr[-1] - indptr[0])
+        bases = [int(specs[name]["offset"]) - start + entry * array.itemsize
+                 for name, array in (("data", data), ("indices", indices))]
+        data, indices = (np.frombuffer(region, dtype=array.dtype, count=count,
+                                       offset=base) if count else array[:0]
+                         for base, array in zip(bases, (data, indices)))
+        indptr = indptr - indptr[0]
+        bounds = indptr[offsets - low]
+        full = np.flatnonzero(np.diff(bounds))
+        if full.size and (
+                np.any(np.minimum.reduceat(indices, bounds[full])
+                       < offsets[full])
+                or np.any(np.maximum.reduceat(indices, bounds[full])
+                          >= offsets[full + 1])):
+            raise ValidationError(
+                f"{where}: a column lies outside its row's site block")
+        site_of_row = np.repeat(np.arange(first, last), np.diff(offsets))
+        if order.size and (
+                order.min() < 0 or order.max() >= self.n_documents
+                or np.any((np.diff(order) <= 0) & (np.diff(site_of_row) == 0))
+                or np.any(doc_sites[order] != site_of_row)):
+            raise ValidationError(
+                f"{where}: blocks.order must list each site's own "
+                f"documents once, ascending")
+
+        def release(low_entry: int, high_entry: int) -> None:
+            # Only whole pages inside the range: a page shared with rows
+            # not gathered yet would fault straight back in.
+            for base, array in zip(bases, (data, indices)):
+                begin = -(-(base + low_entry * array.itemsize)
+                          // mmap.PAGESIZE) * mmap.PAGESIZE
+                end = base + high_entry * array.itemsize
+                end -= end % mmap.PAGESIZE
+                if end > begin and hasattr(region, "madvise"):
+                    region.madvise(mmap.MADV_DONTNEED, begin, end - begin)
+
+        matrix = csr_from_buffers(data, indices, indptr,
+                                  (high - low, self.n_documents))
+        preferences = [preference[offsets[i]:offsets[i + 1]]
+                       if flags[i] else None for i in range(len(sites))]
+        return SiteBlocks(matrix, offsets, order,
+                          release=release), preferences
 
     def personalized_sites(self) -> List[str]:
         """Sites that persist a preference vector (nothing is mapped)."""
-        return [site for site, entry in self._entries.items()
-                if entry.get("preference") is not None]
-
-    def local_adjacency(self, site: str) -> Tuple[object, List[int]]:
-        """Drop-in for :meth:`DocGraph.local_adjacency` (ids as a list)."""
-        matrix, doc_ids = self.local_block(site)
-        return matrix, [int(doc_id) for doc_id in doc_ids]
+        return [self._sites[i] for i in np.flatnonzero(self._personalized)]
 
     def preference(self, site: str) -> Optional[np.ndarray]:
         """One site's persisted preference vector, or ``None``."""
-        spec = self._entry(site).get("preference")
-        return None if spec is None else self._map(spec)
+        if not self._personalized[self._index(site)]:
+            return None
+        return self._rows("preference", site)
 
     def sitegraph(self) -> SiteGraph:
         """The aggregated SiteGraph (adjacency zero-copy over the blocks)."""
         entry = self._manifest["sitegraph"]
         family = entry["adjacency"]
+        views = self._map_arrays([family["data"], family["indices"],
+                                  family["indptr"]])[0]
         return SiteGraph(sites=self.sites(),
-                         adjacency=_csr_over(
-                             family, self._map_arrays(_csr_specs(family))[0]),
-                         site_sizes=[int(size)
-                                     for size in entry["site_sizes"]],
+                         adjacency=csr_from_buffers(
+                             *views, (self.n_sites, self.n_sites)),
+                         site_sizes=np.diff(self._offsets).tolist(),
                          include_self_links=bool(
                              entry.get("include_self_links", False)))
 
@@ -449,20 +516,6 @@ class DiskGraph:
     def url_of(self, doc_id: int) -> str:
         """Canonical URL of one document id."""
         return self.urls_of_positions([doc_id])[0]
-
-    def site_of_document(self, doc_id: int) -> str:
-        """Site identifier of a document id."""
-        doc_id = self._check_doc_id(doc_id)
-        doc_sites = self._map(self._manifest["documents"]["doc_sites"])
-        return self.sites()[int(doc_sites[doc_id])]
-
-    def document(self, doc_id: int) -> Document:
-        """The full :class:`Document` record of one id."""
-        doc_id = self._check_doc_id(doc_id)
-        dynamic = self._map(self._manifest["documents"]["is_dynamic"])
-        return Document(doc_id=doc_id, url=self.url_of(doc_id),
-                        site=self.site_of_document(doc_id),
-                        is_dynamic=bool(dynamic[doc_id]))
 
     def urls_of_positions(self, doc_ids: Sequence[int]) -> List[str]:
         """URLs of many document ids: a decode of :meth:`url_bytes`."""
@@ -542,110 +595,6 @@ class DiskGraph:
                 f"n_documents={self.n_documents}, n_sites={self.n_sites})")
 
 
-class UnitBlocks:
-    """The block source of one out-of-core window, over ONE mapping.
-
-    Every array of the window's sites — CSR family, document ids,
-    preference — is a view of a single mapping of the byte range of
-    ``blocks.bin`` that holds them; dropping the object and every task
-    built from it unmaps the range, so the round's memory is bounded per
-    window, in documents.  It answers what a step-3 layout step reads
-    (:mod:`repro.engine.plan`), as :class:`~repro.web.docgraph.SiteBlocks`
-    does: ``offsets`` (the sites' row boundaries, in the order asked for),
-    ``doc_ids`` (their ids in row order), ``site_doc_ids(index)``,
-    ``nnz``, ``block(index)`` and ``packed(indices)``; plus one optional
-    vector per site in ``preferences``.
-    """
-
-    def __init__(self, graph: DiskGraph, sites: Sequence[str]) -> None:
-        entries = [graph._entry(site) for site in sites]
-        specs: List[Optional[Dict[str, object]]] = []
-        for entry in entries:
-            specs += _csr_specs(entry["adjacency"]) + [
-                entry["doc_ids"], entry.get("preference")]
-        views, self._region, self._start = graph._map_arrays(specs)
-        self._specs = specs
-        # Five views per site: data, indices, indptr, doc ids, preference.
-        # A CSR object is only built for a block handed out alone.
-        self._families = [views[at:at + 3] for at in range(0, len(views), 5)]
-        self._ids = views[3::5]
-        self.preferences = views[4::5]
-        self.offsets = np.zeros(len(entries) + 1, dtype=np.int64)
-        np.cumsum([entry["doc_ids"]["count"] for entry in entries],
-                  out=self.offsets[1:])
-        self.nnz = np.array([family[0].size for family in self._families],
-                            dtype=np.int64)
-
-    @cached_property
-    def doc_ids(self) -> np.ndarray:
-        """Every site's document ids in row order (one ``int64`` copy)."""
-        return np.concatenate(self._ids)
-
-    def site_doc_ids(self, index: int) -> Tuple[int, ...]:
-        """One site's document ids as Python ints, in row order."""
-        return tuple(self._ids[index].tolist())
-
-    def block(self, index: int):
-        """One site's block as stored: a CSR over the mapped views."""
-        size = int(self.offsets[index + 1] - self.offsets[index])
-        return csr_from_buffers(*self._families[index], (size, size))
-
-    def packed(self, indices: Sequence[int]
-               ) -> Tuple[object, np.ndarray, np.ndarray]:
-        """``(matrix, offsets, doc_ids)`` of some sites' blocks, packed.
-
-        The blocks are concatenated into one block-diagonal CSR in fresh
-        buffers and canonicalised — one block as much as several — as
-        :func:`~repro.linalg.sparse_utils.block_diagonal` canonicalises;
-        their mapped pages are then released (:meth:`_release`), so a
-        fused site is resident once, as the packed copy.
-        """
-        rows, offsets = block_rows(self.offsets, indices)
-        matrix = csr_direct_sum(
-            [self._families[index] for index in indices],
-            [(size, size) for size in np.diff(offsets).tolist()])
-        # Rows never cross blocks: the packed matrix is canonical exactly
-        # when every block is, and summing its duplicates canonicalises
-        # each block in place.
-        if not matrix.has_canonical_format:
-            matrix.sum_duplicates()
-        doc_ids = self.doc_ids[rows]
-        self._release(indices)
-        return matrix, offsets, doc_ids
-
-    def _release(self, indices: Sequence[int]) -> None:
-        """Advise the mapped pages of some packed sites' blocks away.
-
-        The mapping lives as long as the window's step, which solves over
-        the packed copy; a page read again faults back in from the file.
-        """
-        if not hasattr(self._region, "madvise"):
-            return
-        for index in indices:
-            family = [spec for spec in self._specs[5 * index:5 * index + 3]
-                      if spec["count"]]
-            low = min(int(spec["offset"]) for spec in family) - self._start
-            low -= low % mmap.PAGESIZE
-            high = max(_end(spec) for spec in family) - self._start
-            self._region.madvise(mmap.MADV_DONTNEED, low, high - low)
-
-
-def _end(spec: Dict[str, object]) -> int:
-    """The file offset just past a manifest array."""
-    return int(spec["offset"]) + int(spec["count"]) * np.dtype(
-        spec["dtype"]).itemsize
-
-
-def _csr_specs(family: Dict[str, object]) -> List[Dict[str, object]]:
-    # Canonical family order (layout.CSR_FAMILY): data, indices, indptr.
-    return [family["data"], family["indices"], family["indptr"]]
-
-
-def _csr_over(family: Dict[str, object], views: Sequence[np.ndarray]):
-    return csr_from_buffers(*views,
-                            tuple(int(size) for size in family["shape"]))
-
-
 def open_diskgraph(path: str | os.PathLike) -> DiskGraph:
     """Open (and validate) a disk-graph directory."""
     return DiskGraph(path)
@@ -655,9 +604,12 @@ def open_diskgraph(path: str | os.PathLike) -> DiskGraph:
 # Shared manifest/block emission
 # --------------------------------------------------------------------- #
 
-def _write_store(path: str, writer_fill: Callable[[_BlockWriter], dict]
-                 ) -> DiskGraph:
-    """Write blocks + manifest with crash-safe ordering.
+def _write_store(path: str, registry: DocumentRegistry, n_links: int,
+                 write_blocks: Callable[[_BlockWriter], dict],
+                 site_adjacency, include_self_links: bool) -> DiskGraph:
+    """Write the site-major *write_blocks*, the SiteGraph, the document
+    table and the manifest — both build paths, field for field — with
+    crash-safe ordering.
 
     Blocks are written to a temporary sibling and renamed into place
     *before* the manifest (itself atomic write-then-rename with a parent
@@ -670,14 +622,33 @@ def _write_store(path: str, writer_fill: Callable[[_BlockWriter], dict]
     os.close(fd)
     writer = _BlockWriter(tmp_blocks)
     try:
-        manifest = writer_fill(writer)
-        manifest.update({
+        blocks = write_blocks(writer)
+        family = writer.write_csr(site_adjacency)
+        encoded = [url.encode("utf-8") for url in registry.urls]
+        url_offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+        np.cumsum([len(blob) for blob in encoded], out=url_offsets[1:])
+        manifest = {
+            "n_documents": len(registry),
+            "n_links": int(n_links),
+            "sites": list(registry.sites),
+            "blocks": blocks,
+            "sitegraph": {"adjacency": family,
+                          "include_self_links": bool(include_self_links)},
+            "documents": {
+                "url_blob": writer.write_array(
+                    np.frombuffer(b"".join(encoded), dtype=np.uint8)),
+                "url_offsets": writer.write_array(url_offsets),
+                "doc_sites": writer.write_array(
+                    np.asarray(registry.doc_site, dtype=np.int32)),
+                "is_dynamic": writer.write_array(
+                    np.asarray(registry.dynamic, dtype=np.uint8)),
+            },
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
             "alignment": ALIGNMENT,
             "blocks_file": BLOCKS_FILE,
             "blocks_nbytes": writer.nbytes,
-        })
+        }
         writer.close()
         os.replace(tmp_blocks, os.path.join(path, BLOCKS_FILE))
     except BaseException:
@@ -694,78 +665,52 @@ def _write_store(path: str, writer_fill: Callable[[_BlockWriter], dict]
     return DiskGraph(path)
 
 
-def _document_table(writer: _BlockWriter, urls: Sequence[str],
-                    site_indices: Sequence[int],
-                    dynamic_flags: Sequence[bool]) -> dict:
-    encoded = [url.encode("utf-8") for url in urls]
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum([len(blob) for blob in encoded], out=offsets[1:])
-    blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    return {
-        "url_blob": writer.write_array(blob),
-        "url_offsets": writer.write_array(offsets),
-        "doc_sites": writer.write_array(
-            np.asarray(site_indices, dtype=np.int32)),
-        "is_dynamic": writer.write_array(
-            np.asarray(dynamic_flags, dtype=np.uint8)),
-    }
-
-
 def write_diskgraph(docgraph: DocGraph, path: str | os.PathLike, *,
                     preferences: Optional[Dict[str, np.ndarray]] = None,
                     include_site_self_links: bool = False) -> DiskGraph:
     """Persist an in-memory :class:`DocGraph` as a disk graph.
 
+    The blocks are :meth:`DocGraph.site_blocks` as it stands.
     *preferences* optionally maps sites to local preference vectors (the
     per-document personalisation the out-of-core solve should use).
     """
     if docgraph.n_documents == 0:
         raise GraphStructureError("cannot persist an empty DocGraph")
-    path = os.fspath(path)
     preferences = preferences or {}
-    unknown = set(preferences) - set(docgraph.sites())
+    site_index = docgraph.registry.site_index
+    unknown = set(preferences) - set(site_index)
     if unknown:
         raise ValidationError(
             f"preferences reference unknown sites: {sorted(unknown)!r}")
+    layout = docgraph.site_blocks()
+    offsets = layout.offsets
+    vector = np.zeros(docgraph.n_documents)
+    flags = np.zeros(docgraph.n_sites, dtype=np.uint8)
+    for site, preference in preferences.items():
+        if preference is not None:
+            index = site_index[site]
+            low, high = offsets[index:index + 2].tolist()
+            preference = np.asarray(preference, dtype=float).ravel()
+            if preference.size != high - low:
+                raise ValidationError(
+                    f"preference for site {site!r} has length "
+                    f"{preference.size}, expected {high - low}")
+            vector[low:high], flags[index] = preference, 1
 
-    def fill(writer: _BlockWriter) -> dict:
-        entries = []
-        for site in docgraph.sites():
-            local, doc_ids = docgraph.local_adjacency(site)
-            entry = {
-                "site": site,
-                "adjacency": writer.write_csr(local),
-                "doc_ids": writer.write_array(
-                    np.asarray(doc_ids, dtype=np.int64)),
-                "preference": None,
-            }
-            preference = preferences.get(site)
-            if preference is not None:
-                vector = np.ascontiguousarray(preference,
-                                              dtype=float).ravel()
-                if vector.size != len(doc_ids):
-                    raise ValidationError(
-                        f"preference for site {site!r} has length "
-                        f"{vector.size}, expected {len(doc_ids)}")
-                entry["preference"] = writer.write_array(vector)
-            entries.append(entry)
-        sitegraph = aggregate_sitegraph(
-            docgraph, include_self_links=include_site_self_links)
-        return {
-            "n_documents": docgraph.n_documents,
-            "n_links": docgraph.n_links,
-            "sites": entries,
-            "sitegraph": {
-                "adjacency": writer.write_csr(sitegraph.adjacency),
-                "site_sizes": [int(size) for size in sitegraph.site_sizes],
-                "include_self_links": bool(sitegraph.include_self_links),
-            },
-            "documents": _document_table(
-                writer, docgraph.registry.urls, docgraph.registry.doc_site,
-                docgraph.registry.dynamic),
-        }
+    def write_blocks(writer: _BlockWriter) -> dict:
+        matrix = layout.matrix
+        arrays = [("data", matrix.data), ("indices", matrix.indices),
+                  ("indptr", matrix.indptr), ("order", layout.order),
+                  ("offsets", offsets)]
+        if flags.any():
+            arrays += [("preference", vector), ("personalized", flags)]
+        return {name: writer.write_array(array) for name, array in arrays}
 
-    return _write_store(path, fill)
+    sitegraph = aggregate_sitegraph(
+        docgraph, include_self_links=include_site_self_links)
+    return _write_store(os.fspath(path), docgraph.registry, docgraph.n_links,
+                        write_blocks, sitegraph.adjacency,
+                        sitegraph.include_self_links)
 
 
 # --------------------------------------------------------------------- #
@@ -783,8 +728,8 @@ class DiskGraphBuilder:
     id columns; each chunk is routed with array operations — intra-site
     edges spill to :data:`SPILL_BUCKETS` bucketed temporary files,
     inter-site edges collapse into SiteLink counts.  :meth:`finalize`
-    then emits the per-site CSR blocks one bucket at a time, so peak
-    memory never scales with the edge count.
+    then lays the blocks out one bucket at a time, so peak memory never
+    scales with the edge count.
 
     Document identity is the registry's, i.e. exactly
     :meth:`DocGraph.add_link`'s (normalised URLs, first-seen dense ids,
@@ -896,70 +841,102 @@ class DiskGraphBuilder:
         obs.inc("ingest_spill_bytes_total", block.nbytes)
         self._buffers[bucket] = []
 
-    def _bucket_edges(self, bucket: int) -> np.ndarray:
-        path = self._bucket_files[bucket]
-        if path is None:
-            return np.empty((0, 2), dtype=np.int64)
-        edges = np.fromfile(path, dtype=np.int64)
-        return edges.reshape(-1, 2)
-
     def finalize(self) -> DiskGraph:
-        """Emit site blocks, SiteGraph and document table; return the store."""
+        """Write the store and return it.
+
+        One pass over the spill buckets sorts each bucket's intra-site
+        edges into canonical rows and spills them back as per-site runs,
+        copied into ``blocks.bin`` in site order: memory stays at one
+        bucket's edges plus O(documents) row counts.
+        """
         self._require_open()
-        registry = self._registry
-        if not registry.urls:
+        if not self._registry.urls:
             raise GraphStructureError("cannot persist an empty graph")
         self._finalized = True
-        for bucket in range(SPILL_BUCKETS):
-            self._flush_bucket(bucket)
-        doc_site = np.array(registry.doc_site, dtype=np.int64)
-        n_sites = len(registry.sites)
-
-        def fill(writer: _BlockWriter) -> dict:
-            entries: List[Optional[dict]] = [None] * n_sites
-            for bucket in range(SPILL_BUCKETS):
-                edges = self._bucket_edges(bucket)
-                source_sites = doc_site[edges[:, 0]]
-                for site_index in range(bucket, n_sites, SPILL_BUCKETS):
-                    doc_ids = np.asarray(registry.docs_by_site[site_index],
-                                         dtype=np.int64)
-                    local_edges = edges[source_sites == site_index]
-                    # Site doc ids ascend (assigned in first-seen order),
-                    # so local indices are searchsorted positions — the
-                    # same local order DocGraph.local_adjacency uses.
-                    local = coo_from_edges(
-                        np.searchsorted(doc_ids, local_edges),
-                        int(doc_ids.size))
-                    entries[site_index] = {
-                        "site": registry.sites[site_index],
-                        "adjacency": writer.write_csr(local),
-                        "doc_ids": writer.write_array(doc_ids),
-                        "preference": None,
-                    }
-            codes = np.array(sorted(self._sitelink_counts), dtype=np.int64)
-            site_adjacency = coo_from_edges(
-                np.column_stack((codes >> 32, codes & 0xFFFFFFFF)), n_sites,
-                weights=[float(self._sitelink_counts[code])
-                         for code in codes.tolist()])
-            return {
-                "n_documents": len(registry),
-                "n_links": self._n_links,
-                "sites": entries,
-                "sitegraph": {
-                    "adjacency": writer.write_csr(site_adjacency),
-                    "site_sizes": [len(ids) for ids in registry.docs_by_site],
-                    "include_self_links": self._include_self_links,
-                },
-                "documents": _document_table(
-                    writer, registry.urls, registry.doc_site,
-                    registry.dynamic),
-            }
-
         try:
             with obs.span("ingest.diskgraph.finalize"):
-                return _write_store(self._path, fill)
+                return self._finalize()
         finally:
             self._spill.cleanup()
+
+    def _finalize(self) -> DiskGraph:
+        registry = self._registry
+        for bucket in range(SPILL_BUCKETS):
+            self._flush_bucket(bucket)
+        doc_site = np.frombuffer(registry.doc_site, dtype=np.int64)
+        n, n_sites = len(registry), len(registry.sites)
+        # The numbering SiteBlocks.from_links gives the same documents.
+        order = np.argsort(doc_site, kind="stable")
+        offsets = np.pad(np.cumsum(np.bincount(doc_site, minlength=n_sites)),
+                         (1, 0))
+        position = np.empty_like(order)
+        position[order] = np.arange(n)
+        n_intra = sum(os.path.getsize(path) // 16
+                      for path in self._bucket_files if path is not None)
+        # The index dtype scipy gives the whole layout's CSR.
+        index_dtype = np.dtype(sp.get_index_dtype(maxval=max(n_intra, n)))
+        row_counts = np.zeros(n, dtype=np.int64)
+        # Where each site's entries start in its bucket's runs.
+        run_start = np.zeros(n_sites, dtype=np.int64)
+        for bucket, path in enumerate(self._bucket_files):
+            if path is None:
+                continue
+            edges = np.fromfile(path, dtype=np.int64).reshape(-1, 2)
+            # The bucket's blocks as canonical entries: sorted (row, column)
+            # keys in site-major positions, duplicate links summed.
+            keys, weights = np.unique(position[edges[:, 0]] * n
+                                      + position[edges[:, 1]],
+                                      return_counts=True)
+            rows = keys // n
+            present, per_row = np.unique(rows, return_counts=True)
+            row_counts[present] = per_row
+            here = np.arange(bucket, n_sites, SPILL_BUCKETS)
+            run_start[here] = np.searchsorted(rows, offsets[here])
+            (keys % n).astype(index_dtype).tofile(
+                self._run_path("indices", bucket))
+            weights.astype(np.float64).tofile(self._run_path("data", bucket))
+        indptr = np.pad(np.cumsum(row_counts), (1, 0)).astype(index_dtype)
+        site_nnz = np.diff(indptr[offsets]).tolist()
+
+        def runs(name: str, dtype: np.dtype):
+            """Every site's entries of *name*, copied in site order."""
+            handles = {bucket: open(self._run_path(name, bucket), "rb")
+                       for bucket, path in enumerate(self._bucket_files)
+                       if path is not None}
+            try:
+                for site in np.flatnonzero(site_nnz).tolist():
+                    handle = handles[site % SPILL_BUCKETS]
+                    handle.seek(int(run_start[site]) * dtype.itemsize)
+                    yield np.frombuffer(handle.read(
+                        site_nnz[site] * dtype.itemsize), dtype=dtype)
+            finally:
+                for handle in handles.values():
+                    handle.close()
+
+        def write_blocks(writer: _BlockWriter) -> dict:
+            return {
+                "data": writer.write_pieces(
+                    np.float64, int(indptr[-1]),
+                    runs("data", np.dtype(np.float64))),
+                "indices": writer.write_pieces(
+                    index_dtype, int(indptr[-1]),
+                    runs("indices", index_dtype)),
+                "indptr": writer.write_array(indptr),
+                "order": writer.write_array(order),
+                "offsets": writer.write_array(offsets),
+            }
+
+        codes = np.array(sorted(self._sitelink_counts), dtype=np.int64)
+        site_adjacency = coo_from_edges(
+            np.column_stack((codes >> 32, codes & 0xFFFFFFFF)), n_sites,
+            weights=[float(self._sitelink_counts[code])
+                     for code in codes.tolist()])
+        return _write_store(self._path, registry, self._n_links,
+                            write_blocks, site_adjacency,
+                            self._include_self_links)
+
+    def _run_path(self, name: str, bucket: int) -> str:
+        return os.path.join(self._spill.name, f"run-{name}-{bucket:04d}.bin")
 
     def abort(self) -> None:
         """Discard spill state without writing a store."""
@@ -975,7 +952,6 @@ __all__ = [
     "SPILL_BUCKETS",
     "DiskGraph",
     "DiskGraphBuilder",
-    "UnitBlocks",
     "open_diskgraph",
     "write_diskgraph",
 ]

@@ -141,9 +141,11 @@ def block_diagonal(blocks: Sequence) -> sp.csr_matrix:
     The engine packs per-site adjacencies through the same code
     (:func:`repro.linalg.block_solver.pack_blocks`).
 
-    Blocks that are not canonical CSR (dense input, unsorted or duplicate
-    entries) are converted first; the result (:func:`csr_direct_sum`)
-    always owns fresh buffers.
+    The direct sum of canonical CSR blocks is array concatenation: ``data``
+    as is, ``indices`` shifted by each block's column offset, ``indptr`` by
+    its entry offset.  Blocks that are not canonical CSR (dense input,
+    unsorted or duplicate entries) are converted first; the result always
+    owns fresh buffers.
     """
     if not blocks:
         raise ValidationError("blocks must not be empty")
@@ -154,43 +156,21 @@ def block_diagonal(blocks: Sequence) -> sp.csr_matrix:
             block = block.copy()
             block.sum_duplicates()
         canonical.append(block)
-    return csr_direct_sum(
-        [(block.data, block.indices, block.indptr) for block in canonical],
-        [block.shape for block in canonical])
-
-
-def csr_direct_sum(families: Sequence[Tuple[np.ndarray, np.ndarray,
-                                            np.ndarray]],
-                   shapes: Sequence[Tuple[int, int]]) -> sp.csr_matrix:
-    """The block-diagonal CSR of ``(data, indices, indptr)`` families.
-
-    The direct sum is array concatenation: ``data`` as is, ``indices``
-    shifted by each block's column offset, ``indptr`` by its entry offset,
-    into fresh buffers — no matrix object per block.  Each family is
-    checked as :func:`csr_from_buffers` checks it; it is the caller's to
-    know whether the blocks are canonical.
-    """
-    n_rows = np.array([int(shape[0]) for shape in shapes], dtype=np.int64)
-    n_cols = np.array([int(shape[1]) for shape in shapes], dtype=np.int64)
-    n_entries = np.array([family[0].size for family in families],
-                         dtype=np.int64)
-    for (data, indices, indptr), rows in zip(families, n_rows.tolist()):
-        if indptr.size != rows + 1 or indices.size != data.size \
-                or indptr[0] != 0 or indptr[-1] != data.size:
-            raise ValidationError(
-                "CSR arrays disagree with their shape or entry count")
+    n_rows = np.array([block.shape[0] for block in canonical])
+    n_cols = np.array([block.shape[1] for block in canonical])
+    n_entries = np.array([block.nnz for block in canonical])
     shape = (int(n_rows.sum()), int(n_cols.sum()))
     index_dtype = sp.get_index_dtype(maxval=max(*shape, int(n_entries.sum())))
-    indices = np.concatenate([family[1] for family in families]
+    indices = np.concatenate([block.indices for block in canonical]
                              ).astype(index_dtype, copy=False)
     indices += np.repeat(np.cumsum(n_cols) - n_cols, n_entries
                          ).astype(index_dtype)
     indptr = np.zeros(shape[0] + 1, dtype=index_dtype)
-    np.concatenate([family[2][1:] for family in families],
+    np.concatenate([block.indptr[1:] for block in canonical],
                    out=indptr[1:], casting="unsafe")
     indptr[1:] += np.repeat(np.cumsum(n_entries) - n_entries, n_rows
                             ).astype(index_dtype)
-    data = np.concatenate([family[0] for family in families])
+    data = np.concatenate([block.data for block in canonical])
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 

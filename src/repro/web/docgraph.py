@@ -74,24 +74,38 @@ class SiteBlocks:
     DocGraph once documents are numbered site by site.  ``order`` is that
     numbering (document ids; sites first-seen, each site's ids ascending),
     ``offsets`` the ``n_sites + 1`` block boundaries, ``nnz`` the entries
-    per block and ``matrix`` the ``N x N`` block-diagonal CSR of intra-site
-    link counts in site-major positions, built by one array pass over the
-    links.  A value snapshot: graph mutations build a new object.
+    per block and ``matrix`` the block-diagonal CSR of intra-site link
+    counts in site-major positions.  A value snapshot: graph mutations
+    build a new object.  A DocGraph builds it from its links
+    (:meth:`from_links`); a disk graph maps a window of the one it stores
+    (:meth:`repro.io.diskgraph.DiskGraph.unit_blocks`), whose *matrix*
+    rows start at ``offsets[0] > 0`` of the whole layout's numbering, as
+    its columns do; *release* is then called with the ``[low, high)``
+    entry range of every gather, to advise those pages away.
     """
 
-    def __init__(self, site_of_doc: np.ndarray, n_sites: int,
-                 sources: np.ndarray, targets: np.ndarray) -> None:
-        self.order = np.argsort(site_of_doc, kind="stable")
-        self.offsets = np.pad(
-            np.cumsum(np.bincount(site_of_doc, minlength=n_sites)), (1, 0))
-        self._position = np.empty_like(self.order)
-        self._position[self.order] = np.arange(self.order.size)
+    def __init__(self, matrix: sp.csr_matrix, offsets: np.ndarray,
+                 order: np.ndarray, *, release: Optional[Callable] = None):
+        self.order = order
+        self._origin = int(offsets[0])
+        self.offsets = offsets - self._origin if self._origin else offsets
+        self._release = release
+        self._set_matrix(matrix)
+
+    @classmethod
+    def from_links(cls, site_of_doc: np.ndarray, n_sites: int,
+                   sources: np.ndarray, targets: np.ndarray) -> "SiteBlocks":
+        """The layout of a web's links, built by one array pass."""
+        order = np.argsort(site_of_doc, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
         local = np.flatnonzero(
             site_of_doc.take(sources) == site_of_doc.take(targets))
-        self._set_matrix(coo_from_edges(
-            np.column_stack((self._position.take(sources.take(local)),
-                             self._position.take(targets.take(local)))),
-            self.order.size))
+        return cls(coo_from_edges(
+            np.column_stack((position.take(sources.take(local)),
+                             position.take(targets.take(local)))),
+            order.size), np.pad(np.cumsum(
+                np.bincount(site_of_doc, minlength=n_sites)), (1, 0)), order)
 
     def _set_matrix(self, matrix: sp.csr_matrix) -> None:
         self.matrix = matrix
@@ -104,10 +118,19 @@ class SiteBlocks:
         is shared with (and the matrix of) this object left untouched.
         """
         patched = copy(self)
-        patched._set_matrix(self.matrix + sp.csr_matrix(
+        matrix = self.matrix + sp.csr_matrix(
             ([1.0], ([self._position[source]], [self._position[target]])),
-            shape=self.matrix.shape))
+            shape=self.matrix.shape)
+        # A sum of canonical CSRs is canonical: no gather rescans the web.
+        matrix.has_canonical_format = self.matrix.has_canonical_format
+        patched._set_matrix(matrix)
         return patched
+
+    @cached_property
+    def _position(self) -> np.ndarray:
+        position = np.empty_like(self.order)
+        position[self.order] = np.arange(self.order.size)
+        return position
 
     @cached_property
     def doc_ids(self) -> Tuple[int, ...]:
@@ -129,27 +152,47 @@ class SiteBlocks:
         A row-range gather into fresh buffers: the block-diagonal CSR of
         the named sites (by index, in the order given; index dtype of the
         source), its ``int64`` block boundaries and the document id of
-        every packed row.
+        every packed row; canonicalised, as ``block_diagonal`` would, when
+        the source is not canonical (rows never cross blocks).
         """
-        source = self.matrix
-        rows, offsets = block_rows(self.offsets, sites)
-        # Source entry of every packed entry; columns move by their
-        # row's shift.
-        shift = rows - np.arange(rows.size)
-        counts = source.indptr[rows + 1] - source.indptr[rows]
-        indptr = np.pad(np.cumsum(counts, dtype=counts.dtype), (1, 0))
-        entries = np.arange(indptr[-1]) + np.repeat(
-            source.indptr[rows] - indptr[:-1], counts)
-        columns = source.indices[entries] - np.repeat(shift, counts).astype(
-            source.indices.dtype)
-        matrix = sp.csr_matrix((source.data[entries], columns, indptr),
-                               shape=(rows.size, rows.size))
-        return matrix, offsets, self.order[rows]
+        source, bounds = self.matrix, self.offsets
+        sites = np.asarray(sites, dtype=np.int64)
+        lows, highs = bounds[sites], bounds[sites + 1]
+        offsets = np.concatenate(([0], np.cumsum(highs - lows)))
+        # Sites whose rows follow on are one row range: its entries are one
+        # slice, and its columns move by one shift.
+        starts = np.flatnonzero(np.concatenate(([True],
+                                                lows[1:] != highs[:-1])))
+        runs = [(low, high, at, int(source.indptr[low]),
+                 int(source.indptr[high])) for low, high, at in zip(
+                     lows[starts].tolist(),
+                     highs[np.append(starts[1:], sites.size) - 1].tolist(),
+                     offsets[starts].tolist())]
+        indptr = np.zeros(offsets[-1] + 1, dtype=source.indptr.dtype)
+        data = np.empty(sum(run[4] - run[3] for run in runs))
+        columns = np.empty(data.size, dtype=source.indices.dtype)
+        doc_ids = np.empty(offsets[-1], dtype=self.order.dtype)
+        for low, high, at, first, last in runs:
+            done = int(indptr[at])
+            indptr[at + 1:at + 1 + high - low] = (
+                source.indptr[low + 1:high + 1] - (first - done))
+            data[done:done + last - first] = source.data[first:last]
+            np.subtract(source.indices[first:last], low - at + self._origin,
+                        out=columns[done:done + last - first])
+            doc_ids[at:at + high - low] = self.order[low:high]
+        matrix = sp.csr_matrix((data, columns, indptr),
+                               shape=(offsets[-1],) * 2)
+        if not source.has_canonical_format:
+            matrix.sum_duplicates()
+        if self._release is not None and runs:
+            self._release(min(run[3] for run in runs),
+                          max(run[4] for run in runs))
+        return matrix, offsets, doc_ids
 
 
 class SiteBlockRef:
-    """One site's block of a :class:`SiteBlocks` (or of a disk window,
-    :class:`~repro.io.diskgraph.UnitBlocks`), cut on demand.
+    """One site's block of a :class:`SiteBlocks` (a DocGraph's, or a
+    mapped disk window's), cut on demand.
 
     What a per-site engine task carries in place of a CSR matrix; pickling
     ships the block itself, never the shared layout.
@@ -372,7 +415,7 @@ class DocGraph:
             raise GraphStructureError("DocGraph is empty")
         if self._site_blocks_cache is None:
             with obs.span("plan.site_blocks.build"):
-                self._site_blocks_cache = SiteBlocks(
+                self._site_blocks_cache = SiteBlocks.from_links(
                     self.site_indices(), self.n_sites, *self.edge_arrays())
             obs.inc("site_blocks_builds_total")
         return self._site_blocks_cache

@@ -42,12 +42,28 @@ class TestWriteRoundTrip:
         assert disk.site_sizes() == {
             site: len(web.documents_of_site(site)) for site in web.sites()}
 
-    def test_local_adjacency_matches_docgraph(self, web, disk):
+    def test_local_block_matches_docgraph(self, web, disk):
         for site in web.sites():
             want_matrix, want_ids = web.local_adjacency(site)
-            got_matrix, got_ids = disk.local_adjacency(site)
-            assert got_ids == want_ids
+            got_matrix, got_ids = disk.local_block(site)
+            assert got_ids.tolist() == want_ids
             assert _same_csr(got_matrix, want_matrix)
+
+    def test_blocks_are_the_docgraph_layout(self, web, disk):
+        layout = web.site_blocks()
+        stored = _stored(disk)
+        for name in ("data", "indices", "indptr"):
+            want = getattr(layout.matrix, name)
+            assert stored[name].dtype == want.dtype, name
+            np.testing.assert_array_equal(stored[name], want, err_msg=name)
+        np.testing.assert_array_equal(stored["order"], layout.order)
+        np.testing.assert_array_equal(stored["offsets"], layout.offsets)
+        with open(os.path.join(disk.path, MANIFEST_FILE),
+                  encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert manifest["version"] == 2
+        assert manifest["sites"] == web.sites()
+        assert "preference" not in manifest["blocks"]
 
     def test_sitegraph_matches_docgraph(self, web, disk):
         want = aggregate_sitegraph(web)
@@ -59,8 +75,6 @@ class TestWriteRoundTrip:
         for doc_id in (0, 1, web.n_documents - 1):
             document = web.document(doc_id)
             assert disk.url_of(doc_id) == document.url
-            assert disk.site_of_document(doc_id) == document.site
-            assert disk.document(doc_id).url == document.url
         positions = [3, 0, web.n_documents - 1]
         assert disk.urls_of_positions(positions) == [
             web.document(p).url for p in positions]
@@ -81,7 +95,7 @@ class TestWriteRoundTrip:
 
     def test_unknown_site_raises(self, disk):
         with pytest.raises(GraphStructureError):
-            disk.local_adjacency("no-such-site")
+            disk.local_block("no-such-site")
 
 
 class TestBuilderParity:
@@ -100,8 +114,8 @@ class TestBuilderParity:
         assert streamed.n_links == bulk.n_links
         assert set(streamed.sites()) <= set(bulk.sites())
         for site in streamed.sites():
-            got_matrix, got_ids = streamed.local_adjacency(site)
-            want_matrix, want_ids = bulk.local_adjacency(site)
+            got_matrix, got_ids = streamed.local_block(site)
+            want_matrix, want_ids = bulk.local_block(site)
             got_urls = [streamed.url_of(d) for d in got_ids]
             want_urls = [bulk.url_of(d) for d in want_ids]
             assert got_urls == want_urls
@@ -187,47 +201,56 @@ def _drop(path):
     return edit
 
 
-def _alias_second_site(manifest):
-    """Two site entries pointing at one doc-id range (counts kept summing)."""
-    first, second = manifest["sites"][:2]
-    manifest["n_documents"] += (first["doc_ids"]["count"]
-                                - second["doc_ids"]["count"])
-    second["doc_ids"] = dict(first["doc_ids"])
-    second["adjacency"] = first["adjacency"]
+def _duplicate_site(manifest):
+    manifest["sites"][1] = manifest["sites"][0]
 
 
-#: Manifests a hostile or damaged store could carry.  At the parent of
-#: this test every one of them opened; the first then crashed the
-#: interpreter in ``rank_outofcore`` (object pointers read from file
-#: bytes), the last two ranked "successfully" with duplicated ids.
+def _personalized_without_preference(manifest):
+    manifest["blocks"]["personalized"] = dict(manifest["blocks"]["offsets"])
+
+
+#: Manifests a hostile or damaged store could carry.  Every one must fail
+#: ``open_diskgraph``: mapping file bytes as object pointers crashes the
+#: interpreter on first touch, and counts that disagree cut arrays short.
 HOSTILE_MANIFESTS = [
-    pytest.param(_set(["sites", 0, "doc_ids", "dtype"], "O"),
+    pytest.param(_set(["blocks", "order", "dtype"], "O"),
                  id="object-doc-ids"),
-    pytest.param(_set(["sites", 0, "adjacency", "data", "dtype"], "O"),
+    pytest.param(_set(["blocks", "data", "dtype"], "O"),
                  id="object-adjacency-data"),
-    pytest.param(_set(["sites", 0, "adjacency", "indices", "dtype"], "<f8"),
+    pytest.param(_set(["blocks", "indices", "dtype"], "<f8"),
                  id="float-indices"),
+    pytest.param(_set(["blocks", "indptr", "dtype"], "<i8"),
+                 id="indptr-and-indices-dtypes-differ"),
     pytest.param(_set(["documents", "url_offsets", "dtype"], "<i4"),
                  id="narrow-url-offsets"),
     pytest.param(_set(["documents", "url_offsets", "count"], 3),
                  id="url-offsets-not-one-per-document"),
+    pytest.param(_set(["documents", "doc_sites", "count"], 3),
+                 id="doc-sites-not-one-per-document"),
     pytest.param(_set(["sitegraph"], []), id="sitegraph-is-a-list"),
-    pytest.param(_drop(["sitegraph", "site_sizes"]), id="no-site-sizes"),
-    pytest.param(_set(["sitegraph", "site_sizes"], [1, "two"]),
-                 id="site-sizes-not-integers"),
-    pytest.param(_set(["sitegraph", "site_sizes"], [1]),
-                 id="site-sizes-wrong-length"),
-    pytest.param(_set(["sites", 0, "adjacency", "shape"], ["a", 3]),
-                 id="shape-not-integers"),
-    pytest.param(_set(["sites", 0, "adjacency", "shape"], [3]),
-                 id="shape-not-a-pair"),
-    pytest.param(_set(["sites", 0, "adjacency", "shape"], [7, 7]),
-                 id="shape-disagrees-with-doc-ids"),
+    pytest.param(_drop(["sitegraph", "adjacency"]),
+                 id="no-sitegraph-adjacency"),
+    pytest.param(_set(["sitegraph", "adjacency", "shape"], [1, "two"]),
+                 id="sitegraph-shape-not-integers"),
+    pytest.param(_set(["sitegraph", "adjacency", "shape"], [1, 1]),
+                 id="sitegraph-shape-not-one-row-per-site"),
+    pytest.param(_set(["blocks", "indptr", "count"], 7),
+                 id="indptr-not-one-per-row"),
+    pytest.param(_set(["blocks", "indices", "count"], 3),
+                 id="indices-and-data-counts-differ"),
+    pytest.param(_set(["blocks", "offsets", "count"], 3),
+                 id="offsets-not-one-per-site"),
+    pytest.param(_drop(["blocks", "order"]), id="no-order"),
+    pytest.param(_personalized_without_preference,
+                 id="flags-without-preferences"),
+    pytest.param(_set(["sites"], "a.org"), id="sites-not-a-list"),
+    pytest.param(_set(["sites", 1], 7), id="site-name-not-a-string"),
+    pytest.param(_duplicate_site, id="duplicate-site"),
+    pytest.param(_set(["version"], 1), id="version-1"),
     pytest.param(_set(["n_documents"], "many"), id="n-documents-not-integer"),
     pytest.param(_set(["n_documents"], True), id="n-documents-is-a-bool"),
     pytest.param(_set(["n_documents"], 7), id="counts-do-not-sum"),
-    pytest.param(_alias_second_site, id="two-sites-one-id-range"),
-    pytest.param(_set(["sites", 0, "doc_ids", "dtype"], "<f8"),
+    pytest.param(_set(["blocks", "order", "dtype"], "<f8"),
                  id="float-doc-ids"),
 ]
 
@@ -243,6 +266,129 @@ class TestHostileManifest:
             json.dump(manifest, handle)
         with pytest.raises(ValidationError):
             open_diskgraph(disk.path)
+
+    def test_version_one_is_rebuilt_not_read(self, disk):
+        manifest_path = os.path.join(disk.path, MANIFEST_FILE)
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["version"] = 1
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ValidationError,
+                           match="version 1 .*reads version 2.*rebuild"):
+            open_diskgraph(disk.path)
+
+
+def _stored(disk):
+    """The site-major arrays of ``blocks.bin``, read without mapping."""
+    with open(os.path.join(disk.path, MANIFEST_FILE), encoding="utf-8") as f:
+        specs = json.load(f)["blocks"]
+    return {name: np.fromfile(os.path.join(disk.path, "blocks.bin"),
+                              dtype=spec["dtype"], count=spec["count"],
+                              offset=spec["offset"])
+            for name, spec in specs.items()}
+
+
+def _stored_block(disk, index):
+    """Site *index*'s rows of ``blocks.bin`` as a CSR, as stored."""
+    import scipy.sparse as sp
+
+    stored = _stored(disk)
+    low, high = stored["offsets"][index:index + 2]
+    indptr = stored["indptr"][low:high + 1]
+    entries = slice(indptr[0], indptr[-1])
+    return sp.csr_matrix((stored["data"][entries],
+                          stored["indices"][entries] - low,
+                          indptr - indptr[0]), shape=(high - low, high - low))
+
+
+def _patch_block_file(disk, name, at, value):
+    """Overwrite element *at* of the site-major array *name*."""
+    with open(os.path.join(disk.path, MANIFEST_FILE), encoding="utf-8") as f:
+        spec = json.load(f)["blocks"][name]
+    dtype = np.dtype(spec["dtype"])
+    _poke(os.path.join(disk.path, "blocks.bin"),
+          spec["offset"] + dtype.itemsize * at,
+          np.array([value], dtype=dtype).tobytes())
+
+
+def _first_entry_of_largest_site(disk):
+    stored = _stored(disk)
+    largest = int(np.argmax(np.diff(stored["offsets"])))
+    return int(stored["indptr"][stored["offsets"][largest]])
+
+
+def _duplicate_first_id(disk):
+    _patch_block_file(disk, "order", 1, _stored(disk)["order"][0])
+
+
+#: One wrong value in ``blocks.bin``.  Under the per-site layout of
+#: format version 1 the first three killed the interpreter in
+#: ``rank_outofcore`` (SIGSEGV or SIGABRT) and the last two ranked and
+#: published with no error.
+HOSTILE_BLOCKS = [
+    pytest.param(lambda disk: _patch_block_file(disk, "indices", 0, 10**6),
+                 id="column-past-the-web"),
+    pytest.param(lambda disk: _patch_block_file(disk, "indices", 0, -1),
+                 id="negative-column"),
+    pytest.param(lambda disk: _patch_block_file(disk, "indptr", 2, 10**5),
+                 id="indptr-past-the-entries"),
+    pytest.param(_duplicate_first_id, id="duplicated-doc-id"),
+    pytest.param(lambda disk: _patch_block_file(
+        disk, "indices", _first_entry_of_largest_site(disk), -1),
+        id="negative-column-in-the-largest-site"),
+]
+
+
+class TestHostileBlockFile:
+    """A corrupt block file fails the round with a ValidationError before
+    anything solves, and publishes no generation."""
+
+    @pytest.fixture
+    def probe(self, tmp_path):
+        web = generate_synthetic_web(n_sites=6, n_documents=300, seed=3)
+        return write_diskgraph(web, tmp_path / "probe")
+
+    @pytest.mark.parametrize("patch", HOSTILE_BLOCKS)
+    def test_rank_outofcore_fails_and_publishes_nothing(self, probe,
+                                                        tmp_path, patch):
+        from repro.engine import rank_outofcore
+        from repro.io import ArtifactStore
+
+        patch(probe)
+        store = ArtifactStore(tmp_path / "store", create=True)
+        with pytest.raises(ValidationError, match="disk graph"):
+            rank_outofcore(open_diskgraph(probe.path), store)
+        store.reload()
+        assert store.current is None
+
+    def test_a_column_in_another_site_is_rejected(self, probe):
+        stored = _stored(probe)
+        # Site 0's first column, pointed at site 1's first document.
+        _patch_block_file(probe, "indices", 0, stored["offsets"][1])
+        with pytest.raises(ValidationError, match="outside its row's site"):
+            probe.unit_blocks(probe.sites()[:2])
+
+    def test_an_id_of_another_site_is_rejected(self, probe):
+        stored = _stored(probe)
+        _patch_block_file(probe, "order", 0,
+                          stored["order"][stored["offsets"][1]])
+        with pytest.raises(ValidationError, match="each site's own"):
+            probe.unit_blocks(probe.sites()[:1])
+
+    @pytest.mark.parametrize("offsets", [[1], [0, 5, 3]],
+                             ids=["not-from-zero", "not-ascending"])
+    def test_offsets_that_do_not_partition_fail_at_open(self, probe,
+                                                        offsets):
+        for at, value in enumerate(offsets):
+            _patch_block_file(probe, "offsets", at, value)
+        with pytest.raises(ValidationError, match="blocks.offsets"):
+            open_diskgraph(probe.path)
+
+    def test_a_window_is_a_run_of_consecutive_sites(self, probe):
+        sites = probe.sites()
+        with pytest.raises(ValidationError, match="consecutive"):
+            probe.unit_blocks([sites[0], sites[2]])
 
 
 def _url_table(disk):
@@ -328,7 +474,7 @@ class TestNonFiniteLinkWeight:
         with open(os.path.join(disk.path, MANIFEST_FILE),
                   encoding="utf-8") as handle:
             manifest = json.load(handle)
-        csr = (manifest["sites"][0]["adjacency"] if family == "site"
+        csr = (manifest["blocks"] if family == "site"
                else manifest["sitegraph"]["adjacency"])
         _poke(os.path.join(disk.path, "blocks.bin"), csr["data"]["offset"],
               np.float64(bad).tobytes())
@@ -347,14 +493,17 @@ def _same_arrays(got, want) -> None:
 
 
 class TestWindowBlocks:
-    """A window of disk blocks packs its sites as ``block_diagonal`` packs
-    their blocks, without a matrix object per site."""
+    """A window of disk blocks is a ``SiteBlocks`` over one mapping: it
+    packs its sites as ``block_diagonal`` packs their blocks."""
 
     def test_packed_is_the_block_diagonal_of_its_blocks(self, disk):
         from repro.linalg import block_diagonal
+        from repro.web.docgraph import SiteBlocks
 
         sites = disk.sites()
-        window = disk.unit_blocks(sites)
+        window, preferences = disk.unit_blocks(sites)
+        assert isinstance(window, SiteBlocks)
+        assert preferences == [None] * len(sites)
         picked = [0, 2, 3]
         matrix, offsets, doc_ids = window.packed(picked)
         _same_arrays(matrix, block_diagonal(
@@ -366,41 +515,72 @@ class TestWindowBlocks:
         np.testing.assert_array_equal(window.nnz, [
             disk.local_block(site)[0].nnz for site in sites])
 
-    def test_a_packed_block_reads_back_after_its_pages_are_released(
-            self, disk):
+    def test_a_window_inside_the_web_packs_its_own_blocks(self, web, disk):
         sites = disk.sites()
-        window = disk.unit_blocks(sites)
+        window, _ = disk.unit_blocks(sites[2:5])
+        for index, site in enumerate(sites[2:5]):
+            _same_arrays(window.block(index), web.local_adjacency(site)[0])
+            assert window.site_doc_ids(index) == tuple(
+                web.documents_of_site(site))
+
+    def test_a_packed_block_reads_back_after_its_pages_are_released(
+            self, tmp_path):
+        # Sites of a thousand pages: their entries span whole pages.
+        disk = write_diskgraph(generate_synthetic_web(
+            n_sites=3, n_documents=3000, seed=5), tmp_path / "big")
+        sites = disk.sites()
+        window, _ = disk.unit_blocks(sites)
+        released = []
+        release = window._release
+        window._release = lambda *span: (released.append(span),
+                                         release(*span))
         first = window.packed([0, 1])[0]
+        assert released == [(0, int(window.nnz[:2].sum()))]
         # The released pages fault back in from the file.
         for index in (0, 1):
             _same_arrays(window.block(index),
                          disk.local_block(sites[index])[0])
         _same_arrays(window.packed([0, 1])[0], first)
 
+    def test_sites_without_intra_site_links(self, tmp_path):
+        from repro.engine import rank_outofcore
+        from repro.web.docgraph import DocGraph
+
+        graph = DocGraph()
+        for source, target in (("a.org/1", "b.org/1"), ("b.org/1", "c.org/1"),
+                               ("c.org/2", "a.org/1"), ("b.org/2", "a.org/2")):
+            graph.add_link(f"http://{source}", f"http://{target}")
+        disk = write_diskgraph(graph, tmp_path / "graph")
+        window, _ = disk.unit_blocks(disk.sites())
+        assert window.packed(range(disk.n_sites))[0].nnz == 0
+        ranked = rank_outofcore(disk, tmp_path / "store")
+        assert ranked.n_documents == graph.n_documents
+
     @pytest.mark.parametrize("edit", ["unsorted", "duplicate"])
     def test_a_non_canonical_block_packs_canonicalised(self, disk, edit):
         from repro.linalg import block_diagonal
 
-        with open(os.path.join(disk.path, MANIFEST_FILE),
-                  encoding="utf-8") as handle:
-            spec = json.load(handle)["sites"][0]["adjacency"]["indices"]
-        block = disk.local_block(disk.sites()[0])[0]
-        row = int(np.argmax(np.diff(block.indptr) >= 2))
-        first = int(block.indptr[row])
-        columns = block.indices[first:first + 2]
+        stored = _stored(disk)
+        indptr = stored["indptr"]
+        row = int(np.argmax(np.diff(indptr[:stored["offsets"][1] + 1]) >= 2))
+        first = int(indptr[row])
+        columns = stored["indices"][first:first + 2]
         assert columns.size == 2
         columns = columns[::-1] if edit == "unsorted" else columns[[0, 0]]
-        _poke(os.path.join(disk.path, "blocks.bin"),
-              spec["offset"] + np.dtype(spec["dtype"]).itemsize * first,
-              columns.astype(spec["dtype"]).tobytes())
+        for at, column in enumerate(columns.tolist()):
+            _patch_block_file(disk, "indices", first + at, column)
         graph = open_diskgraph(disk.path)
         sites = graph.sites()
-        assert not graph.local_block(sites[0])[0].has_canonical_format
+        stored_blocks = [_stored_block(graph, index) for index in (0, 1)]
+        assert not stored_blocks[0].has_canonical_format
         # A fused batch of one site is canonicalised as several are.
         for picked in ([0, 1], [0]):
-            matrix = graph.unit_blocks(sites).packed(picked)[0]
+            matrix = graph.unit_blocks(sites)[0].packed(picked)[0]
             assert matrix.has_canonical_format
             _same_arrays(matrix, block_diagonal(
-                [graph.local_block(sites[index])[0] for index in picked]))
-        # A dedicated site's block is handed out as stored.
-        assert not graph.unit_blocks(sites).block(0).has_canonical_format
+                [stored_blocks[index] for index in picked]))
+        # So is a dedicated site's block: the same gather.
+        for block in (graph.unit_blocks(sites)[0].block(0),
+                      graph.local_block(sites[0])[0]):
+            assert block.has_canonical_format
+            _same_arrays(block, block_diagonal(stored_blocks[:1]))

@@ -8,7 +8,6 @@ from repro.exceptions import ValidationError
 from repro.linalg.sparse_utils import (
     block_diagonal,
     coo_from_edges,
-    csr_direct_sum,
     csr_from_buffers,
     empty_adjacency,
     in_degrees,
@@ -132,6 +131,22 @@ class TestBlockDiagonal:
         with pytest.raises(ValidationError):
             block_diagonal([])
 
+    def test_matches_scipy_block_diag(self):
+        blocks = [sp.csr_matrix(np.array([[0, 1.0], [2.0, 0]])),
+                  sp.csr_matrix(np.array([[5.0]])),
+                  sp.csr_matrix(np.array([[0, 0, 3.0], [0, 0, 0],
+                                          [4.0, 0, 0]]))]
+        direct = block_diagonal(blocks)
+        expected = sp.block_diag(blocks, format="csr")
+        assert direct.shape == (6, 6)
+        assert np.array_equal(direct.toarray(), expected.toarray())
+
+    def test_owns_fresh_buffers(self):
+        block = sp.csr_matrix(np.array([[0, 1.0], [2.0, 0]]))
+        direct = block_diagonal([block])
+        assert not np.shares_memory(direct.data, block.data)
+        assert np.array_equal(direct.toarray(), block.toarray())
+
 
 def _family(matrix):
     return matrix.data, matrix.indices, matrix.indptr
@@ -193,30 +208,6 @@ class TestCsrFromBuffers:
     def test_rejects_negative_shape(self):
         with pytest.raises(ValidationError, match="non-negative"):
             csr_from_buffers(np.zeros(0), np.zeros(0), np.zeros(1), (-1, 3))
-
-
-class TestCsrDirectSum:
-    def test_matches_block_diagonal(self):
-        blocks = [sp.csr_matrix(np.array([[0, 1.0], [2.0, 0]])),
-                  sp.csr_matrix(np.array([[5.0]])),
-                  sp.csr_matrix(np.array([[0, 0, 3.0], [0, 0, 0],
-                                          [4.0, 0, 0]]))]
-        direct = csr_direct_sum([_family(block) for block in blocks],
-                                [block.shape for block in blocks])
-        expected = sp.block_diag(blocks, format="csr")
-        assert direct.shape == (6, 6)
-        assert np.array_equal(direct.toarray(), expected.toarray())
-
-    def test_owns_fresh_buffers(self):
-        block = sp.csr_matrix(np.array([[0, 1.0], [2.0, 0]]))
-        direct = csr_direct_sum([_family(block)], [block.shape])
-        assert not np.shares_memory(direct.data, block.data)
-        assert np.array_equal(direct.toarray(), block.toarray())
-
-    def test_rejects_a_family_that_disagrees_with_its_shape(self):
-        block = sp.csr_matrix(np.eye(2))
-        with pytest.raises(ValidationError, match="disagree"):
-            csr_direct_sum([_family(block)], [(3, 3)])
 
 
 class TestEmptyAdjacency:
