@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -195,15 +194,6 @@ def ensure_top_k(k) -> int:
         raise ValidationError(
             f"k must be a non-negative integer, got {k!r}")
     return int(k)
-
-
-def ensure_same_length(a: Sequence, b: Sequence, *, name_a: str = "a",
-                       name_b: str = "b") -> None:
-    """Validate that two sequences have equal length."""
-    if len(a) != len(b):
-        raise DimensionMismatchError(
-            f"{name_a} (length {len(a)}) and {name_b} (length {len(b)}) "
-            "must have the same length")
 
 
 def normalize_distribution(vector, *, name: str = "vector") -> np.ndarray:

@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 
 from ..distributed.coordinator import DeploymentReport
 from ..distributed.partitioning import PartitionPolicy
-from ..exceptions import ProtocolError
 from ..io import read_docgraph, write_docgraph
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
@@ -145,11 +144,3 @@ def _drain_children(processes: Sequence[subprocess.Popen],
         except subprocess.TimeoutExpired:
             pass
     reap(processes, timeout=grace)
-
-
-def ensure_round_completed(report: DeploymentReport) -> DeploymentReport:
-    """Sanity guard used by the CLI/benchmarks after a live round."""
-    if report.mode != "live":
-        raise ProtocolError(
-            f"expected a live-mode report, got {report.mode!r}")
-    return report

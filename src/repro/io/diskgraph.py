@@ -55,7 +55,7 @@ from .. import obs
 from ..exceptions import GraphStructureError, ValidationError
 from ..linalg.layout import ALIGNMENT, BumpLayout
 from ..linalg.sparse_utils import coo_from_edges, csr_from_buffers
-from ..web.docgraph import DocGraph, SiteBlocks
+from ..web.docgraph import DocGraph, Document, SiteBlocks
 from ..web.registry import DocumentRegistry
 from ..web.sitegraph import SiteGraph, aggregate_sitegraph
 from .edgelist import record_ingest
@@ -516,6 +516,20 @@ class DiskGraph:
     def url_of(self, doc_id: int) -> str:
         """Canonical URL of one document id."""
         return self.urls_of_positions([doc_id])[0]
+
+    def site_of_document(self, doc_id: int) -> str:
+        """Site identifier of a document id."""
+        doc_id = self._check_doc_id(doc_id)
+        doc_sites = self._map(self._manifest["documents"]["doc_sites"])
+        return self._sites[int(doc_sites[doc_id])]
+
+    def document(self, doc_id: int) -> Document:
+        """The full :class:`Document` record of one id."""
+        doc_id = self._check_doc_id(doc_id)
+        dynamic = self._map(self._manifest["documents"]["is_dynamic"])
+        return Document(doc_id=doc_id, url=self.url_of(doc_id),
+                        site=self.site_of_document(doc_id),
+                        is_dynamic=bool(dynamic[doc_id]))
 
     def urls_of_positions(self, doc_ids: Sequence[int]) -> List[str]:
         """URLs of many document ids: a decode of :meth:`url_bytes`."""

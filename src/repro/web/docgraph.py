@@ -81,7 +81,8 @@ class SiteBlocks:
     (:meth:`repro.io.diskgraph.DiskGraph.unit_blocks`), whose *matrix*
     rows start at ``offsets[0] > 0`` of the whole layout's numbering, as
     its columns do; *release* is then called with the ``[low, high)``
-    entry range of every gather, to advise those pages away.
+    entry range of every run of consecutive sites a gather copies, to
+    advise those pages away.
     """
 
     def __init__(self, matrix: sp.csr_matrix, offsets: np.ndarray,
@@ -184,9 +185,9 @@ class SiteBlocks:
                                shape=(offsets[-1],) * 2)
         if not source.has_canonical_format:
             matrix.sum_duplicates()
-        if self._release is not None and runs:
-            self._release(min(run[3] for run in runs),
-                          max(run[4] for run in runs))
+        if self._release is not None:
+            for run in runs:  # one span per run: never rows not gathered
+                self._release(*run[3:])
         return matrix, offsets, doc_ids
 
 

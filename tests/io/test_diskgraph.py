@@ -75,6 +75,8 @@ class TestWriteRoundTrip:
         for doc_id in (0, 1, web.n_documents - 1):
             document = web.document(doc_id)
             assert disk.url_of(doc_id) == document.url
+            assert disk.site_of_document(doc_id) == document.site
+            assert disk.document(doc_id).url == document.url
         positions = [3, 0, web.n_documents - 1]
         assert disk.urls_of_positions(positions) == [
             web.document(p).url for p in positions]
@@ -246,7 +248,6 @@ HOSTILE_MANIFESTS = [
     pytest.param(_set(["sites"], "a.org"), id="sites-not-a-list"),
     pytest.param(_set(["sites", 1], 7), id="site-name-not-a-string"),
     pytest.param(_duplicate_site, id="duplicate-site"),
-    pytest.param(_set(["version"], 1), id="version-1"),
     pytest.param(_set(["n_documents"], "many"), id="n-documents-not-integer"),
     pytest.param(_set(["n_documents"], True), id="n-documents-is-a-bool"),
     pytest.param(_set(["n_documents"], 7), id="counts-do-not-sum"),
@@ -541,6 +542,15 @@ class TestWindowBlocks:
             _same_arrays(window.block(index),
                          disk.local_block(sites[index])[0])
         _same_arrays(window.packed([0, 1])[0], first)
+        # Sites that do not follow on release one span each, never the
+        # entries of the site between them.
+        released.clear()
+        bounds = np.concatenate(([0], np.cumsum(window.nnz))).tolist()
+        window.packed([0, 2])
+        assert released == [(bounds[0], bounds[1]), (bounds[2], bounds[3])]
+        assert all(high <= bounds[1] or low >= bounds[2]
+                   for low, high in released)
+        _same_arrays(window.block(1), disk.local_block(sites[1])[0])
 
     def test_sites_without_intra_site_links(self, tmp_path):
         from repro.engine import rank_outofcore
