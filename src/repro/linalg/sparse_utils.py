@@ -107,7 +107,10 @@ def csr_from_buffers(data, indices, indptr,
     numpy views over a memory-mapped block file, and the returned matrix
     reads them in place.  The caller owns the buffers' lifetime; scipy
     operations that would mutate the matrix copy first (the views are
-    handed over read-only).
+    handed over read-only).  In place means *whole* buffers: scipy's
+    constructor prunes, that is copies, a ``data`` or ``indices`` view
+    that covers less than half of its base array, so a slice of a larger
+    buffer arrives as a silent copy — map each array as its own buffer.
 
     The three arrays must already be in canonical CSR form — this function
     validates consistency (lengths, monotone ``indptr``) but never sorts
@@ -131,6 +134,38 @@ def csr_from_buffers(data, indices, indptr,
             f"stored entries")
     return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols),
                          copy=False)
+
+
+def csr_count_link(matrix: sp.csr_matrix, row: int,
+                   column: int) -> sp.csr_matrix:
+    """A canonical CSR link-count matrix with one more link at
+    ``(row, column)``, as a new matrix (*matrix* is left untouched).
+
+    The arrays, index dtype and canonical flag of ``matrix +
+    csr_matrix(([1.0], ([row], [column])))`` without the whole-matrix sum:
+    an existing entry is incremented in a copy of ``data`` (``indices``
+    and ``indptr`` shared), a new one is spliced into its row's sorted run
+    (one insertion into copies of ``data`` and ``indices``, ``indptr``
+    shifted past the row).  A matrix that is not canonical is summed
+    into canonical form first.
+    """
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+    data, indices, indptr = matrix.data, matrix.indices, matrix.indptr
+    low, high = int(indptr[row]), int(indptr[row + 1])
+    at = low + int(np.searchsorted(indices[low:high], column))
+    if at < high and indices[at] == column:
+        data = data.copy()
+        data[at] += 1.0
+    else:
+        data = np.insert(data, at, 1.0)
+        indices = np.insert(indices, at, column)
+        indptr = indptr.copy()
+        indptr[row + 1:] += 1
+    counted = sp.csr_matrix((data, indices, indptr), shape=matrix.shape)
+    counted.has_canonical_format = True
+    return counted
 
 
 def block_diagonal(blocks: Sequence) -> sp.csr_matrix:

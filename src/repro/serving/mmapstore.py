@@ -20,7 +20,7 @@ changes is the cost profile:
 * :meth:`~ShardedScoreStore.clone` / :meth:`~ShardedScoreStore.rebuilt` —
   the replication and double-buffering primitives — *share* the base:
   every replica serves the same physical page-cache pages, so N replicas
-  cost N small dictionaries of replaced documents, not N score columns.
+  cost N shard dictionaries, not N score columns.
 
 Incremental updates install ordinary in-RAM replacement shards over the
 mapped ones (the generation files are never written), which is exactly

@@ -54,7 +54,12 @@ from ..web.docgraph import DocGraph
 from ..web.incremental import IncrementalLayeredRanker, UpdateReport
 from ..web.pipeline import WebRankingResult
 from .cache import GLOBAL_TAG, CacheStats, QueryCache
-from .store import LinkScoreView, ScoredDocument, ShardedScoreStore
+from .store import (
+    LinkScoreView,
+    ScoredDocument,
+    ShardedScoreStore,
+    UrlTable,
+)
 from .topk import TopKEngine
 
 
@@ -274,13 +279,13 @@ class RankingService:
         else:
             sites = list(report.recomputed_sites)
             drop = set()
-        # In site order, so shard generations are deterministic.
-        urls = docgraph.registry.urls
+        # In site order, so shard generations are deterministic; each
+        # shard reads its URLs from the registry by id.
+        urls = UrlTable(docgraph.registry.urls)
         replacements = {}
         for site in sites:
             local = ranker.local(site)
-            shard = (local.doc_ids,
-                     [urls[doc_id] for doc_id in local.doc_ids],
+            shard = (local.doc_ids, urls,
                      ranker.siterank.score_of(site) * local.scores)
             if self._store.segments:
                 shard += (ranker.segment_shard_columns(site),)
@@ -309,10 +314,11 @@ class RankingService:
         self.rebuilds += 1
         self.shards_rebuilt += len(sites)
         self.last_rebuild_seconds = rebuild_seconds
+        kind = "siterank" if report.siterank_recomputed else "intra_site"
         obs.inc("serving_rebuilds_total")
-        obs.inc("serving_shards_rebuilt_total", float(len(sites)))
+        obs.inc("serving_shards_rebuilt_total", float(len(sites)), kind=kind)
         obs.inc("serving_swaps_total")
-        obs.observe("serving_rebuild_seconds", rebuild_seconds)
+        obs.observe("serving_rebuild_seconds", rebuild_seconds, kind=kind)
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -14,9 +14,12 @@ shards later updates install.  Every shard is one class over arrays: a
 base shard is a window into the base, a replacement shard holds its own.
 So
 
-* a point lookup (``score_of``) of a base document reads ``doc_position``
-  and the shard offsets, O(log sites); only the documents of replacement
-  shards sit in a dictionary, which stays empty until the first update;
+* a document resolves through its site: one array column (document id →
+  site row, ``-1`` where no shard holds it; the base's own, built from
+  ``doc_position`` on first use, copied only when an update moves or adds
+  documents) names the site, and a row lookup in that site's current
+  shard finds the document — no Python object exists per document, and
+  an update's ownership check is one vectorised pass over its ids;
 * each shard keeps its documents in score order, so a per-site top-k is a
   prefix of one array;
 * a global top-k over a resident base is a prefix too: the store sorts all
@@ -28,9 +31,10 @@ So
 * an incremental update that touched one site replaces exactly one shard
   (``update_site``) and leaves every other shard — its sort order, its
   cached per-document JSON fragments and every cached result that does not
-  involve the site — untouched.  What an update costs a reader is one
-  rebuild of the global order (~1 ms per 10k documents) and re-encoding
-  the changed site's documents as they are next served.
+  involve the site — untouched; a replacement shard given a
+  :class:`UrlTable` reads its URLs from it by id.  What an update costs a
+  reader is one rebuild of the global order (~1 ms per 10k documents) and
+  re-encoding the changed site's documents as they are next served.
 
 The store is deliberately decoupled from how the ranking was computed: it
 can be filled from a centralized :class:`~repro.web.pipeline.WebRankingResult`,
@@ -38,13 +42,12 @@ from a published generation, or incrementally from an
 :class:`~repro.web.incremental.IncrementalLayeredRanker` (the
 :class:`~repro.serving.service.RankingService` does the latter).
 """
-
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from copy import copy
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from time import perf_counter
 from typing import (
@@ -123,6 +126,25 @@ def _document_payload(document: ScoredDocument) -> Dict[str, Any]:
             "site": document.site, "score": document.score}
 
 
+class UrlTable:
+    """URLs by document id (a registry's append-only ``urls``): given as
+    :meth:`ShardedScoreStore.update_site`'s *urls*, it is bound to the new
+    shard's ids, and row ``r`` reads ``table[ids[r]]`` when served."""
+
+    __slots__ = ("table", "ids")
+
+    def __init__(self, table: Sequence[str],
+                 ids: Optional[np.ndarray] = None) -> None:
+        self.table = table
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, row: int) -> str:
+        return self.table[self.ids.item(row)]
+
+
 class _GlobalOrder(NamedTuple):
     """All documents of one store generation in descending score order.
 
@@ -142,6 +164,8 @@ class _Shard:
     ``urls`` is any sequence of ``str``.  A base shard is a window of its
     store's site-major arrays starting at position ``offset``; a
     replacement shard installed by an update has ``offset`` ``None``.
+    ``site_row`` is the site's entry in its store's document → site
+    column.
     With personalisation, the shard additionally holds an
     ``(n_docs, K)`` block of per-segment scores; the per-segment sort
     orders are computed lazily on the first query of each segment (a
@@ -151,17 +175,18 @@ class _Shard:
     copy of its documents the store keeps.
     """
 
-    __slots__ = ("site", "ids", "urls", "scores", "order", "offset",
-                 "generation", "segment_columns", "_segment_orders",
-                 "_fragments")
+    __slots__ = ("site", "site_row", "ids", "urls", "scores", "order",
+                 "offset", "generation", "segment_columns",
+                 "_segment_orders", "_fragments", "_sorter")
 
-    def __init__(self, site: str, ids: np.ndarray, urls: Sequence[str],
-                 scores: np.ndarray, generation: int,
+    def __init__(self, site: str, site_row: int, ids: np.ndarray,
+                 urls: Sequence[str], scores: np.ndarray, generation: int,
                  segment_columns: Optional[np.ndarray] = None, *,
                  order: Optional[np.ndarray] = None,
                  offset: Optional[int] = None,
                  cache_fragments: bool = True) -> None:
         self.site = site
+        self.site_row = site_row
         self.ids = ids
         self.urls = urls
         self.scores = scores
@@ -184,6 +209,17 @@ class _Shard:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def row_of(self, doc_id: int) -> int:
+        """The row of a document the shard holds, by binary search over
+        its ids (``_sorter`` is ``None`` when they ascend, else their
+        argsort, built on the first lookup)."""
+        try:
+            sorter = self._sorter
+        except AttributeError:
+            sorter = self._sorter = np.argsort(self.ids)
+        row = int(np.searchsorted(self.ids, doc_id, sorter=sorter))
+        return row if sorter is None else sorter.item(row)
 
     def order_for(self, segment_index: Optional[int] = None) -> np.ndarray:
         """Rows of the shard in descending score order."""
@@ -237,14 +273,15 @@ class _Shard:
         return location
 
 
-class _Base(NamedTuple):
+@dataclass
+class _Base:
     """The site-major arrays a store was built from.
 
-    Shard ``i`` is positions ``bounds[i]:bounds[i + 1]`` — the window
-    ``shards[i]`` — and ``doc_position[d]`` is document ``d``'s position
-    (``-1`` for an id the base does not hold).  ``mapped`` says whether
-    the arrays are memory-mapped files, which decides how a global top-k
-    is answered.
+    Shard ``i`` is positions ``bounds[i]:bounds[i + 1]``, and
+    ``doc_position[d]`` is document ``d``'s position (``-1`` for an id the
+    base does not hold).  ``mapped`` says whether the arrays are
+    memory-mapped files, which decides how a global top-k is answered.
+    Shared by every clone of the store, as is its :attr:`site_rows`.
     """
 
     ids: np.ndarray
@@ -252,8 +289,18 @@ class _Base(NamedTuple):
     order: np.ndarray
     doc_position: np.ndarray
     bounds: List[int]
-    shards: Tuple[_Shard, ...]
     mapped: bool
+
+    @cached_property
+    def site_rows(self) -> np.ndarray:
+        """Each document id's shard index (``-1`` for an id the base does
+        not hold): ``doc_position`` read once, on the first lookup or
+        update that needs it."""
+        position = self.doc_position
+        held = (position >= 0) & (position < self.ids.size)
+        held[held] = self.ids[position[held]] == np.flatnonzero(held)
+        rows = np.searchsorted(self.bounds, position, side="right") - 1
+        return np.where(held, rows, -1).astype(np.int32)
 
 
 class ShardedScoreStore:
@@ -277,9 +324,13 @@ class ShardedScoreStore:
         #: The site-major arrays the base shards are windows of (``None``
         #: for a store filled by updates alone); shared by every clone.
         self._base: Optional[_Base] = None
-        #: doc_id -> (shard, row) for the documents of replacement shards,
-        #: the only per-document structure a store keeps.
-        self._replaced: Dict[int, Tuple[_Shard, int]] = {}
+        #: Document id -> site row (an index into ``_site_names``) of the
+        #: shard holding it, ``-1`` for none; ``None`` while it is the
+        #: base's.  Never written in place: an update that moves or adds
+        #: documents installs a copy, so clones share it safely.
+        self._site_rows: Optional[np.ndarray] = np.empty(0, dtype=np.int32)
+        #: Site of each site row, appended to (as a copy) per new site.
+        self._site_names: List[str] = []
         self._n_documents = 0
         self._generation = 0
         #: What a global top-k keeps per store generation and score
@@ -362,40 +413,48 @@ class ShardedScoreStore:
         # numpy's Python-level subclass hooks, ~10x the cost of a view's.
         ids, scores, order, doc_position = (
             np.asarray(array) for array in (ids, scores, order, doc_position))
-        shards = []
-        for site, start, stop in zip(sites, bounds, bounds[1:]):
+        for site_row, (site, start, stop) in enumerate(
+                zip(sites, bounds, bounds[1:])):
             self._generation += 1
-            shards.append(_Shard(
-                site, ids[start:stop], urls[start:stop], scores[start:stop],
-                self._generation,
+            self._shards[site] = _Shard(
+                site, site_row, ids[start:stop], urls[start:stop],
+                scores[start:stop], self._generation,
                 None if segment_columns is None
                 else segment_columns[start:stop],
                 order=order[start:stop], offset=start,
-                cache_fragments=not mapped))
-        self._shards.update((shard.site, shard) for shard in shards)
-        self._base = _Base(ids, scores, order, doc_position, bounds,
-                           tuple(shards), mapped)
+                cache_fragments=not mapped)
+        self._base = _Base(ids, scores, order, doc_position, bounds, mapped)
+        self._site_rows, self._site_names = None, list(sites)
         self._n_documents += bounds[-1]
 
     def update_site(self, site: str, doc_ids: Sequence[int],
-                    urls: Sequence[str], scores, *,
+                    urls: Union[Sequence[str], UrlTable], scores, *,
                     segment_columns=None) -> int:
         """Replace (or create) one site's shard; returns its new generation.
 
         The replaced shard's documents are removed first, so a shard may
         shrink or grow — e.g. after documents were added to the site through
-        the incremental ranker.  A store with declared segments requires a
-        ``(len(doc_ids), n_segments)`` *segment_columns* block (rows
-        aligned with *doc_ids*); a base-only store rejects one.
+        the incremental ranker.  *urls* is aligned with *doc_ids*, or a
+        :class:`UrlTable` the shard reads them from by id.  A store with
+        declared segments requires a ``(len(doc_ids), n_segments)``
+        *segment_columns* block (rows aligned with *doc_ids*); a base-only
+        store rejects one.
         """
         scores = np.asarray(scores, dtype=float).ravel()
-        if not (len(doc_ids) == len(urls) == scores.size):
-            raise ValidationError("doc_ids, urls and scores must align")
         ids = np.array(doc_ids, dtype=np.int64).ravel()
+        if isinstance(urls, UrlTable):
+            urls = UrlTable(urls.table, ids)
+        elif len(urls) == ids.size:
+            urls = list(urls)
+        if not (ids.size == len(urls) == scores.size):
+            raise ValidationError("doc_ids, urls and scores must align")
         if scores.size and not np.all(np.isfinite(scores)):
             raise ValidationError(f"shard {site!r} has non-finite scores")
-        if np.unique(ids).size != ids.size:
+        ascending = bool(np.all(ids[1:] > ids[:-1]))
+        if not ascending and np.unique(ids).size != ids.size:
             raise ValidationError(f"shard {site!r} has duplicate document ids")
+        if ids.size and ids.min() < 0:
+            raise ValidationError(f"shard {site!r} has negative document ids")
         if self._segments:
             if segment_columns is None:
                 raise ValidationError(
@@ -418,62 +477,59 @@ class ShardedScoreStore:
         # Validate ownership before mutating anything, so a rejected update
         # leaves the store untouched: a document may reappear in its own
         # site's replacement but never be stolen from another live shard.
-        id_list = ids.tolist()
-        stolen = self._held_elsewhere(site, ids)
-        if stolen:
-            doc_id = next(doc_id for doc_id in id_list if doc_id in stolen)
+        previous = self._shards.get(site)
+        site_row = (len(self._site_names) if previous is None
+                    else previous.site_row)
+        column = self._column()
+        owners = np.full(ids.size, -1, dtype=np.int32)
+        known = ids < column.size
+        owners[known] = column[ids[known]]
+        stolen = (owners >= 0) & (owners != site_row)
+        if stolen.any():
+            first = int(np.argmax(stolen))
             raise GraphStructureError(
-                f"document {doc_id} already belongs to shard "
-                f"{self.site_of(doc_id)!r}")
-        self._release(self._shards.get(site))
+                f"document {int(ids[first])} already belongs to shard "
+                f"{self._site_names[owners[first]]!r}")
+        kept = int(np.count_nonzero(owners == site_row))
+        if kept < ids.size or (previous is not None and kept < len(previous)):
+            # Documents join or leave the site: the column moves, as a copy.
+            column = np.concatenate((column, np.full(
+                max(int(ids.max(initial=-1)) + 1 - column.size, 0), -1,
+                dtype=np.int32)))
+            if previous is not None:
+                column[previous.ids] = -1
+            column[ids] = site_row
+            self._site_rows = column
+        if previous is None:
+            self._site_names = self._site_names + [site]
+        else:
+            self._n_documents -= len(previous)
         self._generation += 1
         self._global_cache = {}
-        shard = _Shard(site, ids, list(urls), scores, self._generation,
+        shard = _Shard(site, site_row, ids, urls, scores, self._generation,
                        segment_columns)
+        if ascending:
+            shard._sorter = None
         self._shards[site] = shard
-        self._replaced.update(zip(id_list, zip(repeat(shard),
-                                               range(ids.size))))
         self._n_documents += ids.size
         return shard.generation
 
-    def _held_elsewhere(self, site: str, ids: np.ndarray) -> set:
-        """The ids of *ids* a live shard of another site holds — looked up
-        in the replaced-document dict, and in the base array-wide."""
-        replaced = self._replaced.keys() & set(ids.tolist())
-        stolen = {doc_id for doc_id in replaced
-                  if self._replaced[doc_id][0].site != site}
-        base = self._base
-        if base is None:
-            return stolen
-        ids = ids[(ids >= 0) & (ids < base.doc_position.size)]
-        positions = base.doc_position[ids]
-        held = positions >= 0
-        ids, positions = ids[held], positions[held]
-        held = base.ids[positions] == ids
-        ids, positions = ids[held], positions[held]
-        windows = np.searchsorted(base.bounds, positions, side="right") - 1
-        for window in np.unique(windows).tolist():
-            shard = base.shards[window]
-            if shard.site != site and self._shards.get(shard.site) is shard:
-                stolen.update(ids[windows == window].tolist())
-        return stolen
-
     def drop_site(self, site: str) -> None:
         """Remove one site's shard entirely."""
-        self._release(self._shard(site))
+        shard = self._shard(site)
+        column = self._column().copy()
+        column[shard.ids] = -1
+        self._site_rows = column
+        self._n_documents -= len(shard)
         del self._shards[site]
         self._generation += 1
         self._global_cache = {}
 
-    def _release(self, shard: Optional[_Shard]) -> None:
-        """Forget a departing shard's documents (those of a base window
-        stop resolving the moment it leaves ``_shards``)."""
-        if shard is None:
-            return
-        if shard.offset is None:
-            for doc_id in shard.ids.tolist():
-                del self._replaced[doc_id]
-        self._n_documents -= len(shard)
+    def _column(self) -> np.ndarray:
+        """The document id -> site row column (the base's, until an update
+        installs the store's own)."""
+        rows = self._site_rows
+        return self._base.site_rows if rows is None else rows
 
     def rebuilt(self, replacements: Dict[str, Tuple],
                 *, drop: Iterable[str] = ()) -> "ShardedScoreStore":
@@ -481,7 +537,7 @@ class ShardedScoreStore:
 
         Each replacement is ``(doc_ids, urls, scores)`` or — for a store
         with personalisation segments — ``(doc_ids, urls, scores,
-        segment_columns)``.
+        segment_columns)``, *urls* as :meth:`update_site` takes it.
 
         This is the double-buffering primitive of the serving layer's
         incremental updates: the (potentially long) rebuild of invalidated
@@ -490,17 +546,18 @@ class ShardedScoreStore:
         then swaps its store pointer under the service lock — the only
         moment queries wait.
 
-        Untouched shards are *shared* with this store (a shard is never
-        mutated after construction, so sharing is safe), as is the base
-        and everything else a subclass hangs on the instance; the
-        generation counter continues from this store's, preserving the
-        deterministic per-shard generation sequence ``update_site`` in
-        place would have produced: drops first, then replacements in the
-        order *replacements* iterates.
+        Only the shard dict is copied.  Untouched shards are *shared* with
+        this store (a shard is never mutated after construction, so
+        sharing is safe), as are the base, the document → site column
+        (an update installs a copy rather than writing it) and everything
+        else a subclass hangs on the instance; the generation counter
+        continues from this store's, preserving the deterministic
+        per-shard generation sequence ``update_site`` in place would have
+        produced: drops first, then replacements in the order
+        *replacements* iterates.
         """
         clone = copy(self)
         clone._shards = dict(self._shards)
-        clone._replaced = dict(self._replaced)
         # copy() shares the dict: an order either store fills later would
         # otherwise be served by the other one after their shards diverge.
         clone._global_cache = {}
@@ -521,8 +578,8 @@ class ShardedScoreStore:
         but evolves independently from here on: replacing a shard in one
         store never affects the other.  This is the replication primitive
         of :class:`~repro.serving.replicas.ReplicaSet`: every replica gets
-        its own swappable store pointer at the cost of the replaced-document
-        dict, not of the score data.
+        its own swappable store pointer at the cost of a shard dict, not
+        of the score data.
         """
         return self.rebuilt({})
 
@@ -829,23 +886,21 @@ class ShardedScoreStore:
     def _locate(self, doc_id: int) -> Optional[Tuple[_Shard, int]]:
         """``(shard, row)`` of a held document, ``None`` otherwise.
 
-        The one lookup path: the replaced-document dict first, else the
-        base's ``doc_position`` and shard bounds — valid while the site's
-        current shard is still that base window.
+        The one lookup path: the document's site row from the store's
+        column, then its row in that site's current shard — a base
+        window's through ``doc_position``, a replacement's by search.
         """
-        located = self._replaced.get(doc_id)
-        base = self._base
-        if located is not None or base is None \
-                or not isinstance(doc_id, (int, np.integer)) \
-                or not 0 <= doc_id < base.doc_position.size:
-            return located
-        position = base.doc_position.item(doc_id)
-        if position < 0 or base.ids.item(position) != doc_id:
+        column = self._column()
+        if not isinstance(doc_id, (int, np.integer)) \
+                or not 0 <= doc_id < column.size:
             return None
-        shard = base.shards[bisect_right(base.bounds, position) - 1]
-        if self._shards.get(shard.site) is not shard:
+        site_row = column.item(doc_id)
+        if site_row < 0:
             return None
-        return shard, position - shard.offset
+        shard = self._shards[self._site_names[site_row]]
+        if shard.offset is None:
+            return shard, shard.row_of(doc_id)
+        return shard, self._base.doc_position.item(doc_id) - shard.offset
 
     def _located(self, doc_id: int) -> Tuple[_Shard, int]:
         located = self._locate(doc_id)

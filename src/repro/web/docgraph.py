@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .. import obs
 from ..exceptions import GraphStructureError
-from ..linalg.sparse_utils import coo_from_edges
+from ..linalg.sparse_utils import coo_from_edges, csr_count_link
 from .registry import DocumentRegistry
 
 
@@ -115,16 +115,14 @@ class SiteBlocks:
     def with_link(self, source: int, target: int) -> "SiteBlocks":
         """This layout plus one intra-site link, as a new object.
 
-        One sparse addition instead of a rebuild; the document numbering
-        is shared with (and the matrix of) this object left untouched.
+        One entry spliced into the site's row range (copy on write,
+        :func:`~repro.linalg.sparse_utils.csr_count_link`) instead of a
+        rebuild or a whole-web sum; the document numbering is shared with
+        (and the matrix of) this object left untouched.
         """
         patched = copy(self)
-        matrix = self.matrix + sp.csr_matrix(
-            ([1.0], ([self._position[source]], [self._position[target]])),
-            shape=self.matrix.shape)
-        # A sum of canonical CSRs is canonical: no gather rescans the web.
-        matrix.has_canonical_format = self.matrix.has_canonical_format
-        patched._set_matrix(matrix)
+        patched._set_matrix(csr_count_link(
+            self.matrix, self._position[source], self._position[target]))
         return patched
 
     @cached_property
@@ -143,8 +141,24 @@ class SiteBlocks:
         return self.doc_ids[self.offsets[index]:self.offsets[index + 1]]
 
     def block(self, index: int) -> sp.csr_matrix:
-        """One site's block as a CSR matrix (caller-owned buffers)."""
-        return self.packed([index])[0]
+        """One site's block as a CSR matrix (caller-owned buffers).
+
+        The matrix :meth:`packed` gathers for ``[index]``, cut directly:
+        the row range's ``indptr`` and columns shifted, its ``data``
+        copied once.
+        """
+        low, high = int(self.offsets[index]), int(self.offsets[index + 1])
+        source = self.matrix
+        first, last = int(source.indptr[low]), int(source.indptr[high])
+        matrix = sp.csr_matrix(
+            (source.data[first:last].astype(float),
+             source.indices[first:last] - (low + self._origin),
+             source.indptr[low:high + 1] - first), shape=(high - low,) * 2)
+        if not source.has_canonical_format:
+            matrix.sum_duplicates()
+        if self._release is not None:
+            self._release(first, last)
+        return matrix
 
     def packed(self, sites: Sequence[int]
                ) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
@@ -389,10 +403,11 @@ class DocGraph:
         """All DocLinks as ``(source id, target id)`` pairs."""
         return list(zip(self._sources, self._targets))
 
-    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All DocLinks as ``(source ids, target ids)`` int64 arrays (copies)."""
-        return (np.array(self._sources, dtype=np.int64),
-                np.array(self._targets, dtype=np.int64))
+    def edge_arrays(self, start: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+        """The DocLinks from the *start*-th on (all by default) as
+        ``(source ids, target ids)`` int64 arrays (copies)."""
+        return (np.array(self._sources[start:], dtype=np.int64),
+                np.array(self._targets[start:], dtype=np.int64))
 
     def site_indices(self) -> np.ndarray:
         """Per-document index into :meth:`sites` (int64 array, a copy)."""

@@ -43,9 +43,11 @@ from typing import (
 )
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..exceptions import GraphStructureError, ValidationError
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
+from ..linalg.sparse_utils import csr_count_link
 from ..markov.irreducibility import DEFAULT_DAMPING
 from .docgraph import DocGraph
 from .docrank import LocalDocRank, SiteColumns
@@ -103,6 +105,11 @@ class UpdateReport:
 UpdateListener = Callable[[UpdateReport], None]
 
 
+#: Counted SiteLinks beyond which a SiteGraph catching up with the graph
+#: is aggregated afresh instead of spliced link by link.
+_SPLICE_LIMIT = 256
+
+
 def _previous(cache: Mapping, sites: Iterable[str], values: str) -> Dict:
     """Cached factors of *sites* as a warm source's ``(ids, values)`` pairs."""
     return {site: (cache[site].doc_ids, getattr(cache[site], values))
@@ -152,6 +159,10 @@ class IncrementalLayeredRanker:
         self._local_columns: Dict[str, SiteColumns] = {}
         self._segment_site_state: Optional[
             Tuple[Tuple[str, ...], np.ndarray]] = None
+        #: The SiteGraph of the graph's first ``n_documents`` documents
+        #: and ``n_links`` links, as ``(sitegraph, (n_documents,
+        #: n_links))``; :meth:`_sitegraph` patches it forward.
+        self._site_graph: Optional[Tuple[SiteGraph, Tuple[int, int]]] = None
         self.full_rebuild()
 
     def close(self) -> None:
@@ -211,6 +222,8 @@ class IncrementalLayeredRanker:
             include_site_self_links=self._include_site_self_links,
             **self._solver)
         execution = plan.execute(executor=self._executor)
+        self._site_graph = (plan.sitegraph, (self._docgraph.n_documents,
+                                             self._docgraph.n_links))
         self._siterank = execution.siterank
         self._local = dict(execution.local)
         segment_iterations = (self._rebuild_segments()
@@ -415,10 +428,48 @@ class IncrementalLayeredRanker:
     # Personalisation segment maintenance (fused multi-vector tasks)
     # ------------------------------------------------------------------ #
     def _sitegraph(self) -> SiteGraph:
-        """Aggregate the current SiteGraph (step 2, cheap and serial)."""
-        return aggregate_sitegraph(
-            self._docgraph,
-            include_self_links=self._include_site_self_links)
+        """The current SiteGraph (step 2), patched forward from the last.
+
+        What the graph gained since it was last read is folded in as a
+        new value: a new site is one appended row and column, a new
+        document one size bump, a link between two sites (any link, with
+        ``include_site_self_links``) one count splice
+        (:func:`~repro.linalg.sparse_utils.csr_count_link`) — the arrays
+        :func:`aggregate_sitegraph` builds from every edge, since integer
+        counts sum exactly in any order.  A long run of new SiteLinks
+        (a bulk mutation) is aggregated afresh.
+        """
+        docgraph, include_self = self._docgraph, self._include_site_self_links
+        sitegraph, (n_documents, n_links) = self._site_graph
+        registry = docgraph.registry
+        doc_site = registry.doc_site
+        pairs = [(doc_site[source], doc_site[target]) for source, target in
+                 zip(*(ids.tolist() for ids in docgraph.edge_arrays(n_links)))]
+        pairs = [pair for pair in pairs if include_self or pair[0] != pair[1]]
+        if len(pairs) > _SPLICE_LIMIT:
+            sitegraph = aggregate_sitegraph(docgraph,
+                                            include_self_links=include_self)
+        elif pairs or n_documents < docgraph.n_documents:
+            adjacency = sitegraph.adjacency
+            grown = docgraph.n_sites - len(sitegraph.sites)
+            sizes = sitegraph.site_sizes + [0] * grown
+            if grown:
+                adjacency = sp.csr_matrix(
+                    (adjacency.data, adjacency.indices,
+                     np.pad(adjacency.indptr, (0, grown), mode="edge")),
+                    shape=(len(sizes),) * 2)
+                adjacency.has_canonical_format = True
+            for doc_id in range(n_documents, docgraph.n_documents):
+                sizes[doc_site[doc_id]] += 1
+            for source_site, target_site in pairs:
+                adjacency = csr_count_link(adjacency, source_site,
+                                           target_site)
+            sitegraph = SiteGraph(sites=list(registry.sites),
+                                  adjacency=adjacency, site_sizes=sizes,
+                                  include_self_links=include_self)
+        self._site_graph = (sitegraph, (docgraph.n_documents,
+                                        docgraph.n_links))
+        return sitegraph
 
     def _store_segments(self, sites: Sequence[str], doc_ids: Sequence[int],
                         offsets: np.ndarray, solved: Tuple, *,

@@ -1,5 +1,7 @@
 """Tests for repro.linalg.sparse_utils."""
 
+import mmap
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -166,6 +168,38 @@ class TestCsrFromBuffers:
         assert np.shares_memory(rebuilt.data, matrix.data)
         assert np.shares_memory(rebuilt.indices, matrix.indices)
         assert np.shares_memory(rebuilt.indptr, matrix.indptr)
+
+    def test_whole_array_views_are_read_in_place(self):
+        matrix = sp.random(40, 40, density=0.2, format="csr", random_state=3)
+        rebuilt = csr_from_buffers(matrix.data[:], matrix.indices[:],
+                                   matrix.indptr[:], matrix.shape)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(rebuilt, name),
+                                    getattr(matrix, name))
+
+    def test_a_view_under_half_its_base_is_copied(self):
+        # scipy prunes (copies) data and indices that cover less than
+        # half of their base: why a disk window maps each array alone.
+        data, indices = np.ones(100), np.arange(100, dtype=np.int32) % 10
+        rebuilt = csr_from_buffers(data[:10], indices[:10],
+                                   np.arange(11, dtype=np.int32), (10, 10))
+        assert not np.shares_memory(rebuilt.data, data)
+        assert not np.shares_memory(rebuilt.indices, indices)
+        assert np.array_equal(rebuilt.indices, indices[:10])
+
+    def test_a_mapped_window_reads_its_mapping(self, tmp_path):
+        from repro.graphgen import generate_synthetic_web
+        from repro.io import write_diskgraph
+
+        web = generate_synthetic_web(n_sites=6, n_documents=300, seed=2)
+        graph = write_diskgraph(web, tmp_path / "graph")
+        window, _ = graph.unit_blocks(graph.sites()[1:4])
+        for array in (window.matrix.data, window.matrix.indices):
+            root = array
+            while isinstance(root, (np.ndarray, memoryview)):
+                root = root.base if isinstance(root, np.ndarray) \
+                    else root.obj
+            assert isinstance(root, mmap.mmap)
 
     def test_read_only_buffers_serve_products(self):
         # The on-disk graph hands over read-only memory-mapped views.

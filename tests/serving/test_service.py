@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.api import Ranker, RankingConfig
 from repro.exceptions import ValidationError
 from repro.graphgen import generate_synthetic_web
@@ -324,6 +325,28 @@ def add_intersite_link(web, ranker):
 
 def shard_generations(service, web):
     return [service.store.shard_generation(site) for site in web.sites()]
+
+
+def test_rebuild_telemetry_names_the_kind_of_update(web):
+    """``serving_rebuild_seconds`` and ``serving_shards_rebuilt_total``
+    split a one-site rebuild from a SiteRank-moving one."""
+    ranker = IncrementalLayeredRanker(web)
+    service = RankingService.from_incremental(ranker)
+    obs.reset()
+    site = web.sites()[2]
+    inside = web.documents_of_site(site)
+    ranker.add_link(web.document(inside[0]).url, web.document(inside[1]).url)
+    add_intersite_link(web, ranker)
+    registry = obs.registry()
+    assert registry.counter_value("serving_shards_rebuilt_total",
+                                  kind="intra_site") == 1.0
+    assert registry.counter_value("serving_shards_rebuilt_total",
+                                  kind="siterank") == web.n_sites
+    assert registry.counter_value("serving_shards_rebuilt_total") == 0.0
+    rebuilds = {histogram["labels"].get("kind"): histogram["count"]
+                for histogram in registry.snapshot()["histograms"]
+                if histogram["name"] == "serving_rebuild_seconds"}
+    assert rebuilds == {"intra_site": 1, "siterank": 1}
 
 
 class TestEngineShardRebuild:
