@@ -138,20 +138,17 @@ def csr_from_buffers(data, indices, indptr,
 
 def csr_count_link(matrix: sp.csr_matrix, row: int,
                    column: int) -> sp.csr_matrix:
-    """A canonical CSR link-count matrix with one more link at
-    ``(row, column)``, as a new matrix (*matrix* is left untouched).
+    """A canonical CSR link-count matrix (a layout's, a SiteGraph's)
+    with one more link at ``(row, column)``, as a new matrix (*matrix* is
+    left untouched).
 
     The arrays, index dtype and canonical flag of ``matrix +
     csr_matrix(([1.0], ([row], [column])))`` without the whole-matrix sum:
     an existing entry is incremented in a copy of ``data`` (``indices``
     and ``indptr`` shared), a new one is spliced into its row's sorted run
     (one insertion into copies of ``data`` and ``indices``, ``indptr``
-    shifted past the row).  A matrix that is not canonical is summed
-    into canonical form first.
+    shifted past the row).
     """
-    if not matrix.has_canonical_format:
-        matrix = matrix.copy()
-        matrix.sum_duplicates()
     data, indices, indptr = matrix.data, matrix.indices, matrix.indptr
     low, high = int(indptr[row]), int(indptr[row + 1])
     at = low + int(np.searchsorted(indices[low:high], column))
