@@ -120,9 +120,10 @@ class SiteBlocks:
         rebuild or a whole-web sum; the document numbering is shared with
         (and the matrix of) this object left untouched.
         """
+        position = self._position  # cached before the copy shares it
         patched = copy(self)
         patched._set_matrix(csr_count_link(
-            self.matrix, self._position[source], self._position[target]))
+            self.matrix, position[source], position[target]))
         return patched
 
     @cached_property
