@@ -15,10 +15,12 @@ base shard is a window into the base, a replacement shard holds its own.
 So
 
 * a document resolves through its site: one array column (document id →
-  site row, ``-1`` where no shard holds it; the base's own, built from
-  ``doc_position`` on first use, copied only when an update moves or adds
-  documents) names the site, and a row lookup in that site's current
-  shard finds the document — no Python object exists per document, and
+  site row, ``-1`` where no shard holds it) names the site, and a row
+  lookup in that site's current shard finds the document.  Until an
+  update adds or moves documents the column is the base's, read through
+  ``doc_position`` and the shard bounds (O(log sites), nothing built);
+  the first update builds it once per base, and one that moves
+  documents installs a copy.  No Python object exists per document, and
   an update's ownership check is one vectorised pass over its ids;
 * each shard keeps its documents in score order, so a per-site top-k is a
   prefix of one array;
@@ -45,6 +47,7 @@ from a published generation, or incrementally from an
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
@@ -291,16 +294,25 @@ class _Base:
     bounds: List[int]
     mapped: bool
 
+    def site_row(self, doc_id: int) -> int:
+        """The window whose positions hold a non-negative document id per
+        ``doc_position`` (``-1`` for none): the site column of a store no
+        update has written, read without building it."""
+        if doc_id >= self.doc_position.size:
+            return -1
+        position = self.doc_position.item(doc_id)
+        return -1 if position < 0 else bisect_right(self.bounds, position) - 1
+
     @cached_property
     def site_rows(self) -> np.ndarray:
-        """Each document id's shard index (``-1`` for an id the base does
-        not hold): ``doc_position`` read once, on the first lookup or
-        update that needs it."""
-        position = self.doc_position
-        held = (position >= 0) & (position < self.ids.size)
-        held[held] = self.ids[position[held]] == np.flatnonzero(held)
-        rows = np.searchsorted(self.bounds, position, side="right") - 1
-        return np.where(held, rows, -1).astype(np.int32)
+        """:meth:`site_row` of every document id, scattered from ``ids``
+        when the first update needs the whole column."""
+        rows = np.full(self.doc_position.size, -1, dtype=np.int32)
+        windows = np.repeat(np.arange(len(self.bounds) - 1, dtype=np.int32),
+                            np.diff(self.bounds))
+        held = (self.ids >= 0) & (self.ids < rows.size)
+        rows[self.ids[held]] = windows[held]
+        return rows
 
 
 class ShardedScoreStore:
@@ -326,8 +338,10 @@ class ShardedScoreStore:
         self._base: Optional[_Base] = None
         #: Document id -> site row (an index into ``_site_names``) of the
         #: shard holding it, ``-1`` for none; ``None`` while it is the
-        #: base's.  Never written in place: an update that moves or adds
-        #: documents installs a copy, so clones share it safely.
+        #: base's, which lookups read through ``doc_position`` (a store
+        #: that is never updated builds no column).  Never written in
+        #: place: an update that moves or adds documents installs a copy,
+        #: so clones share it safely.
         self._site_rows: Optional[np.ndarray] = np.empty(0, dtype=np.int32)
         #: Site of each site row, appended to (as a copy) per new site.
         self._site_names: List[str] = []
@@ -887,20 +901,25 @@ class ShardedScoreStore:
         """``(shard, row)`` of a held document, ``None`` otherwise.
 
         The one lookup path: the document's site row from the store's
-        column, then its row in that site's current shard — a base
-        window's through ``doc_position``, a replacement's by search.
+        column (or the base's, read through ``doc_position``), then its
+        row in that site's current shard — a base window's through
+        ``doc_position``, a replacement's by search.
         """
-        column = self._column()
-        if not isinstance(doc_id, (int, np.integer)) \
-                or not 0 <= doc_id < column.size:
+        if not isinstance(doc_id, (int, np.integer)) or doc_id < 0:
             return None
-        site_row = column.item(doc_id)
+        rows = self._site_rows
+        site_row = (self._base.site_row(doc_id) if rows is None
+                    else rows.item(doc_id) if doc_id < rows.size else -1)
         if site_row < 0:
             return None
         shard = self._shards[self._site_names[site_row]]
         if shard.offset is None:
             return shard, shard.row_of(doc_id)
-        return shard, self._base.doc_position.item(doc_id) - shard.offset
+        row = self._base.doc_position.item(doc_id) - shard.offset
+        # A window holds what its ids say, whatever doc_position claims.
+        if not 0 <= row < len(shard) or shard.ids.item(row) != doc_id:
+            return None
+        return shard, row
 
     def _located(self, doc_id: int) -> Tuple[_Shard, int]:
         located = self._locate(doc_id)

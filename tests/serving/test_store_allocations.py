@@ -80,6 +80,9 @@ def test_a_fresh_store_holds_no_per_document_objects(kind, web, ranking,
                   if kind == "resident" else MmapScoreStore(generation))
         exercise(served)
         fresh = _blocks_held_by_store_modules()
+        # Lookups read the base through doc_position: no column is built
+        # (a mapped serve stays at the pages its answers touch).
+        assert "site_rows" not in vars(served._base)
         # Replacing the largest site, with its URLs read by id, and
         # reading it back keys none of its documents.
         # (The records read here are dropped before counting.)
