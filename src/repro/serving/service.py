@@ -281,11 +281,11 @@ class RankingService:
             drop = set()
         # In site order, so shard generations are deterministic; each
         # shard reads its URLs from the registry by id.
-        urls = UrlTable(docgraph.registry.urls)
+        urls = docgraph.registry.urls
         replacements = {}
         for site in sites:
             local = ranker.local(site)
-            shard = (local.doc_ids, urls,
+            shard = (local.doc_ids, UrlTable(urls, local.doc_ids),
                      ranker.siterank.score_of(site) * local.scores)
             if self._store.segments:
                 shard += (ranker.segment_shard_columns(site),)

@@ -130,14 +130,14 @@ def _document_payload(document: ScoredDocument) -> Dict[str, Any]:
 
 
 class UrlTable:
-    """URLs by document id (a registry's append-only ``urls``): given as
-    :meth:`ShardedScoreStore.update_site`'s *urls*, it is bound to the new
-    shard's ids, and row ``r`` reads ``table[ids[r]]`` when served."""
+    """The URLs of *ids*, read by id from *table* (a registry's
+    append-only ``urls``): row ``r`` is ``table[ids[r]]``.  Given as
+    :meth:`ShardedScoreStore.update_site`'s *urls* for the same ids, a
+    replacement shard serves its URLs without a list of them."""
 
     __slots__ = ("table", "ids")
 
-    def __init__(self, table: Sequence[str],
-                 ids: Optional[np.ndarray] = None) -> None:
+    def __init__(self, table: Sequence[str], ids: Sequence[int]) -> None:
         self.table = table
         self.ids = ids
 
@@ -145,7 +145,7 @@ class UrlTable:
         return len(self.ids)
 
     def __getitem__(self, row: int) -> str:
-        return self.table[self.ids.item(row)]
+        return self.table[self.ids[row]]
 
 
 class _GlobalOrder(NamedTuple):
@@ -216,13 +216,15 @@ class _Shard:
     def row_of(self, doc_id: int) -> int:
         """The row of a document the shard holds, by binary search over
         its ids (``_sorter`` is ``None`` when they ascend, else their
-        argsort, built on the first lookup)."""
+        argsort, built on the first lookup); for a document it does not
+        hold, some row whose id differs, or ``len(self)``."""
         try:
             sorter = self._sorter
         except AttributeError:
             sorter = self._sorter = np.argsort(self.ids)
         row = int(np.searchsorted(self.ids, doc_id, sorter=sorter))
-        return row if sorter is None else sorter.item(row)
+        return row if sorter is None or row == sorter.size \
+            else sorter.item(row)
 
     def order_for(self, segment_index: Optional[int] = None) -> np.ndarray:
         """Rows of the shard in descending score order."""
@@ -295,13 +297,17 @@ class _Base:
     mapped: bool
 
     def site_row(self, doc_id: int) -> int:
-        """The window whose positions hold a non-negative document id per
-        ``doc_position`` (``-1`` for none): the site column of a store no
-        update has written, read without building it."""
+        """The window whose position ``doc_position`` gives a document,
+        if ``ids`` holds the document there (``-1`` otherwise): the site
+        column of a store no update has written, read without building
+        it."""
         if doc_id >= self.doc_position.size:
             return -1
         position = self.doc_position.item(doc_id)
-        return -1 if position < 0 else bisect_right(self.bounds, position) - 1
+        if not 0 <= position < self.ids.size \
+                or self.ids.item(position) != doc_id:
+            return -1
+        return bisect_right(self.bounds, position) - 1
 
     @cached_property
     def site_rows(self) -> np.ndarray:
@@ -442,24 +448,20 @@ class ShardedScoreStore:
         self._n_documents += bounds[-1]
 
     def update_site(self, site: str, doc_ids: Sequence[int],
-                    urls: Union[Sequence[str], UrlTable], scores, *,
+                    urls: Sequence[str], scores, *,
                     segment_columns=None) -> int:
         """Replace (or create) one site's shard; returns its new generation.
 
         The replaced shard's documents are removed first, so a shard may
         shrink or grow — e.g. after documents were added to the site through
-        the incremental ranker.  *urls* is aligned with *doc_ids*, or a
-        :class:`UrlTable` the shard reads them from by id.  A store with
+        the incremental ranker.  *urls* is any sequence aligned with
+        *doc_ids* (a :class:`UrlTable` of them reads them by id).  A store with
         declared segments requires a ``(len(doc_ids), n_segments)``
         *segment_columns* block (rows aligned with *doc_ids*); a base-only
         store rejects one.
         """
         scores = np.asarray(scores, dtype=float).ravel()
         ids = np.array(doc_ids, dtype=np.int64).ravel()
-        if isinstance(urls, UrlTable):
-            urls = UrlTable(urls.table, ids)
-        elif len(urls) == ids.size:
-            urls = list(urls)
         if not (ids.size == len(urls) == scores.size):
             raise ValidationError("doc_ids, urls and scores must align")
         if scores.size and not np.all(np.isfinite(scores)):
@@ -913,10 +915,9 @@ class ShardedScoreStore:
         if site_row < 0:
             return None
         shard = self._shards[self._site_names[site_row]]
-        if shard.offset is None:
-            return shard, shard.row_of(doc_id)
-        row = self._base.doc_position.item(doc_id) - shard.offset
-        # A window holds what its ids say, whatever doc_position claims.
+        row = (shard.row_of(doc_id) if shard.offset is None
+               else self._base.doc_position.item(doc_id) - shard.offset)
+        # A shard holds what its ids say, whatever the columns claim.
         if not 0 <= row < len(shard) or shard.ids.item(row) != doc_id:
             return None
         return shard, row

@@ -142,24 +142,8 @@ class SiteBlocks:
         return self.doc_ids[self.offsets[index]:self.offsets[index + 1]]
 
     def block(self, index: int) -> sp.csr_matrix:
-        """One site's block as a CSR matrix (caller-owned buffers).
-
-        The matrix :meth:`packed` gathers for ``[index]``, cut directly:
-        the row range's ``indptr`` and columns shifted, its ``data``
-        copied once.
-        """
-        low, high = int(self.offsets[index]), int(self.offsets[index + 1])
-        source = self.matrix
-        first, last = int(source.indptr[low]), int(source.indptr[high])
-        matrix = sp.csr_matrix(
-            (source.data[first:last].astype(float),
-             source.indices[first:last] - (low + self._origin),
-             source.indptr[low:high + 1] - first), shape=(high - low,) * 2)
-        if not source.has_canonical_format:
-            matrix.sum_duplicates()
-        if self._release is not None:
-            self._release(first, last)
-        return matrix
+        """One site's block as a CSR matrix (caller-owned buffers)."""
+        return self.packed([index])[0]
 
     def packed(self, sites: Sequence[int]
                ) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:

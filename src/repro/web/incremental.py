@@ -47,7 +47,7 @@ import scipy.sparse as sp
 
 from ..exceptions import GraphStructureError, ValidationError
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
-from ..linalg.sparse_utils import csr_count_link
+from ..linalg.sparse_utils import coo_from_edges
 from ..markov.irreducibility import DEFAULT_DAMPING
 from .docgraph import DocGraph
 from .docrank import LocalDocRank, SiteColumns
@@ -58,7 +58,7 @@ from .pipeline import (
     compose_ranking,
     weight_segment_columns,
 )
-from .sitegraph import SiteGraph, aggregate_sitegraph
+from .sitegraph import SiteGraph
 from .siterank import SiteRankResult
 
 
@@ -103,11 +103,6 @@ class UpdateReport:
 #: Signature of an update-notification callback (see
 #: :meth:`IncrementalLayeredRanker.subscribe`).
 UpdateListener = Callable[[UpdateReport], None]
-
-
-#: Counted SiteLinks beyond which a SiteGraph catching up with the graph
-#: is aggregated afresh instead of spliced link by link.
-_SPLICE_LIMIT = 256
 
 
 def _previous(cache: Mapping, sites: Iterable[str], values: str) -> Dict:
@@ -432,12 +427,11 @@ class IncrementalLayeredRanker:
 
         What the graph gained since it was last read is folded in as a
         new value: a new site is one appended row and column, a new
-        document one size bump, a link between two sites (any link, with
-        ``include_site_self_links``) one count splice
-        (:func:`~repro.linalg.sparse_utils.csr_count_link`) — the arrays
-        :func:`aggregate_sitegraph` builds from every edge, since integer
-        counts sum exactly in any order.  A long run of new SiteLinks
-        (a bulk mutation) is aggregated afresh.
+        document one size bump, and the links between two sites (any
+        link, with ``include_site_self_links``) one count matrix added to
+        the adjacency — the arrays
+        :func:`~repro.web.sitegraph.aggregate_sitegraph` builds from every
+        edge, since integer counts sum exactly in any order.
         """
         docgraph, include_self = self._docgraph, self._include_site_self_links
         sitegraph, (n_documents, n_links) = self._site_graph
@@ -446,10 +440,7 @@ class IncrementalLayeredRanker:
         pairs = [(doc_site[source], doc_site[target]) for source, target in
                  zip(*(ids.tolist() for ids in docgraph.edge_arrays(n_links)))]
         pairs = [pair for pair in pairs if include_self or pair[0] != pair[1]]
-        if len(pairs) > _SPLICE_LIMIT:
-            sitegraph = aggregate_sitegraph(docgraph,
-                                            include_self_links=include_self)
-        elif pairs or n_documents < docgraph.n_documents:
+        if pairs or n_documents < docgraph.n_documents:
             adjacency = sitegraph.adjacency
             grown = docgraph.n_sites - len(sitegraph.sites)
             sizes = sitegraph.site_sizes + [0] * grown
@@ -461,9 +452,9 @@ class IncrementalLayeredRanker:
                 adjacency.has_canonical_format = True
             for doc_id in range(n_documents, docgraph.n_documents):
                 sizes[doc_site[doc_id]] += 1
-            for source_site, target_site in pairs:
-                adjacency = csr_count_link(adjacency, source_site,
-                                           target_site)
+            if pairs:
+                adjacency = adjacency + coo_from_edges(pairs, len(sizes))
+                adjacency.has_canonical_format = True
             sitegraph = SiteGraph(sites=list(registry.sites),
                                   adjacency=adjacency, site_sizes=sizes,
                                   include_self_links=include_self)

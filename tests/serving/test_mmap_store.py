@@ -260,6 +260,36 @@ class TestValidation:
         with pytest.raises(ValidationError, match="corrupt"):
             MmapScoreStore(path)
 
+    def test_a_corrupt_doc_position_finds_no_other_document(self, ranked,
+                                                            tmp_path):
+        import shutil
+
+        path = tmp_path / "copy"
+        shutil.copytree(ranked[1].generation().path, path)
+        clean = MmapScoreStore(path)
+        first, second = clean.sites()[:2]
+        stray = int(clean._shard(first).ids[0])
+        victim = int(clean._shard(second).ids[0])
+        other = int(clean._shard(second).ids[1])
+        ids = clean._shard(second).ids.tolist()
+        urls = [clean.document(doc_id).url for doc_id in ids]
+        position = np.memmap(path / "doc_position.bin", dtype=np.int64,
+                             mode="r+")
+        # One entry points into the second site's window, one past every
+        # window.
+        position[stray] = position[victim]
+        position[other] = clean.n_documents + 3
+        position.flush()
+        del position, clean
+        store = MmapScoreStore(path)
+        # The second site replaced by its own documents: the column stays
+        # the base's, and the lookup searches the replacement.
+        store.update_site(second, ids, urls, np.arange(1.0, len(ids) + 1))
+        for doc_id in (stray, other):
+            with pytest.raises(ValidationError, match="unknown document"):
+                store.document(doc_id)
+        assert store.score_of(victim) == 1.0 + ids.index(victim)
+
     def test_store_without_published_generation(self, tmp_path):
         ArtifactStore(tmp_path / "empty", create=True)
         with pytest.raises(ValidationError, match="no published generation"):

@@ -91,8 +91,8 @@ def test_a_fresh_store_holds_no_per_document_objects(kind, web, ranking,
         doc_ids = np.array([document.doc_id for document in top])
         scores = np.array([document.score for document in top])
         del top
-        served.update_site(site, doc_ids, UrlTable(web.registry.urls),
-                           scores)
+        served.update_site(site, doc_ids,
+                           UrlTable(web.registry.urls, doc_ids), scores)
         exercise(served)
         assert [served.score_of(doc_id) for doc_id in doc_ids.tolist()] \
             == scores.tolist()

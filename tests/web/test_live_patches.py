@@ -7,12 +7,12 @@ computation it replaced — arrays, dtypes and scipy's canonical flag:
   ``matrix + csr_matrix(([1.0], ([row], [column])))``;
 * ``SiteBlocks.with_link`` (one splice per intra-site link) against that
   sum, and against the layout rebuilt from every link;
-* the incremental ranker's SiteGraph (a count splice per SiteLink, a
-  size bump per document, a row and column per site) against
+* the incremental ranker's SiteGraph (the new SiteLinks counted in one
+  delta, a size bump per document, a row and column per site) against
   ``aggregate_sitegraph`` over every edge;
 
-and ``SiteBlocks.block(i)``, a direct cut, against the general
-``packed([i])`` gather on canonical, non-canonical and mapped layouts.
+and a block of a layout that is not canonical comes out summed, as
+scipy's own cut would.
 """
 
 import numpy as np
@@ -22,9 +22,7 @@ from hypothesis import strategies as st
 
 from repro.api import Ranker
 from repro.graphgen import generate_synthetic_web
-from repro.io import write_diskgraph
 from repro.linalg.sparse_utils import csr_count_link
-from repro.web import incremental
 from repro.web.docgraph import DocGraph, SiteBlocks
 from repro.web.sitegraph import aggregate_sitegraph
 
@@ -149,9 +147,8 @@ def test_the_patched_sitegraph_is_the_aggregate(stream, self_links):
             assert_same_csr(patched.adjacency, want.adjacency)
 
 
-def test_a_bulk_mutation_is_aggregated_afresh(monkeypatch):
+def test_a_bulk_mutation_is_counted_in_one_delta():
     graph = generate_synthetic_web(n_sites=6, n_documents=120, seed=5)
-    monkeypatch.setattr(incremental, "_SPLICE_LIMIT", 3)
     with Ranker().incremental(graph) as live:
         sizes = [len(graph.documents_of_site(site)) for site in graph.sites()]
         first = np.cumsum([0] + sizes)[:-1]
@@ -164,20 +161,8 @@ def test_a_bulk_mutation_is_aggregated_afresh(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# block(i) is packed([i])
+# A block of a non-canonical layout is canonicalised
 # --------------------------------------------------------------------- #
-def assert_blocks_are_packed(layout):
-    for index in range(layout.offsets.size - 1):
-        assert_same_csr(layout.block(index), layout.packed([index])[0])
-
-
-@given(_streams)
-@settings(max_examples=100, deadline=None)
-def test_a_block_is_its_packed_gather(stream):
-    owners, links, _updates = stream
-    assert_blocks_are_packed(build(owners, links).site_blocks())
-
-
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                 min_size=1, max_size=30), st.data())
 @settings(max_examples=100, deadline=None)
@@ -196,22 +181,7 @@ def test_a_block_of_a_non_canonical_layout_is_summed(entries, data):
                             np.asarray(columns)[order].astype(np.int32),
                             indptr.astype(np.int32)), shape=(8, 8))
     layout = SiteBlocks(matrix, np.array([0, 4, 8]), np.arange(8))
-    assert_blocks_are_packed(layout)
-
-
-def test_a_block_of_a_mapped_window_is_cut_and_released(tmp_path):
-    web = generate_synthetic_web(n_sites=7, n_documents=420, seed=9)
-    graph = write_diskgraph(web, tmp_path / "graph")
-    sites = graph.sites()
-    for low in range(0, len(sites), 3):
-        window, _preferences = graph.unit_blocks(sites[low:low + 3])
-        spans = []
-        window._release = lambda *span: spans.append(span)
-        for index in range(window.offsets.size - 1):
-            packed = window.packed([index])[0]
-            packed_spans, spans[:] = list(spans), []
-            assert_same_csr(window.block(index), packed)
-            assert spans == packed_spans
-            assert_same_csr(window.block(index),
-                            web.site_blocks().block(low + index))
-            spans.clear()
+    for index in range(2):
+        want = matrix[4 * index:4 * index + 4, 4 * index:4 * index + 4]
+        want.sum_duplicates()
+        assert_same_csr(layout.block(index), want)
