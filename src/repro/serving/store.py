@@ -297,17 +297,15 @@ class _Base:
     mapped: bool
 
     def site_row(self, doc_id: int) -> int:
-        """The window whose position ``doc_position`` gives a document,
-        if ``ids`` holds the document there (``-1`` otherwise): the site
-        column of a store no update has written, read without building
-        it."""
+        """The window holding the position ``doc_position`` gives a
+        document (``-1`` for none): the site column of a store no update
+        has written, read without building it.  Whether the id at that
+        position is the document is the caller's check."""
         if doc_id >= self.doc_position.size:
             return -1
         position = self.doc_position.item(doc_id)
-        if not 0 <= position < self.ids.size \
-                or self.ids.item(position) != doc_id:
-            return -1
-        return bisect_right(self.bounds, position) - 1
+        return (bisect_right(self.bounds, position) - 1
+                if 0 <= position < self.ids.size else -1)
 
     @cached_property
     def site_rows(self) -> np.ndarray:
