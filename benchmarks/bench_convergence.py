@@ -4,8 +4,8 @@ The layered method replaces one huge power-method run (flat PageRank over
 all documents) by many small ones (one per site) plus one tiny one (the
 SiteRank).  This benchmark records the iteration counts and convergence
 rates of each, and also places the centralized acceleration techniques from
-the paper's related work (Aitken/quadratic extrapolation, adaptive
-PageRank) on the same graph for context.
+the paper's related work (Aitken/quadratic extrapolation) on the same
+graph for context.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 
 from conftest import write_result
 from repro.metrics import ConvergenceTrace, summarize_traces
-from repro.pagerank import accelerated_pagerank, adaptive_pagerank, pagerank
+from repro.pagerank import accelerated_pagerank, pagerank
 from repro.web import aggregate_sitegraph, all_local_docranks, siterank
 
 TOLERANCE = 1e-10
@@ -37,8 +37,6 @@ def convergence_rows(graph):
                                   tol=TOLERANCE)
     quadratic = accelerated_pagerank(graph.adjacency(), scheme="quadratic",
                                      tol=TOLERANCE)
-    adaptive = adaptive_pagerank(graph.adjacency(), tol=TOLERANCE,
-                                 freeze_tol=1e-9)
 
     trace_rows = summarize_traces([
         ConvergenceTrace("flat PageRank", flat.residuals, TOLERANCE),
@@ -47,7 +45,6 @@ def convergence_rows(graph):
                          TOLERANCE),
         ConvergenceTrace("quadratic-extrapolated PageRank",
                          quadratic.residuals, TOLERANCE),
-        ConvergenceTrace("adaptive PageRank", adaptive.residuals, TOLERANCE),
     ], tolerance=TOLERANCE)
 
     rows = [
@@ -75,10 +72,6 @@ def convergence_rows(graph):
          "matrix_size": graph.n_documents,
          "iterations": quadratic.iterations,
          "rate": round(trace_rows[3]["rate"], 3)},
-        {"computation": "adaptive PageRank",
-         "matrix_size": graph.n_documents,
-         "iterations": adaptive.iterations,
-         "rate": round(trace_rows[4]["rate"], 3)},
     ]
     return rows
 

@@ -9,7 +9,9 @@ than a configured memory budget and holds the pipeline to three claims:
   chunk by chunk (:class:`~repro.io.diskgraph.DiskGraphBuilder`);
 * **bounded rank** — ``rank_outofcore`` keeps peak RSS under the budget
   while the graph's block file is ≥ 4x the budget (full mode), because
-  each solve unit's adjacency is hydrated from a short-lived mmap;
+  each window's adjacency is hydrated from a short-lived mmap — serially
+  and with each window's tasks on two threads (``n_jobs=2``), which must
+  publish the serial run's ranking;
 * **page-cache serving** — booting :class:`~repro.serving.MmapScoreStore`
   and answering top-k queries stays within a small serving budget; score
   columns are never loaded wholesale.
@@ -60,7 +62,7 @@ SITE_SIZES = [BIG_DOCS if index % 3 == 0 else SMALL_DOCS
               for index in range(N_SITES)]
 
 PROBE = r"""
-import json, os, resource, sys
+import hashlib, json, os, resource, sys
 
 def peak_mib():
     try:
@@ -88,8 +90,11 @@ elif phase == "rank":
     from repro.engine import rank_outofcore
     from repro.io import open_diskgraph
     graph = open_diskgraph(sys.argv[2])
-    result = rank_outofcore(graph, sys.argv[3])
+    result = rank_outofcore(graph, sys.argv[3],
+                            n_jobs=int(sys.argv[4]) if sys.argv[4:] else None)
+    scores = result.generation.map_array("scores")
     out.update(generation=result.generation.name,
+               scores_sha256=hashlib.sha256(scores.tobytes()).hexdigest(),
                iterations=result.iterations,
                n_documents=result.n_documents, graph_bytes=graph.nbytes)
 elif phase == "serve":
@@ -168,10 +173,12 @@ def test_out_of_core_rss_bounds(workdir):
     baseline = _run_probe("baseline")["peak_mib"]
     build = _run_probe("build", edges_path, graph_dir)
     rank = _run_probe("rank", graph_dir, store_dir)
+    pooled = _run_probe("rank", graph_dir, store_dir + "-jobs", "2")
     serve = _run_probe("serve", store_dir)
 
     build_extra = build["peak_mib"] - baseline
     rank_extra = rank["peak_mib"] - baseline
+    pooled_extra = pooled["peak_mib"] - baseline
     serve_extra = serve["peak_mib"] - baseline
     graph_mib = rank["graph_bytes"] / MIB
 
@@ -187,6 +194,11 @@ def test_out_of_core_rss_bounds(workdir):
          "detail": f"{rank['n_documents']} documents, "
                    f"{rank['iterations']} iterations, graph/budget = "
                    f"{round(graph_mib / BUDGET_MIB, 2)}x"},
+        {"phase": "rank, n_jobs=2",
+         "peak_rss_mib": round(pooled["peak_mib"], 1),
+         "extra_mib": round(pooled_extra, 1), "budget_mib": BUDGET_MIB,
+         "detail": "each window's tasks on two threads, "
+                   f"{pooled['iterations']} iterations"},
         {"phase": "serve", "peak_rss_mib": round(serve["peak_mib"], 1),
          "extra_mib": round(serve_extra, 1),
          "budget_mib": SERVE_BUDGET_MIB,
@@ -207,6 +219,11 @@ def test_out_of_core_rss_bounds(workdir):
     assert build_extra < BUILD_BUDGET_MIB
     assert rank_extra < BUDGET_MIB, \
         f"rank peak RSS {rank_extra:.1f} MiB exceeds {BUDGET_MIB} MiB budget"
+    assert pooled_extra < BUDGET_MIB, \
+        f"n_jobs=2 rank peak RSS {pooled_extra:.1f} MiB exceeds " \
+        f"{BUDGET_MIB} MiB budget"
+    assert (pooled["iterations"], pooled["scores_sha256"]) == \
+        (rank["iterations"], rank["scores_sha256"])
     assert serve_extra < SERVE_BUDGET_MIB
     if not SMOKE:
         # The headline claim: the web on disk is >= 4x the rank budget.

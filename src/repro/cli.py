@@ -351,14 +351,10 @@ def _command_rank_on_disk(args: argparse.Namespace) -> int:
     if resolve_method_name(method) != "layered":
         raise ValidationError(
             f"--on-disk supports only the layered method, got {method!r}")
-    unsupported = [name for name, given in (
-        ("personalization", config.personalization),
-        (f"executor={config.executor!r} / --jobs",
-         config.wants_auto_backend or config.executor != "serial")) if given]
-    if unsupported:
+    if config.personalization:
         raise ValidationError(
-            "--on-disk streams one window of sites at a time on the calling "
-            "thread and cannot honour: " + ", ".join(unsupported))
+            "--on-disk cannot honour personalization: a ranked generation "
+            "holds one score column, not one per segment")
     graph_dir = os.path.join(args.output, "graph")
     self_links = config.include_site_self_links
     if args.input is not None and args.format == "edgelist":
@@ -379,9 +375,15 @@ def _command_rank_on_disk(args: argparse.Namespace) -> int:
     warm = store.generation() if store.current is not None else None
     if warm is not None:
         print(f"warm-starting from generation {warm.name}")
-    result = rank_outofcore(graph, store, config.damping,
-                            site_damping=config.site_damping, tol=config.tol,
-                            max_iter=config.max_iter, warm=warm)
+    executor, n_jobs, owned = Ranker(config)._engine_spec()
+    try:
+        result = rank_outofcore(graph, store, config.damping,
+                                site_damping=config.site_damping,
+                                tol=config.tol, max_iter=config.max_iter,
+                                warm=warm, executor=executor, n_jobs=n_jobs)
+    finally:
+        if owned:
+            executor.close()
     print(f"published generation {result.generation.name} to {args.output}")
     engine = TopKEngine(MmapScoreStore(result.generation))
     print(f"\ntop-{args.top} by {result.method} "
@@ -756,9 +758,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "(repro.obs trace schema)")
     rank.add_argument("--on-disk", action="store_true", dest="on_disk",
                       help="rank out of core: stream the graph into an "
-                           "mmap'd disk store and solve it in bounded "
-                           "memory (requires --output; layered method "
-                           "only)")
+                           "mmap'd disk store and solve it in bounded memory, "
+                           "a window of sites at a time on --jobs workers "
+                           "(requires --output; layered method only)")
     rank.add_argument("--output", metavar="DIR", default=None,
                       help="artifact-store directory --on-disk publishes "
                            "its ranked generation into (servable with "

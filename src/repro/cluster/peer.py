@@ -4,7 +4,7 @@ A :class:`ClusterPeer` connects to the coordinator over TCP, registers,
 and then mirrors what the simulator's in-process peers do — summarise
 SiteLinks, compute local DocRanks as one layout step over its sites
 (:func:`repro.engine.plan.sites_step`, each site of the kind the whole
-web's fit gives it), stream
+web's fit gives it, run by :func:`repro.engine.plan.solve_windows`), stream
 :class:`~repro.distributed.messages.LocalRankResult` frames back — except
 every message now actually crosses a socket.  Because the compute path is
 the fit's own, a live peer's scores are bitwise those of ``Ranker.fit``
@@ -23,8 +23,9 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
-import time
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from .. import obs
 from ..distributed.codec import read_message, write_message
@@ -34,7 +35,12 @@ from ..distributed.messages import (
     LocalRankResult,
 )
 from ..distributed.peer import summarize_sitelinks
-from ..engine.plan import check_block_vector, sites_step, solve_layout_steps
+from ..engine.plan import (
+    check_block_vector,
+    fused_sites,
+    sites_step,
+    solve_windows,
+)
 from ..engine.warm import WarmSource
 from ..exceptions import ProtocolError
 from ..io import docgraph_digest
@@ -182,16 +188,16 @@ class ClusterPeer:
                     f"warm start of site {site!r} on peer {self.name!r}",
                     start, len(doc_ids))
                 previous[site] = (doc_ids, start)
+        kinds = fused_sites(np.diff(blocks.offsets).tolist())
         step = sites_step(blocks, indices, sites, head.damping,
+                          fused=[kinds[index] for index in indices],
                           tol=head.tol, max_iter=head.max_iter,
                           warm=WarmSource(previous) if previous else None)
-        started = time.perf_counter()
-        _first, ((scores, iterations, _tail),), _n_tasks = \
-            await asyncio.to_thread(solve_layout_steps, [(step, None)])
-        wall = time.perf_counter() - started
-        self.busy_seconds += wall
-        obs.observe("cluster_peer_batch_seconds", wall, peer=self.name)
-        for site, rank in step.local_ranks(scores, iterations).items():
+        run = await asyncio.to_thread(solve_windows, [step])
+        self.busy_seconds += run.wall_seconds
+        obs.observe("cluster_peer_batch_seconds", run.wall_seconds,
+                    peer=self.name)
+        for site, rank in run.local.items():
             await self._send(LocalRankResult(
                 sender=self.name, recipient=COORDINATOR, site=site,
                 doc_ids=tuple(rank.doc_ids),

@@ -19,15 +19,14 @@ benchmark (E9) measures.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Literal, Optional, Tuple
 
 import numpy as np
 
 from .._validation import normalize_distribution
-from ..engine.executor import Executor, resolve_executor, warmup_for
-from ..engine.plan import layout_step, solve_layout_steps
+from ..engine.executor import Executor
+from ..engine.plan import sites_step, solve_windows
 from ..exceptions import SimulationError
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..linalg.sparse_utils import coo_from_edges
@@ -204,8 +203,8 @@ class DistributedRankingCoordinator:
         Damping factors of the local DocRanks and the SiteRank.
     executor / n_jobs:
         Engine backend the peers' step 3 is *actually* executed on
-        (serial by default).  It is the fit's own layout step
-        (:func:`repro.engine.plan.layout_step`), so every peer's local
+        (serial by default).  It is the fit's own layout step, run by
+        :func:`repro.engine.plan.solve_windows`, so every peer's local
         DocRanks are bitwise those of ``Ranker.fit``; the cost model
         charges each peer its sites' ``(n, nnz, iterations)``.
     """
@@ -275,28 +274,18 @@ class DistributedRankingCoordinator:
                     sender=COORDINATOR, recipient=peer_name, site=site,
                     damping=self.damping, tol=self.tol,
                     max_iter=self.max_iter))
-        step = layout_step(self.docgraph, self.damping, tol=self.tol,
-                           max_iter=self.max_iter)
+        graph = self.docgraph
         executor, n_jobs = self._executor_spec
-        resolved, owned = resolve_executor(executor, n_jobs)
-        try:
-            # Spin up any worker pool outside the timed region, so the
-            # measured wall-clock describes the batch, not pool start-up.
-            warmup_for(resolved, step.payload()[0])
-            started = time.perf_counter()
-            _first, ((scores, iterations, _tail),), _n_tasks = \
-                solve_layout_steps([(step, None)], executor=resolved)
-            measured_wall = time.perf_counter() - started
-            executor_name = resolved.name
-        finally:
-            if owned:
-                resolved.close()
-        local = step.local_ranks(scores, iterations)
-        nnz, site_index = step.blocks.nnz, self.docgraph.registry.site_index
+        run = solve_windows(
+            [sites_step(graph.site_blocks(), range(graph.n_sites),
+                        graph.sites(), self.damping, tol=self.tol,
+                        max_iter=self.max_iter)],
+            executor=executor, n_jobs=n_jobs)
+        nnz, site_index = graph.site_blocks().nnz, graph.registry.site_index
         for peer_name, peer in self.peers.items():
             for site in peer.sites:
                 seconds = peer.adopt_local_rank(
-                    site, local[site], int(nnz[site_index[site]]))
+                    site, run.local[site], int(nnz[site_index[site]]))
                 network.compute(peer_name, seconds)
                 compute_seconds[peer_name] += seconds
 
@@ -334,8 +323,8 @@ class DistributedRankingCoordinator:
             serial_compute_seconds=serial,
             coordinator_seconds=network.clock_of(COORDINATOR),
             per_peer_compute_seconds=compute_seconds,
-            measured_wall_seconds=measured_wall,
-            executor_name=executor_name,
+            measured_wall_seconds=run.wall_seconds,
+            executor_name=run.executor_name,
         )
 
     # ------------------------------------------------------------------ #

@@ -9,12 +9,11 @@ compute layer of the repository:
   serial and thread-pool backends;
 * :mod:`repro.engine.plan` — the :class:`RankingPlan` task graph encoding
   the 5-step layered method (concurrent steps 3/4, composing barrier at
-  step 5), the one step-3 scheduler over a site-major layout
-  (:func:`~repro.engine.plan.layout_step` for a DocGraph in RAM,
-  :func:`~repro.engine.plan.sites_step` for a subset of sites that keeps
-  the whole web's kinds: a peer's sites, a window of disk blocks) and the
-  per-site builders (:func:`site_tasks_for`, :func:`batch_site_tasks`)
-  for calibration;
+  step 5), the one step-3 builder over a site-major layout
+  (:func:`~repro.engine.plan.sites_step`) and the one driver that runs
+  such steps window by window (:func:`~repro.engine.plan.solve_windows`);
+  the per-site builders (:func:`site_tasks_for`,
+  :func:`batch_site_tasks`) remain for the frozen system benchmark;
 * :mod:`repro.engine.warm` — the warm-source protocol
   (``local_start(site, doc_ids)`` / ``siterank_start(sites)``,
   :class:`WarmSource`), the one way a previously converged vector reaches
@@ -23,9 +22,9 @@ compute layer of the repository:
   ``n_jobs="auto"`` prices each batch (task nnz × expected iterations) and
   picks serial or threaded per batch;
 * :mod:`repro.engine.outofcore` — :func:`rank_outofcore`, the same
-  scheduler and solve schedule driven over an mmap'd
-  :class:`~repro.io.diskgraph.DiskGraph` one window of sites at a time,
-  publishing scores into a ranked-artifact store.
+  driver over an mmap'd :class:`~repro.io.diskgraph.DiskGraph`, one
+  window of sites resident at a time on any executor, publishing scores
+  into a ranked-artifact store.
 
 The centralized pipeline (:mod:`repro.web.pipeline`), the
 incremental ranker and the distributed simulator all

@@ -226,19 +226,20 @@ def measure_backend_thresholds(
     """Time the serial and threaded backends over growing site-task batches.
 
     For each web size a synthetic hierarchical web is generated and its
-    step-3 batch executed through both backends — per-site tasks *and*
-    the fused batched form — with the pool warmed outside the timed
-    region.  Returns the two crossover thresholds (in the cost model's
-    flop units) plus the raw rows.
+    step-3 batch executed through both backends — the fit's layout step
+    as one task per site (:meth:`_LayoutStep.task`) *and* as its fused
+    payload (:meth:`_LayoutStep.payload`) — with the pool warmed outside
+    the timed region.  Returns the two crossover thresholds (in the cost
+    model's flop units) plus the raw rows.
     """
     from ..graphgen import generate_synthetic_web
     from .adaptive import SERIAL_FLOPS_THRESHOLD, batch_flops
     from .executor import SerialExecutor, ThreadedExecutor, default_n_jobs
-    from .plan import batch_site_tasks, run_task, site_tasks_for
+    from .plan import sites_step, solve_task
 
     def timed(executor, payload) -> float:
         started = time.perf_counter()
-        executor.map(run_task, payload)
+        executor.map(solve_task, payload)
         return round(time.perf_counter() - started, 6)
 
     if n_jobs is not None and n_jobs < 1:
@@ -249,8 +250,10 @@ def measure_backend_thresholds(
         graph = generate_synthetic_web(
             n_sites=max(4, size * sites_per_1000_docs // 1000),
             n_documents=size, seed=seed)
-        tasks = site_tasks_for(graph)
-        batched = batch_site_tasks(tasks)
+        step = sites_step(graph.site_blocks(), range(graph.n_sites),
+                          graph.sites())
+        tasks = [step.task(position) for position in range(graph.n_sites)]
+        batched, _places = step.payload()
         row: Dict = {"n_documents": int(size), "n_sites": len(tasks),
                      "flops": float(batch_flops(tasks))}
         # Each payload kind is timed on both backends: the pool receives

@@ -26,9 +26,11 @@ layers expose into a concrete backend.
 
 from __future__ import annotations
 
+import inspect
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple, TypeVar, runtime_checkable
 
 from .. import obs
@@ -212,24 +214,24 @@ def warmup_for(executor: "Executor", tasks: Sequence) -> None:
 
     The 1.1 Executor protocol's ``warmup()`` took no arguments; 1.2 added
     the optional batch so adaptive backends warm only the pool the batch
-    will use.  Callers that hold an *arbitrary* executor (the distributed
-    coordinator accepts user-supplied ones) go through this helper, which
-    falls back to the zero-argument spelling for pre-1.2 implementations.
-    The spelling is chosen by signature inspection, not by catching
-    ``TypeError`` — a ``TypeError`` raised *inside* a warmup body must
-    propagate, not silently degrade to a no-warmup retry.
+    will use.  Every step-3 batch warms its (possibly user-supplied)
+    executor here; the spelling is chosen once per executor class by
+    signature inspection, not by catching ``TypeError`` — a ``TypeError``
+    raised *inside* a warmup body must propagate, not silently degrade to
+    a no-warmup retry.
     """
-    import inspect
-
-    try:
-        accepts_batch = bool(
-            inspect.signature(executor.warmup).parameters)
-    except (TypeError, ValueError):  # builtins/C callables: assume current
-        accepts_batch = True
-    if accepts_batch:
+    if _warmup_takes_batch(type(executor)):
         executor.warmup(tasks)
     else:
         executor.warmup()
+
+
+@lru_cache(maxsize=None)
+def _warmup_takes_batch(kind: type) -> bool:
+    try:  # ``self`` and the batch
+        return len(inspect.signature(kind.warmup).parameters) > 1
+    except (TypeError, ValueError):  # builtins/C callables: assume current
+        return True
 
 
 #: Backend names :func:`make_executor` accepts.

@@ -3,21 +3,14 @@
 The layered decomposition is what makes ranking a web larger than RAM
 possible at all: step 3 touches one site's local adjacency at a time and
 step 4 only the (tiny) SiteGraph, so no step ever needs the global link
-matrix resident.  :func:`rank_outofcore` is the planner's driver with one
-*window* resident at a time: a run of consecutive sites holding at most
-:data:`~repro.engine.plan.BATCH_TARGET_DOCS` documents, or one larger
-site alone.  A window is ONE checked mapping of its rows of the stored
-layout (:meth:`~repro.io.diskgraph.DiskGraph.unit_blocks`, a
-:class:`~repro.web.docgraph.SiteBlocks`), one dispatch of the
-fit's scheduler (:func:`~repro.engine.plan.sites_step`, every site of
-the kind the in-memory plan's solve units give it:
-:func:`plan_solve_units`, :func:`~repro.engine.plan.fuse_schedule` from
-manifest sizes alone), one :class:`~repro.web.docrank.LocalRanks` of
-results, one gather of its URLs as undecoded bytes
-(:meth:`~repro.io.diskgraph.DiskGraph.url_bytes`) and one
-:meth:`~repro.io.artifacts.GenerationWriter.append_sites` call; start
-vectors come from any :class:`~repro.engine.warm.WarmSource`.  A window
-is dropped as soon as it is written, so peak RSS is bounded by a
+matrix resident.  :func:`rank_outofcore` runs the planner's one loop
+(:func:`~repro.engine.plan.solve_windows`) over *windows*: runs of
+consecutive sites, each ONE checked mapping of its rows of the stored
+layout (:meth:`~repro.io.diskgraph.DiskGraph.unit_blocks`), one layout
+step whose sites keep their whole-web kinds
+(:func:`~repro.engine.plan.fused_sites` over the manifest's sizes) and
+one :meth:`~repro.io.artifacts.GenerationWriter.append_sites` call.  A
+window is dropped as soon as it is written, so peak RSS is bounded by a
 window's documents, not the web's; ``finalize`` performs the same
 single-sum normalisation :func:`repro._validation.normalize_distribution`
 applies to the concatenated in-memory vector.
@@ -26,6 +19,8 @@ Bitwise parity with the in-memory pipeline is a hard requirement (the
 out-of-core path must be an *optimisation*, not a different ranking):
 same schedule, same solvers, same task code — and the generation files
 are byte-identical to those of the per-site writer this round replaced.
+:func:`plan_solve_units` names the schedule's units for the frozen system
+benchmark and the tests' oracles.
 """
 
 from __future__ import annotations
@@ -42,15 +37,16 @@ from ..io.artifacts import ArtifactStore, RankedGeneration
 from ..io.diskgraph import DiskGraph
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..markov.irreducibility import DEFAULT_DAMPING
-from ..web.docrank import LocalRanks
 from ..web.siterank import SiteRankResult
+from .executor import Executor
 from .plan import (
     BATCH_SITE_MAX_DOCS,
     BATCH_TARGET_DOCS,
     fuse_schedule,
+    fused_sites,
     siterank_task_for,
     sites_step,
-    solve_layout_steps,
+    solve_windows,
 )
 from .warm import Previous, WarmSource, WarmStartState
 
@@ -166,20 +162,21 @@ def rank_outofcore(graph: DiskGraph,
                    tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER,
                    warm: Union[WarmSource, RankedGeneration, None] = None,
+                   executor: Optional[Executor] = None,
+                   n_jobs: Optional[int] = None,
                    ) -> OutOfCoreRanking:
     """Rank a DiskGraph in bounded memory, publishing a ranked generation.
 
     Steps 2 and 4 run in RAM (the SiteGraph is orders of magnitude smaller
-    than the web); step 3 streams windows of consecutive sites through
-    memory one at a time, so memory is bounded per window, in documents
-    (at most :data:`~repro.engine.plan.BATCH_TARGET_DOCS`, or one larger
-    site).  Each window's blocks are read through one mapping
-    (:meth:`DiskGraph.unit_blocks`; a corrupt one fails the round, and
-    nothing is published), solved as one layout step, its URLs
-    gathered as undecoded bytes in one read (:meth:`DiskGraph.url_bytes`)
-    and its sites written with one
-    :meth:`~repro.io.artifacts.GenerationWriter.append_sites`; the
-    finished generation is published with an atomic manifest-pointer flip.
+    than the web); step 3 streams windows of consecutive sites, at most
+    :data:`~repro.engine.plan.BATCH_TARGET_DOCS` documents or one larger
+    site, through memory one at a time.  Each window's blocks are read
+    through one mapping (a corrupt one fails the round, and nothing is
+    published), solved on the ``executor`` / ``n_jobs`` pair every driver
+    takes (serial when both omitted), its URLs gathered as undecoded
+    bytes in one read (:meth:`DiskGraph.url_bytes`) and its sites written
+    at once; the finished generation is published with an atomic
+    manifest-pointer flip.
 
     *warm* is any :class:`~repro.engine.warm.WarmSource` — a live
     :class:`~repro.engine.warm.WarmStartState` is also recorded into, like
@@ -199,10 +196,11 @@ def rank_outofcore(graph: DiskGraph,
     common = {"tol": tol, "max_iter": max_iter, "warm": seed}
     sites = graph.sites()
     sizes = graph.site_sizes()
+    counts = [sizes[site] for site in sites]
     with obs.span("outofcore.rank"):
         # Step 4 — the SiteGraph fits in RAM by construction; its
         # adjacency is still read straight off the block file.  Its sites
-        # are the graph's, in order: a run's site scores are a slice.
+        # are the graph's, in order: a window's site scores are a slice.
         site_result = siterank_task_for(
             graph.sitegraph(),
             damping if site_damping is None else site_damping,
@@ -211,33 +209,45 @@ def rank_outofcore(graph: DiskGraph,
                   if site_preference is not None
                   or graph.personalized_sites() else "layered")
         # Each site keeps the kind the whole web's schedule gives it.
-        fused = {site for unit in plan_solve_units(sites, sizes)
-                 if unit.kind == "fused" for site in unit.sites}
+        kinds = fused_sites(counts)
+
+        def window(low: int, high: int):
+            obs.inc("outofcore_windows_total")
+            with obs.span("outofcore.window.map"):
+                blocks, preferences = graph.unit_blocks(sites[low:high])
+                return sites_step(blocks, range(high - low), sites[low:high],
+                                  damping, fused=kinds[low:high],
+                                  preferences=preferences, **common)
+
+        written, iterations = 0, site_result.iterations
+
+        def write(step, collected) -> None:
+            nonlocal written, iterations
+            scores, site_iterations, _tail = collected
+            doc_ids, bounds = step.blocks.order, step.offsets.tolist()
+            low, written = written, written + len(step.sites)
+            with obs.span("outofcore.window.write"):
+                writer.append_sites(
+                    step.sites, np.diff(step.offsets), doc_ids, scores,
+                    *graph.url_bytes(doc_ids), site_result.scores[low:written],
+                    site_iterations.tolist())
+                iterations += int(site_iterations.sum())
+                if record is not None:
+                    for site, first, last in zip(step.sites, bounds,
+                                                 bounds[1:]):
+                        record.record_local(site,
+                                            doc_ids[first:last].tolist(),
+                                            scores[first:last])
+
         writer = store.create_generation(method=method,
                                          n_documents=graph.n_documents)
-        iterations = site_result.iterations
         try:
-            for low, high in _plan_windows([sizes[site] for site in sites]):
-                window = sites[low:high]
-                ranks = _solve_window(graph, window,
-                                      [site in fused for site in window],
-                                      damping, common)
-                with obs.span("outofcore.window.write"):
-                    url_bytes, url_lengths = graph.url_bytes(ranks.doc_ids)
-                    writer.append_sites(
-                        window, ranks.sizes, ranks.doc_ids, ranks.scores,
-                        url_bytes, url_lengths, site_result.scores[low:high],
-                        ranks.iterations.tolist())
-                    iterations += ranks.total_iterations
-                    if record is not None:
-                        bounds = ranks.offsets.tolist()
-                        for site, first, last in zip(window, bounds,
-                                                     bounds[1:]):
-                            record.record_local(
-                                site, ranks.doc_ids[first:last].tolist(),
-                                ranks.scores[first:last])
-                    # A written window goes now, not after the next solve.
-                    del ranks, url_bytes
+            run = solve_windows(
+                (window(*bounds) for bounds in _plan_windows(counts)),
+                sink=write, executor=executor, n_jobs=n_jobs,
+                span="outofcore.window.solve")
+            # One solve task per fused batch and per dedicated site.
+            obs.inc("outofcore_units_total", run.n_tasks)
             generation = writer.finalize(
                 siterank_sites=site_result.sites,
                 siterank_scores=site_result.scores,
@@ -253,28 +263,6 @@ def rank_outofcore(graph: DiskGraph,
     return OutOfCoreRanking(store=store, generation=generation,
                             siterank=site_result, method=method,
                             iterations=iterations)
-
-
-def _solve_window(graph: DiskGraph, sites: Sequence[str],
-                  fused: Sequence[bool], damping: float,
-                  common: dict) -> LocalRanks:
-    """Solve one window over one mapping of its blocks, in site order.
-
-    Counts the window (``outofcore_windows_total``) and the solve tasks it
-    dispatched, one per fused batch and one per dedicated site
-    (``outofcore_units_total``).
-    """
-    obs.inc("outofcore_windows_total")
-    with obs.span("outofcore.window.map"):
-        blocks, preferences = graph.unit_blocks(sites)
-        step = sites_step(blocks, range(len(sites)), sites, damping,
-                          fused=fused, preferences=preferences, **common)
-    with obs.span("outofcore.window.solve"):
-        _first, ((scores, iterations, _tail),), n_tasks = \
-            solve_layout_steps([(step, None)])
-        obs.inc("outofcore_units_total", n_tasks)
-        return LocalRanks(sites, blocks.order, scores, blocks.offsets,
-                          iterations)
 
 
 __all__ = [

@@ -20,33 +20,40 @@ objects (:class:`LocalRankTask`, :class:`BatchedSiteTask`,
 of the batch *is* the step-5 synchronisation point.
 
 Step 3's inputs are the diagonal blocks of the DocGraph numbered site by
-site (:meth:`repro.web.docgraph.DocGraph.site_blocks`).  Every step 3 is
-one scheduler over such a layout, run by :func:`solve_layout_steps`:
-sites named by layout index, fused batches cut by one row-range gather,
-each batch's packed result scattered into one vector over the step's
-sites.  Only a site too large to fuse gets a task of its own, a lazy
-reference into the layout.  A fit, the segment pass, the incremental
-refresh and :func:`~repro.web.docrank.all_local_docranks` build their
-step with :func:`layout_step`; a subset of sites that must rank as the
-whole web's fit ranks them — a simulated or live peer's sites, a mapped
-window of a disk graph's layout in the out-of-core round — with
-:func:`sites_step`, which keeps every site's whole-web kind.
+site (:meth:`repro.web.docgraph.DocGraph.site_blocks`).  :func:`sites_step`
+builds every step 3 over such a layout: sites named by layout index,
+scheduled over their own sizes or by their whole-web kinds
+(:func:`fused_sites`), fused batches cut by one row-range gather, only a
+site too large to fuse a task of its own.
+:func:`solve_windows` runs every step 3 — a fit, the segment pass, the
+refresh, a peer, each out-of-core window — on one resolved executor.
 
 The per-site builders (:func:`site_tasks_for`, :func:`batch_site_tasks`)
-remain for calibration, over any **block source** (``sites()`` and
-``local_block(site) -> (adjacency, doc_ids)``).  Start vectors come from
-any **warm source** (:class:`~repro.engine.warm.WarmSource`), so power
-iterations resume from the previously converged vector instead of
-restarting from uniform.
+remain for the frozen system benchmark and the tests' oracles, over any
+**block source** (``sites()`` and ``local_block(site) -> (adjacency,
+doc_ids)``).  Start vectors come from any **warm source**
+(:class:`~repro.engine.warm.WarmSource`), so power iterations resume from
+the previously converged vector instead of restarting from uniform.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -73,7 +80,7 @@ from ..web.docrank import (
 from ..web.pipeline import SITERANK_BLOCK, SegmentPreferences
 from ..web.sitegraph import SiteGraph, aggregate_sitegraph
 from ..web.siterank import SiteRankResult, siterank
-from .executor import Executor, resolve_executor
+from .executor import Executor, resolve_executor, warmup_for
 from .warm import WarmSource, WarmStartState
 
 
@@ -334,10 +341,8 @@ def fuse_schedule(sizes: Sequence[int], *, max_docs: int, target_docs: int
     *max_docs* are dedicated; the rest fuse in order, a chunk flushing
     whenever the next entry would take it past *target_docs*; a *trailing*
     chunk of one has nothing to amortise and is dedicated too (a
-    mid-stream flush of one stays fused).  :func:`batch_site_tasks`, a
-    plan over a DocGraph's layout and
-    :func:`repro.engine.outofcore.plan_solve_units` all schedule with it,
-    which is what keeps the out-of-core units equal to the in-memory ones.
+    mid-stream flush of one stays fused).  Every step's schedule
+    (:func:`sites_step`) and :func:`batch_site_tasks` come from it.
     """
     if max_docs < 0 or target_docs < 1:
         raise ValidationError(
@@ -486,15 +491,18 @@ def solve_segment_layout(docgraph: DocGraph, sitegraph: SiteGraph,
     Returns :meth:`_LayoutStep.collect`'s ``(values, iterations, (site
     values, site iterations))`` over every site, in layout order.
     """
-    step = layout_step(docgraph, damping, preferences=(
-        segments.document_columns or None), tol=tol, max_iter=max_iter,
-        n_vectors=segments.n_segments)
     tail = segment_siterank_task_for(
         sitegraph, segments, damping if site_damping is None else site_damping,
         tol=tol, max_iter=max_iter)
-    _first, (collected,), _n_tasks = solve_layout_steps(
-        [(step, tail)], executor=executor, n_jobs=n_jobs)
-    return collected
+    step = sites_step(docgraph.site_blocks(), range(docgraph.n_sites),
+                      docgraph.sites(), damping,
+                      preferences=segments.document_columns, tol=tol,
+                      max_iter=max_iter, n_vectors=segments.n_segments,
+                      tail=tail)
+    solved: list = []
+    solve_windows([step], sink=lambda _step, values: solved.append(values),
+                  executor=executor, n_jobs=n_jobs)
+    return solved[0]
 
 
 def collect_site_results(payload: Sequence["RankTask"],
@@ -512,18 +520,16 @@ def collect_site_results(payload: Sequence["RankTask"],
 
 @dataclass(frozen=True)
 class _LayoutStep:
-    """Step 3 over some sites of a site-major layout.
+    """Step 3 over some sites of a site-major layout (:func:`sites_step`).
 
-    ``blocks`` is a DocGraph's :class:`~repro.web.docgraph.SiteBlocks` or
-    a disk graph's mapped window of it; every block the step takes, fused
-    or dedicated, is one ``blocks.packed`` gather.  ``indices`` are
-    the layout indices of the sites solved, in schedule order, ``sites``
-    their names.  ``starts`` / ``preferences`` hold one optional vector
-    (``(n, K)`` matrix for ``n_vectors = K > 1``) per site, or are
-    ``None`` when no site has one (nothing is packed then).
-    ``schedule``, when given, is the ``(chunks, dedicated)`` positions to
-    run in place of :func:`fuse_schedule`'s.  Results are
-    selection-major: the sites' rows in turn, cut at :attr:`offsets`.
+    Every block the step takes, fused or dedicated, is one
+    ``blocks.packed`` gather of the sites at ``indices`` (named
+    ``sites``).  ``schedule`` is the ``(chunks, dedicated)`` positions to
+    run; ``tail``, a block outside the layout, has position ``len(sites)``.
+    ``starts`` / ``preferences`` hold one optional vector (``(n, K)``
+    matrix for ``n_vectors = K > 1``) per site, or are ``None`` when no
+    site has one.  Results are selection-major: the sites' rows in turn,
+    cut at :attr:`offsets`.
     """
 
     blocks: object
@@ -533,10 +539,11 @@ class _LayoutStep:
     damping: float
     tol: float
     max_iter: int
+    schedule: Tuple[List[List[int]], List[int]]
     starts: Optional[List[Optional[np.ndarray]]] = None
     preferences: Optional[List[Optional[np.ndarray]]] = None
     n_vectors: int = 1
-    schedule: Optional[Tuple[List[List[int]], List[int]]] = None
+    tail: Optional[LocalRankTask] = None
 
     def doc_ids(self, position: int) -> Tuple[int, ...]:
         """The document ids of one selected site, in its block's row order."""
@@ -557,30 +564,20 @@ class _LayoutStep:
             max_iter=self.max_iter, start=_pick(self.starts, position),
             n_vectors=self.n_vectors)
 
-    def payload(self, tail: Optional[LocalRankTask] = None
-                ) -> Tuple[List["RankTask"], list]:
+    def payload(self) -> Tuple[List["RankTask"], list]:
         """The fused and dedicated tasks, with where each result goes.
 
-        :func:`fuse_schedule` over the sites' block sizes (or the step's
-        own :attr:`schedule`); each chunk is one
+        Each chunk of :attr:`schedule` is one
         :meth:`BatchedSiteTask.from_layout` gather (its place: the chunk's
-        positions), each dedicated site a :class:`LocalRankTask` (its
-        place: its position).  *tail*, a block outside the layout (the
-        segment SiteRank), is scheduled after the last site as
-        :func:`batch_site_tasks` would — with the sites when it shares
-        their settings and no schedule is given, alone otherwise — at
-        position ``len(sites)``.
+        positions) or, when it holds the tail, its sites' tasks and the
+        tail packed together; each dedicated site is a
+        :class:`LocalRankTask` (its place: its position).
         """
         n_sites = len(self.sites)
-        joined = tail is not None and self.schedule is None and (
-            tail.damping, tail.tol, tail.max_iter) == (self.damping, self.tol,
-                                                       self.max_iter)
-        sizes = np.diff(self.offsets).tolist()
-        chunks, dedicated = self.schedule or fuse_schedule(
-            sizes + [tail.n_documents] if joined else sizes,
-            max_docs=BATCH_SITE_MAX_DOCS, target_docs=BATCH_TARGET_DOCS)
+        chunks, dedicated = self.schedule
         tasks: List[RankTask] = [
-            BatchedSiteTask.from_tasks([*map(self.task, chunk[:-1]), tail])
+            BatchedSiteTask.from_tasks([*map(self.task, chunk[:-1]),
+                                        self.tail])
             if chunk[-1] == n_sites else BatchedSiteTask.from_layout(
                 self.blocks, [self.indices[p] for p in chunk],
                 [self.sites[p] for p in chunk], damping=self.damping,
@@ -589,9 +586,7 @@ class _LayoutStep:
                 preferences=_pick_all(self.preferences, chunk),
                 n_vectors=self.n_vectors)
             for chunk in chunks]
-        if tail is not None and not joined:
-            dedicated = [*dedicated, n_sites]
-        tasks.extend(tail if position == n_sites else self.task(position)
+        tasks.extend(self.tail if position == n_sites else self.task(position)
                      for position in dedicated)
         return tasks, [*chunks, *dedicated]
 
@@ -654,92 +649,84 @@ def _pick_all(values: Optional[list], indices: Sequence[int]):
     return None if values is None else [values[i] for i in indices]
 
 
-def layout_step(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
-                sites: Optional[Sequence[str]] = None,
-                preferences: Optional[Mapping[str, np.ndarray]] = None,
-                tol: float = DEFAULT_TOL,
-                max_iter: int = DEFAULT_MAX_ITER,
-                warm: Optional[WarmSource] = None,
-                n_vectors: int = 1) -> _LayoutStep:
-    """Step 3 over *sites* (default: all, in layout order) of a DocGraph.
-
-    *preferences* maps sites to teleport vectors (``(n, K)`` matrices for
-    ``n_vectors = K > 1``), validated here once: an unknown site, or a
-    vector of the wrong shape, non-finite or not a distribution, is a
-    :class:`~repro.exceptions.ValidationError` naming the site.  *warm*
-    seeds every start.
-    """
-    blocks = docgraph.site_blocks()
-    site_index = docgraph.registry.site_index
-    if sites is None:
-        sites = docgraph.sites()
-        indices: Sequence[int] = range(len(sites))
-    else:
-        indices = [site_index[site] for site in sites]
-    sizes = np.diff(blocks.offsets)[np.asarray(indices, dtype=np.int64)]
-    picked = None
-    if preferences:
-        for site in preferences:
-            if site not in site_index:
-                raise ValidationError(
-                    f"document preferences name unknown site {site!r}")
-        picked = [preferences.get(site) for site in sites]
-        for site, size, vector in zip(sites, sizes.tolist(), picked):
-            if vector is not None:
-                check_block_vector(f"document preference of site {site!r}",
-                                   vector, size, n_vectors)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    step = _LayoutStep(blocks, sites, indices, offsets, damping, tol,
-                       max_iter, preferences=picked, n_vectors=n_vectors)
-    return step if warm is None else step.with_starts(warm)
+def fused_sites(sizes: Sequence[int]) -> List[bool]:
+    """Whether :func:`fuse_schedule` fuses each block of *sizes* documents:
+    over the whole web, the kinds a peer's sites or a disk window keep."""
+    chunks, _dedicated = fuse_schedule(
+        list(sizes), max_docs=BATCH_SITE_MAX_DOCS,
+        target_docs=BATCH_TARGET_DOCS)
+    kinds = [False] * len(sizes)
+    for position in chain.from_iterable(chunks):
+        kinds[position] = True
+    return kinds
 
 
 def sites_step(blocks, indices: Sequence[int], sites: Sequence[str],
                damping: float = DEFAULT_DAMPING, *,
                fused: Optional[Sequence[bool]] = None,
-               preferences: Optional[Sequence] = None,
+               preferences: Union[Mapping, Sequence, None] = None,
                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-               warm: Optional[WarmSource] = None) -> _LayoutStep:
-    """Step 3 over some sites of a layout, each of its whole-web kind.
+               warm: Optional[WarmSource] = None, n_vectors: int = 1,
+               tail: Optional[LocalRankTask] = None) -> _LayoutStep:
+    """Step 3 over some sites of a layout: the one step builder.
 
     *blocks* is a DocGraph's :class:`~repro.web.docgraph.SiteBlocks` or a
-    disk graph's mapped window of it (:meth:`DiskGraph.unit_blocks`);
-    *indices* are the layout indices of the sites solved, *sites* their
-    names.  *fused* says per site whether :func:`fuse_schedule` over the
-    whole web fuses it; by default it is read off the schedule of every
-    block of *blocks*, which must then be the whole web's layout.  Fused
-    sites are chunked in order at :data:`BATCH_TARGET_DOCS` documents (a
-    chunk of one stays fused), every other site is a dedicated task: a
-    site's result depends on its kind, never on its chunk, so any subset
-    ranks bitwise as the whole web's fit ranks it.  *preferences* holds
-    one optional vector per site; *warm* seeds every start.
+    disk graph's mapped window of it; *indices* are the layout indices of
+    the sites solved, *sites* their names.  By default the step schedules
+    its own blocks with :func:`fuse_schedule` (a fit's step: the whole
+    web; a refresh's: its changed sites); *tail*, a block outside the
+    layout (the segment SiteRank), comes after the last site and joins
+    the schedule when it shares damping, tol and max_iter, running alone
+    otherwise.  *fused* instead gives each site its kind in the whole
+    web's schedule (:func:`fused_sites`): fused sites chunk in order at
+    :data:`BATCH_TARGET_DOCS` documents (a chunk of one stays fused) and a
+    site's result depends on its kind, never its chunk, so a peer's
+    sites or a disk window rank bitwise as a fit ranks them.
+    *preferences* maps sites to teleport vectors (``(n, K)`` for
+    ``n_vectors = K > 1``) or holds one per site, all checked here: an
+    unknown site, a wrong shape, non-finite entries or no distribution is
+    a :class:`~repro.exceptions.ValidationError` naming the site.  *warm*
+    seeds every start.
     """
-    picked = np.asarray(indices, dtype=np.int64)
-    sizes = np.diff(blocks.offsets)
+    sizes = np.diff(blocks.offsets)[np.asarray(indices, dtype=np.int64)]
+    counts = sizes.tolist()
     if fused is None:
-        chunks, _dedicated = fuse_schedule(
-            sizes.tolist(), max_docs=BATCH_SITE_MAX_DOCS,
-            target_docs=BATCH_TARGET_DOCS)
-        web = np.zeros(sizes.size, dtype=bool)
-        web[list(chain.from_iterable(chunks))] = True
-        fused = web[picked].tolist()
-    sizes = sizes[picked]
-    chunks, dedicated, docs = [], [], 0
-    for position, (size, kind) in enumerate(zip(sizes.tolist(), fused)):
-        if not kind:
-            dedicated.append(position)
-            continue
-        if not chunks or docs + size > BATCH_TARGET_DOCS:
-            chunks.append([])
-            docs = 0
-        chunks[-1].append(position)
-        docs += size
+        joins = tail is not None and (
+            tail.damping, tail.tol, tail.max_iter) == (damping, tol, max_iter)
+        chunks, dedicated = fuse_schedule(
+            [*counts, tail.n_documents] if joins else counts,
+            max_docs=BATCH_SITE_MAX_DOCS, target_docs=BATCH_TARGET_DOCS)
+        if tail is not None and not joins:
+            dedicated.append(len(counts))
+    elif len(fused) != len(counts) or tail is not None:
+        raise ValidationError("fused takes one kind per site and no tail")
+    else:
+        chunks, dedicated, docs = [], [], 0
+        for position, (size, kind) in enumerate(zip(counts, fused)):
+            if not kind:
+                dedicated.append(position)
+                continue
+            if not chunks or docs + size > BATCH_TARGET_DOCS:
+                chunks.append([])
+                docs = 0
+            chunks[-1].append(position)
+            docs += size
+    if isinstance(preferences, Mapping):
+        unknown = set(preferences).difference(sites)
+        if unknown:
+            raise ValidationError(
+                f"document preferences name unknown site {min(unknown)!r}")
+        preferences = [preferences.get(site) for site in sites]
     if preferences is not None and all(v is None for v in preferences):
         preferences = None
+    for site, size, vector in zip(sites, counts, preferences or ()):
+        if vector is not None:
+            check_block_vector(f"document preference of site {site!r}",
+                               vector, size, n_vectors)
     step = _LayoutStep(blocks, sites, indices,
                        np.concatenate(([0], np.cumsum(sizes))), damping, tol,
-                       max_iter, preferences=preferences,
-                       schedule=(chunks, dedicated))
+                       max_iter, (chunks, dedicated), preferences=preferences,
+                       n_vectors=n_vectors, tail=tail)
     return step if warm is None else step.with_starts(warm)
 
 
@@ -760,57 +747,29 @@ def check_block_vector(name: str, vector, n: int, n_vectors: int = 1
         ensure_distribution(column, name=name)
 
 
-def solve_layout_steps(steps: Sequence[Tuple[_LayoutStep,
-                                             Optional[LocalRankTask]]], *,
-                       executor: Optional[Executor] = None,
-                       n_jobs: Optional[int] = None,
-                       first: Optional[RankTask] = None
-                       ) -> Tuple[object, list, int]:
-    """Run layout steps, each with its optional tail, as one batch.
-
-    *first* (the SiteRank) leads, so a parallel backend overlaps it with
-    the per-site work.  Returns its result (``None`` without one), every
-    step's :meth:`_LayoutStep.collect` and the number of tasks run.
-    """
-    payloads = [step.payload(tail) for step, tail in steps]
-    batch = [first] if first is not None else []
-    for tasks, _places in payloads:
-        batch.extend(tasks)
-    resolved, owned = resolve_executor(executor, n_jobs)
-    try:
-        results = iter(resolved.map(solve_task, batch))
-    finally:
-        if owned:
-            resolved.close()
-    lead = next(results) if first is not None else None
-    collected = [step.collect(places, [next(results) for _ in tasks])
-                 for (step, _tail), (tasks, places) in zip(steps, payloads)]
-    return lead, collected, len(batch)
-
-
 @dataclass
 class PlanExecution:
-    """Everything one :meth:`RankingPlan.execute` run produced.
+    """What one :func:`solve_windows` run (a :meth:`RankingPlan.execute`) did.
 
     Attributes
     ----------
     local:
-        Per-site local DocRanks held site-major, in plan (site) order: a
-        read-only mapping whose entries are views built on access.
+        Per-site local DocRanks held site-major, in step order (``None``
+        when a sink took the windows).
     siterank:
-        The SiteRank computed at step 4.
+        The SiteRank computed at step 4 (``None`` without a leading task).
     wall_seconds:
-        Measured wall-clock of the concurrent step-3/step-4 batch.
+        Measured wall-clock of the concurrent step-3/step-4 batches.
     executor_name:
-        Backend that executed the batch (``"serial"``/``"threaded"``/…).
+        Backend that executed the batches (``"serial"``/``"threaded"``/…).
     n_tasks:
         Number of task payloads actually dispatched — fused
         :class:`BatchedSiteTask` payloads count once, so this is typically
         far below ``n_sites + 1``.
     """
 
-    local: LocalRanks
-    siterank: SiteRankResult
+    local: Optional[LocalRanks]
+    siterank: Optional[SiteRankResult]
     wall_seconds: float
     executor_name: str
     n_tasks: int
@@ -819,6 +778,50 @@ class PlanExecution:
     def total_iterations(self) -> int:
         """Power iterations summed over every task of the batch."""
         return self.siterank.iterations + self.local.total_iterations
+
+
+def solve_windows(windows: Iterable[_LayoutStep], *,
+                  sink: Optional[Callable[[_LayoutStep, tuple], None]] = None,
+                  first: Optional[RankTask] = None,
+                  executor: Optional[Executor] = None,
+                  n_jobs: Optional[int] = None,
+                  span: Optional[str] = None) -> PlanExecution:
+    """Step 3, window by window, on one executor: every driver's loop.
+
+    Resolves *executor* / *n_jobs* once; *first* (the SiteRank) leads the
+    first window's batch, so a pool overlaps it with the per-site work.
+    Each window, a layout step taken from *windows* once the one before
+    is done, runs as one batch (under the phase *span* when given), and
+    its :meth:`_LayoutStep.collect` goes to ``sink(step, collected)``;
+    without a sink, *windows* is one step and the run holds its sites'
+    :class:`~repro.web.docrank.LocalRanks`.
+    """
+    resolved, owned = resolve_executor(executor, n_jobs)
+    run = PlanExecution(None, None, 0.0, resolved.name, 0)
+    try:
+        for step in windows:
+            started = time.perf_counter()
+            with obs.span(span) if span else nullcontext():
+                tasks, places = step.payload()
+                batch = tasks if first is None else [first, *tasks]
+                warmup_for(resolved, batch)
+                results = resolved.map(solve_task, batch)
+                if first is not None:
+                    run.siterank, results = results[0], results[1:]
+                    first = None
+                collected = step.collect(places, results)
+            run.wall_seconds += time.perf_counter() - started
+            run.n_tasks += len(batch)
+            if sink is None:
+                run.local = step.local_ranks(*collected[:2])
+            else:
+                sink(step, collected)
+            # A solved window goes now, not after the next one is built.
+            del step, tasks, batch, results, collected
+    finally:
+        if owned:
+            resolved.close()
+    return run
 
 
 class RankingPlan:
@@ -877,9 +880,10 @@ class RankingPlan:
         with obs.span(obs.PHASE_PLAN_BUILD):
             sitegraph = aggregate_sitegraph(
                 docgraph, include_self_links=include_site_self_links)
-            layout = layout_step(docgraph, damping,
-                                 preferences=document_preferences, tol=tol,
-                                 max_iter=max_iter, warm=warm)
+            layout = sites_step(docgraph.site_blocks(),
+                                range(docgraph.n_sites), docgraph.sites(),
+                                damping, preferences=document_preferences,
+                                tol=tol, max_iter=max_iter, warm=warm)
             siterank_task = siterank_task_for(
                 sitegraph, site_damping, preference=site_preference,
                 tol=tol, max_iter=max_iter, warm=warm)
@@ -937,38 +941,26 @@ class RankingPlan:
 
         The SiteRank task is submitted *first* so that on parallel
         backends the single site-level computation overlaps the per-site
-        work instead of trailing it.  Step 3 is the plan's layout step
-        (:func:`solve_layout_steps`); scheduling order never affects the
-        output.
+        work instead of trailing it.  Step 3 is the plan's layout step,
+        one window of :func:`solve_windows`; scheduling order never
+        affects the output.
 
         When *warm* is given, the execution also records every converged
         vector back into it, making consecutive executions resume from
         each other.
         """
         plan = self if warm is None else self.with_warm_state(warm)
-        layout = plan._checked_layout()
-        resolved, owned = resolve_executor(executor, n_jobs)
-        obs.inc("plan_executions_total", executor=resolved.name)
-        started = time.perf_counter()
-        try:
-            with obs.span(obs.PHASE_PLAN_EXECUTE):
-                site_result, ((scores, iterations, _),), n_tasks = \
-                    solve_layout_steps([(layout, None)], executor=resolved,
-                                       first=plan.siterank_task)
-        finally:
-            if owned:
-                resolved.close()
-        wall_seconds = time.perf_counter() - started
-        obs.observe("plan_batch_tasks", float(n_tasks),
-                    executor=resolved.name)
-        local = layout.local_ranks(scores, iterations)
+        run = solve_windows([plan._checked_layout()],
+                            first=plan.siterank_task, executor=executor,
+                            n_jobs=n_jobs, span=obs.PHASE_PLAN_EXECUTE)
+        obs.inc("plan_executions_total", executor=run.executor_name)
+        obs.observe("plan_batch_tasks", float(run.n_tasks),
+                    executor=run.executor_name)
         if warm is not None:
-            for site, rank in local.items():
+            for site, rank in run.local.items():
                 warm.record_local(site, rank.doc_ids, rank.scores)
-            warm.record_siterank(site_result.sites, site_result.scores)
-        return PlanExecution(local=local, siterank=site_result,
-                             wall_seconds=wall_seconds,
-                             executor_name=resolved.name, n_tasks=n_tasks)
+            warm.record_siterank(run.siterank.sites, run.siterank.scores)
+        return run
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RankingPlan(n_sites={self.n_sites})"

@@ -22,7 +22,7 @@ Convergence is still *per block*: each sweep computes every block's own L1
 residual, and blocks that have met the tolerance are **frozen** — their
 vector is written, at its converged value, into the one packed output
 vector the solve returns, and the loop stops reading them.  This is the
-adaptive-PageRank idea (:mod:`repro.pagerank.adaptive`) applied across
+adaptive-PageRank idea (Kamvar, Haveliwala & Golub 2003) applied across
 sites instead of across pages.  A frozen block's rows stay in the working
 set (computed, their values discarded) until the live rows are half the
 working rows or fewer; only then are the operator and the per-row state

@@ -1,6 +1,5 @@
 """Link-analysis ranking baselines: PageRank, HITS, BlockRank, accelerations."""
 
-from .adaptive import AdaptivePageRankResult, adaptive_pagerank
 from .blockrank import BlockRankResult, blockrank
 from .extrapolation import AcceleratedPageRankResult, accelerated_pagerank
 from .hits import HITSResult, hits
@@ -13,8 +12,6 @@ from .personalized import (
 )
 
 __all__ = [
-    "AdaptivePageRankResult",
-    "adaptive_pagerank",
     "BlockRankResult",
     "blockrank",
     "AcceleratedPageRankResult",

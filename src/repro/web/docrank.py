@@ -309,7 +309,7 @@ def all_local_docranks(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
     decentralisability claim), so they are dispatched through the execution
     engine: pass ``n_jobs`` or an ``executor`` to run them concurrently;
     the default remains a serial in-order run with identical results.
-    This is a fit's step 3 (:func:`repro.engine.plan.layout_step`), so
+    This is a fit's step 3 (:func:`repro.engine.plan.solve_windows`), so
     the vectors are bitwise a fit's: small sites fused into block-diagonal
     tasks (:mod:`repro.linalg.block_solver`), large ones solved alone.
 
@@ -318,16 +318,14 @@ def all_local_docranks(docgraph: DocGraph, damping: float = DEFAULT_DAMPING, *,
     preferences:
         Optional teleport vectors by site, validated before anything runs.
     executor / n_jobs:
-        Execution backend selection, resolved by
-        :func:`repro.engine.resolve_executor` (serial when both omitted).
+        Execution backend selection (serial when both omitted).
     warm:
         Optional :class:`repro.engine.WarmStartState` supplying previously
         converged vectors to resume from.
     """
-    from ..engine.plan import layout_step, solve_layout_steps
+    from ..engine.plan import sites_step, solve_windows
 
-    step = layout_step(docgraph, damping, preferences=preferences, tol=tol,
-                       max_iter=max_iter, warm=warm)
-    _first, ((scores, iterations, _tail),), _n_tasks = solve_layout_steps(
-        [(step, None)], executor=executor, n_jobs=n_jobs)
-    return dict(step.local_ranks(scores, iterations))
+    step = sites_step(docgraph.site_blocks(), range(docgraph.n_sites),
+                      docgraph.sites(), damping, preferences=preferences,
+                      tol=tol, max_iter=max_iter, warm=warm)
+    return dict(solve_windows([step], executor=executor, n_jobs=n_jobs).local)

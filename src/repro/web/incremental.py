@@ -19,7 +19,7 @@ incremental-update ablation benchmark measures.  Flat PageRank has no such
 decomposition: any change invalidates the single global vector.
 
 A refresh runs on the scheduler a fit runs on
-(:func:`repro.engine.plan.layout_step`, over the changed sites), with the
+(:func:`repro.engine.plan.sites_step` over the changed sites), with the
 ranker's cached factors — the ``(ids, values)`` pairs a
 :class:`~repro.engine.warm.WarmSource` aligns — as the warm source, so
 every power iteration resumes from the site's previously converged vector
@@ -286,30 +286,37 @@ class IncrementalLayeredRanker:
 
         warm = WarmSource(_previous(self._local, ordered, "scores"),
                           (self._siterank.sites, self._siterank.scores))
-        step = partial(plan.layout_step, self._docgraph, self._damping,
-                       sites=ordered, **self._solver)
-        steps = [(step(warm=warm), None)]
+        # Scheduled over the changed sites' own sizes, not the whole web's.
+        step = partial(plan.sites_step, self._docgraph.site_blocks(),
+                       [self._docgraph.registry.site_index[site]
+                        for site in ordered], ordered, self._damping,
+                       **self._solver)
+        steps = [step(warm=warm)]
         if self._segments is not None:
             segment_warm = WarmSource(
                 _previous(self._local_columns, ordered, "columns"),
                 self._segment_site_state)
-            steps.append((
-                step(preferences=self._segments.document_columns,
-                     warm=segment_warm, n_vectors=self._segments.n_segments),
-                plan.segment_siterank_task_for(
-                    sitegraph, self._segments, self._site_damping,
-                    warm=segment_warm, **self._solver)
-                if siterank_recomputed else None))
-        siterank, ((scores, iterations, _), *segment_results), _n_tasks = \
-            plan.solve_layout_steps(
-                steps, executor=self._executor,
-                first=plan.siterank_task_for(
-                    sitegraph, self._site_damping, warm=warm, **self._solver)
-                if siterank_recomputed else None)
+            tail = plan.segment_siterank_task_for(
+                sitegraph, self._segments, self._site_damping,
+                warm=segment_warm, **self._solver) \
+                if siterank_recomputed else None
+            columns = self._segments.document_columns
+            steps.append(step(
+                preferences=[columns.get(site) for site in ordered],
+                warm=segment_warm, n_vectors=self._segments.n_segments,
+                tail=tail))
+        solved: list = []
+        siterank = plan.solve_windows(
+            steps, sink=lambda _step, collected: solved.append(collected),
+            executor=self._executor,
+            first=plan.siterank_task_for(
+                sitegraph, self._site_damping, warm=warm, **self._solver)
+            if siterank_recomputed else None).siterank
+        (scores, iterations, _), *segment_results = solved
 
         if siterank is not None:
             self._siterank = siterank
-        local = steps[0][0].local_ranks(scores, iterations)
+        local = steps[0].local_ranks(scores, iterations)
         self._local.update(local)
         segment_iterations = (self._store_segments(
             local.sites, local.doc_ids, local.offsets, *segment_results,

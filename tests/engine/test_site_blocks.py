@@ -10,11 +10,13 @@ dtype for dtype.
 """
 
 import pickle
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pack_oracle import (
@@ -29,6 +31,7 @@ from repro.engine import (
     plan_solve_units,
     rank_outofcore,
 )
+from repro.engine import plan
 from repro.engine.plan import (
     LocalRankTask,
     RankingPlan,
@@ -255,6 +258,43 @@ def test_both_schedules_name_the_same_units(sizes, max_docs, target_docs):
         for task in batched]
     assert [unit.kind == "fused" for unit in units] == [
         isinstance(task, BatchedSiteTask) for task in batched]
+
+
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=40),
+       st.integers(0, 32), st.integers(1, 90),
+       st.one_of(st.none(), st.integers(1, 30)))
+@settings(max_examples=200, deadline=None)
+# A mid-stream chunk of one (90, then 70) stays fused; a trailing one (60)
+# is dedicated, unless a tail joins it.
+@example(sizes=[90, 20, 20, 70, 60], max_docs=100, target_docs=100,
+         tail=None)
+@example(sizes=[90, 20, 20, 70, 60], max_docs=100, target_docs=100,
+         tail=30)
+def test_sites_step_schedules_the_whole_web_as_fuse_schedule(
+        sizes, max_docs, target_docs, tail):
+    """A step over every block is scheduled as the one fuse/flush rule
+    schedules it — on its own (a fit's step, the segment SiteRank tail as
+    one more block) and from the whole web's kinds (the path of a peer's
+    sites and a disk window), chunk for chunk."""
+    blocks = SimpleNamespace(offsets=np.pad(np.cumsum(sizes), (1, 0)))
+    sites = [f"s{index}" for index in range(len(sizes))]
+    task = None if tail is None else LocalRankTask(
+        site="tail", adjacency=sp.identity(tail, format="csr"),
+        doc_ids=tuple(range(tail)))
+    with mock.patch.object(plan, "BATCH_SITE_MAX_DOCS", max_docs), \
+            mock.patch.object(plan, "BATCH_TARGET_DOCS", target_docs):
+        own = plan.sites_step(blocks, range(len(sizes)), sites,
+                              tail=task).schedule
+        chunks, dedicated = plan.sites_step(
+            blocks, range(len(sizes)), sites,
+            fused=plan.fused_sites(sizes)).schedule
+    assert own == plan.fuse_schedule(
+        sizes + ([] if tail is None else [tail]), max_docs=max_docs,
+        target_docs=target_docs)
+    want_chunks, want_dedicated = plan.fuse_schedule(
+        sizes, max_docs=max_docs, target_docs=target_docs)
+    assert chunks == want_chunks
+    assert sorted(dedicated) == sorted(want_dedicated)
 
 
 # --------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
 """The planner's task builders against the hand-built constructors they replaced.
 
 ``site_tasks_for`` / ``siterank_task_for`` and the layout steps
-(``layout_step``, whose ``_LayoutStep.task(i)`` is the task a site would
+(``sites_step``, whose ``_LayoutStep.task(i)`` is the task a site would
 get on its own, plus ``segment_siterank_task_for`` for the K-column
 SiteRank block) are the only task constructors of the product path;
 ``task_oracle.py`` keeps what the incremental ranker, the segment pass
@@ -104,24 +104,25 @@ def apply_updates(graph: DocGraph, updates):
 
 
 def capture_steps(submitted):
-    """A ``plan.solve_layout_steps`` that records what it is handed.
+    """A ``plan.solve_windows`` that records what it is handed.
 
     The leading task, then every step's per-site task views
     (``_LayoutStep.task(i)``) followed by its tail, in dispatch order.
     """
-    solve_layout_steps = plan.solve_layout_steps
+    solve_windows = plan.solve_windows
 
     def capture(steps, **kwargs):
+        steps = list(steps)
         if kwargs.get("first") is not None:
             submitted.append(kwargs["first"])
-        for step, tail in steps:
+        for step in steps:
             submitted.extend(step.task(position)
                              for position in range(len(step.sites)))
-            if tail is not None:
-                submitted.append(tail)
-        return solve_layout_steps(steps, **kwargs)
+            if step.tail is not None:
+                submitted.append(step.tail)
+        return solve_windows(steps, **kwargs)
 
-    return mock.patch.object(plan, "solve_layout_steps", capture)
+    return mock.patch.object(plan, "solve_windows", capture)
 
 
 def assert_same_tasks(got, want):

@@ -1,12 +1,14 @@
 """The facade ↔ out-of-core join: ``Ranker.fit`` and ``rank_outofcore`` agree bitwise.
 
-Both drivers plan with :func:`repro.engine.plan.fuse_schedule` and build
-their tasks with :func:`repro.engine.plan.site_tasks_for`, so ranking a
-web in memory through the facade and ranking its disk graph one solve
-unit at a time must give the same floats and the same iteration totals —
-under non-default solver settings and per-site document preferences, cold
-and warm, and on a web whose schedule has every kind of unit: fused
-chunks, a mid-stream chunk of one (stays fused) and a dedicated site.
+Both drivers take every site's kind from
+:func:`repro.engine.plan.fuse_schedule` over the whole web and run
+:func:`repro.engine.plan.solve_windows`, so ranking a web in memory
+through the facade and ranking its disk graph one window at a time —
+serially or on a pool of two threads — must give the same floats and the
+same iteration totals: under non-default solver settings and per-site
+document preferences, cold and warm, and on a web whose schedule has
+every kind of unit: fused chunks, a mid-stream chunk of one (stays fused)
+and a dedicated site.
 """
 
 import numpy as np
@@ -106,11 +108,14 @@ def test_schedule_has_every_kind_of_unit(web, small_units):
                      ("fused", ("e", "g")), ("dedicated", ("f",))]
 
 
+@pytest.mark.parametrize("engine", [{}, {"n_jobs": 2}],
+                         ids=["serial", "threaded-2"])
 @pytest.mark.parametrize("with_preferences", [False, True],
                          ids=["plain", "doc-preferences"])
 @pytest.mark.parametrize("settings", CONFIGS)
 def test_fit_equals_rank_outofcore_cold_and_warm(
-        web, preferences, small_units, tmp_path, settings, with_preferences):
+        web, preferences, small_units, tmp_path, settings, with_preferences,
+        engine):
     chosen = preferences if with_preferences else None
     config = RankingConfig(warm_start=True, **settings)
     ranker = Ranker(config)
@@ -121,7 +126,7 @@ def test_fit_equals_rank_outofcore_cold_and_warm(
     disk = write_diskgraph(web, tmp_path / "graph", preferences=chosen)
     store = ArtifactStore(tmp_path / "store", create=True)
     solver = dict(site_damping=config.site_damping, tol=config.tol,
-                  max_iter=config.max_iter)
+                  max_iter=config.max_iter, **engine)
     cold = rank_outofcore(disk, store, config.damping, **solver)
     warm = rank_outofcore(disk, store, config.damping, **solver,
                           warm=cold.generation)

@@ -219,7 +219,7 @@ def oracle_rank(graph, path: str | os.PathLike,
     """``rank_outofcore``'s per-site loop as it stood, into *path*.
 
     The schedule comes from ``outofcore.plan_solve_units`` looked up at
-    call time, so a test that narrows the module's schedule narrows both
+    call time, so a test that narrows ``fuse_schedule`` narrows both
     sides.  Nothing is published: the generation directory is the output.
     """
     seed = GenerationWarmStart(warm) if warm is not None else None

@@ -18,7 +18,7 @@ Tier-1 runs a short fixed budget; the long one is a CI step::
 import mmap
 import os
 import tempfile
-from functools import partial
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from generation_oracle import oracle_rank
 from repro import obs
-from repro.engine import outofcore, plan_solve_units, rank_outofcore
+from repro.engine import outofcore, plan, plan_solve_units, rank_outofcore
 from repro.engine.plan import BATCH_TARGET_DOCS
 from repro.io import ArtifactStore, write_diskgraph
 from repro.io.artifacts import GenerationWriter
@@ -81,6 +81,22 @@ def webs(draw):
     return graph, preferences, site_preference, target_docs, window_docs
 
 
+def narrowed(**limits) -> ExitStack:
+    """``fuse_schedule`` with *limits* in place of its callers' for the
+    driver's site kinds (``plan``) and the oracle's units
+    (``outofcore.plan_solve_units``) alike."""
+    schedule = plan.fuse_schedule
+
+    def scaled(sizes, **given):
+        return schedule(sizes, **{**given, **limits})
+
+    stack = ExitStack()
+    for module in (plan, outofcore):
+        stack.enter_context(mock.patch.object(module, "fuse_schedule",
+                                              scaled))
+    return stack
+
+
 def _distribution(rng, size: int) -> np.ndarray:
     vector = rng.random(size) + 0.1
     return vector / vector.sum()
@@ -98,10 +114,8 @@ def _same_files(left: str, right: str) -> None:
 @given(webs())
 def test_generation_is_byte_equal_to_the_oracle(web):
     graph, preferences, site_preference, target_docs, window_docs = web
-    schedule = (plan_solve_units if target_docs is None
-                else partial(plan_solve_units, target_docs=target_docs))
-    with tempfile.TemporaryDirectory() as root, \
-            mock.patch.object(outofcore, "plan_solve_units", schedule), \
+    limits = {} if target_docs is None else {"target_docs": target_docs}
+    with tempfile.TemporaryDirectory() as root, narrowed(**limits), \
             mock.patch.object(outofcore, "BATCH_TARGET_DOCS",
                               window_docs or BATCH_TARGET_DOCS):
         disk = write_diskgraph(graph, os.path.join(root, "graph"),
@@ -145,13 +159,12 @@ def test_cold_rank_maps_each_unit_once(tmp_path, monkeypatch):
     opened = _count_block_mappings(monkeypatch, disk)
     # Sites above 16 documents solve on their own: fused and dedicated
     # units interleave.
-    schedule = partial(plan_solve_units, max_docs=16)
-    monkeypatch.setattr(outofcore, "plan_solve_units", schedule)
-    units = schedule(disk.sites(), disk.site_sizes())
+    units = plan_solve_units(disk.sites(), disk.site_sizes(), max_docs=16)
     assert {unit.kind for unit in units} == {"fused", "dedicated"}
     obs.enable()
     before = obs.registry().counter_value("diskgraph_mappings_total")
-    ranked = rank_outofcore(disk, tmp_path / "store")
+    with narrowed(max_docs=16):
+        ranked = rank_outofcore(disk, tmp_path / "store")
     counted = obs.registry().counter_value("diskgraph_mappings_total")
     assert len(opened) <= 2 * len(units) + 4
     assert counted - before == len(opened)
@@ -268,14 +281,14 @@ def test_units_and_bytes_are_counted_per_unit(tmp_path, kind):
 
     web = generate_synthetic_web(n_sites=12, n_documents=300, seed=4)
     disk = write_diskgraph(web, tmp_path / "graph")
+    max_docs = 0 if kind == "dedicated" else 512
     units = plan_solve_units(disk.sites(), disk.site_sizes(),
-                             max_docs=0 if kind == "dedicated" else 512)
+                             max_docs=max_docs)
     obs.enable()
     registry = obs.registry()
     before = {name: registry.counter_value(name) for name in (
         "outofcore_units_total", "generation_bytes_written_total")}
-    with mock.patch.object(outofcore, "plan_solve_units",
-                           lambda sites, sizes: units):
+    with narrowed(max_docs=max_docs):
         ranked = rank_outofcore(disk, tmp_path / "store")
     assert registry.counter_value("outofcore_units_total") \
         - before["outofcore_units_total"] == len(units)

@@ -1,10 +1,10 @@
-"""Tests for the accelerated PageRank variants (extrapolation, adaptive)."""
+"""Tests for the extrapolated PageRank variants (Aitken, quadratic)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.pagerank import accelerated_pagerank, adaptive_pagerank, pagerank
+from repro.pagerank import accelerated_pagerank, pagerank
 
 WEB = np.array([
     [0, 1, 1, 0, 0],
@@ -58,33 +58,3 @@ class TestExtrapolatedPageRank:
         result = accelerated_pagerank(WEB, preference=preference, tol=1e-12)
         plain = pagerank(WEB, preference=preference, tol=1e-12)
         assert np.allclose(result.scores, plain.scores, atol=1e-6)
-
-
-class TestAdaptivePageRank:
-    def test_matches_plain_pagerank_with_tight_freeze_tolerance(self):
-        adaptive = adaptive_pagerank(WEB, freeze_tol=1e-12, tol=1e-10)
-        plain = pagerank(WEB, tol=1e-10)
-        assert np.allclose(adaptive.scores, plain.scores, atol=1e-5)
-
-    def test_loose_freezing_still_close(self):
-        adaptive = adaptive_pagerank(WEB, freeze_tol=1e-6, tol=1e-8)
-        plain = pagerank(WEB, tol=1e-10)
-        assert np.allclose(adaptive.scores, plain.scores, atol=1e-3)
-
-    def test_frozen_fraction_is_monotone(self):
-        result = adaptive_pagerank(WEB, freeze_tol=1e-6, tol=1e-8)
-        fractions = result.frozen_fractions
-        assert all(b >= a - 1e-12 for a, b in zip(fractions, fractions[1:]))
-
-    def test_scores_form_distribution(self):
-        result = adaptive_pagerank(WEB)
-        assert result.scores.sum() == pytest.approx(1.0)
-
-    def test_top_k_helper(self):
-        result = adaptive_pagerank(WEB)
-        top = result.top_k(2)
-        assert len(top) == 2
-
-    def test_rejects_bad_damping(self):
-        with pytest.raises(ValidationError):
-            adaptive_pagerank(WEB, damping=1.2)

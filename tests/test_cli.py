@@ -646,9 +646,6 @@ class TestOutOfCoreCommands:
         ({"personalization": {"s": {"background": 1.0}}}, [],
          "personalization"),
         ({"batch_sites": False}, [], "batch_sites=false"),
-        ({"executor": "threaded", "n_jobs": 2}, [], "executor='threaded'"),
-        ({}, ["--jobs", "2"], "executor='threaded'"),
-        ({}, ["--jobs", "auto"], "executor='auto'"),
     ])
     def test_on_disk_rejects_settings_it_cannot_honour(
             self, tmp_path, capsys, settings, flags, named):
@@ -664,6 +661,26 @@ class TestOutOfCoreCommands:
         assert err.startswith("error:") and named in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("jobs", ["2", "auto"])
+    def test_on_disk_jobs_publish_the_serial_bytes(self, tmp_path, capsys,
+                                                   jobs):
+        """``--on-disk --jobs`` solves each window on a pool: the printed
+        text and every generation array are those of ``--jobs 1``."""
+        import hashlib
+
+        runs = {}
+        for name, flag in (("serial", "1"), ("pooled", jobs)):
+            store = tmp_path / name
+            assert main(["rank", "--on-disk", "--output", str(store),
+                         *self.GRAPH_ARGS, "--jobs", flag]) == 0
+            out = capsys.readouterr().out.replace(str(store), "STORE")
+            generation = store / "gen-000001"
+            digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                       for path in generation.glob("*.bin")}
+            runs[name] = (out, digests)
+        assert len(runs["serial"][1]) == 7
+        assert runs["pooled"] == runs["serial"]
 
     def test_serve_store_rejects_state(self, tmp_path, capsys):
         assert main(["serve", "--store", str(tmp_path / "s"),
