@@ -673,20 +673,19 @@ def sites_step(blocks, indices: Sequence[int], sites: Sequence[str],
     *blocks* is a DocGraph's :class:`~repro.web.docgraph.SiteBlocks` or a
     disk graph's mapped window of it; *indices* are the layout indices of
     the sites solved, *sites* their names.  By default the step schedules
-    its own blocks with :func:`fuse_schedule` (a fit's step: the whole
-    web; a refresh's: its changed sites); *tail*, a block outside the
-    layout (the segment SiteRank), comes after the last site and joins
-    the schedule when it shares damping, tol and max_iter, running alone
-    otherwise.  *fused* instead gives each site its kind in the whole
-    web's schedule (:func:`fused_sites`): fused sites chunk in order at
-    :data:`BATCH_TARGET_DOCS` documents (a chunk of one stays fused) and a
-    site's result depends on its kind, never its chunk, so a peer's
-    sites or a disk window rank bitwise as a fit ranks them.
-    *preferences* maps sites to teleport vectors (``(n, K)`` for
-    ``n_vectors = K > 1``) or holds one per site, all checked here: an
-    unknown site, a wrong shape, non-finite entries or no distribution is
-    a :class:`~repro.exceptions.ValidationError` naming the site.  *warm*
-    seeds every start.
+    its own blocks with :func:`fuse_schedule` (a fit's: the whole web; a
+    refresh's: its changed sites); *tail*, a block outside the layout (the
+    segment SiteRank), comes last and joins the schedule when it shares
+    damping, tol and max_iter, running alone otherwise.  *fused* instead
+    gives each site its kind in the whole web's schedule
+    (:func:`fused_sites`): fused sites chunk in order at
+    :data:`BATCH_TARGET_DOCS` documents (a chunk of one stays fused), and
+    as a result depends on the kind, never the chunk, a peer's sites or a
+    disk window rank bitwise as a fit ranks them.  *preferences* maps
+    sites to teleport vectors (``(n, K)`` for ``n_vectors = K > 1``) or
+    holds one per site, all checked here: an unknown site, a wrong shape,
+    non-finite entries or no distribution is a ValidationError naming the
+    site.  *warm* seeds every start.
     """
     sizes = np.diff(blocks.offsets)[np.asarray(indices, dtype=np.int64)]
     counts = sizes.tolist()
@@ -802,26 +801,32 @@ def solve_windows(windows: Iterable[_LayoutStep], *,
         for step in windows:
             started = time.perf_counter()
             with obs.span(span) if span else nullcontext():
-                tasks, places = step.payload()
-                batch = tasks if first is None else [first, *tasks]
-                warmup_for(resolved, batch)
-                results = resolved.map(solve_task, batch)
-                if first is not None:
-                    run.siterank, results = results[0], results[1:]
-                    first = None
-                collected = step.collect(places, results)
+                lead, collected, n_tasks = _solve_batch(resolved, step, first)
             run.wall_seconds += time.perf_counter() - started
-            run.n_tasks += len(batch)
+            run.n_tasks += n_tasks
+            if first is not None:
+                run.siterank, first = lead, None
             if sink is None:
                 run.local = step.local_ranks(*collected[:2])
             else:
                 sink(step, collected)
             # A solved window goes now, not after the next one is built.
-            del step, tasks, batch, results, collected
+            del step, collected
     finally:
         if owned:
             resolved.close()
     return run
+
+
+def _solve_batch(executor: Executor, step: _LayoutStep,
+                 first: Optional[RankTask]) -> Tuple[object, tuple, int]:
+    """One window's batch: *first*'s result, its collect, its task count."""
+    tasks, places = step.payload()
+    batch = tasks if first is None else [first, *tasks]
+    warmup_for(executor, batch)
+    results = list(executor.map(solve_task, batch))
+    lead = None if first is None else results.pop(0)
+    return lead, step.collect(places, results), len(batch)
 
 
 class RankingPlan:

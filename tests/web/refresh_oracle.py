@@ -1,7 +1,7 @@
 """The per-site incremental refresh the layout steps replaced.
 
 Before the incremental ranker scheduled its refreshes off
-:meth:`repro.web.docgraph.DocGraph.site_blocks` (``layout_step``), a
+:meth:`repro.web.docgraph.DocGraph.site_blocks` (``sites_step``), a
 refresh built one ``LocalRankTask`` per changed site (``site_tasks_for``)
 and one K-column task per changed site plus the ``SITERANK_BLOCK``
 pseudo-site (``segment_tasks_for``), regrouped both lists into fused

@@ -1,7 +1,7 @@
 """The layout-scheduled incremental refresh against the per-site one it replaced.
 
 ``IncrementalLayeredRanker.refresh`` solves its changed sites as steps
-over the DocGraph's site-major layout (``layout_step``), and rebuilds its
+over the DocGraph's site-major layout (``sites_step``), and rebuilds its
 segment columns through the fit's segment pass; ``refresh_oracle.py``
 keeps the ranker that built per-site tasks for both.  Driven through the
 same random sequences — intra-site links, inter-site links, links to new
