@@ -1,15 +1,15 @@
 """Live deployment of the distributed layered ranking protocol.
 
 Where :mod:`repro.distributed` *simulates* the peer network in-process
-(modeled clocks, accounted bytes), this package runs the identical
-protocol for real: peers are separate OS processes, every message crosses
-a TCP socket through the :mod:`repro.distributed.codec` wire format, and
-the coordinator adds what reality demands — a durable job ledger for
-crash-resumable rounds, heartbeat failure detection with site
-re-assignment, and graceful SIGTERM drains.  The compute path is the same
-engine task machinery, so a live round's scores are bitwise those of the
-serial reference — benchmark E18 asserts exactly that, kill-a-peer run
-included.
+(modeled clocks, accounted bytes), this package moves the same protocol
+over real sockets: the coordinator keeps its round in
+:class:`~repro.distributed.coordinator.RoundState` and each peer process
+answers through :class:`~repro.distributed.peer.Peer`, so the two
+deployments differ only in transport and in what reality adds — a
+durable job ledger for crash-resumable rounds, heartbeat failure
+detection with site re-assignment, and graceful SIGTERM drains.  A live
+round's scores are bitwise those of the serial reference — benchmark
+E18 asserts exactly that, kill-a-peer run included.
 """
 
 from .coordinator import ClusterCoordinator

@@ -1,21 +1,18 @@
 """The live cluster coordinator: real rounds over real sockets.
 
-:class:`ClusterCoordinator` runs the same flat-architecture protocol as
-the simulator's :class:`~repro.distributed.coordinator.DistributedRankingCoordinator`,
-but against peers that are separate OS processes on TCP.  Sites are
-assigned to peers by
-:func:`~repro.distributed.partitioning.partition_sites`, each peer runs
-its sites' step 3 as the fit's scheduler does (one layout step, every
-site of its whole-web kind), the SiteRank is assembled from the peers'
-SiteLink summaries exactly as in the simulation, and the final
-composition is the shared step-5 code — which is why a live round's
-scores are bitwise those of ``Ranker.fit``.
+:class:`ClusterCoordinator` runs the simulator's flat-architecture round
+against peers that are separate OS processes on TCP.  Its round state is
+the simulator's :class:`~repro.distributed.coordinator.RoundState` — the
+assignment and request messages, summary coverage, result intake, the
+SiteRank from the summaries and the shared step-5 composition — and its
+peers run the simulator's :class:`~repro.distributed.peer.Peer`, which is
+why a live round's scores are bitwise those of ``Ranker.fit``.
 
 Reality adds what the simulation never needed:
 
 * **a durable job ledger** (:class:`~repro.cluster.ledger.JobLedger`) —
-  every assignment and result is persisted (atomic write-then-rename), so
-  a restarted coordinator resumes the round instead of recomputing;
+  every assignment and result is appended and fsynced, so a restarted
+  coordinator resumes the round instead of recomputing;
 * **failure detection** — per-peer heartbeats with a timeout, plus
   immediate EOF detection; a dead peer's *pending* sites are re-assigned
   to survivors (its done sites stay done);
@@ -35,16 +32,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .. import obs
 from ..distributed.codec import encode_message, read_message, write_message
-from ..distributed.coordinator import DeploymentReport, assemble_sitegraph
-from ..distributed.messages import (
-    AssignSitesMessage,
-    ComputeLocalRankRequest,
-    LocalRankResult,
-    MessageLog,
-    SiteLinkSummary,
-)
+from ..distributed.coordinator import DeploymentReport, RoundState
+from ..distributed.messages import LocalRankResult, MessageLog, SiteLinkSummary
 from ..distributed.partitioning import PartitionPolicy, partition_sites
-from ..distributed.peer import summarize_sitelinks
 from ..exceptions import ProtocolError, SimulationError
 from ..io import docgraph_digest
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
@@ -56,10 +46,7 @@ from ..serving.frontend import (
 )
 from ..serving.httpd import ClientError
 from ..web.docgraph import DocGraph
-from ..web.docrank import LocalDocRank
-from ..web.pipeline import WebRankingResult, compose_ranking
-from ..web.siterank import SiteRankResult, siterank
-from .ledger import JobLedger
+from ..web.siterank import SiteRankResult
 from .protocol import (
     COORDINATOR,
     DEFAULT_HEARTBEAT_SECONDS,
@@ -101,10 +88,9 @@ class ClusterCoordinator:
 
     or ``await coordinator.run()`` when the peers connect on their own.
     Only the flat architecture is deployed live (the super-peer flavour
-    remains simulation-only).  Peers solve their sites as the fit's
-    layout step does, each site of its whole-web kind, as the simulator's
-    peers do, so the round's scores equal the fit's and the simulator's
-    bit for bit.
+    remains simulation-only).  The round is the simulator's
+    :class:`~repro.distributed.coordinator.RoundState`, so its scores and
+    protocol frames equal the simulator's bit for bit.
     """
 
     def __init__(self, docgraph: DocGraph, *, host: str = "127.0.0.1",
@@ -119,52 +105,36 @@ class ClusterCoordinator:
                  round_timeout: float = DEFAULT_ROUND_TIMEOUT) -> None:
         if docgraph.n_documents == 0:
             raise SimulationError("cannot rank an empty DocGraph")
-        self.docgraph = docgraph
         self.host = host
         self.port = port
-        self.damping = damping
-        self.site_damping = site_damping if site_damping is not None \
-            else damping
-        self.tol = tol
-        self.max_iter = max_iter
         self.heartbeat_seconds = heartbeat_seconds
         self.round_timeout = round_timeout
         self.graph_digest = docgraph_digest(docgraph)
         self.assignment = partition_sites(docgraph, n_peers,
                                           policy=partition_policy)
-        self.ledger = JobLedger.open(
-            ledger_path, graph_digest=self.graph_digest,
-            params={"damping": damping, "site_damping": self.site_damping,
-                    "tol": tol, "max_iter": max_iter,
-                    "architecture": "flat"},
-            sites=docgraph.sites())
+        self.state = RoundState(
+            docgraph, damping=damping, tol=tol,
+            site_damping=damping if site_damping is None else site_damping, max_iter=max_iter, architecture="flat",
+            ledger_path=ledger_path, graph_digest=self.graph_digest)
+        self.ledger = self.state.ledger
         self.log = MessageLog()
 
         self._server: Optional[asyncio.AbstractServer] = None
         self._metrics_server: Optional[asyncio.AbstractServer] = None
         self.metrics_port: Optional[int] = None
         self._sessions: List[_PeerSession] = []
-        self._session_of: Dict[str, _PeerSession] = {}
         self._reader_tasks: List[asyncio.Task] = []
         self._staffed = asyncio.Event()
         self._results_done = asyncio.Event()
-        self._counts_by_source: Dict[str, Tuple] = {}
-        self._local: Dict[str, LocalDocRank] = {}
         self._request_sent_at: Dict[str, float] = {}
-        self._siterank_started = asyncio.Event()
-        self._siterank_result: Optional[Tuple[SiteRankResult, float]] = None
         self._reassigned: List[str] = []
         self._round_active = False
         self._finished = False
         self._error: Optional[BaseException] = None
         self._monitor_task: Optional[asyncio.Task] = None
         self._siterank_task: Optional[asyncio.Task] = None
-
-        if len(self.ledger.resumed_sites) > 0:
-            # Resumed sites are never re-assigned, so no peer will summarise
-            # them; derive their SiteLink counts locally (identical code,
-            # identical counts — the graph is content-addressed).
-            self._recover_resumed_state()
+        if self.state.done:  # every site resumed from the ledger
+            self._results_done.set()
 
     # ------------------------------------------------------------------ #
     @property
@@ -234,10 +204,13 @@ class ClusterCoordinator:
 
         await self._results_done.wait()
         self._raise_on_error()
-        site_result, coordinator_seconds = await self._finish_siterank()
+        if self._siterank_task is None:
+            raise ProtocolError("round results complete but SiteLink "
+                                "summaries never covered every site")
+        site_result, coordinator_seconds = await self._siterank_task
 
         compose_started = time.perf_counter()
-        ranking = await asyncio.to_thread(self._compose, site_result)
+        ranking = await asyncio.to_thread(self.state.compose, site_result)
         coordinator_seconds += time.perf_counter() - compose_started
         makespan = time.monotonic() - round_start
         self._finished = True
@@ -295,12 +268,11 @@ class ClusterCoordinator:
         name = self._next_logical_name()
         session = _PeerSession(name, reader, writer)
         self._sessions.append(session)
-        self._session_of[name] = session
         ack = JoinAck(sender=COORDINATOR, recipient=name, accepted=True,
                       assigned_name=name,
                       heartbeat_seconds=self.heartbeat_seconds,
-                      damping=self.damping, tol=self.tol,
-                      max_iter=self.max_iter)
+                      damping=self.state.damping, tol=self.state.tol,
+                      max_iter=self.state.max_iter)
         await self._send(session, ack)
         obs.inc("cluster_peers_joined_total")
         if (not self._staffed.is_set()
@@ -316,11 +288,8 @@ class ClusterCoordinator:
         await self._session_loop(session)
 
     def _next_logical_name(self) -> str:
-        index = len(self._sessions)
-        names = list(self.assignment)
-        if index < len(names):
-            return names[index]
-        return f"peer-{index:04d}"
+        names, index = list(self.assignment), len(self._sessions)
+        return names[index] if index < len(names) else f"peer-{index:04d}"
 
     async def _refuse(self, writer: asyncio.StreamWriter,
                       request: JoinRequest, reason: str) -> None:
@@ -343,17 +312,22 @@ class ClusterCoordinator:
                 obs.inc("cluster_wire_bytes_total", float(nbytes),
                         direction="in")
                 session.last_seen = time.monotonic()
-                if isinstance(message, Heartbeat):
+                if isinstance(message, (Heartbeat, Goodbye)):
                     session.busy_seconds = max(session.busy_seconds,
                                                message.busy_seconds)
-                elif isinstance(message, SiteLinkSummary):
-                    self._on_summary(message)
+                if isinstance(message, SiteLinkSummary):
+                    self.state.on_summary(message)
+                    self._maybe_start_siterank()
                 elif isinstance(message, LocalRankResult):
-                    self._on_result(session, message)
+                    sent_at = self._request_sent_at.get(message.site)
+                    if self.state.on_result(message) and sent_at is not None:
+                        obs.observe("cluster_site_roundtrip_seconds",
+                                    time.monotonic() - sent_at,
+                                    peer=session.name)
+                    if self.state.done:
+                        self._results_done.set()
                 elif isinstance(message, Goodbye):
                     session.said_goodbye = True
-                    session.busy_seconds = max(session.busy_seconds,
-                                               message.busy_seconds)
                     return
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
@@ -374,98 +348,24 @@ class ClusterCoordinator:
         if not sites:
             return
         session.assigned.update(sites)
-        await self._send(session, AssignSitesMessage(
-            sender=COORDINATOR, recipient=session.name,
-            sites=tuple(sites)))
-        for site in sites:
-            self.ledger.record_assignment(site, session.name)
-        for site in sites:
-            start = self.ledger.warm.local_start(
-                site, self.docgraph.documents_of_site(site))
-            request = ComputeLocalRankRequest(
-                sender=COORDINATOR, recipient=session.name, site=site,
-                damping=self.damping, tol=self.tol, max_iter=self.max_iter,
-                start=() if start is None
-                else tuple(float(v) for v in start))
-            self._request_sent_at[site] = time.monotonic()
+        await self._send(session, self.state.assignment(session.name, sites))
+        for request in self.state.requests(session.name, sites):
+            self._request_sent_at[request.site] = time.monotonic()
             await self._send(session, request)
 
-    def _on_summary(self, message: SiteLinkSummary) -> None:
-        """Record SiteLink counts, deduplicating per source site.
-
-        After a re-assignment two peers may summarise the same site; the
-        counts are identical (both derive from the same content-addressed
-        graph), so first-wins is safe and keeps totals exact.
-        """
-        by_source: Dict[str, List[Tuple[str, str, int]]] = {
-            site: [] for site in message.sites}
-        for source, target, count in message.counts:
-            by_source.setdefault(source, []).append((source, target, count))
-        for source, triples in by_source.items():
-            self._counts_by_source.setdefault(source, tuple(triples))
-        self._maybe_start_siterank()
-
-    def _on_result(self, session: _PeerSession,
-                   message: LocalRankResult) -> None:
-        site = message.site
-        if site not in self.ledger.jobs:
-            raise ProtocolError(f"result for unknown site {site!r}")
-        if site in self._local:
-            return  # duplicate after a false-positive death: first wins
-        self._local[site] = LocalDocRank(
-            site=site, doc_ids=list(message.doc_ids),
-            scores=message.scores_array(), iterations=message.iterations)
-        self.ledger.record_result(site, session.name, message.doc_ids,
-                                  message.scores, message.iterations)
-        sent_at = self._request_sent_at.get(site)
-        if sent_at is not None:
-            obs.observe("cluster_site_roundtrip_seconds",
-                        time.monotonic() - sent_at, peer=session.name)
-        if not self.ledger.pending_sites():
-            self._results_done.set()
-
     def _maybe_start_siterank(self) -> None:
-        """Kick off the SiteRank as soon as summary coverage is complete.
-
-        This is the paper's decisive concurrency: the SiteRank needs link
-        counts only, so it runs while the peers' local DocRanks are still
-        converging.
-        """
-        if self._siterank_started.is_set():
+        """Kick off the SiteRank as soon as summary coverage is complete,
+        while the peers' local DocRanks are still converging."""
+        if self._siterank_task is not None or not self.state.covered:
             return
-        if not all(site in self._counts_by_source
-                   for site in self.docgraph.sites()):
-            return
-        self._siterank_started.set()
-        self._siterank_task = asyncio.create_task(
-            asyncio.to_thread(self._compute_siterank))
 
-    def _compute_siterank(self) -> Tuple[SiteRankResult, float]:
-        started = time.perf_counter()
-        sitegraph = assemble_sitegraph(
-            self.docgraph,
-            (triple for site in self.docgraph.sites()
-             for triple in self._counts_by_source[site]))
-        result = siterank(sitegraph, self.site_damping, tol=self.tol,
-                          max_iter=self.max_iter)
-        return result, time.perf_counter() - started
+        async def timed() -> Tuple[SiteRankResult, float]:
+            started = time.perf_counter()
+            _sitegraph, result = await asyncio.to_thread(
+                self.state.rank_sites)
+            return result, time.perf_counter() - started
 
-    async def _finish_siterank(self) -> Tuple[SiteRankResult, float]:
-        if self._siterank_task is None:
-            raise ProtocolError(
-                "round results complete but SiteLink summaries never "
-                "covered every site")
-        return await self._siterank_task
-
-    def _compose(self, site_result: SiteRankResult) -> WebRankingResult:
-        """The shared step-5 composition (bitwise the centralized one)."""
-        local = {site: self._local[site] for site in self.docgraph.sites()}
-        total_iterations = site_result.iterations + sum(
-            rank.iterations for rank in local.values())
-        return compose_ranking(self.docgraph, self.docgraph.sites(),
-                               site_result, local,
-                               method="distributed-flat",
-                               iterations=total_iterations)
+        self._siterank_task = asyncio.create_task(timed())
 
     # ------------------------------------------------------------------ #
     # Fault tolerance
@@ -495,7 +395,7 @@ class ClusterCoordinator:
         pending = set(self.ledger.pending_sites())
         owned = {site for session in self._sessions if session.alive
                  for site in session.assigned}
-        orphans = [site for site in self.docgraph.sites()
+        orphans = [site for site in self.state.docgraph.sites()
                    if site in pending and site not in owned]
         if not orphans:
             return
@@ -526,26 +426,6 @@ class ClusterCoordinator:
     def _raise_on_error(self) -> None:
         if self._error is not None:
             raise self._error
-
-    # ------------------------------------------------------------------ #
-    # Resume support
-    # ------------------------------------------------------------------ #
-    def _recover_resumed_state(self) -> None:
-        """Rebuild done sites' results (bitwise) from the durable ledger."""
-        for site in self.ledger.resumed_sites:
-            cached = self.ledger.warm.local_vector(site)
-            assert cached is not None  # JobLedger.open guarantees this
-            doc_ids, vector = cached
-            self._local[site] = LocalDocRank(
-                site=site, doc_ids=list(doc_ids), scores=vector,
-                iterations=self.ledger.iterations_of(site))
-        # No peer will be asked about resumed sites, so their SiteLink
-        # counts are derived locally — same code, same counts.
-        self._on_summary(summarize_sitelinks(
-            self.docgraph, self.ledger.resumed_sites, sender=COORDINATOR,
-            recipient=COORDINATOR))
-        if not self.ledger.pending_sites():
-            self._results_done.set()
 
     # ------------------------------------------------------------------ #
     # Teardown

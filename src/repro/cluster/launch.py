@@ -137,10 +137,9 @@ async def run_live_cluster(docgraph: DocGraph, workdir: str, *,
 
 def _drain_children(processes: Sequence[subprocess.Popen],
                     grace: float = 5.0) -> None:
-    deadline = grace
     for process in processes:
         try:
-            process.wait(timeout=max(0.1, deadline))
+            process.wait(timeout=grace)
         except subprocess.TimeoutExpired:
             pass
     reap(processes, timeout=grace)

@@ -1,23 +1,19 @@
 """Durable job ledger of the cluster coordinator.
 
-The ledger is the coordinator's crash recovery: a JSON file (written
-atomically via :func:`repro.io.save_json`'s write-then-rename) recording,
-for every site of the round, who owns it and whether its local DocRank has
-been received — plus a companion warm-state file holding the converged
-vectors themselves.  A restarted coordinator opens the ledger, validates
-that it describes the same web (graph digest) under the same solver
-parameters, recovers the done sites' vectors *bitwise* from the warm state
-(JSON floats round-trip exactly through ``repr``), and only schedules the
-still-pending sites — resuming instead of recomputing.
-
-The shape follows the central-index manifest idiom: one registry of jobs
-with explicit per-job state, advanced by atomic whole-file rewrites, never
-edited in place.
+The ledger is the coordinator's crash recovery: a JSON-lines file of one
+header (format version, graph digest, solver parameters, sites) and then
+one line per assignment message, per result (with the site's converged
+vector; JSON floats round-trip exactly through ``repr``) and at the
+round's end — each appended and fsynced before its call returns, so a
+round writes each vector once.  A restarted coordinator replays the file:
+done sites come back *bitwise*, only pending sites are scheduled, and a
+torn last line (a crash mid-append) is cut off, so its site is recomputed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from typing import Dict, List, Optional, Sequence
 
@@ -25,8 +21,7 @@ import numpy as np
 
 from ..engine.warm import WarmStartState
 from ..exceptions import ProtocolError
-from ..io import load_json, save_json
-from ..io.serialization import load_warm_state, save_warm_state
+from ..io import save_json
 
 #: Job states a site moves through.  ``pending`` covers both "never
 #: assigned" and "assigned but no result yet" — the ``peer`` field tells
@@ -34,7 +29,7 @@ from ..io.serialization import load_warm_state, save_warm_state
 STATE_PENDING = "pending"
 STATE_DONE = "done"
 
-LEDGER_VERSION = 1
+LEDGER_VERSION = 2
 
 
 def score_digest(scores: Sequence[float]) -> str:
@@ -49,10 +44,9 @@ class JobLedger:
     Parameters
     ----------
     path:
-        The ledger JSON file, or ``None`` for a purely in-memory ledger
-        (the coordinator without ``--ledger``: same bookkeeping, no
-        durability).  The companion warm-state file lives next to it at
-        ``<path>.warm.json``.
+        The ledger file, or ``None`` for a purely in-memory ledger (the
+        simulator, and the coordinator without ``--ledger``: same
+        bookkeeping, no durability).
     graph_digest:
         :func:`repro.io.docgraph_digest` of the web being ranked.
     params:
@@ -74,15 +68,8 @@ class JobLedger:
                    "iterations": None, "digest": None}
             for site in sites
         }
-        self.completed = False
         self.warm = WarmStartState()
         self.resumed_sites: List[str] = []
-
-    # ------------------------------------------------------------------ #
-    @property
-    def warm_path(self) -> Optional[str]:
-        """Path of the companion warm-state file (``None`` when in-memory)."""
-        return None if self.path is None else self.path + ".warm.json"
 
     @classmethod
     def open(cls, path: Optional[str | os.PathLike], *, graph_digest: str,
@@ -90,78 +77,45 @@ class JobLedger:
              sites: Sequence[str]) -> "JobLedger":
         """Open (resuming) or create the ledger for a round.
 
-        An existing ledger is resumed only when it describes the same
-        graph, the same parameters and the same site set, *and* the
-        previous round did not complete; anything else starts fresh (a
-        completed ledger means the caller wants a new round, a mismatched
-        one would poison the results).  Resumed ``done`` sites must have
-        their vector in the warm-state file — a done entry without one is
-        demoted to pending rather than trusted.
+        An existing ledger is resumed only when its header describes the
+        same graph, the same parameters and the same site set, *and* the
+        previous round did not complete; anything else (another format
+        version included) starts fresh — a completed ledger means the
+        caller wants a new round, a mismatched one would poison the
+        results.  An unreadable header or an unreadable line before the
+        last is a :class:`~repro.exceptions.ProtocolError`.
         """
         ledger = cls(path, graph_digest=graph_digest, params=params,
                      sites=sites)
-        if ledger.path is None or not os.path.exists(ledger.path):
-            ledger.save()
+        if ledger.path is None or (os.path.exists(ledger.path)
+                                   and ledger._replay()):
             return ledger
-        try:
-            payload = load_json(ledger.path)
-        except ValueError as error:
-            raise ProtocolError(
-                f"corrupt job ledger {ledger.path}: {error}") from None
-        if (not isinstance(payload, dict)
-                or payload.get("version") != LEDGER_VERSION
-                or payload.get("graph_digest") != graph_digest
-                or payload.get("params") != ledger.params
-                or set(payload.get("jobs", {})) != set(sites)
-                or payload.get("completed")):
-            ledger.save()
-            return ledger
-        warm = None
-        if os.path.exists(ledger.warm_path):
-            warm = load_warm_state(ledger.warm_path)
-        for site, entry in payload["jobs"].items():
-            if entry.get("state") != STATE_DONE:
-                continue
-            if warm is None or warm.local_vector(site) is None:
-                continue  # done without a durable vector: recompute
-            ledger.jobs[site] = {"state": STATE_DONE,
-                                 "peer": entry.get("peer"),
-                                 "iterations": int(entry.get("iterations", 0)),
-                                 "digest": entry.get("digest")}
-            ledger.resumed_sites.append(site)
-        if warm is not None:
-            ledger.warm = warm
-        ledger.save()
+        ledger = cls(path, graph_digest=graph_digest, params=params,
+                     sites=sites)
+        save_json({"version": LEDGER_VERSION, "graph_digest": graph_digest,
+                   "params": ledger.params, "sites": list(ledger.jobs)},
+                  ledger.path, atomic=True, indent=None)
         return ledger
 
     # ------------------------------------------------------------------ #
-    def record_assignment(self, site: str, peer: str) -> None:
-        """Note which peer currently owns a pending site."""
-        job = self._job(site)
-        job["peer"] = peer
-        self.save()
+    def record_assignment(self, sites: Sequence[str], peer: str) -> None:
+        """Note which peer now owns the pending *sites* (one message)."""
+        for site in sites:
+            self._job(site)["peer"] = peer
+        self._append({"assign": peer, "sites": list(sites)})
 
     def record_result(self, site: str, peer: str, doc_ids: Sequence[int],
                       scores: Sequence[float], iterations: int) -> None:
-        """Mark a site done, persisting its vector *before* its state.
-
-        Write order matters for crash safety: the warm vector is durable
-        first, so a ledger that says ``done`` always has the vector to
-        back it (the inverse order could resume a done site with no data —
-        :meth:`open` demotes such entries, so this is belt and braces).
-        """
-        job = self._job(site)
-        self.warm.record_local(site, doc_ids, np.asarray(scores, dtype=float))
-        if self.warm_path is not None:
-            save_warm_state(self.warm, self.warm_path)
-        job.update(state=STATE_DONE, peer=peer, iterations=int(iterations),
-                   digest=score_digest(scores))
-        self.save()
+        """Mark a site done; its line carries the vector that proves it."""
+        self._done(site, peer, doc_ids, scores, int(iterations))
+        self._append({"result": site, "peer": peer,
+                      "iterations": int(iterations),
+                      "doc_ids": [int(doc) for doc in doc_ids],
+                      "scores": [float(score) for score in scores]})
 
     def mark_complete(self) -> None:
         """Seal the round; the next :meth:`open` starts fresh."""
-        self.completed = True
-        self.save()
+        self._append({"completed": True})
 
     # ------------------------------------------------------------------ #
     def pending_sites(self) -> List[str]:
@@ -186,17 +140,63 @@ class JobLedger:
         return int(job["iterations"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------ #
-    def save(self) -> None:
-        """Atomically rewrite the ledger file (no-op for in-memory ledgers)."""
+    def _replay(self) -> bool:
+        """Replay the file into this ledger; ``False`` to start fresh."""
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        lines = data.split(b"\n")
+        try:
+            header = json.loads(lines[0])
+        except ValueError:
+            try:  # a version-1 ledger is one indented JSON document
+                header = json.loads(data)
+            except ValueError as error:
+                raise ProtocolError(
+                    f"corrupt job ledger {self.path}: {error}") from None
+        if (not isinstance(header, dict)
+                or header.get("version") != LEDGER_VERSION
+                or header.get("graph_digest") != self.graph_digest
+                or header.get("params") != self.params
+                or set(header.get("sites", ())) != set(self.jobs)):
+            return False
+        for number, line in enumerate(lines[1:-1], start=2):
+            try:
+                record = json.loads(line)
+                if record.get("completed"):
+                    return False
+                if "assign" in record:
+                    for site in record["sites"]:
+                        self._job(site)["peer"] = record["assign"]
+                else:
+                    self._done(record["result"], record["peer"],
+                               record["doc_ids"], record["scores"],
+                               int(record["iterations"]))
+            except (ValueError, KeyError, TypeError, AttributeError,
+                    ProtocolError) as error:
+                raise ProtocolError(f"corrupt job ledger {self.path} line "
+                                    f"{number}: {error}") from None
+        if len(lines) > 1 and lines[-1]:
+            # A torn last append: cut it off, so its site stays pending.
+            with open(self.path, "r+b") as handle:
+                handle.truncate(len(data) - len(lines[-1]))
+        self.resumed_sites = self.done_sites()
+        return True
+
+    def _done(self, site: str, peer: str, doc_ids: Sequence[int],
+              scores: Sequence[float], iterations: int) -> None:
+        job = self._job(site)
+        self.warm.record_local(site, doc_ids, np.asarray(scores, dtype=float))
+        job.update(state=STATE_DONE, peer=peer, iterations=iterations,
+                   digest=score_digest(scores))
+
+    def _append(self, record: Dict[str, object]) -> None:
+        """Append one line, durable before the call returns."""
         if self.path is None:
             return
-        save_json({
-            "version": LEDGER_VERSION,
-            "graph_digest": self.graph_digest,
-            "params": self.params,
-            "completed": self.completed,
-            "jobs": self.jobs,
-        }, self.path, atomic=True)
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
 
     def _job(self, site: str) -> Dict[str, object]:
         try:

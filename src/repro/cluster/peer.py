@@ -1,16 +1,13 @@
 """The live cluster peer: one OS process owning some sites' DocRanks.
 
-A :class:`ClusterPeer` connects to the coordinator over TCP, registers,
-and then mirrors what the simulator's in-process peers do — summarise
-SiteLinks, compute local DocRanks as one layout step over its sites
-(:func:`repro.engine.plan.sites_step`, each site of the kind the whole
-web's fit gives it, run by :func:`repro.engine.plan.solve_windows`), stream
-:class:`~repro.distributed.messages.LocalRankResult` frames back — except
-every message now actually crosses a socket.  Because the compute path is
-the fit's own, a live peer's scores are bitwise those of ``Ranker.fit``
-for the same sites.
+A :class:`ClusterPeer` connects to the coordinator over TCP, joins, and
+hands every protocol message to the simulator's own
+:class:`~repro.distributed.peer.Peer`, whose answers cross the socket;
+the compute path is the fit's own, so a live peer's scores are bitwise
+those of ``Ranker.fit``.  This class keeps only the socket session,
+heartbeats, the SIGTERM drain and crash injection.
 
-Compute runs in a worker thread (``asyncio.to_thread``) so heartbeats keep
+The step runs in a worker thread (``asyncio.to_thread``) so heartbeats keep
 flowing while the power iterations grind; a SIGTERM drains — the current
 batch finishes, results are sent, a ``Goodbye`` closes the session — and
 ``--fail-after N`` makes the process die abruptly (``os._exit``) after N
@@ -23,25 +20,13 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Optional
 
 from .. import obs
 from ..distributed.codec import read_message, write_message
-from ..distributed.messages import (
-    AssignSitesMessage,
-    ComputeLocalRankRequest,
-    LocalRankResult,
-)
-from ..distributed.peer import summarize_sitelinks
-from ..engine.plan import (
-    check_block_vector,
-    fused_sites,
-    sites_step,
-    solve_windows,
-)
-from ..engine.warm import WarmSource
+from ..distributed.messages import AssignSitesMessage, ComputeLocalRankRequest
+from ..distributed.peer import Peer
+from ..engine.plan import solve_windows
 from ..exceptions import ProtocolError
 from ..io import docgraph_digest
 from ..web.docgraph import DocGraph
@@ -69,20 +54,21 @@ class ClusterPeer:
 
     def __init__(self, docgraph: DocGraph, host: str, port: int, *,
                  name: str = "", fail_after: Optional[int] = None) -> None:
-        self.docgraph = docgraph
+        self.protocol = Peer(name or "peer", docgraph)
         self.host = host
         self.port = port
         self.requested_name = name
         self.fail_after = fail_after
-        self.name = name or "peer"
         self.busy_seconds = 0.0
         self.sites_ranked = 0
-        self._results_sent = 0
-        self._awaiting: List[str] = []  # announced sites, not yet computed
-        self._requests: Dict[str, ComputeLocalRankRequest] = {}
         self._drain = asyncio.Event()
         self._write_lock = asyncio.Lock()
         self._writer: Optional[asyncio.StreamWriter] = None
+
+    @property
+    def name(self) -> str:
+        """The peer's name on the wire (the coordinator's, once joined)."""
+        return self.protocol.name
 
     # ------------------------------------------------------------------ #
     async def run(self) -> int:
@@ -95,14 +81,14 @@ class ClusterPeer:
             await self._send(JoinRequest(
                 sender=self.name, recipient=COORDINATOR,
                 peer_name=self.requested_name,
-                graph_digest=docgraph_digest(self.docgraph)))
+                graph_digest=docgraph_digest(self.protocol.docgraph)))
             ack, _nbytes = await read_message(reader)
             if not isinstance(ack, JoinAck):
                 raise ProtocolError(
                     f"expected a JoinAck, got {type(ack).__name__}")
             if not ack.accepted:
                 raise ProtocolError(f"coordinator refused join: {ack.reason}")
-            self.name = ack.assigned_name or self.name
+            self.protocol.name = ack.assigned_name or self.name
             heartbeat_task = asyncio.create_task(
                 self._heartbeat_loop(ack.heartbeat_seconds))
             await self._session(reader)
@@ -134,80 +120,35 @@ class ClusterPeer:
             except (asyncio.IncompleteReadError, ConnectionError):
                 # Coordinator went away; nothing useful left to do.
                 return
-            if isinstance(message, AssignSitesMessage):
-                await self._on_assignment(message)
-            elif isinstance(message, ComputeLocalRankRequest):
-                await self._on_request(message)
-            elif isinstance(message, RoundComplete):
+            if isinstance(message, RoundComplete):
                 await self._leave("round complete")
                 return
+            await self._handle(message)
             if self._drain.is_set():
                 await self._leave("sigterm drain")
                 return
 
-    async def _on_assignment(self, message: AssignSitesMessage) -> None:
-        """Accept sites and reply with their SiteLink summary."""
-        fresh = [site for site in message.sites
-                 if site not in self._awaiting]
-        self._awaiting.extend(fresh)
-        await self._send(summarize_sitelinks(
-            self.docgraph, message.sites, sender=self.name,
-            recipient=COORDINATOR))
+    async def _handle(self, message) -> None:
+        """Answer one protocol message through the protocol peer."""
+        if isinstance(message, AssignSitesMessage):
+            await self._send(self.protocol.on_assignment(message))
+        elif isinstance(message, ComputeLocalRankRequest):
+            step = self.protocol.on_request(message)
+            if step is not None:
+                await self._solve(step)
 
-    async def _on_request(self, message: ComputeLocalRankRequest) -> None:
-        """Queue one site's request; compute when the assignment is covered."""
-        if message.site not in self._awaiting:
-            raise ProtocolError(
-                f"request for unassigned site {message.site!r}")
-        self._requests[message.site] = message
-        if not all(site in self._requests for site in self._awaiting):
-            return
-        ready, self._awaiting = self._awaiting, []
-        requests = {site: self._requests.pop(site) for site in ready}
-        await self._compute_batch(ready, requests)
-
-    async def _compute_batch(
-            self, sites: List[str],
-            requests: Dict[str, ComputeLocalRankRequest]) -> None:
-        """Rank *sites* through the engine and stream the results back.
-
-        One layout step over the sites' blocks, each site of its kind in
-        the whole web's schedule, so the results are bitwise the fit's.
-        Every wire start is checked against its site before anything
-        runs, and reaches the solves through a :class:`WarmSource`.
-        """
-        head = requests[sites[0]]
-        blocks = self.docgraph.site_blocks()
-        indices = [self.docgraph.registry.site_index[site] for site in sites]
-        previous = {}
-        for site, index in zip(sites, indices):
-            start = requests[site].start_vector()
-            if start is not None:
-                doc_ids = blocks.site_doc_ids(index)
-                check_block_vector(
-                    f"warm start of site {site!r} on peer {self.name!r}",
-                    start, len(doc_ids))
-                previous[site] = (doc_ids, start)
-        kinds = fused_sites(np.diff(blocks.offsets).tolist())
-        step = sites_step(blocks, indices, sites, head.damping,
-                          fused=[kinds[index] for index in indices],
-                          tol=head.tol, max_iter=head.max_iter,
-                          warm=WarmSource(previous) if previous else None)
+    async def _solve(self, step) -> None:
+        """Run the protocol peer's step and stream its results back."""
         run = await asyncio.to_thread(solve_windows, [step])
         self.busy_seconds += run.wall_seconds
         obs.observe("cluster_peer_batch_seconds", run.wall_seconds,
                     peer=self.name)
-        for site, rank in run.local.items():
-            await self._send(LocalRankResult(
-                sender=self.name, recipient=COORDINATOR, site=site,
-                doc_ids=tuple(rank.doc_ids),
-                scores=tuple(rank.scores.tolist()),
-                iterations=rank.iterations))
+        for result in self.protocol.on_solved(run.local):
+            await self._send(result)
             self.sites_ranked += 1
-            self._results_sent += 1
             obs.inc("cluster_peer_sites_ranked_total", peer=self.name)
             if (self.fail_after is not None
-                    and self._results_sent >= self.fail_after):
+                    and self.sites_ranked >= self.fail_after):
                 # Deterministic crash injection: die without goodbye,
                 # without flushing, without cleanup — as a power cut would.
                 os._exit(1)

@@ -1,34 +1,35 @@
 """Control messages and constants of the live cluster protocol.
 
-The live deployment reuses the ranking protocol of
-:mod:`repro.distributed.messages` verbatim — ``AssignSitesMessage``,
-``SiteLinkSummary``, ``ComputeLocalRankRequest`` and ``LocalRankResult``
-travel over TCP exactly as the simulator accounts them, which is what
-makes simulated and measured wire bytes directly comparable.  This module
-adds only the *session* messages real processes need on top: joining,
-heartbeats, round completion and goodbyes.
+The live deployment is the simulator's protocol: the coordinator keeps
+its round in :class:`~repro.distributed.coordinator.RoundState`, each peer
+answers through :class:`~repro.distributed.peer.Peer`, and the ranking
+messages of :mod:`repro.distributed.messages` travel over TCP exactly as
+the simulator accounts them, which is what makes simulated and measured
+wire bytes equal frame for frame.  This module adds only the *session*
+messages real processes need on top: joining, heartbeats, round
+completion and goodbyes.
 
 Protocol flow (flat architecture, star topology around the coordinator)::
 
     peer                               coordinator
     ----                               -----------
-    JoinRequest(graph digest)  ---->
-                               <----   JoinAck(name, round parameters)
+    JoinRequest: graph digest  ---->
+                               <----   JoinAck: name, round parameters
         ... coordinator waits for n_peers accepted joins ...
-                               <----   AssignSitesMessage(sites)
-    SiteLinkSummary(sites)     ---->
+                               <----   AssignSitesMessage: sites
                                <----   ComputeLocalRankRequest × site
+    SiteLinkSummary: sites     ---->
     Heartbeat (periodic)       ---->
     LocalRankResult × site     ---->
         ... SiteRank + composition on the coordinator ...
                                <----   RoundComplete
-    Goodbye(wall seconds)      ---->   (connection closes)
+    Goodbye: wall seconds      ---->   (connection closes)
 
 A peer that misses :data:`HEARTBEAT_TIMEOUT_FACTOR` heartbeat intervals —
 or whose connection drops — is declared dead; its *pending* sites are
 re-assigned to survivors via supplemental ``AssignSitesMessage`` +
 request bursts (done sites stay done, their vectors are already durable
-in the coordinator's warm state).
+in the coordinator's ledger).
 """
 
 from __future__ import annotations
@@ -36,10 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..distributed.codec import wire_message
-from ..distributed.messages import Message
-
-#: Node name of the coordinator on the wire (same as the simulator's).
-COORDINATOR = "coordinator"
+from ..distributed.messages import COORDINATOR, Message
 
 #: Default seconds between peer heartbeats.
 DEFAULT_HEARTBEAT_SECONDS = 0.5

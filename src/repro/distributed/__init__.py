@@ -1,8 +1,11 @@
 """Peer-to-peer deployment of the layered ranking computation.
 
-Historically simulation-only; the message hierarchy now also travels over
-real TCP sockets between OS processes via :mod:`repro.cluster`, encoded by
-the wire codec in :mod:`repro.distributed.codec`.
+The protocol has one implementation here: :class:`Peer` is the peer and
+:class:`RoundState` the coordinator's round.  The simulator
+(:class:`DistributedRankingCoordinator`) moves their messages through a
+:class:`SimulatedNetwork` with modelled clocks; :mod:`repro.cluster`
+moves the same messages over TCP between OS processes, encoded by the
+wire codec in :mod:`repro.distributed.codec`.
 """
 
 from .codec import (
@@ -17,6 +20,7 @@ from .coordinator import (
     Architecture,
     DeploymentReport,
     DistributedRankingCoordinator,
+    RoundState,
     SimulationReport,
 )
 from .cost import (
@@ -50,6 +54,7 @@ __all__ = [
     "Architecture",
     "DeploymentReport",
     "DistributedRankingCoordinator",
+    "RoundState",
     "SimulationReport",
     "CostBreakdown",
     "CostComparison",

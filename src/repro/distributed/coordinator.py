@@ -15,29 +15,38 @@ Both produce the exact same global DocRank as the centralized pipeline
 (:mod:`repro.web.pipeline`) — the property the integration tests verify —
 but with different traffic patterns, which is what the distribution-cost
 benchmark (E9) measures.
+
+:class:`RoundState` is the coordinator's side of a round and
+:class:`~repro.distributed.peer.Peer` the peers'; the simulator here and
+the live :class:`~repro.cluster.coordinator.ClusterCoordinator` both run
+them, and differ only in how messages travel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Optional, Tuple
+from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._validation import normalize_distribution
 from ..engine.executor import Executor
-from ..engine.plan import sites_step, solve_windows
-from ..exceptions import SimulationError
+from ..engine.plan import solve_windows
+from ..exceptions import ProtocolError, SimulationError
 from ..linalg.power_iteration import DEFAULT_MAX_ITER, DEFAULT_TOL
 from ..linalg.sparse_utils import coo_from_edges
 from ..markov.irreducibility import DEFAULT_DAMPING
 from ..web.docgraph import DocGraph
-from ..web.pipeline import WebRankingResult
+from ..web.docrank import LocalDocRank
+from ..web.pipeline import WebRankingResult, compose_ranking
 from ..web.sitegraph import SiteGraph
 from ..web.siterank import SiteRankResult, siterank
 from .messages import (
+    COORDINATOR,
     AssignSitesMessage,
     ComputeLocalRankRequest,
+    LocalRankResult,
+    SiteLinkSummary,
     SiteRankAnnouncement,
 )
 from .network import NetworkParameters, SimulatedNetwork
@@ -45,36 +54,6 @@ from .partitioning import PartitionPolicy, partition_sites
 from .peer import Peer, local_work_seconds, summarize_sitelinks
 
 Architecture = Literal["flat", "super-peer"]
-
-#: Node name of the coordinator in the simulated network.
-COORDINATOR = "coordinator"
-
-
-def assemble_sitegraph(docgraph: DocGraph, counts) -> SiteGraph:
-    """Build the SiteGraph from SiteLink count triples.
-
-    *counts* is any iterable of ``(source_site, target_site, count)``
-    triples, typically the concatenation of the peers' summaries.  The CSR
-    canonicalisation sums duplicates and orders indices, and integer count
-    sums are exact in floating point, so the result is bitwise independent
-    of triple order and of how the summaries were split across peers —
-    which is why the simulated and live coordinators (and the centralized
-    pipeline's own aggregation) produce the identical SiteRank input.
-    """
-    sites = docgraph.sites()
-    index_of_site = {site: i for i, site in enumerate(sites)}
-    edges = []
-    weights = []
-    for source, target, count in counts:
-        if source not in index_of_site or target not in index_of_site:
-            raise SimulationError(
-                f"summary references unknown site {source!r}->{target!r}")
-        edges.append((index_of_site[source], index_of_site[target]))
-        weights.append(float(count))
-    adjacency = coo_from_edges(edges, len(sites), weights=weights)
-    sizes = docgraph.site_sizes()
-    return SiteGraph(sites=sites, adjacency=adjacency,
-                     site_sizes=[sizes[site] for site in sites])
 
 
 @dataclass
@@ -111,10 +90,9 @@ class DeploymentReport:
     per_peer_compute_seconds:
         Simulated local computation time per peer.
     measured_wall_seconds:
-        *Measured* wall-clock of the per-site rank batch as executed by the
-        engine on this machine — the empirical companion to the modeled
-        ``makespan_seconds``, since both are derived from the same
-        :class:`~repro.engine.plan.RankingPlan` tasks.
+        *Measured* wall-clock of the peers' layout steps as executed by
+        the engine on this machine — the empirical companion to the
+        modeled ``makespan_seconds``, which charges the same solves.
     executor_name:
         Engine backend that executed the batch.
     mode:
@@ -183,14 +161,146 @@ class DeploymentReport:
 SimulationReport = DeploymentReport
 
 
+class RoundState:
+    """The coordinator's side of one round, in either deployment.
+
+    It writes the assignment and request messages (starts from the
+    ledger's warm state), tracks summary coverage, takes results into the
+    :class:`~repro.cluster.ledger.JobLedger` (in memory without
+    *ledger_path*), ranks the sites and composes step 5.  A resumed
+    ledger's done sites come back bitwise, and their SiteLinks are
+    counted here, since no peer is asked about them.
+    """
+
+    def __init__(self, docgraph: DocGraph, *, damping: float,
+                 site_damping: float, tol: float, max_iter: int,
+                 architecture: Architecture,
+                 ledger_path: Optional[str] = None,
+                 graph_digest: str = "") -> None:
+        from ..cluster.ledger import JobLedger  # repro.cluster imports us
+
+        self.docgraph = docgraph
+        self.damping, self.site_damping = damping, site_damping
+        self.tol, self.max_iter = tol, max_iter
+        self.ledger = JobLedger.open(
+            ledger_path, graph_digest=graph_digest,
+            params={"damping": damping, "site_damping": site_damping,
+                    "tol": tol, "max_iter": max_iter,
+                    "architecture": architecture},
+            sites=docgraph.sites())
+        #: Every site's received (or resumed) local DocRank.
+        self.local: Dict[str, LocalDocRank] = {}
+        self._counts_by_source: Dict[str, Tuple] = {}
+        resumed = self.ledger.resumed_sites
+        for site in resumed:
+            doc_ids, vector = self.ledger.warm.local_vector(site)
+            self.local[site] = LocalDocRank(
+                site=site, doc_ids=list(doc_ids), scores=vector,
+                iterations=self.ledger.iterations_of(site))
+        if resumed:
+            self.on_summary(summarize_sitelinks(
+                docgraph, resumed, sender=COORDINATOR,
+                recipient=COORDINATOR))
+
+    def assignment(self, peer: str,
+                   sites: Sequence[str]) -> AssignSitesMessage:
+        """*peer*'s assignment of *sites*, recorded in the ledger."""
+        self.ledger.record_assignment(sites, peer)
+        return AssignSitesMessage(sender=COORDINATOR, recipient=peer,
+                                  sites=tuple(sites))
+
+    def requests(self, peer: str, sites: Sequence[str]
+                 ) -> List[ComputeLocalRankRequest]:
+        """One compute request per site, started from the ledger."""
+        starts = [self.ledger.warm.local_start(
+            site, self.docgraph.documents_of_site(site)) for site in sites]
+        return [ComputeLocalRankRequest(
+            sender=COORDINATOR, recipient=peer, site=site,
+            damping=self.damping, tol=self.tol, max_iter=self.max_iter,
+            start=() if start is None else tuple(start.tolist()))
+            for site, start in zip(sites, starts)]
+
+    def on_summary(self, message: SiteLinkSummary) -> None:
+        """Record SiteLink counts, first summary of a source site wins.
+
+        After a re-assignment two peers may summarise the same site; the
+        counts are identical (both derive from the same content-addressed
+        graph), so first-wins keeps totals exact.
+        """
+        by_source: Dict[str, List[Tuple[str, str, int]]] = {
+            site: [] for site in message.sites}
+        for source, target, count in message.counts:
+            by_source.setdefault(source, []).append((source, target, count))
+        for source, triples in by_source.items():
+            self._counts_by_source.setdefault(source, tuple(triples))
+
+    @property
+    def covered(self) -> bool:
+        """Whether the summaries cover every site (the SiteRank can run)."""
+        return all(site in self._counts_by_source
+                   for site in self.docgraph.sites())
+
+    def on_result(self, message: LocalRankResult) -> bool:
+        """Take one site's local DocRank; ``False`` for a duplicate."""
+        site = message.site
+        if site not in self.ledger.jobs:
+            raise ProtocolError(f"result for unknown site {site!r}")
+        if site in self.local:
+            return False  # duplicate after a false-positive death
+        self.local[site] = LocalDocRank(
+            site=site, doc_ids=list(message.doc_ids),
+            scores=message.scores_array(), iterations=message.iterations)
+        self.ledger.record_result(site, message.sender, message.doc_ids,
+                                  message.scores, message.iterations)
+        return True
+
+    @property
+    def done(self) -> bool:
+        """Whether every site's local DocRank is in."""
+        return len(self.local) == len(self.ledger.jobs)
+
+    def rank_sites(self) -> Tuple[SiteGraph, SiteRankResult]:
+        """The SiteGraph assembled from the summaries, and its SiteRank.
+
+        It needs every site :attr:`covered` and link counts only, so it
+        can run while the peers' local DocRanks are still converging.  The CSR orders the
+        counts, so the SiteGraph is bitwise independent of how the
+        summaries were split across peers, and equals the fit's.
+        """
+        sites, index = self.docgraph.sites(), self.docgraph.registry.site_index
+        triples = [triple for site in sites
+                   for triple in self._counts_by_source[site]]
+        unknown = {target for _source, target, _count in triples
+                   if target not in index}
+        if unknown:
+            raise ProtocolError(f"summary names unknown site {min(unknown)!r}")
+        adjacency = coo_from_edges(
+            [(index[source], index[target]) for source, target, _ in triples],
+            len(sites), weights=[float(count) for *_, count in triples])
+        sizes = self.docgraph.site_sizes()
+        sitegraph = SiteGraph(sites=sites, adjacency=adjacency,
+                              site_sizes=[sizes[site] for site in sites])
+        return sitegraph, siterank(sitegraph, self.site_damping,
+                                   tol=self.tol, max_iter=self.max_iter)
+
+    def compose(self, site_result: SiteRankResult) -> WebRankingResult:
+        """The shared step-5 composition (bitwise the centralized one)."""
+        sites = self.docgraph.sites()
+        local = {site: self.local[site] for site in sites}
+        total_iterations = site_result.iterations + sum(
+            rank.iterations for rank in local.values())
+        return compose_ranking(self.docgraph, sites, site_result, local,
+                               method="distributed-flat",
+                               iterations=total_iterations)
+
+
 class DistributedRankingCoordinator:
     """Runs the layered ranking protocol over a simulated peer network.
 
     Parameters
     ----------
     docgraph:
-        The global DocGraph being ranked.  Each peer only reads the local
-        subgraphs of its own sites.
+        The global DocGraph being ranked.
     n_peers:
         Number of peers (capped at the number of sites).
     architecture:
@@ -202,9 +312,9 @@ class DistributedRankingCoordinator:
     damping / site_damping:
         Damping factors of the local DocRanks and the SiteRank.
     executor / n_jobs:
-        Engine backend the peers' step 3 is *actually* executed on
-        (serial by default).  It is the fit's own layout step, run by
-        :func:`repro.engine.plan.solve_windows`, so every peer's local
+        Engine backend the peers' steps are *actually* executed on (serial
+        by default): every peer's layout step is one window of one
+        :func:`repro.engine.plan.solve_windows` call, so its local
         DocRanks are bitwise those of ``Ranker.fit``; the cost model
         charges each peer its sites' ``(n, nnz, iterations)``.
     """
@@ -225,96 +335,100 @@ class DistributedRankingCoordinator:
             raise SimulationError(f"unknown architecture {architecture!r}")
         self.docgraph = docgraph
         self.architecture: Architecture = architecture
-        self.damping = damping
-        self.site_damping = site_damping if site_damping is not None else damping
-        self.tol = tol
-        self.max_iter = max_iter
+        self._params = dict(
+            damping=damping, tol=tol, max_iter=max_iter,
+            site_damping=damping if site_damping is None else site_damping)
         self._executor_spec = (executor, n_jobs)
         self.assignment = partition_sites(docgraph, n_peers,
                                           policy=partition_policy)
         self.network = SimulatedNetwork(
             parameters=network or NetworkParameters())
-        self.network.register(COORDINATOR)
-        self.peers: Dict[str, Peer] = {}
-        for peer_name, sites in self.assignment.items():
-            self.network.register(peer_name)
-            self.peers[peer_name] = Peer(name=peer_name, docgraph=docgraph,
-                                         sites=sites)
+        for node in (COORDINATOR, *self.assignment):
+            self.network.register(node)
 
     # ------------------------------------------------------------------ #
     def run(self) -> DeploymentReport:
         """Execute the protocol and return the full report."""
         network = self.network
-        compute_seconds: Dict[str, float] = {name: 0.0 for name in self.peers}
+        peers = self.peers = {name: Peer(name, self.docgraph)
+                              for name in self.assignment}
+        state = RoundState(self.docgraph, architecture=self.architecture,
+                           **self._params)
 
         # Phase 0: the coordinator assigns sites to peers.
-        for peer_name, peer in self.peers.items():
-            network.send(AssignSitesMessage(sender=COORDINATOR,
-                                            recipient=peer_name,
-                                            sites=tuple(peer.sites)))
+        assignments = [state.assignment(name, sites)
+                       for name, sites in self.assignment.items()]
+        for message in assignments:
+            network.send(message)
 
         # Phase 1a: peers summarise their outgoing SiteLinks.
-        summaries = []
-        for peer_name, peer in self.peers.items():
-            summary = summarize_sitelinks(peer.docgraph, peer.sites,
-                                          sender=peer_name,
-                                          recipient=COORDINATOR)
+        for message in assignments:
+            summary = peers[message.recipient].on_assignment(message)
             network.send(summary)
-            summaries.append(summary)
+            state.on_summary(summary)
 
         # Phase 1b: *in parallel*, peers compute their local DocRanks.  The
-        # requests are tiny; the heavy lifting happens on the peers.  The
-        # engine runs the fit's step 3 (measured wall-clock; only the
-        # per-site half of a RankingPlan — the protocol derives its
-        # SiteRank from the summaries in phase 2) while each peer's
+        # requests are tiny; a peer's last one yields its layout step.
+        # Every step is one window of one engine run (measured wall-clock)
+        # whose sink hands the window back to its peer, while each peer's
         # simulated clock is charged the cost model's price for its sites.
-        for peer_name, peer in self.peers.items():
-            for site in peer.sites:
-                network.send(ComputeLocalRankRequest(
-                    sender=COORDINATOR, recipient=peer_name, site=site,
-                    damping=self.damping, tol=self.tol,
-                    max_iter=self.max_iter))
-        graph = self.docgraph
+        steps = []
+        for name, sites in self.assignment.items():
+            for request in state.requests(name, sites):
+                network.send(request)
+                step = peers[name].on_request(request)
+            steps.append(step)
+        owners = iter(peers.values())
+        results: Dict[str, List[LocalRankResult]] = {}
+
+        def sink(step, collected) -> None:
+            peer = next(owners)
+            results[peer.name] = peer.on_solved(
+                step.local_ranks(*collected[:2]))
+
         executor, n_jobs = self._executor_spec
-        run = solve_windows(
-            [sites_step(graph.site_blocks(), range(graph.n_sites),
-                        graph.sites(), self.damping, tol=self.tol,
-                        max_iter=self.max_iter)],
-            executor=executor, n_jobs=n_jobs)
-        nnz, site_index = graph.site_blocks().nnz, graph.registry.site_index
-        for peer_name, peer in self.peers.items():
-            for site in peer.sites:
-                seconds = peer.adopt_local_rank(
-                    site, run.local[site], int(nnz[site_index[site]]))
-                network.compute(peer_name, seconds)
-                compute_seconds[peer_name] += seconds
+        run = solve_windows(steps, sink=sink, executor=executor,
+                            n_jobs=n_jobs)
+        compute_seconds: Dict[str, float] = {name: 0.0 for name in peers}
+        for name, peer in peers.items():
+            for result in results[name]:
+                seconds = peer.work_seconds(result)
+                network.compute(name, seconds)
+                compute_seconds[name] += seconds
 
         # Phase 2: the coordinator assembles the SiteGraph from the summaries
         # and computes the SiteRank.  This happens concurrently with phase 1b
         # in a real deployment; the simulated clocks already model that,
         # because the coordinator's clock only waits for the (cheap) summary
         # messages, not for the local computations.
-        sitegraph = self._assemble_sitegraph(summaries)
-        site_result = siterank(sitegraph, self.site_damping, tol=self.tol,
-                               max_iter=self.max_iter)
+        sitegraph, site_result = state.rank_sites()
         coordinator_work = local_work_seconds(
             sitegraph.n_sites, int(sitegraph.adjacency.nnz),
             site_result.iterations)
         network.compute(COORDINATOR, coordinator_work)
 
         # Phase 3: aggregation, per architecture.
-        site_scores = site_result.as_dict()
         if self.architecture == "flat":
-            ranking = self._aggregate_flat(site_result)
+            # Raw local vectors travel; the coordinator weights them by the
+            # centralized pipeline's own step-5 composition.
+            for name in peers:
+                for result in results[name]:
+                    network.send(result)
+                    state.on_result(result)
+            network.barrier(peers, COORDINATOR)
+            ranking = state.compose(site_result)
+            # Aggregation cost: one multiplication per document.
+            network.compute(COORDINATOR,
+                            local_work_seconds(ranking.n_documents, 0, 1))
         else:
-            ranking = self._aggregate_superpeer(site_result, site_scores)
+            ranking = self._aggregate_superpeer(site_result)
 
         serial = sum(compute_seconds.values()) + coordinator_work
         return DeploymentReport(
             ranking=ranking,
             siterank=site_result,
             architecture=self.architecture,
-            n_peers=len(self.peers),
+            n_peers=len(peers),
             message_count=network.log.count,
             total_bytes=network.log.total_bytes,
             messages_by_type=network.log.count_by_type(),
@@ -327,88 +441,38 @@ class DistributedRankingCoordinator:
             executor_name=run.executor_name,
         )
 
-    # ------------------------------------------------------------------ #
-    def _assemble_sitegraph(self, summaries) -> SiteGraph:
-        """Build the SiteGraph from the peers' SiteLink count summaries."""
-        return assemble_sitegraph(
-            self.docgraph,
-            (triple for summary in summaries for triple in summary.counts))
-
-    def _aggregate_flat(self, site_result: SiteRankResult) -> WebRankingResult:
-        """Flat architecture: raw local vectors travel, coordinator weights them."""
-        from ..web.pipeline import compose_ranking
-
-        network = self.network
-        # Peers ship each site's raw local DocRank to the coordinator.
-        for peer_name, peer in self.peers.items():
-            for site in peer.sites:
-                message = peer.local_rank_message(site, COORDINATOR)
-                network.send(message)
-        network.barrier(self.peers.keys(), COORDINATOR)
-        # The coordinator does the Theorem-2 multiplication through the same
-        # step-5 composition as the centralized pipeline (global site order,
-        # identical floating point operations).
-        local_results = {
-            site: next(peer for peer in self.peers.values()
-                       if site in peer.sites).local_results[site]
-            for site in self.docgraph.sites()
-        }
-        total_iterations = site_result.iterations + sum(
-            r.iterations for r in local_results.values())
-        ranking = compose_ranking(self.docgraph, self.docgraph.sites(),
-                                  site_result, local_results,
-                                  method="distributed-flat",
-                                  iterations=total_iterations)
-        # Aggregation cost: one multiplication per document.
-        network.compute(COORDINATOR,
-                        local_work_seconds(ranking.n_documents, 0, 1))
-        return ranking
-
-    def _aggregate_superpeer(self, site_result: SiteRankResult,
-                             site_scores: Dict[str, float]) -> WebRankingResult:
+    def _aggregate_superpeer(self, site_result: SiteRankResult
+                             ) -> WebRankingResult:
         """Super-peer architecture: weighting happens on the peers."""
         network = self.network
-        # The coordinator announces the SiteRank to every peer.
-        announcement_sites = tuple(site_result.sites)
-        announcement_scores = tuple(float(s) for s in site_result.scores)
-        for peer_name in self.peers:
-            network.send(SiteRankAnnouncement(sender=COORDINATOR,
-                                              recipient=peer_name,
-                                              sites=announcement_sites,
-                                              scores=announcement_scores))
+        announcements = [SiteRankAnnouncement(
+            sender=COORDINATOR, recipient=name,
+            sites=tuple(site_result.sites),
+            scores=tuple(site_result.scores.tolist())) for name in self.peers]
+        for message in announcements:
+            network.send(message)
         # Peers weight locally and ship one shard each.
-        shards = {}
-        for peer_name, peer in self.peers.items():
-            network.compute(peer_name, local_work_seconds(
+        score_by_doc: Dict[int, float] = {}
+        for message in announcements:
+            peer = self.peers[message.recipient]
+            network.compute(peer.name, local_work_seconds(
                 sum(len(peer.local_results[s].doc_ids) for s in peer.sites),
                 0, 1))
-            shard = peer.weighted_shard(site_scores, COORDINATOR)
+            shard = peer.on_announcement(message)
             network.send(shard)
-            shards[peer_name] = shard
-        network.barrier(self.peers.keys(), COORDINATOR)
-
-        score_by_doc: Dict[int, float] = {}
-        for shard in shards.values():
-            for doc_id, score in zip(shard.doc_ids, shard.scores):
-                score_by_doc[doc_id] = score
+            score_by_doc.update(zip(shard.doc_ids, shard.scores))
+        network.barrier(self.peers, COORDINATOR)
         # Reassemble in the centralized pipeline's (site-major) order.
-        doc_ids: List[int] = []
-        local_results = {}
-        for site in self.docgraph.sites():
-            owner = next(peer for peer in self.peers.values()
-                         if site in peer.sites)
-            local = owner.local_results[site]
-            local_results[site] = local
-            doc_ids.extend(local.doc_ids)
+        held = {site: rank for peer in self.peers.values()
+                for site, rank in peer.local_results.items()}
+        local = {site: held[site] for site in self.docgraph.sites()}
+        doc_ids = [doc for rank in local.values() for doc in rank.doc_ids]
         scores = normalize_distribution(
             np.asarray([score_by_doc[d] for d in doc_ids], dtype=float),
             name="distributed DocRank")
-        all_urls = self.docgraph.registry.urls
-        urls = [all_urls[d] for d in doc_ids]
-        total_iterations = site_result.iterations + sum(
-            r.iterations for r in local_results.values())
-        return WebRankingResult(doc_ids=doc_ids, urls=urls, scores=scores,
-                                method="distributed-super-peer",
-                                siterank=site_result,
-                                local_docranks=local_results,
-                                iterations=total_iterations)
+        urls = self.docgraph.registry.urls
+        return WebRankingResult(
+            doc_ids=doc_ids, urls=[urls[d] for d in doc_ids], scores=scores,
+            method="distributed-super-peer", siterank=site_result,
+            local_docranks=local, iterations=site_result.iterations + sum(
+                rank.iterations for rank in local.values()))

@@ -13,9 +13,7 @@ of message types.  The same classes serve two transports:
 :attr:`Message.size_bytes` reports the *actual encoded frame size* of the
 codec (JSON envelope + raw little-endian buffers), so simulated byte
 accounting and measured socket traffic agree by construction — benchmark
-E18 asserts exactly that.  :meth:`Message.payload_bytes` remains the
-historical closed-form estimate (8 bytes per float, 4 per int, 1 per URL
-character) used by the analytic cost model.
+E18 asserts exactly that.
 """
 
 from __future__ import annotations
@@ -27,10 +25,8 @@ import numpy as np
 
 from .codec import encoded_size, wire_message
 
-#: Fixed per-message header estimate of the closed-form cost model (type
-#: tag, ids, lengths).  The wire codec's real envelope is JSON and varies;
-#: this constant only feeds :meth:`Message.estimated_size_bytes`.
-HEADER_BYTES = 32
+#: Node name of the coordinator, in the simulator and on the wire.
+COORDINATOR = "coordinator"
 
 
 @dataclass(frozen=True)
@@ -39,15 +35,6 @@ class Message:
 
     sender: str
     recipient: str
-
-    def payload_bytes(self) -> int:
-        """Closed-form payload estimate in bytes (excluding the header)."""
-        return 0
-
-    @property
-    def estimated_size_bytes(self) -> int:
-        """The analytic cost model's total size estimate."""
-        return HEADER_BYTES + self.payload_bytes()
 
     @property
     def size_bytes(self) -> int:
@@ -71,9 +58,6 @@ class AssignSitesMessage(Message):
 
     sites: Tuple[str, ...] = ()
 
-    def payload_bytes(self) -> int:
-        return sum(len(site) for site in self.sites) + 4 * len(self.sites)
-
 
 @wire_message(buffers=(("start", "<f8"),))
 @dataclass(frozen=True)
@@ -94,9 +78,6 @@ class ComputeLocalRankRequest(Message):
     max_iter: int = 1000
     start: Tuple[float, ...] = ()
 
-    def payload_bytes(self) -> int:
-        return len(self.site) + 8 + 8 * len(self.start)
-
     def start_vector(self) -> Optional[np.ndarray]:
         """The warm-start vector as a numpy array (``None`` when cold)."""
         if not self.start:
@@ -113,10 +94,6 @@ class LocalRankResult(Message):
     doc_ids: Tuple[int, ...] = ()
     scores: Tuple[float, ...] = ()
     iterations: int = 0
-
-    def payload_bytes(self) -> int:
-        return (len(self.site) + 4 * len(self.doc_ids)
-                + 8 * len(self.scores) + 4)
 
     def scores_array(self) -> np.ndarray:
         """The scores as a numpy vector."""
@@ -140,10 +117,6 @@ class SiteLinkSummary(Message):
     #: crashed-peer re-assignments.
     sites: Tuple[str, ...] = ()
 
-    def payload_bytes(self) -> int:
-        return sum(len(source) + len(target) + 4
-                   for source, target, _count in self.counts)
-
 
 @wire_message(buffers=(("scores", "<f8"),))
 @dataclass(frozen=True)
@@ -153,9 +126,6 @@ class SiteRankAnnouncement(Message):
     sites: Tuple[str, ...] = ()
     scores: Tuple[float, ...] = ()
 
-    def payload_bytes(self) -> int:
-        return sum(len(site) for site in self.sites) + 8 * len(self.scores)
-
 
 @wire_message(buffers=(("doc_ids", "<i8"), ("scores", "<f8")))
 @dataclass(frozen=True)
@@ -164,9 +134,6 @@ class AggregatedRankShard(Message):
 
     doc_ids: Tuple[int, ...] = ()
     scores: Tuple[float, ...] = ()
-
-    def payload_bytes(self) -> int:
-        return 4 * len(self.doc_ids) + 8 * len(self.scores)
 
 
 @dataclass

@@ -1,35 +1,37 @@
-"""Peer and super-peer node behaviour.
+"""The protocol peer: one implementation for the simulator and the cluster.
 
-A :class:`Peer` owns one or more web sites (it models the web servers /
-search peers of the paper's deployment), holds only the *local* link
-structure of those sites, and can
+A :class:`Peer` owns some web sites (the web servers / search peers of the
+paper's deployment, Section 3.2) and reads only their local link
+structure.  It has no transport: each handler takes one message and
+returns the peer's answer, so the simulator's peers and the live
+cluster's (:class:`~repro.cluster.peer.ClusterPeer`) are one peer.
 
-* summarise its outgoing SiteLinks (for the coordinator's SiteGraph —
-  :func:`summarize_sitelinks`, shared with the live cluster),
-* hold the local DocRank of each of its sites, which the execution engine
-  computes and hands back (:meth:`Peer.adopt_local_rank`),
-* weight its local vectors by the announced SiteRank (when aggregation is
-  pushed down to the peers / super-peers).
-
-Local computation time is charged to the simulated clock using a simple
-cost model proportional to the work of the power method on the local
-subgraph (iterations × non-zeros), so the makespan reported by the
-simulation reflects the parallelism of the decomposition rather than
-Python's actual speed.
+The simulator charges local computation to its clocks with a cost model
+proportional to the power method's work on the local subgraph
+(iterations × non-zeros, :func:`local_work_seconds`), so its makespan
+reflects the parallelism of the decomposition rather than Python's speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence
 
-from ..exceptions import SimulationError
+import numpy as np
+
+from ..engine.plan import check_block_vector, fused_sites, sites_step
+from ..engine.warm import WarmSource
+from ..exceptions import ProtocolError, SimulationError
 from ..web.docgraph import DocGraph
-from ..web.docrank import LocalDocRank
+from ..web.docrank import LocalDocRank, LocalRanks
+from ..web.sitegraph import aggregate_sitegraph
 from .messages import (
+    COORDINATOR,
     AggregatedRankShard,
+    AssignSitesMessage,
+    ComputeLocalRankRequest,
     LocalRankResult,
     SiteLinkSummary,
+    SiteRankAnnouncement,
 )
 
 #: Simulated seconds charged per (iteration × non-zero entry) of a local
@@ -54,89 +56,121 @@ def summarize_sitelinks(docgraph: DocGraph, sites: Iterable[str], *,
 
     Only counts leave the owner — no rank values — which is what allows
     the SiteRank computation to proceed in parallel with the local
-    DocRanks.  The simulated peers, the live cluster peers and the live
-    coordinator (for sites a resumed round never asks a peer about) all
-    summarise through this one function, so their counts agree exactly.
+    DocRanks.  The counts are the sites' rows of the fit's own
+    :func:`~repro.web.sitegraph.aggregate_sitegraph`, as
+    ``(source, target, count)`` triples sorted by site name.
     """
-    own_sites = set(sites)
-    counts: Dict[Tuple[str, str], int] = {}
-    for source, target in docgraph.edges():
-        source_site = docgraph.site_of_document(source)
-        if source_site not in own_sites:
-            continue
-        target_site = docgraph.site_of_document(target)
-        if target_site == source_site:
-            continue
-        key = (source_site, target_site)
-        counts[key] = counts.get(key, 0) + 1
-    summary = tuple((source, target, count)
-                    for (source, target), count in sorted(counts.items()))
+    own_sites = sorted(set(sites))
+    adjacency = aggregate_sitegraph(docgraph).adjacency
+    names, index = docgraph.sites(), docgraph.registry.site_index
+    counts = []
+    for source in own_sites:
+        row = slice(adjacency.indptr[index[source]],
+                    adjacency.indptr[index[source] + 1])
+        counts.extend((source, names[target], int(count)) for target, count
+                      in zip(adjacency.indices[row].tolist(),
+                             adjacency.data[row].tolist()))
     return SiteLinkSummary(sender=sender, recipient=recipient,
-                           counts=summary, sites=tuple(sorted(own_sites)))
+                           counts=tuple(sorted(counts)),
+                           sites=tuple(own_sites))
 
 
-@dataclass
 class Peer:
-    """A peer responsible for the local DocRank of its sites.
+    """One peer of the protocol, named *name*, over its copy of the web.
 
-    Attributes
-    ----------
-    name:
-        Peer identifier.
-    docgraph:
-        The *global* DocGraph; the peer only ever reads the local subgraphs
-        of its own sites from it (mirroring a web server that stores its own
-        documents).
-    sites:
-        The sites this peer owns.
+    It only ever reads the local subgraphs of the sites it is assigned
+    (mirroring a web server that stores its own documents).
     """
 
-    name: str
-    docgraph: DocGraph
-    sites: List[str]
-    local_results: Dict[str, LocalDocRank] = field(default_factory=dict)
+    def __init__(self, name: str, docgraph: DocGraph) -> None:
+        self.name = name
+        self.docgraph = docgraph
+        #: Every site assigned so far, in assignment order.
+        self.sites: List[str] = []
+        #: The local DocRank of every site solved so far.
+        self.local_results: Dict[str, LocalDocRank] = {}
+        self._awaiting: Dict[str, None] = {}  # assigned, in no step yet
+        self._requests: Dict[str, ComputeLocalRankRequest] = {}
+        self._solving: Sequence[str] = ()  # the sites of the step in flight
 
-    # ------------------------------------------------------------------ #
-    def adopt_local_rank(self, site: str, result: LocalDocRank,
-                         nnz: int) -> float:
-        """Install a local DocRank the execution engine computed for this peer.
+    def on_assignment(self, message: AssignSitesMessage) -> SiteLinkSummary:
+        """Take on the assigned sites; their SiteLink counts go back."""
+        unknown = set(message.sites) - set(self.docgraph.registry.site_index)
+        if unknown:
+            raise ProtocolError(f"peer {self.name!r} was assigned unknown "
+                                f"site {min(unknown)!r}")
+        fresh = [site for site in dict.fromkeys(message.sites)
+                 if site not in self._awaiting]
+        self._awaiting.update(dict.fromkeys(fresh))
+        self.sites.extend(fresh)
+        return summarize_sitelinks(self.docgraph, message.sites,
+                                   sender=self.name,
+                                   recipient=message.sender)
 
-        The coordinator runs every peer's sites through one engine batch,
-        the fit's own layout step (see
-        :class:`~repro.distributed.coordinator.DistributedRankingCoordinator`);
-        the result is handed back to the owning peer here so subsequent
-        message construction (:meth:`local_rank_message`,
-        :meth:`weighted_shard`) behaves exactly as if the peer had computed
-        it itself.  Returns the cost-model seconds the simulated clock must
-        be charged for the run.
+    def on_request(self, message: ComputeLocalRankRequest):
+        """Queue one request; ``None`` until the assignment is covered.
+
+        Then one :func:`~repro.engine.plan.sites_step` over the sites,
+        each of its kind in the whole web's schedule (so the results are
+        bitwise the fit's), every wire start checked against its site.
         """
-        if site not in self.sites:
-            raise SimulationError(
-                f"peer {self.name!r} handed a rank for site {site!r} "
-                "it does not own")
-        self.local_results[site] = result
-        return local_work_seconds(result.n_documents, nnz, result.iterations)
+        if message.site not in self._awaiting:
+            raise ProtocolError(f"peer {self.name!r} got a request for "
+                                f"unassigned site {message.site!r}")
+        self._requests[message.site] = message
+        if len(self._requests) < len(self._awaiting):
+            return None
+        requests = [self._requests.pop(site) for site in self._awaiting]
+        self._awaiting = {}
+        blocks = self.docgraph.site_blocks()
+        indices = [self.docgraph.registry.site_index[request.site]
+                   for request in requests]
+        previous = {}
+        for request, index in zip(requests, indices):
+            start = request.start_vector()
+            if start is not None:
+                doc_ids = blocks.site_doc_ids(index)
+                check_block_vector(f"warm start of site {request.site!r} "
+                                   f"on peer {self.name!r}",
+                                   start, len(doc_ids))
+                previous[request.site] = (doc_ids, start)
+        kinds = fused_sites(np.diff(blocks.offsets).tolist())
+        head = requests[0]
+        step = sites_step(blocks, indices,
+                          [request.site for request in requests],
+                          head.damping,
+                          fused=[kinds[index] for index in indices],
+                          tol=head.tol, max_iter=head.max_iter,
+                          warm=WarmSource(previous) if previous else None)
+        self._solving = step.sites
+        return step
 
-    def local_rank_message(self, site: str, recipient: str) -> LocalRankResult:
-        """Package a previously computed local DocRank for transmission."""
-        if site not in self.local_results:
-            raise SimulationError(
-                f"peer {self.name!r} has no local result for site {site!r}")
-        result = self.local_results[site]
-        return LocalRankResult(sender=self.name, recipient=recipient,
-                               site=site, doc_ids=tuple(result.doc_ids),
-                               scores=tuple(float(s) for s in result.scores),
-                               iterations=result.iterations)
+    def on_solved(self, local: LocalRanks) -> List[LocalRankResult]:
+        """Hold the solved step's DocRanks; their results go back."""
+        if list(local.sites) != list(self._solving) or not local.sites:
+            raise ProtocolError(
+                f"peer {self.name!r} has no step in flight for sites "
+                f"{list(local.sites)!r}")
+        self._solving = ()
+        results = []
+        for site, rank in local.items():
+            self.local_results[site] = rank
+            results.append(LocalRankResult(
+                sender=self.name, recipient=COORDINATOR, site=site,
+                doc_ids=tuple(rank.doc_ids),
+                scores=tuple(rank.scores.tolist()),
+                iterations=rank.iterations))
+        return results
 
-    # ------------------------------------------------------------------ #
-    def weighted_shard(self, site_scores: Dict[str, float],
-                       recipient: str) -> AggregatedRankShard:
+    def on_announcement(self, message: SiteRankAnnouncement
+                        ) -> AggregatedRankShard:
         """Weight the peer's local vectors by SiteRank and ship the shard.
 
         This is the super-peer / push-down aggregation flavour: the final
         multiplication of Theorem 2 happens at the peer, and only the
         already-weighted scores travel to the coordinator.
         """
+        site_scores = dict(zip(message.sites, message.scores))
         doc_ids: List[int] = []
         scores: List[float] = []
         for site in self.sites:
@@ -150,6 +184,14 @@ class Peer:
             result = self.local_results[site]
             doc_ids.extend(result.doc_ids)
             scores.extend(float(weight * value) for value in result.scores)
-        return AggregatedRankShard(sender=self.name, recipient=recipient,
+        return AggregatedRankShard(sender=self.name,
+                                   recipient=message.sender,
                                    doc_ids=tuple(doc_ids),
                                    scores=tuple(scores))
+
+    def work_seconds(self, result: LocalRankResult) -> float:
+        """The cost model's seconds for the solve behind *result*."""
+        index = self.docgraph.registry.site_index[result.site]
+        return local_work_seconds(
+            len(result.doc_ids), int(self.docgraph.site_blocks().nnz[index]),
+            result.iterations)

@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, is_dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -74,7 +74,7 @@ def ranking_to_dict(result: WebRankingResult, *, top_k: int | None = None,
 
 
 def save_json(payload: Any, path: str | os.PathLike, *,
-              atomic: bool = False) -> None:
+              atomic: bool = False, indent: Optional[int] = 2) -> None:
     """Write any library object (dataclasses / numpy included) as JSON.
 
     With ``atomic=True`` the payload is written to a sibling temporary
@@ -86,11 +86,12 @@ def save_json(payload: Any, path: str | os.PathLike, *,
     the directory entry back to the old file even though the new bytes
     were synced.  State files that a restarted process must be able to
     trust (:func:`save_warm_state`, ``repro serve --state``, the disk-graph
-    and artifact-store manifests) use this.
+    and artifact-store manifests) use this.  ``indent=None`` writes the
+    payload on one line (the job ledger's header).
     """
     if not atomic:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
+            json.dump(_jsonable(payload), handle, indent=indent, sort_keys=True)
             handle.write("\n")
         return
     path = os.fspath(path)
@@ -103,7 +104,7 @@ def save_json(payload: Any, path: str | os.PathLike, *,
                                     prefix=os.path.basename(path) + ".tmp.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
+            json.dump(_jsonable(payload), handle, indent=indent, sort_keys=True)
             handle.write("\n")
             handle.flush()
             os.fsync(handle.fileno())

@@ -40,19 +40,19 @@ class TestFreshLedger:
         ledger = open_ledger(None)
         ledger.record_result("a.example", "peer-0000", [1, 2], (0.5, 0.5), 7)
         ledger.mark_complete()
-        assert ledger.warm_path is None
+        assert ledger.path is None
         assert list(tmp_path.iterdir()) == []
 
     def test_assignment_tracks_the_owner(self, tmp_path):
         ledger = open_ledger(tmp_path / "round.json")
-        ledger.record_assignment("a.example", "peer-0001")
+        ledger.record_assignment(["a.example"], "peer-0001")
         assert ledger.owner_of("a.example") == "peer-0001"
         assert "a.example" in ledger.pending_sites()
 
     def test_unknown_site_rejected(self, tmp_path):
         ledger = open_ledger(tmp_path / "round.json")
         with pytest.raises(ProtocolError):
-            ledger.record_assignment("nope.example", "peer-0000")
+            ledger.record_assignment(["nope.example"], "peer-0000")
 
 
 class TestResume:
@@ -101,19 +101,49 @@ class TestResume:
         assert resumed.resumed_sites == []
         assert len(resumed.pending_sites()) == 4
 
-    def test_done_without_warm_vector_demoted_to_pending(self, tmp_path):
+    def test_torn_result_line_leaves_its_site_pending(self, tmp_path):
         path = tmp_path / "round.json"
         first = open_ledger(path)
         first.record_result("a.example", "peer-0000", [1], (1.0,), 5)
-        os.remove(first.warm_path)  # crash between state and vector writes
+        size = os.path.getsize(path)
+        with open(path, "r+b") as handle:  # crash mid-append
+            handle.truncate(size - 7)
         resumed = open_ledger(path)
         assert resumed.resumed_sites == []
         assert "a.example" in resumed.pending_sites()
+        # The torn tail is cut off, so the next append starts a clean line.
+        resumed.record_result("a.example", "peer-0001", [1], (1.0,), 5)
+        assert open_ledger(path).resumed_sites == ["a.example"]
+
+    def test_version_1_ledger_starts_fresh(self, tmp_path):
+        path = tmp_path / "round.json"
+        path.write_text(json.dumps({
+            "version": 1, "graph_digest": DIGEST, "params": PARAMS,
+            "completed": False,
+            "jobs": {site: {"state": STATE_DONE, "peer": "peer-0000",
+                            "iterations": 3, "digest": "0"}
+                     for site in SITES}}, indent=2), encoding="utf-8")
+        ledger = open_ledger(path)
+        assert ledger.resumed_sites == []
+        assert ledger.pending_sites() == SITES
+        header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        assert header["version"] == LEDGER_VERSION
 
     def test_corrupt_ledger_raises(self, tmp_path):
         path = tmp_path / "round.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ProtocolError):
+            open_ledger(path)
+
+    def test_corrupt_line_before_the_last_raises(self, tmp_path):
+        path = tmp_path / "round.json"
+        ledger = open_ledger(path)
+        ledger.record_result("a.example", "peer-0000", [1], (1.0,), 5)
+        ledger.record_result("b.example", "peer-0000", [2], (1.0,), 5)
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1][:-3]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ProtocolError, match="line 2"):
             open_ledger(path)
 
 
@@ -122,13 +152,29 @@ class TestOnDiskShape:
         path = tmp_path / "round.json"
         ledger = open_ledger(path)
         ledger.record_result("c.example", "peer-0002", [7], (1.0,), 3)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["version"] == LEDGER_VERSION
-        assert payload["graph_digest"] == DIGEST
-        assert payload["completed"] is False
-        assert payload["jobs"]["c.example"]["state"] == STATE_DONE
-        assert payload["jobs"]["a.example"]["state"] == STATE_PENDING
-        assert payload["jobs"]["c.example"]["digest"] == score_digest((1.0,))
+        header, result = [json.loads(line) for line in
+                          path.read_text(encoding="utf-8").splitlines()]
+        assert header["version"] == LEDGER_VERSION
+        assert header["graph_digest"] == DIGEST
+        assert header["params"] == PARAMS
+        assert header["sites"] == SITES
+        assert result == {"result": "c.example", "peer": "peer-0002",
+                          "iterations": 3, "doc_ids": [7], "scores": [1.0]}
+        assert ledger.jobs["c.example"]["state"] == STATE_DONE
+        assert ledger.jobs["a.example"]["state"] == STATE_PENDING
+        assert ledger.jobs["c.example"]["digest"] == score_digest((1.0,))
+
+    def test_a_round_appends_one_line_per_message(self, tmp_path):
+        path = tmp_path / "round.json"
+        ledger = open_ledger(path)
+        header = path.read_bytes()
+        ledger.record_assignment(SITES, "peer-0000")
+        for site in SITES:
+            ledger.record_result(site, "peer-0000", [1], (1.0,), 3)
+        ledger.mark_complete()
+        data = path.read_bytes()
+        assert data.startswith(header)
+        assert data.count(b"\n") == 1 + 1 + len(SITES) + 1
 
     def test_score_digest_is_content_addressed(self):
         assert score_digest((0.5, 0.5)) == score_digest([0.5, 0.5])

@@ -28,7 +28,11 @@ from repro.cluster import (
 )
 from repro.cluster.ledger import JobLedger
 from repro.distributed import DistributedRankingCoordinator
-from repro.distributed.messages import ComputeLocalRankRequest
+from repro.distributed.codec import encode_message
+from repro.distributed.messages import (
+    AssignSitesMessage,
+    ComputeLocalRankRequest,
+)
 from repro.exceptions import ProtocolError, ValidationError
 from repro.graphgen import generate_synthetic_web
 from repro.io import docgraph_digest, read_docgraph, write_docgraph
@@ -60,6 +64,11 @@ async def run_in_process_round(graph, *, n_peers=3, **coordinator_options):
     coordinator_options.setdefault("round_timeout", 60.0)
     coordinator = ClusterCoordinator(graph, n_peers=n_peers,
                                      **coordinator_options)
+    return await run_with_in_process_peers(coordinator, graph, n_peers)
+
+
+async def run_with_in_process_peers(coordinator, graph, n_peers):
+    """Run *coordinator*'s round against *n_peers* asyncio-task peers."""
     await coordinator.start()
     peers = [ClusterPeer(graph, coordinator.host, coordinator.port,
                          name=f"inproc-{i}") for i in range(n_peers)]
@@ -71,6 +80,19 @@ async def run_in_process_round(graph, *, n_peers=3, **coordinator_options):
             task.cancel()
         await asyncio.gather(*peer_tasks, return_exceptions=True)
     return report
+
+
+def frames_by_peer(log):
+    """Each peer's encoded protocol frames of each shared type, in order."""
+    frames = {}
+    for message in log.messages:
+        kind = type(message).__name__
+        if kind in SHARED_TYPES:
+            peer = (message.recipient if message.sender == "coordinator"
+                    else message.sender)
+            frames.setdefault((peer, kind), []).append(
+                encode_message(message))
+    return frames
 
 
 class TestInProcessRound:
@@ -93,6 +115,20 @@ class TestInProcessRound:
                 simulated.bytes_by_type[message_type], message_type
             assert report.messages_by_type[message_type] == \
                 simulated.messages_by_type[message_type], message_type
+
+    def test_per_peer_frames_equal_the_simulators(self, web):
+        """Both deployments run one peer and one round bookkeeping, so
+        every protocol frame a peer sends or receives is byte-equal."""
+        coordinator = ClusterCoordinator(web["graph"], n_peers=3,
+                                         heartbeat_seconds=0.2,
+                                         round_timeout=60.0)
+        asyncio.run(run_with_in_process_peers(coordinator, web["graph"], 3))
+        simulated = DistributedRankingCoordinator(web["graph"], n_peers=3)
+        simulated.run()
+        live = frames_by_peer(coordinator.log)
+        assert live == frames_by_peer(simulated.network.log)
+        assert {peer for peer, _type in live} == \
+            {"peer-0000", "peer-0001", "peer-0002"}
 
     def test_report_carries_measured_per_peer_wall_times(self, web):
         report = asyncio.run(run_in_process_round(web["graph"]))
@@ -152,6 +188,14 @@ class TestInProcessRound:
             asyncio.run(join_wrong_graph())
 
 
+async def deliver(peer, requests):
+    """Assign *peer* the sites of *requests*, then hand it each request."""
+    peer.protocol.on_assignment(AssignSitesMessage(
+        sender="coordinator", recipient=peer.name, sites=tuple(requests)))
+    for request in requests.values():
+        await peer._handle(request)
+
+
 class TestWireWarmStart:
     @pytest.mark.parametrize("broken", ["length", "non-finite", "negative",
                                         "not a distribution"])
@@ -184,7 +228,7 @@ class TestWireWarmStart:
         peer = ClusterPeer(graph, "127.0.0.1", 0, name="peer-0007")
         with pytest.raises(ValidationError,
                            match=f"site {site!r} on peer 'peer-0007'"):
-            asyncio.run(peer._compute_batch([first, site], requests))
+            asyncio.run(deliver(peer, requests))
         assert peer.sites_ranked == 0
 
 
@@ -203,7 +247,7 @@ class TestWireWarmStart:
 
         peer = ClusterPeer(graph, "127.0.0.1", 0, name="peer-0007")
         peer._send = send
-        asyncio.run(peer._compute_batch(sites, requests))
+        asyncio.run(deliver(peer, requests))
         assert [message.site for message in sent] == sites
         for message in sent:
             cold = serial.local_docranks[message.site]

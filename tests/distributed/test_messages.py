@@ -3,23 +3,18 @@
 import numpy as np
 
 from repro.distributed import (
-    AggregatedRankShard,
-    AssignSitesMessage,
     ComputeLocalRankRequest,
     LocalRankResult,
     MessageLog,
-    SiteLinkSummary,
     SiteRankAnnouncement,
 )
 from repro.distributed.codec import encode_message
-from repro.distributed.messages import HEADER_BYTES
 
 
 class TestMessageSizes:
     def test_header_always_included(self):
         message = ComputeLocalRankRequest(sender="c", recipient="p", site="")
-        assert message.size_bytes >= HEADER_BYTES
-        assert message.estimated_size_bytes >= HEADER_BYTES
+        assert message.size_bytes == len(encode_message(message))
 
     def test_size_bytes_is_the_encoded_frame_size(self):
         message = LocalRankResult(sender="p", recipient="c", site="s",
@@ -37,33 +32,6 @@ class TestMessageSizes:
         # doc_ids travel as 8-byte integers and scores as 8-byte doubles;
         # only the buffer-count digits in the envelope vary besides them.
         assert large.size_bytes - small.size_bytes >= 99 * (8 + 8)
-
-    def test_estimated_size_uses_the_closed_form_model(self):
-        large = LocalRankResult(sender="p", recipient="c", site="s",
-                                doc_ids=tuple(range(100)),
-                                scores=tuple([0.01] * 100), iterations=3)
-        assert large.estimated_size_bytes == HEADER_BYTES + large.payload_bytes()
-
-    def test_assign_sites_size(self):
-        message = AssignSitesMessage(sender="c", recipient="p",
-                                     sites=("a.org", "bb.org"))
-        assert message.payload_bytes() == len("a.org") + len("bb.org") + 8
-
-    def test_sitelink_summary_size(self):
-        message = SiteLinkSummary(sender="p", recipient="c",
-                                  counts=(("a.org", "b.org", 7),))
-        assert message.payload_bytes() == len("a.org") + len("b.org") + 4
-
-    def test_announcement_size(self):
-        message = SiteRankAnnouncement(sender="c", recipient="p",
-                                       sites=("a", "b"), scores=(0.5, 0.5))
-        assert message.payload_bytes() == 2 + 16
-
-    def test_shard_size(self):
-        message = AggregatedRankShard(sender="p", recipient="c",
-                                      doc_ids=(1, 2, 3),
-                                      scores=(0.1, 0.2, 0.3))
-        assert message.payload_bytes() == 3 * 4 + 3 * 8
 
     def test_scores_array_helper(self):
         message = LocalRankResult(sender="p", recipient="c", site="s",
