@@ -113,9 +113,10 @@ class ClusterCoordinator:
         self.assignment = partition_sites(docgraph, n_peers,
                                           policy=partition_policy)
         self.state = RoundState(
-            docgraph, damping=damping, tol=tol,
-            site_damping=damping if site_damping is None else site_damping, max_iter=max_iter, architecture="flat",
-            ledger_path=ledger_path, graph_digest=self.graph_digest)
+            docgraph, damping=damping, tol=tol, max_iter=max_iter,
+            site_damping=damping if site_damping is None else site_damping,
+            architecture="flat", ledger_path=ledger_path,
+            graph_digest=self.graph_digest)
         self.ledger = self.state.ledger
         self.log = MessageLog()
 

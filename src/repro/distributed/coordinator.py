@@ -263,9 +263,9 @@ class RoundState:
         """The SiteGraph assembled from the summaries, and its SiteRank.
 
         It needs every site :attr:`covered` and link counts only, so it
-        can run while the peers' local DocRanks are still converging.  The CSR orders the
-        counts, so the SiteGraph is bitwise independent of how the
-        summaries were split across peers, and equals the fit's.
+        can run while the peers' local DocRanks are still converging.  The
+        CSR orders the counts, so the SiteGraph is bitwise independent of
+        how the summaries were split across peers, and equals the fit's.
         """
         sites, index = self.docgraph.sites(), self.docgraph.registry.site_index
         triples = [triple for site in sites
